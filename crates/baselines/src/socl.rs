@@ -77,8 +77,8 @@ impl SoclSystem {
     /// almost entirely, so reading one clock across both phases would
     /// under-report the wait a real SOCL client experiences.
     pub fn append_and_commit(&mut self, payloads: Vec<Vec<u8>>) -> Result<SoclOutcome, CoreError> {
-        let fees_before = self.node.stats().stage2_fees;
-        let commits_before = self.node.stats().stage2_latencies.len();
+        let before = self.node.stats();
+        let fees_before = before.stage2_fees;
         let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
         let operations = payloads.len() as u64;
         let outcome = self.publisher.append_batch(payloads)?;
@@ -114,11 +114,11 @@ impl SoclSystem {
         self.node.wait_stage2_idle(Duration::from_secs(3600))?;
         let stats = self.node.stats();
         // Mean flush→confirmation latency of the batches this run created.
-        let new_latencies = &stats.stage2_latencies[commits_before..];
-        let stage2_mean = if new_latencies.is_empty() {
+        let new_commits = stats.stage2_latency_count - before.stage2_latency_count;
+        let stage2_mean = if new_commits == 0 {
             Duration::ZERO
         } else {
-            new_latencies.iter().sum::<Duration>() / new_latencies.len() as u32
+            (stats.stage2_latency_sum - before.stage2_latency_sum).div_f64(new_commits as f64)
         };
         Ok(SoclOutcome {
             costs: CommitCosts {

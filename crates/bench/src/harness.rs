@@ -775,25 +775,17 @@ pub fn fault_tolerance(profile: Profile) -> Table {
     table
 }
 
-/// One persist-path configuration for the `stage1` experiment.
-struct PersistPathConfig {
-    label: &'static str,
-    sync: wedge_storage::SyncPolicy,
-    overlap: bool,
-    merkle_cutoff: usize,
-}
-
-/// Drives the node's persist+deliver stages directly against a
-/// [`wedge_storage::LogStore`] + 2-replica [`wedge_storage::Replicator`]:
-/// a producer thread hashes (Merkle), replicates, and appends batches while
-/// a consumer thread enforces the reply-release rule (`ensure_durable`) a
-/// couple of batches behind, exactly like the pipelined deliver stage.
+/// Drives the node's persist+deliver stages directly against a durable
+/// (group-commit) [`wedge_storage::LogStore`] + 2-replica
+/// [`wedge_storage::Replicator`]: a producer thread hashes (parallel
+/// Merkle), starts replication, and appends batches while a consumer thread
+/// enforces the reply-release rule (`ensure_durable`) a couple of batches
+/// behind, exactly like the pipelined deliver stage.
 /// Returns (records/s, sync stats).
 fn run_persist_path(
     tag: &str,
     batch_size: usize,
     batches: usize,
-    cfg: &PersistPathConfig,
 ) -> (f64, wedge_storage::SyncStats) {
     use wedge_storage::{LogStore, Replicator, StoreConfig, SyncPolicy};
 
@@ -803,7 +795,10 @@ fn run_persist_path(
         LogStore::open(
             dir.join("store"),
             StoreConfig {
-                sync: cfg.sync,
+                sync: SyncPolicy::GroupCommit {
+                    max_batches: 4,
+                    max_delay: Duration::from_millis(2),
+                },
                 ..Default::default()
             },
         )
@@ -832,32 +827,16 @@ fn run_persist_path(
         let pool = &pool;
         scope.spawn(move |_| {
             for _ in 0..batches {
-                let tree = wedge_merkle::MerkleTree::from_leaves_parallel(
-                    &payloads[..],
-                    pool,
-                    cfg.merkle_cutoff,
-                )
-                .expect("non-empty batch");
+                let tree = wedge_merkle::MerkleTree::from_leaves_parallel(&payloads[..], pool, 256)
+                    .expect("non-empty batch");
                 std::hint::black_box(tree.root());
-                let first = if cfg.overlap {
-                    // Replicas chew on the batch while we pay the local
-                    // append (+ any covering fsync): cost = max, not sum.
-                    let handle = replicator.replicate_begin(Arc::clone(&payloads));
-                    let first = producer_store
-                        .append_batch(&payloads[..])
-                        .expect("append batch");
-                    handle.wait();
-                    first
-                } else {
-                    // Pre-PR shape: local persist, then replication, each
-                    // paid in full (including the per-batch clone the old
-                    // sequential path made for the replicas).
-                    let first = producer_store
-                        .append_batch(&payloads[..])
-                        .expect("append batch");
-                    replicator.replicate_sync((*payloads).clone());
-                    first
-                };
+                // Replicas chew on the batch while we pay the local append
+                // (+ any covering fsync): cost = max, not sum.
+                let handle = replicator.replicate_begin(Arc::clone(&payloads));
+                let first = producer_store
+                    .append_batch(&payloads[..])
+                    .expect("append batch");
+                handle.wait();
                 if release_tx.send(first + batch_size as u64 - 1).is_err() {
                     return;
                 }
@@ -875,17 +854,18 @@ fn run_persist_path(
     (total as f64 / elapsed, stats)
 }
 
-/// Extra (not in the paper): the stage-1 hardware-speed path introduced by
-/// this PR — parallel Merkle construction, replication overlapped with local
-/// durability, and fsync group-commit — measured two ways:
+/// Extra (not in the paper): the stage-1 hardware-speed path — parallel
+/// Merkle construction, replication overlapped with local durability, and
+/// fsync group-commit — measured two ways:
 ///
 /// * **persist path** rows drive the storage + replication layers directly
-///   (no signing, no chain) and compare the pre-PR durable configuration
-///   (fsync per batch, sequential replication, serial Merkle) against the
-///   PR's (group commit, overlapped replication, parallel Merkle);
-/// * **end-to-end** rows run the full node + publisher and compare the
-///   pre-PR pipeline shape (sequential replication, serial Merkle) against
-///   the PR's, plus a durable-replies variant under group commit.
+///   (no signing, no chain);
+/// * **end-to-end** rows run the full node + publisher, without and with
+///   durable replies (group commit).
+///
+/// "Versus before" is answered by history (`wedgebench`'s per-layer
+/// metrics and the committed revisions of `results/stage1.md`), not by
+/// keeping superseded pipeline shapes selectable.
 pub fn stage1(profile: Profile) -> Table {
     use wedge_storage::SyncPolicy;
 
@@ -897,7 +877,6 @@ pub fn stage1(profile: Profile) -> Table {
             "scenario".into(),
             "batch".into(),
             "throughput (ops/s)".into(),
-            "vs pre-PR".into(),
             "fsyncs".into(),
             "coalesced".into(),
             "repl overlap (ms)".into(),
@@ -910,46 +889,16 @@ pub fn stage1(profile: Profile) -> Table {
 
     let batch_sizes = [256usize, 1000, 2000];
 
-    // --- Persist-path rows: durable stage-1, storage layer head-to-head.
-    let pre = PersistPathConfig {
-        label: "persist path — pre-PR (fsync/batch, sequential repl, serial merkle)",
-        sync: SyncPolicy::Always,
-        overlap: false,
-        merkle_cutoff: usize::MAX,
-    };
-    let post = PersistPathConfig {
-        label: "persist path — this PR (group commit, overlapped repl, parallel merkle)",
-        sync: SyncPolicy::GroupCommit {
-            max_batches: 4,
-            max_delay: Duration::from_millis(2),
-        },
-        overlap: true,
-        merkle_cutoff: 256,
-    };
+    // --- Persist-path rows: durable stage-1 at the storage layer.
     for &batch in &batch_sizes {
         let batches = profile.scale(64, 12);
-        let (pre_rate, pre_stats) = run_persist_path(&format!("pre-{batch}"), batch, batches, &pre);
-        let (post_rate, post_stats) =
-            run_persist_path(&format!("post-{batch}"), batch, batches, &post);
+        let (rate, stats) = run_persist_path(&format!("persist-{batch}"), batch, batches);
         table.rows.push(vec![
-            pre.label.into(),
+            "persist path (group commit, overlapped repl, parallel merkle)".into(),
             batch.to_string(),
-            format!("{pre_rate:.0}"),
-            "1.00×".into(),
-            pre_stats.fsyncs.to_string(),
-            pre_stats.fsyncs_coalesced.to_string(),
-            "—".into(),
-            "—".into(),
-            "—".into(),
-            "—".into(),
-        ]);
-        table.rows.push(vec![
-            post.label.into(),
-            batch.to_string(),
-            format!("{post_rate:.0}"),
-            format!("{:.2}×", post_rate / pre_rate.max(1e-9)),
-            post_stats.fsyncs.to_string(),
-            post_stats.fsyncs_coalesced.to_string(),
+            format!("{rate:.0}"),
+            stats.fsyncs.to_string(),
+            stats.fsyncs_coalesced.to_string(),
             "—".into(),
             "—".into(),
             "—".into(),
@@ -960,24 +909,10 @@ pub fn stage1(profile: Profile) -> Table {
     // --- End-to-end rows: full node + publisher, stage-1 throughput.
     for &batch in &batch_sizes {
         let n = profile.scale(batch * 10, (batch * 2).max(2000));
-        let mut pre_rate = 0.0;
-        for (label, overlap, cutoff, sync) in [
+        for (label, sync) in [
+            ("end-to-end", SyncPolicy::OnRotate),
             (
-                "end-to-end — pre-PR (sequential repl, serial merkle)",
-                false,
-                usize::MAX,
-                SyncPolicy::OnRotate,
-            ),
-            (
-                "end-to-end — this PR (overlapped repl, parallel merkle)",
-                true,
-                256usize,
-                SyncPolicy::OnRotate,
-            ),
-            (
-                "end-to-end — this PR + durable replies (group commit)",
-                true,
-                256,
+                "end-to-end + durable replies (group commit)",
                 SyncPolicy::GroupCommit {
                     max_batches: 8,
                     max_delay: Duration::from_millis(2),
@@ -989,8 +924,6 @@ pub fn stage1(profile: Profile) -> Table {
                 batch_linger: Duration::from_millis(30),
                 verify_requests: false,
                 replicas: 2,
-                overlap_replication: overlap,
-                merkle_parallel_cutoff: cutoff,
                 store: wedge_storage::StoreConfig {
                     sync,
                     ..Default::default()
@@ -1024,14 +957,10 @@ pub fn stage1(profile: Profile) -> Table {
                 }
             }
             let stats = stats.expect("at least one repeat");
-            if pre_rate == 0.0 {
-                pre_rate = rate;
-            }
             table.rows.push(vec![
                 label.into(),
                 batch.to_string(),
                 format!("{rate:.0}"),
-                format!("{:.2}×", rate / pre_rate.max(1e-9)),
                 "—".into(),
                 stats.fsyncs_coalesced.to_string(),
                 format!("{:.2}", stats.replication_overlap_ns as f64 / 1e6),
@@ -1530,26 +1459,20 @@ fn run_net_clients(
     (append_wall, read_wall, merged)
 }
 
-/// Extra (not in the paper): the wire-speed RPC plane, old path vs new
-/// path in the same run. Both servers front the **same** node; only the
-/// transport differs:
-///
-/// * **old** — pre-PR wire shape: one reply per write (`coalesce = 1`),
-///   no frame-buffer pooling, every client sharing one `RemoteNode` whose
-///   appends flush per submission;
-/// * **new** — this PR: coalescing writers draining bounded reply queues
-///   into pooled buffers, and a striped [`wedge_net::RemoteNodePool`]
-///   client with buffered per-burst flushes.
+/// Extra (not in the paper): the wire-speed RPC plane — coalescing
+/// writers draining bounded reply queues into pooled buffers, driven by a
+/// striped [`wedge_net::RemoteNodePool`] client with buffered per-burst
+/// flushes. (The write-per-reply, unpooled, single-connection shape this
+/// replaced is in the history of `results/net.md`; `wedgebench`'s `net.*`
+/// per-layer metrics track the plane from here on.)
 pub fn net(profile: Profile) -> Table {
-    use wedge_net::{NodeServer, PoolConfig, RemoteNode, RemoteNodePool, ServerConfig};
+    use wedge_net::{NodeServer, PoolConfig, RemoteNodePool};
 
     let mut table = Table {
-        title: "RPC plane (extension) — coalescing writers + striped client vs pre-PR wire path"
-            .into(),
+        title: "RPC plane (extension) — coalescing writers + striped client".into(),
         headers: vec![
             "clients".into(),
             "payload (B)".into(),
-            "path".into(),
             "append ops/s".into(),
             "append p50".into(),
             "append p99".into(),
@@ -1575,44 +1498,11 @@ pub fn net(profile: Profile) -> Table {
                 ..Default::default()
             };
             let world = World::new(&format!("net-{clients}-{value_size}"), config, 2000.0);
-            let node = Arc::clone(&world.node);
-
-            // Old wire shape: per-reply writes, no buffer pool, one shared
-            // connection with per-submit flushes.
-            let old_server = NodeServer::bind_with_config(
-                "127.0.0.1:0",
-                Arc::clone(&node) as _,
-                ServerConfig {
-                    coalesce_max_replies: 1,
-                    pool_max_buffers: 0,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind old-path server");
-            let old_client: Arc<dyn wedge_core::LogService> =
-                Arc::new(RemoteNode::connect(old_server.local_addr()).expect("connect old"));
-            let (old_aw, old_rw, old_samples) = run_net_clients(
-                &old_client,
-                &format!("old-{clients}-{value_size}"),
-                clients,
-                appends,
-                reads,
-                value_size,
-            );
-            drop(old_client);
-            let old_stats = old_server.stats();
-
-            // New wire shape: defaults (coalescing + pooling) and a striped
-            // client pool with buffered appends.
-            let new_server = NodeServer::bind_with_config(
-                "127.0.0.1:0",
-                Arc::clone(&node) as _,
-                ServerConfig::default(),
-            )
-            .expect("bind new-path server");
-            let new_client: Arc<dyn wedge_core::LogService> = Arc::new(
+            let server =
+                NodeServer::bind("127.0.0.1:0", Arc::clone(&world.node) as _).expect("bind server");
+            let client: Arc<dyn wedge_core::LogService> = Arc::new(
                 RemoteNodePool::connect_with_config(
-                    new_server.local_addr(),
+                    server.local_addr(),
                     PoolConfig {
                         stripes: clients.min(8),
                         ..PoolConfig::default()
@@ -1620,42 +1510,36 @@ pub fn net(profile: Profile) -> Table {
                 )
                 .expect("connect pool"),
             );
-            let (new_aw, new_rw, new_samples) = run_net_clients(
-                &new_client,
-                &format!("new-{clients}-{value_size}"),
+            let (append_wall, read_wall, samples) = run_net_clients(
+                &client,
+                &format!("{clients}-{value_size}"),
                 clients,
                 appends,
                 reads,
                 value_size,
             );
-            drop(new_client);
-            let new_stats = new_server.stats();
+            drop(client);
+            let stats = server.stats();
 
             let total_ops = (appends * clients) as f64;
             let total_reads = (reads * clients) as f64;
-            for (path, aw, rw, samples, stats) in [
-                ("old", old_aw, old_rw, &old_samples, &old_stats),
-                ("new", new_aw, new_rw, &new_samples, &new_stats),
-            ] {
-                table.rows.push(vec![
-                    clients.to_string(),
-                    value_size.to_string(),
-                    path.into(),
-                    format!("{:.0}", total_ops / aw.as_secs_f64().max(1e-9)),
-                    fmt_us(percentile(&samples.append, 0.50)),
-                    fmt_us(percentile(&samples.append, 0.99)),
-                    format!("{:.0}", total_reads / rw.as_secs_f64().max(1e-9)),
-                    fmt_us(percentile(&samples.read, 0.50)),
-                    fmt_us(percentile(&samples.read, 0.99)),
-                    format!(
-                        "{:.2}",
-                        stats.replies_sent as f64 / stats.writes_issued.max(1) as f64
-                    ),
-                    stats.replies_coalesced.to_string(),
-                    format!("{:.0}%", stats.buffer_pool_hit_rate() * 100.0),
-                    stats.queue_shed.to_string(),
-                ]);
-            }
+            table.rows.push(vec![
+                clients.to_string(),
+                value_size.to_string(),
+                format!("{:.0}", total_ops / append_wall.as_secs_f64().max(1e-9)),
+                fmt_us(percentile(&samples.append, 0.50)),
+                fmt_us(percentile(&samples.append, 0.99)),
+                format!("{:.0}", total_reads / read_wall.as_secs_f64().max(1e-9)),
+                fmt_us(percentile(&samples.read, 0.50)),
+                fmt_us(percentile(&samples.read, 0.99)),
+                format!(
+                    "{:.2}",
+                    stats.replies_sent as f64 / stats.writes_issued.max(1) as f64
+                ),
+                stats.replies_coalesced.to_string(),
+                format!("{:.0}%", stats.buffer_pool_hit_rate() * 100.0),
+                stats.queue_shed.to_string(),
+            ]);
         }
     }
     table

@@ -9,12 +9,12 @@
 //! 2. **folds** each shard's roots into a shard epoch root, and the N
 //!    shard roots into the cluster root-of-roots — the exact fold the
 //!    [`ClusterRoot`] contract recomputes on-chain from calldata;
-//! 3. **submits** one `Commit-Epoch` transaction, with bounded-backoff
-//!    retries. Failures are *reconciled* against the contract's
-//!    `tail_epoch` before retrying: a receipt timeout does not mean the
-//!    transaction missed, and the contract's sequential single-write rule
-//!    turns any duplicate into a revert — each epoch lands **exactly
-//!    once**;
+//! 3. **lands** one `Commit-Epoch` transaction through the same
+//!    [`ChainCommitter`] retry engine the single node's stage 2 uses, with
+//!    the contract's `tail_epoch` as the "did it land?" probe: a receipt
+//!    timeout does not mean the transaction missed, and the contract's
+//!    sequential single-write rule turns any duplicate into a revert —
+//!    each epoch lands **exactly once**;
 //! 4. **acknowledges** the covered groups (`epoch_commit`); a lost ack is
 //!    harmless (the shard re-reports, the stale-epoch guard rejects
 //!    out-of-order acks — `wedge-check`'s epoch model exercises why).
@@ -23,10 +23,10 @@
 //! [`ClusterProof`]s from it: entry → shard root → on-chain cluster root.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use wedge_chain::{Address, Chain, ChainError, Gas, Wei};
+use wedge_chain::{Address, Chain, ChainError, Gas, TxHash, Wei};
 use wedge_contracts::ClusterRoot;
+use wedge_core::chain_commit::{ChainCommitter, CommitTarget, Event, Landed};
 use wedge_core::{CoreError, EntryId, EpochCommit, ShardGroup, Stage2RetryPolicy};
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::signer::Identity;
@@ -108,7 +108,7 @@ pub struct EpochCoordinator {
     identity: Identity,
     contract: Address,
     max_group: usize,
-    retry: Stage2RetryPolicy,
+    committer: ChainCommitter,
     next_epoch: u64,
     records: Vec<EpochRecord>,
     stats: CoordinatorStats,
@@ -140,17 +140,13 @@ impl EpochCoordinator {
         contract: Address,
         max_group: usize,
     ) -> EpochCoordinator {
-        let next_epoch = chain
-            .view(contract, &ClusterRoot::get_tail_epoch_calldata())
-            .ok()
-            .and_then(|out| ClusterRoot::decode_u64(&out))
-            .unwrap_or(0);
+        let next_epoch = tail_epoch(&chain, contract);
         EpochCoordinator {
+            committer: ChainCommitter::new(Arc::clone(&chain), Stage2RetryPolicy::default()),
             chain,
             identity,
             contract,
             max_group: max_group.max(1),
-            retry: Stage2RetryPolicy::default(),
             next_epoch,
             records: Vec::new(),
             stats: CoordinatorStats::default(),
@@ -159,7 +155,7 @@ impl EpochCoordinator {
 
     /// Replaces the retry policy (defaults to the stage-2 policy).
     pub fn with_retry(mut self, retry: Stage2RetryPolicy) -> EpochCoordinator {
-        self.retry = retry;
+        self.committer = ChainCommitter::new(Arc::clone(&self.chain), retry);
         self
     }
 
@@ -200,7 +196,23 @@ impl EpochCoordinator {
         let cluster_root = ClusterRoot::fold_roots(&shard_roots)
             .ok_or(CoreError::RequestRejected("cluster with zero shards"))?;
         let landed = self.commit_on_chain(epoch, &shard_roots)?;
-        debug_assert_eq!(landed.root, cluster_root, "on-chain fold must match ours");
+        let on_chain = match &landed {
+            Landed::Confirmed(receipt) => ClusterRoot::decode_root(&receipt.output),
+            Landed::Reconciled(_) => self.on_chain_root(epoch).ok(),
+        };
+        if on_chain != Some(cluster_root) {
+            // Only possible when another coordinator landed this epoch:
+            // acknowledge nothing and resume from the contract's tail.
+            self.next_epoch = tail_epoch(&self.chain, self.contract);
+            return Err(CoreError::RequestRejected(
+                "epoch landed on-chain with a different root-of-roots",
+            ));
+        }
+        // `None`: landed through a transaction we cannot see a receipt for.
+        let (tx_hash, block_number, gas_used, fee) = match landed.receipt() {
+            Some(r) => (r.tx_hash, r.block_number, r.gas_used, r.fee),
+            None => (TxHash::ZERO, 0, Gas::ZERO, Wei::ZERO),
+        };
 
         // Acknowledge the covered groups. A failed ack is not fatal: the
         // shard re-reports the same positions and a later epoch covers
@@ -213,8 +225,8 @@ impl EpochCoordinator {
                 epoch,
                 start: slice.start,
                 count: slice.roots.len() as u64,
-                tx_hash: landed.tx_hash,
-                block_number: landed.block_number,
+                tx_hash,
+                block_number,
             });
             if ack.is_err() {
                 self.stats.acks_failed += 1;
@@ -222,20 +234,20 @@ impl EpochCoordinator {
         }
 
         self.stats.epochs_committed += 1;
-        self.stats.gas_total += landed.gas_used.0;
+        self.stats.gas_total += gas_used.0;
         self.stats.fees_total = self
             .stats
             .fees_total
-            .checked_add(landed.fee)
+            .checked_add(fee)
             .unwrap_or(self.stats.fees_total);
         self.next_epoch = epoch + 1;
         self.records.push(EpochRecord {
             epoch,
             cluster_root,
-            tx_hash: landed.tx_hash,
-            block_number: landed.block_number,
-            gas_used: landed.gas_used,
-            fee: landed.fee,
+            tx_hash,
+            block_number,
+            gas_used,
+            fee,
             shards,
         });
         Ok(self.records.last())
@@ -263,101 +275,26 @@ impl EpochCoordinator {
             .collect()
     }
 
-    /// Submits `Commit-Epoch` until it lands exactly once. Every failure
-    /// is reconciled against the contract tail before the retry: if the
-    /// epoch is already past the tail, a previous attempt landed and its
-    /// outcome is adopted instead of resubmitting.
+    /// Lands `Commit-Epoch` for `epoch` exactly once.
     fn commit_on_chain(&mut self, epoch: u64, shard_roots: &[Hash32]) -> Result<Landed, CoreError> {
-        let calldata = ClusterRoot::commit_epoch_calldata(epoch, shard_roots);
-        // Base cost + per-shard calldata/hashing margin.
-        let gas_limit = Gas(150_000 + 30_000 * shard_roots.len() as u64);
-        let mut attempt: u32 = 0;
-        let mut last_tx = None;
-        loop {
-            attempt += 1;
-            self.stats.txs_submitted += 1;
-            let outcome = self
-                .chain
-                .call_contract(
-                    self.identity.secret_key(),
-                    self.contract,
-                    Wei::ZERO,
-                    calldata.clone(),
-                    gas_limit,
-                )
-                .and_then(|tx| {
-                    last_tx = Some(tx);
-                    self.chain.wait_for_receipt(tx)
-                });
-            match outcome {
-                Ok(receipt) if receipt.status.is_success() => {
-                    return Ok(Landed {
-                        root: ClusterRoot::decode_root(&receipt.output).unwrap_or(Hash32::ZERO),
-                        tx_hash: receipt.tx_hash,
-                        block_number: receipt.block_number,
-                        gas_used: receipt.gas_used,
-                        fee: receipt.fee,
-                    });
-                }
-                Ok(_)
-                | Err(ChainError::SubmissionDropped(_))
-                | Err(ChainError::ReceiptTimeout(_)) => {
-                    // Revert, drop or timeout: the attempt may still have
-                    // landed (e.g. a delayed receipt, or a revert caused by
-                    // our own earlier attempt advancing the tail).
-                    if let Some(landed) = self.reconcile(epoch, last_tx) {
-                        self.stats.reconciled += 1;
-                        return Ok(landed);
-                    }
-                }
-                Err(e) => return Err(CoreError::Chain(e)),
-            }
-            if attempt >= self.retry.max_attempts.max(1) {
-                return Err(CoreError::RequestRejected("epoch commit retries exhausted"));
-            }
-            self.stats.retries += 1;
-            self.chain
-                .clock()
-                .sleep(self.retry.backoff_for(attempt).min(Duration::from_secs(60)));
+        let mut tx = EpochTx {
+            chain: &self.chain,
+            identity: &self.identity,
+            contract: self.contract,
+            epoch,
+            calldata: ClusterRoot::commit_epoch_calldata(epoch, shard_roots),
+            // Base cost + per-shard calldata/hashing margin.
+            gas_limit: Gas(150_000 + 30_000 * shard_roots.len() as u64),
+            stats: &mut self.stats,
+        };
+        let landed = self
+            .committer
+            .commit(&mut tx)
+            .map_err(|_| CoreError::RequestRejected("epoch commit retries exhausted"))?;
+        if matches!(landed, Landed::Reconciled(_)) {
+            self.stats.reconciled += 1;
         }
-    }
-
-    /// Checks whether `epoch` already landed despite a failed attempt;
-    /// recovers its outcome from the receipt when visible, else from the
-    /// contract state alone.
-    fn reconcile(&self, epoch: u64, last_tx: Option<Hash32>) -> Option<Landed> {
-        let tail = self
-            .chain
-            .view(self.contract, &ClusterRoot::get_tail_epoch_calldata())
-            .ok()
-            .and_then(|out| ClusterRoot::decode_u64(&out))?;
-        if tail <= epoch {
-            return None;
-        }
-        let root = self
-            .chain
-            .view(self.contract, &ClusterRoot::get_epoch_root_calldata(epoch))
-            .ok()
-            .and_then(|out| ClusterRoot::decode_root(&out))?;
-        // Prefer the real receipt (it may just have been hidden/delayed).
-        if let Some(receipt) = last_tx.and_then(|tx| self.chain.receipt(tx)) {
-            if receipt.status.is_success() {
-                return Some(Landed {
-                    root,
-                    tx_hash: receipt.tx_hash,
-                    block_number: receipt.block_number,
-                    gas_used: receipt.gas_used,
-                    fee: receipt.fee,
-                });
-            }
-        }
-        Some(Landed {
-            root,
-            tx_hash: last_tx.unwrap_or(Hash32::ZERO),
-            block_number: 0,
-            gas_used: Gas(0),
-            fee: Wei::ZERO,
-        })
+        Ok(landed)
     }
 
     /// Builds the [`ClusterProof`] for `(shard, id)` from the newest epoch
@@ -421,13 +358,52 @@ impl EpochCoordinator {
     }
 }
 
-/// A landed `Commit-Epoch` outcome.
-struct Landed {
-    root: Hash32,
-    tx_hash: Hash32,
-    block_number: u64,
-    gas_used: Gas,
-    fee: Wei,
+/// One epoch's `Commit-Epoch` transaction as a [`CommitTarget`].
+struct EpochTx<'a> {
+    chain: &'a Chain,
+    identity: &'a Identity,
+    contract: Address,
+    epoch: u64,
+    calldata: Vec<u8>,
+    gas_limit: Gas,
+    stats: &'a mut CoordinatorStats,
+}
+
+impl CommitTarget for EpochTx<'_> {
+    fn submit(&mut self) -> Result<TxHash, ChainError> {
+        self.chain.call_contract(
+            self.identity.secret_key(),
+            self.contract,
+            Wei::ZERO,
+            self.calldata.clone(),
+            self.gas_limit,
+        )
+    }
+
+    /// Past the contract's tail means an earlier attempt landed (a delayed
+    /// receipt, or a revert caused by our own earlier attempt advancing the
+    /// tail).
+    fn landed(&mut self) -> bool {
+        tail_epoch(self.chain, self.contract) > self.epoch
+    }
+
+    fn observe(&mut self, event: Event) {
+        if let Event::Submitting { attempt } = event {
+            self.stats.txs_submitted += 1;
+            if attempt > 1 {
+                self.stats.retries += 1;
+            }
+        }
+    }
+}
+
+/// The contract's next uncommitted epoch (0 when unreadable).
+fn tail_epoch(chain: &Chain, contract: Address) -> u64 {
+    chain
+        .view(contract, &ClusterRoot::get_tail_epoch_calldata())
+        .ok()
+        .and_then(|out| ClusterRoot::decode_u64(&out))
+        .unwrap_or(0)
 }
 
 /// The shard epoch root: Merkle fold of the reported batch roots, or the

@@ -272,6 +272,30 @@ fn chain_fault_bursts_commit_every_epoch_exactly_once() {
     }
 }
 
+/// A shard's commits go through the same application function as a single
+/// node's, so `CommitInfo::stage2_latency` is the real flush → confirmation
+/// time (simulated), not the zero the epoch path used to record.
+#[test]
+fn shard_commit_info_carries_real_stage2_latency() {
+    let mut cluster = test_cluster("latency", 2);
+    for shard in 0..cluster.shards() {
+        append_on_shard(&cluster, shard, "latency-pub", 8);
+    }
+    cluster.settle(Duration::from_secs(3600)).expect("settle");
+    for shard in 0..cluster.shards() {
+        let node = cluster.node(shard).expect("up");
+        let info = node.commit_info(0).expect("position 0 committed");
+        // At least the confirmation depth's worth of 13 s blocks.
+        assert!(
+            info.stage2_latency >= Duration::from_secs(13),
+            "shard {shard}: {:?}",
+            info.stage2_latency
+        );
+        let mean = node.stats().mean_stage2_latency().expect("commits counted");
+        assert!(mean >= Duration::from_secs(13), "shard {shard}: {mean:?}");
+    }
+}
+
 #[test]
 fn shard_crash_recovers_from_checkpoint_with_router_failover() {
     let mut cluster = test_cluster("crash", 3);

@@ -50,30 +50,34 @@ impl NodeBehavior {
     }
 }
 
-/// How the node's flushed batch roots reach the blockchain.
+/// Who drives the node's stage 2. What is pending and how a landed group
+/// is recorded are the same either way (derived from, and applied to, the
+/// published snapshot); the mode only selects the driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Stage2Mode {
-    /// The node runs its own stage-2 committer and writes every group to
-    /// its `RootRecord` contract (the paper's single-node protocol).
+    /// The node spawns its own committer thread, which writes every
+    /// pending group to its `RootRecord` contract (the paper's single-node
+    /// protocol).
     #[default]
     Direct,
-    /// The node is one shard of a cluster: it never submits transactions
-    /// itself. An epoch coordinator pulls pending batch roots via
-    /// `epoch_report`, folds every shard's roots into one on-chain
-    /// root-of-roots, and acknowledges with `epoch_commit` — one
+    /// The node is one shard of a cluster and spawns no committer: it
+    /// never submits transactions itself. An epoch coordinator pulls the
+    /// pending group via `epoch_report`, folds every shard's roots into one
+    /// on-chain root-of-roots, and acknowledges with `epoch_commit` — one
     /// transaction per epoch for the whole cluster.
     Epoch,
 }
 
-/// Retry policy for the stage-2 committer.
+/// Retry policy of the chain committer ([`crate::chain_commit`]), shared by
+/// the node's stage-2 thread and the cluster's epoch coordinator.
 ///
-/// A failed `Update-Records` transaction (dropped submission, revert,
-/// receipt timeout) is re-queued and re-submitted with bounded exponential
-/// backoff: attempt `k` waits `base_backoff × 2^(k-1)` of *simulated* time,
-/// capped at `max_backoff`, scaled by a deterministic ±`jitter` factor so
-/// co-located committers don't thunder. Only after `max_attempts`
-/// consecutive failures of the same group is the commitment abandoned and
-/// counted in `NodeStats::stage2_failed`.
+/// A failed transaction (dropped submission, revert, receipt timeout) that
+/// did not land is re-submitted with bounded exponential backoff: attempt
+/// `k` waits `base_backoff × 2^(k-1)` of *simulated* time, capped at
+/// `max_backoff`, scaled by a deterministic ±`jitter` factor. Only after
+/// `max_attempts` consecutive failures of the same write is it abandoned
+/// (a node counts it in `NodeStats::stage2_failed`; an epoch fails its
+/// `run_epoch` call).
 #[derive(Clone, Copy, Debug)]
 pub struct Stage2RetryPolicy {
     /// Submission attempts per group before giving up (≥ 1).
@@ -183,11 +187,6 @@ pub struct NodeConfig {
     pub replicas: usize,
     /// Per-batch link delay towards each replica.
     pub replica_link_delay: Duration,
-    /// Start replica sends *before* the local `append_batch` + fsync and
-    /// join both afterwards, so the persist stage pays
-    /// max(local, replication) instead of the sum. Disable to reproduce the
-    /// sequential (pre-overlap) persist stage.
-    pub overlap_replication: bool,
     /// Leaf/level count at or above which Merkle construction uses the
     /// shared work pool; below it the serial builder wins on thread-spawn
     /// overhead. `usize::MAX` forces the serial builder.
@@ -216,7 +215,6 @@ impl Default for NodeConfig {
             response_latency: LatencyModel::Zero,
             replicas: 0,
             replica_link_delay: Duration::from_micros(200),
-            overlap_replication: true,
             merkle_parallel_cutoff: 256,
             tier: TierConfig::default(),
             store: StoreConfig::default(),

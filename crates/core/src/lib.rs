@@ -11,6 +11,8 @@
 //!   three client roles of §4.2, including stage-2 verification and the
 //!   punishment trigger.
 //! - [`service`] — the DApp-logging-as-a-service deployment glue (§4.5).
+//! - [`chain_commit`] — the exactly-once retry engine behind every lazy
+//!   on-chain write (the node's stage 2, the cluster's epochs).
 //!
 //! The safety definitions 3.1 and 3.2 are exercised end-to-end by the
 //! workspace integration tests (`tests/` at the repository root).
@@ -19,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod chain_commit;
 pub mod client;
 pub mod config;
 pub mod error;

@@ -18,7 +18,8 @@
 //!    [`wedge_storage::SyncPolicy::GroupCommit`]), register the batch in
 //!    the write plane (publishing a new read snapshot), deliver the
 //!    replies (completing link #1 — stage-1 / off-chain commitment), and
-//!    hand the `(log_id, MRoot)` pair to the stage-2 committer (link #3).
+//!    wake the stage-2 committer, which derives its pending group from the
+//!    published snapshot (link #3).
 //!
 //! Shutdown drains exactly-once by construction: when the ingest channel
 //! disconnects, collect flushes its partial batch and drops its sender;
@@ -36,7 +37,6 @@ use wedge_merkle::MerkleTree;
 use crate::config::NodeBehavior;
 use crate::types::{EntryId, SignedResponse};
 
-use super::stage2::Stage2Task;
 use super::state::{encode_header, encode_leaf, BatchMeta};
 use super::{tamper, IngestMsg, Shared};
 
@@ -63,7 +63,7 @@ enum PersistOutcome {
 
 /// Batcher main loop: runs the three pipeline stages on scoped threads and
 /// returns once all of them have drained and exited.
-pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<IngestMsg>, stage2: Sender<Stage2Task>) {
+pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<IngestMsg>, stage2_wake: Sender<()>) {
     let depth = shared.config.pipeline_depth.max(1);
     let (persist_tx, persist_rx) = bounded::<VerifiedBatch>(depth);
     let (deliver_tx, deliver_rx) = bounded::<PersistOutcome>(depth);
@@ -71,7 +71,7 @@ pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<IngestMsg>, stage2: Sender<S
     let _ = crossbeam::thread::scope(move |scope| {
         scope.spawn(move |_| collect_stage(shared, rx, persist_tx));
         scope.spawn(move |_| persist_stage(shared, persist_rx, deliver_tx));
-        scope.spawn(move |_| deliver_stage(shared, deliver_rx, stage2));
+        scope.spawn(move |_| deliver_stage(shared, deliver_rx, stage2_wake));
     });
 }
 
@@ -202,13 +202,10 @@ fn persist_stage(
         // append then fail, the replicas hold a superset of the primary
         // log; they are crash-recovery copies, not the ground truth, so a
         // never-acknowledged batch on a replica is harmless.
-        let overlapping = shared.config.overlap_replication && shared.replicator.is_some();
-        let handle = match &shared.replicator {
-            Some(replicator) if overlapping => {
-                Some(replicator.replicate_begin(Arc::clone(&records)))
-            }
-            _ => None,
-        };
+        let replication = shared
+            .replicator
+            .as_ref()
+            .map(|replicator| (replicator, replicator.replicate_begin(Arc::clone(&records))));
         let local_start = std::time::Instant::now();
         let append_result = shared.store.append_batch(&records[..]);
         let local_elapsed = local_start.elapsed();
@@ -218,14 +215,8 @@ fn persist_stage(
                 next_log_id += 1;
                 // Replicate before acknowledging (the paper's
                 // stronger-liveness configuration waits for replica acks).
-                if let Some(replicator) = &shared.replicator {
-                    let acked = match handle {
-                        Some(handle) => handle.wait(),
-                        // Sequential (pre-overlap) path, kept selectable for
-                        // honest before/after benchmarking.
-                        None => replicator.replicate_begin(Arc::clone(&records)).wait(),
-                    };
-                    if acked < replicator.replica_count() {
+                if let Some((replicator, handle)) = replication {
+                    if handle.wait() < replicator.replica_count() {
                         shared.stats.lock().replication_shortfalls += 1;
                     }
                 }
@@ -251,7 +242,7 @@ fn persist_stage(
             let mut stats = shared.stats.lock();
             stats.merkle_par_chunks += par_chunks;
             stats.merkle_hash_ns += merkle_elapsed.as_nanos() as u64;
-            if overlapping {
+            if shared.replicator.is_some() {
                 // Local persistence time that ran concurrently with the
                 // in-flight replica sends.
                 stats.replication_overlap_ns += local_elapsed.as_nanos() as u64;
@@ -272,12 +263,8 @@ fn persist_stage(
 
 /// Stage 3: sign responses, register the batch (publishing a new read
 /// snapshot *before* any reply goes out, so a read issued right after a
-/// response always succeeds), deliver replies, queue stage-2 work.
-fn deliver_stage(
-    shared: &Shared,
-    deliver_rx: Receiver<PersistOutcome>,
-    stage2: Sender<Stage2Task>,
-) {
+/// response always succeeds), deliver replies, wake the stage-2 committer.
+fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_wake: Sender<()>) {
     let mut rng = SmallRng::seed_from_u64(0x5745_4447_4542_4c4b); // "WEDGEBLK"
     while let Ok(outcome) = deliver_rx.recv() {
         let (batch, tree, log_id, first_record) = match outcome {
@@ -359,6 +346,7 @@ fn deliver_stage(
             .map(|(offset, msg)| ((msg.request.publisher, msg.request.sequence), offset as u32))
             .collect();
         let count = batch.len() as u32;
+        let flushed_at = shared.chain.clock().now();
         shared.mutate(move |plane| {
             plane.register_batch(
                 BatchMeta {
@@ -366,6 +354,7 @@ fn deliver_stage(
                     first_record,
                     count,
                     tree,
+                    flushed_at,
                 },
                 entries,
             );
@@ -400,15 +389,10 @@ fn deliver_stage(
             }
         }
 
-        // Stage 2 hand-off (omitted under the omission attack).
-        if let Some(stage2_root) =
-            super::stage2::stage2_root_for(shared.config.behavior, log_id, root)
-        {
-            let _ = stage2.send(Stage2Task {
-                log_id,
-                root: stage2_root,
-                stage1_done: shared.chain.clock().now(),
-            });
-        }
+        // The batch is in the published snapshot, which is where the
+        // committer finds it: one token is enough however many batches it
+        // covers, and a full slot (or a node without a committer thread)
+        // needs no wake-up at all.
+        let _ = stage2_wake.try_send(());
     }
 }

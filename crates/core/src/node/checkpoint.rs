@@ -42,6 +42,7 @@ use wedge_chain::{Decoder, Encoder};
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::keys::Address;
 use wedge_merkle::MerkleTree;
+use wedge_sim::SimInstant;
 use wedge_storage::{crc32, LogStore, StorageError};
 
 use super::snapshot::{Snapshot, WritePlane};
@@ -153,7 +154,7 @@ fn encode(snap: &Snapshot) -> (u64, Vec<u8>) {
 /// Parses and validates checkpoint bytes. `None` on any inconsistency —
 /// including a stored root that the tree rebuilt from the leaf hashes does
 /// not reproduce.
-fn decode(bytes: &[u8]) -> Option<Restored> {
+fn decode(bytes: &[u8], now: SimInstant) -> Option<Restored> {
     if bytes.len() < 4 {
         return None;
     }
@@ -201,6 +202,7 @@ fn decode(bytes: &[u8]) -> Option<Restored> {
             first_record,
             count: count as u32,
             tree,
+            flushed_at: now,
         }));
     }
     // The cursor must be exactly what the batches cover.
@@ -279,13 +281,14 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot) -> Result<u64, CoreError> {
 /// Restores the newest checkpoint consistent with `store`: the cursor must
 /// lie within the store's live record range (a checkpoint pointing past a
 /// truncated tail, or below the retention frontier, is skipped). Falls back
-/// file-by-file; `None` means "replay everything from scratch".
-pub(crate) fn restore(dir: &Path, store: &LogStore) -> Option<Restored> {
+/// file-by-file; `None` means "replay everything from scratch". Restored
+/// batches are stamped `flushed_at = now`.
+pub(crate) fn restore(dir: &Path, store: &LogStore, now: SimInstant) -> Option<Restored> {
     for (_, path) in list(dir).into_iter().rev() {
         let Ok(bytes) = std::fs::read(&path) else {
             continue;
         };
-        let Some(restored) = decode(&bytes) else {
+        let Some(restored) = decode(&bytes, now) else {
             continue;
         };
         if restored.cursor > store.len() || restored.cursor < store.oldest() {
@@ -326,6 +329,7 @@ mod tests {
                 first_record: record + 1, // +1 for the header record
                 count: per_batch,
                 tree,
+                flushed_at: SimInstant::EPOCH,
             };
             let entries =
                 (0..per_batch).map(|off| ((Address([7; 20]), log_id * 100 + off as u64), off));
@@ -354,7 +358,7 @@ mod tests {
         assert_eq!(cursor, 4 * 4); // 4 batches × (1 header + 3 leaves)
 
         let bytes = std::fs::read(checkpoint_path(&dir, cursor)).unwrap();
-        let restored = decode(&bytes).expect("valid checkpoint");
+        let restored = decode(&bytes, SimInstant::EPOCH).expect("valid checkpoint");
         assert_eq!(restored.cursor, cursor);
         assert_eq!(restored.plane.batches.len(), 4);
         assert_eq!(restored.plane.entry_count, 12);
@@ -390,7 +394,10 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
-        assert!(decode(&bytes).is_none(), "flipped byte must fail the CRC");
+        assert!(
+            decode(&bytes, SimInstant::EPOCH).is_none(),
+            "flipped byte must fail the CRC"
+        );
         // A CRC-valid file whose root does not match its leaves is also
         // rejected: re-CRC the tampered body.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -398,7 +405,7 @@ mod tests {
         bytes[40] ^= 0x01; // inside the first batch's fields
         let crc = crc32(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&crc.to_be_bytes());
-        assert!(decode(&bytes).is_none());
+        assert!(decode(&bytes, SimInstant::EPOCH).is_none());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Cluster epoch participation (shard side).
 //!
-//! A node in [`Stage2Mode::Epoch`] runs no stage-2 committer of its own.
-//! Instead an epoch coordinator drives a pull-based two-step protocol:
+//! A node in [`Stage2Mode::Epoch`] runs no stage-2 committer thread.
+//! Instead an epoch coordinator drives the same two functions the direct
+//! committer drives (see [`super::stage2`]), as a pull-based two-step
+//! protocol:
 //!
 //! 1. **`epoch_report`** — the coordinator asks for the shard's pending
 //!    group: the contiguous run of flushed-but-uncommitted batch roots
@@ -18,13 +20,11 @@
 //!    the guard necessary for).
 
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use crate::config::Stage2Mode;
 use crate::error::CoreError;
 use crate::types::{EpochCommit, ShardGroup};
 
-use super::state::CommitInfo;
 use super::OffchainNode;
 
 impl OffchainNode {
@@ -38,16 +38,11 @@ impl OffchainNode {
                 "node is not in epoch commit mode",
             ));
         }
-        let snap = self.shared.snapshot();
-        let start = snap.commits.contiguous();
-        let end = (snap.batches.len() as u64).min(start.saturating_add(max_group.max(1) as u64));
-        let roots: Vec<_> = (start..end)
-            .filter_map(|id| snap.batches.get(id as usize).map(|b| b.tree.root()))
-            .collect();
-        if !roots.is_empty() {
+        let group = self.shared.pending_group(max_group);
+        if !group.is_empty() {
             self.shared.stats.lock().epoch_reports += 1;
         }
-        Ok(ShardGroup { start, roots })
+        Ok(group)
     }
 
     /// Applies the coordinator's acknowledgement: positions
@@ -85,38 +80,13 @@ impl OffchainNode {
                 "epoch commit leaves a commitment gap",
             ));
         }
-        let latency = Duration::ZERO;
-        let newly = self.shared.mutate(|plane| {
-            let mut newly = 0u64;
-            for log_id in commit.start..end {
-                if !plane.commits.contains(log_id) {
-                    newly += 1;
-                }
-                plane.commits.insert_if_absent(
-                    log_id,
-                    CommitInfo {
-                        tx_hash: commit.tx_hash,
-                        block_number: commit.block_number,
-                        stage2_latency: latency,
-                    },
-                );
-            }
-            newly
-        });
-        {
-            let mut stats = self.shared.stats.lock();
-            stats.epoch_commits += 1;
-            stats.stage2_committed += newly;
-        }
-        // The frontier advanced: seal, checkpoint, and retire on the
-        // coordinator's (caller's) thread, exactly as the direct committer
-        // does after a group commit.
-        if newly > 0 {
-            self.shared
-                .maintenance
-                .lock()
-                .after_group_commit(&self.shared);
-        }
+        let newly = self.shared.apply_commit(
+            commit.start,
+            commit.count,
+            commit.tx_hash,
+            commit.block_number,
+        );
+        self.shared.stats.lock().epoch_commits += 1;
         Ok(newly)
     }
 }

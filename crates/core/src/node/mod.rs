@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use wedge_chain::{Address, Chain};
 use wedge_crypto::signer::Identity;
@@ -76,9 +76,9 @@ pub(crate) struct Shared {
     /// and response signing — sized to `worker_threads`, capped at the
     /// machine's parallelism.
     pub pool: wedge_pool::WorkPool,
-    /// Tier maintenance cadence (seal/checkpoint/retire), driven by
-    /// whichever path advances the blockchain-committed frontier: the
-    /// direct stage-2 committer or the cluster `epoch_commit` path.
+    /// Tier maintenance cadence (seal/checkpoint/retire), ticked by
+    /// [`Shared::apply_commit`] whenever the blockchain-committed frontier
+    /// advances.
     pub maintenance: Mutex<stage2::TierMaintenance>,
     /// Stale-epoch guard for cluster mode: `last acknowledged epoch + 1`
     /// (0 = none yet). An `epoch_commit` for an older epoch is rejected —
@@ -128,8 +128,8 @@ impl Shared {
 
 /// The Offchain Node. Create with [`OffchainNode::start`]; share via `Arc`.
 ///
-/// Dropping the node flushes any partial batch, drains the stage-2 queue,
-/// and joins the worker threads.
+/// Dropping the node flushes any partial batch, lands every pending stage-2
+/// group, and joins the worker threads.
 pub struct OffchainNode {
     shared: Arc<Shared>,
     /// `None` once shutdown has begun; behind a mutex so
@@ -162,10 +162,11 @@ impl OffchainNode {
         // retention is floor-bounded by the kept checkpoints, so reaching
         // this fallback with a retired prefix means the checkpoint files
         // were lost).
-        let (mut plane, replayed) = match checkpoint::restore(&ckpt_dir, &store) {
+        let now = chain.clock().now();
+        let (plane, replayed) = match checkpoint::restore(&ckpt_dir, &store, now) {
             Some(restored) => {
                 let mut plane = restored.plane;
-                let replayed = state::replay_tail(&store, &mut plane, restored.cursor)?;
+                let replayed = state::replay_tail(&store, &mut plane, restored.cursor, now)?;
                 (plane, replayed)
             }
             None => {
@@ -175,7 +176,7 @@ impl OffchainNode {
                     ));
                 }
                 let mut plane = WritePlane::default();
-                let replayed = state::replay_tail(&store, &mut plane, 0)?;
+                let replayed = state::replay_tail(&store, &mut plane, 0, now)?;
                 (plane, replayed)
             }
         };
@@ -190,57 +191,9 @@ impl OffchainNode {
             None
         };
 
-        // Stage-2 resynchronization after a restart: positions the Root
-        // Record already holds are marked committed; recovered-but-
-        // uncommitted positions are re-queued for commitment (without this,
-        // a crash between stage 1 and stage 2 would leave entries off-chain
-        // forever). The write plane is still thread-private here, so it is
-        // mutated directly; the first published snapshot below already
-        // carries the reconciled state.
-        //
-        // In `Stage2Mode::Epoch` there is no per-node committer and the
-        // node's RootRecord is not written: commits restore from the
-        // checkpoint, and recovered-but-uncommitted positions simply stay
-        // pending — the epoch coordinator re-collects them with the next
-        // `epoch_report`, which derives the group from the same snapshot.
-        let (stage2_tx, stage2_rx) = unbounded::<stage2::Stage2Task>();
-        if config.stage2_mode == Stage2Mode::Direct {
-            use wedge_contracts::RootRecord;
-            let onchain_tail = chain
-                .view(root_record, &RootRecord::get_tail_calldata())
-                .ok()
-                .and_then(|out| RootRecord::decode_tail(&out))
-                .unwrap_or(0);
-            let now = chain.clock().now();
-            let recovered = plane.batches.len() as u64;
-            for log_id in 0..recovered.min(onchain_tail) {
-                plane.commits.insert_if_absent(
-                    log_id,
-                    CommitInfo {
-                        tx_hash: wedge_crypto::Hash32::ZERO, // pre-restart tx, unknown
-                        block_number: 0,
-                        stage2_latency: Duration::ZERO,
-                    },
-                );
-            }
-            for log_id in onchain_tail..recovered {
-                let Some(honest_root) = plane.batches.get(log_id as usize).map(|b| b.tree.root())
-                else {
-                    break;
-                };
-                if let Some(root) = stage2::stage2_root_for(config.behavior, log_id, honest_root) {
-                    let _ = stage2_tx.send(stage2::Stage2Task {
-                        log_id,
-                        root,
-                        stage1_done: now,
-                    });
-                }
-            }
-        }
-
         let pool = wedge_pool::WorkPool::new(config.worker_threads);
         let ckpt_floor = AtomicU64::new(checkpoint::floor(&ckpt_dir));
-        let maintenance = Mutex::new(stage2::TierMaintenance::new(chain.clock().now()));
+        let maintenance = Mutex::new(stage2::TierMaintenance::new(now));
         let stats = NodeStats {
             restart_replayed_records: replayed,
             ..NodeStats::default()
@@ -262,29 +215,36 @@ impl OffchainNode {
             epoch_seen: AtomicU64::new(0),
         });
 
+        // Who drives stage 2. `Direct`: this node's own committer thread,
+        // after adopting whatever the Root Record already holds — following
+        // a crash between stage 1 and stage 2 the rest is simply still
+        // pending and lands next. `Epoch`: no thread; the cluster's epoch
+        // coordinator pulls the same pending group via `epoch_report`.
+        let direct = shared.config.stage2_mode == Stage2Mode::Direct;
+        if direct {
+            shared.adopt_onchain_tail(None);
+        }
+        // The wake channel carries no data (one token is enough); with no
+        // receiver the batcher's wake-up is a no-op.
+        let (wake_tx, wake_rx) = bounded::<()>(1);
         let (ingest_tx, ingest_rx) = unbounded::<IngestMsg>();
         let batcher_shared = Arc::clone(&shared);
         let batcher = std::thread::Builder::new()
             .name("wedge-batcher".into())
-            .spawn(move || batcher::run(batcher_shared, ingest_rx, stage2_tx))
+            .spawn(move || batcher::run(batcher_shared, ingest_rx, wake_tx))
             // lint: allow(panic) — thread spawn fails only under resource
             // exhaustion during node startup
             .expect("spawn batcher");
         let mut handles = vec![batcher];
-        if shared.config.stage2_mode == Stage2Mode::Direct {
+        if direct {
             let committer_shared = Arc::clone(&shared);
             let committer = std::thread::Builder::new()
                 .name("wedge-stage2".into())
-                .spawn(move || stage2::run(committer_shared, stage2_rx))
+                .spawn(move || stage2::run(committer_shared, wake_rx))
                 // lint: allow(panic) — thread spawn fails only under resource
                 // exhaustion during node startup
                 .expect("spawn committer");
             handles.push(committer);
-        } else {
-            // Epoch mode: no committer thread. Dropping the receiver makes
-            // the batcher's stage-2 hand-off a no-op (its send result is
-            // ignored); pending roots are pulled via `epoch_report` instead.
-            drop(stage2_rx);
         }
 
         Ok(OffchainNode {
@@ -604,7 +564,7 @@ impl OffchainNode {
         let _ = self.ingest.lock().take();
     }
 
-    /// Stops the node: flushes the partial batch, completes queued stage-2
+    /// Stops the node: flushes the partial batch, completes pending stage-2
     /// work, joins threads, and writes a final checkpoint so the next start
     /// replays nothing. Called automatically on drop.
     pub fn shutdown(&mut self) {

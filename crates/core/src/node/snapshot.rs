@@ -284,14 +284,6 @@ impl CommitIndex {
         }
     }
 
-    /// Records a commitment only when the position has none yet (the
-    /// restart-resynchronization path).
-    pub fn insert_if_absent(&mut self, log_id: u64, info: CommitInfo) {
-        if !self.contains(log_id) {
-            self.insert(log_id, info);
-        }
-    }
-
     /// Removes a commitment (the destructive-attack simulation path).
     pub fn remove(&mut self, log_id: u64) {
         let chunk_idx = (log_id / COMMIT_CHUNK as u64) as usize;
@@ -482,8 +474,6 @@ mod tests {
         commits.remove(1);
         assert_eq!(commits.len(), 2);
         assert!(!commits.contains(1));
-        commits.insert_if_absent(0, info(7));
-        assert_eq!(commits.get(0).map(|i| i.block_number), Some(9), "kept");
     }
 
     #[test]
@@ -514,6 +504,7 @@ mod tests {
             first_record: log_id * (count as u64 + 1) + 1,
             count,
             tree: MerkleTree::from_leaves(&leaves).unwrap(),
+            flushed_at: wedge_sim::SimInstant::EPOCH,
         }
     }
 

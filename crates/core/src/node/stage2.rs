@@ -1,60 +1,40 @@
-//! The stage-2 committer (paper §4.3, blockchain commitment), rebuilt as a
-//! fault-tolerant retry subsystem.
+//! Stage 2 (paper §4.3, blockchain commitment): what is pending, how a
+//! landed group is applied, and the direct committer thread.
 //!
-//! Runs lazily in the background: drains `(log_id, MRoot)` pairs from the
-//! batcher into an ordered backlog, groups contiguous runs into a single
-//! `Update-Records` transaction (amortizing the 21k base cost — the
-//! minimum-writing lever of Figure 3 right), submits, and waits for the
-//! confirmed receipt before recording the position as blockchain-committed.
-//!
-//! LMT's safety story rests on every flushed position *eventually* reaching
-//! the Root Record, so a failed transaction is never dropped on first
-//! contact. Instead the committer:
-//!
-//! 1. **classifies** the failure — submission error (never reached the
-//!    mempool), on-chain revert, or receipt timeout;
-//! 2. **reconciles** against the contract's on-chain tail — a timed-out
-//!    transaction may well have landed, and those positions are marked
-//!    committed rather than re-sent (the Root Record's single-write
-//!    invariant would reject a duplicate anyway);
-//! 3. **re-queues** what remains with bounded exponential backoff + jitter
-//!    (see [`crate::config::Stage2RetryPolicy`]);
-//! 4. abandons a group — counting `stage2_failed` — only once
-//!    `max_attempts` consecutive attempts failed: `stage2_failed` means
-//!    "retries exhausted", not "first attempt unlucky".
+//! Nothing is queued. The **pending group** is derived from the published
+//! snapshot — the contiguous run of flushed positions starting at the
+//! blockchain-committed frontier, capped at `stage2_max_group` — by
+//! [`pending_group`], and a landed group is recorded by
+//! [`Shared::apply_commit`]. A cluster shard exposes exactly these two as
+//! `epoch_report` / `epoch_commit` and lets the epoch coordinator drive
+//! them; a single node drives them itself from the thread in [`run`],
+//! which lands each group in the `RootRecord` through the shared
+//! [`ChainCommitter`] retry engine. The batcher only *wakes* that thread,
+//! so the committer's memory is O(`stage2_max_group`) however long the
+//! chain is down, and restart and failure recovery are the same step:
+//! adopt the contract's tail ([`Shared::adopt_onchain_tail`]).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, TryRecvError};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use wedge_chain::{ChainError, Gas, Receipt, TxHash};
+use crossbeam::channel::Receiver;
+use wedge_chain::{ChainError, Gas, Receipt, TxHash, Wei};
 use wedge_contracts::RootRecord;
 use wedge_crypto::hash::Hash32;
 use wedge_sim::SimInstant;
 
+use super::snapshot::Snapshot;
 use super::state::CommitInfo;
 use super::Shared;
-
-/// One batch's pending stage-2 commitment.
-pub(crate) struct Stage2Task {
-    pub log_id: u64,
-    pub root: Hash32,
-    pub stage1_done: SimInstant,
-}
+use crate::chain_commit::{ChainCommitter, CommitTarget, Event, Exhausted, Failure, Landed};
+use crate::config::NodeBehavior;
+use crate::types::ShardGroup;
 
 /// The root a (possibly malicious) node will blockchain-commit for
-/// `log_id`, given the honest root. Shared by the live batcher and the
-/// restart-recovery path so a configured behaviour survives restarts.
-pub(crate) fn stage2_root_for(
-    behavior: crate::config::NodeBehavior,
-    log_id: u64,
-    honest_root: Hash32,
-) -> Option<Hash32> {
-    use crate::config::NodeBehavior;
+/// `log_id`, given the honest root. Applied where the pending group is
+/// derived, so a configured behaviour survives restarts.
+fn stage2_root_for(behavior: NodeBehavior, log_id: u64, honest_root: Hash32) -> Option<Hash32> {
     match behavior {
         NodeBehavior::OmitStage2 { .. } if behavior.affects(log_id) => None,
         NodeBehavior::CommitWrongRoot { .. } if behavior.affects(log_id) => Some(Hash32::keccak(
@@ -64,53 +44,220 @@ pub(crate) fn stage2_root_for(
     }
 }
 
-/// How one `Update-Records` attempt failed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FailureKind {
-    /// The transaction never entered the mempool.
-    Submission,
-    /// The transaction was mined but reverted.
-    Revert,
-    /// No confirmed receipt within the chain's patience window — the
-    /// transaction may or may not have landed.
-    Timeout,
+/// The pending group of `snap`: roots for positions `[frontier,
+/// min(frontier + max_group, flushed))`, where `frontier` is the contiguous
+/// blockchain-committed prefix. The run stops at the first position the
+/// node's behaviour omits — the contracts write strictly sequentially, so
+/// nothing behind a gap could bind to the right on-chain index.
+pub(crate) fn pending_group(
+    snap: &Snapshot,
+    behavior: NodeBehavior,
+    max_group: usize,
+) -> ShardGroup {
+    let start = snap.commits.contiguous();
+    let roots = (start..)
+        .zip(snap.batches.iter().skip(start as usize))
+        .take(max_group.max(1))
+        .map_while(|(log_id, batch)| stage2_root_for(behavior, log_id, batch.tree.root()))
+        .collect();
+    ShardGroup { start, roots }
 }
 
-/// The contiguous run of log ids at the head of the backlog, capped at
-/// `max_group`. Positions beyond a gap are deferred to a later group: the
-/// Root Record writes strictly sequentially, so committing them under
-/// `update_records_calldata(start_idx, …)` would bind their roots to the
-/// wrong on-chain indices.
-fn contiguous_head(pending: &BTreeMap<u64, Stage2Task>, max_group: usize) -> Vec<u64> {
-    let mut ids = Vec::new();
-    for (&id, _) in pending.iter().take(max_group.max(1)) {
-        match ids.last() {
-            Some(&last) if id != last + 1 => break,
-            _ => ids.push(id),
+impl Shared {
+    /// This node's pending group, capped at `max_group`.
+    pub(crate) fn pending_group(&self, max_group: usize) -> ShardGroup {
+        pending_group(&self.snapshot(), self.config.behavior, max_group)
+    }
+
+    /// Records positions `[start, start + count)` as blockchain-committed
+    /// by `tx_hash` — one write-plane mutation (and one published
+    /// snapshot) for the whole group, then tier maintenance. Idempotent per
+    /// position; returns the number of *newly* committed ones.
+    pub(crate) fn apply_commit(
+        &self,
+        start: u64,
+        count: u64,
+        tx_hash: TxHash,
+        block_number: u64,
+    ) -> u64 {
+        if count == 0 {
+            return 0; // nothing to record: publish no snapshot
+        }
+        let committed_at = self.chain.clock().now();
+        let (newly, latency) = self.mutate(|plane| {
+            let mut newly = 0u64;
+            let mut latency = Duration::ZERO;
+            for log_id in start..start.saturating_add(count) {
+                let Some(batch) = plane.batches.get(log_id as usize) else {
+                    break;
+                };
+                if plane.commits.contains(log_id) {
+                    continue;
+                }
+                let stage2_latency = committed_at.since(batch.flushed_at);
+                plane.commits.insert(
+                    log_id,
+                    CommitInfo {
+                        tx_hash,
+                        block_number,
+                        stage2_latency,
+                    },
+                );
+                newly += 1;
+                latency += stage2_latency;
+            }
+            (newly, latency)
+        });
+        if newly > 0 {
+            {
+                let mut stats = self.stats.lock();
+                stats.stage2_committed += newly;
+                stats.stage2_latency_count += newly;
+                stats.stage2_latency_sum += latency;
+            }
+            self.maintenance.lock().after_group_commit(self);
+        }
+        newly
+    }
+
+    /// The Root Record's current tail index (0 when unreadable).
+    fn onchain_tail(&self) -> u64 {
+        self.chain
+            .view(self.root_record, &RootRecord::get_tail_calldata())
+            .ok()
+            .and_then(|out| RootRecord::decode_tail(&out))
+            .unwrap_or(0)
+    }
+
+    /// Adopts the contract's tail: every flushed position below it is on
+    /// chain — through a transaction before a restart, or one whose receipt
+    /// timed out — and is recorded as committed instead of being re-sent
+    /// (the Root Record's single-write rule would revert a duplicate
+    /// anyway). `receipt` is the landing transaction when it is known.
+    pub(crate) fn adopt_onchain_tail(&self, receipt: Option<&Receipt>) -> u64 {
+        let start = self.snapshot().commits.contiguous();
+        let landed = self.onchain_tail().saturating_sub(start);
+        let (tx_hash, block_number) = receipt
+            .map(|r| (r.tx_hash, r.block_number))
+            .unwrap_or((Hash32::ZERO, 0));
+        self.apply_commit(start, landed, tx_hash, block_number)
+    }
+}
+
+/// The head group as a [`CommitTarget`]: one `Update-Records` transaction
+/// (amortizing the 21k base cost over the group — the minimum-writing lever
+/// of Figure 3 right).
+struct HeadGroup<'a> {
+    shared: &'a Shared,
+    /// What the last attempt submitted.
+    group: ShardGroup,
+}
+
+impl CommitTarget for HeadGroup<'_> {
+    fn submit(&mut self) -> Result<TxHash, ChainError> {
+        // Everything flushed since the last receipt rides along, so a long
+        // outage still drains in ⌈backlog / max_group⌉ transactions.
+        let fresh = self
+            .shared
+            .pending_group(self.shared.config.stage2_max_group);
+        if fresh.start == self.group.start && fresh.roots.len() > self.group.roots.len() {
+            self.group = fresh;
+        }
+        let roots = &self.group.roots;
+        self.shared.chain.call_contract(
+            self.shared.identity.secret_key(),
+            self.shared.root_record,
+            Wei::ZERO,
+            RootRecord::update_records_calldata(self.group.start, roots),
+            // 21k base + calldata + 20k per fresh word + margin.
+            Gas(120_000 + 25_000 * roots.len() as u64),
+        )
+    }
+
+    fn landed(&mut self) -> bool {
+        self.shared.onchain_tail() > self.group.start
+    }
+
+    fn observe(&mut self, event: Event) {
+        let mut stats = self.shared.stats.lock();
+        match event {
+            Event::Submitting { attempt } => {
+                stats.stage2_txs_submitted += 1;
+                if attempt > 1 {
+                    stats.stage2_retries += 1;
+                }
+            }
+            Event::Failed(Failure::Submission) => stats.stage2_submission_errors += 1,
+            Event::Failed(Failure::Revert) => stats.stage2_reverts += 1,
+            Event::Failed(Failure::Timeout) => stats.stage2_timeouts += 1,
+            Event::Backoff { attempt, .. } => {
+                stats.stage2_requeued += self.group.roots.len() as u64;
+                stats.record_backoff(attempt);
+            }
         }
     }
-    ids
 }
 
-/// The committer's mutable state: the ordered backlog plus the retry
-/// schedule for its head group.
-struct Committer<'a> {
-    shared: &'a Shared,
-    /// Flushed-but-uncommitted positions, ordered by log id.
-    pending: BTreeMap<u64, Stage2Task>,
-    /// Failed attempts of the current head group.
-    attempt: u32,
-    /// The log id `attempt` refers to; progress at the head resets it.
-    attempt_head: Option<u64>,
-    /// Earliest simulated instant the next submission may happen.
-    next_due: SimInstant,
-    /// Seeded jitter source (deterministic across runs).
-    rng: SmallRng,
+/// The direct committer thread: lands the pending group, one transaction
+/// at a time, until the batcher has hung up and nothing is pending.
+///
+/// `wake` carries no data — the batcher drops a token in after registering
+/// a batch. When the retry budget is exhausted the abandoned group counts
+/// in `stage2_failed` once and the thread parks for good: the Root Record
+/// is strictly sequential, so nothing behind an abandoned head could land,
+/// and every later submission would be a guaranteed revert. A restart
+/// starts over from the contract's tail.
+pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
+    let mut committer = ChainCommitter::new(Arc::clone(&shared.chain), shared.config.stage2_retry);
+    let mut batcher_alive = true;
+    loop {
+        let group = shared.pending_group(shared.config.stage2_max_group);
+        if group.is_empty() {
+            if !batcher_alive {
+                return;
+            }
+            batcher_alive = wake.recv().is_ok();
+            continue;
+        }
+        let mut head = HeadGroup {
+            shared: &shared,
+            group,
+        };
+        match committer.commit(&mut head) {
+            Ok(landed) => {
+                if let Some(receipt) = landed.receipt() {
+                    let mut stats = shared.stats.lock();
+                    stats.stage2_gas = stats.stage2_gas.saturating_add(receipt.gas_used);
+                    stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
+                }
+                match landed {
+                    Landed::Confirmed(receipt) => {
+                        let count = head.group.roots.len() as u64;
+                        shared.apply_commit(
+                            head.group.start,
+                            count,
+                            receipt.tx_hash,
+                            receipt.block_number,
+                        );
+                    }
+                    // Which attempt landed is unknown: the contract's tail
+                    // says how far it reached.
+                    Landed::Reconciled(receipt) => {
+                        shared.adopt_onchain_tail(receipt.as_ref());
+                    }
+                }
+            }
+            Err(Exhausted) => {
+                shared.stats.lock().stage2_failed += head.group.roots.len() as u64;
+                return;
+            }
+        }
+    }
 }
 
-/// Post-group-commit tier maintenance state, shared by the direct stage-2
-/// committer and the cluster `epoch_commit` path (whichever advances the
-/// blockchain-committed frontier drives sealing/checkpoint/retention).
+/// Post-group-commit tier maintenance state, driven by whichever path
+/// advances the blockchain-committed frontier (always through
+/// [`Shared::apply_commit`]).
 pub(crate) struct TierMaintenance {
     /// Group commits since the last two-plane checkpoint.
     groups_since_ckpt: u64,
@@ -133,7 +280,7 @@ impl TierMaintenance {
     /// retired. All I/O happens on the calling (committer or epoch-commit)
     /// thread — never under the write-plane guard, never on the stage-1 or
     /// read paths.
-    pub(crate) fn after_group_commit(&mut self, shared: &Shared) {
+    fn after_group_commit(&mut self, shared: &Shared) {
         let tier = shared.config.tier;
         let snap = shared.snapshot();
         // The committed frontier in *record* space: every record of every
@@ -178,293 +325,78 @@ impl TierMaintenance {
     }
 }
 
-/// Committer main loop: exits when the batcher hangs up, the queue is
-/// drained, and every backlog entry is committed or exhausted.
-pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<Stage2Task>) {
-    let mut c = Committer {
-        shared: &shared,
-        pending: BTreeMap::new(),
-        attempt: 0,
-        attempt_head: None,
-        next_due: shared.chain.clock().now(),
-        rng: SmallRng::seed_from_u64(0x5354_4147_4532_5254), // "STAGE2RT"
-    };
-    let mut rx_open = true;
-    loop {
-        if c.pending.is_empty() {
-            if !rx_open {
-                break;
-            }
-            // Idle: block until the batcher hands over work or hangs up.
-            match rx.recv() {
-                Ok(task) => {
-                    c.pending.insert(task.log_id, task);
-                }
-                Err(_) => break,
-            }
-        }
-        // Opportunistically drain whatever else is queued.
-        rx_open = drain(&rx, &mut c.pending, rx_open);
-        // Honour the backoff deadline, still accepting new work meanwhile.
-        loop {
-            let now = shared.chain.clock().now();
-            if now >= c.next_due {
-                break;
-            }
-            let quantum = c.next_due.since(now).min(Duration::from_millis(100));
-            shared.chain.clock().sleep(quantum);
-            rx_open = drain(&rx, &mut c.pending, rx_open);
-        }
-        c.attempt_head_group();
-    }
-}
-
-/// Drains every queued task without blocking; returns whether the channel
-/// is still open.
-fn drain(rx: &Receiver<Stage2Task>, pending: &mut BTreeMap<u64, Stage2Task>, open: bool) -> bool {
-    if !open {
-        return false;
-    }
-    loop {
-        match rx.try_recv() {
-            Ok(task) => {
-                pending.insert(task.log_id, task);
-            }
-            Err(TryRecvError::Empty) => return true,
-            Err(TryRecvError::Disconnected) => return false,
-        }
-    }
-}
-
-impl Committer<'_> {
-    /// Submits one `Update-Records` transaction for the head group and
-    /// handles the outcome.
-    fn attempt_head_group(&mut self) {
-        let group = contiguous_head(&self.pending, self.shared.config.stage2_max_group);
-        let Some(&start_idx) = group.first() else {
-            return;
-        };
-        // Progress at the head (including partial progress from a
-        // reconciled timeout) starts a fresh attempt budget.
-        if self.attempt_head != Some(start_idx) {
-            self.attempt = 0;
-            self.attempt_head = Some(start_idx);
-        }
-        let roots: Vec<Hash32> = group
-            .iter()
-            .filter_map(|id| self.pending.get(id).map(|t| t.root))
-            .collect();
-        let calldata = RootRecord::update_records_calldata(start_idx, &roots);
-        // 21k base + calldata + 20k per fresh word + margin.
-        let gas_limit = Gas(120_000 + 25_000 * roots.len() as u64);
-        {
-            let mut stats = self.shared.stats.lock();
-            stats.stage2_txs_submitted += 1;
-            if self.attempt > 0 {
-                stats.stage2_retries += 1;
-            }
-        }
-        let submit = self.shared.chain.call_contract(
-            self.shared.identity.secret_key(),
-            self.shared.root_record,
-            wedge_chain::Wei::ZERO,
-            calldata,
-            gas_limit,
-        );
-        let failure = match submit {
-            // A `call_contract` error means the transaction never reached
-            // the mempool — a submission-side failure whatever the cause.
-            Err(_) => (FailureKind::Submission, None),
-            Ok(hash) => match self.shared.chain.wait_for_receipt(hash) {
-                Ok(receipt) if receipt.status.is_success() => {
-                    self.commit_group(&group, &receipt, true);
-                    self.next_due = self.shared.chain.clock().now();
-                    return;
-                }
-                Ok(_) => (FailureKind::Revert, Some(hash)),
-                Err(ChainError::ReceiptTimeout(_)) => (FailureKind::Timeout, Some(hash)),
-                Err(_) => (FailureKind::Submission, Some(hash)),
-            },
-        };
-        self.handle_failure(&group, failure.0, failure.1);
-    }
-
-    /// Marks every position of `group` blockchain-committed under
-    /// `receipt`, removing it from the backlog. `charge` controls whether
-    /// the receipt's gas/fee are added to the stats (false when the same
-    /// receipt was already charged by an earlier reconciliation).
-    fn commit_group(&mut self, group: &[u64], receipt: &Receipt, charge: bool) {
-        let committed_at = self.shared.chain.clock().now();
-        let tasks: Vec<Stage2Task> = group
-            .iter()
-            .filter_map(|id| self.pending.remove(id))
-            .collect();
-        // One write-plane mutation (and one published snapshot) for the
-        // whole group.
-        self.shared.mutate(|plane| {
-            for task in &tasks {
-                plane.commits.insert(
-                    task.log_id,
-                    CommitInfo {
-                        tx_hash: receipt.tx_hash,
-                        block_number: receipt.block_number,
-                        stage2_latency: committed_at.since(task.stage1_done),
-                    },
-                );
-            }
-        });
-        {
-            let mut stats = self.shared.stats.lock();
-            stats.stage2_committed += tasks.len() as u64;
-            if charge {
-                stats.stage2_gas = stats.stage2_gas.saturating_add(receipt.gas_used);
-                stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
-            }
-            for task in &tasks {
-                stats
-                    .stage2_latencies
-                    .push(committed_at.since(task.stage1_done));
-            }
-        }
-        self.shared
-            .maintenance
-            .lock()
-            .after_group_commit(self.shared);
-    }
-
-    /// Classifies a failed attempt, reconciles against the on-chain tail
-    /// (a timed-out transaction may have landed), and either re-queues the
-    /// remainder with backoff or — after `max_attempts` — abandons it.
-    fn handle_failure(&mut self, group: &[u64], kind: FailureKind, tx_hash: Option<TxHash>) {
-        {
-            let mut stats = self.shared.stats.lock();
-            match kind {
-                FailureKind::Submission => stats.stage2_submission_errors += 1,
-                FailureKind::Revert => stats.stage2_reverts += 1,
-                FailureKind::Timeout => stats.stage2_timeouts += 1,
-            }
-        }
-        // Partial progress: positions below the contract's tail already
-        // landed (e.g. via a timed-out-but-mined transaction, or a
-        // pre-restart one) — split them off instead of re-sending.
-        let tail = self.onchain_tail();
-        let landed: Vec<u64> = group.iter().copied().filter(|id| *id < tail).collect();
-        if !landed.is_empty() {
-            // Recover the landing receipt when we know the transaction;
-            // its gas/fee were genuinely paid and belong in the stats.
-            let receipt = tx_hash
-                .and_then(|h| self.shared.chain.receipt(h))
-                .filter(|r| r.status.is_success());
-            match receipt {
-                Some(receipt) => self.commit_group(&landed, &receipt, true),
-                None => {
-                    // Landed through a transaction we cannot identify
-                    // (pre-restart, or a competing submission): record the
-                    // commitment without per-tx provenance.
-                    let synthetic = synthetic_receipt();
-                    self.commit_group(&landed, &synthetic, false);
-                }
-            }
-        }
-        let remaining: Vec<u64> = group.iter().copied().filter(|id| *id >= tail).collect();
-        let now = self.shared.chain.clock().now();
-        if remaining.is_empty() {
-            // The whole group landed after all — no retry needed.
-            self.next_due = now;
-            return;
-        }
-        self.attempt = self.attempt.saturating_add(1);
-        let policy = self.shared.config.stage2_retry;
-        if self.attempt >= policy.max_attempts.max(1) {
-            // Retries exhausted: only now does the commitment count as
-            // failed.
-            for id in &remaining {
-                self.pending.remove(id);
-            }
-            self.shared.stats.lock().stage2_failed += remaining.len() as u64;
-            self.attempt = 0;
-            self.attempt_head = None;
-            self.next_due = now;
-            return;
-        }
-        let backoff = self.jittered(policy.backoff_for(self.attempt));
-        {
-            let mut stats = self.shared.stats.lock();
-            stats.stage2_requeued += remaining.len() as u64;
-            stats.record_backoff(self.attempt);
-        }
-        self.next_due = now.add(backoff);
-    }
-
-    /// The Root Record's current tail index (0 when unreadable).
-    fn onchain_tail(&self) -> u64 {
-        self.shared
-            .chain
-            .view(self.shared.root_record, &RootRecord::get_tail_calldata())
-            .ok()
-            .and_then(|out| RootRecord::decode_tail(&out))
-            .unwrap_or(0)
-    }
-
-    /// Applies the policy's relative jitter to a backoff duration.
-    fn jittered(&mut self, backoff: Duration) -> Duration {
-        let jitter = self.shared.config.stage2_retry.jitter;
-        if jitter <= 0.0 {
-            return backoff;
-        }
-        let jitter = jitter.min(0.95);
-        let factor = 1.0 + self.rng.gen_range(-jitter..=jitter);
-        Duration::from_secs_f64((backoff.as_secs_f64() * factor).max(0.0))
-    }
-}
-
-/// A placeholder receipt for positions that landed through a transaction
-/// the committer cannot identify (mirrors the restart-recovery path).
-fn synthetic_receipt() -> Receipt {
-    Receipt {
-        tx_hash: Hash32::ZERO,
-        status: wedge_chain::ExecStatus::Success,
-        gas_used: Gas::ZERO,
-        fee: wedge_chain::Wei::ZERO,
-        block_number: 0,
-        output: Vec::new(),
-        logs: Vec::new(),
-        contract_address: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use wedge_merkle::MerkleTree;
+
+    use super::super::snapshot::WritePlane;
+    use super::super::state::BatchMeta;
     use super::*;
 
-    fn task(log_id: u64) -> Stage2Task {
-        Stage2Task {
-            log_id,
-            root: Hash32([log_id as u8; 32]),
-            stage1_done: SimInstant::EPOCH,
+    /// A plane with `flushed` single-leaf batches, the first `committed` of
+    /// them blockchain-committed.
+    fn snapshot(flushed: u64, committed: u64) -> Arc<Snapshot> {
+        let mut plane = WritePlane::default();
+        for log_id in 0..flushed {
+            let tree = MerkleTree::from_leaves(&[vec![log_id as u8]]).unwrap();
+            let meta = BatchMeta {
+                log_id,
+                first_record: 2 * log_id + 1,
+                count: 1,
+                tree,
+                flushed_at: SimInstant::EPOCH,
+            };
+            plane.register_batch(meta, std::iter::empty());
         }
-    }
-
-    fn backlog(ids: &[u64]) -> BTreeMap<u64, Stage2Task> {
-        ids.iter().map(|&id| (id, task(id))).collect()
+        for log_id in 0..committed {
+            let info = CommitInfo {
+                tx_hash: Hash32::ZERO,
+                block_number: 0,
+                stage2_latency: Duration::ZERO,
+            };
+            plane.commits.insert(log_id, info);
+        }
+        plane.freeze()
     }
 
     #[test]
-    fn head_group_is_contiguous_run() {
-        assert_eq!(contiguous_head(&backlog(&[3, 4, 5]), 16), vec![3, 4, 5]);
-        assert_eq!(contiguous_head(&backlog(&[3, 4, 5]), 2), vec![3, 4]);
-        assert_eq!(contiguous_head(&BTreeMap::new(), 16), Vec::<u64>::new());
+    fn pending_group_is_the_capped_run_from_the_frontier() {
+        let snap = snapshot(8, 3);
+        let group = pending_group(&snap, NodeBehavior::Honest, 16);
+        assert_eq!(group.start, 3);
+        let honest: Vec<Hash32> = snap.batches[3..].iter().map(|b| b.tree.root()).collect();
+        assert_eq!(group.roots, honest);
+        assert_eq!(
+            pending_group(&snap, NodeBehavior::Honest, 2).roots,
+            honest[..2]
+        );
+        // max_group 0 is clamped to one root per transaction.
+        assert_eq!(pending_group(&snap, NodeBehavior::Honest, 0).roots.len(), 1);
+        assert!(pending_group(&snapshot(3, 3), NodeBehavior::Honest, 16).is_empty());
     }
 
-    /// Regression (PR 2 satellite): a non-contiguous task must be deferred
-    /// to a later group — the old committer pushed it into the group
-    /// *before* checking contiguity, binding its root to the wrong
-    /// on-chain index inside `update_records_calldata(start_idx, …)`.
+    /// Regression (PR 2 satellite, restated for the pull design): a
+    /// position must never share a transaction with positions beyond a
+    /// gap — `update_records_calldata(start_idx, …)` would bind its root to
+    /// the wrong on-chain index. The only source of gaps left is the
+    /// omission behaviour, and the run stops there.
     #[test]
-    fn non_contiguous_task_deferred_to_next_group() {
-        let group = contiguous_head(&backlog(&[0, 1, 5]), 16);
-        assert_eq!(group, vec![0, 1], "5 must wait for 2..=4");
-        let group = contiguous_head(&backlog(&[7, 9]), 16);
-        assert_eq!(group, vec![7], "9 never shares 7's start_idx");
+    fn pending_group_stops_at_an_omitted_position() {
+        let snap = snapshot(6, 1);
+        let group = pending_group(&snap, NodeBehavior::OmitStage2 { from_log: 4 }, 16);
+        assert_eq!((group.start, group.roots.len()), (1, 3), "4.. must wait");
+        let omitted = pending_group(&snap, NodeBehavior::OmitStage2 { from_log: 0 }, 16);
+        assert!(omitted.is_empty());
+    }
+
+    #[test]
+    fn pending_group_applies_the_equivocation_behaviour() {
+        let snap = snapshot(3, 0);
+        let group = pending_group(&snap, NodeBehavior::CommitWrongRoot { from_log: 1 }, 16);
+        assert_eq!(group.roots[0], snap.batches[0].tree.root());
+        assert_ne!(group.roots[1], snap.batches[1].tree.root());
+        assert_ne!(group.roots[2], snap.batches[2].tree.root());
     }
 }

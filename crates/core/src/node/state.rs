@@ -6,6 +6,7 @@ use std::time::Duration;
 use wedge_chain::{Decoder, Encoder, TxHash};
 use wedge_crypto::hash::Hash32;
 use wedge_merkle::MerkleTree;
+use wedge_sim::SimInstant;
 use wedge_storage::LogStore;
 
 use super::snapshot::WritePlane;
@@ -27,6 +28,10 @@ pub struct BatchMeta {
     /// The batch's Merkle tree, retained for O(log n) proof generation on
     /// reads.
     pub tree: MerkleTree,
+    /// When the batch was registered (simulated time) — the start of its
+    /// stage-2 latency. In memory only: a batch recovered at restart
+    /// carries the restart instant.
+    pub flushed_at: SimInstant,
 }
 
 /// Stage-2 commitment bookkeeping for one log position.
@@ -100,12 +105,18 @@ pub fn decode_header(record: &[u8]) -> Option<Header> {
 /// path. With `from = 0` and an empty plane this rebuilds the entire state
 /// from the log; with a restored checkpoint, `from` is the checkpoint's
 /// record cursor and only the uncheckpointed tail is read and hashed
-/// (O(tail) restart). Returns the number of records replayed.
+/// (O(tail) restart). Replayed batches are stamped `flushed_at = now`.
+/// Returns the number of records replayed.
 ///
 /// `from` must sit on a batch-header boundary (0 and checkpoint cursors
 /// always do). An incomplete trailing batch (header persisted, some leaves
 /// torn away) is dropped, mirroring the store's torn-tail semantics.
-pub fn replay_tail(store: &LogStore, plane: &mut WritePlane, from: u64) -> Result<u64, CoreError> {
+pub fn replay_tail(
+    store: &LogStore,
+    plane: &mut WritePlane,
+    from: u64,
+    now: SimInstant,
+) -> Result<u64, CoreError> {
     let total = store.len();
     let mut cursor = from;
     while cursor < total {
@@ -145,6 +156,7 @@ pub fn replay_tail(store: &LogStore, plane: &mut WritePlane, from: u64) -> Resul
                 first_record,
                 count: header.count,
                 tree,
+                flushed_at: now,
             },
             entries,
         );

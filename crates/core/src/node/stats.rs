@@ -19,14 +19,16 @@ pub struct NodeStats {
     pub stage2_txs_submitted: u64,
     /// Log positions confirmed on-chain.
     pub stage2_committed: u64,
-    /// Log positions abandoned after the retry policy's `max_attempts`
-    /// consecutive failures — *not* first-attempt failures, which are
-    /// retried (see [`crate::Stage2RetryPolicy`]).
+    /// Log positions of the head group abandoned after the retry policy's
+    /// `max_attempts` consecutive failures — *not* first-attempt failures,
+    /// which are retried (see [`crate::Stage2RetryPolicy`]). Counted once:
+    /// the committer parks after abandoning a group, since nothing behind
+    /// it could land on the strictly sequential Root Record.
     pub stage2_failed: u64,
     /// Stage-2 re-submissions performed (attempt ≥ 2 of a group).
     pub stage2_retries: u64,
-    /// Log positions re-queued into the retry backlog (one position
-    /// counted once per failed attempt of its group).
+    /// Log positions scheduled for a retry (one position counted once per
+    /// failed attempt of its group).
     pub stage2_requeued: u64,
     /// Failed stage-2 submissions classified as submission errors
     /// (transaction never reached the mempool).
@@ -38,8 +40,10 @@ pub struct NodeStats {
     /// Per-attempt backoff histogram: `stage2_backoff_hist[k]` counts the
     /// retries scheduled after attempt `k + 1` failed.
     pub stage2_backoff_hist: Vec<u64>,
-    /// Per-position simulated stage-1→stage-2 latencies.
-    pub stage2_latencies: Vec<Duration>,
+    /// Sum of the per-position simulated stage-1→stage-2 latencies.
+    pub stage2_latency_sum: Duration,
+    /// Positions counted in `stage2_latency_sum`.
+    pub stage2_latency_count: u64,
     /// Total gas spent on stage-2 commitments.
     pub stage2_gas: Gas,
     /// Total fees spent on stage-2 commitments.
@@ -66,8 +70,7 @@ pub struct NodeStats {
     pub fsyncs_coalesced: u64,
     /// Nanoseconds of local persistence (Merkle + `append_batch` + fsync)
     /// that ran while replica sends were already in flight — the persist
-    /// stage's overlap win. 0 when `overlap_replication` is off or there
-    /// are no replicas.
+    /// stage's overlap win. 0 when there are no replicas.
     pub replication_overlap_ns: u64,
     /// Worker threads *not* spawned because the shared pool caps
     /// parallelism at the machine's core count (process-wide, sampled from
@@ -120,11 +123,13 @@ impl NodeStats {
 
     /// Mean stage-2 latency (simulated), if any commitments completed.
     pub fn mean_stage2_latency(&self) -> Option<Duration> {
-        if self.stage2_latencies.is_empty() {
+        if self.stage2_latency_count == 0 {
             return None;
         }
-        let total: Duration = self.stage2_latencies.iter().sum();
-        Some(total / self.stage2_latencies.len() as u32)
+        Some(
+            self.stage2_latency_sum
+                .div_f64(self.stage2_latency_count as f64),
+        )
     }
 
     /// On-chain cost per ingested operation, in wei.
@@ -145,7 +150,8 @@ mod tests {
         let mut s = NodeStats::default();
         assert!(s.mean_stage2_latency().is_none());
         assert_eq!(s.cost_per_op(), Wei::ZERO);
-        s.stage2_latencies = vec![Duration::from_secs(40), Duration::from_secs(46)];
+        s.stage2_latency_sum = Duration::from_secs(40 + 46);
+        s.stage2_latency_count = 2;
         assert_eq!(s.mean_stage2_latency(), Some(Duration::from_secs(43)));
         s.entries_ingested = 1000;
         s.stage2_fees = Wei(5_000_000);

@@ -287,10 +287,7 @@ fn exhausted_retries_are_counted_as_failed() {
         "the position can never commit"
     );
     // Give the committer time to burn through its attempts.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    while w.node.stats().stage2_failed == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    eventually(|| w.node.stats().stage2_failed > 0);
     let stats = w.node.stats();
     assert_eq!(stats.stage2_failed, 1, "{stats:?}");
     assert_eq!(stats.stage2_committed, 0);
@@ -300,4 +297,146 @@ fn exhausted_retries_are_counted_as_failed() {
     );
     w.chain.faults().clear();
     let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// Polls `done` for up to 20 s of wall time.
+fn eventually(done: impl Fn() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !done() {
+        if std::time::Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    true
+}
+
+/// A long chain outage while N ≫ `stage2_max_group` batches flush: the
+/// committer holds no backlog of its own (the pending group is derived from
+/// the snapshot), so once the chain recovers everything flushed meanwhile
+/// drains in full groups — ⌈N / max_group⌉ successful transactions, each
+/// position exactly once, and not a single revert mined.
+#[test]
+fn long_outage_drains_in_full_groups_without_a_revert() {
+    let config = NodeConfig {
+        stage2_retry: Stage2RetryPolicy {
+            // The outage must not exhaust the budget.
+            max_attempts: u32::MAX,
+            base_backoff: Duration::from_secs(1),
+            max_backoff: Duration::from_secs(4),
+            jitter: 0.2,
+        },
+        ..node_config(10)
+    };
+    let max_group = config.stage2_max_group as u64;
+    let mut w = world("outage", ChainConfig::default(), config);
+    w.chain.faults().drop_next_submissions(u64::MAX);
+    w.publisher.append_batch(payloads(300)).expect("append");
+    let positions = w.node.log_positions();
+    assert_eq!(positions, 30, "N = 30 positions against max_group = 4");
+    // The chain is down: the committer keeps trying and nothing lands.
+    assert!(eventually(|| w.chain.faults().submissions_dropped() >= 3));
+    assert_eq!(w.node.stats().stage2_committed, 0);
+    assert_eq!(onchain_tail(&w.chain, w.root_record), 0);
+
+    w.chain.faults().clear();
+    w.node
+        .wait_stage2_idle(Duration::from_secs(3600))
+        .expect("the backlog drains once the chain is back");
+    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+    let stats = w.node.stats();
+    assert_eq!(
+        stats.stage2_txs_submitted - stats.stage2_submission_errors,
+        positions.div_ceil(max_group),
+        "full groups only: {stats:?}"
+    );
+    assert_eq!(
+        stats.stage2_submission_errors,
+        w.chain.faults().submissions_dropped()
+    );
+    assert_eq!(
+        stats.stage2_reverts, 0,
+        "no guaranteed-to-revert submission"
+    );
+    assert_eq!(stats.stage2_timeouts, 0);
+    let mut txs: Vec<_> = (0..positions)
+        .map(|log_id| w.node.commit_info(log_id).expect("committed").tx_hash)
+        .collect();
+    txs.dedup();
+    assert_eq!(txs.len() as u64, positions.div_ceil(max_group));
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// After the retry budget is exhausted the committer parks: the Root Record
+/// is strictly sequential, so nothing behind the abandoned head could land
+/// and every further submission would be a guaranteed revert. Later flushes
+/// therefore submit nothing — and a restart picks the whole backlog up from
+/// the contract's tail.
+#[test]
+fn exhausted_committer_parks_until_restart() {
+    let config = NodeConfig {
+        stage2_retry: Stage2RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(500),
+            max_backoff: Duration::from_secs(2),
+            jitter: 0.0,
+        },
+        ..node_config(10)
+    };
+    let w = world("parked", ChainConfig::default(), config);
+    let World {
+        chain,
+        node,
+        node_identity,
+        mut publisher,
+        root_record,
+        _miner,
+        dir,
+    } = w;
+    chain.faults().drop_next_submissions(3);
+    publisher.append_batch(payloads(10)).expect("append");
+    assert!(eventually(|| node.stats().stage2_failed == 1));
+    assert_eq!(node.stats().stage2_txs_submitted, 3);
+    assert_eq!(
+        chain.faults().submissions_dropped(),
+        3,
+        "the chain is healthy again"
+    );
+
+    // More flushes on a healthy chain, then a shutdown, which joins the
+    // stage-2 thread: whatever it was ever going to submit, it has. A
+    // committer that had not parked would first burn its attempts on the
+    // three positions behind the abandoned head.
+    let mined_before = chain.total_transactions();
+    publisher.append_batch(payloads(30)).expect("append more");
+    assert_eq!(node.log_positions(), 4);
+    drop(publisher);
+    let mut node = Arc::try_unwrap(node).unwrap_or_else(|_| panic!("sole owner of the node"));
+    node.shutdown();
+    let stats = node.stats();
+    assert_eq!(stats.stage2_txs_submitted, 3, "parked: {stats:?}");
+    assert_eq!(stats.stage2_failed, 1, "counted once");
+    assert_eq!(stats.stage2_committed, 0);
+    assert_eq!(chain.total_transactions(), mined_before);
+    assert_eq!(onchain_tail(&chain, root_record), 0);
+    drop(node);
+
+    // Restart: the committer starts over from the on-chain tail.
+    let node = OffchainNode::start(
+        node_identity,
+        node_config(10),
+        Arc::clone(&chain),
+        root_record,
+        &dir,
+    )
+    .expect("restart node");
+    node.wait_stage2_idle(Duration::from_secs(3600))
+        .expect("the parked backlog commits after a restart");
+    assert_all_committed_exactly_once(&chain, &node, root_record);
+    assert_eq!(
+        node.stats().stage2_txs_submitted,
+        1,
+        "4 positions, one group"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

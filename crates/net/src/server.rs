@@ -34,9 +34,18 @@ use crate::buffer::BufferPool;
 use crate::stats::{NetCounters, NetStats};
 use crate::wire::{decode_request_frame, encode_reply_into, Reply, Request, WireError};
 
-/// Tuning for [`NodeServer`]. The defaults suit tests and production; the
-/// bench pins individual fields to compare the old and new write paths in
-/// one run.
+/// Maximum replies coalesced into one socket write.
+const COALESCE_MAX_REPLIES: u64 = 64;
+/// Soft cap on a coalesced egress batch, in bytes.
+const COALESCE_MAX_BYTES: usize = 1 << 20;
+/// Frame buffers retained by the shared pool.
+const POOL_MAX_BUFFERS: usize = 64;
+/// Buffers grown beyond this many bytes are not returned to the pool.
+const POOL_MAX_RETAINED: usize = 1 << 20;
+
+/// Tuning for [`NodeServer`]: the sizes and patience windows a deployment
+/// (or a test provoking overload) has a reason to move. The defaults suit
+/// tests and production.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Connection worker pairs (one reader + one writer thread each).
@@ -58,16 +67,6 @@ pub struct ServerConfig {
     /// shed (the client blocks on them without a timeout), so this bounds
     /// both the batcher-thread stall and the client's worst-case hang.
     pub append_reply_grace: Duration,
-    /// Maximum replies coalesced into one socket write. `1` restores the
-    /// old write-per-reply behavior.
-    pub coalesce_max_replies: usize,
-    /// Soft cap on a coalesced egress batch, in bytes.
-    pub coalesce_max_bytes: usize,
-    /// Frame buffers retained by the shared pool. `0` disables pooling
-    /// (every acquisition allocates).
-    pub pool_max_buffers: usize,
-    /// Buffers grown beyond this many bytes are not returned to the pool.
-    pub pool_max_retained: usize,
     /// A writer stalled on one socket write longer than this kills the
     /// connection instead of holding its worker pair hostage.
     pub write_stall_timeout: Duration,
@@ -80,10 +79,6 @@ impl Default for ServerConfig {
             pending_connections: 128,
             reply_queue_depth: 1024,
             append_reply_grace: Duration::from_millis(250),
-            coalesce_max_replies: 64,
-            coalesce_max_bytes: 1 << 20,
-            pool_max_buffers: 64,
-            pool_max_retained: 1 << 20,
             write_stall_timeout: Duration::from_secs(10),
         }
     }
@@ -158,7 +153,7 @@ impl NodeServer {
             service,
             stop: AtomicBool::new(false),
             counters: NetCounters::default(),
-            pool: BufferPool::new(config.pool_max_buffers, config.pool_max_retained),
+            pool: BufferPool::new(POOL_MAX_BUFFERS, POOL_MAX_RETAINED),
             config: config.clone(),
         });
         let (conn_tx, conn_rx) = bounded::<TcpStream>(config.pending_connections.max(1));
@@ -418,8 +413,6 @@ fn run_coalescing_writer(session: WriterSession, shared: &ServerShared) {
         mut stream,
         reply_rx,
     } = session;
-    let max_replies = shared.config.coalesce_max_replies.max(1) as u64;
-    let max_bytes = shared.config.coalesce_max_bytes.max(1);
     // recv() returns Err only once the reader and every pending append
     // callback have dropped their senders — the session is over.
     'session: while let Ok((req_id, reply)) = reply_rx.recv() {
@@ -439,7 +432,7 @@ fn run_coalescing_writer(session: WriterSession, shared: &ServerShared) {
             fatal_encode = true;
         } else {
             encoded = 1;
-            while encoded < max_replies && batch.len() < max_bytes {
+            while encoded < COALESCE_MAX_REPLIES && batch.len() < COALESCE_MAX_BYTES {
                 match reply_rx.try_recv() {
                     Ok((id, next)) => {
                         if encode_reply_into(&mut batch, id, &next).is_err() {
