@@ -827,8 +827,12 @@ fn run_persist_path(
         let pool = &pool;
         scope.spawn(move |_| {
             for _ in 0..batches {
-                let tree = wedge_merkle::MerkleTree::from_leaves_parallel(&payloads[..], pool, 256)
-                    .expect("non-empty batch");
+                let (tree, _) = wedge_merkle::MerkleTree::from_leaves_parallel_counted(
+                    &payloads[..],
+                    pool,
+                    256,
+                )
+                .expect("non-empty batch");
                 std::hint::black_box(tree.root());
                 // Replicas chew on the batch while we pay the local append
                 // (+ any covering fsync): cost = max, not sum.
@@ -1594,50 +1598,10 @@ pub fn punishment_economics() -> Table {
 /// per-byte work (hashing, I/O) dominates per-entry fixed costs.
 const TIER_PAYLOAD: usize = 64 * 1024;
 
-/// Hot-vs-cold scan throughput at the storage layer: fill a store, scan it
-/// while every segment is hot, seal everything below the tail, scan again.
-/// Returns (hot MB/s, cold MB/s, cold segment count).
-fn tier_scan_rates(tag: &str, total_bytes: u64) -> (f64, f64, u64) {
-    use wedge_storage::{LogStore, StoreConfig, SyncPolicy};
-    let dir = std::env::temp_dir().join(format!("wedge-tiers-scan-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = LogStore::open(
-        &dir,
-        StoreConfig {
-            max_segment_bytes: 4 * 1024 * 1024,
-            sync: SyncPolicy::OnRotate,
-            ..Default::default()
-        },
-    )
-    .expect("open scan store");
-    let record = vec![0xA5u8; TIER_PAYLOAD];
-    let mut written = 0u64;
-    while written < total_bytes {
-        let batch: Vec<Vec<u8>> = (0..16).map(|_| record.clone()).collect();
-        store.append_batch(&batch).expect("append");
-        written += (record.len() * 16) as u64;
-    }
-    store.sync().expect("sync");
-
-    let scan = |label: &str| -> f64 {
-        let started = Instant::now();
-        let mut bytes = 0u64;
-        for rec in store.iter() {
-            bytes += rec.expect(label).len() as u64;
-        }
-        bytes as f64 / 1e6 / started.elapsed().as_secs_f64().max(1e-9)
-    };
-    let hot = scan("hot record");
-    let sealed = store.seal_up_to(store.len()).expect("seal") as u64;
-    let cold = scan("cold record");
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-    (hot, cold, sealed)
-}
-
 /// Tiered storage & two-plane checkpoints: restart time and replayed
-/// records with a checkpoint vs a full log replay, plus cold-vs-hot scan
-/// throughput, as the log grows.
+/// records with a checkpoint vs a full log replay as the log grows.
+/// (Read and reopen cost per tier are `wedgebench`'s
+/// `storage.read_hot_us` / `read_cold_us` / `reopen_ms`.)
 pub fn tiers(profile: Profile) -> Table {
     use wedge_chain::{Chain, ChainConfig};
     use wedge_core::{deploy_service, OffchainNode, Publisher, ServiceConfig, TierConfig};
@@ -1649,7 +1613,7 @@ pub fn tiers(profile: Profile) -> Table {
         Profile::Full => &[64, 128, 256],
     };
     let mut table = Table {
-        title: "Tiered storage: O(tail) restart and cold scans".into(),
+        title: "Tiered storage: O(tail) restart".into(),
         headers: vec![
             "log MB".into(),
             "records".into(),
@@ -1657,9 +1621,7 @@ pub fn tiers(profile: Profile) -> Table {
             "replayed (ckpt)".into(),
             "restart (full replay)".into(),
             "replayed (full)".into(),
-            "hot scan MB/s".into(),
-            "cold scan MB/s".into(),
-            "cold segments".into(),
+            "sealed segments".into(),
         ],
         rows: Vec::new(),
     };
@@ -1694,7 +1656,6 @@ pub fn tiers(profile: Profile) -> Table {
             verify_requests: false,
             stage2_max_group: 4,
             tier: TierConfig {
-                seal_on_commit: true,
                 checkpoint_every_groups: 2,
                 ..Default::default()
             },
@@ -1737,6 +1698,7 @@ pub fn tiers(profile: Profile) -> Table {
                 .expect("settle");
         }
         let records = node.entry_count() + node.log_positions();
+        let sealed_segments = node.stats().segments_sealed;
         drop(node); // clean shutdown: final checkpoint + store sync
 
         // Restart with the checkpoint in place: O(tail).
@@ -1756,9 +1718,6 @@ pub fn tiers(profile: Profile) -> Table {
         drop(miner);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Storage-level scan throughput over the same byte volume.
-        let (hot, cold, cold_segments) = tier_scan_rates(&tag, total_bytes);
-
         table.rows.push(vec![
             mb.to_string(),
             records.to_string(),
@@ -1766,9 +1725,7 @@ pub fn tiers(profile: Profile) -> Table {
             replayed_ckpt.to_string(),
             fmt_dur(restart_full),
             replayed_full.to_string(),
-            fmt_rate(hot),
-            fmt_rate(cold),
-            cold_segments.to_string(),
+            sealed_segments.to_string(),
         ]);
     }
     table

@@ -115,23 +115,20 @@ impl Stage2RetryPolicy {
 /// Tiered-storage and checkpoint policy (see `docs/architecture.md`,
 /// "Tiered storage & checkpoints").
 ///
-/// Once a log position is blockchain-committed its records are immutable:
-/// segments wholly below the committed frontier are sealed into read-only
-/// cold segments, the two-plane state is periodically checkpointed so a
-/// restart replays only the uncheckpointed tail, and cold segments that
-/// age past the punishment window can be deleted outright.
+/// The store seals every segment the moment its tail rotates (no policy
+/// to set); what this configures is how often the two-plane state is
+/// checkpointed, so a restart replays only the uncheckpointed tail, and
+/// whether sealed segments that age past the punishment window are
+/// deleted.
 #[derive(Clone, Copy, Debug)]
 pub struct TierConfig {
-    /// Seal hot segments into cold ones as stage-2 group commits advance
-    /// the blockchain-committed frontier.
-    pub seal_on_commit: bool,
     /// Write a two-plane checkpoint every N stage-2 group commits
     /// (0 disables the group-count trigger).
     pub checkpoint_every_groups: u64,
     /// Also checkpoint when this much simulated time has passed since the
     /// last one (evaluated at group-commit time).
     pub checkpoint_interval: Duration,
-    /// Retention: delete cold segments holding only log positions more
+    /// Retention: delete sealed segments holding only log positions more
     /// than this many positions behind the committed frontier — they have
     /// outlived the punishment window. `None` keeps everything (the
     /// default: retention is an explicit operator opt-in). Retirement
@@ -143,7 +140,6 @@ pub struct TierConfig {
 impl Default for TierConfig {
     fn default() -> Self {
         TierConfig {
-            seal_on_commit: true,
             checkpoint_every_groups: 8,
             checkpoint_interval: Duration::from_secs(60),
             retain_groups: None,

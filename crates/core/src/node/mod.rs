@@ -76,7 +76,7 @@ pub(crate) struct Shared {
     /// and response signing — sized to `worker_threads`, capped at the
     /// machine's parallelism.
     pub pool: wedge_pool::WorkPool,
-    /// Tier maintenance cadence (seal/checkpoint/retire), ticked by
+    /// Tier maintenance cadence (checkpoint/retire), ticked by
     /// [`Shared::apply_commit`] whenever the blockchain-committed frontier
     /// advances.
     pub maintenance: Mutex<stage2::TierMaintenance>,
@@ -111,12 +111,10 @@ impl Shared {
         out
     }
 
-    /// Writes a durable checkpoint of the current snapshot (plus the
-    /// store's locator-index sidecar) so the next restart replays only
-    /// records past the checkpoint cursor. Works off the read plane — no
-    /// write-plane lock is held across the file I/O.
+    /// Writes a durable checkpoint of the current snapshot so the next
+    /// restart replays only records past the checkpoint cursor. Works off
+    /// the read plane — no write-plane lock is held across the file I/O.
     pub fn write_checkpoint(&self) -> Result<(), CoreError> {
-        self.store.write_index_checkpoint()?;
         let snap = self.snapshot();
         checkpoint::write(&self.ckpt_dir, &snap)?;
         self.ckpt_floor

@@ -213,7 +213,7 @@ pub(crate) struct CommitIndex {
     committed: u64,
     /// Smallest log id *not* yet committed: positions `[0, contiguous)`
     /// are all committed. Maintained incrementally on insert/remove
-    /// (amortized O(1)) — this is the frontier that gates segment sealing.
+    /// (amortized O(1)) — this is the frontier that gates retention.
     contiguous: u64,
 }
 
@@ -238,8 +238,8 @@ impl CommitIndex {
     }
 
     /// The committed frontier: the smallest log id not yet committed
-    /// (positions `[0, contiguous)` all are). Records of those positions
-    /// are immutable and eligible for sealing into the cold tier.
+    /// (positions `[0, contiguous)` all are). Only records of those
+    /// positions may ever be retired.
     pub fn contiguous(&self) -> u64 {
         self.contiguous
     }

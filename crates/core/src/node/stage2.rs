@@ -273,31 +273,15 @@ impl TierMaintenance {
         }
     }
 
-    /// Every blockchain-committed position's records are immutable (the
-    /// paper's two-plane commitment makes the frontier explicit), so this
-    /// is where hot segments are sealed cold, the two-plane checkpoint
-    /// cadence ticks, and cold segments past the punishment window are
-    /// retired. All I/O happens on the calling (committer or epoch-commit)
-    /// thread — never under the write-plane guard, never on the stage-1 or
-    /// read paths.
+    /// Where the two-plane checkpoint cadence ticks and sealed segments
+    /// past the punishment window are retired (segments seal themselves at
+    /// rotation; the committed frontier only gates retention). All I/O
+    /// happens on the calling (committer or epoch-commit) thread — never
+    /// under the write-plane guard, never on the stage-1 or read paths.
     fn after_group_commit(&mut self, shared: &Shared) {
         let tier = shared.config.tier;
         let snap = shared.snapshot();
-        // The committed frontier in *record* space: every record of every
-        // contiguously-committed position is immutable.
         let frontier_log = snap.commits.contiguous();
-        let frontier_record = match frontier_log
-            .checked_sub(1)
-            .and_then(|id| snap.batches.get(id as usize))
-        {
-            Some(batch) => batch.first_record + batch.count as u64,
-            None => 0,
-        };
-        if tier.seal_on_commit && frontier_record > 0 {
-            // Sealing verifies CRCs as it copies; an error here is a disk
-            // problem the next group commit will retry.
-            let _ = shared.store.seal_up_to(frontier_record);
-        }
         self.groups_since_ckpt += 1;
         let now = shared.chain.clock().now();
         let due_by_groups = tier.checkpoint_every_groups > 0

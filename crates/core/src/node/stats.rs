@@ -87,8 +87,8 @@ pub struct NodeStats {
     /// (leaf hashing + level folding) — where digest time goes once
     /// signing is amortized.
     pub merkle_hash_ns: u64,
-    /// Hot segments sealed into read-only cold segments since this node
-    /// started (sampled from the store when stats are read).
+    /// Segments sealed by rotation since this node started (sampled from
+    /// the store when stats are read).
     pub segments_sealed: u64,
     /// Two-plane checkpoints written (periodic and final-on-shutdown).
     pub checkpoint_writes: u64,

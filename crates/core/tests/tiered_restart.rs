@@ -1,8 +1,8 @@
 //! Kill-and-recover test for tiered storage + two-plane checkpoints.
 //!
 //! A child process (this binary re-executed with `WEDGE_TIER_CRASH_DIR`
-//! set) runs a full node under `SyncPolicy::GroupCommit` with aggressive
-//! sealing and checkpointing, streaming large entries until the parent
+//! set) runs a full node under `SyncPolicy::GroupCommit` with small
+//! segments and aggressive checkpointing, streaming large entries until the parent
 //! SIGKILLs it mid-flight — after the log has grown past a configurable
 //! floor (`WEDGE_TIER_TARGET_MB`, default 100). The child records each
 //! batch in `released.txt` only after `append_batch` returned, i.e. after
@@ -17,8 +17,8 @@
 //! - **O(tail) restart**: `restart_replayed_records` is a small fraction of
 //!   the store's record count — the node restored a checkpoint and replayed
 //!   only the uncheckpointed tail instead of re-reading ~100 MB;
-//! - **sealing happened and survived**: cold (`.wcold`) segments exist on
-//!   disk after recovery.
+//! - **sealing happened and survived**: sealed (`.wcold`) segments exist on
+//!   disk after the kill (segments seal as they rotate).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -56,7 +56,6 @@ fn tier_config() -> NodeConfig {
         verify_requests: false,
         stage2_max_group: 4,
         tier: TierConfig {
-            seal_on_commit: true,
             // Checkpoint after every stage-2 group so the replayed tail is
             // bounded by one group's worth of batches plus whatever stage-1
             // had in flight.
@@ -65,8 +64,7 @@ fn tier_config() -> NodeConfig {
             retain_groups: None,
         },
         store: StoreConfig {
-            // Rotate every ~4 MB so the sealing pass has segments to retire
-            // into the cold tier throughout the run.
+            // Rotate every ~4 MB so segments seal throughout the run.
             max_segment_bytes: 4 * 1024 * 1024,
             sync: SyncPolicy::GroupCommit {
                 max_batches: 4,
@@ -247,10 +245,10 @@ fn kill_and_recover(test_name: &str, tag: &str, default_mb: u64, strictness: u64
         .max()
         .expect("child released at least one batch");
 
-    // Sealing ran in the child and its cold segments survived the kill.
+    // Segments rotated in the child and their seals survived the kill.
     assert!(
         count_files_with_ext(&log_dir, "wcold") > 0,
-        "no cold segments on disk after the kill"
+        "no sealed segments on disk after the kill"
     );
 
     // Recover: a fresh world around the child's on-disk state.

@@ -23,13 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod composed;
 mod multiproof;
 mod proof;
 mod tree;
 
-pub use builder::TreeBuilder;
 pub use composed::ComposedProof;
 pub use multiproof::RangeProof;
 pub use proof::{MerkleProof, ProofNode, Side};

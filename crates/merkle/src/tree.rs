@@ -73,8 +73,7 @@ pub fn hash_leaves<D: AsRef<[u8]>>(leaves: &[D]) -> Vec<Hash32> {
 
 /// Folds an even-length run of sibling nodes into their parents: full
 /// octets (four pairs) go through the ×4 permutation, the remaining ≤ 3
-/// pairs through scalar [`hash_node`]. This is the shared level-fold core
-/// of the serial and pool-parallel builders.
+/// pairs through scalar [`hash_node`].
 pub(crate) fn fold_pairs(nodes: &[Hash32]) -> Vec<Hash32> {
     debug_assert!(
         nodes.len().is_multiple_of(2),
@@ -110,53 +109,24 @@ impl MerkleTree {
 
     /// Builds a tree from precomputed leaf hashes.
     pub fn from_leaf_hashes(hashes: Vec<Hash32>) -> Result<MerkleTree, MerkleError> {
-        if hashes.is_empty() {
-            return Err(MerkleError::EmptyTree);
-        }
-        let mut levels = Vec::new();
-        let mut current = hashes;
-        while current.len() > 1 {
-            // Fold the even prefix (×4 octets + scalar remainder pairs);
-            // an odd trailing node is promoted unchanged.
-            let even_len = current.len() & !1;
-            let (even, odd) = current.split_at(even_len);
-            let mut next = fold_pairs(even);
-            if let [promoted] = odd {
-                next.push(*promoted);
-            }
-            levels.push(current);
-            current = next;
-        }
-        levels.push(current);
-        Ok(MerkleTree { levels })
+        MerkleTree::build(hashes, None).map(|(tree, _)| tree)
     }
 
     /// Builds a tree from raw leaf data, hashing leaves and interior
-    /// levels on `pool` when a level holds at least `cutoff` nodes.
+    /// levels on `pool` when a level holds at least `cutoff` nodes, and
+    /// reports the number of parallel chunks dispatched (0 means the build
+    /// ran fully serial) — the raw material for the node's
+    /// `merkle_par_chunks` stat.
     ///
     /// Produces a tree **bit-identical** to [`MerkleTree::from_leaves`]:
     /// same levels, same odd-node promotion, same root, same proofs. The
     /// cutoff exists because below a few hundred nodes the serial builder
     /// wins; `usize::MAX` forces the serial path through the same API.
-    pub fn from_leaves_parallel<D: AsRef<[u8]> + Sync>(
-        leaves: &[D],
-        pool: &wedge_pool::WorkPool,
-        cutoff: usize,
-    ) -> Result<MerkleTree, MerkleError> {
-        MerkleTree::from_leaves_parallel_counted(leaves, pool, cutoff).map(|(tree, _)| tree)
-    }
-
-    /// [`MerkleTree::from_leaves_parallel`] plus the number of parallel
-    /// chunks dispatched (0 means the build ran fully serial) — the raw
-    /// material for the node's `merkle_par_chunks` stat.
     pub fn from_leaves_parallel_counted<D: AsRef<[u8]> + Sync>(
         leaves: &[D],
         pool: &wedge_pool::WorkPool,
         cutoff: usize,
     ) -> Result<(MerkleTree, u64), MerkleError> {
-        if leaves.is_empty() {
-            return Err(MerkleError::EmptyTree);
-        }
         let mut chunks = 0u64;
         let hashes: Vec<Hash32> = if leaves.len() >= cutoff.max(2) && pool.workers() > 1 {
             // Map over *groups* of leaves so each worker drives the ×4
@@ -169,61 +139,46 @@ impl MerkleTree {
         } else {
             hash_leaves(leaves)
         };
-        let (tree, level_chunks) = MerkleTree::build_parallel(hashes, pool, cutoff);
+        let (tree, level_chunks) = MerkleTree::build(hashes, Some((pool, cutoff)))?;
         Ok((tree, chunks + level_chunks))
     }
 
-    /// Builds a tree from precomputed leaf hashes, constructing each
-    /// interior level on `pool` while the level holds at least `cutoff`
-    /// nodes. Bit-identical to [`MerkleTree::from_leaf_hashes`].
-    pub fn from_leaf_hashes_parallel(
+    /// The one level loop: full pairs are hashed — on the pool while a
+    /// level holds at least the cutoff, serially otherwise or without a
+    /// pool — and an odd trailing node is promoted unchanged. Returns the
+    /// tree and how many parallel chunks were dispatched across all levels.
+    fn build(
         hashes: Vec<Hash32>,
-        pool: &wedge_pool::WorkPool,
-        cutoff: usize,
-    ) -> Result<MerkleTree, MerkleError> {
+        parallel: Option<(&wedge_pool::WorkPool, usize)>,
+    ) -> Result<(MerkleTree, u64), MerkleError> {
         if hashes.is_empty() {
             return Err(MerkleError::EmptyTree);
         }
-        let (tree, _) = MerkleTree::build_parallel(hashes, pool, cutoff);
-        Ok(tree)
-    }
-
-    /// Level-by-level construction mirroring [`MerkleTree::from_leaf_hashes`]
-    /// exactly: full pairs are hashed (in parallel above the cutoff), an odd
-    /// trailing node is promoted unchanged. Returns the tree and how many
-    /// parallel chunks were dispatched across all levels.
-    fn build_parallel(
-        hashes: Vec<Hash32>,
-        pool: &wedge_pool::WorkPool,
-        cutoff: usize,
-    ) -> (MerkleTree, u64) {
-        let cutoff = cutoff.max(2);
         let mut chunks_dispatched = 0u64;
         let mut levels = Vec::new();
         let mut current = hashes;
         while current.len() > 1 {
             let even_len = current.len() & !1;
             let (even, odd) = current.split_at(even_len);
-            let mut next = if current.len() >= cutoff && pool.workers() > 1 {
-                // Map over octets (four sibling pairs) so each worker runs
-                // the ×4 node permutation; an even-length ragged tail
-                // chunk folds its pairs serially inside fold_pairs.
-                let octets: Vec<&[Hash32]> = even.chunks(8).collect();
-                chunks_dispatched += pool.planned_chunks(octets.len()) as u64;
-                pool.map(&octets, |oct| fold_pairs(oct)).concat()
-            } else {
-                fold_pairs(even)
+            let mut next = match parallel {
+                Some((pool, cutoff)) if current.len() >= cutoff.max(2) && pool.workers() > 1 => {
+                    // Map over octets (four sibling pairs) so each worker
+                    // runs the ×4 node permutation; an even-length ragged
+                    // tail chunk folds its pairs serially inside fold_pairs.
+                    let octets: Vec<&[Hash32]> = even.chunks(8).collect();
+                    chunks_dispatched += pool.planned_chunks(octets.len()) as u64;
+                    pool.map(&octets, |oct| fold_pairs(oct)).concat()
+                }
+                _ => fold_pairs(even),
             };
             if let [promoted] = odd {
-                // Odd trailing node is promoted unchanged, as in the serial
-                // builder.
                 next.push(*promoted);
             }
             levels.push(current);
             current = next;
         }
         levels.push(current);
-        (MerkleTree { levels }, chunks_dispatched)
+        Ok((MerkleTree { levels }, chunks_dispatched))
     }
 
     /// The Merkle root (`MRoot`).
@@ -279,15 +234,6 @@ impl MerkleTree {
             leaf_count: leaf_count as u64,
             path,
         })
-    }
-
-    /// Generates proofs for every leaf (the stage-1 response fan-out).
-    pub fn prove_all(&self) -> Vec<MerkleProof> {
-        (0..self.leaf_count())
-            // lint: allow(panic) — iterating 0..leaf_count keeps every index
-            // in range by construction
-            .map(|i| self.prove(i).expect("index in range"))
-            .collect()
     }
 
     /// Read access to a whole level (testing/inspection).

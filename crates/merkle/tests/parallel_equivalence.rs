@@ -1,13 +1,13 @@
-//! Equivalence suite: the parallel Merkle builders must be *bit-identical*
-//! to the serial builder — same root, same per-leaf proofs, same range
-//! (multi-leaf) proofs — for every leaf count and every cutoff, including
-//! non-power-of-two shapes and cutoffs that disable parallelism entirely.
+//! Equivalence suite: the pool-parallel Merkle build must be
+//! *bit-identical* to the serial one — same root, same per-leaf proofs,
+//! same range (multi-leaf) proofs — for every leaf count and every cutoff,
+//! including non-power-of-two shapes and cutoffs that disable parallelism
+//! entirely.
 //!
-//! The parallel builder only changes *who* hashes each node, never *what*
-//! is hashed; these tests are the executable statement of that claim.
-//! Since the hashing-wall rework, *both* builders also route through the
-//! ×4 interleaved and fused fixed-shape Keccak paths, so this suite now
-//! additionally pins them (and the public `hash_leaf`/`hash_node`/
+//! The pool only changes *who* hashes each node, never *what* is hashed;
+//! these tests are the executable statement of that claim. Both builds
+//! route through the ×4 interleaved and fused fixed-shape Keccak paths, so
+//! the suite also pins them (and the public `hash_leaf`/`hash_node`/
 //! `hash_node_x4`/`hash_leaves` helpers) to a naive tree built directly on
 //! the frozen `wedge_crypto::hash::reference` sponge.
 
@@ -64,9 +64,15 @@ fn leaves_of(count: usize, seed: u8) -> Vec<Vec<u8>> {
         .collect()
 }
 
+fn parallel_tree(leaves: &[Vec<u8>], pool: &WorkPool, cutoff: usize) -> MerkleTree {
+    MerkleTree::from_leaves_parallel_counted(leaves, pool, cutoff)
+        .unwrap()
+        .0
+}
+
 fn assert_equivalent(leaves: &[Vec<u8>], pool: &WorkPool, cutoff: usize) {
     let serial = MerkleTree::from_leaves(leaves).unwrap();
-    let parallel = MerkleTree::from_leaves_parallel(leaves, pool, cutoff).unwrap();
+    let parallel = parallel_tree(leaves, pool, cutoff);
 
     // Roots bit-identical.
     assert_eq!(
@@ -110,21 +116,6 @@ fn fixed_shapes_match_serial() {
 }
 
 #[test]
-fn prehashed_entry_point_matches_serial() {
-    let pool = WorkPool::new(3);
-    for &count in &[1usize, 6, 31, 257] {
-        let leaves = leaves_of(count, 0x3C);
-        let hashes: Vec<_> = leaves.iter().map(|l| wedge_merkle::hash_leaf(l)).collect();
-        let serial = MerkleTree::from_leaf_hashes(hashes.clone()).unwrap();
-        for &cutoff in CUTOFFS {
-            let parallel =
-                MerkleTree::from_leaf_hashes_parallel(hashes.clone(), &pool, cutoff).unwrap();
-            assert_eq!(serial.root(), parallel.root());
-        }
-    }
-}
-
-#[test]
 fn counted_builder_reports_zero_chunks_when_disabled() {
     let pool = WorkPool::new(4);
     let leaves = leaves_of(512, 0x11);
@@ -140,8 +131,8 @@ fn counted_builder_reports_zero_chunks_when_disabled() {
 fn empty_leaves_rejected_like_serial() {
     let pool = WorkPool::new(4);
     let empty: Vec<Vec<u8>> = Vec::new();
-    assert!(MerkleTree::from_leaves_parallel(&empty, &pool, 2).is_err());
-    assert!(MerkleTree::from_leaf_hashes_parallel(Vec::new(), &pool, 2).is_err());
+    assert!(MerkleTree::from_leaves_parallel_counted(&empty, &pool, 2).is_err());
+    assert!(MerkleTree::from_leaf_hashes(Vec::new()).is_err());
 }
 
 /// Satellite regression: `hash_leaf` and `hash_node` stay byte-identical
@@ -187,9 +178,7 @@ fn roots_match_naive_reference_tree() {
         );
         for &cutoff in CUTOFFS {
             assert_eq!(
-                MerkleTree::from_leaves_parallel(&leaves, &pool, cutoff)
-                    .unwrap()
-                    .root(),
+                parallel_tree(&leaves, &pool, cutoff).root(),
                 expect,
                 "parallel root, {count} leaves, cutoff {cutoff}"
             );
@@ -212,7 +201,7 @@ proptest! {
         let cutoff = CUTOFFS[cutoff_seed % CUTOFFS.len()];
         let expect = ref_root(&leaves);
         let serial = MerkleTree::from_leaves(&leaves).unwrap();
-        let parallel = MerkleTree::from_leaves_parallel(&leaves, &pool, cutoff).unwrap();
+        let parallel = parallel_tree(&leaves, &pool, cutoff);
         prop_assert_eq!(serial.root(), expect);
         prop_assert_eq!(parallel.root(), expect);
     }
@@ -226,7 +215,7 @@ proptest! {
         let pool = WorkPool::new(4);
         let cutoff = CUTOFFS[cutoff_seed % CUTOFFS.len()];
         let serial = MerkleTree::from_leaves(&leaves).unwrap();
-        let parallel = MerkleTree::from_leaves_parallel(&leaves, &pool, cutoff).unwrap();
+        let parallel = parallel_tree(&leaves, &pool, cutoff);
         prop_assert_eq!(serial.root(), parallel.root());
 
         let i = idx_seed % leaves.len();
@@ -243,7 +232,7 @@ proptest! {
         let pool = WorkPool::new(4);
         let cutoff = CUTOFFS[cutoff_seed % CUTOFFS.len()];
         let serial = MerkleTree::from_leaves(&leaves).unwrap();
-        let parallel = MerkleTree::from_leaves_parallel(&leaves, &pool, cutoff).unwrap();
+        let parallel = parallel_tree(&leaves, &pool, cutoff);
 
         let start = s_seed % leaves.len();
         let count = 1 + c_seed % (leaves.len() - start);

@@ -1,20 +1,21 @@
-//! Cold segments: sealed, checksummed, read-only log segments.
+//! Sealed segments: checksummed, read-only, self-describing log segments.
 //!
-//! Once every record in a segment is below the blockchain-committed
-//! frontier the segment is immutable and auditable (the paper's stage-2
-//! guarantee), so the node seals it: the record bytes are copied verbatim
-//! into a `.wcold` file with an embedded locator block and a CRC'd footer,
-//! and the original `.wlog` is deleted. Sealed segments are self-describing
-//! — restart reads one footer per cold segment instead of scanning every
-//! record — and are served through a cached `pread` handle, so cold reads
-//! never touch the tail lock and never re-open the file.
+//! A segment is immutable from the moment the tail rotates away from it,
+//! so rotation *is* the seal: [`seal_in_place`] appends a locator block and
+//! a CRC'd footer after the last record, fsyncs, and renames
+//! `seg-N.wlog` → `seg-N.wcold`. No byte is copied and nothing is rescanned
+//! — the offsets were in memory. Sealed segments are self-describing —
+//! restart reads one footer per sealed segment instead of scanning every
+//! record — and are served through the `pread` handle the tail already
+//! had open, so sealed reads never touch the tail lock and never re-open
+//! the file.
 //!
 //! On-disk layout of `seg-NNNNNNNNNN.wcold` (all integers big-endian):
 //!
 //! ```text
 //! +--------------------------------------------+
 //! | data region: the segment's framed records, |
-//! | byte-identical to the original .wlog       |
+//! | exactly as the tail wrote them             |
 //! +--------------------------------------------+
 //! | locator block:                             |
 //! |   count      u32                           |
@@ -28,36 +29,98 @@
 //! +--------------------------------------------+
 //! ```
 //!
-//! Because the data region is byte-identical to the `.wlog`, a cold segment
-//! can be "unsealed" (for tail truncation across the cold boundary) by
-//! copying a prefix of the data region back to a `.wlog` file.
+//! Because the data region is the `.wlog` itself, a sealed segment is
+//! unsealed (for tail truncation across the sealed boundary) by renaming it
+//! back and truncating the trailer away.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::bytes::{be_u16_at, be_u32_at, be_u64_at};
 use crate::crc32::crc32;
 use crate::error::StorageError;
-use crate::segment::{pread_exact, scan_segment, segment_path, SegmentId, HEADER_LEN, MAGIC};
+use crate::segment::{pread_exact, read_record_from, segment_path, SegmentId, SegmentWriter};
 
 /// Footer magic ("WC").
 pub const COLD_MAGIC: u16 = 0x5743;
-/// Bytes of footer at the end of a cold segment file.
+/// Bytes of footer at the end of a sealed segment file.
 pub const FOOTER_LEN: usize = 8 + 4 + 2;
 
-/// Builds the file path for cold segment `id` under `dir`.
+/// Builds the file path for sealed segment `id` under `dir`.
 pub fn cold_path(dir: &Path, id: SegmentId) -> PathBuf {
     dir.join(format!("seg-{id:010}.wcold"))
 }
 
-/// Fsyncs a directory so renames/unlinks inside it are durable. A no-op on
-/// platforms where directories cannot be opened.
-pub fn sync_dir(dir: &Path) -> Result<(), StorageError> {
-    if let Ok(handle) = File::open(dir) {
-        handle.sync_all()?;
+/// The locator block + footer that seal a data region of `data_len` bytes
+/// holding the records at `offsets`.
+fn trailer(first_seq: u64, offsets: &[u64], data_len: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 8 + 8 * offsets.len() + FOOTER_LEN);
+    out.extend_from_slice(&(offsets.len() as u32).to_be_bytes());
+    out.extend_from_slice(&first_seq.to_be_bytes());
+    for offset in offsets {
+        out.extend_from_slice(&offset.to_be_bytes());
     }
-    Ok(())
+    let block_crc = crc32(&out);
+    out.extend_from_slice(&data_len.to_be_bytes());
+    out.extend_from_slice(&block_crc.to_be_bytes());
+    out.extend_from_slice(&COLD_MAGIC.to_be_bytes());
+    out
+}
+
+/// Seals the segment `writer` has been appending to, whose records start
+/// at `offsets`: appends the trailer, fsyncs, and renames the file to its
+/// `.wcold` name. The rename is durable once the caller fsyncs the
+/// directory (creating the next tail does). Used by rotation and by
+/// [`crate::LogStore::open`] to finish an interrupted seal. On an error the
+/// file is still the `.wlog` and `writer` is not marked sealed; the caller
+/// rewinds the trailer away.
+pub(crate) fn seal_in_place(
+    dir: &Path,
+    writer: &mut SegmentWriter,
+    first_seq: u64,
+    offsets: Vec<u64>,
+) -> Result<ColdSegment, StorageError> {
+    let id = writer.id();
+    let data_len = writer.len();
+    writer.write_trailer(&trailer(first_seq, &offsets, data_len))?;
+    writer.sync()?;
+    let path = cold_path(dir, id);
+    std::fs::rename(segment_path(dir, id), &path)?;
+    writer.mark_sealed();
+    Ok(ColdSegment {
+        id,
+        first_seq,
+        offsets,
+        data_len,
+        file: writer.reader(),
+        path,
+    })
+}
+
+/// True when the bytes after the `data_len`-byte data region of
+/// `seg-{id}.wlog` are a prefix of (or all of) the trailer that sealing
+/// these records writes — the mark of a seal interrupted before its rename.
+pub(crate) fn ends_in_torn_seal(
+    dir: &Path,
+    id: SegmentId,
+    first_seq: u64,
+    offsets: &[u64],
+    data_len: u64,
+) -> Result<bool, StorageError> {
+    // Rotation never seals an empty tail.
+    if offsets.is_empty() {
+        return Ok(false);
+    }
+    let file = File::open(segment_path(dir, id))?;
+    let extra = file.metadata()?.len().saturating_sub(data_len);
+    let trailer = trailer(first_seq, offsets, data_len);
+    if extra == 0 || extra > trailer.len() as u64 {
+        return Ok(false);
+    }
+    let mut found = vec![0u8; extra as usize];
+    pread_exact(&file, &mut found, data_len)?;
+    Ok(trailer.starts_with(&found))
 }
 
 /// A sealed, read-only segment with its locator block resident and a cached
@@ -71,7 +134,7 @@ pub struct ColdSegment {
     data_len: u64,
     /// Cached `pread` handle; holding it also keeps the data readable after
     /// the retention policy unlinks the file.
-    file: File,
+    file: Arc<File>,
     path: PathBuf,
 }
 
@@ -101,60 +164,14 @@ impl ColdSegment {
         self.data_len
     }
 
-    /// Path of the cold file.
+    /// Path of the sealed file.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Seals `seg-{id}.wlog` into `seg-{id}.wcold`.
-    ///
-    /// The source segment is scanned first (verifying every CRC — sealing
-    /// must never launder corruption into the cold tier), the cold file is
-    /// written to a temp name, fsynced, renamed into place, and the
-    /// directory fsynced. The caller deletes the `.wlog` once readers have
-    /// been switched over. A crash at any point leaves either a stray
-    /// `.tmp` (removed at open) or both files (the cold one wins at open).
-    pub fn seal(dir: &Path, id: SegmentId, first_seq: u64) -> Result<ColdSegment, StorageError> {
-        let scan = scan_segment(dir, id)?;
-        if scan.has_trailing_bytes() {
-            return Err(StorageError::CorruptRecord {
-                id: id as u64,
-                what: "trailing bytes in a segment being sealed",
-            });
-        }
-        let src_path = segment_path(dir, id);
-        let tmp_path = dir.join(format!("seg-{id:010}.wcold.tmp"));
-        {
-            let mut src = File::open(&src_path)?;
-            let tmp = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp_path)?;
-            let mut out = std::io::BufWriter::new(tmp);
-            let copied = std::io::copy(&mut src, &mut out)?;
-            if copied != scan.valid_len {
-                return Err(StorageError::CorruptRecord {
-                    id: id as u64,
-                    what: "segment changed size while being sealed",
-                });
-            }
-            let mut block = Vec::with_capacity(4 + 8 + 8 * scan.records.len());
-            block.extend_from_slice(&(scan.records.len() as u32).to_be_bytes());
-            block.extend_from_slice(&first_seq.to_be_bytes());
-            for &(offset, _) in &scan.records {
-                block.extend_from_slice(&offset.to_be_bytes());
-            }
-            out.write_all(&block)?;
-            out.write_all(&scan.valid_len.to_be_bytes())?;
-            out.write_all(&crc32(&block).to_be_bytes())?;
-            out.write_all(&COLD_MAGIC.to_be_bytes())?;
-            out.flush()?;
-            out.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp_path, cold_path(dir, id))?;
-        sync_dir(dir)?;
-        ColdSegment::open(dir, id)
+    /// Record start offsets within the data region, ascending.
+    pub(crate) fn offsets(&self) -> &[u64] {
+        &self.offsets
     }
 
     /// Opens an existing cold segment, parsing and validating its footer and
@@ -216,7 +233,7 @@ impl ColdSegment {
             first_seq,
             offsets,
             data_len,
-            file,
+            file: Arc::new(file),
             path,
         })
     }
@@ -241,71 +258,14 @@ impl ColdSegment {
             id: seq,
             len: self.end_seq(),
         })?;
-        let mut header = [0u8; HEADER_LEN];
-        pread_exact(&self.file, &mut header, offset)?;
-        let magic = u16::from_be_bytes([header[0], header[1]]);
-        if magic != MAGIC {
-            return Err(StorageError::CorruptRecord {
-                id: seq,
-                what: "bad magic",
-            });
-        }
-        let len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]) as usize;
-        let expected_crc = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
-        if offset + (HEADER_LEN + len) as u64 > self.data_len {
-            return Err(StorageError::CorruptRecord {
-                id: seq,
-                what: "cold record runs past the data region",
-            });
-        }
-        let mut payload = vec![0u8; len];
-        pread_exact(&self.file, &mut payload, offset + HEADER_LEN as u64)?;
-        if crc32(&payload) != expected_crc {
-            return Err(StorageError::CorruptRecord {
-                id: seq,
-                what: "checksum mismatch",
-            });
-        }
-        Ok(payload)
-    }
-
-    /// Copies the first `keep` bytes of the data region back to
-    /// `seg-{id}.wlog` — the unseal path for tail truncation across the
-    /// cold boundary. The caller deletes the `.wcold` afterwards.
-    pub fn unseal_prefix(&self, dir: &Path) -> Result<(), StorageError> {
-        self.unseal_prefix_len(dir, self.data_len)
-    }
-
-    /// Like [`ColdSegment::unseal_prefix`] but keeping only the first
-    /// `keep` bytes.
-    pub fn unseal_prefix_len(&self, dir: &Path, keep: u64) -> Result<(), StorageError> {
-        let mut out = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(segment_path(dir, self.id))?;
-        let mut remaining = keep.min(self.data_len);
-        let mut offset = 0u64;
-        let mut buf = vec![0u8; 256 * 1024];
-        while remaining > 0 {
-            let chunk = remaining.min(buf.len() as u64) as usize;
-            let (window, _) = buf.split_at_mut(chunk);
-            pread_exact(&self.file, window, offset)?;
-            out.write_all(window)?;
-            offset += chunk as u64;
-            remaining -= chunk as u64;
-        }
-        out.flush()?;
-        out.sync_all()?;
-        sync_dir(dir)?;
-        Ok(())
+        read_record_from(&self.file, offset, self.data_len, seq)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::SegmentWriter;
+    use crate::segment::HEADER_LEN;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -318,23 +278,30 @@ mod tests {
         dir
     }
 
-    fn write_segment(dir: &Path, id: SegmentId, n: u32) -> Vec<Vec<u8>> {
+    /// Writes `n` records into segment `id` and seals it in place.
+    fn sealed_segment(
+        dir: &Path,
+        id: SegmentId,
+        first_seq: u64,
+        n: u32,
+    ) -> (ColdSegment, Vec<Vec<u8>>) {
         let mut w = SegmentWriter::create(dir, id).unwrap();
         let mut payloads = Vec::new();
+        let mut offsets = Vec::new();
         for i in 0..n {
             let p = format!("cold-record-{i:04}").into_bytes();
-            w.append(&p).unwrap();
+            offsets.push(w.append(&p).unwrap());
             payloads.push(p);
         }
-        w.sync().unwrap();
-        payloads
+        let cold = seal_in_place(dir, &mut w, first_seq, offsets).unwrap();
+        (cold, payloads)
     }
 
     #[test]
     fn seal_roundtrips_every_record() {
         let dir = tempdir("seal-rt");
-        let payloads = write_segment(&dir, 7, 25);
-        let cold = ColdSegment::seal(&dir, 7, 100).unwrap();
+        let (cold, payloads) = sealed_segment(&dir, 7, 100, 25);
+        assert!(!segment_path(&dir, 7).exists(), "sealed by rename");
         assert_eq!(cold.first_seq(), 100);
         assert_eq!(cold.record_count(), 25);
         assert_eq!(cold.end_seq(), 125);
@@ -346,25 +313,29 @@ mod tests {
         // Reopen parses the embedded locator without scanning records.
         let reopened = ColdSegment::open(&dir, 7).unwrap();
         assert_eq!(reopened.record_count(), 25);
+        assert_eq!(reopened.offsets(), cold.offsets());
         assert_eq!(&reopened.read(113).unwrap(), &payloads[13]);
     }
 
     #[test]
-    fn sealed_data_region_is_byte_identical_to_the_wlog() {
+    fn sealed_data_region_is_the_records_as_written() {
         let dir = tempdir("seal-bytes");
-        write_segment(&dir, 0, 9);
-        let original = std::fs::read(segment_path(&dir, 0)).unwrap();
-        let cold = ColdSegment::seal(&dir, 0, 0).unwrap();
+        let (cold, payloads) = sealed_segment(&dir, 0, 0, 9);
         let sealed = std::fs::read(cold.path()).unwrap();
-        assert_eq!(&sealed[..original.len()], &original[..]);
-        assert_eq!(cold.data_len(), original.len() as u64);
+        let mut w = SegmentWriter::create(&dir, 1).unwrap();
+        for p in &payloads {
+            w.append(p).unwrap();
+        }
+        w.flush().unwrap();
+        let unsealed = std::fs::read(segment_path(&dir, 1)).unwrap();
+        assert_eq!(&sealed[..unsealed.len()], &unsealed[..]);
+        assert_eq!(cold.data_len(), unsealed.len() as u64);
     }
 
     #[test]
     fn corrupt_footer_fails_open() {
         let dir = tempdir("seal-foot");
-        write_segment(&dir, 1, 4);
-        let cold = ColdSegment::seal(&dir, 1, 0).unwrap();
+        let (cold, _) = sealed_segment(&dir, 1, 0, 4);
         let path = cold.path().to_path_buf();
         drop(cold);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -380,8 +351,7 @@ mod tests {
     #[test]
     fn corrupt_payload_is_caught_lazily_on_read() {
         let dir = tempdir("seal-lazy");
-        write_segment(&dir, 2, 6);
-        let cold = ColdSegment::seal(&dir, 2, 0).unwrap();
+        let (cold, _) = sealed_segment(&dir, 2, 0, 6);
         let path = cold.path().to_path_buf();
         let victim_off = cold.offset_of(3).unwrap() as usize + HEADER_LEN;
         drop(cold);
@@ -401,35 +371,21 @@ mod tests {
     }
 
     #[test]
-    fn sealing_a_corrupt_segment_is_refused() {
-        let dir = tempdir("seal-refuse");
-        write_segment(&dir, 3, 5);
-        let path = segment_path(&dir, 3);
+    fn a_length_field_reaching_into_the_trailer_is_refused() {
+        let dir = tempdir("seal-overrun");
+        let (cold, _) = sealed_segment(&dir, 5, 0, 3);
+        let path = cold.path().to_path_buf();
+        let last = cold.offset_of(2).unwrap() as usize;
+        drop(cold);
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
+        bytes[last + 5] += 1; // low byte of the length
         std::fs::write(&path, &bytes).unwrap();
-        assert!(ColdSegment::seal(&dir, 3, 0).is_err());
-        assert!(!cold_path(&dir, 3).exists());
-    }
-
-    #[test]
-    fn unseal_prefix_restores_a_readable_wlog() {
-        let dir = tempdir("unseal");
-        let payloads = write_segment(&dir, 4, 10);
-        let cold = ColdSegment::seal(&dir, 4, 0).unwrap();
-        std::fs::remove_file(segment_path(&dir, 4)).unwrap();
-        // Keep the first 6 records.
-        let cut = cold.offset_of(6).unwrap();
-        cold.unseal_prefix_len(&dir, cut).unwrap();
-        let scan = scan_segment(&dir, 4).unwrap();
-        assert_eq!(scan.records.len(), 6);
-        assert!(!scan.has_trailing_bytes());
-        for (i, &(offset, _)) in scan.records.iter().enumerate() {
-            assert_eq!(
-                crate::segment::read_record_at(&dir, 4, offset).unwrap(),
-                payloads[i]
-            );
-        }
+        assert!(matches!(
+            ColdSegment::open(&dir, 5).unwrap().read(2),
+            Err(StorageError::CorruptRecord {
+                id: 2,
+                what: "record runs past the data region"
+            })
+        ));
     }
 }

@@ -1,16 +1,17 @@
 //! # wedge-storage
 //!
 //! Durable storage substrate for the Offchain Node: a segmented, CRC-checked
-//! append-only record log with crash recovery and a hot/cold tiered layout
-//! ([`LogStore`]), plus the replica fan-out used for the paper's
-//! replicated-liveness experiments ([`Replicator`]).
+//! append-only record log with crash recovery ([`LogStore`]), plus the
+//! replica fan-out used for the paper's replicated-liveness experiments
+//! ([`Replicator`]).
 //!
-//! Segments below the blockchain-committed frontier can be sealed into
-//! read-only, checksummed cold segments ([`LogStore::seal_up_to`]) with an
-//! embedded locator block, read through cached `pread` handles, and
+//! A store is sealed segments plus exactly one tail. When the tail fills,
+//! rotation seals it in place — a locator block and a CRC'd footer are
+//! appended to the same file and it is renamed `.wlog` → `.wcold`, so every
+//! payload byte is written once — and sealed segments are self-describing
+//! (reopening is O(tail)), read through cached `pread` handles, and
 //! eventually deleted by the retention policy once they age past the
-//! punishment window ([`LogStore::retire_up_to`]). A locator-index sidecar
-//! ([`LogStore::write_index_checkpoint`]) makes reopening O(tail).
+//! punishment window ([`LogStore::retire_up_to`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,6 +15,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::crc32::crc32;
 use crate::error::StorageError;
@@ -32,46 +33,71 @@ pub fn segment_path(dir: &Path, id: SegmentId) -> PathBuf {
     dir.join(format!("seg-{id:010}.wlog"))
 }
 
+/// Fsyncs a directory so creates/renames/unlinks inside it are durable. A
+/// no-op on platforms where directories cannot be opened.
+pub fn sync_dir(dir: &Path) -> Result<(), StorageError> {
+    if let Ok(handle) = File::open(dir) {
+        handle.sync_all()?;
+    }
+    Ok(())
+}
+
 /// An open segment being appended to.
 pub struct SegmentWriter {
     id: SegmentId,
     file: BufWriter<File>,
+    /// Read-only handle on the same file for positional reads; it follows
+    /// the inode, so it keeps working once the segment is sealed (renamed).
+    reader: Arc<File>,
     /// Bytes written (including framing).
     len: u64,
     /// True while appended bytes may still sit in the `BufWriter` — cleared
     /// by [`SegmentWriter::flush`]/[`SegmentWriter::sync`]. Lets readers of
     /// the active segment skip redundant flushes.
     dirty: bool,
+    /// True once the file carries its trailer under its `.wcold` name: it
+    /// takes no more records, and the store's next append only has to
+    /// create the successor.
+    sealed: bool,
 }
 
 impl SegmentWriter {
-    /// Creates (or truncates) segment `id` in `dir`.
+    /// Creates (or truncates) segment `id` in `dir` and fsyncs the
+    /// directory: records later `sync_data`'d into the file are only
+    /// durable if its directory entry is. The same fsync covers any rename
+    /// or unlink the caller did just before.
     pub fn create(dir: &Path, id: SegmentId) -> Result<SegmentWriter, StorageError> {
+        let path = segment_path(dir, id);
         let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
-            .open(segment_path(dir, id))?;
+            .open(&path)?;
+        sync_dir(dir)?;
         Ok(SegmentWriter {
             id,
             file: BufWriter::new(file),
+            reader: Arc::new(File::open(&path)?),
             len: 0,
             dirty: false,
+            sealed: false,
         })
     }
 
     /// Opens an existing segment for appending at `offset` (recovery path).
     pub fn open_at(dir: &Path, id: SegmentId, offset: u64) -> Result<SegmentWriter, StorageError> {
-        let file = OpenOptions::new().write(true).open(segment_path(dir, id))?;
+        let path = segment_path(dir, id);
+        let mut file = OpenOptions::new().write(true).open(&path)?;
         // Drop any torn tail beyond the recovered offset.
         file.set_len(offset)?;
-        let mut file = file;
         file.seek(SeekFrom::Start(offset))?;
         Ok(SegmentWriter {
             id,
             file: BufWriter::new(file),
+            reader: Arc::new(File::open(&path)?),
             len: offset,
             dirty: false,
+            sealed: false,
         })
     }
 
@@ -82,6 +108,9 @@ impl SegmentWriter {
     /// whenever the `BufWriter` is bypassed or spills mid-record. The
     /// on-disk format is unchanged (see the byte-level regression test).
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
+        if self.sealed {
+            return Err(std::io::Error::other("append to a sealed segment").into());
+        }
         let offset = self.len;
         let magic = MAGIC.to_be_bytes();
         let len = (payload.len() as u32).to_be_bytes();
@@ -94,6 +123,39 @@ impl SegmentWriter {
         self.len += (HEADER_LEN + payload.len()) as u64;
         self.dirty = true;
         Ok(offset)
+    }
+
+    /// Writes the seal trailer after the last record. `len` does not
+    /// advance, so until [`SegmentWriter::mark_sealed`] a failed seal is
+    /// undone by [`SegmentWriter::rewind`].
+    pub fn write_trailer(&mut self, trailer: &[u8]) -> Result<(), StorageError> {
+        self.file.write_all(trailer)?;
+        self.dirty = true;
+        Ok(())
+    }
+
+    /// Records that the trailer is durable and the file renamed `.wcold`.
+    pub fn mark_sealed(&mut self) {
+        self.sealed = true;
+    }
+
+    /// True once [`SegmentWriter::mark_sealed`] was called.
+    pub fn is_sealed(&self) -> bool {
+        self.sealed
+    }
+
+    /// Cuts the segment back to `len` bytes, dropping whatever was written
+    /// or is still buffered beyond them: the records of a failed batch, a
+    /// half-written record, the trailer of a failed seal.
+    pub fn rewind(&mut self, len: u64) -> Result<(), StorageError> {
+        let file = self.file.get_ref().try_clone()?;
+        // `into_parts` hands the unwritten buffer back instead of flushing.
+        drop(std::mem::replace(&mut self.file, BufWriter::new(file)).into_parts());
+        self.file.get_ref().set_len(len)?;
+        self.file.seek(SeekFrom::Start(len))?;
+        self.len = len;
+        self.dirty = false;
+        Ok(())
     }
 
     /// Flushes buffered writes to the OS.
@@ -119,6 +181,11 @@ impl SegmentWriter {
     /// Segment id.
     pub fn id(&self) -> SegmentId {
         self.id
+    }
+
+    /// The shared positional-read handle.
+    pub fn reader(&self) -> Arc<File> {
+        self.reader.clone()
     }
 
     /// Current length in bytes (including framing).
@@ -148,35 +215,32 @@ pub(crate) fn pread_exact(file: &File, buf: &mut [u8], offset: u64) -> std::io::
     clone.read_exact(buf)
 }
 
-/// Reads one record at a known offset in a segment.
-pub fn read_record_at(dir: &Path, id: SegmentId, offset: u64) -> Result<Vec<u8>, StorageError> {
-    let file = File::open(segment_path(dir, id))?;
-    read_record_from(&file, offset)
-}
-
-/// Reads one record at a known offset through an already-open handle
-/// (positional reads; the handle's cursor is untouched). This is what lets
-/// `read_range`/`iter` reuse one handle per segment instead of re-opening
-/// the file per record.
-pub fn read_record_from(file: &File, offset: u64) -> Result<Vec<u8>, StorageError> {
+/// Reads record `seq` framed at `offset` through an already-open handle
+/// (positional reads; the handle's cursor is untouched) and verifies its
+/// CRC. The record must end at or before `data_end`, so a sealed segment's
+/// trailer is never parsed as a record.
+pub(crate) fn read_record_from(
+    file: &File,
+    offset: u64,
+    data_end: u64,
+    seq: u64,
+) -> Result<Vec<u8>, StorageError> {
+    let corrupt = |what| StorageError::CorruptRecord { id: seq, what };
     let mut header = [0u8; HEADER_LEN];
     pread_exact(file, &mut header, offset)?;
     let magic = u16::from_be_bytes([header[0], header[1]]);
     if magic != MAGIC {
-        return Err(StorageError::CorruptRecord {
-            id: offset,
-            what: "bad magic",
-        });
+        return Err(corrupt("bad magic"));
     }
     let len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]) as usize;
     let expected_crc = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
+    if offset + (HEADER_LEN + len) as u64 > data_end {
+        return Err(corrupt("record runs past the data region"));
+    }
     let mut payload = vec![0u8; len];
     pread_exact(file, &mut payload, offset + HEADER_LEN as u64)?;
     if crc32(&payload) != expected_crc {
-        return Err(StorageError::CorruptRecord {
-            id: offset,
-            what: "checksum mismatch",
-        });
+        return Err(corrupt("checksum mismatch"));
     }
     Ok(payload)
 }
@@ -283,6 +347,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn read_record_at(dir: &Path, id: SegmentId, offset: u64) -> Result<Vec<u8>, StorageError> {
+        let file = File::open(segment_path(dir, id))?;
+        read_record_from(&file, offset, u64::MAX, 0)
     }
 
     #[test]
@@ -416,6 +485,35 @@ mod tests {
         let scan = scan_segment(&dir, 0).unwrap();
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.tail, TailState::Clean);
+    }
+
+    #[test]
+    fn rewind_drops_flushed_and_buffered_bytes_alike() {
+        let dir = tempdir();
+        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        w.append(b"keep").unwrap();
+        let keep = w.len();
+        w.append(b"flushed, then dropped").unwrap();
+        w.flush().unwrap();
+        w.append(b"still buffered, then dropped").unwrap();
+        w.write_trailer(b"and a trailer").unwrap();
+        w.rewind(keep).unwrap();
+        assert_eq!((w.len(), w.is_dirty()), (keep, false));
+        assert_eq!(w.append(b"next").unwrap(), keep);
+        w.sync().unwrap();
+        let scan = scan_segment(&dir, 0).unwrap();
+        assert_eq!(scan.records, vec![(0, 4), (keep, 4)]);
+        assert_eq!(scan.tail, TailState::Clean);
+    }
+
+    #[test]
+    fn a_sealed_writer_takes_no_more_records() {
+        let dir = tempdir();
+        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        w.append(b"last").unwrap();
+        w.mark_sealed();
+        assert!(w.is_sealed());
+        assert!(w.append(b"too late").is_err());
     }
 
     #[test]

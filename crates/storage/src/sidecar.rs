@@ -1,57 +1,26 @@
-//! Store-level sidecar files: the locator-index checkpoint and the GC
-//! marker.
-//!
-//! Both are small, CRC'd, and written atomically (temp + rename + directory
-//! fsync). Both are *hints*: a missing or stale sidecar never loses data —
-//! the store falls back to scanning segments, exactly as it did before the
-//! tiered design.
-//!
-//! `index.widx` snapshots the locators of the sealed-but-still-hot (`.wlog`,
-//! non-tail) segments so [`crate::LogStore::open`] can skip their
-//! record-by-record scan: an entry is trusted only when the segment file's
-//! on-disk length matches the recorded `valid_len` byte-for-byte, otherwise
-//! that segment is scanned as before. Cold segments carry their own locator
-//! blocks and the tail is always scanned, so with a fresh sidecar the open
-//! cost is O(tail).
+//! The store-level sidecar file: the GC marker.
 //!
 //! `gc.wmark` records the oldest live sequence number after a retention
-//! pass. It is written *before* the retired cold files are unlinked, so a
+//! pass. It is small, CRC'd, and written atomically (temp + rename +
+//! directory fsync) *before* the retired sealed files are unlinked, so a
 //! crash between the two leaves segments that the next open recognises as
 //! below the marker and deletes. It is also what tells an open on a
-//! fully-retired prefix where sequence numbering resumes.
+//! fully-retired prefix where sequence numbering resumes. A missing or
+//! unreadable marker reads as "nothing retired" and never loses data.
 
-use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
 
-use crate::cold::sync_dir;
 use crate::crc32::crc32;
 use crate::error::StorageError;
-use crate::segment::SegmentId;
+use crate::segment::sync_dir;
 
-const INDEX_MAGIC: u32 = 0x5749_4458; // "WIDX"
 const MARKER_MAGIC: u32 = 0x5747_434D; // "WGCM"
 const VERSION: u8 = 1;
 
-/// Sidecar file name for the locator-index checkpoint.
-pub const INDEX_SIDECAR: &str = "index.widx";
 /// Sidecar file name for the GC marker.
 pub const GC_MARKER: &str = "gc.wmark";
-
-/// One hot (non-tail) segment's locators as recorded in `index.widx`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentHint {
-    /// Segment id the hint describes.
-    pub id: SegmentId,
-    /// Sequence number of the segment's first record.
-    pub first_seq: u64,
-    /// Exact on-disk length the segment had when the hint was written; the
-    /// hint is only trusted when the file still has this length.
-    pub valid_len: u64,
-    /// Record start offsets within the segment, ascending.
-    pub offsets: Vec<u64>,
-}
 
 fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
     let tmp = dir.join(format!("{name}.tmp"));
@@ -67,74 +36,6 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError
     std::fs::rename(&tmp, dir.join(name))?;
     sync_dir(dir)?;
     Ok(())
-}
-
-/// Writes the locator-index checkpoint for the given hot segments.
-pub fn write_index_sidecar(dir: &Path, hints: &[SegmentHint]) -> Result<(), StorageError> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&INDEX_MAGIC.to_be_bytes());
-    body.push(VERSION);
-    body.extend_from_slice(&(hints.len() as u32).to_be_bytes());
-    for hint in hints {
-        body.extend_from_slice(&hint.id.to_be_bytes());
-        body.extend_from_slice(&hint.first_seq.to_be_bytes());
-        body.extend_from_slice(&hint.valid_len.to_be_bytes());
-        body.extend_from_slice(&(hint.offsets.len() as u32).to_be_bytes());
-        for &offset in &hint.offsets {
-            body.extend_from_slice(&offset.to_be_bytes());
-        }
-    }
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_be_bytes());
-    write_atomic(dir, INDEX_SIDECAR, &body)
-}
-
-/// Loads the locator-index checkpoint, keyed by segment id. Any parse or
-/// checksum failure yields an empty map — the sidecar is a hint, never a
-/// source of truth.
-pub fn load_index_sidecar(dir: &Path) -> HashMap<SegmentId, SegmentHint> {
-    parse_index_sidecar(dir).unwrap_or_default()
-}
-
-fn parse_index_sidecar(dir: &Path) -> Option<HashMap<SegmentId, SegmentHint>> {
-    let bytes = std::fs::read(dir.join(INDEX_SIDECAR)).ok()?;
-    if bytes.len() < 4 + 1 + 4 + 4 {
-        return None;
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let expected = u32::from_be_bytes(crc_bytes.try_into().ok()?);
-    if crc32(body) != expected {
-        return None;
-    }
-    let mut cursor = Cursor { body, at: 0 };
-    if cursor.u32()? != INDEX_MAGIC || cursor.u8()? != VERSION {
-        return None;
-    }
-    let entries = cursor.u32()? as usize;
-    let mut hints = HashMap::with_capacity(entries);
-    for _ in 0..entries {
-        let id = cursor.u32()?;
-        let first_seq = cursor.u64()?;
-        let valid_len = cursor.u64()?;
-        let count = cursor.u32()? as usize;
-        let mut offsets = Vec::with_capacity(count);
-        for _ in 0..count {
-            offsets.push(cursor.u64()?);
-        }
-        hints.insert(
-            id,
-            SegmentHint {
-                id,
-                first_seq,
-                valid_len,
-                offsets,
-            },
-        );
-    }
-    if cursor.at != cursor.body.len() {
-        return None;
-    }
-    Some(hints)
 }
 
 /// Writes the GC marker: the oldest sequence number still live.
@@ -172,44 +73,21 @@ pub fn load_gc_marker(dir: &Path) -> u64 {
     }
 }
 
-/// Removes stray `*.tmp` files left by an interrupted atomic write or seal.
-pub fn remove_stray_tmp_files(dir: &Path) -> Result<(), StorageError> {
+/// Removes stray `*.tmp` files left by an interrupted atomic write, and the
+/// `index.widx` locator checkpoint of stores written before sealed segments
+/// described themselves.
+pub fn remove_stray_files(dir: &Path) -> Result<(), StorageError> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         if entry
             .file_name()
             .to_str()
-            .is_some_and(|name| name.ends_with(".tmp"))
+            .is_some_and(|name| name.ends_with(".tmp") || name == "index.widx")
         {
             let _ = std::fs::remove_file(entry.path());
         }
     }
     Ok(())
-}
-
-struct Cursor<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let slice = self.body.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_be_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_be_bytes(self.take(8)?.try_into().ok()?))
-    }
 }
 
 #[cfg(test)]
@@ -229,52 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn index_sidecar_roundtrips() {
-        let dir = tempdir("idx-rt");
-        let hints = vec![
-            SegmentHint {
-                id: 3,
-                first_seq: 120,
-                valid_len: 4096,
-                offsets: vec![0, 100, 900],
-            },
-            SegmentHint {
-                id: 4,
-                first_seq: 123,
-                valid_len: 64,
-                offsets: vec![0],
-            },
-        ];
-        write_index_sidecar(&dir, &hints).unwrap();
-        let loaded = load_index_sidecar(&dir);
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[&3], hints[0]);
-        assert_eq!(loaded[&4], hints[1]);
-        assert!(!dir.join(format!("{INDEX_SIDECAR}.tmp")).exists());
-    }
-
-    #[test]
-    fn corrupt_index_sidecar_is_ignored() {
-        let dir = tempdir("idx-bad");
-        write_index_sidecar(
-            &dir,
-            &[SegmentHint {
-                id: 0,
-                first_seq: 0,
-                valid_len: 10,
-                offsets: vec![0],
-            }],
-        )
-        .unwrap();
-        let path = dir.join(INDEX_SIDECAR);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_index_sidecar(&dir).is_empty());
-    }
-
-    #[test]
     fn gc_marker_roundtrips_and_defaults_to_zero() {
         let dir = tempdir("gcm");
         assert_eq!(load_gc_marker(&dir), 0);
@@ -291,12 +123,12 @@ mod tests {
     #[test]
     fn stray_tmp_files_are_swept() {
         let dir = tempdir("tmp-sweep");
-        std::fs::write(dir.join("seg-0000000001.wcold.tmp"), b"junk").unwrap();
-        std::fs::write(dir.join("index.widx.tmp"), b"junk").unwrap();
+        std::fs::write(dir.join("leftover.tmp"), b"junk").unwrap();
+        std::fs::write(dir.join("gc.wmark.tmp"), b"junk").unwrap();
         std::fs::write(dir.join("keep.wlog"), b"data").unwrap();
-        remove_stray_tmp_files(&dir).unwrap();
-        assert!(!dir.join("seg-0000000001.wcold.tmp").exists());
-        assert!(!dir.join("index.widx.tmp").exists());
+        remove_stray_files(&dir).unwrap();
+        assert!(!dir.join("leftover.tmp").exists());
+        assert!(!dir.join("gc.wmark.tmp").exists());
         assert!(dir.join("keep.wlog").exists());
     }
 }

@@ -1,24 +1,44 @@
 //! The append-only log store: sequential records across rotating segments,
-//! with crash recovery, an in-memory locator index, and a hot/cold tiered
-//! layout.
+//! with crash recovery and an in-memory locator index.
 //!
 //! This is the durable backing for the Offchain Node's log ("The log entry
 //! is then persisted to local storage", paper §4.3). Records are addressed
 //! by a dense `u64` sequence number assigned at append time.
 //!
-//! # Tiers
+//! # Segment lifecycle
 //!
-//! Records live in one of two tiers:
+//! A store is always `sealed segments* + exactly one tail`. A segment is
+//! immutable from the moment the tail rotates away from it, so rotation is
+//! the seal — the records are written once and never copied:
 //!
-//! * **Hot** — `.wlog` segments, including the active tail being appended
-//!   to. Locators live in memory and (for non-tail segments) in the
-//!   `index.widx` sidecar written by [`LogStore::write_index_checkpoint`].
-//! * **Cold** — `.wcold` segments produced by [`LogStore::seal_up_to`] once
-//!   the node reports every record in a segment blockchain-committed. Cold
-//!   segments are read-only, carry an embedded locator block, and are read
-//!   through a cached `pread` handle — never touching the tail lock.
+//! | state  | file | written by | a crash leaves → [`LogStore::open`] heals by |
+//! |--------|------|------------|----------------------------------------------|
+//! | tail   | `seg-N.wlog`: framed records | [`LogStore::append_batch`] | a torn last record → scanned, the torn bytes truncated |
+//! | sealing | `seg-N.wlog`: records + part or all of the trailer | rotation, steps 1–2 | a prefix of the trailer the scan itself would write → trailer rewritten, seal finished in place (any other trailing bytes are `CorruptRecord`) |
+//! | sealed | `seg-N.wcold`: records + locator block + footer | rotation, step 3 | no next tail (steps 4–5 lost) → one is created; the locator block is CRC'd, payload CRCs are checked on read |
 //!
-//! [`LogStore::retire_up_to`] deletes whole cold segments below the
+//! Rotation, under the tail lock: (1) append the locator block + footer
+//! after the last record; (2) fsync the file — one fsync covers the records
+//! and the trailer; (3) rename `seg-N.wlog` → `seg-N.wcold`; (4) create
+//! `seg-(N+1).wlog`; (5) fsync the directory once — the rename and the new
+//! entry are durable *before* any record is appended to the new tail, so a
+//! `sync_data`'d record always has a directory entry; (6) swap the
+//! in-memory index. Sealed segments are read through the `pread` handle
+//! the tail already had open (it follows the inode across the rename),
+//! never touching the tail lock.
+//!
+//! An I/O error (as opposed to a crash) in steps 1–3 leaves an unsealed
+//! tail, which [`LogStore::append_batch`] cuts back to its last indexed
+//! record — trailer and failed batch gone; an error in steps 4–5 leaves a
+//! sealed tail writer, which takes no record: the next append starts at
+//! step 4. Either way the index lists exactly what the files hold.
+//!
+//! [`LogStore::open`] also takes over a directory from before rotation
+//! sealed: full `.wlog`s are scanned once and sealed in place, a `.wlog`
+//! next to its own complete `.wcold` (a crash inside the old copy-seal) and
+//! a leftover `index.widx` are deleted.
+//!
+//! [`LogStore::retire_up_to`] deletes whole sealed segments below the
 //! retention frontier (the punishment window); reads below the frontier
 //! fail with [`StorageError::RecordRetired`].
 //!
@@ -26,22 +46,19 @@
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::cold::{cold_path, sync_dir, ColdSegment};
+use crate::cold::{ends_in_torn_seal, seal_in_place, ColdSegment};
 use crate::error::StorageError;
 use crate::segment::{
-    read_record_at, read_record_from, scan_segment, segment_path, SegmentId, SegmentWriter,
-    TailState, HEADER_LEN,
+    read_record_from, scan_segment, segment_path, sync_dir, SegmentId, SegmentWriter, TailState,
+    HEADER_LEN,
 };
-use crate::sidecar::{
-    load_gc_marker, load_index_sidecar, remove_stray_tmp_files, write_gc_marker,
-    write_index_sidecar, SegmentHint,
-};
+use crate::sidecar::{load_gc_marker, remove_stray_files, write_gc_marker};
 
 /// When appended records are made durable.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -89,52 +106,40 @@ impl Default for StoreConfig {
     }
 }
 
-/// Locates a record on disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Locator {
-    segment: SegmentId,
-    offset: u64,
-}
-
 /// Where a resolved record lives.
 enum Resolved {
-    /// In a sealed cold segment (shared cached handle).
-    Cold(Arc<ColdSegment>),
-    /// In a hot `.wlog` segment.
-    Hot(Locator),
+    /// In a sealed segment (shared cached handle).
+    Sealed(Arc<ColdSegment>),
+    /// In the tail, at this offset of this handle.
+    Tail(Arc<File>, u64),
 }
 
-/// The two-tier locator index. One lock guards both tiers so a reader's
-/// view of a seal/retire transition is atomic.
+/// The locator index. One lock guards the sealed list and the tail's
+/// offsets so a reader's view of a rotation/retire transition is atomic.
 struct Tiers {
     /// Oldest live sequence number (> 0 once the retention policy has
-    /// deleted cold segments).
+    /// deleted sealed segments).
     start: u64,
     /// Sealed segments, ascending and contiguous: they cover
-    /// `[start, hot_base)`.
-    cold: Vec<Arc<ColdSegment>>,
-    /// Sequence number of the first hot record.
-    hot_base: u64,
-    /// Locators for hot records; `hot[i]` holds `hot_base + i`.
-    hot: Vec<Locator>,
+    /// `[start, tail_base)`.
+    sealed: Vec<Arc<ColdSegment>>,
+    /// Sequence number of the first tail record.
+    tail_base: u64,
+    /// Offsets of the tail's records; `tail[i]` holds `tail_base + i`.
+    tail: Vec<u64>,
+    /// Positional-read handle on the tail file.
+    tail_file: Arc<File>,
 }
 
 impl Tiers {
     fn len(&self) -> u64 {
-        self.hot_base + self.hot.len() as u64
+        self.tail_base + self.tail.len() as u64
     }
 
     fn resolve(&self, id: u64) -> Result<Resolved, StorageError> {
-        if id >= self.len() {
-            return Err(StorageError::RecordNotFound {
-                id,
-                len: self.len(),
-            });
-        }
-        if id >= self.hot_base {
-            let rel = (id - self.hot_base) as usize;
-            return match self.hot.get(rel) {
-                Some(&locator) => Ok(Resolved::Hot(locator)),
+        if let Some(rel) = id.checked_sub(self.tail_base) {
+            return match self.tail.get(rel as usize) {
+                Some(&offset) => Ok(Resolved::Tail(self.tail_file.clone(), offset)),
                 None => Err(StorageError::RecordNotFound {
                     id,
                     len: self.len(),
@@ -147,20 +152,15 @@ impl Tiers {
                 oldest: self.start,
             });
         }
-        let at = self.cold.partition_point(|c| c.end_seq() <= id);
-        match self.cold.get(at) {
-            Some(segment) if segment.contains(id) => Ok(Resolved::Cold(segment.clone())),
+        let at = self.sealed.partition_point(|c| c.end_seq() <= id);
+        match self.sealed.get(at) {
+            Some(segment) if segment.contains(id) => Ok(Resolved::Sealed(segment.clone())),
             _ => Err(StorageError::CorruptRecord {
                 id,
-                what: "cold tier does not cover a sequence it should",
+                what: "sealed segments do not cover a sequence they should",
             }),
         }
     }
-}
-
-/// Append side: the active segment writer.
-struct Tail {
-    writer: SegmentWriter,
 }
 
 /// Group-commit bookkeeping (only consulted under
@@ -189,8 +189,8 @@ pub struct SyncStats {
     /// Tail flushes performed on the read path (kept low by the
     /// dirty-flag check in [`LogStore::read`]).
     pub read_tail_flushes: u64,
-    /// Times the read path acquired the tail mutex. Reads of sealed or
-    /// cold records never do; a `read_range`/`iter` chunk pays at most one
+    /// Times the read path acquired the tail mutex. Reads of sealed
+    /// records never do; a `read_range`/`iter` chunk pays at most one
     /// acquisition per call.
     pub read_tail_locks: u64,
 }
@@ -199,31 +199,28 @@ pub struct SyncStats {
 /// measure of O(tail) restart.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Cold segments admitted by parsing their embedded locator block
+    /// Sealed segments admitted by parsing their embedded locator block
     /// (no record scan).
     pub cold_segments: u64,
-    /// Hot segments admitted from a matching `index.widx` entry
-    /// (no record scan).
-    pub hinted_segments: u64,
-    /// Segments that had to be scanned record-by-record (always at least
-    /// the tail, when one exists).
+    /// `.wlog` files scanned record-by-record: the tail when one exists,
+    /// plus any segment whose seal the open had to finish.
     pub scanned_segments: u64,
     /// Records read and CRC-verified during those scans.
     pub scanned_records: u64,
 }
 
-/// Tiering counters (current sizes and monotonic totals since open).
+/// Segment counters (current sizes and monotonic totals since open).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
-    /// Cold segments currently live.
+    /// Sealed segments currently live.
     pub cold_segments: u64,
-    /// Hot segments currently live (including the tail).
+    /// Unsealed segments currently live: always 1, the tail.
     pub hot_segments: u64,
-    /// Segments sealed by [`LogStore::seal_up_to`] since open.
+    /// Segments sealed by rotation since open.
     pub segments_sealed: u64,
-    /// Cold segments deleted by [`LogStore::retire_up_to`] since open.
+    /// Sealed segments deleted by [`LogStore::retire_up_to`] since open.
     pub segments_retired: u64,
-    /// Records served from the cold tier since open.
+    /// Records served from sealed segments since open.
     pub cold_reads: u64,
     /// Oldest sequence number still readable.
     pub oldest_live: u64,
@@ -231,20 +228,18 @@ pub struct TierStats {
 
 /// A durable append-only record log.
 ///
-/// Appends are serialized; reads are concurrent and lock the tiers index
-/// only briefly. Hot reads open their own file handle (readers never
-/// contend with the writer on file position); cold reads share the sealed
-/// segment's cached `pread` handle.
+/// Appends are serialized; reads are concurrent and lock the index only
+/// briefly. Every read is a `pread` on a cached handle — the sealed
+/// segment's, or the tail's — so readers never contend with the writer on
+/// file position and never open a file.
 pub struct LogStore {
     dir: PathBuf,
     config: StoreConfig,
     tiers: RwLock<Tiers>,
-    tail: Mutex<Tail>,
-    /// Mirror of `tail.writer.id()`, updated under the tail lock — lets
-    /// reads of non-tail records skip the tail mutex entirely.
-    tail_seg: AtomicU32,
-    /// Serializes structural maintenance: seal, retire, index checkpoint,
-    /// truncate. Never taken on the append or read paths.
+    /// Append side: the active segment writer.
+    tail: Mutex<SegmentWriter>,
+    /// Serializes structural maintenance: retire and truncate. Never taken
+    /// on the append or read paths.
     maint: Mutex<()>,
     group: Mutex<GroupState>,
     group_cv: Condvar,
@@ -260,23 +255,24 @@ pub struct LogStore {
 
 impl LogStore {
     /// Opens (or creates) a store in `dir`, recovering any existing
-    /// segments. A torn tail record (interrupted write) is truncated away;
-    /// genuine corruption — bad magic or a CRC mismatch on a fully present
-    /// record — fails the open with [`StorageError::CorruptRecord`].
+    /// segments. A torn tail record (interrupted write) is truncated away
+    /// and an interrupted seal is finished; genuine corruption — bad magic
+    /// or a CRC mismatch on a fully present record — fails the open with
+    /// [`StorageError::CorruptRecord`].
     ///
-    /// Recovery cost is proportional to what lacks a trusted locator
-    /// source: cold segments contribute one footer read each, hot non-tail
-    /// segments with a matching `index.widx` entry are admitted without a
-    /// scan, and only the remainder (always including the tail) is scanned
-    /// record-by-record. [`LogStore::recovery_stats`] reports the split.
+    /// Recovery cost is O(tail): sealed segments contribute one footer
+    /// read each and only `.wlog` files are scanned record-by-record —
+    /// the tail, or a segment whose seal was interrupted (a directory
+    /// written before rotation sealed may hold several full `.wlog`s; each
+    /// is scanned once and sealed in place).
+    /// [`LogStore::recovery_stats`] reports the split.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<LogStore, StorageError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        remove_stray_tmp_files(&dir)?;
+        remove_stray_files(&dir)?;
         let marker_start = load_gc_marker(&dir);
 
-        // Discover segment files of both tiers.
-        let mut cold_ids: Vec<SegmentId> = Vec::new();
+        let mut sealed_ids: Vec<SegmentId> = Vec::new();
         let mut wlog_ids: Vec<SegmentId> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let Ok(name) = entry?.file_name().into_string() else {
@@ -289,133 +285,119 @@ impl LogStore {
                     }
                 } else if let Some(id) = id.strip_suffix(".wcold") {
                     if let Ok(id) = id.parse::<SegmentId>() {
-                        cold_ids.push(id);
+                        sealed_ids.push(id);
                     }
                 }
             }
         }
-        cold_ids.sort_unstable();
+        sealed_ids.sort_unstable();
         wlog_ids.sort_unstable();
-        // A crash between a seal's rename and its .wlog unlink leaves both
-        // files: the cold copy is complete and checksummed, so it wins.
-        wlog_ids.retain(|id| {
-            if cold_ids.binary_search(id).is_ok() {
-                let _ = std::fs::remove_file(segment_path(&dir, *id));
-                false
-            } else {
-                true
-            }
-        });
-        if let (Some(last_cold), Some(first_wlog)) = (cold_ids.last(), wlog_ids.first()) {
-            if last_cold >= first_wlog {
-                return Err(StorageError::CorruptRecord {
-                    id: *last_cold as u64,
-                    what: "cold segment found after a hot segment",
-                });
-            }
-        }
 
         let mut recovery = RecoveryStats::default();
-        let mut cold: Vec<Arc<ColdSegment>> = Vec::new();
-        for &id in &cold_ids {
-            cold.push(Arc::new(ColdSegment::open(&dir, id)?));
+        let mut sealed: Vec<Arc<ColdSegment>> = Vec::new();
+        for &id in &sealed_ids {
+            sealed.push(Arc::new(ColdSegment::open(&dir, id)?));
+        }
+        // The copy-seal this lifecycle replaced renamed a complete, synced
+        // `.wcold` into place before it unlinked the `.wlog`; a crash in
+        // between left both, and the sealed one (it just opened) wins.
+        wlog_ids.retain(|id| {
+            let copied = sealed_ids.binary_search(id).is_ok();
+            if copied {
+                let _ = std::fs::remove_file(segment_path(&dir, *id));
+            }
+            !copied
+        });
+        if let (Some(last_sealed), Some(first_wlog)) = (sealed_ids.last(), wlog_ids.first()) {
+            if last_sealed >= first_wlog {
+                return Err(StorageError::CorruptRecord {
+                    id: *last_sealed as u64,
+                    what: "sealed segment found after an unsealed one",
+                });
+            }
         }
         // A crash between a retention pass's marker write and its unlinks
-        // leaves cold segments wholly below the marker: delete them now.
+        // leaves sealed segments wholly below the marker: delete them now.
         let mut start = marker_start;
-        while cold.first().is_some_and(|c| c.end_seq() <= start) {
-            let seg = cold.remove(0);
+        while sealed.first().is_some_and(|c| c.end_seq() <= start) {
+            let seg = sealed.remove(0);
             let _ = std::fs::remove_file(seg.path());
         }
-        if let Some(first) = cold.first() {
+        if let Some(first) = sealed.first() {
             start = first.first_seq();
         }
-        let mut running = start;
-        for seg in &cold {
-            if seg.first_seq() != running {
+        let mut seq = start;
+        for seg in &sealed {
+            if seg.first_seq() != seq {
                 return Err(StorageError::CorruptRecord {
                     id: seg.id() as u64,
-                    what: "cold segments are not sequence-contiguous",
+                    what: "sealed segments are not sequence-contiguous",
                 });
             }
-            running = seg.end_seq();
+            seq = seg.end_seq();
         }
-        recovery.cold_segments = cold.len() as u64;
-        let hot_base = running;
+        recovery.cold_segments = sealed.len() as u64;
 
-        let hints = load_index_sidecar(&dir);
-        let mut hot: Vec<Locator> = Vec::new();
-        let mut tail_writer = None;
-        let mut seq = hot_base;
-        if let Some((&last, full_segments)) = wlog_ids.split_last() {
-            for &id in full_segments {
-                let file_len = std::fs::metadata(segment_path(&dir, id))?.len();
-                let hint = hints.get(&id).filter(|h| {
-                    h.first_seq == seq && h.valid_len == file_len && !h.offsets.is_empty()
-                });
-                if let Some(hint) = hint {
-                    hot.extend(hint.offsets.iter().map(|&offset| Locator {
-                        segment: id,
-                        offset,
-                    }));
-                    seq += hint.offsets.len() as u64;
-                    recovery.hinted_segments += 1;
-                    continue;
-                }
-                let scan = scan_segment(&dir, id)?;
-                // Non-tail segments must be fully intact: mid-log corruption
-                // cannot be silently dropped without creating a hole.
-                if scan.has_trailing_bytes() {
-                    return Err(StorageError::CorruptRecord {
-                        id: id as u64,
-                        what: "corruption in a sealed (non-tail) segment",
-                    });
-                }
-                hot.extend(scan.records.iter().map(|&(offset, _)| Locator {
-                    segment: id,
-                    offset,
-                }));
-                seq += scan.records.len() as u64;
-                recovery.scanned_segments += 1;
-                recovery.scanned_records += scan.records.len() as u64;
-            }
-            let scan = scan_segment(&dir, last)?;
+        let mut tail: Option<(SegmentWriter, Vec<u64>)> = None;
+        let mut healed = false;
+        for (i, &id) in wlog_ids.iter().enumerate() {
+            let scan = scan_segment(&dir, id)?;
+            recovery.scanned_segments += 1;
+            recovery.scanned_records += scan.records.len() as u64;
+            let offsets: Vec<u64> = scan.records.iter().map(|&(offset, _)| offset).collect();
+            let torn_seal = scan.has_trailing_bytes()
+                && ends_in_torn_seal(&dir, id, seq, &offsets, scan.valid_len)?;
+            let is_tail = i + 1 == wlog_ids.len() && !torn_seal;
             // A torn write at the tail is the expected crash artifact and is
             // truncated; corrupt bytes (bad magic / CRC mismatch with the
             // payload fully present) mean tampering or bit rot and fail the
             // open rather than silently shortening the log.
-            if let TailState::Corrupt { offset, what } = scan.tail {
+            if let (true, TailState::Corrupt { offset, what }) = (is_tail, scan.tail) {
                 return Err(StorageError::CorruptRecord { id: offset, what });
             }
-            hot.extend(scan.records.iter().map(|&(offset, _)| Locator {
-                segment: last,
-                offset,
-            }));
-            recovery.scanned_segments += 1;
-            recovery.scanned_records += scan.records.len() as u64;
-            tail_writer = Some(SegmentWriter::open_at(&dir, last, scan.valid_len)?);
+            // Full segments must be intact up to their (possibly torn)
+            // trailer: dropping mid-log bytes would create a hole.
+            if !is_tail && !torn_seal && scan.has_trailing_bytes() {
+                return Err(StorageError::CorruptRecord {
+                    id: id as u64,
+                    what: "corruption in a full (non-tail) segment",
+                });
+            }
+            let mut writer = SegmentWriter::open_at(&dir, id, scan.valid_len)?;
+            if is_tail {
+                tail = Some((writer, offsets));
+            } else {
+                let segment = seal_in_place(&dir, &mut writer, seq, offsets)?;
+                seq = segment.end_seq();
+                sealed.push(Arc::new(segment));
+                healed = true;
+            }
         }
-        let writer = match tail_writer {
-            Some(w) => w,
+        let (writer, tail_offsets) = match tail {
+            Some(tail) => {
+                if healed {
+                    sync_dir(&dir)?;
+                }
+                tail
+            }
             None => {
-                let id = cold.last().map(|c| c.id() + 1).unwrap_or(0);
-                SegmentWriter::create(&dir, id)?
+                let id = sealed.last().map(|c| c.id() + 1).unwrap_or(0);
+                (SegmentWriter::create(&dir, id)?, Vec::new())
             }
         };
         let tiers = Tiers {
             start,
-            cold,
-            hot_base,
-            hot,
+            sealed,
+            tail_base: seq,
+            tail: tail_offsets,
+            tail_file: writer.reader(),
         };
         let durable_len = tiers.len();
-        let tail_seg = writer.id();
         Ok(LogStore {
             dir,
             config,
             tiers: RwLock::new(tiers),
-            tail: Mutex::new(Tail { writer }),
-            tail_seg: AtomicU32::new(tail_seg),
+            tail: Mutex::new(writer),
             maint: Mutex::new(()),
             group: Mutex::new(GroupState {
                 pending_batches: 0,
@@ -436,11 +418,18 @@ impl LogStore {
         })
     }
 
-    /// Flushes and fsyncs the tail, then publishes the new durable frontier
-    /// and wakes [`LogStore::ensure_durable`] waiters. Caller holds the tail
-    /// lock; lock order is tail → tiers → group.
-    fn sync_tail(&self, tail: &mut Tail) -> Result<(), StorageError> {
-        tail.writer.sync()?;
+    /// Flushes and fsyncs the tail, then publishes the new durable
+    /// frontier. Caller holds the tail lock; lock order is tail → tiers →
+    /// group.
+    fn sync_tail(&self, tail: &mut SegmentWriter) -> Result<(), StorageError> {
+        tail.sync()?;
+        self.note_synced();
+        Ok(())
+    }
+
+    /// Publishes the durable frontier after an fsync of the tail and wakes
+    /// [`LogStore::ensure_durable`] waiters. Caller holds the tail lock.
+    fn note_synced(&self) {
         let durable = self.tiers.read().len();
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         let mut group = self.group.lock();
@@ -453,13 +442,12 @@ impl LogStore {
         }
         drop(group);
         self.group_cv.notify_all();
-        Ok(())
     }
 
     /// Group-commit accounting after an append made it into the index:
     /// counts the pending batch and performs the covering fsync inline once
     /// `max_batches` are waiting. Caller holds the tail lock.
-    fn note_appended(&self, tail: &mut Tail) -> Result<(), StorageError> {
+    fn note_appended(&self, tail: &mut SegmentWriter) -> Result<(), StorageError> {
         let SyncPolicy::GroupCommit { max_batches, .. } = self.config.sync else {
             return Ok(());
         };
@@ -511,10 +499,7 @@ impl LogStore {
             }
             drop(group);
             // Delay budget exhausted: perform the covering fsync ourselves.
-            {
-                let mut tail = self.tail.lock();
-                self.sync_tail(&mut tail)?;
-            }
+            self.sync()?;
             let group = self.group.lock();
             if seq < group.durable_len {
                 return Ok(());
@@ -543,24 +528,12 @@ impl LogStore {
         self.recovery
     }
 
-    /// Tiering counters (current sizes and monotonic totals since open).
+    /// Segment counters (current sizes and monotonic totals since open).
     pub fn tier_stats(&self) -> TierStats {
-        let tail_id = self.tail_seg.load(Ordering::Acquire);
         let tiers = self.tiers.read();
-        let mut hot_segments = 0u64;
-        let mut last: Option<SegmentId> = None;
-        for locator in &tiers.hot {
-            if last != Some(locator.segment) {
-                hot_segments += 1;
-                last = Some(locator.segment);
-            }
-        }
-        if last != Some(tail_id) {
-            hot_segments += 1;
-        }
         TierStats {
-            cold_segments: tiers.cold.len() as u64,
-            hot_segments,
+            cold_segments: tiers.sealed.len() as u64,
+            hot_segments: 1,
             segments_sealed: self.sealed_total.load(Ordering::Relaxed),
             segments_retired: self.retired_total.load(Ordering::Relaxed),
             cold_reads: self.cold_reads.load(Ordering::Relaxed),
@@ -570,144 +543,145 @@ impl LogStore {
 
     /// Appends a record; returns its sequence number.
     pub fn append(&self, payload: &[u8]) -> Result<u64, StorageError> {
-        if payload.len() > self.config.max_record_bytes {
-            return Err(StorageError::RecordTooLarge {
-                size: payload.len(),
-                max: self.config.max_record_bytes,
-            });
-        }
-        let mut tail = self.tail.lock();
-        // Rotate if the current segment is full (never rotate an empty one —
-        // a single oversized record may exceed max_segment_bytes).
-        if tail.writer.len() + (HEADER_LEN + payload.len()) as u64 > self.config.max_segment_bytes
-            && !tail.writer.is_empty()
-        {
-            self.sync_tail(&mut tail)?;
-            let next_id = tail.writer.id() + 1;
-            tail.writer = SegmentWriter::create(&self.dir, next_id)?;
-            self.tail_seg.store(next_id, Ordering::Release);
-        }
-        let offset = tail.writer.append(payload)?;
-        match self.config.sync {
-            SyncPolicy::Always => self.sync_tail(&mut tail)?,
-            SyncPolicy::OnRotate | SyncPolicy::GroupCommit { .. } => tail.writer.flush()?,
-            SyncPolicy::Never => {}
-        }
-        let locator = Locator {
-            segment: tail.writer.id(),
-            offset,
-        };
-        let seq = {
-            let mut tiers = self.tiers.write();
-            tiers.hot.push(locator);
-            tiers.len() - 1
-        };
-        self.note_appended(&mut tail)?;
-        Ok(seq)
+        self.append_batch(&[payload])
     }
 
     /// Appends several records as one batch, flushing once. Returns the
     /// sequence number of the first record.
+    ///
+    /// On an error the tail is cut back to its last indexed record, so the
+    /// failed batch leaves neither an index entry nor a byte on disk and
+    /// may be retried — except for the leading records that a rotation
+    /// inside the batch had already sealed before the failure: those are
+    /// durable and stay ([`LogStore::len`] counts them).
     pub fn append_batch<D: AsRef<[u8]>>(&self, payloads: &[D]) -> Result<u64, StorageError> {
-        let mut tail = self.tail.lock();
-        let mut locators = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let payload = payload.as_ref();
-            if payload.len() > self.config.max_record_bytes {
-                return Err(StorageError::RecordTooLarge {
-                    size: payload.len(),
-                    max: self.config.max_record_bytes,
-                });
-            }
-            if tail.writer.len() + (HEADER_LEN + payload.len()) as u64
-                > self.config.max_segment_bytes
-                && !tail.writer.is_empty()
-            {
-                self.sync_tail(&mut tail)?;
-                let next_id = tail.writer.id() + 1;
-                tail.writer = SegmentWriter::create(&self.dir, next_id)?;
-                self.tail_seg.store(next_id, Ordering::Release);
-            }
-            let offset = tail.writer.append(payload)?;
-            locators.push(Locator {
-                segment: tail.writer.id(),
-                offset,
+        if let Some(big) = payloads
+            .iter()
+            .map(|p| p.as_ref().len())
+            .find(|&size| size > self.config.max_record_bytes)
+        {
+            return Err(StorageError::RecordTooLarge {
+                size: big,
+                max: self.config.max_record_bytes,
             });
         }
-        match self.config.sync {
-            SyncPolicy::Always => self.sync_tail(&mut tail)?,
-            SyncPolicy::OnRotate | SyncPolicy::GroupCommit { .. } => tail.writer.flush()?,
-            SyncPolicy::Never => {}
+        let mut tail = self.tail.lock();
+        let first = self.tiers.read().len();
+        // Offsets of the records written to the current tail, not yet indexed.
+        let mut offsets = Vec::with_capacity(payloads.len());
+        if let Err(err) = self.write_batch(&mut tail, payloads, &mut offsets) {
+            // A sealed tail holds nothing unindexed; the next append only
+            // has to create its successor.
+            if !tail.is_sealed() {
+                let indexed_end = offsets.first().copied().unwrap_or(tail.len());
+                tail.rewind(indexed_end)?;
+            }
+            return Err(err);
         }
-        let first = {
-            let mut tiers = self.tiers.write();
-            let first = tiers.len();
-            tiers.hot.extend(locators);
-            first
-        };
+        self.tiers.write().tail.append(&mut offsets);
         self.note_appended(&mut tail)?;
         Ok(first)
     }
 
-    /// Reads record `id`.
-    ///
-    /// Cold records are served through the sealed segment's cached handle
-    /// and never touch the tail lock. Hot records only take the tail lock
-    /// when they live in the active tail segment (cheap atomic id check) —
-    /// and even then flush only when the write buffer is dirty.
-    pub fn read(&self, id: u64) -> Result<Vec<u8>, StorageError> {
-        let resolved = self.tiers.read().resolve(id)?;
-        match resolved {
-            Resolved::Cold(segment) => {
-                self.cold_reads.fetch_add(1, Ordering::Relaxed);
-                segment.read(id)
+    /// The fallible part of [`LogStore::append_batch`]: writes the records,
+    /// rotating where the tail is full, and applies the sync policy.
+    fn write_batch<D: AsRef<[u8]>>(
+        &self,
+        tail: &mut SegmentWriter,
+        payloads: &[D],
+        offsets: &mut Vec<u64>,
+    ) -> Result<(), StorageError> {
+        for payload in payloads {
+            let payload = payload.as_ref();
+            // Rotate if the tail is full (never rotate an empty one — a
+            // single oversized record may exceed max_segment_bytes), or if
+            // an earlier rotation sealed it and could not create the next.
+            let full = tail.len() + (HEADER_LEN + payload.len()) as u64
+                > self.config.max_segment_bytes
+                && !tail.is_empty();
+            if full || tail.is_sealed() {
+                self.rotate(tail, offsets)?;
             }
-            Resolved::Hot(locator) => self.read_hot(id, locator),
+            offsets.push(tail.append(payload)?);
+        }
+        match self.config.sync {
+            SyncPolicy::Always => self.sync_tail(tail),
+            SyncPolicy::OnRotate | SyncPolicy::GroupCommit { .. } => tail.flush(),
+            SyncPolicy::Never => Ok(()),
         }
     }
 
-    fn read_hot(&self, id: u64, locator: Locator) -> Result<Vec<u8>, StorageError> {
-        // The tail segment may still hold this record in its write buffer;
-        // flush before reading if it is the active segment — but only when
-        // something was actually appended since the last flush, so a
-        // read-heavy loop does not pay a syscall per read. Records in any
-        // other segment were flushed at rotation, so the lock is skipped
-        // entirely.
-        if locator.segment == self.tail_seg.load(Ordering::Acquire) {
-            let mut tail = self.tail.lock();
-            self.read_tail_locks.fetch_add(1, Ordering::Relaxed);
-            if tail.writer.id() == locator.segment && tail.writer.is_dirty() {
-                tail.writer.flush()?;
-                self.read_tail_flushes.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Seals the full tail in place and starts the next one — steps 1–6 of
+    /// the module-level lifecycle. Caller holds the tail lock; `pending`
+    /// are the offsets of the records in the tail that are not indexed yet
+    /// (the seal lists them, and indexes them once it has succeeded).
+    ///
+    /// Re-entrant: a failure before the rename leaves an unsealed tail (the
+    /// caller rewinds the trailer), a failure after it leaves a sealed one,
+    /// and the next call only creates the successor.
+    fn rotate(&self, tail: &mut SegmentWriter, pending: &mut Vec<u64>) -> Result<(), StorageError> {
+        if !tail.is_sealed() {
+            let (first_seq, mut offsets) = {
+                let tiers = self.tiers.read();
+                (tiers.tail_base, tiers.tail.clone())
+            };
+            offsets.extend_from_slice(pending);
+            let sealed = Arc::new(seal_in_place(&self.dir, tail, first_seq, offsets)?);
+            pending.clear();
+            let mut tiers = self.tiers.write();
+            tiers.tail_base = sealed.end_seq();
+            tiers.tail.clear();
+            tiers.sealed.push(sealed);
+            drop(tiers);
+            self.note_synced();
+            self.sealed_total.fetch_add(1, Ordering::Relaxed);
         }
-        match read_record_at(&self.dir, locator.segment, locator.offset) {
-            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                // The segment was sealed between resolve and open — the
-                // records are intact in the cold tier; re-resolve once.
-                let resolved = self.tiers.read().resolve(id)?;
-                match resolved {
-                    Resolved::Cold(segment) => {
-                        self.cold_reads.fetch_add(1, Ordering::Relaxed);
-                        segment.read(id)
-                    }
-                    Resolved::Hot(l) => read_record_at(&self.dir, l.segment, l.offset),
-                }
-            }
-            other => other,
+        let next = SegmentWriter::create(&self.dir, tail.id() + 1)?;
+        self.tiers.write().tail_file = next.reader();
+        *tail = next;
+        Ok(())
+    }
+
+    /// The tail may still hold appended records in its write buffer: flush
+    /// before a read of the tail — but only when something was actually
+    /// appended since the last flush, so a read-heavy loop does not pay a
+    /// syscall per read. Sealed records were fsynced at rotation, so their
+    /// reads skip this (and the tail lock) entirely.
+    fn flush_tail_for_read(&self) -> Result<(), StorageError> {
+        let mut tail = self.tail.lock();
+        self.read_tail_locks.fetch_add(1, Ordering::Relaxed);
+        if tail.is_dirty() {
+            tail.flush()?;
+            self.read_tail_flushes.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(())
+    }
+
+    fn fetch(&self, id: u64, resolved: Resolved) -> Result<Vec<u8>, StorageError> {
+        match resolved {
+            Resolved::Sealed(segment) => {
+                self.cold_reads.fetch_add(1, Ordering::Relaxed);
+                segment.read(id)
+            }
+            Resolved::Tail(file, offset) => read_record_from(&file, offset, u64::MAX, id),
+        }
+    }
+
+    /// Reads record `id`: two `pread`s on a cached handle and a CRC check.
+    pub fn read(&self, id: u64) -> Result<Vec<u8>, StorageError> {
+        let resolved = self.tiers.read().resolve(id)?;
+        if matches!(resolved, Resolved::Tail(..)) {
+            self.flush_tail_for_read()?;
+        }
+        self.fetch(id, resolved)
     }
 
     /// Reads records `[start, start + count)` in order.
     ///
-    /// The locator lookup is batched (one tiers-lock acquisition for the
-    /// whole range), the dirty-tail flush check runs once per call rather
-    /// than once per record, and records are read through per-segment
-    /// cached handles instead of re-opening the file per record.
+    /// The locator lookup is batched (one index-lock acquisition for the
+    /// whole range) and the dirty-tail flush check runs once per call
+    /// rather than once per record.
     pub fn read_range(&self, start: u64, count: u64) -> Result<Vec<Vec<u8>>, StorageError> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
         let end = start
             .checked_add(count)
             .ok_or(StorageError::RecordNotFound {
@@ -716,58 +690,17 @@ impl LogStore {
             })?;
         let resolved: Vec<Resolved> = {
             let tiers = self.tiers.read();
-            let mut resolved = Vec::with_capacity(count as usize);
-            for id in start..end {
-                resolved.push(tiers.resolve(id)?);
-            }
-            resolved
+            (start..end)
+                .map(|id| tiers.resolve(id))
+                .collect::<Result<_, _>>()?
         };
-        // One dirty-tail check for the whole call.
-        let tail_id = self.tail_seg.load(Ordering::Acquire);
-        let touches_tail = resolved
-            .iter()
-            .any(|r| matches!(r, Resolved::Hot(l) if l.segment == tail_id));
-        if touches_tail {
-            let mut tail = self.tail.lock();
-            self.read_tail_locks.fetch_add(1, Ordering::Relaxed);
-            if tail.writer.id() == tail_id && tail.writer.is_dirty() {
-                tail.writer.flush()?;
-                self.read_tail_flushes.fetch_add(1, Ordering::Relaxed);
-            }
+        if resolved.iter().any(|r| matches!(r, Resolved::Tail(..))) {
+            self.flush_tail_for_read()?;
         }
-        let mut out = Vec::with_capacity(count as usize);
-        let mut cached: Option<(SegmentId, File)> = None;
-        for (i, resolved) in resolved.into_iter().enumerate() {
-            let id = start + i as u64;
-            match resolved {
-                Resolved::Cold(segment) => {
-                    self.cold_reads.fetch_add(1, Ordering::Relaxed);
-                    out.push(segment.read(id)?);
-                }
-                Resolved::Hot(locator) => {
-                    if cached.as_ref().map(|(s, _)| *s) != Some(locator.segment) {
-                        cached = match File::open(segment_path(&self.dir, locator.segment)) {
-                            Ok(file) => Some((locator.segment, file)),
-                            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                            Err(e) => return Err(e.into()),
-                        };
-                    }
-                    match cached.as_ref() {
-                        Some((_, file)) => match read_record_from(file, locator.offset) {
-                            Ok(payload) => out.push(payload),
-                            // A concurrent truncation can shrink the file
-                            // under us; the slow path re-resolves.
-                            Err(StorageError::Io(_)) => out.push(self.read(id)?),
-                            Err(e) => return Err(e),
-                        },
-                        // Sealed underneath us — the slow path re-resolves
-                        // to the cold tier.
-                        None => out.push(self.read(id)?),
-                    }
-                }
-            }
-        }
-        Ok(out)
+        (start..end)
+            .zip(resolved)
+            .map(|(id, resolved)| self.fetch(id, resolved))
+            .collect()
     }
 
     /// Number of records ever appended (retired records still count: the
@@ -777,7 +710,7 @@ impl LogStore {
     }
 
     /// Oldest sequence number still readable (> 0 once the retention policy
-    /// has deleted cold segments).
+    /// has deleted sealed segments).
     pub fn oldest(&self) -> u64 {
         self.tiers.read().start
     }
@@ -789,8 +722,7 @@ impl LogStore {
 
     /// Forces the tail to stable storage.
     pub fn sync(&self) -> Result<(), StorageError> {
-        let mut tail = self.tail.lock();
-        self.sync_tail(&mut tail)
+        self.sync_tail(&mut self.tail.lock())
     }
 
     /// The store directory.
@@ -798,17 +730,16 @@ impl LogStore {
         &self.dir
     }
 
-    /// Number of live segments (cold + hot, including the active tail).
-    /// Counts actual on-disk segments, so it stays truthful across
-    /// sealing, retention, and tail truncation.
+    /// Number of live segments (sealed ones plus the tail). Counts actual
+    /// on-disk segments, so it stays truthful across rotation, retention,
+    /// and tail truncation.
     pub fn segment_count(&self) -> u32 {
-        let stats = self.tier_stats();
-        (stats.cold_segments + stats.hot_segments) as u32
+        self.tiers.read().sealed.len() as u32 + 1
     }
 
     /// Id of the segment currently being appended to.
     pub fn tail_segment_id(&self) -> SegmentId {
-        self.tail_seg.load(Ordering::Acquire)
+        self.tail.lock().id()
     }
 
     /// Iterates over all live records in sequence order, starting at
@@ -839,68 +770,7 @@ impl LogStore {
         })
     }
 
-    /// Seals every hot segment whose records all lie below `frontier` (the
-    /// blockchain-committed boundary, exclusive) into the cold tier.
-    /// Returns the number of segments sealed.
-    ///
-    /// The active tail segment is never sealed. Sealing verifies every
-    /// record CRC, writes the `.wcold` atomically, switches readers over,
-    /// and only then deletes the `.wlog` — a crash at any point is
-    /// recovered by [`LogStore::open`].
-    pub fn seal_up_to(&self, frontier: u64) -> Result<u32, StorageError> {
-        let _maint = self.maint.lock();
-        let mut sealed = 0u32;
-        loop {
-            let candidate = {
-                let tiers = self.tiers.read();
-                match tiers.hot.first() {
-                    Some(first) if first.segment != self.tail_seg.load(Ordering::Acquire) => {
-                        let segment = first.segment;
-                        let count = tiers
-                            .hot
-                            .iter()
-                            .take_while(|l| l.segment == segment)
-                            .count();
-                        if tiers.hot_base + count as u64 <= frontier {
-                            Some((segment, tiers.hot_base, count))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                }
-            };
-            let Some((segment, first_seq, count)) = candidate else {
-                break;
-            };
-            // File work happens without any store lock: the segment is
-            // immutable (non-tail) and `maint` keeps other maintenance out.
-            let cold = ColdSegment::seal(&self.dir, segment, first_seq)?;
-            if cold.record_count() != count as u64 {
-                return Err(StorageError::CorruptRecord {
-                    id: segment as u64,
-                    what: "sealed record count disagrees with the index",
-                });
-            }
-            {
-                let mut tiers = self.tiers.write();
-                tiers.hot.drain(..count);
-                tiers.hot_base += count as u64;
-                tiers.cold.push(Arc::new(cold));
-            }
-            // Readers now resolve to the cold copy; the source can go. A
-            // reader that raced the swap re-resolves on NotFound.
-            let _ = std::fs::remove_file(segment_path(&self.dir, segment));
-            self.sealed_total.fetch_add(1, Ordering::Relaxed);
-            sealed += 1;
-        }
-        if sealed > 0 {
-            sync_dir(&self.dir)?;
-        }
-        Ok(sealed)
-    }
-
-    /// Deletes whole cold segments whose records all lie below `upto` (the
+    /// Deletes whole sealed segments whose records all lie below `upto` (the
     /// retention frontier, exclusive) — the punishment-window GC. Returns
     /// the number of segments deleted. Subsequent reads below the new
     /// [`LogStore::oldest`] fail with [`StorageError::RecordRetired`].
@@ -909,7 +779,7 @@ impl LogStore {
         let removable: Vec<Arc<ColdSegment>> = {
             let tiers = self.tiers.read();
             tiers
-                .cold
+                .sealed
                 .iter()
                 .take_while(|c| c.end_seq() <= upto)
                 .cloned()
@@ -924,7 +794,7 @@ impl LogStore {
         write_gc_marker(&self.dir, new_start)?;
         {
             let mut tiers = self.tiers.write();
-            tiers.cold.drain(..removable.len());
+            tiers.sealed.drain(..removable.len());
             tiers.start = new_start;
         }
         // In-flight readers holding the Arc keep the unlinked data readable
@@ -938,51 +808,12 @@ impl LogStore {
         Ok(removable.len() as u32)
     }
 
-    /// Writes the `index.widx` sidecar: a checkpoint of the locators of
-    /// every full (non-tail) hot segment, so the next open admits them
-    /// without a record scan. Cold segments carry their own locator blocks
-    /// and the tail is always scanned, so a fresh sidecar makes open
-    /// O(tail).
-    pub fn write_index_checkpoint(&self) -> Result<(), StorageError> {
-        let _maint = self.maint.lock();
-        let tail_id = self.tail_seg.load(Ordering::Acquire);
-        let mut hints: Vec<SegmentHint> = Vec::new();
-        {
-            let tiers = self.tiers.read();
-            for (seq, locator) in (tiers.hot_base..).zip(tiers.hot.iter()) {
-                if locator.segment == tail_id {
-                    // Hot locators are segment-ordered; everything from the
-                    // first tail locator on is tail.
-                    break;
-                }
-                match hints.last_mut() {
-                    Some(hint) if hint.id == locator.segment => hint.offsets.push(locator.offset),
-                    _ => hints.push(SegmentHint {
-                        id: locator.segment,
-                        first_seq: seq,
-                        valid_len: 0,
-                        offsets: vec![locator.offset],
-                    }),
-                }
-            }
-        }
-        // Fill in the exact on-disk lengths (rotated segments are fully
-        // flushed, so the metadata length is the scan-valid length).
-        let mut complete = Vec::with_capacity(hints.len());
-        for mut hint in hints {
-            if let Ok(meta) = std::fs::metadata(segment_path(&self.dir, hint.id)) {
-                hint.valid_len = meta.len();
-                complete.push(hint);
-            }
-        }
-        write_index_sidecar(&self.dir, &complete)
-    }
-
     /// Simulates the paper's extreme omission attack for tests: removes the
     /// newest `count` records from the index *and* truncates them from disk
-    /// — across segment and even tier boundaries (later cold segments are
-    /// deleted; a partially-kept cold segment is unsealed back into the
-    /// tail). Returns the new length.
+    /// — across segment boundaries (later sealed segments are deleted; a
+    /// partially-kept one is unsealed back into the tail by renaming it and
+    /// cutting off the trailer and the dropped records). Returns the new
+    /// length.
     ///
     /// Truncating into the retired region (below [`LogStore::oldest`])
     /// fails with [`StorageError::RecordRetired`]: deleted data cannot be
@@ -1002,81 +833,40 @@ impl LogStore {
         if new_len == len {
             return Ok(new_len);
         }
-        if new_len >= tiers.hot_base {
-            // Boundary within the hot tier (the pre-tiering behaviour).
-            let keep = (new_len - tiers.hot_base) as usize;
-            let removed: Vec<Locator> = tiers.hot.drain(keep..).collect();
-            if let Some(first) = removed.first() {
-                tail.writer.sync()?;
-                // Remove whole later segments, then truncate within the one
-                // holding the first removed record.
-                for segment in (first.segment + 1)..=tail.writer.id() {
-                    let _ = std::fs::remove_file(segment_path(&self.dir, segment));
+        let lost = |what| StorageError::CorruptRecord { id: new_len, what };
+        // Buffered bytes must not land after the cut.
+        tail.sync()?;
+        let (id, cut) = match new_len.checked_sub(tiers.tail_base) {
+            // Boundary within the tail.
+            Some(keep) => {
+                let keep = keep as usize;
+                let cut = tiers.tail.get(keep).copied();
+                tiers.tail.truncate(keep);
+                (tail.id(), cut)
+            }
+            // Boundary within a sealed segment: the tail and every later
+            // sealed segment go, and the boundary segment becomes the tail.
+            None => {
+                let keep_full = tiers.sealed.partition_point(|c| c.end_seq() <= new_len);
+                let doomed: Vec<Arc<ColdSegment>> = tiers.sealed.drain(keep_full..).collect();
+                let boundary = doomed
+                    .first()
+                    .ok_or_else(|| lost("truncation boundary outside every segment"))?;
+                let _ = std::fs::remove_file(segment_path(&self.dir, tail.id()));
+                for segment in doomed.iter().skip(1) {
+                    let _ = std::fs::remove_file(segment.path());
                 }
-                tail.writer = SegmentWriter::open_at(&self.dir, first.segment, first.offset)?;
-                self.tail_seg.store(first.segment, Ordering::Release);
+                std::fs::rename(boundary.path(), segment_path(&self.dir, boundary.id()))?;
+                let keep = (new_len - boundary.first_seq()) as usize;
+                tiers.tail_base = boundary.first_seq();
+                tiers.tail = boundary.offsets().iter().take(keep).copied().collect();
+                (boundary.id(), boundary.offset_of(new_len))
             }
-        } else {
-            // Boundary within the cold tier: every hot segment file goes,
-            // later cold segments are deleted, and the boundary cold
-            // segment is unsealed back into an appendable tail.
-            let mut doomed_hot: Vec<SegmentId> = Vec::new();
-            for locator in &tiers.hot {
-                if doomed_hot.last() != Some(&locator.segment) {
-                    doomed_hot.push(locator.segment);
-                }
-            }
-            let tail_id = tail.writer.id();
-            if doomed_hot.last() != Some(&tail_id) {
-                doomed_hot.push(tail_id);
-            }
-            tiers.hot.clear();
-            let keep_full = tiers.cold.partition_point(|c| c.end_seq() <= new_len);
-            let doomed_cold: Vec<Arc<ColdSegment>> = tiers.cold.drain(keep_full..).collect();
-            let boundary = doomed_cold
-                .first()
-                .cloned()
-                .ok_or(StorageError::CorruptRecord {
-                    id: new_len,
-                    what: "truncation boundary outside every tier",
-                })?;
-            for segment in &doomed_hot {
-                let _ = std::fs::remove_file(segment_path(&self.dir, *segment));
-            }
-            if boundary.first_seq() == new_len {
-                // Clean edge: the whole boundary segment goes too; the tail
-                // restarts as a fresh segment reusing its id.
-                tail.writer = SegmentWriter::create(&self.dir, boundary.id())?;
-                tiers.hot_base = new_len;
-            } else {
-                // Partial: copy the kept prefix back into a .wlog tail.
-                let cut = boundary
-                    .offset_of(new_len)
-                    .ok_or(StorageError::CorruptRecord {
-                        id: new_len,
-                        what: "truncation boundary missing from the cold locator",
-                    })?;
-                boundary.unseal_prefix_len(&self.dir, cut)?;
-                let mut restored = Vec::new();
-                for seq in boundary.first_seq()..new_len {
-                    let offset = boundary.offset_of(seq).ok_or(StorageError::CorruptRecord {
-                        id: seq,
-                        what: "kept record missing from the cold locator",
-                    })?;
-                    restored.push(Locator {
-                        segment: boundary.id(),
-                        offset,
-                    });
-                }
-                tiers.hot = restored;
-                tiers.hot_base = boundary.first_seq();
-                tail.writer = SegmentWriter::open_at(&self.dir, boundary.id(), cut)?;
-            }
-            self.tail_seg.store(tail.writer.id(), Ordering::Release);
-            for segment in &doomed_cold {
-                let _ = std::fs::remove_file(cold_path(&self.dir, segment.id()));
-            }
-        }
+        };
+        let cut = cut.ok_or_else(|| lost("truncation boundary missing from the index"))?;
+        *tail = SegmentWriter::open_at(&self.dir, id, cut)?;
+        tiers.tail_file = tail.reader();
+        sync_dir(&self.dir)?;
         // The durable frontier cannot exceed the truncated length.
         let mut group = self.group.lock();
         if group.durable_len > new_len {
@@ -1214,35 +1004,6 @@ mod tests {
         // The torn slot is reused by the next append.
         assert_eq!(store.append(b"rewritten").unwrap(), 2);
         assert_eq!(store.read(2).unwrap(), b"rewritten");
-    }
-
-    #[test]
-    fn sealed_segment_corruption_fails_open() {
-        let dir = tempdir("sealed");
-        let config = StoreConfig {
-            max_segment_bytes: 64,
-            ..Default::default()
-        };
-        {
-            let store = LogStore::open(&dir, config.clone()).unwrap();
-            for i in 0..10u32 {
-                store
-                    .append(format!("record-number-{i:04}").as_bytes())
-                    .unwrap();
-            }
-            store.sync().unwrap();
-            assert!(store.segment_count() > 1);
-        }
-        // Corrupt a byte in the middle of segment 0 (sealed).
-        let seg = segment_path(&dir, 0);
-        let mut data = std::fs::read(&seg).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xFF;
-        std::fs::write(&seg, &data).unwrap();
-        assert!(matches!(
-            LogStore::open(&dir, config),
-            Err(StorageError::CorruptRecord { .. })
-        ));
     }
 
     #[test]
@@ -1502,6 +1263,7 @@ mod iter_tests {
 #[cfg(test)]
 mod tier_tests {
     use super::*;
+    use crate::cold::cold_path;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1529,88 +1291,145 @@ mod tier_tests {
         store.sync().unwrap();
     }
 
-    #[test]
-    fn seal_moves_segments_to_the_cold_tier() {
-        let dir = tempdir("seal");
-        let store = LogStore::open(&dir, small_seg_config()).unwrap();
-        fill(&store, 30);
-        let before = store.segment_count();
-        assert!(before > 2, "need several segments, got {before}");
-        let sealed = store.seal_up_to(store.len()).unwrap();
-        assert!(sealed >= 2, "sealed {sealed}");
-        // Segment count is unchanged: every sealed .wlog became one .wcold.
-        assert_eq!(store.segment_count(), before);
-        let stats = store.tier_stats();
-        assert_eq!(stats.segments_sealed, sealed as u64);
-        assert_eq!(stats.cold_segments, sealed as u64);
-        // The tail segment is never sealed, even when the frontier covers it.
-        assert!(stats.hot_segments >= 1);
-        // Every record still reads back, hot and cold alike.
-        for i in 0..30u64 {
+    fn assert_reads_back(store: &LogStore, range: std::ops::Range<u64>) {
+        for i in range {
             assert_eq!(
                 store.read(i).unwrap(),
                 format!("tier-record-{i:05}").as_bytes()
             );
         }
+    }
+
+    fn files_with_suffix(dir: &Path, suffix: &str) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_str().unwrap().ends_with(suffix)
+            })
+            .count()
+    }
+
+    /// Rewrites sealed segment `id` as a store from before rotation sealed
+    /// left a full segment: a bare `.wlog` with no trailer.
+    fn unseal_by_hand(dir: &Path, id: SegmentId) {
+        let data_len = ColdSegment::open(dir, id).unwrap().data_len() as usize;
+        let bytes = std::fs::read(cold_path(dir, id)).unwrap();
+        std::fs::write(segment_path(dir, id), &bytes[..data_len]).unwrap();
+        std::fs::remove_file(cold_path(dir, id)).unwrap();
+    }
+
+    #[test]
+    fn rotation_seals_segments_in_place() {
+        let dir = tempdir("seal");
+        let store = LogStore::open(&dir, small_seg_config()).unwrap();
+        fill(&store, 30);
+        let sealed = store.segment_count() - 1;
+        assert!(sealed >= 2, "need several segments, got {sealed}");
+        let stats = store.tier_stats();
+        assert_eq!(stats.segments_sealed, sealed as u64);
+        assert_eq!(stats.cold_segments, sealed as u64);
+        assert_eq!(stats.hot_segments, 1);
+        assert_eq!(store.tail_segment_id(), sealed);
+        // Every record still reads back, sealed and tail alike.
+        assert_reads_back(&store, 0..30);
         assert!(store.tier_stats().cold_reads > 0);
-        // No leftover .wlog for sealed segments.
+        // A store is sealed segments plus exactly one tail, and nothing else.
         for seg in 0..sealed {
             assert!(!segment_path(&dir, seg).exists(), "wlog {seg} remains");
             assert!(cold_path(&dir, seg).exists(), "wcold {seg} missing");
         }
+        assert_eq!(files_with_suffix(&dir, ".wlog"), 1);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            sealed as usize + 1
+        );
         // Appends continue normally after sealing.
         let next = store.append(b"after-seal").unwrap();
         assert_eq!(store.read(next).unwrap(), b"after-seal");
     }
 
     #[test]
-    fn seal_respects_the_frontier() {
-        let dir = tempdir("frontier");
+    fn a_batch_spanning_a_rotation_is_sealed_whole() {
+        let dir = tempdir("batch-rot");
         let store = LogStore::open(&dir, small_seg_config()).unwrap();
-        fill(&store, 30);
-        // A frontier of zero seals nothing.
-        assert_eq!(store.seal_up_to(0).unwrap(), 0);
-        // A mid-log frontier seals only segments wholly below it.
-        let sealed = store.seal_up_to(10).unwrap();
-        let stats = store.tier_stats();
-        assert_eq!(stats.cold_segments, sealed as u64);
-        let covered: u64 = (0..sealed)
-            .map(|id| {
-                ColdSegment::open(&dir, id)
-                    .map(|c| c.record_count())
-                    .unwrap()
-            })
-            .sum();
-        assert!(covered <= 10, "sealed past the frontier: {covered}");
-        // Raising the frontier seals more.
-        assert!(store.seal_up_to(store.len()).unwrap() > 0);
+        let payloads: Vec<Vec<u8>> = (0..10u32)
+            .map(|i| format!("tier-record-{i:05}").into_bytes())
+            .collect();
+        assert_eq!(store.append_batch(&payloads).unwrap(), 0);
+        assert!(store.tier_stats().segments_sealed >= 2);
+        assert_reads_back(&store, 0..10);
+        drop(store);
+        let store = LogStore::open(&dir, small_seg_config()).unwrap();
+        assert_eq!(store.len(), 10);
+        assert_reads_back(&store, 0..10);
     }
 
     #[test]
-    fn sealed_store_reopens_without_scanning_cold() {
+    fn sealed_store_reopens_scanning_only_the_tail() {
         let dir = tempdir("reopen");
         {
             let store = LogStore::open(&dir, small_seg_config()).unwrap();
             fill(&store, 30);
-            store.seal_up_to(store.len()).unwrap();
         }
         let store = LogStore::open(&dir, small_seg_config()).unwrap();
         let rec = store.recovery_stats();
-        assert!(rec.cold_segments >= 2, "cold segments admitted: {rec:?}");
-        // Only hot segments (at most the tail + rotated-but-unsealed ones)
-        // were scanned.
+        assert!(rec.cold_segments >= 2, "sealed segments admitted: {rec:?}");
+        assert_eq!(rec.scanned_segments, 1, "only the tail scans: {rec:?}");
         assert!(
             rec.scanned_records < 30,
-            "cold records were rescanned: {rec:?}"
+            "sealed records were rescanned: {rec:?}"
         );
         assert_eq!(store.len(), 30);
-        for i in 0..30u64 {
-            assert_eq!(
-                store.read(i).unwrap(),
-                format!("tier-record-{i:05}").as_bytes()
-            );
-        }
+        assert_reads_back(&store, 0..30);
         assert_eq!(store.append(b"post-reopen").unwrap(), 30);
+    }
+
+    #[test]
+    fn full_wlogs_from_before_rotation_sealed_are_sealed_on_open() {
+        let dir = tempdir("pre-seal-layout");
+        let sealed = {
+            let store = LogStore::open(&dir, small_seg_config()).unwrap();
+            fill(&store, 30);
+            store.segment_count() - 1
+        };
+        for id in 0..sealed {
+            unseal_by_hand(&dir, id);
+        }
+        let store = LogStore::open(&dir, small_seg_config()).unwrap();
+        let rec = store.recovery_stats();
+        assert_eq!(rec.scanned_segments, sealed as u64 + 1, "{rec:?}");
+        assert_eq!(rec.scanned_records, 30);
+        assert_eq!(store.tier_stats().cold_segments, sealed as u64);
+        assert_eq!(files_with_suffix(&dir, ".wlog"), 1);
+        assert_reads_back(&store, 0..30);
+        assert_eq!(store.append(b"post-heal").unwrap(), 30);
+        // The heal is done once: the next open scans only the tail.
+        drop(store);
+        let store = LogStore::open(&dir, small_seg_config()).unwrap();
+        assert_eq!(store.recovery_stats().scanned_segments, 1);
+        assert_eq!(store.len(), 31);
+    }
+
+    #[test]
+    fn corruption_in_a_full_wlog_fails_open() {
+        let dir = tempdir("pre-seal-corrupt");
+        {
+            let store = LogStore::open(&dir, small_seg_config()).unwrap();
+            fill(&store, 10);
+            assert!(store.segment_count() > 1);
+        }
+        unseal_by_hand(&dir, 0);
+        // Corrupt a byte in the middle of segment 0.
+        let seg = segment_path(&dir, 0);
+        let mut data = std::fs::read(&seg).unwrap();
+        let mid = data.len() / 2;
+        data[mid] ^= 0xFF;
+        std::fs::write(&seg, &data).unwrap();
+        assert!(matches!(
+            LogStore::open(&dir, small_seg_config()),
+            Err(StorageError::CorruptRecord { .. })
+        ));
     }
 
     #[test]
@@ -1619,8 +1438,7 @@ mod tier_tests {
         // the tail mutex at all.
         let store = LogStore::open(tempdir("skiplock"), small_seg_config()).unwrap();
         fill(&store, 30);
-        let tail_id = store.tail_segment_id();
-        assert!(tail_id > 0);
+        assert!(store.tail_segment_id() > 0);
         // Record 0 lives in segment 0, long rotated away.
         for _ in 0..50 {
             store.read(0).unwrap();
@@ -1629,13 +1447,6 @@ mod tier_tests {
         // A read of the newest record (in the tail) takes the lock.
         store.read(store.len() - 1).unwrap();
         assert_eq!(store.sync_stats().read_tail_locks, 1);
-        // Cold reads skip it too.
-        store.seal_up_to(store.len()).unwrap();
-        let locks = store.sync_stats().read_tail_locks;
-        for i in 0..10u64 {
-            store.read(i).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_locks, locks);
     }
 
     #[test]
@@ -1667,11 +1478,10 @@ mod tier_tests {
     }
 
     #[test]
-    fn retire_deletes_cold_segments() {
+    fn retire_deletes_sealed_segments() {
         let dir = tempdir("retire");
         let store = LogStore::open(&dir, small_seg_config()).unwrap();
         fill(&store, 30);
-        store.seal_up_to(store.len()).unwrap();
         let cold_before = store.tier_stats().cold_segments;
         assert!(cold_before >= 3);
         let retired = store.retire_up_to(10).unwrap();
@@ -1687,10 +1497,7 @@ mod tier_tests {
             Err(StorageError::RecordRetired { id: 0, oldest: o }) if o == oldest
         ));
         // ...and reads at/above it still work.
-        assert_eq!(
-            store.read(oldest).unwrap(),
-            format!("tier-record-{oldest:05}").as_bytes()
-        );
+        assert_reads_back(&store, oldest..oldest + 1);
         // len() keeps counting retired records: sequence space is dense.
         assert_eq!(store.len(), 30);
         // Retirement survives reopen (gc.wmark).
@@ -1708,71 +1515,22 @@ mod tier_tests {
     }
 
     #[test]
-    fn index_checkpoint_makes_reopen_o_tail() {
-        let dir = tempdir("widx");
-        {
-            let store = LogStore::open(&dir, small_seg_config()).unwrap();
-            fill(&store, 30);
-            store.write_index_checkpoint().unwrap();
-        }
-        let store = LogStore::open(&dir, small_seg_config()).unwrap();
-        let rec = store.recovery_stats();
-        assert!(rec.hinted_segments >= 2, "hints unused: {rec:?}");
-        assert_eq!(rec.scanned_segments, 1, "only the tail scans: {rec:?}");
-        assert_eq!(store.len(), 30);
-        for i in 0..30u64 {
-            assert_eq!(
-                store.read(i).unwrap(),
-                format!("tier-record-{i:05}").as_bytes()
-            );
-        }
-        // A stale hint (file grew after the checkpoint) falls back to scan.
-        for i in 30..40u32 {
-            store
-                .append(format!("tier-record-{i:05}").as_bytes())
-                .unwrap();
-        }
-        store.sync().unwrap();
-        drop(store);
-        let store = LogStore::open(&dir, small_seg_config()).unwrap();
-        assert_eq!(store.len(), 40);
-        for i in 0..40u64 {
-            assert_eq!(
-                store.read(i).unwrap(),
-                format!("tier-record-{i:05}").as_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn truncate_across_cold_boundary_partial_segment() {
-        // Satellite regression: truncation that lands inside a sealed cold
+    fn truncate_across_sealed_boundary_partial_segment() {
+        // Satellite regression: truncation that lands inside a sealed
         // segment unseals the kept prefix and keeps segment_count truthful.
         let dir = tempdir("trunc-cold");
         let store = LogStore::open(&dir, small_seg_config()).unwrap();
         fill(&store, 30);
-        store.seal_up_to(20).unwrap();
         assert!(store.tier_stats().cold_segments >= 2);
-        // Truncate down to 5 records: well inside the cold tier.
+        // Truncate down to 5 records: well inside the sealed segments.
         assert_eq!(store.truncate_tail(25).unwrap(), 5);
         assert_eq!(store.len(), 5);
-        for i in 0..5u64 {
-            assert_eq!(
-                store.read(i).unwrap(),
-                format!("tier-record-{i:05}").as_bytes()
-            );
-        }
+        assert_reads_back(&store, 0..5);
         assert!(store.read(5).is_err());
         // segment_count agrees with the files actually on disk.
-        let on_disk = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                let name = e.as_ref().unwrap().file_name();
-                let name = name.to_str().unwrap();
-                name.ends_with(".wlog") || name.ends_with(".wcold")
-            })
-            .count() as u32;
-        assert_eq!(store.segment_count(), on_disk);
+        let on_disk = files_with_suffix(&dir, ".wlog") + files_with_suffix(&dir, ".wcold");
+        assert_eq!(files_with_suffix(&dir, ".wlog"), 1);
+        assert_eq!(store.segment_count() as usize, on_disk);
         // Appends continue at the truncated position...
         assert_eq!(store.append(b"regrown").unwrap(), 5);
         assert_eq!(store.read(5).unwrap(), b"regrown");
@@ -1781,26 +1539,20 @@ mod tier_tests {
         let store = LogStore::open(&dir, small_seg_config()).unwrap();
         assert_eq!(store.len(), 6);
         assert_eq!(store.read(5).unwrap(), b"regrown");
-        assert_eq!(store.read(2).unwrap(), b"tier-record-00002".as_slice());
+        assert_reads_back(&store, 0..5);
     }
 
     #[test]
-    fn truncate_to_exact_cold_edge() {
+    fn truncate_to_exact_sealed_edge() {
         let dir = tempdir("trunc-edge");
         let store = LogStore::open(&dir, small_seg_config()).unwrap();
         fill(&store, 30);
-        store.seal_up_to(store.len()).unwrap();
-        // Find a cold segment edge to land on exactly.
-        let first_cold_count = ColdSegment::open(&dir, 0).unwrap().record_count();
-        let new_len = first_cold_count; // keep exactly cold segment 0
+        // Land exactly on the edge of sealed segment 0: keep all of it.
+        let new_len = ColdSegment::open(&dir, 0).unwrap().record_count();
         store.truncate_tail(30 - new_len).unwrap();
         assert_eq!(store.len(), new_len);
-        for i in 0..new_len {
-            assert_eq!(
-                store.read(i).unwrap(),
-                format!("tier-record-{i:05}").as_bytes()
-            );
-        }
+        assert_eq!(store.segment_count(), 2);
+        assert_reads_back(&store, 0..new_len);
         assert_eq!(store.append(b"edge-append").unwrap(), new_len);
         drop(store);
         let store = LogStore::open(&dir, small_seg_config()).unwrap();
@@ -1812,7 +1564,6 @@ mod tier_tests {
     fn truncate_into_retired_region_is_refused() {
         let store = LogStore::open(tempdir("trunc-retired"), small_seg_config()).unwrap();
         fill(&store, 30);
-        store.seal_up_to(store.len()).unwrap();
         store.retire_up_to(10).unwrap();
         let oldest = store.oldest();
         assert!(oldest > 0);
@@ -1827,46 +1578,18 @@ mod tier_tests {
     }
 
     #[test]
-    fn interrupted_seal_is_recovered_on_open() {
-        // Crash window: the .wcold was renamed into place but the .wlog was
-        // not yet unlinked. The next open prefers the cold copy.
-        let dir = tempdir("seal-crash");
-        {
-            let store = LogStore::open(&dir, small_seg_config()).unwrap();
-            fill(&store, 30);
-        }
-        // Seal segment 0 by hand, leaving the .wlog behind.
-        let sealed = ColdSegment::seal(&dir, 0, 0).unwrap();
-        let count = sealed.record_count();
-        assert!(segment_path(&dir, 0).exists());
-        let store = LogStore::open(&dir, small_seg_config()).unwrap();
-        assert!(!segment_path(&dir, 0).exists(), "leftover wlog not removed");
-        assert_eq!(store.len(), 30);
-        assert_eq!(store.tier_stats().cold_segments, 1);
-        for i in 0..count {
-            assert_eq!(
-                store.read(i).unwrap(),
-                format!("tier-record-{i:05}").as_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_reads_while_sealing_and_retiring() {
+    fn concurrent_reads_while_rotating_and_retiring() {
         let store =
             std::sync::Arc::new(LogStore::open(tempdir("conc-seal"), small_seg_config()).unwrap());
-        for i in 0..200u32 {
-            store
-                .append(format!("tier-record-{i:05}").as_bytes())
-                .unwrap();
-        }
-        store.sync().unwrap();
+        fill(&store, 100);
         let mut handles = Vec::new();
         for _ in 0..3 {
             let store = store.clone();
             handles.push(std::thread::spawn(move || {
                 for round in 0..5 {
-                    for i in 0..200u64 {
+                    // Includes the tail as it is at spawn time: it is sealed
+                    // (renamed) underneath these reads.
+                    for i in 0..100u64 {
                         match store.read(i) {
                             Ok(data) => {
                                 assert_eq!(
@@ -1884,22 +1607,25 @@ mod tier_tests {
                 }
             }));
         }
-        store.seal_up_to(150).unwrap();
+        for i in 100..200u32 {
+            store
+                .append(format!("tier-record-{i:05}").as_bytes())
+                .unwrap();
+        }
         store.retire_up_to(40).unwrap();
-        store.write_index_checkpoint().unwrap();
         for h in handles {
             h.join().unwrap();
         }
         let stats = store.tier_stats();
         assert!(stats.segments_sealed > 0);
         assert!(stats.segments_retired > 0);
+        assert_reads_back(&store, store.oldest()..200);
     }
 
     #[test]
-    fn iter_spans_cold_and_hot_tiers() {
+    fn iter_spans_sealed_segments_and_the_tail() {
         let store = LogStore::open(tempdir("iter-tiers"), small_seg_config()).unwrap();
         fill(&store, 30);
-        store.seal_up_to(15).unwrap();
         let collected: Vec<Vec<u8>> = store.iter().map(|r| r.unwrap()).collect();
         assert_eq!(collected.len(), 30);
         for (i, record) in collected.iter().enumerate() {

@@ -1,9 +1,9 @@
 //! The concurrency-graph lints L7–L9, built on the token tree.
 //!
 //! All three rules work from the same extracted facts: the functions in the
-//! analysis corpus (`crates/core/src/node/` plus `crates/net/src/`), the
-//! lock acquisitions inside them, the channels they declare, and the
-//! send/recv sites that connect threads.
+//! analysis corpus (`CONCURRENCY_CORPUS`: the node, net, cluster and
+//! storage sources), the lock acquisitions inside them, the channels they
+//! declare, and the send/recv sites that connect threads.
 //!
 //! * **L7 lock-order** — builds the partial order of `Mutex`/`RwLock`
 //!   acquisitions per function (`stats`, `write_plane`, `slot`, …), inlines

@@ -30,7 +30,7 @@
 //! powers three concurrency-graph lints ([`graph`]):
 //!
 //! * **L7 `lockorder`** — no cycle in the union lock-acquisition order
-//!   across `crates/core/src/node/` and `crates/net/src/` (one call level
+//!   across the node, net, cluster and storage sources (one call level
 //!   of inlining).
 //! * **L8 `chan`** — no ring of bounded channels whose sends all block:
 //!   one full queue on such a ring wedges every thread on it.
@@ -981,6 +981,7 @@ const CONCURRENCY_CORPUS: &[&str] = &[
     "crates/core/src/node",
     "crates/net/src",
     "crates/cluster/src",
+    "crates/storage/src",
 ];
 
 /// Everything one pass over the workspace produces: the full diagnostic
