@@ -979,18 +979,24 @@ pub fn stage1(profile: Profile) -> Table {
 
 /// Extra (not in the paper): the "signing wall" micro-benchmark — ECDSA
 /// throughput before and after the comb/wNAF/GLV scalar-multiplication
-/// rework. The pre-PR columns run the frozen baselines
-/// (`secp256k1::point::reference`, `ecdsa::reference`: 4-bit window tables,
-/// one Fermat inversion per signature, two independent multiplications per
-/// verification); the this-PR columns run the shipped paths (8-bit comb
-/// fixed-base table, Montgomery batch inversion shared per chunk,
-/// Strauss–Shamir/GLV double multiplication over a cached per-key table).
-/// Differential tests (`crates/crypto/tests/differential.rs`) prove both
-/// columns produce byte-identical signatures and decisions.
+/// rework. The "before" column of the sign/verify rows runs the frozen
+/// baselines (`secp256k1::point::reference`, `ecdsa::reference`: 4-bit
+/// window tables, one Fermat inversion per signature, two independent
+/// multiplications per verification); the "after" column runs the shipped
+/// paths (8-bit comb fixed-base table, Montgomery batch inversion shared
+/// per chunk, Strauss–Shamir/GLV double multiplication over a cached
+/// per-key table). Differential tests
+/// (`crates/crypto/tests/differential.rs`) prove both columns produce
+/// byte-identical signatures and decisions. The `request verify` row
+/// compares the two shipped ways to check a publisher's request: full
+/// public-key recovery against one batched verify under the remembered
+/// key. The `request mix` rows put whole requests through
+/// `wedge_core::PublisherKeys` for traffic with and without the property
+/// that row depends on — publishers that come back.
 pub fn signing(profile: Profile) -> Table {
     use wedge_crypto::ecdsa::{
-        reference, sign_prehashed, sign_prehashed_batch, verify_prehashed, verify_prehashed_batch,
-        Signature,
+        recover_prehashed, reference, sign_prehashed, sign_prehashed_batch, verify_prehashed,
+        verify_recoverable_batch, Signature,
     };
     use wedge_crypto::keys::Keypair;
     use wedge_crypto::secp256k1::AffineTable;
@@ -1007,17 +1013,18 @@ pub fn signing(profile: Profile) -> Table {
     let _ = sign_prehashed(&kp.secret, &hashes[0]);
     let _ = reference::sign_prehashed(&kp.secret, &hashes[0]);
 
-    // Best-of-N ops/s for a closure processing all `n` items.
-    let rate = |work: &mut dyn FnMut()| -> f64 {
+    // Best-of-N ops/s for a closure processing `count` items.
+    let rate_of = |count: usize, work: &mut dyn FnMut()| -> f64 {
         let mut best = 0.0f64;
         for _ in 0..repeats {
             let started = Instant::now();
             work();
-            let r = n as f64 / started.elapsed().as_secs_f64().max(1e-9);
+            let r = count as f64 / started.elapsed().as_secs_f64().max(1e-9);
             best = best.max(r);
         }
         best
     };
+    let rate = |work: &mut dyn FnMut()| rate_of(n, work);
 
     let pre_sign = rate(&mut || {
         for h in &hashes {
@@ -1044,12 +1051,30 @@ pub fn signing(profile: Profile) -> Table {
         // The per-key table build is charged to the batch (it is what a
         // verifier pays once per key, not per signature).
         let table = AffineTable::new(kp.public.point());
-        verify_prehashed_batch(&table, &items).expect("valid");
+        assert!(verify_recoverable_batch(&table, &items)
+            .iter()
+            .all(|ok| *ok));
     });
     let new_verify_item = rate(&mut || {
         for (h, sig) in hashes.iter().zip(&sigs) {
             verify_prehashed(&kp.public, h, sig).expect("valid");
         }
+    });
+
+    // The node's request path: what every request cost while the collect
+    // stage re-derived its publisher's key, against the same signatures
+    // checked in one batch under the remembered key (the table is built
+    // once per publisher, so it is outside the timed region here).
+    let request_recover = rate(&mut || {
+        for (h, sig) in &items {
+            assert_eq!(recover_prehashed(h, sig), Ok(kp.public));
+        }
+    });
+    let remembered = AffineTable::new(kp.public.point());
+    let request_cached = rate(&mut || {
+        assert!(verify_recoverable_batch(&remembered, &items)
+            .iter()
+            .all(|ok| *ok));
     });
 
     let mut table = Table {
@@ -1059,21 +1084,22 @@ pub fn signing(profile: Profile) -> Table {
         headers: vec![
             "operation".into(),
             "items".into(),
-            "pre-PR (ops/s)".into(),
-            "this PR (ops/s)".into(),
+            "before (ops/s)".into(),
+            "after (ops/s)".into(),
             "speedup".into(),
         ],
         rows: Vec::new(),
     };
-    let mut row = |op: &str, pre: f64, post: f64| {
+    let mut row_of = |op: &str, count: usize, pre: f64, post: f64| {
         table.rows.push(vec![
             op.into(),
-            n.to_string(),
+            count.to_string(),
             format!("{pre:.0}"),
             format!("{post:.0}"),
             format!("{:.2}×", post / pre.max(1e-9)),
         ]);
     };
+    let mut row = |op: &str, pre: f64, post: f64| row_of(op, n, pre, post);
     row(
         "sign — batch API (shared inversions)",
         pre_sign,
@@ -1094,6 +1120,58 @@ pub fn signing(profile: Profile) -> Table {
         pre_verify,
         new_verify_item,
     );
+    row(
+        "request verify — recovery vs. cached batch",
+        request_recover,
+        request_cached,
+    );
+
+    // Whole requests through the collect stage's verifier, by how often
+    // publishers come back — the one traffic property the row above depends
+    // on. "before" is per-item `AppendRequest::verify`; "after" feeds a new
+    // `PublisherKeys` the mix in batches of 2,000 (cold start included) on
+    // one worker, and the label carries the share it accepted from the
+    // cache.
+    use wedge_core::{AppendRequest, PublisherKeys};
+    let m = profile.scale(8192, 4096);
+    let keypairs: Vec<Keypair> = (0..m)
+        .map(|i| Keypair::from_seed(format!("request-mix-{i}").as_bytes()))
+        .collect();
+    let one_worker = wedge_pool::WorkPool::new(1);
+    // `publisher_of(i)` names the keypair that signs request `i`.
+    let mut mix = |label: &str, publisher_of: &dyn Fn(usize) -> usize| {
+        let requests: Vec<AppendRequest> = (0..m)
+            .map(|i| AppendRequest::new(&keypairs[publisher_of(i)].secret, i as u64, vec![7; 1088]))
+            .collect();
+        let refs: Vec<&AppendRequest> = requests.iter().collect();
+        let before = rate_of(m, &mut || {
+            assert!(requests.iter().all(|r| r.verify().is_ok()));
+        });
+        let mut recovered = 0;
+        let after = rate_of(m, &mut || {
+            let keys = PublisherKeys::default();
+            recovered = 0;
+            for batch in refs.chunks(2000) {
+                let verified = keys.verify_batch(batch, &one_worker);
+                assert!(verified.verdicts.iter().all(|ok| *ok));
+                recovered += verified.recovered;
+            }
+        });
+        let cached = 100.0 * (m as f64 - recovered as f64) / m as f64;
+        let label = format!("request mix — {label} ({cached:.1} % cached)");
+        row_of(&label, m, before, after);
+    };
+    let capacity = PublisherKeys::CAPACITY;
+    mix("2 repeat publishers", &|i| i % 2);
+    mix("single-use publishers only", &|i| i);
+    mix("2 × CAPACITY publishers in turn", &|i| i % (2 * capacity));
+    mix("8 repeat publishers + 1 in 5 single-use", &|i| {
+        if i % 5 == 0 {
+            i
+        } else {
+            i % 8
+        }
+    });
     table
 }
 

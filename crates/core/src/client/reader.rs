@@ -10,6 +10,7 @@ use wedge_crypto::PublicKey;
 
 use crate::api::LogService;
 use crate::error::CoreError;
+use crate::publisher_keys::PublisherKeys;
 use crate::types::{AppendRequest, CommitPhase, EntryId, SignedResponse};
 
 /// A verified read result.
@@ -36,6 +37,9 @@ pub struct Reader {
     root_cache: parking_lot::Mutex<std::collections::HashMap<u64, wedge_crypto::Hash32>>,
     /// View calls actually issued (exposed for cache testing/metrics).
     chain_lookups: std::sync::atomic::AtomicU64,
+    /// Publisher keys recovered so far: a publisher's later entries verify
+    /// against the remembered key (same verdicts as a fresh recovery).
+    publisher_keys: PublisherKeys,
 }
 
 impl Reader {
@@ -54,6 +58,7 @@ impl Reader {
             root_record,
             root_cache: parking_lot::Mutex::new(std::collections::HashMap::new()),
             chain_lookups: std::sync::atomic::AtomicU64::new(0),
+            publisher_keys: PublisherKeys::default(),
         }
     }
 
@@ -96,7 +101,7 @@ impl Reader {
     pub fn verify_response(&self, response: &SignedResponse) -> Result<VerifiedEntry, CoreError> {
         response.verify(&self.node_public)?;
         let request = response.request()?;
-        request.verify()?;
+        self.publisher_keys.verify(&request)?;
         let phase = self.onchain_phase(response)?;
         if phase == CommitPhase::Pending {
             // Recorded digest exists but differs: the node lied. Surface it
@@ -162,7 +167,7 @@ impl Reader {
     ) -> Result<VerifiedEntry, CoreError> {
         response.verify(&self.node_public)?;
         let request = response.request()?;
-        request.verify()?;
+        self.publisher_keys.verify(&request)?;
         Ok(VerifiedEntry {
             entry_id: response.entry_id,
             request,

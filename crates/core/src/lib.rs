@@ -26,6 +26,7 @@ pub mod client;
 pub mod config;
 pub mod error;
 pub mod node;
+mod publisher_keys;
 pub mod service;
 pub mod types;
 mod util;
@@ -38,6 +39,7 @@ pub use client::{
 pub use config::{NodeBehavior, NodeConfig, Stage2Mode, Stage2RetryPolicy, TierConfig};
 pub use error::CoreError;
 pub use node::{NodeStats, OffchainNode};
+pub use publisher_keys::{PublisherKeys, Verified};
 pub use service::{deploy_service, ServiceConfig, ServiceDeployment, Subscription};
 pub use types::{
     AppendRequest, CommitPhase, EntryId, EpochCommit, ShardGroup, SignedResponse, Stage2Record,

@@ -53,6 +53,8 @@ enum PersistOutcome {
     /// Durable on the local store (and replicated, when configured).
     Persisted {
         msgs: Vec<IngestMsg>,
+        /// The collect stage's leaf encodings, moved into the responses.
+        leaves: Vec<Vec<u8>>,
         tree: MerkleTree,
         log_id: u64,
         first_record: u64,
@@ -117,8 +119,9 @@ fn collect_stage(shared: &Shared, rx: Receiver<IngestMsg>, persist_tx: Sender<Ve
     }
 }
 
-/// Verifies one batch's publisher signatures (parallel), replies to the
-/// rejects, and forwards the survivors.
+/// Verifies one batch's publisher signatures (parallel, against the
+/// remembered publisher keys — see [`crate::PublisherKeys`]), replies to
+/// the rejects, and forwards the survivors.
 fn verify_and_forward(
     shared: &Shared,
     current: &mut Vec<IngestMsg>,
@@ -128,23 +131,27 @@ fn verify_and_forward(
     if shared.config.verify_requests {
         let requests: Vec<&crate::types::AppendRequest> =
             batch.iter().map(|m| &m.request).collect();
-        let verdicts = shared.pool.map(&requests, |req| req.verify().is_ok());
+        let verified = shared.publisher_keys.verify_batch(&requests, &shared.pool);
+        let cached = requests.len() as u64 - verified.recovered;
         let mut kept = Vec::with_capacity(batch.len());
         let mut rejected = Vec::new();
-        for (msg, ok) in batch.into_iter().zip(verdicts) {
+        for (msg, ok) in batch.into_iter().zip(verified.verdicts) {
             if ok {
                 kept.push(msg);
             } else {
                 rejected.push(msg);
             }
         }
-        if !rejected.is_empty() {
+        {
             // Count before replying so observers never see a rejection
             // reply ahead of its counter.
-            shared.stats.lock().requests_rejected += rejected.len() as u64;
-            for msg in rejected {
-                (msg.reply)(Err("invalid request signature".into()));
-            }
+            let mut stats = shared.stats.lock();
+            stats.requests_verified_cached += cached;
+            stats.requests_verified_recovered += verified.recovered;
+            stats.requests_rejected += rejected.len() as u64;
+        }
+        for msg in rejected {
+            (msg.reply)(Err("invalid request signature".into()));
         }
         batch = kept;
     }
@@ -222,6 +229,7 @@ fn persist_stage(
                 }
                 PersistOutcome::Persisted {
                     msgs,
+                    leaves,
                     tree,
                     log_id,
                     first_record: header_record + 1,
@@ -267,13 +275,14 @@ fn persist_stage(
 fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_wake: Sender<()>) {
     let mut rng = SmallRng::seed_from_u64(0x5745_4447_4542_4c4b); // "WEDGEBLK"
     while let Ok(outcome) = deliver_rx.recv() {
-        let (batch, tree, log_id, first_record) = match outcome {
+        let (batch, leaves, tree, log_id, first_record) = match outcome {
             PersistOutcome::Persisted {
                 msgs,
+                leaves,
                 tree,
                 log_id,
                 first_record,
-            } => (msgs, tree, log_id, first_record),
+            } => (msgs, leaves, tree, log_id, first_record),
             PersistOutcome::Failed { msgs, error } => {
                 shared.stats.lock().requests_rejected += msgs.len() as u64;
                 for msg in msgs {
@@ -284,35 +293,36 @@ fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_w
         };
         let root = tree.root();
 
-        // Assemble proofs and leaves in parallel, then batch-sign the
-        // response digests — the batch path shares one scalar and one field
-        // inversion per chunk and emits signature bytes identical to
-        // per-item signing.
+        // Assemble proofs in parallel, attach the collect stage's leaves,
+        // then batch-sign the response digests — the batch path shares one
+        // scalar and one field inversion per chunk and emits signature
+        // bytes identical to per-item signing.
         let tampering = matches!(shared.config.behavior, NodeBehavior::TamperResponses { .. })
             && shared.config.behavior.affects(log_id);
         let node_key = *shared.identity.secret_key();
         let responses: Vec<SignedResponse> = {
             let tree = &tree;
-            let items: Vec<(usize, &crate::types::AppendRequest)> =
-                batch.iter().map(|m| &m.request).enumerate().collect();
-            let prepared = shared.pool.map(&items, move |(offset, request)| {
-                let mut leaf = request.leaf_bytes();
-                if tampering {
-                    tamper(&mut leaf);
-                }
+            let offsets: Vec<usize> = (0..batch.len()).collect();
+            let proofs = shared.pool.map(&offsets, |&offset| {
                 // lint: allow(panic) — `offset` enumerates the same batch
                 // the tree was built from, so it is always in range
-                let proof = tree.prove(*offset).expect("offset in range");
-                (
-                    EntryId {
-                        log_id,
-                        offset: *offset as u32,
-                    },
-                    root,
-                    proof,
-                    leaf,
-                )
+                tree.prove(offset).expect("offset in range")
             });
+            let prepared = proofs
+                .into_iter()
+                .zip(leaves)
+                .enumerate()
+                .map(|(offset, (proof, mut leaf))| {
+                    if tampering {
+                        tamper(&mut leaf);
+                    }
+                    let entry_id = EntryId {
+                        log_id,
+                        offset: offset as u32,
+                    };
+                    (entry_id, root, proof, leaf)
+                })
+                .collect();
             SignedResponse::sign_batch(&node_key, prepared, shared.pool.workers())
         };
 

@@ -34,6 +34,7 @@ use wedge_storage::{LogStore, Replicator};
 
 use crate::config::{NodeBehavior, NodeConfig, Stage2Mode};
 use crate::error::CoreError;
+use crate::publisher_keys::PublisherKeys;
 use crate::types::{AppendRequest, CommitPhase, EntryId, SignedResponse};
 use snapshot::{Snapshot, SnapshotCell, WritePlane};
 use state::CommitInfo;
@@ -76,6 +77,9 @@ pub(crate) struct Shared {
     /// and response signing — sized to `worker_threads`, capped at the
     /// machine's parallelism.
     pub pool: wedge_pool::WorkPool,
+    /// Publisher keys the collect stage has recovered, so later requests
+    /// verify against the remembered key instead of re-deriving it.
+    pub publisher_keys: PublisherKeys,
     /// Tier maintenance cadence (checkpoint/retire), ticked by
     /// [`Shared::apply_commit`] whenever the blockchain-committed frontier
     /// advances.
@@ -209,6 +213,7 @@ impl OffchainNode {
             ckpt_dir,
             ckpt_floor,
             pool,
+            publisher_keys: PublisherKeys::default(),
             maintenance,
             epoch_seen: AtomicU64::new(0),
         });

@@ -13,6 +13,14 @@ pub struct NodeStats {
     pub bytes_ingested: u64,
     /// Requests dropped for invalid signatures.
     pub requests_rejected: u64,
+    /// Requests accepted against a remembered publisher key, no recovery
+    /// run (see [`crate::PublisherKeys`]); the collect stage's hit count.
+    pub requests_verified_cached: u64,
+    /// Full public-key recoveries the collect stage ran: publishers not
+    /// yet seen twice plus every request the cached check rejected. A rate
+    /// near the ingest rate means publishers that do not come back, more
+    /// of them than the cache holds, or a flood of bad signatures.
+    pub requests_verified_recovered: u64,
     /// Batches flushed (log positions created).
     pub batches_flushed: u64,
     /// `Update-Records` transactions submitted.

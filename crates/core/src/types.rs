@@ -12,7 +12,7 @@
 use wedge_chain::{Decoder, Encoder};
 use wedge_contracts::{response_digest, response_digest_bytes};
 use wedge_crypto::ecdsa::Signature;
-use wedge_crypto::hash::{keccak256, Hash32};
+use wedge_crypto::hash::{keccak256_prefixed, Hash32};
 use wedge_crypto::keys::Address;
 use wedge_crypto::secp256k1::AffineTable;
 use wedge_crypto::{
@@ -64,11 +64,14 @@ pub struct AppendRequest {
 }
 
 impl AppendRequest {
-    /// The bytes the publisher signs: `(sequence, payload)`.
+    /// The digest the publisher signs: Keccak-256 of the [`Encoder`] bytes of
+    /// `(u64 sequence, bytes payload)`, streamed through the sponge so the
+    /// payload is never copied just to be hashed.
     fn signing_digest(sequence: u64, payload: &[u8]) -> [u8; 32] {
-        let mut enc = Encoder::with_capacity(12 + payload.len());
-        enc.u64(sequence).bytes(payload);
-        keccak256(&enc.finish())
+        let mut head = [0u8; 12];
+        head[..8].copy_from_slice(&sequence.to_be_bytes());
+        head[8..].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        keccak256_prefixed(&head, payload)
     }
 
     /// Builds and signs an append request.
@@ -83,20 +86,29 @@ impl AppendRequest {
         }
     }
 
-    /// Verifies the publisher's signature and address binding.
-    pub fn verify(&self) -> Result<(), CoreError> {
-        let digest = Self::signing_digest(self.sequence, &self.payload);
-        let recovered = recover_prehashed(&digest, &self.signature).map_err(|_| {
-            CoreError::BadRequestSignature {
-                publisher: self.publisher,
-            }
-        })?;
-        if recovered.address() != self.publisher {
-            return Err(CoreError::BadRequestSignature {
-                publisher: self.publisher,
-            });
+    /// The digest this request's signature covers.
+    pub(crate) fn digest(&self) -> [u8; 32] {
+        Self::signing_digest(self.sequence, &self.payload)
+    }
+
+    /// Full public-key recovery: the signer's key, provided its address is
+    /// the claimed publisher.
+    pub(crate) fn recover_publisher(&self) -> Result<PublicKey, CoreError> {
+        let bad = CoreError::BadRequestSignature {
+            publisher: self.publisher,
+        };
+        match recover_prehashed(&self.digest(), &self.signature) {
+            Ok(key) if key.address() == self.publisher => Ok(key),
+            _ => Err(bad),
         }
-        Ok(())
+    }
+
+    /// Verifies the publisher's signature and address binding. Verifiers
+    /// that see a publisher more than once should hold a
+    /// [`crate::PublisherKeys`] instead: same verdicts, no recovery once
+    /// the publisher has been seen twice.
+    pub fn verify(&self) -> Result<(), CoreError> {
+        self.recover_publisher().map(|_| ())
     }
 
     /// The canonical Merkle-leaf bytes: the *entire* signed tuple, so the
@@ -383,6 +395,24 @@ mod tests {
         assert_eq!(parsed.payload, req.payload);
         assert_eq!(parsed.publisher, req.publisher);
         parsed.verify().unwrap();
+    }
+
+    #[test]
+    fn signing_digest_is_keccak_of_the_encoder_bytes() {
+        // Payload lengths around every boundary of the streamed form: empty,
+        // one byte, the 136-byte sponge rate (for the payload alone and for
+        // the 12-byte head plus payload), the benchmark's 1,088 B, 64 KiB.
+        for len in [0usize, 1, 123, 124, 125, 135, 136, 137, 1_088, 65_536] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            let sequence = 0x0102_0304_0506_0708 ^ len as u64;
+            let mut enc = Encoder::with_capacity(12 + len);
+            enc.u64(sequence).bytes(&payload);
+            assert_eq!(
+                AppendRequest::signing_digest(sequence, &payload),
+                wedge_crypto::keccak256(&enc.finish()),
+                "payload length {len}"
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,207 @@
+//! Differential tests for request verification against remembered keys:
+//! `PublisherKeys::verify_batch` must return **exactly** the verdict vector
+//! of per-item `AppendRequest::verify` — cold, warm, at any worker count,
+//! for every way a request can be wrong — and must never check a request
+//! against a key that a full recovery did not produce for that address.
+//! (The capacity bound is a unit test beside the map, in
+//! `src/publisher_keys.rs`.)
+
+use proptest::prelude::*;
+use wedge_chain::Encoder;
+use wedge_core::{AppendRequest, PublisherKeys, Verified};
+use wedge_crypto::ecdsa::{recover_prehashed, Signature};
+use wedge_crypto::keys::{Address, Keypair};
+use wedge_crypto::secp256k1::scalar::N;
+use wedge_crypto::secp256k1::{Affine, Fe, Scalar};
+use wedge_crypto::uint::U256;
+use wedge_pool::WorkPool;
+
+fn keypair(i: usize) -> Keypair {
+    Keypair::from_seed(format!("request-verify-{i}").as_bytes())
+}
+
+fn request(kp: &Keypair, sequence: u64) -> AppendRequest {
+    AppendRequest::new(
+        &kp.secret,
+        sequence,
+        format!("entry {sequence}").into_bytes(),
+    )
+}
+
+fn per_item(requests: &[AppendRequest]) -> Vec<bool> {
+    requests.iter().map(|r| r.verify().is_ok()).collect()
+}
+
+fn verified(keys: &PublisherKeys, requests: &[AppendRequest], workers: usize) -> Verified {
+    let refs: Vec<&AppendRequest> = requests.iter().collect();
+    keys.verify_batch(&refs, &WorkPool::new(workers))
+}
+
+fn batched(keys: &PublisherKeys, requests: &[AppendRequest], workers: usize) -> Vec<bool> {
+    verified(keys, requests, workers).verdicts
+}
+
+/// A valid request whose nonce point's x lies in `[n, p)`, so its recovery
+/// id carries bit 1 and `r = x − n`: the `r + n` branch of both recovery
+/// and the cached check. No secret key is needed — any `(r, s, v)` is a
+/// valid signature under the key it recovers to.
+fn overflowing_request(sequence: u64) -> AppendRequest {
+    let nonce_point = (1u64..1000)
+        .find_map(|t| Affine::lift_x(Fe::from_u256(N.wrapping_add(&U256::from_u64(t))), false))
+        .expect("a curve point with x in [n, p) exists within 1000 tries");
+    let payload = b"overflowing nonce".to_vec();
+    let mut enc = Encoder::with_capacity(12 + payload.len());
+    enc.u64(sequence).bytes(&payload);
+    let digest = wedge_crypto::keccak256(&enc.finish());
+    let signature = Signature {
+        r: Scalar::from_u256(nonce_point.x.to_u256()),
+        s: Scalar::from_u64(0x5eed + sequence),
+        v: nonce_point.y.is_odd() as u8 | 2,
+    };
+    let publisher = recover_prehashed(&digest, &signature)
+        .expect("recovery ids 2/3 select x = r + n")
+        .address();
+    AppendRequest {
+        publisher,
+        sequence,
+        payload,
+        signature,
+    }
+}
+
+proptest! {
+    // Every case signs and recovers a few dozen times in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random interleavings of three publishers with random single-field
+    /// damage: cold pass, warm pass and a second warm pass at another
+    /// worker count all equal per-item verification.
+    #[test]
+    fn cached_path_matches_per_item_verify(
+        shape in proptest::collection::vec((0usize..3, 0u8..16), 1..40),
+        workers in 1usize..4,
+    ) {
+        let kps: Vec<Keypair> = (0..3).map(keypair).collect();
+        let requests: Vec<AppendRequest> = shape
+            .iter()
+            .enumerate()
+            .map(|(seq, &(who, damage))| {
+                let mut r = request(&kps[who], seq as u64);
+                match damage {
+                    0 => r.payload.push(b'!'),
+                    1 => r.sequence += 1,
+                    // Somebody else's (known) address: lands in *their* run
+                    // and is checked against *their* remembered key.
+                    2 => r.publisher = kps[(who + 1) % 3].address,
+                    3 => r.publisher = Address([9; 20]),
+                    4 => r.signature.v ^= 1,
+                    5 => r.signature.v ^= 2,
+                    6 => r.signature.v += 4,
+                    7 => r.signature.r = Scalar::ZERO,
+                    8 => r.signature.s = Scalar::ZERO,
+                    _ => {} // about half stay valid
+                }
+                r
+            })
+            .collect();
+        let expect = per_item(&requests);
+        let keys = PublisherKeys::default();
+        prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "cold");
+        prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "warm");
+        // Two passes sighted every valid publisher twice: from here on a
+        // full recovery runs for the invalid requests and for nothing else.
+        let warm = verified(&keys, &requests, 4 - workers);
+        prop_assert_eq!(&warm.verdicts, &expect, "warm, other width");
+        let invalid = expect.iter().filter(|ok| !**ok).count();
+        prop_assert_eq!(warm.recovered, invalid as u64);
+    }
+}
+
+#[test]
+fn warm_pass_takes_the_cached_path_and_rejects_fall_back_to_recovery() {
+    let kp = keypair(0);
+    let mut requests: Vec<AppendRequest> = (0..12).map(|seq| request(&kp, seq)).collect();
+    requests[7].payload.push(b'!');
+    for workers in [1, 2] {
+        let keys = PublisherKeys::default();
+        let cold = verified(&keys, &requests, workers);
+        let warm = verified(&keys, &requests, workers);
+        assert_eq!(cold.verdicts, per_item(&requests));
+        assert_eq!(warm.verdicts, cold.verdicts);
+        // Cold: each span recovers until it has sighted the key twice, and
+        // the one reject is re-checked in full. Warm: only the reject.
+        assert!((3..=2 * workers as u64 + 1).contains(&cold.recovered));
+        assert_eq!(warm.recovered, 1, "{workers} workers");
+    }
+}
+
+#[test]
+fn first_contact_publisher_with_an_invalid_prefix() {
+    let kp = keypair(1);
+    for k in [1usize, 5] {
+        let mut requests: Vec<AppendRequest> = (0..9).map(|seq| request(&kp, seq)).collect();
+        for r in &mut requests[..k] {
+            r.sequence += 100;
+        }
+        for workers in [1, 2] {
+            let keys = PublisherKeys::default();
+            assert_eq!(batched(&keys, &requests, workers), per_item(&requests));
+            // The valid requests behind the invalid prefix were remembered.
+            let warm = verified(&keys, &requests, workers);
+            assert_eq!(warm.verdicts, per_item(&requests));
+            assert_eq!(warm.recovered, k as u64);
+        }
+    }
+}
+
+#[test]
+fn invalid_requests_never_insert_a_key() {
+    let victim = keypair(2);
+    let attacker = keypair(3);
+    // Signed by the attacker, claiming the victim's address; and a request
+    // damaged in flight. Neither may leave anything behind.
+    let mut forged = request(&attacker, 1);
+    forged.publisher = victim.address;
+    let mut damaged = request(&victim, 2);
+    damaged.payload.push(0);
+    let keys = PublisherKeys::default();
+    let bad = [forged.clone(), damaged, forged.clone()];
+    for _ in 0..2 {
+        let refused = verified(&keys, &bad, 1);
+        assert_eq!(refused.verdicts, [false; 3]);
+        assert_eq!(refused.recovered, 3, "a rejected request left a key behind");
+    }
+    // The victim's genuine requests still verify (by full recovery: nothing
+    // was remembered), and once the victim's key is remembered the forgery
+    // is still refused.
+    let genuine = request(&victim, 3);
+    for recovered in [1, 1, 0] {
+        let mix = verified(&keys, &[forged.clone(), genuine.clone()], 1);
+        assert_eq!(mix.verdicts, [false, true]);
+        assert_eq!(mix.recovered, 1 + recovered);
+    }
+    assert!(keys.verify(&forged).is_err());
+    keys.verify(&genuine).unwrap();
+}
+
+#[test]
+fn overflowing_nonce_x_takes_the_r_plus_n_branch() {
+    let valid = overflowing_request(1);
+    valid.verify().expect("constructed request is valid");
+    let sibling = overflowing_request(2); // same nonce point, another key
+                                          // Without bit 1 the nonce x is read as r itself; with bit 0 flipped the
+                                          // other root is lifted. Both name some other key.
+    let mut no_overflow_bit = valid.clone();
+    no_overflow_bit.signature.v &= 1;
+    let mut wrong_parity = valid.clone();
+    wrong_parity.signature.v ^= 1;
+    let requests = [valid, no_overflow_bit, wrong_parity, sibling];
+    let expect = per_item(&requests);
+    assert_eq!(expect, [true, false, false, true]);
+    let keys = PublisherKeys::default();
+    for workers in [1, 2, 1] {
+        assert_eq!(batched(&keys, &requests, workers), expect); // cold, then warm
+    }
+    // Both keys are remembered by now; the two rejects still recover.
+    assert_eq!(verified(&keys, &requests, 1).recovered, 2);
+}

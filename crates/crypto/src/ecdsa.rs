@@ -14,6 +14,7 @@ use crate::secp256k1::{
     batch_normalize, mul_double, mul_double_with_table, mul_generator, Affine, AffineTable, Fe,
     Jacobian, Scalar,
 };
+use crate::uint::U256;
 
 /// A recoverable ECDSA signature `(r, s, v)` with `s` normalized to the low
 /// half of the order (malleability protection, as enforced by Ethereum).
@@ -236,15 +237,15 @@ pub fn sign_prehashed_batch(secret: &SecretKey, msg_hashes: &[[u8; 32]]) -> Vec<
 fn proj_x_matches_r(point: &Jacobian, r: &Scalar) -> bool {
     let z2 = point.proj_z().square();
     let x = point.proj_x().to_be_bytes();
-    let r_int = r.to_u256();
-    if crate::ct::ct_eq(&x, &Fe::from_u256(r_int).mul(&z2).to_be_bytes()) {
-        return true;
-    }
-    let (sum, carry) = r_int.overflowing_add(&N);
-    if carry || sum >= crate::secp256k1::field::P {
-        return false;
-    }
-    crate::ct::ct_eq(&x, &Fe::from_u256(sum).mul(&z2).to_be_bytes())
+    let matches = |cand: U256| crate::ct::ct_eq(&x, &Fe::from_u256(cand).mul(&z2).to_be_bytes());
+    matches(r.to_u256()) || r_plus_n(r).is_some_and(matches)
+}
+
+/// `r + n` as an integer, when it is still a field element (`< p`) — only
+/// for the tiny range `r < p − n`.
+fn r_plus_n(r: &Scalar) -> Option<U256> {
+    let (sum, carry) = r.to_u256().overflowing_add(&N);
+    (!carry && sum < crate::secp256k1::field::P).then_some(sum)
 }
 
 /// Verifies a signature over a prehashed message against a public key.
@@ -289,35 +290,58 @@ pub fn verify_prehashed_with_table(
     }
 }
 
-/// Verifies a batch of signatures under **one** public key, amortizing the
-/// per-signature `s⁻¹` Fermat ladder into a single shared
-/// [`Scalar::batch_invert`] on top of the cached-table savings of
-/// [`verify_prehashed_with_table`].
+/// The nonce point's x-coordinate as the recovery id names it: `r` itself,
+/// or `r + n` when bit 1 of `v` is set (`None` when that is not a field
+/// element).
+fn nonce_x(sig: &Signature) -> Option<U256> {
+    if sig.v & 2 == 0 {
+        Some(sig.r.to_u256())
+    } else {
+        r_plus_n(&sig.r)
+    }
+}
+
+/// Checks recoverable signatures `(r, s, v)` against a **remembered** key:
+/// `verdicts[i]` is true iff [`recover_prehashed`] on item `i` would return
+/// exactly the key `key_table` was built from — without recovery's square
+/// root, fresh nonce-point table and per-item inversions (all `s⁻¹` share
+/// one [`Scalar::batch_invert`], all result points one [`batch_normalize`]).
 ///
-/// Returns `Ok(())` if every signature verifies, otherwise the index of
-/// the first (lowest-index) failure. Accept/reject decisions are identical
-/// to calling [`verify_prehashed_with_table`] per item.
-pub fn verify_prehashed_batch(
+/// Per item: `R' = (z/s)·G + (r/s)·Q` must be the very point the recovery
+/// id names — x equal to `r` (or `r + n` when `v & 2`) **as integers, not
+/// mod n**, and y parity equal to `v & 1`. That pins `R' = lift_x(x, v & 1)`,
+/// so recovery's `r⁻¹(s·R − z·G)` is `r⁻¹(z·G + r·Q − z·G) = Q`; conversely,
+/// if recovery yields `Q` then `s⁻¹(z·G + r·Q)` is its nonce point and
+/// every check here passes. Like recovery (and unlike [`verify_prehashed`])
+/// this applies no low-s rule.
+pub fn verify_recoverable_batch(
     key_table: &AffineTable,
     items: &[([u8; 32], Signature)],
-) -> Result<(), usize> {
+) -> Vec<bool> {
     let mut s_invs: Vec<Scalar> = items.iter().map(|(_, sig)| sig.s).collect();
     Scalar::batch_invert(&mut s_invs);
-    for (i, ((msg_hash, sig), s_inv)) in items.iter().zip(&s_invs).enumerate() {
-        // batch_invert leaves zero elements zero, so a zero s surfaces
-        // here exactly like the per-item `invert()` failure.
-        if sig.r.is_zero() || sig.s.is_zero() || sig.s.is_high() || s_inv.is_zero() {
-            return Err(i);
-        }
-        let z = Scalar::from_be_bytes_reduced(msg_hash);
-        let u1 = z.mul(s_inv);
-        let u2 = sig.r.mul(s_inv);
-        let point = mul_double_with_table(&u1, &u2, key_table);
-        if point.is_infinity() || !proj_x_matches_r(&point, &sig.r) {
-            return Err(i);
-        }
-    }
-    Ok(())
+    let points: Vec<Jacobian> = items
+        .iter()
+        .zip(&s_invs)
+        .map(|((msg_hash, sig), s_inv)| {
+            // batch_invert leaves a zero s zero; infinity is rejected below.
+            if sig.r.is_zero() || s_inv.is_zero() || sig.v > 3 {
+                return Jacobian::INFINITY;
+            }
+            let z = Scalar::from_be_bytes_reduced(msg_hash);
+            mul_double_with_table(&z.mul(s_inv), &sig.r.mul(s_inv), key_table)
+        })
+        .collect();
+    batch_normalize(&points)
+        .iter()
+        .zip(items)
+        .map(|(point, (_, sig))| {
+            !point.infinity
+                && point.y.is_odd() == (sig.v & 1 == 1)
+                && nonce_x(sig)
+                    .is_some_and(|x| crate::ct::ct_eq(&point.x.to_be_bytes(), &x.to_be_bytes()))
+        })
+        .collect()
 }
 
 /// Recovers the signer's public key from a signature over a prehashed
@@ -331,19 +355,7 @@ pub fn recover_prehashed(msg_hash: &[u8; 32], sig: &Signature) -> Result<PublicK
     if sig.r.is_zero() || sig.s.is_zero() || sig.v > 3 {
         return Err(CryptoError::InvalidSignature);
     }
-    // Reconstruct the nonce point's x as a field element; add n back if the
-    // recovery id says it overflowed.
-    let mut x_int = sig.r.to_u256();
-    if sig.v & 2 != 0 {
-        let (sum, carry) = x_int.overflowing_add(&N);
-        // x + n must still be a valid field element (< p); since p > n this
-        // only fails for a vanishingly small range, which we reject.
-        if carry || sum >= crate::secp256k1::field::P {
-            return Err(CryptoError::RecoveryFailed);
-        }
-        x_int = sum;
-    }
-    let x = Fe::from_u256(x_int);
+    let x = Fe::from_u256(nonce_x(sig).ok_or(CryptoError::RecoveryFailed)?);
     // lint: allow(ct) — recovery consumes a *public* signature: the v bit
     // tested here is attacker-supplied input, not secret material, and the
     // recovered nonce point is derived entirely from public (r, s, v, hash).
@@ -722,9 +734,21 @@ mod tests {
         assert_eq!(recover_address(&h, &sig).unwrap(), recovered.address());
         // Without bit 1 the nonce x is taken as r itself, which names a
         // different (or no) nonce point — never the same key.
-        if let Ok(other) = recover_prehashed(&h, &Signature { v: v & 1, ..sig }) {
+        let no_overflow_bit = Signature { v: v & 1, ..sig };
+        if let Ok(other) = recover_prehashed(&h, &no_overflow_bit) {
             assert_ne!(other, recovered);
         }
+        // The remembered-key verifier compares x exactly, not mod n: it
+        // takes the r + n candidate only when v says so, and only with the
+        // right y parity — where `verify_prehashed` accepts all three.
+        let wrong_parity = Signature { v: v ^ 1, ..sig };
+        let table = AffineTable::new(recovered.point());
+        assert_eq!(
+            verify_recoverable_batch(&table, &[(h, sig), (h, no_overflow_bit), (h, wrong_parity)]),
+            [true, false, false]
+        );
+        verify_prehashed(&recovered, &h, &no_overflow_bit).unwrap();
+        verify_prehashed(&recovered, &h, &wrong_parity).unwrap();
     }
 
     #[test]

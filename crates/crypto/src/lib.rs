@@ -8,8 +8,9 @@
 //! - **ECDSA**: RFC 6979 deterministic signing, verification, and — crucially
 //!   for the Punishment contract's `recoverSigner` — public-key recovery.
 //! - **Keys**: secret/public keypairs and Ethereum-style 20-byte addresses.
-//! - **Batch helpers**: parallel signing/verification mirroring the paper's
-//!   multi-core prototype.
+//! - **Batch helpers**: parallel batch signing mirroring the paper's
+//!   multi-core prototype, and one batch verifier of recoverable signatures
+//!   against a remembered key ([`verify_recoverable_batch`]).
 //!
 //! Nothing here depends on external crypto crates; every primitive is
 //! implemented in this crate and validated against published test vectors
@@ -46,7 +47,7 @@ pub mod uint;
 pub use ct::ct_eq;
 pub use ecdsa::{
     recover_address, recover_prehashed, sign_prehashed, sign_prehashed_batch, verify_prehashed,
-    verify_prehashed_batch, verify_prehashed_with_table, Signature,
+    verify_prehashed_with_table, verify_recoverable_batch, Signature,
 };
 pub use error::CryptoError;
 pub use hash::{
@@ -55,6 +56,5 @@ pub use hash::{
 };
 pub use keys::{Address, Keypair, PublicKey, SecretKey};
 pub use signer::{
-    recover_message_signer, sign_batch_parallel, sign_message, verify_batch_parallel,
-    verify_message, Identity,
+    recover_message_signer, sign_batch_parallel, sign_message, verify_message, Identity,
 };

@@ -1,16 +1,14 @@
-//! Message-level signing helpers and the parallel batch operations the
+//! Message-level signing helpers and the parallel batch signing the
 //! WedgeBlock prototype uses ("ECDSA signature and verification are applied
 //! independently to a large number of data objects so they are executed
 //! concurrently using all available CPU cores" — paper §5).
 
 use crate::ecdsa::{
-    recover_address, sign_prehashed, sign_prehashed_batch, verify_prehashed,
-    verify_prehashed_batch, Signature,
+    recover_address, sign_prehashed, sign_prehashed_batch, verify_prehashed, Signature,
 };
 use crate::error::CryptoError;
 use crate::hash::keccak256;
 use crate::keys::{Address, Keypair, PublicKey, SecretKey};
-use crate::secp256k1::AffineTable;
 
 /// Signs an arbitrary message: the signature covers `keccak256(message)`.
 pub fn sign_message(secret: &SecretKey, message: &[u8]) -> Signature {
@@ -59,34 +57,6 @@ pub fn sign_batch_parallel(
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// Verifies many prehashed signatures in parallel (same worker cap as
-/// [`sign_batch_parallel`]).
-///
-/// The public key's odd-multiples table is precomputed **once** and shared
-/// by every worker, and each worker's chunk runs through
-/// [`verify_prehashed_batch`], which amortizes the per-signature `s⁻¹`
-/// inversions into one shared ladder.
-///
-/// Returns `Ok(())` if every signature verifies, otherwise the index of the
-/// first (lowest-index) failure.
-pub fn verify_batch_parallel(
-    public: &PublicKey,
-    items: &[([u8; 32], Signature)],
-    threads: usize,
-) -> Result<(), usize> {
-    let key_table = AffineTable::new(public.point());
-    let pool = wedge_pool::WorkPool::new(threads);
-    let chunk_len = items.len().div_ceil(pool.workers()).max(1);
-    let chunks: Vec<&[([u8; 32], Signature)]> = items.chunks(chunk_len).collect();
-    let results = pool.map(&chunks, |chunk| verify_prehashed_batch(&key_table, chunk));
-    for (chunk_idx, result) in results.iter().enumerate() {
-        if let Err(local) = result {
-            return Err(chunk_idx * chunk_len + local);
-        }
-    }
-    Ok(())
 }
 
 /// A signing identity: keypair plus message-level convenience methods.
@@ -168,19 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_accepts_and_locates_failure() {
-        let kp = Keypair::from_seed(b"bv");
-        let hashes: Vec<[u8; 32]> = (0..25u32).map(|i| keccak256(&i.to_be_bytes())).collect();
-        let sigs = sign_batch_parallel(&kp.secret, &hashes, 4);
-        let mut items: Vec<([u8; 32], Signature)> = hashes.iter().copied().zip(sigs).collect();
-        assert_eq!(verify_batch_parallel(&kp.public, &items, 4), Ok(()));
-        // Corrupt item 13: signature from a different message.
-        items[13].1 = sign_message(&kp.secret, b"corrupted");
-        assert_eq!(verify_batch_parallel(&kp.public, &items, 4), Err(13));
-        assert_eq!(verify_batch_parallel(&kp.public, &items, 1), Err(13));
-    }
-
-    #[test]
     fn chunked_batch_identical_across_thread_counts() {
         let kp = Keypair::from_seed(b"chunks");
         let hashes: Vec<[u8; 32]> = (0..23u32).map(|i| keccak256(&i.to_le_bytes())).collect();
@@ -204,9 +161,6 @@ mod tests {
         let h = keccak256(b"one");
         let sigs = sign_batch_parallel(&kp.secret, &[h], 8);
         assert_eq!(sigs.len(), 1);
-        assert_eq!(
-            verify_batch_parallel(&kp.public, &[(h, sigs[0])], 8),
-            Ok(())
-        );
+        verify_prehashed(&kp.public, &h, &sigs[0]).unwrap();
     }
 }

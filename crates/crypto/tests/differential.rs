@@ -18,7 +18,7 @@ use wedge_crypto::secp256k1::point::reference as point_ref;
 use wedge_crypto::secp256k1::{
     mul_double, mul_double_with_table, mul_generator, mul_point, Affine, AffineTable, Scalar,
 };
-use wedge_crypto::{sign_batch_parallel, verify_batch_parallel};
+use wedge_crypto::sign_batch_parallel;
 
 fn arb_scalar() -> impl Strategy<Value = Scalar> {
     any::<[u8; 32]>().prop_map(|b| Scalar::from_be_bytes_reduced(&b))
@@ -138,41 +138,44 @@ proptest! {
         prop_assert_eq!(&pooled, &expect);
     }
 
-    /// Batch verification agrees with per-item reference verification on
-    /// both clean batches and batches with an injected failure.
+    /// The one batch verifier has exactly the recovery accept set: item `i`
+    /// passes iff `recover_prehashed` returns the remembered key — on clean
+    /// items, on every single-field mutation of `(hash, r, s, v)`, on the
+    /// high-s twin (which recovery, unlike `verify_prehashed`, accepts) and
+    /// against a table for somebody else's key.
     #[test]
-    fn batch_verify_matches_sequential(
+    fn recoverable_batch_matches_recovery(
         kp in arb_keypair(),
+        other in arb_keypair(),
         len in 1usize..24,
-        threads in 1usize..6,
-        corrupt_at in 0usize..24,
+        mutations in proptest::collection::vec((0usize..24, 0u8..9), 0..8),
     ) {
-        let hashes: Vec<[u8; 32]> = (0..len).map(|i| {
+        let mut items: Vec<([u8; 32], Signature)> = (0..len).map(|i| {
             let mut h = [0xC3u8; 32];
             h[0] = i as u8;
-            h
+            (h, sign_prehashed(&kp.secret, &h))
         }).collect();
-        let mut items: Vec<([u8; 32], Signature)> = hashes
-            .iter()
-            .map(|h| (*h, sign_prehashed(&kp.secret, h)))
-            .collect();
-        prop_assert_eq!(verify_batch_parallel(&kp.public, &items, threads), Ok(()));
-        // Corrupt one item: sign a different message.
-        let at = corrupt_at % len;
-        items[at].1 = sign_prehashed(&kp.secret, &[0xFFu8; 32]);
-        let expect = items
-            .iter()
-            .position(|(h, sig)| {
-                ecdsa::reference::verify_prehashed(&kp.public, h, sig).is_err()
-            });
-        prop_assert_eq!(
-            verify_batch_parallel(&kp.public, &items, threads),
-            expect.map_or(Ok(()), Err)
-        );
-        let table = AffineTable::new(kp.public.point());
-        prop_assert_eq!(
-            ecdsa::verify_prehashed_batch(&table, &items),
-            expect.map_or(Ok(()), Err)
-        );
+        for (at, kind) in mutations {
+            let (h, sig) = &mut items[at % len];
+            match kind {
+                0 => h[31] ^= 1,
+                1 => sig.r = sig.r.add(&Scalar::ONE),
+                2 => sig.s = sig.s.add(&Scalar::ONE),
+                3 => sig.v ^= 1,
+                4 => sig.v ^= 2,
+                5 => sig.v += 4,
+                6 => sig.r = Scalar::ZERO,
+                7 => sig.s = Scalar::ZERO,
+                _ => { sig.s = sig.s.neg(); sig.v ^= 1; } // valid high-s twin
+            }
+        }
+        for key in [&kp, &other] {
+            let table = AffineTable::new(key.public.point());
+            let expect: Vec<bool> = items
+                .iter()
+                .map(|(h, sig)| ecdsa::recover_prehashed(h, sig) == Ok(key.public))
+                .collect();
+            prop_assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), expect);
+        }
     }
 }

@@ -411,3 +411,89 @@ fn replied_entries_survive_restart_through_tcp() {
     drop(restarted);
     let _ = std::fs::remove_dir_all(&w.dir);
 }
+
+/// One bad signature among 2,000 requests over TCP costs exactly one
+/// rejection. The first batches are first contact (full recovery); the bad
+/// request arrives once both publishers' keys are remembered, so it takes
+/// the hostile path — cached check rejects, full recovery confirms — and
+/// every neighbour in its batch is still accepted from the cache.
+#[test]
+fn one_bad_signature_among_two_thousand_rejects_only_itself() {
+    let total = 2_000usize;
+    let bad = 1_234usize;
+    let config = NodeConfig {
+        batch_size: 250,
+        batch_linger: Duration::from_millis(20),
+        ..Default::default()
+    };
+    let w = net_world("hostile", config, ServerConfig::default());
+    let other = Identity::from_seed(b"plane-client-hostile-2");
+    let publishers = [&w.client_identity, &other];
+    let mut requests: Vec<AppendRequest> = (0..total)
+        .map(|i| {
+            let key = publishers[i % 2].secret_key();
+            AppendRequest::new(key, (i / 2) as u64, format!("hostile-{i}").into_bytes())
+        })
+        .collect();
+    requests[bad].payload.push(b'!'); // damaged after signing
+
+    let remote = RemoteNode::connect(w.server.local_addr()).expect("connect");
+    remote.set_buffered_appends(true);
+    let (tx, rx) = crossbeam::channel::unbounded();
+    for (i, request) in requests.iter().enumerate() {
+        let tx = tx.clone();
+        remote
+            .submit_request(
+                request.clone(),
+                Box::new(move |outcome| {
+                    let _ = tx.send((i, outcome));
+                }),
+            )
+            .expect("submit");
+    }
+    remote.flush();
+
+    let node_key = w.node.public_key();
+    let mut placed = std::collections::BTreeSet::new();
+    for _ in 0..total {
+        let (i, outcome) = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("every request gets a reply");
+        if i == bad {
+            let error = outcome.expect_err("the damaged request must be refused");
+            assert!(error.contains("invalid request signature"), "{error}");
+        } else {
+            let response = outcome.unwrap_or_else(|e| panic!("request {i} refused: {e}"));
+            response
+                .verify_for_request(&node_key, &requests[i])
+                .unwrap_or_else(|e| panic!("reply {i}: {e}"));
+            assert!(placed.insert(response.entry_id), "position reused");
+        }
+    }
+
+    // Log positions and offsets stay dense: the rejected request left no gap.
+    let positions = w.node.log_positions();
+    let mut expect = std::collections::BTreeSet::new();
+    for log_id in 0..positions {
+        let count = w
+            .node
+            .read_log_position_len(log_id)
+            .expect("dense positions");
+        expect.extend((0..count).map(|offset| EntryId { log_id, offset }));
+    }
+    assert_eq!(placed, expect);
+    assert_eq!(w.node.entry_count(), total as u64 - 1);
+
+    let stats = w.node.stats();
+    assert_eq!(stats.requests_rejected, 1, "{stats:?}");
+    assert_eq!(stats.entries_ingested, total as u64 - 1);
+    assert_eq!(
+        stats.requests_verified_cached + stats.requests_verified_recovered,
+        total as u64
+    );
+    assert!(
+        stats.requests_verified_cached >= (total - bad) as u64 - 1,
+        "remembered keys unused: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&w.dir);
+}

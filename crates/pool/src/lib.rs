@@ -130,6 +130,19 @@ impl WorkPool {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
+        self.map_chunks(items, |chunk| chunk.iter().map(&f).collect())
+    }
+
+    /// Like [`WorkPool::map`], but hands each worker its whole contiguous
+    /// chunk at once, so `f` can share per-chunk work (one batch inversion,
+    /// one table) across the items. `f` returns one output per input, in
+    /// order. Inline runs pass all of `items` as a single chunk.
+    pub fn map_chunks<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(&[T]) -> Vec<U> + Sync,
+    {
         match self.run(items, &f, false) {
             Ok(out) => out,
             Err(payload) => resume_unwind(payload),
@@ -145,24 +158,25 @@ impl WorkPool {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        self.run(items, &f, true)
+        self.run(items, &|chunk: &[T]| chunk.iter().map(&f).collect(), true)
             .map_err(|payload| PoolError::TaskPanicked(payload_message(&payload)))
     }
 
-    /// Shared engine for `map`/`try_map`. `catch_inline` additionally wraps
-    /// the inline path in `catch_unwind` (only `try_map` wants that; `map`
-    /// lets an inline panic unwind naturally).
+    /// Shared engine for `map`/`map_chunks`/`try_map`: `f` maps one
+    /// contiguous chunk. `catch_inline` additionally wraps the inline path
+    /// in `catch_unwind` (only `try_map` wants that; `map` lets an inline
+    /// panic unwind naturally).
     fn run<T, U, F>(&self, items: &[T], f: &F, catch_inline: bool) -> Result<Vec<U>, PanicPayload>
     where
         T: Sync,
         U: Send,
-        F: Fn(&T) -> U + Sync,
+        F: Fn(&[T]) -> Vec<U> + Sync,
     {
         if self.workers <= 1 || items.len() < MIN_PARALLEL_ITEMS {
             return if catch_inline {
-                catch_unwind(AssertUnwindSafe(|| items.iter().map(f).collect()))
+                catch_unwind(AssertUnwindSafe(|| f(items)))
             } else {
-                Ok(items.iter().map(f).collect())
+                Ok(f(items))
             };
         }
         let chunk = items.len().div_ceil(self.workers).max(1);
@@ -172,7 +186,7 @@ impl WorkPool {
         let scoped = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .chunks(chunk)
-                .map(|input| scope.spawn(move |_| input.iter().map(f).collect::<Vec<U>>()))
+                .map(|input| scope.spawn(move |_| f(input)))
                 .collect();
             let mut out: Vec<U> = Vec::with_capacity(items.len());
             let mut first_panic: Option<PanicPayload> = None;
@@ -217,6 +231,28 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let out = pool.map(&items, |x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_chunks_hands_out_contiguous_chunks_in_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        for workers in [1, 2, 8] {
+            let pool = WorkPool::new(workers);
+            let out = pool.map_chunks(&items, |chunk| {
+                // Tag every output with its chunk's first item.
+                chunk.iter().map(|x| (chunk[0], *x)).collect()
+            });
+            assert_eq!(out.len(), items.len());
+            let mut starts = Vec::new();
+            for (i, (start, x)) in out.iter().enumerate() {
+                assert_eq!(*x, i as u64);
+                if starts.last() != Some(start) {
+                    starts.push(*start);
+                }
+            }
+            assert!(starts.len() <= pool.workers(), "one chunk per worker");
+            assert!(starts.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]
