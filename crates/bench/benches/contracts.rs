@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wedge_chain::{Chain, Gas, Wei};
-use wedge_contracts::{response_digest, Punishment, RootRecord};
+use wedge_contracts::{attestation_digest, response_digest, Punishment, RootRecord};
 use wedge_crypto::ecdsa::sign_prehashed;
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::Keypair;
@@ -106,12 +106,24 @@ fn bench_invoke_punishment(c: &mut Criterion) {
                     .unwrap();
                 chain.mine_block();
                 let proof = tree.prove(3).unwrap().to_bytes();
+                // Signed on its own: a single-leaf attestation.
+                let digest = response_digest(0, &tree.root(), &proof, &batch[3]);
+                let attestation = MerkleTree::from_leaves(&[digest])
+                    .unwrap()
+                    .prove(0)
+                    .unwrap();
                 let sig = sign_prehashed(
                     &node.secret,
-                    &response_digest(0, &tree.root(), &proof, &batch[3]),
+                    &attestation_digest(&attestation.compute_root(&digest)),
                 );
-                let calldata =
-                    Punishment::invoke_calldata(0, &tree.root(), &proof, &batch[3], &sig);
+                let calldata = Punishment::invoke_calldata(
+                    0,
+                    &tree.root(),
+                    &proof,
+                    &batch[3],
+                    &sig,
+                    &attestation.to_bytes(),
+                );
                 (chain, client, pun, calldata)
             },
             |(chain, client, pun, calldata)| {

@@ -1,11 +1,10 @@
 //! Criterion benches for the cryptographic hot path: hashing, signing,
-//! verification, recovery — and the parallel-signing ablation (the paper's
-//! prototype parallelizes ECDSA across all cores).
+//! verification, recovery.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use wedge_crypto::ecdsa::{recover_prehashed, sign_prehashed, verify_prehashed};
 use wedge_crypto::hash::{keccak256, sha256};
-use wedge_crypto::{sign_batch_parallel, Keypair};
+use wedge_crypto::Keypair;
 
 fn bench_hashes(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash");
@@ -37,22 +36,5 @@ fn bench_ecdsa(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_signing(c: &mut Criterion) {
-    // Ablation: single-threaded vs multi-core batch signing, the design
-    // choice the paper's §5 calls out.
-    let kp = Keypair::from_seed(b"parallel");
-    let hashes: Vec<[u8; 32]> = (0..256u32).map(|i| keccak256(&i.to_be_bytes())).collect();
-    let mut group = c.benchmark_group("batch_sign_256");
-    group.throughput(Throughput::Elements(hashes.len() as u64));
-    for threads in [1usize, 4, 8, 16] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| b.iter(|| sign_batch_parallel(&kp.secret, &hashes, threads)),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_hashes, bench_ecdsa, bench_parallel_signing);
+criterion_group!(benches, bench_hashes, bench_ecdsa);
 criterion_main!(benches);

@@ -1126,6 +1126,44 @@ pub fn signing(profile: Profile) -> Table {
         request_cached,
     );
 
+    // The node's reply path for one batch of 1,088 B entries: "before" is
+    // what the deliver stage ran while every response carried its own
+    // signature (response digests, then the batch signing API above);
+    // "after" is `SignedResponse::sign_batch` — the same digests, one tree
+    // over them, one signature, one path per response.
+    use wedge_core::{EntryId, SignedResponse};
+    let leaves: Vec<Vec<u8>> = (0..n as u64)
+        .map(|i| [&i.to_be_bytes()[..], &[7u8; 1190]].concat())
+        .collect();
+    let tree = wedge_merkle::MerkleTree::from_leaves(&leaves).expect("non-empty");
+    let prepared: Vec<_> = (0u32..)
+        .zip(&leaves)
+        .map(|(offset, leaf)| {
+            let proof = tree.prove(offset as usize).expect("in range");
+            let id = EntryId { log_id: 0, offset };
+            (id, tree.root(), proof, leaf.clone())
+        })
+        .collect();
+    let per_response = rate(&mut || {
+        // Both arms consume their own copy of the batch.
+        let digests: Vec<[u8; 32]> = prepared
+            .clone()
+            .iter()
+            .map(|(id, root, proof, leaf)| {
+                wedge_contracts::response_digest(id.log_id, root, &proof.to_bytes(), leaf)
+            })
+            .collect();
+        std::hint::black_box(sign_prehashed_batch(&kp.secret, &digests));
+    });
+    let merkle_batched = rate(&mut || {
+        std::hint::black_box(SignedResponse::sign_batch(&kp.secret, prepared.clone(), 1));
+    });
+    row(
+        "response signing — per-response vs. Merkle-batched",
+        per_response,
+        merkle_batched,
+    );
+
     // Whole requests through the collect stage's verifier, by how often
     // publishers come back — the one traffic property the row above depends
     // on. "before" is per-item `AppendRequest::verify`; "after" feeds a new
@@ -1648,6 +1686,7 @@ pub fn punishment_economics() -> Table {
         .verify_all_and_punish(&outcome.responses)
         .expect("punish path")
         .expect("mismatch found");
+    let evidence = &outcome.responses[0];
     Table {
         title: "Punishment economics (extension)".into(),
         headers: vec!["metric".into(), "value".into()],
@@ -1662,10 +1701,19 @@ pub fn punishment_economics() -> Table {
                 "evidence size (bytes)".into(),
                 format!(
                     "{}",
-                    outcome.responses[0].proof.to_bytes().len()
-                        + outcome.responses[0].leaf.len()
+                    evidence.proof.encoded_len()
+                        + evidence.leaf.len()
                         + 65
                         + 40
+                        + evidence.attestation.encoded_len()
+                ),
+            ],
+            vec![
+                "of which attestation path (bytes, nodes)".into(),
+                format!(
+                    "{}, {}",
+                    evidence.attestation.encoded_len(),
+                    evidence.attestation.path.len()
                 ),
             ],
         ],

@@ -17,8 +17,9 @@
 //! - [`RhlRollup`] — rollup-inspired hybrid logging with fraud-proof
 //!   challenges (RHL).
 //!
-//! [`response_digest`] defines the exact bytes an Offchain Node signs in a
-//! stage-1 response, shared with the Punishment contract's verification.
+//! [`response_digest`] and [`attestation_digest`] define the exact bytes an
+//! Offchain Node signs for a batch of stage-1 responses, shared with the
+//! Punishment contract's verification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,10 @@ mod rhl_rollup;
 mod root_record;
 
 pub use cluster_root::ClusterRoot;
-pub use digest::{response_digest, response_digest_bytes};
+pub use digest::{
+    attestation_digest, attestation_from_bytes, response_digest, response_digest_bytes,
+    MAX_ATTESTATION_PATH,
+};
 pub use ocl_log::OclLog;
 pub use payment::{Payment, PaymentStatus, PaymentTerms};
 pub use punishment::{Punishment, PunishmentStatus};

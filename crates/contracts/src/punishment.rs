@@ -12,6 +12,11 @@
 //! Both checks require only the signed response — none of the raw batch data
 //! needs to be on-chain, which is what makes WedgeBlock's punishments cheap
 //! compared to rollup-style fraud proofs.
+//!
+//! The node's signature `S_o` is Merkle-batched (see [`crate::digest`]): the
+//! call carries the response's attestation path, and line 2 recovers the
+//! signer over the attested fold of the line-1 digest. Every other line is
+//! the paper's.
 
 use wedge_chain::{CallContext, Contract, Decoder, Encoder, Revert};
 use wedge_crypto::ecdsa::{recover_prehashed, Signature};
@@ -19,7 +24,7 @@ use wedge_crypto::hash::Hash32;
 use wedge_crypto::keys::Address;
 use wedge_merkle::MerkleProof;
 
-use crate::digest::response_digest;
+use crate::digest::{attestation_digest, attestation_from_bytes, response_digest};
 use crate::root_record::RootRecord;
 
 /// Method selectors.
@@ -33,6 +38,10 @@ mod selector {
     /// Status getter.
     pub const GET_STATUS: u8 = 0x04;
 }
+
+/// Modeled cost of one keccak of the attestation fold (`30 + 6` per word of
+/// a 65-byte node preimage on Ethereum).
+const ATTESTATION_HASH_GAS: u64 = 48;
 
 /// Lifecycle of the punishment contract.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,21 +89,26 @@ impl Punishment {
     }
 
     /// Encodes `Invoke-Punishment` calldata from the components of a signed
-    /// response `R`.
+    /// response `R`; `attestation_bytes` is the serialized path from the
+    /// response's digest to the root `signature` covers.
     pub fn invoke_calldata(
         index: u64,
         merkle_root: &Hash32,
         proof_bytes: &[u8],
         raw_data: &[u8],
         signature: &Signature,
+        attestation_bytes: &[u8],
     ) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(128 + proof_bytes.len() + raw_data.len());
+        let mut enc = Encoder::with_capacity(
+            136 + proof_bytes.len() + raw_data.len() + attestation_bytes.len(),
+        );
         enc.u8(selector::INVOKE_PUNISHMENT)
             .u64(index)
             .bytes(merkle_root.as_bytes())
             .bytes(proof_bytes)
             .bytes(raw_data)
-            .bytes(&signature.to_bytes());
+            .bytes(&signature.to_bytes())
+            .bytes(attestation_bytes);
         enc.finish()
     }
 
@@ -173,16 +187,25 @@ impl Punishment {
         let sig_bytes: [u8; 65] = input
             .bytes_fixed()
             .map_err(|e| Revert::new(e.to_string()))?;
+        let attestation =
+            attestation_from_bytes(input.bytes().map_err(|e| Revert::new(e.to_string()))?)
+                .map_err(|e| Revert::new(format!("malformed attestation: {e}")))?;
         input.finish().map_err(|e| Revert::new(e.to_string()))?;
         let signature = Signature::from_bytes(&sig_bytes)
             .map_err(|e| Revert::new(format!("malformed signature: {e}")))?;
 
         // Line 1: msgHash <- hash(index, merkleRoot, merkleProof, rawData).
         let msg_hash = response_digest(index, &merkle_root, &proof_bytes, &raw_data);
+        // The node signed the root of a tree of such digests: fold msgHash
+        // up its path (leaf hash + one node per step + the tagged root).
+        let folds = attestation.path.len() as u64 + 2;
+        ctx.charge(wedge_chain::Gas(ATTESTATION_HASH_GAS * folds))?;
+        let attested = attestation_digest(&attestation.compute_root(&msg_hash));
         // ECDSA recovery costs ~3k gas on Ethereum (ecrecover precompile).
         ctx.charge(wedge_chain::Gas(3_000))?;
-        // Line 2: recoverSigner(msgHash, signature) != offchain_address?
-        let signer = recover_prehashed(&msg_hash, &signature)
+        // Line 2: recoverSigner(attested(msgHash), signature) !=
+        // offchain_address?
+        let signer = recover_prehashed(&attested, &signature)
             .map_err(|_| Revert::new("signature recovery failed"))?
             .address();
         if signer != self.offchain_address {

@@ -8,12 +8,11 @@ use std::time::{Duration, Instant};
 use wedge_chain::{Address, Chain};
 use wedge_contracts::RootRecord;
 use wedge_crypto::hash::Hash32;
-use wedge_crypto::secp256k1::AffineTable;
-use wedge_crypto::PublicKey;
 use wedge_pool::WorkPool;
 
 use crate::api::LogService;
 use crate::error::CoreError;
+use crate::node_key::NodeKey;
 use crate::publisher_keys::PublisherKeys;
 use crate::types::{AppendRequest, EntryId};
 
@@ -68,11 +67,9 @@ impl AuditReport {
 /// An auditor client bound to one Offchain Node.
 pub struct Auditor {
     service: Arc<dyn LogService>,
-    node_public: PublicKey,
-    /// Precomputed odd-multiples table for the node key: built once at
-    /// construction so every audited response shares it instead of
-    /// rebuilding the table per signature.
-    node_table: AffineTable,
+    /// The node's key: a log position's responses share one attestation,
+    /// so auditing it costs one ECDSA verification, not one per entry.
+    node_key: NodeKey,
     chain: Arc<Chain>,
     root_record: Address,
     /// Publisher keys recovered so far; each log position's embedded
@@ -90,17 +87,21 @@ impl Auditor {
         root_record: Address,
     ) -> Auditor {
         let service: Arc<dyn LogService> = service;
-        let node_public = service.node_public_key();
-        let node_table = AffineTable::new(node_public.point());
+        let node_key = NodeKey::new(service.node_public_key());
         Auditor {
             service,
-            node_public,
-            node_table,
+            node_key,
             chain,
             root_record,
             publisher_keys: PublisherKeys::default(),
             calling_thread: WorkPool::new(1),
         }
+    }
+
+    /// ECDSA checks of the node's signature this auditor has run: one per
+    /// distinct attestation, not one per response.
+    pub fn node_signature_checks(&self) -> u64 {
+        self.node_key.ecdsa_checks()
     }
 
     /// Publisher-signature verdicts for one log position's leaves, index
@@ -146,7 +147,7 @@ impl Auditor {
             let responses = responses.get(..budget).unwrap_or(&responses);
             let publishers_ok = self.publishers_ok(responses.iter().map(|r| r.leaf.as_slice()));
             for (response, publisher_ok) in responses.iter().zip(publishers_ok) {
-                let ok = response.verify_with_table(&self.node_table).is_ok()
+                let ok = self.node_key.verify(response).is_ok()
                     && publisher_ok
                     && onchain == Some(response.merkle_root);
                 if !ok {
@@ -180,13 +181,8 @@ impl Auditor {
             };
             for response in self.service.read_position(log_id)? {
                 // Only node-signed responses are evidence; skip anything
-                // whose signature does not even recover to a valid signer.
-                let digest = response.digest();
-                let Ok(signer) = wedge_crypto::recover_prehashed(&digest, &response.signature)
-                else {
-                    continue;
-                };
-                if signer != self.node_public {
+                // whose signature does not recover to the node.
+                if !self.node_key.recovers(&response) {
                     continue;
                 }
                 if response.merkle_root != onchain_root {

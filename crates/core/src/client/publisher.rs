@@ -13,10 +13,10 @@ use rand::SeedableRng;
 use wedge_chain::{Address, Chain, Gas, Receipt, Wei};
 use wedge_contracts::{Punishment, RootRecord};
 use wedge_crypto::signer::Identity;
-use wedge_crypto::PublicKey;
 
 use crate::api::LogService;
 use crate::error::CoreError;
+use crate::node_key::NodeKey;
 use crate::types::{AppendRequest, SignedResponse};
 use crate::util::parallel_map;
 
@@ -51,7 +51,7 @@ pub struct AppendOutcome {
 pub struct Publisher {
     identity: Identity,
     service: Arc<dyn LogService>,
-    node_public: PublicKey,
+    node_key: NodeKey,
     chain: Arc<Chain>,
     root_record: Address,
     punishment: Option<Address>,
@@ -87,11 +87,11 @@ impl Publisher {
         punishment: Option<Address>,
     ) -> Publisher {
         let service: Arc<dyn LogService> = service;
-        let node_public = service.node_public_key();
+        let node_key = NodeKey::new(service.node_public_key());
         Publisher {
             identity,
             service,
-            node_public,
+            node_key,
             chain,
             root_record,
             punishment,
@@ -257,7 +257,7 @@ impl Publisher {
         let last_response = started.elapsed();
 
         // Verify all responses (parallel), matching each to its request.
-        let node_public = self.node_public;
+        let node_key = &self.node_key;
         let verdicts = parallel_map(&responses, self.worker_threads, |resp| {
             let req = match resp.request() {
                 Ok(r) => r,
@@ -265,8 +265,7 @@ impl Publisher {
             };
             by_sequence
                 .get(&req.sequence)
-                .map(|orig| resp.verify_for_request(&node_public, orig).is_ok())
-                .unwrap_or(false)
+                .is_some_and(|orig| node_key.verify(resp).is_ok() && resp.leaf == orig.leaf_bytes())
         });
         if let Some(bad) = verdicts.iter().position(|ok| !ok) {
             return Err(CoreError::ProofInvalid {
@@ -339,6 +338,7 @@ impl Publisher {
             &response.proof.to_bytes(),
             &response.leaf,
             &response.signature,
+            &response.attestation.to_bytes(),
         );
         let hash = self.chain.call_contract(
             self.identity.secret_key(),

@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use wedge_chain::{Address, Chain};
 use wedge_contracts::RootRecord;
-use wedge_crypto::PublicKey;
 
 use crate::api::LogService;
 use crate::error::CoreError;
+use crate::node_key::NodeKey;
 use crate::publisher_keys::PublisherKeys;
 use crate::types::{AppendRequest, CommitPhase, EntryId, SignedResponse};
 
@@ -27,7 +27,8 @@ pub struct VerifiedEntry {
 /// A reader client bound to one Offchain Node.
 pub struct Reader {
     service: Arc<dyn LogService>,
-    node_public: PublicKey,
+    /// The node's key, remembering the last attestation it accepted.
+    node_key: NodeKey,
     chain: Arc<Chain>,
     root_record: Address,
     /// Client-side cache of blockchain-committed digests. Sound because the
@@ -50,10 +51,10 @@ impl Reader {
         root_record: Address,
     ) -> Reader {
         let service: Arc<dyn LogService> = service;
-        let node_public = service.node_public_key();
+        let node_key = NodeKey::new(service.node_public_key());
         Reader {
             service,
-            node_public,
+            node_key,
             chain,
             root_record,
             root_cache: parking_lot::Mutex::new(std::collections::HashMap::new()),
@@ -66,6 +67,12 @@ impl Reader {
     pub fn chain_lookups(&self) -> u64 {
         self.chain_lookups
             .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// ECDSA verifications of the node's signature this reader has run: one
+    /// per distinct attestation, not one per response.
+    pub fn node_signature_checks(&self) -> u64 {
+        self.node_key.ecdsa_checks()
     }
 
     /// Reads and stage-1-verifies one entry: node signature, proof position,
@@ -99,7 +106,7 @@ impl Reader {
     /// [`CommitPhase::BlockchainCommitted`] when the Root Record digest
     /// matches (Definition 3.2 trust).
     pub fn verify_response(&self, response: &SignedResponse) -> Result<VerifiedEntry, CoreError> {
-        response.verify(&self.node_public)?;
+        self.node_key.verify(response)?;
         let request = response.request()?;
         self.publisher_keys.verify(&request)?;
         let phase = self.onchain_phase(response)?;
@@ -165,7 +172,7 @@ impl Reader {
         &self,
         response: crate::types::SignedResponse,
     ) -> Result<VerifiedEntry, CoreError> {
-        response.verify(&self.node_public)?;
+        self.node_key.verify(&response)?;
         let request = response.request()?;
         self.publisher_keys.verify(&request)?;
         Ok(VerifiedEntry {

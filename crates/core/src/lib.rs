@@ -26,6 +26,7 @@ pub mod client;
 pub mod config;
 pub mod error;
 pub mod node;
+mod node_key;
 mod publisher_keys;
 pub mod service;
 pub mod types;
@@ -39,6 +40,7 @@ pub use client::{
 pub use config::{NodeBehavior, NodeConfig, Stage2Mode, Stage2RetryPolicy, TierConfig};
 pub use error::CoreError;
 pub use node::{NodeStats, OffchainNode};
+pub use node_key::NodeKey;
 pub use publisher_keys::{PublisherKeys, Verified};
 pub use service::{deploy_service, ServiceConfig, ServiceDeployment, Subscription};
 pub use types::{

@@ -13,7 +13,8 @@
 //!    fan-out, persist header + leaves to the local store (link #2 of
 //!    Figure 2) while the replicas work, then join both — the stage pays
 //!    max(local, replication) instead of the sum;
-//! 3. **deliver** — sign one response per request (parallel), wait for the
+//! 3. **deliver** — sign the batch's responses (one node signature over the
+//!    Merkle root of their digests, each reply carrying its path), wait for the
 //!    fsync covering the batch (instant except under
 //!    [`wedge_storage::SyncPolicy::GroupCommit`]), register the batch in
 //!    the write plane (publishing a new read snapshot), deliver the
@@ -269,7 +270,7 @@ fn persist_stage(
     // deliver_tx drops here: the deliver stage drains and exits.
 }
 
-/// Stage 3: sign responses, register the batch (publishing a new read
+/// Stage 3: sign the responses, register the batch (publishing a new read
 /// snapshot *before* any reply goes out, so a read issued right after a
 /// response always succeeds), deliver replies, wake the stage-2 committer.
 fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_wake: Sender<()>) {
@@ -294,9 +295,7 @@ fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_w
         let root = tree.root();
 
         // Assemble proofs in parallel, attach the collect stage's leaves,
-        // then batch-sign the response digests — the batch path shares one
-        // scalar and one field inversion per chunk and emits signature
-        // bytes identical to per-item signing.
+        // then sign the whole batch of responses with one signature.
         let tampering = matches!(shared.config.behavior, NodeBehavior::TamperResponses { .. })
             && shared.config.behavior.affects(log_id);
         let node_key = *shared.identity.secret_key();
@@ -377,6 +376,7 @@ fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_w
                 .map(|m| m.request.payload.len() as u64)
                 .sum::<u64>();
             stats.batches_flushed += 1;
+            stats.attestations_signed += 1;
         }
 
         match durable {

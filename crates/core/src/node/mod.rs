@@ -28,8 +28,8 @@ use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use wedge_chain::{Address, Chain};
 use wedge_crypto::signer::Identity;
-use wedge_crypto::PublicKey;
-use wedge_merkle::RangeProof;
+use wedge_crypto::{Hash32, PublicKey};
+use wedge_merkle::{MerkleProof, RangeProof};
 use wedge_storage::{LogStore, Replicator};
 
 use crate::config::{NodeBehavior, NodeConfig, Stage2Mode};
@@ -44,6 +44,9 @@ use state::CommitInfo;
 /// (rather than a channel) lets transports tag and route replies — the TCP
 /// server forwards them onto sockets, local publishers into channels.
 pub type ReplyFn = Box<dyn FnOnce(Result<SignedResponse, String>) + Send>;
+
+/// A response before signing: `(entry id, batch root, proof, leaf)`.
+type Unsigned = (EntryId, Hash32, MerkleProof, Vec<u8>);
 
 /// A queued append with its reply continuation.
 pub(crate) struct IngestMsg {
@@ -293,10 +296,10 @@ impl OffchainNode {
             .map_err(|_| CoreError::NodeStopped)
     }
 
-    /// Reads one entry from a given snapshot. All multi-entry read paths
-    /// funnel through this with a *single* snapshot so a batch can never
-    /// appear (or vanish) mid-iteration.
-    fn read_on(&self, snap: &Snapshot, id: EntryId) -> Result<SignedResponse, CoreError> {
+    /// Looks one entry up in a given snapshot, unsigned. All multi-entry read
+    /// paths funnel through this with a *single* snapshot so a batch can
+    /// never appear (or vanish) mid-iteration.
+    fn read_on(&self, snap: &Snapshot, id: EntryId) -> Result<Unsigned, CoreError> {
         let meta = snap
             .batches
             .get(id.log_id as usize)
@@ -319,19 +322,44 @@ impl OffchainNode {
                 tamper(&mut leaf);
             }
         }
-        Ok(SignedResponse::sign(
-            self.shared.identity.secret_key(),
-            id,
-            root,
-            proof,
-            leaf,
-        ))
+        Ok((id, root, proof, leaf))
+    }
+
+    /// Signs everything one read call found with a single node signature
+    /// (see [`SignedResponse::sign_batch`]), keeping the call's slots.
+    fn sign_found(
+        &self,
+        looked_up: Vec<Result<Unsigned, CoreError>>,
+    ) -> Vec<Result<SignedResponse, CoreError>> {
+        let mut found = Vec::with_capacity(looked_up.len());
+        let slots: Vec<Result<(), CoreError>> = looked_up
+            .into_iter()
+            .map(|entry| entry.map(|unsigned| found.push(unsigned)))
+            .collect();
+        if !found.is_empty() {
+            self.shared.stats.lock().attestations_signed += 1;
+        }
+        let key = self.shared.identity.secret_key();
+        let mut signed =
+            SignedResponse::sign_batch(key, found, self.shared.pool.workers()).into_iter();
+        slots
+            .into_iter()
+            .map(|slot| slot.and_then(|()| signed.next().ok_or(CoreError::NodeStopped)))
+            .collect()
+    }
+
+    /// Looks one entry up and signs it on its own.
+    fn read_one(&self, snap: &Snapshot, id: EntryId) -> Result<SignedResponse, CoreError> {
+        let (id, root, proof, leaf) = self.read_on(snap, id)?;
+        self.shared.stats.lock().attestations_signed += 1;
+        let key = self.shared.identity.secret_key();
+        Ok(SignedResponse::sign(key, id, root, proof, leaf))
     }
 
     /// Reads one entry, returning a freshly signed response (paper §4.3,
     /// read requests carry the same tuple format as append responses).
     pub fn read(&self, id: EntryId) -> Result<SignedResponse, CoreError> {
-        self.read_on(&self.shared.snapshot(), id)
+        self.read_one(&self.shared.snapshot(), id)
     }
 
     /// Reads a group of entries in one operation (paper §4.2: "a group of
@@ -340,7 +368,7 @@ impl OffchainNode {
     /// the last, regardless of concurrent flushes.
     pub fn read_many(&self, ids: &[EntryId]) -> Vec<Result<SignedResponse, CoreError>> {
         let snap = self.shared.snapshot();
-        ids.iter().map(|id| self.read_on(&snap, *id)).collect()
+        self.sign_found(ids.iter().map(|id| self.read_on(&snap, *id)).collect())
     }
 
     /// Looks an entry up by `(publisher, sequence)` (the paper's sequence
@@ -358,7 +386,7 @@ impl OffchainNode {
                 publisher,
                 sequence,
             })?;
-        self.read_on(&snap, id)
+        self.read_one(&snap, id)
     }
 
     /// Reads every entry of one log position (the auditor's scan unit)
@@ -370,9 +398,8 @@ impl OffchainNode {
             .get(log_id as usize)
             .ok_or(CoreError::EntryNotFound(EntryId { log_id, offset: 0 }))?
             .count;
-        (0..count)
-            .map(|offset| self.read_on(&snap, EntryId { log_id, offset }))
-            .collect()
+        let entries = (0..count).map(|offset| self.read_on(&snap, EntryId { log_id, offset }));
+        self.sign_found(entries.collect()).into_iter().collect()
     }
 
     /// Number of entries in one log position, if it exists.

@@ -23,6 +23,10 @@ pub struct NodeStats {
     pub requests_verified_recovered: u64,
     /// Batches flushed (log positions created).
     pub batches_flushed: u64,
+    /// ECDSA signatures the node produced over response attestations: one
+    /// per flushed batch plus one per read call that found something —
+    /// never one per entry.
+    pub attestations_signed: u64,
     /// `Update-Records` transactions submitted.
     pub stage2_txs_submitted: u64,
     /// Log positions confirmed on-chain.

@@ -10,15 +10,15 @@
 //!   Root Record contract.
 
 use wedge_chain::{Decoder, Encoder};
-use wedge_contracts::{response_digest, response_digest_bytes};
+use wedge_contracts::{
+    attestation_digest, attestation_from_bytes, response_digest, response_digest_bytes,
+};
 use wedge_crypto::ecdsa::Signature;
 use wedge_crypto::hash::{keccak256_prefixed, Hash32};
 use wedge_crypto::keys::Address;
-use wedge_crypto::secp256k1::AffineTable;
-use wedge_crypto::{
-    recover_prehashed, sign_prehashed, verify_prehashed_with_table, PublicKey, SecretKey,
-};
-use wedge_merkle::MerkleProof;
+use wedge_crypto::{recover_prehashed, sign_prehashed, PublicKey, SecretKey};
+use wedge_merkle::{MerkleProof, MerkleTree};
+use wedge_pool::WorkPool;
 
 use crate::error::CoreError;
 
@@ -146,6 +146,12 @@ impl AppendRequest {
 
 /// The paper's response tuple `R = (S_o, [X, P, i])`: the Offchain Node's
 /// signed off-chain-commit promise for one entry.
+///
+/// `S_o` is a Merkle-batched signature: the node signs once per batch of
+/// responses, over the root of a tree whose leaves are the responses'
+/// [`SignedResponse::digest`]s, and each response carries its path in that
+/// tree. The pair `(signature, attestation)` is a node signature on this
+/// response's digest and on no other statement.
 #[derive(Clone, Debug)]
 pub struct SignedResponse {
     /// Where the entry was placed.
@@ -156,14 +162,17 @@ pub struct SignedResponse {
     pub proof: MerkleProof,
     /// The leaf bytes (the full signed request tuple).
     pub leaf: Vec<u8>,
-    /// The node's signature `S_o` over
-    /// [`response_digest`]`(log_id, merkle_root, proof, leaf)`.
+    /// The node's signature over [`SignedResponse::attested_digest`],
+    /// shared by every response signed in the same call.
     pub signature: Signature,
+    /// Path from this response's digest to the root `signature` covers
+    /// (empty for a response signed on its own).
+    pub attestation: MerkleProof,
 }
 
 impl SignedResponse {
-    /// The digest the node signs — shared byte-for-byte with the Punishment
-    /// contract (Algorithm 2 line 1).
+    /// The digest that makes this response a node-signed statement — shared
+    /// byte-for-byte with the Punishment contract (Algorithm 2 line 1).
     pub fn digest(&self) -> [u8; 32] {
         response_digest(
             self.entry_id.log_id,
@@ -173,7 +182,13 @@ impl SignedResponse {
         )
     }
 
-    /// Signs a response tuple as the Offchain Node.
+    /// The digest `signature` must cover: [`SignedResponse::digest`] folded
+    /// up the attestation path, under the attestation domain tag.
+    pub fn attested_digest(&self) -> [u8; 32] {
+        attestation_digest(&self.attestation.compute_root(&self.digest()))
+    }
+
+    /// Signs a response tuple as the Offchain Node: a batch of one.
     pub fn sign(
         node_key: &SecretKey,
         entry_id: EntryId,
@@ -181,76 +196,80 @@ impl SignedResponse {
         proof: MerkleProof,
         leaf: Vec<u8>,
     ) -> SignedResponse {
+        let attestation = MerkleProof {
+            leaf_index: 0,
+            leaf_count: 1,
+            path: Vec::new(),
+        };
         let digest = response_digest(entry_id.log_id, &merkle_root, &proof.to_bytes(), &leaf);
-        let signature = sign_prehashed(node_key, &digest);
+        let attested = attestation_digest(&attestation.compute_root(&digest));
         SignedResponse {
             entry_id,
             merkle_root,
             proof,
             leaf,
-            signature,
+            signature: sign_prehashed(node_key, &attested),
+            attestation,
         }
     }
 
-    /// Signs one response per prepared `(entry_id, merkle_root, proof,
-    /// leaf)` tuple, amortizing the expensive per-signature inversions
-    /// across the whole batch via
-    /// [`wedge_crypto::sign_batch_parallel`]. Signature bytes are identical
-    /// to calling [`SignedResponse::sign`] on each tuple.
+    /// Signs the prepared `(entry_id, merkle_root, proof, leaf)` tuples with
+    /// **one** ECDSA signature: the response digests (hashed on up to
+    /// `threads` workers) become the leaves of a Merkle tree, the node signs
+    /// that tree's root, and response `i` carries leaf `i`'s path.
     pub fn sign_batch(
         node_key: &SecretKey,
         items: Vec<(EntryId, Hash32, MerkleProof, Vec<u8>)>,
         threads: usize,
     ) -> Vec<SignedResponse> {
-        // Encode every response preimage first, then digest them through
-        // the ×4 interleaved batch path — same bytes as per-item
-        // `response_digest`, four permutations' work per pass.
-        let preimages: Vec<Vec<u8>> = items
-            .iter()
-            .map(|(id, root, proof, leaf)| {
-                response_digest_bytes(id.log_id, root, &proof.to_bytes(), leaf)
-            })
-            .collect();
-        let preimage_refs: Vec<&[u8]> = preimages.iter().map(|p| p.as_slice()).collect();
-        let digests: Vec<[u8; 32]> = wedge_crypto::keccak256_batch(&preimage_refs)
-            .into_iter()
-            .map(|h| h.0)
-            .collect();
-        let signatures = wedge_crypto::sign_batch_parallel(node_key, &digests, threads);
+        // Per worker: encode the chunk's response preimages, then digest
+        // them through the ×4 interleaved batch path — same bytes as
+        // per-item `response_digest`.
+        let digests: Vec<Hash32> = WorkPool::new(threads).map_chunks(&items, |chunk| {
+            let preimages: Vec<Vec<u8>> = chunk
+                .iter()
+                .map(|(id, root, proof, leaf)| {
+                    response_digest_bytes(id.log_id, root, &proof.to_bytes(), leaf)
+                })
+                .collect();
+            let preimage_refs: Vec<&[u8]> = preimages.iter().map(|p| p.as_slice()).collect();
+            wedge_crypto::keccak256_batch(&preimage_refs)
+        });
+        let Ok(tree) = MerkleTree::from_leaves(&digests) else {
+            return Vec::new(); // nothing to sign
+        };
+        let signature = sign_prehashed(node_key, &attestation_digest(&tree.root()));
         items
             .into_iter()
-            .zip(signatures)
-            .map(
-                |((entry_id, merkle_root, proof, leaf), signature)| SignedResponse {
-                    entry_id,
-                    merkle_root,
-                    proof,
-                    leaf,
-                    signature,
-                },
-            )
+            .enumerate()
+            .map(|(i, (entry_id, merkle_root, proof, leaf))| SignedResponse {
+                entry_id,
+                merkle_root,
+                proof,
+                leaf,
+                signature,
+                // lint: allow(panic) — `i` enumerates the very digests the
+                // tree was built from, so it is always in range
+                attestation: tree.prove(i).expect("leaf in range"),
+            })
             .collect()
     }
 
     /// Full client-side stage-1 verification:
-    /// 1. the node's signature is valid,
+    /// 1. the node's signature is valid over the root this response's
+    ///    digest folds up to,
     /// 2. the proof reproduces the signed root from the leaf,
     /// 3. the proof's position matches the claimed entry id.
+    ///
+    /// One-off form; clients checking many responses keep a
+    /// [`crate::NodeKey`], which builds the key's table once and remembers
+    /// the last attestation it accepted.
     pub fn verify(&self, node_public: &PublicKey) -> Result<(), CoreError> {
-        self.verify_with_table(&AffineTable::new(node_public.point()))
+        crate::NodeKey::new(*node_public).verify(self)
     }
 
-    /// Like [`SignedResponse::verify`], but against a prebuilt
-    /// odd-multiples table for the node's public key — clients and auditors
-    /// checking many responses under the same node key build the table once
-    /// (see [`wedge_crypto::secp256k1::AffineTable`]) instead of once per
-    /// response.
-    pub fn verify_with_table(&self, node_table: &AffineTable) -> Result<(), CoreError> {
-        verify_prehashed_with_table(node_table, &self.digest(), &self.signature).map_err(|_| {
-            CoreError::BadResponseSignature {
-                entry_id: self.entry_id,
-            }
-        })?;
+    /// Checks 2 and 3 of [`SignedResponse::verify`]: position and data proof.
+    pub(crate) fn verify_proof(&self) -> Result<(), CoreError> {
         if self.proof.leaf_index != self.entry_id.offset as u64 {
             return Err(CoreError::ProofPositionMismatch {
                 entry_id: self.entry_id,
@@ -289,13 +308,18 @@ impl SignedResponse {
     /// Wire serialization (used by the TCP transport).
     pub fn to_bytes(&self) -> Vec<u8> {
         let proof_bytes = self.proof.to_bytes();
-        let mut enc = Encoder::with_capacity(128 + proof_bytes.len() + self.leaf.len());
+        let attestation_bytes = self.attestation.to_bytes();
+        // 16 B of ids, five length prefixes, the root and the signature.
+        let mut enc = Encoder::with_capacity(
+            133 + proof_bytes.len() + self.leaf.len() + attestation_bytes.len(),
+        );
         enc.u64(self.entry_id.log_id)
             .u64(self.entry_id.offset as u64)
             .bytes(self.merkle_root.as_bytes())
             .bytes(&proof_bytes)
             .bytes(&self.leaf)
-            .bytes(&self.signature.to_bytes());
+            .bytes(&self.signature.to_bytes())
+            .bytes(&attestation_bytes);
         enc.finish()
     }
 
@@ -310,6 +334,8 @@ impl SignedResponse {
         let proof = merkle_proof_from_bytes(proof_bytes)?;
         let leaf = dec.bytes().map_err(CoreError::Decode)?.to_vec();
         let sig: [u8; 65] = dec.bytes_fixed().map_err(CoreError::Decode)?;
+        let attestation = attestation_from_bytes(dec.bytes().map_err(CoreError::Decode)?)
+            .map_err(|_| CoreError::RequestRejected("malformed attestation path"))?;
         dec.finish().map_err(CoreError::Decode)?;
         let entry_id = EntryId { log_id, offset };
         let signature = Signature::from_bytes(&sig)
@@ -320,6 +346,7 @@ impl SignedResponse {
             proof,
             leaf,
             signature,
+            attestation,
         })
     }
 }

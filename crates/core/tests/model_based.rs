@@ -15,9 +15,10 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wedge_chain::{Chain, ChainConfig, Wei};
+use wedge_contracts::Punishment;
 use wedge_core::{
-    deploy_service, CommitPhase, EntryId, NodeConfig, OffchainNode, Publisher, Reader,
-    ServiceConfig,
+    deploy_service, AppendRequest, CommitPhase, EntryId, NodeBehavior, NodeConfig, OffchainNode,
+    Publisher, Reader, ServiceConfig, SignedResponse,
 };
 use wedge_crypto::signer::Identity;
 use wedge_sim::Clock;
@@ -191,5 +192,157 @@ fn random_workload_agrees_with_model() {
     for (global, payload) in model.entries.iter().enumerate() {
         let entry = reader.read(entry_id_for(global)).unwrap();
         assert_eq!(&entry.request.payload, payload);
+    }
+}
+
+/// What Algorithm 2 must say about one signed response — a function of the
+/// node's behaviour and the response's log position alone, whichever way
+/// the response was signed (append reply, whole-position read, single read).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Verdict {
+    /// Consistent with the chain: the call succeeds and pays nothing.
+    Consistent,
+    /// Root mismatch (line 6) or bogus proof (line 10): seizes the escrow.
+    Punishable,
+    /// Position never committed: the call reverts.
+    NotAdjudicable,
+}
+
+fn expected_verdict(behavior: NodeBehavior, log_id: u64) -> Verdict {
+    match behavior {
+        NodeBehavior::CommitWrongRoot { .. } | NodeBehavior::TamperResponses { .. }
+            if behavior.affects(log_id) =>
+        {
+            Verdict::Punishable
+        }
+        NodeBehavior::OmitStage2 { .. } if behavior.affects(log_id) => Verdict::NotAdjudicable,
+        _ => Verdict::Consistent,
+    }
+}
+
+/// The punishability model under the Merkle-batched signature: for every
+/// `NodeBehavior`, every signed response the node hands out — batched append
+/// replies, batched position reads, single reads — gets exactly the verdict
+/// the per-response scheme gave it, and a lie is punished exactly once.
+#[test]
+fn every_lie_is_punished_exactly_once() {
+    const ESCROW: Wei = Wei::from_eth(3);
+    const ENTRIES: u64 = 3 * BATCH as u64;
+    let behaviors = [
+        NodeBehavior::Honest,
+        NodeBehavior::CommitWrongRoot { from_log: 1 },
+        NodeBehavior::TamperResponses { from_log: 1 },
+        NodeBehavior::OmitStage2 { from_log: 1 },
+    ];
+    for (run, behavior) in behaviors.into_iter().enumerate() {
+        let chain = Chain::new(Clock::compressed(2000.0), ChainConfig::default());
+        let node_id = Identity::from_seed(b"lie-model-node");
+        let client = Identity::from_seed(b"lie-model-client");
+        chain.fund(node_id.address(), Wei::from_eth(10_000));
+        chain.fund(client.address(), Wei::from_eth(10_000));
+        let _miner = chain.start_miner();
+        let deployment = deploy_service(
+            &chain,
+            &node_id,
+            client.address(),
+            &ServiceConfig {
+                escrow: ESCROW,
+                payment_terms: None,
+            },
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("wedge-lies-{run}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let node = Arc::new(
+            OffchainNode::start(
+                node_id,
+                NodeConfig {
+                    batch_size: BATCH,
+                    batch_linger: Duration::from_millis(5),
+                    behavior,
+                    ..Default::default()
+                },
+                Arc::clone(&chain),
+                deployment.root_record,
+                &dir,
+            )
+            .unwrap(),
+        );
+
+        // Raw submits: a tampered reply would fail a Publisher's own checks,
+        // and it is exactly the evidence wanted here.
+        let (tx, rx) = crossbeam::channel::unbounded();
+        for sequence in 0..ENTRIES {
+            let payload = format!("lie-{sequence}").into_bytes();
+            let request = AppendRequest::new(client.secret_key(), sequence, payload);
+            node.submit(request, tx.clone()).unwrap();
+        }
+        let mut evidence: Vec<SignedResponse> = (0..ENTRIES)
+            .map(|_| rx.recv().unwrap().expect("append accepted"))
+            .collect();
+        node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+        // At least three positions (more when the linger closed one early).
+        let positions = node.log_positions();
+        assert!(positions >= ENTRIES / BATCH as u64);
+        for log_id in 0..positions {
+            evidence.extend(node.read_log_position(log_id).unwrap());
+            evidence.push(node.read(EntryId { log_id, offset: 0 }).unwrap());
+        }
+        // Honest positions first, so the model's "before the first
+        // punishment" half sees every kind of verdict.
+        evidence.sort_by_key(|response| response.entry_id.log_id);
+
+        let publisher = Publisher::new(
+            client.clone(),
+            Arc::clone(&node),
+            Arc::clone(&chain),
+            deployment.root_record,
+            Some(deployment.punishment),
+        );
+        let before = chain.balance(client.address());
+        let mut fees = Wei::ZERO;
+        let mut punished = 0u32;
+        for response in &evidence {
+            let id = response.entry_id;
+            let receipt = publisher.punish(response).unwrap();
+            fees = fees.checked_add(receipt.fee).unwrap();
+            let seized = Punishment::decode_invoke_result(&receipt.output);
+            if punished > 0 {
+                // All-or-nothing: the contract is spent, nothing pays twice.
+                assert!(!receipt.status.is_success(), "{behavior:?} {id}");
+                continue;
+            }
+            match expected_verdict(behavior, id.log_id) {
+                Verdict::Consistent => {
+                    assert!(receipt.status.is_success(), "{behavior:?} {id}");
+                    assert_eq!(seized, Some(false), "{behavior:?} {id}");
+                }
+                Verdict::NotAdjudicable => {
+                    assert!(!receipt.status.is_success(), "{behavior:?} {id}");
+                }
+                Verdict::Punishable => {
+                    assert!(receipt.status.is_success(), "{behavior:?} {id}");
+                    assert_eq!(seized, Some(true), "{behavior:?} {id}");
+                    punished += 1;
+                }
+            }
+        }
+        let lies =
+            (0..positions).any(|log_id| expected_verdict(behavior, log_id) == Verdict::Punishable);
+        assert_eq!(punished, lies as u32, "{behavior:?}");
+        let gained = chain
+            .balance(client.address())
+            .checked_add(fees)
+            .unwrap()
+            .checked_sub(before)
+            .unwrap();
+        assert_eq!(gained, Wei(ESCROW.0 * punished as u128), "{behavior:?}");
+        assert_eq!(
+            chain.balance(deployment.punishment),
+            Wei(ESCROW.0 * (1 - punished) as u128)
+        );
+        drop(publisher);
+        drop(node);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

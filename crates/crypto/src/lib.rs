@@ -55,6 +55,4 @@ pub use hash::{
     keccak256_prefixed, keccak256_x4_prefixed, sha256, Hash32,
 };
 pub use keys::{Address, Keypair, PublicKey, SecretKey};
-pub use signer::{
-    recover_message_signer, sign_batch_parallel, sign_message, verify_message, Identity,
-};
+pub use signer::{recover_message_signer, sign_message, verify_message, Identity};

@@ -18,7 +18,6 @@ use wedge_crypto::secp256k1::point::reference as point_ref;
 use wedge_crypto::secp256k1::{
     mul_double, mul_double_with_table, mul_generator, mul_point, Affine, AffineTable, Scalar,
 };
-use wedge_crypto::sign_batch_parallel;
 
 fn arb_scalar() -> impl Strategy<Value = Scalar> {
     any::<[u8; 32]>().prop_map(|b| Scalar::from_be_bytes_reduced(&b))
@@ -107,14 +106,12 @@ proptest! {
     // still.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Batch signing across random lengths and thread counts is
-    /// byte-identical to sequential (and hence to the frozen signer, by the
-    /// case above).
+    /// Batch signing across random lengths is byte-identical to sequential
+    /// (and hence to the frozen signer, by the case above).
     #[test]
     fn batch_sign_matches_sequential(
         kp in arb_keypair(),
         len in 0usize..40,
-        threads in 1usize..6,
         seed in any::<u8>(),
     ) {
         let hashes: Vec<[u8; 32]> = (0..len).map(|i| {
@@ -131,11 +128,6 @@ proptest! {
             .map(Signature::to_bytes)
             .collect();
         prop_assert_eq!(&direct, &expect);
-        let pooled: Vec<[u8; 65]> = sign_batch_parallel(&kp.secret, &hashes, threads)
-            .iter()
-            .map(Signature::to_bytes)
-            .collect();
-        prop_assert_eq!(&pooled, &expect);
     }
 
     /// The one batch verifier has exactly the recovery accept set: item `i`

@@ -152,24 +152,35 @@ fn slow_client_sheds_replies_without_hurting_others() {
     }
 
     // The slow client: floods Read requests, never drains a single reply.
+    // How many replies the loopback buffers swallow is the host's business
+    // (megabytes on some kernels), so flood until the first shed instead of
+    // a fixed count: the writer stalls once the kernel buffers fill, and the
+    // bounded queue (depth 4) then sheds. The flood stays a few hundred
+    // requests ahead of the server's reader (this is the only connection
+    // to `w.server`), so its own sends never block on unread requests.
     let mut slow = std::net::TcpStream::connect(addr).expect("raw connect");
     let target = EntryId {
         log_id: 0,
         offset: 0,
     };
-    for req_id in 0..500u64 {
-        send_request(&mut slow, req_id, &Request::Read(target)).expect("send read");
-    }
-    // The writer stalls once the kernel buffers fill; the bounded queue
-    // (depth 4) then sheds.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while w.server.stats().queue_shed == 0 {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut sent = 0u64;
+    loop {
+        let stats = w.server.stats();
+        if stats.queue_shed > 0 {
+            break;
+        }
         assert!(
             Instant::now() < deadline,
-            "no shed observed: {:?}",
-            w.server.stats()
+            "no shed observed after {sent} reads: {stats:?}"
         );
-        std::thread::sleep(Duration::from_millis(10));
+        if sent >= stats.frames_rx + 256 {
+            std::thread::sleep(Duration::from_millis(1));
+        } else if send_request(&mut slow, sent, &Request::Read(target)).is_ok() {
+            sent += 1;
+        } else {
+            break; // the server gave up on the stalled session
+        }
     }
     // Node memory is bounded: at most queue-depth replies are parked for
     // the slow session; everything else was dropped, not buffered.
@@ -495,5 +506,91 @@ fn one_bad_signature_among_two_thousand_rejects_only_itself() {
         stats.requests_verified_cached >= (total - bad) as u64 - 1,
         "remembered keys unused: {stats:?}"
     );
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// The node signs once per batch, not once per reply: 2,000 appends over TCP
+/// in one 2,000-entry batch cost exactly one node ECDSA signature, every
+/// reply still verifies on its own against the request that caused it, and
+/// a whole-position read or a grouped read adds one signature each.
+#[test]
+fn two_thousand_replies_cost_one_node_signature() {
+    let total = 2_000usize;
+    let config = NodeConfig {
+        batch_size: total,
+        batch_linger: Duration::from_secs(5),
+        ..Default::default()
+    };
+    let w = net_world("onesig", config, ServerConfig::default());
+    let requests: Vec<AppendRequest> = (0..total)
+        .map(|i| {
+            let key = w.client_identity.secret_key();
+            AppendRequest::new(key, i as u64, format!("onesig-{i}").into_bytes())
+        })
+        .collect();
+
+    let remote = RemoteNode::connect(w.server.local_addr()).expect("connect");
+    remote.set_buffered_appends(true);
+    let (tx, rx) = crossbeam::channel::unbounded();
+    for (i, request) in requests.iter().enumerate() {
+        let tx = tx.clone();
+        remote
+            .submit_request(
+                request.clone(),
+                Box::new(move |outcome| {
+                    let _ = tx.send((i, outcome));
+                }),
+            )
+            .expect("submit");
+    }
+    remote.flush();
+
+    let node_key = w.node.public_key();
+    let mut signatures = std::collections::BTreeSet::new();
+    for _ in 0..total {
+        let (i, outcome) = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("every request gets a reply");
+        let response = outcome.unwrap_or_else(|e| panic!("request {i} refused: {e}"));
+        response
+            .verify_for_request(&node_key, &requests[i])
+            .unwrap_or_else(|e| panic!("reply {i}: {e}"));
+        assert_eq!(response.attestation.leaf_count, total as u64);
+        // At most ⌈log₂ 2,000⌉ nodes (odd nodes are promoted, not paired).
+        assert!(response.attestation.path.len() <= 11);
+        signatures.insert(response.signature.to_bytes().to_vec());
+    }
+    assert_eq!(signatures.len(), 1, "one signature shared by the batch");
+    let stats = w.node.stats();
+    assert_eq!(stats.batches_flushed, 1, "{stats:?}");
+    assert_eq!(stats.attestations_signed, stats.batches_flushed);
+
+    // Reads sign once per call, never once per entry.
+    let position = remote.read_position(0).expect("read position");
+    assert_eq!(position.len(), total);
+    assert_eq!(w.node.stats().attestations_signed, 2);
+    let ids: Vec<EntryId> = (0..50)
+        .map(|i| EntryId {
+            log_id: if i == 7 { 9 } else { 0 }, // one miss among the hits
+            offset: i * 13,
+        })
+        .collect();
+    let many = remote.read_entries(&ids);
+    assert_eq!(w.node.stats().attestations_signed, 3);
+    for (i, (id, result)) in ids.iter().zip(&many).enumerate() {
+        match result {
+            Ok(response) => {
+                assert_eq!(response.entry_id, *id);
+                response.verify(&node_key).expect("grouped read verifies");
+            }
+            Err(e) => assert!(i == 7, "entry {i}: {e}"),
+        }
+    }
+    assert!(many[7].is_err());
+    for response in position.iter().step_by(97) {
+        response.verify(&node_key).expect("position read verifies");
+    }
+    remote.read_entry(ids[0]).expect("single read");
+    assert_eq!(w.node.stats().attestations_signed, 4);
     let _ = std::fs::remove_dir_all(&w.dir);
 }

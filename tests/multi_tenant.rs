@@ -144,6 +144,7 @@ fn tenants_share_the_chain_without_interference() {
         &out_a.responses[0].proof.to_bytes(),
         &out_a.responses[0].leaf,
         &out_a.responses[0].signature,
+        &out_a.responses[0].attestation.to_bytes(),
     );
     let client_b = Identity::from_seed(b"tenant-client-b");
     let tx = chain
