@@ -1164,6 +1164,47 @@ pub fn signing(profile: Profile) -> Table {
         merkle_batched,
     );
 
+    // The cached check by how hostile a 1,000-item run is and by run length
+    // (a run is what one worker checks for one publisher in one batch: ~1,000
+    // requests on the node, one for a `Reader` verifying a single read).
+    // "after" is one call per run; "before" is the per-item path every run
+    // took until the combined equation — the same call in chunks of at most
+    // 15, under its cutoff. Verdicts are asserted equal to recovery's.
+    let long: Vec<([u8; 32], Signature)> = (0..1000).map(|i| items[i % n]).collect();
+    let damaged = |at: &[usize]| {
+        let mut run = long.clone();
+        for &i in at {
+            run[i].0[0] ^= 1;
+        }
+        run
+    };
+    let mut runs = vec![
+        ("all good".to_string(), long.clone(), 1000),
+        ("1 bad in 1,000".to_string(), damaged(&[617]), 1000),
+        (
+            "a bad item in every leaf".to_string(),
+            damaged(&[100, 400, 600, 900]),
+            1000,
+        ),
+    ];
+    runs.extend([1, 8, 16, 32, 128, 1000].map(|len| (format!("runs of {len}"), long.clone(), len)));
+    for (label, run, len) in runs {
+        let expect: Vec<bool> = run
+            .iter()
+            .map(|(h, sig)| recover_prehashed(h, sig) == Ok(kp.public))
+            .collect();
+        let [before, after] = [len.min(15), len].map(|chunk| {
+            rate_of(run.len(), &mut || {
+                let parts = run.chunks(chunk);
+                let verdicts: Vec<bool> = parts
+                    .flat_map(|part| verify_recoverable_batch(&remembered, part))
+                    .collect();
+                assert_eq!(verdicts, expect);
+            })
+        });
+        row_of(&format!("cached batch — {label}"), run.len(), before, after);
+    }
+
     // Whole requests through the collect stage's verifier, by how often
     // publishers come back — the one traffic property the row above depends
     // on. "before" is per-item `AppendRequest::verify`; "after" feeds a new

@@ -69,59 +69,86 @@ fn overflowing_request(sequence: u64) -> AppendRequest {
     }
 }
 
+/// Random interleavings of three publishers with random single-field
+/// damage: cold pass, warm pass and a second warm pass at another worker
+/// count all equal per-item verification.
+fn check_interleaving(shape: &[(usize, u8)], workers: usize) -> Result<(), TestCaseError> {
+    let kps: Vec<Keypair> = (0..3).map(keypair).collect();
+    let requests: Vec<AppendRequest> = shape
+        .iter()
+        .enumerate()
+        .map(|(seq, &(who, damage))| {
+            let mut r = request(&kps[who], seq as u64);
+            match damage {
+                0 => r.payload.push(b'!'),
+                1 => r.sequence += 1,
+                // Somebody else's (known) address: lands in *their* run
+                // and is checked against *their* remembered key.
+                2 => r.publisher = kps[(who + 1) % 3].address,
+                3 => r.publisher = Address([9; 20]),
+                4 => r.signature.v ^= 1,
+                5 => r.signature.v ^= 2,
+                6 => r.signature.v += 4,
+                7 => r.signature.r = Scalar::ZERO,
+                8 => r.signature.s = Scalar::ZERO,
+                _ => {} // the rest stay valid
+            }
+            r
+        })
+        .collect();
+    let expect = per_item(&requests);
+    let keys = PublisherKeys::default();
+    prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "cold");
+    prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "warm");
+    // Two passes sighted every valid publisher twice: from here on a
+    // full recovery runs for the invalid requests and for nothing else.
+    let warm = verified(&keys, &requests, 4 - workers);
+    prop_assert_eq!(&warm.verdicts, &expect, "warm, other width");
+    let invalid = expect.iter().filter(|ok| !**ok).count();
+    prop_assert_eq!(warm.recovered, invalid as u64);
+    Ok(())
+}
+
 proptest! {
     // Every case signs and recovers a few dozen times in a debug build.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random interleavings of three publishers with random single-field
-    /// damage: cold pass, warm pass and a second warm pass at another
-    /// worker count all equal per-item verification.
+    /// Short runs: every per-publisher run is under the batch verifier's
+    /// combined-equation cutoff and is checked item by item.
     #[test]
     fn cached_path_matches_per_item_verify(
         shape in proptest::collection::vec((0usize..3, 0u8..16), 1..40),
         workers in 1usize..4,
     ) {
-        let kps: Vec<Keypair> = (0..3).map(keypair).collect();
-        let requests: Vec<AppendRequest> = shape
-            .iter()
-            .enumerate()
-            .map(|(seq, &(who, damage))| {
-                let mut r = request(&kps[who], seq as u64);
-                match damage {
-                    0 => r.payload.push(b'!'),
-                    1 => r.sequence += 1,
-                    // Somebody else's (known) address: lands in *their* run
-                    // and is checked against *their* remembered key.
-                    2 => r.publisher = kps[(who + 1) % 3].address,
-                    3 => r.publisher = Address([9; 20]),
-                    4 => r.signature.v ^= 1,
-                    5 => r.signature.v ^= 2,
-                    6 => r.signature.v += 4,
-                    7 => r.signature.r = Scalar::ZERO,
-                    8 => r.signature.s = Scalar::ZERO,
-                    _ => {} // about half stay valid
-                }
-                r
-            })
-            .collect();
-        let expect = per_item(&requests);
-        let keys = PublisherKeys::default();
-        prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "cold");
-        prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "warm");
-        // Two passes sighted every valid publisher twice: from here on a
-        // full recovery runs for the invalid requests and for nothing else.
-        let warm = verified(&keys, &requests, 4 - workers);
-        prop_assert_eq!(&warm.verdicts, &expect, "warm, other width");
-        let invalid = expect.iter().filter(|ok| !**ok).count();
-        prop_assert_eq!(warm.recovered, invalid as u64);
+        check_interleaving(&shape, workers)?;
     }
 }
 
-#[test]
-fn warm_pass_takes_the_cached_path_and_rejects_fall_back_to_recovery() {
+proptest! {
+    // Hundreds of requests per case.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Long runs: per-publisher runs of ~30–130 requests go through the
+    /// combined equation — in one piece when clean (damage values 9..64
+    /// leave a request valid, so about one in seven is damaged), through
+    /// its bounded fall-back otherwise.
+    #[test]
+    fn cached_path_matches_per_item_verify_on_long_runs(
+        shape in proptest::collection::vec((0usize..3, 0u8..64), 100..400),
+        workers in 1usize..4,
+    ) {
+        check_interleaving(&shape, workers)?;
+    }
+}
+
+/// One publisher, `len` requests, the ones at `bad` damaged: the warm pass
+/// recovers exactly the rejects, at one worker and at two.
+fn warm_pass_recovers_only_the_rejects(len: u64, bad: &[usize]) {
     let kp = keypair(0);
-    let mut requests: Vec<AppendRequest> = (0..12).map(|seq| request(&kp, seq)).collect();
-    requests[7].payload.push(b'!');
+    let mut requests: Vec<AppendRequest> = (0..len).map(|seq| request(&kp, seq)).collect();
+    for &i in bad {
+        requests[i].payload.push(b'!');
+    }
     for workers in [1, 2] {
         let keys = PublisherKeys::default();
         let cold = verified(&keys, &requests, workers);
@@ -129,10 +156,25 @@ fn warm_pass_takes_the_cached_path_and_rejects_fall_back_to_recovery() {
         assert_eq!(cold.verdicts, per_item(&requests));
         assert_eq!(warm.verdicts, cold.verdicts);
         // Cold: each span recovers until it has sighted the key twice, and
-        // the one reject is re-checked in full. Warm: only the reject.
-        assert!((3..=2 * workers as u64 + 1).contains(&cold.recovered));
-        assert_eq!(warm.recovered, 1, "{workers} workers");
+        // every reject is re-checked in full. Warm: only the rejects.
+        let rejects = bad.len() as u64;
+        assert!((2 + rejects..=2 * workers as u64 + rejects).contains(&cold.recovered));
+        assert_eq!(warm.recovered, rejects, "{workers} workers");
     }
+}
+
+#[test]
+fn warm_pass_takes_the_cached_path_and_rejects_fall_back_to_recovery() {
+    warm_pass_recovers_only_the_rejects(12, &[7]);
+}
+
+/// The same at run lengths the combined equation checks in one piece: all
+/// good, one reject (halved down to its quarter), a reject in every quarter.
+#[test]
+fn long_warm_pass_takes_the_cached_path_and_rejects_fall_back_to_recovery() {
+    warm_pass_recovers_only_the_rejects(200, &[]);
+    warm_pass_recovers_only_the_rejects(200, &[131]);
+    warm_pass_recovers_only_the_rejects(260, &[3, 90, 140, 259]);
 }
 
 #[test]

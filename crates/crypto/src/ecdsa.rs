@@ -6,13 +6,15 @@
 //! the contract recovers the signing address on-chain without needing the
 //! public key in calldata.
 
+use std::ops::Range;
+
 use crate::error::CryptoError;
-use crate::hash::HmacSha256;
+use crate::hash::{keccak256_batch_prefixed, HmacSha256, Keccak256};
 use crate::keys::{Address, PublicKey, SecretKey};
 use crate::secp256k1::scalar::N;
 use crate::secp256k1::{
-    batch_normalize, mul_double, mul_double_with_table, mul_generator, Affine, AffineTable, Fe,
-    Jacobian, Scalar,
+    batch_normalize, msm_u128, mul_double, mul_double_with_table, mul_generator, Affine,
+    AffineTable, Fe, Jacobian, Scalar,
 };
 use crate::uint::U256;
 
@@ -301,30 +303,185 @@ fn nonce_x(sig: &Signature) -> Option<U256> {
     }
 }
 
+/// Runs shorter than this skip the combined equation. Measured (`repro --
+/// signing`, the run-length rows), the equation is ahead of the per-item
+/// check from ~4 items on, but a run that fails it pays for both: at 16
+/// items the equation costs ~0.55 of the per-item check, so a reject slows
+/// its own run's good items by at most ~1.6×; below that the wasted share
+/// grows. A failing part is only halved while its halves stay this long.
+const COMBINED_MIN: usize = 16;
+/// How often a run whose equation fails is halved before the failing part
+/// goes through the per-item check.
+const HALVINGS: u32 = 2;
+
 /// Checks recoverable signatures `(r, s, v)` against a **remembered** key:
 /// `verdicts[i]` is true iff [`recover_prehashed`] on item `i` would return
-/// exactly the key `key_table` was built from — without recovery's square
-/// root, fresh nonce-point table and per-item inversions (all `s⁻¹` share
-/// one [`Scalar::batch_invert`], all result points one [`batch_normalize`]).
+/// exactly the key `key_table` was built from — without recovery's fresh
+/// nonce-point table and per-item inversions, and for a run of
+/// `COMBINED_MIN` items or more with **one equation** instead of one
+/// double multiplication per item.
 ///
-/// Per item: `R' = (z/s)·G + (r/s)·Q` must be the very point the recovery
-/// id names — x equal to `r` (or `r + n` when `v & 2`) **as integers, not
-/// mod n**, and y parity equal to `v & 1`. That pins `R' = lift_x(x, v & 1)`,
-/// so recovery's `r⁻¹(s·R − z·G)` is `r⁻¹(z·G + r·Q − z·G) = Q`; conversely,
-/// if recovery yields `Q` then `s⁻¹(z·G + r·Q)` is its nonce point and
-/// every check here passes. Like recovery (and unlike [`verify_prehashed`])
-/// this applies no low-s rule.
+/// Per item the condition is `R' = (z/s)·G + (r/s)·Q` being the very point
+/// the recovery id names — `R = lift_x(r, or r + n when v & 2; parity v & 1)`,
+/// x compared **as an integer, not mod n**. That pins recovery's
+/// `r⁻¹(s·R − z·G)` to `r⁻¹(z·G + r·Q − z·G) = Q`; conversely, if recovery
+/// yields `Q` then `s⁻¹(z·G + r·Q)` is its nonce point. Like recovery (and
+/// unlike [`verify_prehashed`]) this applies no low-s rule.
+///
+/// A recoverable signature carries `R` whole, so a run is checked as
+/// `Σ aᵢ·(R'ᵢ − Rᵢ) = O`, i.e. `(Σ aᵢzᵢ/sᵢ)·G + (Σ aᵢrᵢ/sᵢ)·Q = Σ aᵢ·Rᵢ`:
+/// one [`mul_double_with_table`] against one [`msm_u128`], with 128-bit
+/// non-zero coefficients fixed by a hash of the key and every item
+/// (`batch_coefficients`). In a prime-order group a sum with any
+/// `R'ᵢ ≠ Rᵢ` vanishes with probability ≤ 2⁻¹²⁷ per equation. An item with
+/// no such `R` is rejected on its own, as recovery rejects it. A failing
+/// equation is never a verdict: the run is halved up to `HALVINGS` times
+/// and a part that still fails goes through the per-item check.
 pub fn verify_recoverable_batch(
     key_table: &AffineTable,
     items: &[([u8; 32], Signature)],
 ) -> Vec<bool> {
+    verify_recoverable_probed(key_table, items).0
+}
+
+/// [`verify_recoverable_batch`] plus how the verdicts were reached, for the
+/// tests: (combined equations evaluated, items checked one by one).
+fn verify_recoverable_probed(
+    key_table: &AffineTable,
+    items: &[([u8; 32], Signature)],
+) -> (Vec<bool>, (u32, usize)) {
     let mut s_invs: Vec<Scalar> = items.iter().map(|(_, sig)| sig.s).collect();
     Scalar::batch_invert(&mut s_invs);
+    if items.len() < COMBINED_MIN {
+        return (verify_each(key_table, items, &s_invs), (0, items.len()));
+    }
+    let mut run = CombinedRun {
+        key_table,
+        items,
+        s_invs: &s_invs,
+        coefficients: batch_coefficients(key_table.base(), items),
+        lifted: Vec::with_capacity(items.len()),
+        u1: Vec::with_capacity(items.len()),
+        u2: Vec::with_capacity(items.len()),
+        verdicts: vec![false; items.len()],
+        probe: (0, 0),
+    };
+    for (((msg_hash, sig), s_inv), a) in items.iter().zip(&s_invs).zip(&run.coefficients) {
+        // batch_invert leaves a zero s zero. An item recovery rejects
+        // outright contributes the identity and zero scalars.
+        let lifted = (!sig.r.is_zero() && !s_inv.is_zero() && sig.v <= 3)
+            .then(|| nonce_x(sig))
+            .flatten()
+            .and_then(|x| Affine::lift_x(Fe::from_u256(x), sig.v & 1 == 1));
+        let scale = lifted.map_or(Scalar::ZERO, |_| Scalar::from_u128(*a).mul(s_inv));
+        run.lifted.push(lifted.unwrap_or(Affine::INFINITY));
+        let z = Scalar::from_be_bytes_reduced(msg_hash);
+        run.u1.push(scale.mul(&z));
+        run.u2.push(scale.mul(&sig.r));
+    }
+    let defect = run.defect(0..items.len());
+    run.settle(0..items.len(), defect, HALVINGS);
+    (run.verdicts, run.probe)
+}
+
+/// One run on its way through the combined equation: per-item terms are
+/// computed once and shared by every (sub-)equation.
+struct CombinedRun<'a> {
+    key_table: &'a AffineTable,
+    items: &'a [([u8; 32], Signature)],
+    s_invs: &'a [Scalar],
+    coefficients: Vec<u128>,
+    /// `Rᵢ`, or the identity for an item rejected on its own.
+    lifted: Vec<Affine>,
+    /// `aᵢ·zᵢ/sᵢ` and `aᵢ·rᵢ/sᵢ`.
+    u1: Vec<Scalar>,
+    u2: Vec<Scalar>,
+    verdicts: Vec<bool>,
+    probe: (u32, usize),
+}
+
+impl CombinedRun<'_> {
+    /// `Σ aᵢ·(R'ᵢ − Rᵢ)` over `part`: the identity iff its equation holds.
+    fn defect(&mut self, part: Range<usize>) -> Jacobian {
+        self.probe.0 += 1;
+        let sum = |terms: &[Scalar]| terms.iter().fold(Scalar::ZERO, |acc, t| acc.add(t));
+        let (u1, u2) = (sum(&self.u1[part.clone()]), sum(&self.u2[part.clone()]));
+        let right = msm_u128(&self.lifted[part.clone()], &self.coefficients[part]);
+        mul_double_with_table(&u1, &u2, self.key_table).add(&right.neg())
+    }
+
+    /// Settles `part`, whose defect is known: accepted whole if it is the
+    /// identity; else halved, while `halvings` last and the halves are
+    /// worth an equation — one half's defect costs a multi-scalar
+    /// multiplication, the other's is the difference; else checked item by
+    /// item.
+    fn settle(&mut self, part: Range<usize>, defect: Jacobian, halvings: u32) {
+        if defect.is_infinity() {
+            let verdicts = self.verdicts[part.clone()].iter_mut();
+            for (verdict, lifted) in verdicts.zip(&self.lifted[part]) {
+                *verdict = !lifted.infinity;
+            }
+        } else if halvings > 0 && part.len() >= 2 * COMBINED_MIN {
+            let mid = part.start + part.len() / 2;
+            let left = self.defect(part.start..mid);
+            self.settle(part.start..mid, left, halvings - 1);
+            self.settle(mid..part.end, defect.add(&left.neg()), halvings - 1);
+        } else {
+            self.probe.1 += part.len();
+            let (items, s_invs) = (&self.items[part.clone()], &self.s_invs[part.clone()]);
+            let checked = verify_each(self.key_table, items, s_invs);
+            self.verdicts[part].copy_from_slice(&checked);
+        }
+    }
+}
+
+/// The combined equation's coefficients: `a₀ = 1`, every other `aᵢ` a
+/// non-zero 128-bit value read from `keccak256(seed ‖ ⌊i/2⌋)` (two per
+/// digest), where `seed` is the Keccak transcript of the key and of every
+/// `(digest, signature)` in the run. A function of its arguments alone — no
+/// RNG, no clock, no global — so whoever chooses the inputs, key included,
+/// fixes the coefficients only *after* the choice.
+fn batch_coefficients(key: &Affine, items: &[([u8; 32], Signature)]) -> Vec<u128> {
+    let mut transcript = Keccak256::new();
+    transcript.update(b"wedge-batch-verify-v1");
+    transcript.update(&key.to_bytes_uncompressed());
+    for (msg_hash, sig) in items {
+        transcript.update(msg_hash);
+        transcript.update(&sig.to_bytes());
+    }
+    let seed = transcript.finalize();
+    let counters: Vec<[u8; 8]> = (0..items.len().div_ceil(2) as u64)
+        .map(u64::to_be_bytes)
+        .collect();
+    let counters: Vec<&[u8]> = counters.iter().map(|c| c.as_slice()).collect();
+    let mut coefficients: Vec<u128> = keccak256_batch_prefixed(&seed, &counters)
+        .iter()
+        .flat_map(|digest| {
+            let half = |bytes: &[u8]| bytes.iter().fold(0u128, |acc, b| acc << 8 | *b as u128);
+            let (high, low) = digest.0.split_at(16);
+            [half(high).max(1), half(low).max(1)]
+        })
+        .take(items.len())
+        .collect();
+    if let Some(first) = coefficients.first_mut() {
+        *first = 1;
+    }
+    coefficients
+}
+
+/// The per-item check behind [`verify_recoverable_batch`]: one
+/// `u1·G + u2·Q` per item (`s_invs[i]` = `1/sᵢ`, zero for a zero `s`), all
+/// result points sharing one [`batch_normalize`].
+fn verify_each(
+    key_table: &AffineTable,
+    items: &[([u8; 32], Signature)],
+    s_invs: &[Scalar],
+) -> Vec<bool> {
     let points: Vec<Jacobian> = items
         .iter()
-        .zip(&s_invs)
+        .zip(s_invs)
         .map(|((msg_hash, sig), s_inv)| {
-            // batch_invert leaves a zero s zero; infinity is rejected below.
+            // Infinity is rejected below.
             if sig.r.is_zero() || s_inv.is_zero() || sig.v > 3 {
                 return Jacobian::INFINITY;
             }
@@ -750,6 +907,187 @@ mod tests {
         verify_prehashed(&recovered, &h, &no_overflow_bit).unwrap();
         verify_prehashed(&recovered, &h, &wrong_parity).unwrap();
     }
+
+    /// `len` items signed by `kp` over distinct digests.
+    fn signed_run(kp: &Keypair, len: usize) -> Vec<([u8; 32], Signature)> {
+        let hashes: Vec<[u8; 32]> = (0..len as u64).map(|i| hash(&i.to_be_bytes())).collect();
+        let sigs = sign_prehashed_batch(&kp.secret, &hashes);
+        hashes.into_iter().zip(sigs).collect()
+    }
+
+    fn recovers_to(kp: &Keypair, items: &[([u8; 32], Signature)]) -> Vec<bool> {
+        items
+            .iter()
+            .map(|(h, sig)| recover_prehashed(h, sig) == Ok(kp.public))
+            .collect()
+    }
+
+    #[test]
+    fn combined_equation_runs_and_falls_back_exactly_on_a_reject() {
+        let kp = Keypair::from_seed(b"probe");
+        let table = AffineTable::new(kp.public.point());
+        let probed = |items: &[([u8; 32], Signature)]| {
+            let (verdicts, probe) = verify_recoverable_probed(&table, items);
+            assert_eq!(verdicts, recovers_to(&kp, items));
+            probe
+        };
+        // Clean runs: per item under the cutoff, one equation from it on.
+        for len in [0, 1, COMBINED_MIN - 1] {
+            assert_eq!(probed(&signed_run(&kp, len)), (0, len));
+        }
+        for len in [COMBINED_MIN, 2 * COMBINED_MIN + 1, 300] {
+            assert_eq!(probed(&signed_run(&kp, len)), (1, 0), "{len}");
+        }
+        // One reject: the whole, one half, one quarter of the failing half;
+        // only the failing quarter is checked item by item — wherever the
+        // reject sits (item 0 carries the fixed coefficient 1).
+        for at in [0, 74, 75, 149, 150, 299] {
+            let mut items = signed_run(&kp, 300);
+            items[at].0[7] ^= 1;
+            assert_eq!(probed(&items), (3, 75), "reject at {at}");
+        }
+        // A failing run too short to halve goes straight to the leaf.
+        let mut short = signed_run(&kp, 2 * COMBINED_MIN - 1);
+        short[3].1.v ^= 1;
+        assert_eq!(probed(&short), (1, short.len()));
+        // A reject in every quarter: 1 + 1 + 2 equations, every item a leaf.
+        let mut hostile = signed_run(&kp, 300);
+        for at in [10, 100, 200, 290] {
+            hostile[at].1.s = hostile[at].1.s.add(&Scalar::ONE);
+        }
+        assert_eq!(probed(&hostile), (4, 300));
+        // Items recovery rejects outright never enter the equation, so they
+        // cost no fall-back: zero r, zero s, v > 3, r + n ≥ p, x off the curve.
+        let mut outright = signed_run(&kp, 120);
+        outright[0].1.r = Scalar::ZERO;
+        outright[1].1.s = Scalar::ZERO;
+        outright[2].1.v += 4;
+        outright[3].1.v |= 2;
+        let off_curve = (1u64..)
+            .map(Scalar::from_u64)
+            .find(|x| Affine::lift_x(Fe::from_u256(x.to_u256()), false).is_none());
+        outright[119].1.r = off_curve.expect("half of all x are off the curve");
+        assert_eq!(probed(&outright), (1, 0));
+        assert_eq!(probed(&outright[..5]), (0, 5));
+        // A run of nothing but such items: the empty equation holds.
+        let unliftable = vec![outright[119]; 40];
+        assert_eq!(probed(&unliftable), (1, 0));
+    }
+
+    #[test]
+    fn somebody_elses_and_the_identity_table_reject_every_item() {
+        let kp = Keypair::from_seed(b"tables");
+        let items = signed_run(&kp, 60);
+        let other = Keypair::from_seed(b"not the signer");
+        for point in [*other.public.point(), Affine::INFINITY] {
+            let (verdicts, probe) = verify_recoverable_probed(&AffineTable::new(&point), &items);
+            assert_eq!(verdicts, [false; 60]);
+            // Halved once (30 + 30); shorter halves are not worth an equation.
+            assert_eq!(probe, (2, 60));
+        }
+    }
+
+    /// Errors that cancel under unit coefficients: `z₁ += d·s₁` moves `R'₁`
+    /// by `+d·G`, `z₂ −= d·s₂` moves `R'₂` by `−d·G`. A batch test that
+    /// summed the items unweighted would accept both.
+    #[test]
+    fn cancelling_errors_are_both_rejected() {
+        let kp = Keypair::from_seed(b"cancel");
+        let table = AffineTable::new(kp.public.point());
+        let d = Scalar::from_be_bytes_reduced(&hash(b"d"));
+        for (first, second) in [(0, 1), (5, 64), (31, 99)] {
+            let mut items = signed_run(&kp, 100);
+            let shifted = |(h, sig): ([u8; 32], Signature), by: Scalar| {
+                let z = Scalar::from_be_bytes_reduced(&h).add(&by.mul(&sig.s));
+                (z.to_be_bytes(), sig)
+            };
+            items[first] = shifted(items[first], d);
+            items[second] = shifted(items[second], d.neg());
+            // The unweighted sum of the two defects is the identity…
+            let defect = |(h, sig): &([u8; 32], Signature)| {
+                let s_inv = sig.s.invert().unwrap();
+                let z = Scalar::from_be_bytes_reduced(h);
+                let named = Affine::lift_x(Fe::from_u256(nonce_x(sig).unwrap()), sig.v & 1 == 1);
+                mul_double_with_table(&z.mul(&s_inv), &sig.r.mul(&s_inv), &table)
+                    .add_affine(&named.unwrap().neg())
+            };
+            let (e1, e2) = (defect(&items[first]), defect(&items[second]));
+            assert!(!e1.is_infinity() && !e2.is_infinity());
+            assert!(e1.add(&e2).is_infinity());
+            // …and both items are rejected all the same.
+            let (verdicts, probe) = verify_recoverable_probed(&table, &items);
+            assert_eq!(verdicts, recovers_to(&kp, &items));
+            assert_eq!(verdicts.iter().filter(|ok| !**ok).count(), 2);
+            assert!(probe.0 >= 2 && probe.1 >= 2);
+        }
+    }
+
+    #[test]
+    fn coefficients_are_pinned_nonzero_and_a_function_of_the_inputs() {
+        let kp = Keypair::from_seed(b"coefficients");
+        let items = signed_run(&kp, 5);
+        let golden = batch_coefficients(kp.public.point(), &items);
+        assert_eq!(golden, GOLDEN_COEFFICIENTS);
+        // No RNG, no clock, no global: the same on every thread, in any
+        // order, with other runs in between.
+        let concurrent: Vec<Vec<u128>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (0..4)
+                .map(|t| {
+                    let (kp, items) = (&kp, &items);
+                    scope.spawn(move || {
+                        for len in 0..t {
+                            batch_coefficients(&Affine::GENERATOR, &signed_run(kp, len));
+                        }
+                        batch_coefficients(kp.public.point(), items)
+                    })
+                })
+                .collect();
+            spawned.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(concurrent.iter().all(|c| *c == golden));
+        // Every byte of every item (and the key) moves every coefficient
+        // but a₀.
+        let differs_everywhere = |other: Vec<u128>| {
+            assert_eq!(other[0], 1);
+            assert!(other.iter().zip(&golden).skip(1).all(|(a, b)| a != b));
+        };
+        differs_everywhere(batch_coefficients(&Affine::GENERATOR, &items));
+        for at in 0..items.len() {
+            for byte in 0..97 {
+                let mut damaged = items.clone();
+                let (h, sig) = &mut damaged[at];
+                let flip = |x: Scalar, byte: usize| {
+                    let mut bytes = x.to_be_bytes();
+                    bytes[byte] ^= 1;
+                    Scalar::from_be_bytes_reduced(&bytes)
+                };
+                match byte {
+                    0..=31 => h[byte] ^= 1,
+                    32..=63 => sig.r = flip(sig.r, byte - 32),
+                    64..=95 => sig.s = flip(sig.s, byte - 64),
+                    _ => sig.v ^= 1,
+                }
+                differs_everywhere(batch_coefficients(kp.public.point(), &damaged));
+            }
+        }
+        // Non-zero at every length, odd ones included (two per digest).
+        for len in [1, 2, 3, 24, 25, 257] {
+            let coefficients = batch_coefficients(kp.public.point(), &signed_run(&kp, len));
+            assert_eq!(coefficients.len(), len);
+            assert!(coefficients.iter().all(|a| *a != 0));
+        }
+        assert!(batch_coefficients(kp.public.point(), &[]).is_empty());
+    }
+
+    /// [`batch_coefficients`] of five items signed by the seed
+    /// `"coefficients"` over `keccak256(i as u64, big-endian)`.
+    const GOLDEN_COEFFICIENTS: [u128; 5] = [
+        1,
+        0x98183418e0f353da30e32e362878f512,
+        0x7a32190f2d4546b4c946e7d67f03b1a8,
+        0x95b500e2bb1ae5df8e797bfce3780631,
+        0x08589a763809c8ea220c5a11c658b113,
+    ];
 
     #[test]
     fn batch_sign_matches_sequential() {

@@ -10,7 +10,12 @@
 //! - **Keys**: secret/public keypairs and Ethereum-style 20-byte addresses.
 //! - **Batch helpers**: parallel batch signing mirroring the paper's
 //!   multi-core prototype, and one batch verifier of recoverable signatures
-//!   against a remembered key ([`verify_recoverable_batch`]).
+//!   against a remembered key ([`verify_recoverable_batch`]): a run of 16
+//!   or more is checked with one random-linear-combination equation — one
+//!   double multiplication against one Pippenger multi-scalar
+//!   multiplication over the nonce points the signatures carry, under
+//!   coefficients hashed from the key and every item — and falls back to
+//!   the per-item check for whatever part of a run fails it.
 //!
 //! Nothing here depends on external crypto crates; every primitive is
 //! implemented in this crate and validated against published test vectors

@@ -8,7 +8,7 @@ pub mod scalar;
 
 pub use field::Fe;
 pub use point::{
-    batch_normalize, mul_double, mul_double_with_table, mul_generator, mul_point, Affine,
+    batch_normalize, msm_u128, mul_double, mul_double_with_table, mul_generator, mul_point, Affine,
     AffineTable, Jacobian,
 };
 pub use scalar::Scalar;

@@ -5,7 +5,7 @@
 //! inversion converts back to affine, and [`batch_normalize`] amortizes that
 //! inversion across many points via Montgomery's trick.
 //!
-//! Scalar multiplication comes in three speeds:
+//! Scalar multiplication comes in four shapes:
 //!
 //! - **Fixed base** ([`mul_generator`]): an 8-bit comb table (32 windows ×
 //!   255 affine entries, built lazily with one shared inversion) reduces
@@ -20,6 +20,9 @@
 //!   GLV half-scalars of `a·G + b·Q`, which is the shape ECDSA verification
 //!   and recovery need. Callers that verify many signatures under one key
 //!   should build the key's [`AffineTable`] once and reuse it.
+//! - **Multi-scalar** ([`msm_u128`]): Pippenger bucket sums for `Σ aᵢ·Pᵢ`
+//!   over many points with 128-bit scalars — the right-hand side of the
+//!   batch verifier's combined equation.
 //!
 //! The pre-existing 4-bit fixed-window implementations are preserved in
 //! [`mod@reference`] as differential baselines; property tests pin the fast
@@ -29,7 +32,6 @@ use std::sync::OnceLock;
 
 use super::field::Fe;
 use super::scalar::{wnaf_digits, Scalar};
-use crate::uint::U256;
 
 /// Generator x-coordinate.
 const GX: Fe = Fe::from_be_hex("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
@@ -207,6 +209,14 @@ impl Jacobian {
     /// The projective Z coordinate.
     pub(crate) fn proj_z(&self) -> Fe {
         self.z
+    }
+
+    /// Point negation.
+    pub fn neg(&self) -> Jacobian {
+        Jacobian {
+            y: self.y.neg(),
+            ..*self
+        }
     }
 
     /// Converts back to affine (one field inversion).
@@ -454,6 +464,12 @@ impl AffineTable {
         }
     }
 
+    /// The point the table was built from ([`Affine::INFINITY`] for the
+    /// identity).
+    pub(crate) fn base(&self) -> &Affine {
+        &self.plain[0]
+    }
+
     /// Looks up the table entry for a signed odd wNAF digit, optionally
     /// under the endomorphism, with an extra negation for GLV half-scalars
     /// whose magnitude was sign-flipped.
@@ -499,13 +515,6 @@ impl AffineTable {
     }
 }
 
-/// Lazily built odd-multiples table for the generator, used to interleave
-/// the fixed-base half of Strauss–Shamir double multiplications.
-fn gen_wnaf_table() -> &'static AffineTable {
-    static TABLE: OnceLock<AffineTable> = OnceLock::new();
-    TABLE.get_or_init(|| AffineTable::new(&Affine::GENERATOR))
-}
-
 /// Multiplies an arbitrary point by a scalar (GLV split + width-5 wNAF over
 /// a batch-normalized affine odd-multiples table).
 pub fn mul_point(point: &Affine, k: &Scalar) -> Jacobian {
@@ -540,47 +549,41 @@ pub fn mul_double_with_table(a: &Scalar, b: &Scalar, table: &AffineTable) -> Jac
     table.mul(b).add(&mul_generator(a))
 }
 
-/// Computes `a·G + b·Q` by Strauss–Shamir interleaving **without** the GLV
-/// split: both full-width scalars share one 256-step doubling run. Slower
-/// than [`mul_double_with_table`]; kept as an intermediate differential
-/// baseline between [`reference::mul_double`] and the GLV path.
-pub fn mul_double_strauss(a: &Scalar, b: &Scalar, q: &Affine) -> Jacobian {
-    if q.infinity || b.is_zero() {
-        return mul_generator(a);
-    }
-    let table = AffineTable::new(q);
-    let gt = gen_wnaf_table();
-    let da = wnaf_digits(&U256::from_be_bytes(&a.to_be_bytes()), WNAF_WIDTH);
-    let db = wnaf_digits(&U256::from_be_bytes(&b.to_be_bytes()), WNAF_WIDTH);
-    let len = da.len().max(db.len());
-    let mut acc = Jacobian::INFINITY;
-    for i in (0..len).rev() {
-        acc = acc.double();
-        if let Some(&d) = da.get(i) {
-            if d != 0 {
-                acc = acc.add_affine(&gt.entry(false, d, false));
+/// Multi-scalar multiplication `Σ scalarsᵢ·pointsᵢ` over 128-bit scalars by
+/// Pippenger's bucket method: the scalars are cut into `c`-bit windows; per
+/// window every point is added into the bucket its digit names (one mixed
+/// addition, no doubling), the buckets are combined by a running sum
+/// (`Σ d·B_d` in `2·2^c` additions), and the window sums are joined by `c`
+/// doublings each. `c` minimizes `⌈128/c⌉·(n + 2^(c+1))`: ~24 additions per
+/// point at n = 1,000, against ~160 operations for a half-width scalar
+/// multiplication each. Pairs beyond the shorter slice are ignored.
+pub fn msm_u128(points: &[Affine], scalars: &[u128]) -> Jacobian {
+    let n = points.len().min(scalars.len());
+    let cost = |c: &u32| 128u32.div_ceil(*c) as usize * (n + (2usize << c));
+    let c = (1..=12u32).min_by_key(cost).unwrap_or(1);
+    let mut buckets = vec![Jacobian::INFINITY; (1 << c) - 1];
+    let mut total = Jacobian::INFINITY;
+    for window in (0..128u32.div_ceil(c)).rev() {
+        for _ in 0..c {
+            total = total.double();
+        }
+        buckets.fill(Jacobian::INFINITY);
+        for (point, scalar) in points.iter().zip(scalars) {
+            let digit = (scalar >> (window * c)) as usize & ((1 << c) - 1);
+            // Digit d lands in bucket d − 1; digit 0 (wraps out of range)
+            // contributes nothing.
+            if let Some(bucket) = buckets.get_mut(digit.wrapping_sub(1)) {
+                *bucket = bucket.add_affine(point);
             }
         }
-        if let Some(&d) = db.get(i) {
-            if d != 0 {
-                acc = acc.add_affine(&table.entry(false, d, false));
-            }
+        // Σ d·B_d: `running` holds B_max + … + B_d when bucket d is reached.
+        let mut running = Jacobian::INFINITY;
+        for bucket in buckets.iter().rev() {
+            running = running.add(bucket);
+            total = total.add(&running);
         }
     }
-    acc
-}
-
-/// Returns the generator order-related helper: x-coordinate of `k*G` as an
-/// integer (used by ECDSA signing for `r`).
-pub fn generator_x(k: &Scalar) -> Option<(Fe, bool, bool)> {
-    let point = mul_generator(k).to_affine();
-    if point.infinity {
-        return None;
-    }
-    // Returns (x, y_is_odd, x_overflows_n) — everything sign/recover need.
-    let x_int = point.x.to_u256();
-    let overflow = x_int >= super::scalar::N;
-    Some((point.x, point.y.is_odd(), overflow))
+    total
 }
 
 pub mod reference {
@@ -770,6 +773,76 @@ mod tests {
         assert_eq!(flipped, p.neg());
     }
 
+    /// `lift_x` and compressed parsing sit on [`Fe::sqrt`]: both are pinned
+    /// to the root the generic `pow((p+1)/4)` ladder yields, on x values on
+    /// and off the curve.
+    #[test]
+    fn lift_x_and_compressed_parsing_match_the_pow_ladder_root() {
+        let exp = super::super::field::P
+            .wrapping_add(&crate::uint::U256::ONE)
+            .shr(2);
+        let (mut on, mut off) = (0, 0);
+        for i in 0u64..120 {
+            let x = Fe::from_be_bytes(&crate::hash::keccak256(&i.to_be_bytes()));
+            let y2 = x.square().mul(&x).add(&Fe::SEVEN);
+            let root = Some(y2.pow(&exp)).filter(|y| y.square() == y2);
+            match root {
+                Some(_) => on += 1,
+                None => off += 1,
+            }
+            for odd in [false, true] {
+                let expect = root.map(|y| Affine {
+                    x,
+                    y: if y.is_odd() == odd { y } else { y.neg() },
+                    infinity: false,
+                });
+                assert_eq!(Affine::lift_x(x, odd), expect);
+                let mut compressed = [if odd { 0x03 } else { 0x02 }; 33];
+                compressed[1..].copy_from_slice(&x.to_be_bytes());
+                assert_eq!(Affine::from_bytes_compressed(&compressed), expect);
+            }
+        }
+        assert!(on > 30 && off > 30);
+    }
+
+    #[test]
+    fn msm_matches_naive_sum_and_survives_cancelling_buckets() {
+        let naive = |points: &[Affine], scalars: &[u128]| {
+            let terms = points.iter().zip(scalars);
+            terms.fold(Jacobian::INFINITY, |acc, (p, a)| {
+                acc.add(&mul_point(p, &Scalar::from_u128(*a)))
+            })
+        };
+        let p = mul_generator(&Scalar::from_u64(11)).to_affine();
+        let q = mul_generator(&Scalar::from_u64(13)).to_affine();
+        // P beside −P and P beside P under one scalar: every window's bucket
+        // meets its own negation (back to the identity) or itself (doubling).
+        let a = 0x0123_4567_89ab_cdef_0f1e_2d3c_4b5a_6978u128;
+        assert!(msm_u128(&[p, p.neg()], &[a, a]).is_infinity());
+        for (points, scalars) in [
+            (vec![], vec![]),
+            (vec![p], vec![0]),
+            (vec![p], vec![1]),
+            (vec![p], vec![u128::MAX]),
+            (vec![p, p], vec![a, a]),
+            (vec![p, p.neg(), q], vec![a, a, 7]),
+            (
+                vec![p, Affine::INFINITY, q, q.neg()],
+                vec![a, a, u128::MAX, 1 << 127],
+            ),
+        ] {
+            let expect = naive(&points, &scalars).to_affine();
+            assert_eq!(msm_u128(&points, &scalars).to_affine(), expect);
+        }
+        // Long enough for wide windows.
+        let points: Vec<Affine> = (1..=300u64)
+            .map(|i| mul_generator(&Scalar::from_u64(i * i + 1)).to_affine())
+            .collect();
+        let scalars: Vec<u128> = (0..300u128).map(|i| a.wrapping_mul(2 * i + 1)).collect();
+        let expect = naive(&points, &scalars).to_affine();
+        assert_eq!(msm_u128(&points, &scalars).to_affine(), expect);
+    }
+
     #[test]
     fn serialization_roundtrips() {
         let p = mul_generator(&Scalar::from_u64(12345)).to_affine();
@@ -877,11 +950,6 @@ mod tests {
             for b in &scalars {
                 let expect = reference::mul_double(a, b, &q).to_affine();
                 assert_eq!(mul_double(a, b, &q).to_affine(), expect, "glv {a:?} {b:?}");
-                assert_eq!(
-                    mul_double_strauss(a, b, &q).to_affine(),
-                    expect,
-                    "strauss {a:?} {b:?}"
-                );
             }
         }
     }

@@ -54,6 +54,11 @@ impl Scalar {
         Scalar(U256::from_u64(v))
     }
 
+    /// Builds from a 128-bit integer (always below n).
+    pub fn from_u128(v: u128) -> Scalar {
+        Scalar(U256::from_limbs([v as u64, (v >> 64) as u64, 0, 0]))
+    }
+
     /// The canonical integer representative.
     #[inline]
     pub fn to_u256(self) -> U256 {

@@ -15,9 +15,12 @@ use wedge_crypto::ecdsa::{
 };
 use wedge_crypto::keys::{Keypair, SecretKey};
 use wedge_crypto::secp256k1::point::reference as point_ref;
+use wedge_crypto::secp256k1::scalar::N;
 use wedge_crypto::secp256k1::{
-    mul_double, mul_double_with_table, mul_generator, mul_point, Affine, AffineTable, Scalar,
+    msm_u128, mul_double, mul_double_with_table, mul_generator, mul_point, Affine, AffineTable, Fe,
+    Jacobian, Scalar,
 };
+use wedge_crypto::uint::U256;
 
 fn arb_scalar() -> impl Strategy<Value = Scalar> {
     any::<[u8; 32]>().prop_map(|b| Scalar::from_be_bytes_reduced(&b))
@@ -74,6 +77,37 @@ proptest! {
         prop_assert_eq!(mul_double_with_table(&a, &b, &table).to_affine(), naive);
     }
 
+    /// Pippenger `msm_u128` vs one scalar multiplication per term — with
+    /// repeated points, a point beside its negation under the same scalar
+    /// (a bucket that returns to the identity), zero and all-ones scalars
+    /// and the identity among the points.
+    #[test]
+    fn bucket_msm_matches_naive_sum(
+        base in proptest::collection::vec(arb_point(), 1..6),
+        terms in proptest::collection::vec((0usize..8, any::<bool>(), any::<u128>(), 0u8..6), 0..70),
+    ) {
+        let mut points = Vec::new();
+        let mut scalars = Vec::new();
+        for (which, negate, scalar, shape) in terms {
+            let point = base.get(which).copied().unwrap_or(Affine::INFINITY);
+            points.push(if negate { point.neg() } else { point });
+            scalars.push(match shape {
+                0 => 0,
+                1 => u128::MAX,
+                2 => scalar >> 100,
+                _ => scalar,
+            });
+            if shape == 5 {
+                points.push(point.neg());
+                scalars.push(scalar);
+            }
+        }
+        let naive = points.iter().zip(&scalars).fold(Jacobian::INFINITY, |acc, (p, a)| {
+            acc.add(&mul_point(p, &Scalar::from_u128(*a)))
+        });
+        prop_assert_eq!(msm_u128(&points, &scalars).to_affine(), naive.to_affine());
+    }
+
     /// The fast signer (comb table) is byte-identical to the frozen one.
     #[test]
     fn fast_sign_matches_reference(kp in arb_keypair(), msg in any::<[u8; 32]>()) {
@@ -104,7 +138,7 @@ proptest! {
 proptest! {
     // Batch cases sign dozens of messages per case; keep the count lower
     // still.
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Batch signing across random lengths is byte-identical to sequential
     /// (and hence to the frozen signer, by the case above).
@@ -131,24 +165,36 @@ proptest! {
     }
 
     /// The one batch verifier has exactly the recovery accept set: item `i`
-    /// passes iff `recover_prehashed` returns the remembered key — on clean
-    /// items, on every single-field mutation of `(hash, r, s, v)`, on the
-    /// high-s twin (which recovery, unlike `verify_prehashed`, accepts) and
-    /// against a table for somebody else's key.
+    /// passes iff `recover_prehashed` returns the remembered key — at run
+    /// lengths on both sides of the combined equation's cutoff and into the
+    /// hundreds, on clean items, on every single-field mutation of
+    /// `(hash, r, s, v)`, on the high-s twin (which recovery, unlike
+    /// `verify_prehashed`, accepts) alone and beside its original (nonce
+    /// points `R` and `−R` in one bucket sum), on an `r` that is no curve
+    /// point's x, on the same item twice, on a run of nothing but rejects,
+    /// and against a table for somebody else's key or for the identity.
     #[test]
     fn recoverable_batch_matches_recovery(
         kp in arb_keypair(),
         other in arb_keypair(),
-        len in 1usize..24,
-        mutations in proptest::collection::vec((0usize..24, 0u8..9), 0..8),
+        len in prop_oneof![1usize..40, 40usize..320],
+        mutations in proptest::collection::vec((any::<usize>(), 0u8..12), 0..8),
+        only_rejects in (0u8..5).prop_map(|roll| roll == 0),
     ) {
-        let mut items: Vec<([u8; 32], Signature)> = (0..len).map(|i| {
+        let hashes: Vec<[u8; 32]> = (0..len).map(|i| {
             let mut h = [0xC3u8; 32];
-            h[0] = i as u8;
-            (h, sign_prehashed(&kp.secret, &h))
+            h[..8].copy_from_slice(&(i as u64).to_be_bytes());
+            h
         }).collect();
+        let mut items: Vec<([u8; 32], Signature)> = hashes
+            .iter()
+            .copied()
+            .zip(sign_prehashed_batch(&kp.secret, &hashes))
+            .collect();
         for (at, kind) in mutations {
-            let (h, sig) = &mut items[at % len];
+            let at = at % len;
+            let next = (at + 1) % len;
+            let (h, sig) = &mut items[at];
             match kind {
                 0 => h[31] ^= 1,
                 1 => sig.r = sig.r.add(&Scalar::ONE),
@@ -158,7 +204,19 @@ proptest! {
                 5 => sig.v += 4,
                 6 => sig.r = Scalar::ZERO,
                 7 => sig.s = Scalar::ZERO,
-                _ => { sig.s = sig.s.neg(); sig.v ^= 1; } // valid high-s twin
+                8 => { sig.s = sig.s.neg(); sig.v ^= 1; } // valid high-s twin
+                9 => sig.r = off_curve_x(),
+                10 => items[next] = items[at], // the same item twice
+                _ => {
+                    // A valid twin beside its original: same digest, −R.
+                    let twin = Signature { s: sig.s.neg(), v: sig.v ^ 1, ..*sig };
+                    items[next] = (*h, twin);
+                }
+            }
+        }
+        if only_rejects {
+            for (h, _) in &mut items {
+                h[30] ^= 1;
             }
         }
         for key in [&kp, &other] {
@@ -167,7 +225,50 @@ proptest! {
                 .iter()
                 .map(|(h, sig)| ecdsa::recover_prehashed(h, sig) == Ok(key.public))
                 .collect();
+            prop_assert!(!only_rejects || !expect.contains(&true));
             prop_assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), expect);
         }
+        // No recovery ever yields the identity.
+        let identity = AffineTable::new(&Affine::INFINITY);
+        prop_assert_eq!(ecdsa::verify_recoverable_batch(&identity, &items), vec![false; len]);
+    }
+}
+
+/// An `r` for which neither `r` nor (it is far above `p − n`) `r + n` is the
+/// x of a curve point: recovery fails on it, the batch lifts nothing.
+fn off_curve_x() -> Scalar {
+    (1u64..)
+        .map(Scalar::from_u64)
+        .find(|x| Affine::lift_x(Fe::from_u256(x.to_u256()), false).is_none())
+        .expect("half of all x are off the curve")
+}
+
+/// The `r + n` vector in a long run: a nonce point whose x lies in `[n, p)`
+/// gives `r = x − n` with recovery-id bit 1. Any `(r, s, v)` is a valid
+/// signature under the key it recovers to, so a run of copies of one such
+/// item is a long run of *accepts* through the `r + n` lift — and of
+/// rejects once bit 1 is cleared or the parity bit flipped.
+#[test]
+fn recoverable_batch_lifts_r_plus_n_in_long_runs() {
+    let nonce_point = (1u64..1000)
+        .find_map(|t| Affine::lift_x(Fe::from_u256(N.wrapping_add(&U256::from_u64(t))), false))
+        .expect("a curve point with x in [n, p) exists within 1000 tries");
+    let h = [0x5Au8; 32];
+    let sig = Signature {
+        r: Scalar::from_u256(nonce_point.x.to_u256()),
+        s: Scalar::from_u64(0x5eed),
+        v: nonce_point.y.is_odd() as u8 | 2,
+    };
+    let key = ecdsa::recover_prehashed(&h, &sig).expect("recovery ids 2/3 select x = r + n");
+    let table = AffineTable::new(key.point());
+    let mut items = vec![(h, sig); 90];
+    assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), [true; 90]);
+    items[17].1.v &= 1; // x read as r itself
+    items[71].1.v ^= 1; // the other root
+    let expect: Vec<bool> = (0..90).map(|i| i != 17 && i != 71).collect();
+    assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), expect);
+    for (h, sig) in &items {
+        let recovered = ecdsa::recover_prehashed(h, sig) == Ok(key);
+        assert_eq!(recovered, sig.v == (nonce_point.y.is_odd() as u8 | 2));
     }
 }
