@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use wedge_crypto::ecdsa::Signature;
 use wedge_crypto::keys::Address;
 use wedge_crypto::secp256k1::AffineTable;
 use wedge_crypto::verify_recoverable_batch;
@@ -62,7 +63,7 @@ impl PublisherKeys {
 
     /// Verifies one request; same verdict as [`AppendRequest::verify`].
     pub fn verify(&self, request: &AppendRequest) -> Result<(), CoreError> {
-        match self.check_span(&[request], &[0])[..] {
+        match self.check_span(&[request])[..] {
             [Checked::Rejected] => Err(CoreError::BadRequestSignature {
                 publisher: request.publisher,
             }),
@@ -76,7 +77,8 @@ impl PublisherKeys {
     pub fn verify_batch(&self, requests: &[&AppendRequest], pool: &WorkPool) -> Verified {
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| requests[i].publisher);
-        let checked = pool.map_chunks(&order, |span| self.check_span(requests, span));
+        let grouped: Vec<&AppendRequest> = order.iter().map(|&i| requests[i]).collect();
+        let checked = pool.map_chunks(&grouped, |span| self.check_span(span));
         let mut verdicts = vec![false; requests.len()];
         let mut recovered = 0;
         for (i, checked) in order.into_iter().zip(checked) {
@@ -89,24 +91,35 @@ impl PublisherKeys {
         }
     }
 
-    /// Checks `span` (indices into `requests`, grouped by publisher). A
-    /// publisher's run goes through full recovery until its key has been
-    /// sighted twice (earlier calls count); the rest of the run goes
-    /// through the batch verifier, and only its rejects through recovery.
-    fn check_span(&self, requests: &[&AppendRequest], span: &[usize]) -> Vec<Checked> {
-        let recover = |i: usize| requests[i].recover_publisher();
+    /// Checks `span` (requests grouped by publisher). The span's signing
+    /// digests are computed once, four per Keccak pass, and feed both the
+    /// batch verifier and every recovery. A publisher's run goes through
+    /// full recovery until its key has been sighted twice (earlier calls
+    /// count); the rest of the run goes through the batch verifier, and
+    /// only its rejects through recovery.
+    fn check_span(&self, span: &[&AppendRequest]) -> Vec<Checked> {
+        let signed: Vec<([u8; 32], Signature)> = AppendRequest::signing_digests(span)
+            .into_iter()
+            .zip(span)
+            .map(|(digest, request)| (digest, request.signature))
+            .collect();
+        let recover = |i: usize| span[i].recover_publisher(&signed[i].0);
         let mut out = Vec::with_capacity(span.len());
-        let mut rest = span;
-        while let Some(&head) = rest.first() {
-            let publisher = requests[head].publisher;
-            let same = |i: &&usize| requests[**i].publisher == publisher;
-            let (mut run, tail) = rest.split_at(rest.iter().take_while(same).count());
-            rest = tail;
+        let mut start = 0;
+        while let Some(head) = span.get(start) {
+            let publisher = head.publisher;
+            let same = span[start..]
+                .iter()
+                .take_while(|r| r.publisher == publisher);
+            let mut run = start..start + same.count();
+            start = run.end;
             let slot = self.slots.lock().get(&publisher).cloned();
             let mut sightings = usize::from(slot.is_some());
             let mut table = slot.flatten();
-            while let (None, Some((&i, later))) = (&table, run.split_first()) {
-                run = later;
+            while table.is_none() {
+                let Some(i) = run.next() else {
+                    break;
+                };
                 let Ok(key) = recover(i) else {
                     out.push(Checked::Rejected);
                     continue;
@@ -121,12 +134,8 @@ impl PublisherKeys {
             let Some(table) = table.filter(|_| !run.is_empty()) else {
                 continue;
             };
-            let items: Vec<_> = run
-                .iter()
-                .map(|&i| (requests[i].digest(), requests[i].signature))
-                .collect();
-            let accepted = verify_recoverable_batch(&table, &items);
-            out.extend(run.iter().zip(accepted).map(|(&i, ok)| {
+            let accepted = verify_recoverable_batch(&table, &signed[run.clone()]);
+            out.extend(run.zip(accepted).map(|(i, ok)| {
                 if ok {
                     Checked::Cached
                 } else if recover(i).is_ok() {

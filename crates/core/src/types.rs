@@ -14,7 +14,7 @@ use wedge_contracts::{
     attestation_digest, attestation_from_bytes, response_digest, response_digest_bytes,
 };
 use wedge_crypto::ecdsa::Signature;
-use wedge_crypto::hash::{keccak256_prefixed, Hash32};
+use wedge_crypto::hash::{keccak256_batch_pairs, keccak256_prefixed, Hash32};
 use wedge_crypto::keys::Address;
 use wedge_crypto::{recover_prehashed, sign_prehashed, PublicKey, SecretKey};
 use wedge_merkle::{MerkleProof, MerkleTree};
@@ -68,10 +68,33 @@ impl AppendRequest {
     /// `(u64 sequence, bytes payload)`, streamed through the sponge so the
     /// payload is never copied just to be hashed.
     fn signing_digest(sequence: u64, payload: &[u8]) -> [u8; 32] {
+        keccak256_prefixed(&Self::signing_head(sequence, payload), payload)
+    }
+
+    /// The [`Encoder`] bytes that precede the payload in the signed
+    /// message: the sequence number and the payload's length prefix.
+    fn signing_head(sequence: u64, payload: &[u8]) -> [u8; 12] {
         let mut head = [0u8; 12];
         head[..8].copy_from_slice(&sequence.to_be_bytes());
         head[8..].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        keccak256_prefixed(&head, payload)
+        head
+    }
+
+    /// `requests[i].digest()` for every request, four per Keccak pass.
+    pub(crate) fn signing_digests(requests: &[&AppendRequest]) -> Vec<[u8; 32]> {
+        let heads: Vec<[u8; 12]> = requests
+            .iter()
+            .map(|r| Self::signing_head(r.sequence, &r.payload))
+            .collect();
+        let messages: Vec<(&[u8], &[u8])> = heads
+            .iter()
+            .zip(requests)
+            .map(|(head, r)| (&head[..], &r.payload[..]))
+            .collect();
+        keccak256_batch_pairs(&messages)
+            .into_iter()
+            .map(|digest| digest.0)
+            .collect()
     }
 
     /// Builds and signs an append request.
@@ -91,13 +114,14 @@ impl AppendRequest {
         Self::signing_digest(self.sequence, &self.payload)
     }
 
-    /// Full public-key recovery: the signer's key, provided its address is
-    /// the claimed publisher.
-    pub(crate) fn recover_publisher(&self) -> Result<PublicKey, CoreError> {
+    /// Full public-key recovery from `digest` (this request's
+    /// [`AppendRequest::digest`], which the caller has already computed):
+    /// the signer's key, provided its address is the claimed publisher.
+    pub(crate) fn recover_publisher(&self, digest: &[u8; 32]) -> Result<PublicKey, CoreError> {
         let bad = CoreError::BadRequestSignature {
             publisher: self.publisher,
         };
-        match recover_prehashed(&self.digest(), &self.signature) {
+        match recover_prehashed(digest, &self.signature) {
             Ok(key) if key.address() == self.publisher => Ok(key),
             _ => Err(bad),
         }
@@ -108,7 +132,7 @@ impl AppendRequest {
     /// [`crate::PublisherKeys`] instead: same verdicts, no recovery once
     /// the publisher has been seen twice.
     pub fn verify(&self) -> Result<(), CoreError> {
-        self.recover_publisher().map(|_| ())
+        self.recover_publisher(&self.digest()).map(|_| ())
     }
 
     /// The canonical Merkle-leaf bytes: the *entire* signed tuple, so the
@@ -440,6 +464,42 @@ mod tests {
                 "payload length {len}"
             );
         }
+    }
+
+    /// The batched digests equal the per-item ones at the same boundary
+    /// lengths, five requests per length (one lockstep group of four plus a
+    /// scalar remainder), lengths and publishers interleaved in one call —
+    /// the shape of a collect-stage worker span before grouping.
+    #[test]
+    fn batched_signing_digests_match_per_item() {
+        let publishers: Vec<AppendRequest> = (0..3u8)
+            .map(|p| {
+                let kp = Keypair::from_seed(&[b'd', p]);
+                AppendRequest::new(&kp.secret, 0, Vec::new())
+            })
+            .collect();
+        let lengths = [0usize, 1, 123, 124, 125, 135, 136, 137, 1_088, 65_536];
+        let requests: Vec<AppendRequest> = (0..5 * lengths.len())
+            .map(|i| {
+                let len = lengths[i % lengths.len()];
+                let mut request = publishers[i % publishers.len()].clone();
+                request.sequence = (i as u64) << 40 | len as u64;
+                request.payload = (0..len).map(|b| (b * 7 + i) as u8).collect();
+                request
+            })
+            .collect();
+        let refs: Vec<&AppendRequest> = requests.iter().collect();
+        let digests = AppendRequest::signing_digests(&refs);
+        assert_eq!(digests.len(), refs.len());
+        for (request, digest) in refs.iter().zip(&digests) {
+            assert_eq!(
+                *digest,
+                request.digest(),
+                "length {}",
+                request.payload.len()
+            );
+        }
+        assert!(AppendRequest::signing_digests(&[]).is_empty());
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! * [`keccak256_fixed_x4`] / [`keccak256_x4_prefixed`] — four messages of
 //!   equal padded block count (the Merkle ×4 node fold hits this with four
 //!   65-byte sibling-pair preimages: one permutation, four digests);
-//! * [`keccak256_batch`] / [`keccak256_batch_prefixed`] — arbitrary mixed
-//!   batches. Inputs are bucketed by padded block count so each group of
-//!   four absorbs in lockstep; remainders take the scalar one-shot path.
-//!   Output order always matches input order.
+//! * [`keccak256_batch`] / [`keccak256_batch_prefixed`] /
+//!   [`keccak256_batch_pairs`] — arbitrary mixed batches, with no prefix,
+//!   one shared prefix, or one prefix per input. Inputs are bucketed by
+//!   padded block count so each group of four absorbs in lockstep;
+//!   remainders take the scalar one-shot path. Output order always matches
+//!   input order.
 
 use super::keccak::{keccak256_prefixed, RATE, RC};
 use super::{metrics, Hash32};
@@ -334,14 +336,34 @@ pub fn keccak256_batch(inputs: &[&[u8]]) -> Vec<Hash32> {
 /// Like [`keccak256_batch`], hashing the logical message `prefix ++ input`
 /// for every input (shared domain tag).
 pub fn keccak256_batch_prefixed(prefix: &[u8], inputs: &[&[u8]]) -> Vec<Hash32> {
-    let mut out = vec![Hash32::ZERO; inputs.len()];
-    let input_at = |i: u32| -> &[u8] { inputs.get(i as usize).copied().unwrap_or(&[]) };
-    let blocks_at = |i: u32| -> usize { padded_blocks(prefix.len() + input_at(i).len()) };
+    batch_of(inputs.len(), |i| {
+        (prefix, inputs.get(i as usize).copied().unwrap_or(&[]))
+    })
+}
+
+/// Like [`keccak256_batch_prefixed`] with a prefix of each input's own:
+/// hashes the logical message `head ++ data` for every `(head, data)`
+/// pair, without materializing the concatenations (the shape of a signed
+/// request's digest, whose sequence ‖ length head differs per request).
+pub fn keccak256_batch_pairs(inputs: &[(&[u8], &[u8])]) -> Vec<Hash32> {
+    batch_of(inputs.len(), |i| {
+        inputs.get(i as usize).copied().unwrap_or((&[], &[]))
+    })
+}
+
+/// The batch engine behind both entry points: `msg_at(i)` is message `i`
+/// as `(prefix, data)`, for `i < len`.
+fn batch_of<'a>(len: usize, msg_at: impl Fn(u32) -> (&'a [u8], &'a [u8])) -> Vec<Hash32> {
+    let mut out = vec![Hash32::ZERO; len];
+    let blocks_at = |i: u32| -> usize {
+        let (prefix, data) = msg_at(i);
+        padded_blocks(prefix.len() + data.len())
+    };
 
     // Bucket input indices by padded block count; the sort is stable so
     // equal-size runs keep input order (cache-friendly for the common
     // uniform case, where this is a no-op).
-    let mut order: Vec<u32> = (0..inputs.len() as u32).collect();
+    let mut order: Vec<u32> = (0..len as u32).collect();
     order.sort_by_key(|&i| blocks_at(i));
 
     let mut rest: &[u32] = &order;
@@ -353,12 +375,7 @@ pub fn keccak256_batch_prefixed(prefix: &[u8], inputs: &[&[u8]]) -> Vec<Hash32> 
         let mut quads = run.chunks_exact(4);
         for quad in &mut quads {
             if let [a, b, c, d] = *quad {
-                let digests = x4_same_blocks(&[
-                    (prefix, input_at(a)),
-                    (prefix, input_at(b)),
-                    (prefix, input_at(c)),
-                    (prefix, input_at(d)),
-                ]);
+                let digests = x4_same_blocks(&[msg_at(a), msg_at(b), msg_at(c), msg_at(d)]);
                 for (&idx, digest) in quad.iter().zip(digests.iter()) {
                     if let Some(slot) = out.get_mut(idx as usize) {
                         *slot = Hash32(*digest);
@@ -368,7 +385,8 @@ pub fn keccak256_batch_prefixed(prefix: &[u8], inputs: &[&[u8]]) -> Vec<Hash32> 
         }
         for &idx in quads.remainder() {
             if let Some(slot) = out.get_mut(idx as usize) {
-                *slot = Hash32(keccak256_prefixed(prefix, input_at(idx)));
+                let (prefix, data) = msg_at(idx);
+                *slot = Hash32(keccak256_prefixed(prefix, data));
             }
         }
     }
@@ -430,6 +448,28 @@ mod tests {
             concat.extend_from_slice(input);
             assert_eq!(digest.0, keccak256(&concat));
         }
+    }
+
+    /// Per-item heads of every length around the rate (alone and with
+    /// their data), so one lockstep group mixes head/data splits.
+    #[test]
+    fn batch_pairs_match_concatenation() {
+        let heads: Vec<Vec<u8>> = [0usize, 1, 12, 12, 135, 136, 137, 200]
+            .iter()
+            .map(|&n| vec![n as u8; n])
+            .collect();
+        let data: Vec<Vec<u8>> = (0..24usize).map(|i| vec![i as u8; i * 17]).collect();
+        let pairs: Vec<(&[u8], &[u8])> = data
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (heads[i % heads.len()].as_slice(), d.as_slice()))
+            .collect();
+        let got = keccak256_batch_pairs(&pairs);
+        assert_eq!(got.len(), pairs.len());
+        for ((head, data), digest) in pairs.iter().zip(got) {
+            assert_eq!(digest.0, keccak256(&[*head, *data].concat()));
+        }
+        assert!(keccak256_batch_pairs(&[]).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`keccak256`] / [`Keccak256`] | one-shot & streaming; sub-rate inputs auto-route to the fused path |
 //! | [`keccak256_fixed`] / [`keccak256_prefixed`] | single-permutation digest for inputs under the 136-byte rate |
-//! | [`keccak256_batch`] / [`keccak256_fixed_x4`] | ×4 lane-interleaved permutation, four digests per pass |
+//! | [`keccak256_batch`] / [`keccak256_batch_pairs`] / [`keccak256_fixed_x4`] | ×4 lane-interleaved permutation, four digests per pass |
 
 mod hmac;
 mod keccak;
@@ -20,7 +20,8 @@ mod sha256;
 pub use hmac::{hmac_sha256, hmac_sha256_verify, HmacSha256};
 pub use keccak::{keccak256, keccak256_fixed, keccak256_prefixed, Keccak256};
 pub use keccak4::{
-    keccak256_batch, keccak256_batch_prefixed, keccak256_fixed_x4, keccak256_x4_prefixed,
+    keccak256_batch, keccak256_batch_pairs, keccak256_batch_prefixed, keccak256_fixed_x4,
+    keccak256_x4_prefixed,
 };
 pub use metrics::{hash_batches_x4, hashes_computed};
 pub use sha256::{sha256, Sha256};

@@ -34,7 +34,12 @@ pub struct ReplicationHandle {
 
 impl ReplicationHandle {
     /// Blocks until every replica has acknowledged (or hung up); returns
-    /// the number that confirmed the write.
+    /// the number that confirmed the write. Under a policy that promises
+    /// durability ([`SyncPolicy::Always`], [`SyncPolicy::GroupCommit`]) a
+    /// confirmed write has been fsynced on that replica.
+    ///
+    /// [`SyncPolicy::Always`]: crate::SyncPolicy::Always
+    /// [`SyncPolicy::GroupCommit`]: crate::SyncPolicy::GroupCommit
     pub fn wait(self) -> usize {
         self.acks
             .into_iter()
@@ -62,6 +67,9 @@ enum Command {
 struct Replica {
     commands: Sender<Command>,
     handle: Option<JoinHandle<()>>,
+    /// The store the thread writes, for tests to read its sync counters.
+    #[cfg(test)]
+    store: Arc<LogStore>,
 }
 
 /// Fans append batches out to `n` follower stores.
@@ -85,7 +93,8 @@ impl Replicator {
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n {
             let dir = base_dir.join(format!("replica-{i}"));
-            let store = LogStore::open(&dir, config.clone())?;
+            let store = Arc::new(LogStore::open(&dir, config.clone())?);
+            let served = Arc::clone(&store);
             let (tx, rx): (Sender<Command>, Receiver<Command>) = bounded(16);
             let handle = std::thread::Builder::new()
                 .name(format!("wedge-replica-{i}"))
@@ -96,9 +105,13 @@ impl Replicator {
                                 if !link_delay.is_zero() {
                                     std::thread::sleep(link_delay);
                                 }
-                                let result = store
+                                // An ack counts as a durable copy, so it
+                                // waits for the fsync the policy promises.
+                                // Directly: no neighbouring batch can arrive
+                                // to share it while the primary waits.
+                                let result = served
                                     .append_batch(&batch[..])
-                                    .map(|_| ())
+                                    .and_then(|_| served.sync_pending())
                                     .map_err(|e| e.to_string());
                                 let _ = ack.send(result);
                             }
@@ -109,6 +122,8 @@ impl Replicator {
             replicas.push(Replica {
                 commands: tx,
                 handle: Some(handle),
+                #[cfg(test)]
+                store,
             });
         }
         Ok(Replicator {
@@ -195,6 +210,7 @@ impl Drop for Replicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SyncPolicy;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wedge-repl-{tag}-{}", std::process::id()));
@@ -246,6 +262,37 @@ mod tests {
             let store =
                 LogStore::open(dir.join(format!("replica-{i}")), StoreConfig::default()).unwrap();
             assert_eq!(store.len(), 2);
+        }
+    }
+
+    /// An ack is a durable copy: under group commit every acknowledged
+    /// batch has been fsynced on the replica, one fsync per batch (the
+    /// inline threshold sync is not repeated, nor `Always`'s own); under
+    /// `OnRotate`, which promises no per-append durability, acks add no
+    /// fsync.
+    #[test]
+    fn acks_wait_for_the_fsync_the_policy_promises() {
+        let with = |sync| StoreConfig {
+            sync,
+            ..StoreConfig::default()
+        };
+        let group_commit = SyncPolicy::GroupCommit {
+            max_batches: 8,
+            max_delay: Duration::from_secs(60),
+        };
+        for (tag, sync, fsyncs_per_batch) in [
+            ("gc", group_commit, 1),
+            ("always", SyncPolicy::Always, 1),
+            ("rotate", SyncPolicy::OnRotate, 0),
+        ] {
+            let repl = Replicator::spawn(tempdir(tag), 2, with(sync), Duration::ZERO).unwrap();
+            for b in 1..=10u64 {
+                assert_eq!(repl.replicate_sync(vec![b.to_be_bytes().to_vec(); 3]), 2);
+                for replica in &repl.replicas {
+                    let fsyncs = replica.store.sync_stats().fsyncs;
+                    assert_eq!(fsyncs, b * fsyncs_per_batch, "{tag}, batch {b}");
+                }
+            }
         }
     }
 

@@ -513,6 +513,20 @@ impl LogStore {
         }
     }
 
+    /// Makes every record appended so far durable now, without waiting for
+    /// neighbouring batches to share the fsync: syncs the tail if a group
+    /// commit is pending. Under the other policies nothing is ever pending
+    /// — `Always` synced in the append, `OnRotate` and `Never` promise no
+    /// per-append durability — so this does nothing there.
+    pub(crate) fn sync_pending(&self) -> Result<(), StorageError> {
+        let mut tail = self.tail.lock();
+        let pending = self.group.lock().pending_batches > 0;
+        if pending {
+            self.sync_tail(&mut tail)?;
+        }
+        Ok(())
+    }
+
     /// Sync-behaviour counters (monotonic since open).
     pub fn sync_stats(&self) -> SyncStats {
         SyncStats {
