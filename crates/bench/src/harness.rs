@@ -990,9 +990,11 @@ pub fn stage1(profile: Profile) -> Table {
 /// byte-identical signatures and decisions. The `request verify` row
 /// compares the two shipped ways to check a publisher's request: full
 /// public-key recovery against one batched verify under the remembered
-/// key. The `request mix` rows put whole requests through
-/// `wedge_core::PublisherKeys` for traffic with and without the property
-/// that row depends on — publishers that come back.
+/// key. The two `… vs. nonce-y hint` rows check the same signatures with
+/// and without the nonce point's y the signer hands over (an append frame
+/// carries it; a stored leaf does not). The `request mix` rows put whole
+/// requests through `wedge_core::PublisherKeys` for traffic with and
+/// without the property that row depends on — publishers that come back.
 pub fn signing(profile: Profile) -> Table {
     use wedge_crypto::ecdsa::{
         recover_prehashed, reference, sign_prehashed, sign_prehashed_batch, verify_prehashed,
@@ -1041,7 +1043,21 @@ pub fn signing(profile: Profile) -> Table {
     });
 
     let sigs: Vec<Signature> = sign_prehashed_batch(&kp.secret, &hashes);
-    let items: Vec<([u8; 32], Signature)> = hashes.iter().copied().zip(sigs.clone()).collect();
+    // Signatures as a log stores them, with no nonce-y hint; only the two
+    // "… vs. nonce-y hint" rows check them as the signer hands them over.
+    let hinted: Vec<([u8; 32], Signature)> = hashes.iter().copied().zip(sigs.clone()).collect();
+    let items: Vec<([u8; 32], Signature)> = hinted
+        .iter()
+        .map(|(h, sig)| {
+            (
+                *h,
+                Signature {
+                    nonce_y: None,
+                    ..*sig
+                },
+            )
+        })
+        .collect();
     let pre_verify = rate(&mut || {
         for (h, sig) in hashes.iter().zip(&sigs) {
             reference::verify_prehashed(&kp.public, h, sig).expect("valid");
@@ -1125,6 +1141,18 @@ pub fn signing(profile: Profile) -> Table {
         request_recover,
         request_cached,
     );
+    // What a publisher that is not remembered pays, with the nonce point's
+    // y checked on the curve instead of recomputed by a square root.
+    let request_recover_hinted = rate(&mut || {
+        for (h, sig) in &hinted {
+            assert_eq!(recover_prehashed(h, sig), Ok(kp.public));
+        }
+    });
+    row(
+        "recovery — square root vs. nonce-y hint",
+        request_recover,
+        request_recover_hinted,
+    );
 
     // The node's reply path for one batch of 1,088 B entries: "before" is
     // what the deliver stage ran while every response carried its own
@@ -1204,6 +1232,21 @@ pub fn signing(profile: Profile) -> Table {
         });
         row_of(&format!("cached batch — {label}"), run.len(), before, after);
     }
+    // One equation over the same 1,000 signatures, each nonce point lifted
+    // by a square root ("before") or taken from its checked hint ("after").
+    let long_hinted: Vec<([u8; 32], Signature)> = (0..1000).map(|i| hinted[i % n]).collect();
+    let [bare_run, hinted_run] = [&long, &long_hinted].map(|run| {
+        rate_of(run.len(), &mut || {
+            let verdicts = verify_recoverable_batch(&remembered, run);
+            assert!(verdicts.iter().all(|ok| *ok));
+        })
+    });
+    row_of(
+        "cached batch — one equation, square root vs. nonce-y hint",
+        1000,
+        bare_run,
+        hinted_run,
+    );
 
     // Whole requests through the collect stage's verifier, by how often
     // publishers come back — the one traffic property the row above depends

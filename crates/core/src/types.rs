@@ -448,6 +448,40 @@ mod tests {
         parsed.verify().unwrap();
     }
 
+    /// A signature's nonce-y hint rides beside what is signed and stored,
+    /// never inside it: leaf bytes, signing digests and a response's bytes
+    /// are the same with and without it, and a stored leaf parses without
+    /// one.
+    #[test]
+    fn the_nonce_y_hint_is_in_no_leaf_digest_or_response() {
+        let (kp, req) = request(7);
+        assert!(req.signature.nonce_y.is_some());
+        let mut bare = req.clone();
+        bare.signature.nonce_y = None;
+        assert_eq!(req.leaf_bytes(), bare.leaf_bytes());
+        assert_eq!(req.digest(), bare.digest());
+        assert_eq!(
+            AppendRequest::signing_digests(&[&req, &bare]),
+            [req.digest(); 2]
+        );
+        let parsed = AppendRequest::from_leaf_bytes(&req.leaf_bytes()).unwrap();
+        assert_eq!(parsed.signature, req.signature);
+        assert_eq!(parsed.signature.nonce_y, None);
+
+        let leaves = vec![req.leaf_bytes()];
+        let tree = MerkleTree::from_leaves(&leaves).unwrap();
+        let id = EntryId {
+            log_id: 0,
+            offset: 0,
+        };
+        let proof = tree.prove(0).unwrap();
+        let response = SignedResponse::sign(&kp.secret, id, tree.root(), proof, leaves[0].clone());
+        assert!(response.signature.nonce_y.is_some());
+        let mut bare_response = response.clone();
+        bare_response.signature.nonce_y = None;
+        assert_eq!(response.to_bytes(), bare_response.to_bytes());
+    }
+
     #[test]
     fn signing_digest_is_keccak_of_the_encoder_bytes() {
         // Payload lengths around every boundary of the streamed form: empty,

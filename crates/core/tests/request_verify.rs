@@ -57,6 +57,7 @@ fn overflowing_request(sequence: u64) -> AppendRequest {
         r: Scalar::from_u256(nonce_point.x.to_u256()),
         s: Scalar::from_u64(0x5eed + sequence),
         v: nonce_point.y.is_odd() as u8 | 2,
+        nonce_y: None,
     };
     let publisher = recover_prehashed(&digest, &signature)
         .expect("recovery ids 2/3 select x = r + n")
@@ -69,15 +70,58 @@ fn overflowing_request(sequence: u64) -> AppendRequest {
     }
 }
 
+/// The y of the point the signature's `(r, v)` names, by square root.
+fn true_nonce_y(sig: &Signature) -> Option<Fe> {
+    let r = sig.r.to_u256();
+    let (x, overflow) = if sig.v & 2 == 0 {
+        (r, false)
+    } else {
+        r.overflowing_add(&N)
+    };
+    if overflow || x >= wedge_crypto::secp256k1::field::P {
+        return None;
+    }
+    Affine::lift_x(Fe::from_u256(x), sig.v & 1 == 1).map(|point| point.y)
+}
+
+/// Replaces the request's nonce-y hint by one of eight kinds: the one it
+/// carries (the signer's, or stale after damage), none, the true y,
+/// `p − y`, an off-curve y of the right parity, zero, an encoding ≥ p
+/// (reduced on parse, as the wire decoder does), and `neighbour`'s.
+fn set_hint(request: &mut AppendRequest, kind: u8, neighbour: Option<Fe>) {
+    let sig = request.signature;
+    let truth = true_nonce_y(&sig);
+    let y = truth.or(sig.nonce_y).unwrap_or(Fe::ONE);
+    request.signature.nonce_y = match kind {
+        0 => sig.nonce_y,
+        1 => None,
+        2 => truth,
+        3 => Some(y.neg()),
+        4 => Some(y.add(&Fe::from_u64(2))),
+        5 => Some(Fe::ZERO),
+        6 => Some(Fe::from_be_bytes(&[0xFF; 32])),
+        _ => neighbour,
+    };
+}
+
+fn stripped(requests: &[AppendRequest]) -> Vec<AppendRequest> {
+    let mut bare = requests.to_vec();
+    for r in &mut bare {
+        r.signature.nonce_y = None;
+    }
+    bare
+}
+
 /// Random interleavings of three publishers with random single-field
-/// damage: cold pass, warm pass and a second warm pass at another worker
-/// count all equal per-item verification.
-fn check_interleaving(shape: &[(usize, u8)], workers: usize) -> Result<(), TestCaseError> {
+/// damage and a random nonce-y hint each: cold pass, warm pass and a second
+/// warm pass at another worker count all equal per-item verification
+/// without hints — and so does per-item verification with them.
+fn check_interleaving(shape: &[(usize, u8, u8)], workers: usize) -> Result<(), TestCaseError> {
     let kps: Vec<Keypair> = (0..3).map(keypair).collect();
-    let requests: Vec<AppendRequest> = shape
+    let mut requests: Vec<AppendRequest> = shape
         .iter()
         .enumerate()
-        .map(|(seq, &(who, damage))| {
+        .map(|(seq, &(who, damage, _))| {
             let mut r = request(&kps[who], seq as u64);
             match damage {
                 0 => r.payload.push(b'!'),
@@ -96,7 +140,12 @@ fn check_interleaving(shape: &[(usize, u8)], workers: usize) -> Result<(), TestC
             r
         })
         .collect();
-    let expect = per_item(&requests);
+    let expect = per_item(&stripped(&requests));
+    for (i, &(_, _, hint)) in shape.iter().enumerate() {
+        let neighbour = requests[(i + 1) % requests.len()].signature.nonce_y;
+        set_hint(&mut requests[i], hint, neighbour);
+    }
+    prop_assert_eq!(&per_item(&requests), &expect, "per item, hinted");
     let keys = PublisherKeys::default();
     prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "cold");
     prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "warm");
@@ -117,7 +166,7 @@ proptest! {
     /// combined-equation cutoff and is checked item by item.
     #[test]
     fn cached_path_matches_per_item_verify(
-        shape in proptest::collection::vec((0usize..3, 0u8..16), 1..40),
+        shape in proptest::collection::vec((0usize..3, 0u8..16, 0u8..8), 1..40),
         workers in 1usize..4,
     ) {
         check_interleaving(&shape, workers)?;
@@ -134,7 +183,7 @@ proptest! {
     /// its bounded fall-back otherwise.
     #[test]
     fn cached_path_matches_per_item_verify_on_long_runs(
-        shape in proptest::collection::vec((0usize..3, 0u8..64), 100..400),
+        shape in proptest::collection::vec((0usize..3, 0u8..64, 0u8..8), 100..400),
         workers in 1usize..4,
     ) {
         check_interleaving(&shape, workers)?;
@@ -230,9 +279,10 @@ fn invalid_requests_never_insert_a_key() {
 fn overflowing_nonce_x_takes_the_r_plus_n_branch() {
     let valid = overflowing_request(1);
     valid.verify().expect("constructed request is valid");
-    let sibling = overflowing_request(2); // same nonce point, another key
-                                          // Without bit 1 the nonce x is read as r itself; with bit 0 flipped the
-                                          // other root is lifted. Both name some other key.
+    // Same nonce point, another key.
+    let sibling = overflowing_request(2);
+    // Without bit 1 the nonce x is read as r itself; with bit 0 flipped the
+    // other root is lifted. Both name some other key.
     let mut no_overflow_bit = valid.clone();
     no_overflow_bit.signature.v &= 1;
     let mut wrong_parity = valid.clone();
@@ -246,4 +296,22 @@ fn overflowing_nonce_x_takes_the_r_plus_n_branch() {
     }
     // Both keys are remembered by now; the two rejects still recover.
     assert_eq!(verified(&keys, &requests, 1).recovered, 2);
+    // The r + n point's true y as the signer's hint, stale on the two
+    // damaged copies; then every other kind of hint: the same verdicts.
+    let y = true_nonce_y(&requests[0].signature).expect("the r + n point");
+    let mut carrying = requests.clone();
+    for r in &mut carrying {
+        r.signature.nonce_y = Some(y);
+    }
+    for kind in 0..8 {
+        let mut hinted = carrying.clone();
+        for (i, r) in hinted.iter_mut().enumerate() {
+            set_hint(r, kind, carrying[(i + 1) % 4].signature.nonce_y);
+        }
+        assert_eq!(per_item(&hinted), expect, "hint kind {kind}");
+        let keys = PublisherKeys::default();
+        for workers in [1, 2, 1] {
+            assert_eq!(batched(&keys, &hinted, workers), expect, "hint kind {kind}");
+        }
+    }
 }

@@ -20,7 +20,17 @@ use crate::uint::U256;
 
 /// A recoverable ECDSA signature `(r, s, v)` with `s` normalized to the low
 /// half of the order (malleability protection, as enforced by Ethereum).
-#[derive(Clone, Copy, PartialEq, Eq)]
+///
+/// `nonce_y` is a **hint, not part of the signature**: the y-coordinate of
+/// the nonce point `(r, v)` names, which the signer computed anyway.
+/// [`to_bytes`](Signature::to_bytes), `==`, `Debug` and every digest built
+/// from a signature ignore it, and it is never trusted: recovery and
+/// [`verify_recoverable_batch`] use it only after checking `y² = x³ + 7` and
+/// its parity against `v & 1`, which leaves exactly the point a square root
+/// would have produced. A hint that fails the check costs that square root,
+/// as no hint does. So a hint can make a check faster; it can never change
+/// a verdict.
+#[derive(Clone, Copy)]
 pub struct Signature {
     /// x-coordinate of the nonce point, mod n.
     pub r: Scalar,
@@ -29,7 +39,19 @@ pub struct Signature {
     /// Recovery id in 0..=3: bit 0 = parity of the nonce point's y; bit 1 =
     /// whether the nonce point's x overflowed the group order.
     pub v: u8,
+    /// The nonce point's y after the low-s negation, when known:
+    /// [`sign_prehashed`] and [`sign_prehashed_batch`] fill it,
+    /// [`Signature::from_bytes`] leaves it `None`.
+    pub nonce_y: Option<Fe>,
 }
+
+impl PartialEq for Signature {
+    fn eq(&self, other: &Signature) -> bool {
+        (self.r, self.s, self.v) == (other.r, other.s, other.v)
+    }
+}
+
+impl Eq for Signature {}
 
 impl Signature {
     /// Serialized length: `r (32) || s (32) || v (1)`.
@@ -67,7 +89,12 @@ impl Signature {
         if r.is_zero() || s.is_zero() || s.is_high() || v > 3 {
             return Err(CryptoError::InvalidSignature);
         }
-        Ok(Signature { r, s, v })
+        Ok(Signature {
+            r,
+            s,
+            v,
+            nonce_y: None,
+        })
     }
 }
 
@@ -153,20 +180,29 @@ pub fn sign_prehashed(secret: &SecretKey, msg_hash: &[u8; 32]) -> Signature {
             continue;
         }
         let Some(k_inv) = k.invert() else { continue };
-        let mut s = k_inv.mul(&z.add(&r.mul(d)));
+        let s = k_inv.mul(&z.add(&r.mul(d)));
         if s.is_zero() {
             continue;
         }
-        let mut v = point.y.is_odd() as u8;
-        if x_int >= N {
-            v |= 2;
-        }
-        if s.is_high() {
-            // Normalizing s to the low half negates the nonce point's y.
-            s = s.neg();
-            v ^= 1;
-        }
-        return Signature { r, s, v };
+        return recoverable(&point, &x_int, r, s);
+    }
+}
+
+/// `(r, s, v)` for the nonce point `point` (x = `x_int` as an integer), s
+/// normalized to the low half — which negates the nonce point's y — and
+/// that y kept as the hint.
+fn recoverable(point: &Affine, x_int: &U256, r: Scalar, s: Scalar) -> Signature {
+    let overflow = if *x_int >= N { 2 } else { 0 };
+    let (s, y) = if s.is_high() {
+        (s.neg(), point.y.neg())
+    } else {
+        (s, point.y)
+    };
+    Signature {
+        r,
+        s,
+        v: y.is_odd() as u8 | overflow,
+        nonce_y: Some(y),
     }
 }
 
@@ -214,19 +250,11 @@ pub fn sign_prehashed_batch(secret: &SecretKey, msg_hashes: &[[u8; 32]]) -> Vec<
                 return sign_prehashed(secret, h);
             }
             let z = Scalar::from_be_bytes_reduced(h);
-            let mut s = k_invs[i].mul(&z.add(&r.mul(d)));
+            let s = k_invs[i].mul(&z.add(&r.mul(d)));
             if s.is_zero() {
                 return sign_prehashed(secret, h);
             }
-            let mut v = point.y.is_odd() as u8;
-            if x_int >= N {
-                v |= 2;
-            }
-            if s.is_high() {
-                s = s.neg();
-                v ^= 1;
-            }
-            Signature { r, s, v }
+            recoverable(&point, &x_int, r, s)
         })
         .collect()
 }
@@ -303,6 +331,23 @@ fn nonce_x(sig: &Signature) -> Option<U256> {
     }
 }
 
+/// The nonce point `(r, v)` names — x from [`nonce_x`], y of parity `v & 1`
+/// — or `None` when there is no such point. The hint is taken when it lies
+/// on the curve with that parity: `x³ + 7` has the two square roots `y` and
+/// `p − y`, of opposite parity, so such a hint *is* the root
+/// [`Affine::lift_x`] would compute, and no hint passes where the lift
+/// fails. Anything else costs the square root, as no hint does.
+fn nonce_point(sig: &Signature) -> Option<Affine> {
+    let x = Fe::from_u256(nonce_x(sig)?);
+    let odd = sig.v & 1 == 1;
+    // lint: allow(ct) — recovery consumes a *public* signature: the v bit
+    // and the hint tested here are attacker-supplied input, not secret
+    // material, and the nonce point is derived entirely from public data.
+    let hint = sig.nonce_y.filter(|y| y.is_odd() == odd);
+    hint.and_then(|y| Affine::new(x, y))
+        .or_else(|| Affine::lift_x(x, odd))
+}
+
 /// Runs shorter than this skip the combined equation. Measured (`repro --
 /// signing`, the run-length rows), the equation is ahead of the per-item
 /// check from ~4 items on, but a run that fails it pays for both: at 16
@@ -328,7 +373,9 @@ const HALVINGS: u32 = 2;
 /// yields `Q` then `s⁻¹(z·G + r·Q)` is its nonce point. Like recovery (and
 /// unlike [`verify_prehashed`]) this applies no low-s rule.
 ///
-/// A recoverable signature carries `R` whole, so a run is checked as
+/// A recoverable signature carries `R` whole (its y taken from the
+/// [`Signature::nonce_y`] hint when that checks out, else from a square
+/// root — the same point either way), so a run is checked as
 /// `Σ aᵢ·(R'ᵢ − Rᵢ) = O`, i.e. `(Σ aᵢzᵢ/sᵢ)·G + (Σ aᵢrᵢ/sᵢ)·Q = Σ aᵢ·Rᵢ`:
 /// one [`mul_double_with_table`] against one [`msm_u128`], with 128-bit
 /// non-zero coefficients fixed by a hash of the key and every item
@@ -370,9 +417,8 @@ fn verify_recoverable_probed(
         // batch_invert leaves a zero s zero. An item recovery rejects
         // outright contributes the identity and zero scalars.
         let lifted = (!sig.r.is_zero() && !s_inv.is_zero() && sig.v <= 3)
-            .then(|| nonce_x(sig))
-            .flatten()
-            .and_then(|x| Affine::lift_x(Fe::from_u256(x), sig.v & 1 == 1));
+            .then(|| nonce_point(sig))
+            .flatten();
         let scale = lifted.map_or(Scalar::ZERO, |_| Scalar::from_u128(*a).mul(s_inv));
         run.lifted.push(lifted.unwrap_or(Affine::INFINITY));
         let z = Scalar::from_be_bytes_reduced(msg_hash);
@@ -508,22 +554,20 @@ fn verify_each(
 /// overflowed the group order — `x = r + n` rather than `x = r` — which is
 /// only representable when `r < p - n`. Both candidates are honored here;
 /// signatures produced by [`sign_prehashed`] set the bit automatically.
+/// A [`Signature::nonce_y`] hint that checks out saves the square root that
+/// rebuilds the nonce point; the result is the same with or without it.
 pub fn recover_prehashed(msg_hash: &[u8; 32], sig: &Signature) -> Result<PublicKey, CryptoError> {
     if sig.r.is_zero() || sig.s.is_zero() || sig.v > 3 {
         return Err(CryptoError::InvalidSignature);
     }
-    let x = Fe::from_u256(nonce_x(sig).ok_or(CryptoError::RecoveryFailed)?);
-    // lint: allow(ct) — recovery consumes a *public* signature: the v bit
-    // tested here is attacker-supplied input, not secret material, and the
-    // recovered nonce point is derived entirely from public (r, s, v, hash).
-    let nonce_point = Affine::lift_x(x, sig.v & 1 == 1).ok_or(CryptoError::RecoveryFailed)?;
+    let nonce = nonce_point(sig).ok_or(CryptoError::RecoveryFailed)?;
     let z = Scalar::from_be_bytes_reduced(msg_hash);
     let r_inv = sig.r.invert().ok_or(CryptoError::InvalidSignature)?;
     // Q = r^-1 (s*R - z*G) = (-z*r^-1)*G + (s*r^-1)*R — one Strauss–Shamir
     // double multiplication instead of two full multiplications.
     let u1 = z.mul(&r_inv).neg();
     let u2 = sig.s.mul(&r_inv);
-    let q_affine = mul_double(&u1, &u2, &nonce_point).to_affine();
+    let q_affine = mul_double(&u1, &u2, &nonce).to_affine();
     if q_affine.infinity {
         return Err(CryptoError::RecoveryFailed);
     }
@@ -579,7 +623,12 @@ pub mod reference {
                 s = s.neg();
                 v ^= 1;
             }
-            return Signature { r, s, v };
+            return Signature {
+                r,
+                s,
+                v,
+                nonce_y: None,
+            };
         }
     }
 
@@ -876,7 +925,12 @@ mod tests {
         };
         let h = hash(b"overflowing nonce");
         let v = nonce_point.y.is_odd() as u8 | 2;
-        let sig = Signature { r, s, v };
+        let sig = Signature {
+            r,
+            s,
+            v,
+            nonce_y: None,
+        };
         // Recovery honors the second candidate…
         let recovered = recover_prehashed(&h, &sig).expect("recovery ids 2/3 select x = r + n");
         // …the recovered key verifies the signature (exercising the r + n
@@ -1126,6 +1180,142 @@ mod tests {
                 reference::verify_prehashed(&kp.public, &wrong, &sig)
             );
             assert!(verify_prehashed(&other.public, &h, &sig).is_err());
+        }
+    }
+
+    fn stripped(sig: &Signature) -> Signature {
+        Signature {
+            nonce_y: None,
+            ..*sig
+        }
+    }
+
+    /// Both signers hand over the y of exactly the point `(r, v)` names —
+    /// after the low-s negation, which flips it — and a parsed signature
+    /// has none.
+    #[test]
+    fn signers_fill_the_hint_with_the_named_points_y() {
+        let kp = Keypair::from_seed(b"hint");
+        let hashes: Vec<[u8; 32]> = (0..40u64).map(|i| hash(&i.to_be_bytes())).collect();
+        let batch = sign_prehashed_batch(&kp.secret, &hashes);
+        let mut flipped = 0;
+        for (h, from_batch) in hashes.iter().zip(&batch) {
+            let sig = sign_prehashed(&kp.secret, h);
+            assert_eq!(sig.nonce_y, from_batch.nonce_y);
+            let x = Fe::from_u256(nonce_x(&sig).unwrap());
+            let named = Affine::lift_x(x, sig.v & 1 == 1).unwrap();
+            assert_eq!(sig.nonce_y, Some(named.y));
+            assert_eq!(nonce_point(&sig), Some(named));
+            // The unnormalized nonce point k·G is the negation whenever s
+            // was high.
+            let k_g = Rfc6979::new(&kp.secret, h)
+                .next()
+                .map(|k| mul_generator(&k));
+            flipped += usize::from(k_g.unwrap().to_affine().y != named.y);
+            let parsed = Signature::from_bytes(&sig.to_bytes()).unwrap();
+            assert_eq!(parsed.nonce_y, None);
+        }
+        assert!((5..35).contains(&flipped), "{flipped} of 40 normalized");
+    }
+
+    /// The hint is not part of the signature: bytes, equality, `Debug` and
+    /// the batch coefficients are the same with it, without it, and with
+    /// somebody else's.
+    #[test]
+    fn the_hint_is_invisible() {
+        let kp = Keypair::from_seed(b"invisible");
+        let items = signed_run(&kp, 20);
+        assert!(items.iter().all(|(_, sig)| sig.nonce_y.is_some()));
+        let bare: Vec<([u8; 32], Signature)> =
+            items.iter().map(|(h, sig)| (*h, stripped(sig))).collect();
+        let wrong: Vec<([u8; 32], Signature)> = items
+            .iter()
+            .map(|(h, sig)| {
+                let nonce_y = Some(Fe::from_u64(7));
+                (*h, Signature { nonce_y, ..*sig })
+            })
+            .collect();
+        for ((with, without), other) in items.iter().zip(&bare).zip(&wrong) {
+            assert_eq!(with.1.to_bytes(), without.1.to_bytes());
+            assert_eq!(with.1, without.1);
+            assert_eq!(with.1, other.1);
+            assert_eq!(format!("{:?}", with.1), format!("{:?}", without.1));
+        }
+        let key = kp.public.point();
+        let coefficients = batch_coefficients(key, &items);
+        assert_eq!(coefficients, batch_coefficients(key, &bare));
+        assert_eq!(coefficients, batch_coefficients(key, &wrong));
+    }
+
+    /// Every hint a sender can supply — the true y, `p − y`, an off-curve
+    /// y of the right parity, zero, an encoding ≥ p, another signature's y,
+    /// and the stale hint a damaged signature carries along — leaves the
+    /// named point, recovery and the batch verdicts exactly as without it.
+    #[test]
+    fn a_hint_never_changes_the_point_or_a_verdict() {
+        let kp = Keypair::from_seed(b"hints");
+        let mut items = signed_run(&kp, 40);
+        let off_curve = (1u64..)
+            .map(Scalar::from_u64)
+            .find(|x| Affine::lift_x(Fe::from_u256(x.to_u256()), false).is_none())
+            .unwrap();
+        // Stale hints: each damaged item keeps the y its signer attached.
+        items[1].1.v ^= 1;
+        items[2].1.s = items[2].1.s.neg();
+        items[3].1.r = items[3].1.r.add(&Scalar::ONE);
+        items[4].1.v |= 2;
+        items[5].1.r = off_curve;
+        items[6].1 = Signature {
+            s: items[6].1.s.neg(),
+            v: items[6].1.v ^ 1,
+            ..items[6].1
+        };
+        let another = items[0].1.nonce_y;
+        let hints = |sig: &Signature| -> Vec<Option<Fe>> {
+            let truth = nonce_point(&stripped(sig)).map(|p| p.y);
+            let y = truth.or(sig.nonce_y).unwrap_or(Fe::ONE);
+            vec![
+                None,
+                sig.nonce_y,
+                truth,
+                Some(y.neg()),
+                Some(y.add(&Fe::from_u64(2))),
+                Some(Fe::ZERO),
+                Some(Fe::from_be_bytes(&[0xFF; 32])),
+                another,
+            ]
+        };
+        let table = AffineTable::new(kp.public.point());
+        let bare: Vec<([u8; 32], Signature)> =
+            items.iter().map(|(h, sig)| (*h, stripped(sig))).collect();
+        let expect = verify_recoverable_batch(&table, &bare);
+        assert_eq!(expect, recovers_to(&kp, &bare));
+        // Items 1–5 are rejects; the high-s twin (6) recovers the same key.
+        assert_eq!(expect.iter().filter(|ok| !**ok).count(), 5);
+        for variant in 0..8 {
+            let hinted: Vec<([u8; 32], Signature)> = items
+                .iter()
+                .map(|(h, sig)| {
+                    let nonce_y = hints(sig)[variant];
+                    (*h, Signature { nonce_y, ..*sig })
+                })
+                .collect();
+            for (h, sig) in &hinted {
+                assert_eq!(nonce_point(sig), nonce_point(&stripped(sig)), "{variant}");
+                assert_eq!(
+                    recover_prehashed(h, sig),
+                    recover_prehashed(h, &stripped(sig))
+                );
+            }
+            assert_eq!(
+                verify_recoverable_batch(&table, &hinted),
+                expect,
+                "{variant}"
+            );
+            assert_eq!(
+                verify_recoverable_batch(&table, &hinted[..12]),
+                expect[..12]
+            );
         }
     }
 }

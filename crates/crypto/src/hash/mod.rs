@@ -2,7 +2,7 @@
 //! SHA-256, and HMAC-SHA256.
 //!
 //! Keccak-256 comes in three throughput tiers, all byte-identical (proven
-//! against the frozen [`reference`] module by the differential test suite):
+//! against the frozen [`reference`](mod@reference) module by the differential test suite):
 //!
 //! | path | use |
 //! |---|---|

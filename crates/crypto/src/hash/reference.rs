@@ -3,7 +3,7 @@
 //! This module preserves, byte for byte, the loop-based single-state sponge
 //! that shipped before the hashing-wall rework (the ×4 lane-interleaved
 //! permutation and the fused single-permutation fast path in
-//! [`super::keccak`] / [`super::keccak4`]). Every optimized path is pinned
+//! `super::keccak` / `super::keccak4`). Every optimized path is pinned
 //! against it by `crates/crypto/tests/hash_differential.rs`: same digest for
 //! every input length, every rate boundary, every lane position, every batch
 //! shape. **Do not optimize this module** — its value is that it stays the

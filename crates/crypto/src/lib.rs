@@ -13,9 +13,11 @@
 //!   against a remembered key ([`verify_recoverable_batch`]): a run of 16
 //!   or more is checked with one random-linear-combination equation — one
 //!   double multiplication against one Pippenger multi-scalar
-//!   multiplication over the nonce points the signatures carry, under
-//!   coefficients hashed from the key and every item — and falls back to
-//!   the per-item check for whatever part of a run fails it.
+//!   multiplication over the nonce points the signatures carry (each y
+//!   from the signer's [`Signature::nonce_y`] hint when it checks out on
+//!   the curve, else from a square root), under coefficients hashed from
+//!   the key and every item — and falls back to the per-item check for
+//!   whatever part of a run fails it.
 //!
 //! Nothing here depends on external crypto crates; every primitive is
 //! implemented in this crate and validated against published test vectors

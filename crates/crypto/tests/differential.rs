@@ -173,6 +173,10 @@ proptest! {
     /// points `R` and `−R` in one bucket sum), on an `r` that is no curve
     /// point's x, on the same item twice, on a run of nothing but rejects,
     /// and against a table for somebody else's key or for the identity.
+    /// Ground truth is recovery with no nonce-y hint; the signer's hints,
+    /// the stale ones the mutations leave behind, none at all, and every
+    /// kind of `with_hint` hint mixed through the run change no verdict of
+    /// either function.
     #[test]
     fn recoverable_batch_matches_recovery(
         kp in arb_keypair(),
@@ -180,6 +184,7 @@ proptest! {
         len in prop_oneof![1usize..40, 40usize..320],
         mutations in proptest::collection::vec((any::<usize>(), 0u8..12), 0..8),
         only_rejects in (0u8..5).prop_map(|roll| roll == 0),
+        hint_kinds in proptest::collection::vec(0u8..8, 1..12),
     ) {
         let hashes: Vec<[u8; 32]> = (0..len).map(|i| {
             let mut h = [0xC3u8; 32];
@@ -219,19 +224,73 @@ proptest! {
                 h[30] ^= 1;
             }
         }
+        let bare: Vec<([u8; 32], Signature)> =
+            items.iter().map(|(h, sig)| (*h, stripped(sig))).collect();
+        let hinted: Vec<([u8; 32], Signature)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, (h, sig))| {
+                let kind = hint_kinds[i % hint_kinds.len()];
+                (*h, with_hint(sig, kind, &items[(i + 1) % len].1))
+            })
+            .collect();
+        let recovered: Vec<_> = bare.iter().map(|(h, sig)| ecdsa::recover_prehashed(h, sig)).collect();
+        for ((h, sig), expect) in hinted.iter().zip(&recovered) {
+            prop_assert_eq!(&ecdsa::recover_prehashed(h, sig), expect);
+        }
         for key in [&kp, &other] {
             let table = AffineTable::new(key.public.point());
-            let expect: Vec<bool> = items
-                .iter()
-                .map(|(h, sig)| ecdsa::recover_prehashed(h, sig) == Ok(key.public))
-                .collect();
+            let expect: Vec<bool> = recovered.iter().map(|r| *r == Ok(key.public)).collect();
             prop_assert!(!only_rejects || !expect.contains(&true));
-            prop_assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), expect);
+            for run in [&items, &bare, &hinted] {
+                prop_assert_eq!(ecdsa::verify_recoverable_batch(&table, run), expect.clone());
+            }
         }
         // No recovery ever yields the identity.
         let identity = AffineTable::new(&Affine::INFINITY);
-        prop_assert_eq!(ecdsa::verify_recoverable_batch(&identity, &items), vec![false; len]);
+        prop_assert_eq!(ecdsa::verify_recoverable_batch(&identity, &hinted), vec![false; len]);
     }
+}
+
+fn stripped(sig: &Signature) -> Signature {
+    Signature {
+        nonce_y: None,
+        ..*sig
+    }
+}
+
+/// The y of the point `(r, v)` names, lifted by square root, if any.
+fn true_nonce_y(sig: &Signature) -> Option<Fe> {
+    let r = sig.r.to_u256();
+    let (x, overflow) = if sig.v & 2 == 0 {
+        (r, false)
+    } else {
+        r.overflowing_add(&N)
+    };
+    if overflow || x >= wedge_crypto::secp256k1::field::P {
+        return None;
+    }
+    Affine::lift_x(Fe::from_u256(x), sig.v & 1 == 1).map(|point| point.y)
+}
+
+/// `sig` with a nonce-y hint of one of eight kinds: the one it carries
+/// (the signer's, or stale after a mutation), none, the true y, `p − y`, an
+/// off-curve y of the right parity, zero, an encoding ≥ p (reduced on
+/// parse), and `neighbour`'s.
+fn with_hint(sig: &Signature, kind: u8, neighbour: &Signature) -> Signature {
+    let truth = true_nonce_y(sig);
+    let y = truth.or(sig.nonce_y).unwrap_or(Fe::ONE);
+    let nonce_y = match kind {
+        0 => sig.nonce_y,
+        1 => None,
+        2 => truth,
+        3 => Some(y.neg()),
+        4 => Some(y.add(&Fe::from_u64(2))),
+        5 => Some(Fe::ZERO),
+        6 => Some(Fe::from_be_bytes(&[0xFF; 32])),
+        _ => neighbour.nonce_y,
+    };
+    Signature { nonce_y, ..*sig }
 }
 
 /// An `r` for which neither `r` nor (it is far above `p − n`) `r + n` is the
@@ -258,17 +317,31 @@ fn recoverable_batch_lifts_r_plus_n_in_long_runs() {
         r: Scalar::from_u256(nonce_point.x.to_u256()),
         s: Scalar::from_u64(0x5eed),
         v: nonce_point.y.is_odd() as u8 | 2,
+        nonce_y: None,
     };
     let key = ecdsa::recover_prehashed(&h, &sig).expect("recovery ids 2/3 select x = r + n");
     let table = AffineTable::new(key.point());
-    let mut items = vec![(h, sig); 90];
-    assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), [true; 90]);
-    items[17].1.v &= 1; // x read as r itself
-    items[71].1.v ^= 1; // the other root
-    let expect: Vec<bool> = (0..90).map(|i| i != 17 && i != 71).collect();
-    assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), expect);
-    for (h, sig) in &items {
-        let recovered = ecdsa::recover_prehashed(h, sig) == Ok(key);
-        assert_eq!(recovered, sig.v == (nonce_point.y.is_odd() as u8 | 2));
+    let with_y = Signature {
+        nonce_y: Some(nonce_point.y),
+        ..sig
+    };
+    assert_eq!(true_nonce_y(&sig), Some(nonce_point.y));
+    // Bare, then carrying the true y, which stays behind, stale, on the two
+    // damaged copies.
+    for sig in [sig, with_y] {
+        let mut items = vec![(h, sig); 90];
+        assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), [true; 90]);
+        items[17].1.v &= 1; // x read as r itself
+        items[71].1.v ^= 1; // the other root
+        let expect: Vec<bool> = (0..90).map(|i| i != 17 && i != 71).collect();
+        assert_eq!(ecdsa::verify_recoverable_batch(&table, &items), expect);
+        for (h, sig) in &items {
+            let recovered = ecdsa::recover_prehashed(h, sig);
+            assert_eq!(recovered, ecdsa::recover_prehashed(h, &stripped(sig)));
+            assert_eq!(
+                recovered == Ok(key),
+                sig.v == (nonce_point.y.is_odd() as u8 | 2)
+            );
+        }
     }
 }

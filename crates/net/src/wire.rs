@@ -12,8 +12,16 @@
 //! [`encode_request_into`]/[`encode_reply_into`] entry points append a
 //! complete frame to a caller-supplied buffer, so pooled allocations can be
 //! reused across frames and several replies can share one egress buffer.
-//! The on-wire bytes are unchanged — `tests/wire_compat.rs` proves both
-//! directions against a replica of the old encoder.
+//! The unit tests pin one frame of every request and reply kind to golden
+//! bytes (docs/protocol.md has the frame table).
+//!
+//! An APPEND body is `bytes(leaf) || bytes(nonce y, 32 B)`: the request's
+//! leaf bytes (exactly what the log stores) and the y-coordinate of its
+//! signature's nonce point, which the signer already computed, so the node
+//! checks `y² = x³ + 7` instead of taking a square root
+//! ([`wedge_crypto::ecdsa::Signature::nonce_y`]). The field is mandatory; a
+//! sender without the y sends 32 zero bytes, which no curve point has. The
+//! node never trusts it: a wrong y costs that square root and nothing else.
 
 use std::io::{self, Read, Write};
 
@@ -21,6 +29,7 @@ use wedge_chain::{Decoder, Encoder};
 use wedge_core::{AppendRequest, CoreError, EntryId, EpochCommit, ShardGroup, SignedResponse};
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::keys::Address;
+use wedge_crypto::secp256k1::Fe;
 use wedge_merkle::RangeProof;
 
 /// Maximum accepted frame size (guards against hostile length prefixes).
@@ -308,7 +317,8 @@ impl Request {
         match self {
             Request::Hello => kind::HELLO,
             Request::Append(request) => {
-                enc.bytes(&request.leaf_bytes());
+                let nonce_y = request.signature.nonce_y.map_or([0; 32], Fe::to_be_bytes);
+                enc.bytes(&request.leaf_bytes()).bytes(&nonce_y);
                 kind::APPEND
             }
             Request::Read(id) => {
@@ -364,8 +374,10 @@ impl Request {
             kind::HELLO => Request::Hello,
             kind::APPEND => {
                 let leaf = dec.bytes().map_err(|_| io_err("append leaf"))?;
-                let request =
+                let mut request =
                     AppendRequest::from_leaf_bytes(leaf).map_err(|_| io_err("append request"))?;
+                let nonce_y: [u8; 32] = dec.bytes_fixed().map_err(|_| io_err("append nonce y"))?;
+                request.signature.nonce_y = Some(Fe::from_be_bytes(&nonce_y));
                 Request::Append(request)
             }
             kind::READ => Request::Read(EntryId {
@@ -711,47 +723,30 @@ mod tests {
     use wedge_crypto::Keypair;
     use wedge_merkle::MerkleTree;
 
-    /// The pre-coalescing frame writer: four `write_all` calls. Kept as a
-    /// test replica to prove the single-buffer path is byte-identical.
-    fn legacy_write_frame(
-        w: &mut impl Write,
-        kind: u8,
-        req_id: u64,
-        body: &[u8],
-    ) -> io::Result<()> {
-        let len = 1 + 8 + body.len();
-        if len > MAX_FRAME {
-            return Err(io_err("frame too large"));
-        }
-        w.write_all(&(len as u32).to_be_bytes())?;
-        w.write_all(&[kind])?;
-        w.write_all(&req_id.to_be_bytes())?;
-        w.write_all(body)?;
-        w.flush()
+    /// A frame assembled by hand: `len || kind || req_id || body`.
+    fn raw_frame(kind: u8, req_id: u64, body: &[u8]) -> Vec<u8> {
+        let len = (1 + 8 + body.len()) as u32;
+        [&len.to_be_bytes()[..], &[kind], &req_id.to_be_bytes(), body].concat()
     }
 
-    fn legacy_request_frame(req_id: u64, request: &Request) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        let kind = request.encode_body(&mut enc);
-        let mut out = Vec::new();
-        legacy_write_frame(&mut out, kind, req_id, &enc.finish()).unwrap();
-        out
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    fn legacy_reply_frame(req_id: u64, reply: &Reply) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        let kind = reply.encode_body(&mut enc);
-        let mut out = Vec::new();
-        legacy_write_frame(&mut out, kind, req_id, &enc.finish()).unwrap();
-        out
+    fn sample_append() -> AppendRequest {
+        let kp = Keypair::from_seed(b"wire");
+        AppendRequest::new(&kp.secret, 7, b"wire-payload".to_vec())
     }
 
+    /// One request of every kind, then an append whose sender has no nonce
+    /// y (a signature parsed from its 65 bytes).
     fn sample_requests() -> Vec<Request> {
         let kp = Keypair::from_seed(b"wire");
-        let append = AppendRequest::new(&kp.secret, 7, b"wire-payload".to_vec());
+        let mut bare = sample_append();
+        bare.signature.nonce_y = None;
         vec![
             Request::Hello,
-            Request::Append(append),
+            Request::Append(sample_append()),
             Request::Read(EntryId {
                 log_id: 3,
                 offset: 9,
@@ -782,6 +777,7 @@ mod tests {
                 tx_hash: Hash32([0xAB; 32]),
                 block_number: 77,
             }),
+            Request::Append(bare),
         ]
     }
 
@@ -916,19 +912,260 @@ mod tests {
         }
     }
 
+    /// `sample_append()`'s leaf bytes: `bytes(publisher) || u64 sequence ||
+    /// bytes(payload) || bytes(65-B signature)`.
+    const APPEND_LEAF: &str = concat!(
+        "00000014",
+        "eb4fb8dab65b574cfff0a089b264e4fb5ed5e2df",
+        "0000000000000007",
+        "0000000c",
+        "776972652d7061796c6f6164",
+        "00000041",
+        "a6395b211e5148b3ac1e826ca1d4f5788d63564711d1e5ea27b2d8a59f826717",
+        "4e4bf510f203bf4934ade13ddc79841ea2b3813fdde02b76a5d6637902f2504f",
+        "00",
+    );
+    /// The y-coordinate of that signature's nonce point.
+    const APPEND_NONCE_Y: &str = "e0a1c1e9cfe6fa8031800594075164c75b5a6593c3af50d890698f0b1aba08e0";
+    const NO_NONCE_Y: &str = "0000000000000000000000000000000000000000000000000000000000000000";
+
+    /// `sample_requests()` as sent with request id = index, field by field:
+    /// `len || kind || req_id || body`.
+    const GOLDEN_REQUESTS: [&[&str]; 11] = [
+        &["00000009", "01", "0000000000000000"],
+        &[
+            "000000a6",
+            "02",
+            "0000000000000001",
+            "00000075",
+            APPEND_LEAF,
+            "00000020",
+            APPEND_NONCE_Y,
+        ],
+        &[
+            "00000019",
+            "03",
+            "0000000000000002",
+            "0000000000000003",
+            "0000000000000009",
+        ],
+        &[
+            "00000029",
+            "04",
+            "0000000000000003",
+            "00000014",
+            "eb4fb8dab65b574cfff0a089b264e4fb5ed5e2df",
+            "000000000000002a",
+        ],
+        &["00000011", "05", "0000000000000004", "0000000000000005"],
+        &[
+            "00000031",
+            "08",
+            "0000000000000005",
+            "0000000000000002",
+            "0000000000000001",
+            "0000000000000000",
+            "0000000000000002",
+            "0000000000000004",
+        ],
+        &[
+            "00000021",
+            "06",
+            "0000000000000006",
+            "0000000000000001",
+            "0000000000000002",
+            "0000000000000003",
+        ],
+        &["00000011", "07", "0000000000000007", "ffffffffffffffff"],
+        &["00000011", "09", "0000000000000008", "0000000000000010"],
+        &[
+            "0000004d",
+            "0a",
+            "0000000000000009",
+            "0000000000000003",
+            "000000000000000c",
+            "0000000000000004",
+            "00000020",
+            "abababababababababababababababababababababababababababababababab",
+            "000000000000004d",
+        ],
+        &[
+            "000000a6",
+            "02",
+            "000000000000000a",
+            "00000075",
+            APPEND_LEAF,
+            "00000020",
+            NO_NONCE_Y,
+        ],
+    ];
+
+    /// `sample_replies()` as sent with request id = index; the three that
+    /// carry signed responses as `(length, keccak256 of the frame)` — the
+    /// response bytes themselves are pinned in `wedge-core`'s attestation
+    /// tests.
+    const GOLDEN_REPLIES: [&[&str]; 12] = [
+        &[
+            "0000004d",
+            "81",
+            "0000000000000000",
+            "00000040",
+            "51376398bcfcc06dd7480d45680ea2d43b22de7173080a76db2f8f6637160965",
+            "dd878d5e6fa5c7ddf1a3b805f15043cabf0de7080088c87560687ecf4f4513c5",
+        ],
+        &[
+            "325",
+            "0949ff622a913bda08bdd3be8afac4a2c26e8ad11c04c809e29c16b46e80f553",
+        ],
+        &[
+            "645",
+            "a94fdd58d20fa85cde3f95e17e10cada14738a4abed1a1887b408fa9ef51f58a",
+        ],
+        &[
+            "350",
+            "71d3bd470ce9e235d2e114cef3edc4105d33d3fb96c48679aa0bfa6492edcff1",
+        ],
+        &[
+            "000000cc",
+            "84",
+            "0000000000000004",
+            "0000000000000002",
+            "0000006a",
+            "00000014",
+            "ea93eb449da5ef6b5c26ef8d4627fbaca351b5f6",
+            "0000000000000000",
+            "00000001",
+            "78",
+            "00000041",
+            "056fd16615baa6b590c4c89631d173057542f059d143467a6b0ad08e8369d2d6",
+            "61b486223d7b8375cabd671f77b5d2f1311881d93d35486884fd3dfa87522e03",
+            "01",
+            "00000005",
+            "6f74686572",
+            "0000000000000000",
+            "0000000000000002",
+            "0000000000000002",
+            "0000000000000000",
+            "00000020",
+            "63e0e668396680aef3229bf8e393cdf8b25629558b8983c7e174e4c6d8922405",
+        ],
+        &[
+            "00000022",
+            "85",
+            "0000000000000005",
+            "0000000000000001",
+            "0000000000000002",
+            "01",
+            "0000000000000002",
+        ],
+        &[
+            "0000001a",
+            "85",
+            "0000000000000006",
+            "0000000000000001",
+            "0000000000000002",
+            "00",
+        ],
+        &[
+            "00000022",
+            "85",
+            "0000000000000007",
+            "0000000000000001",
+            "0000000000000002",
+            "01",
+            "00000000ffffffff",
+        ],
+        &[
+            "00000061",
+            "87",
+            "0000000000000008",
+            "000000000000000c",
+            "0000000000000002",
+            "00000020",
+            "1111111111111111111111111111111111111111111111111111111111111111",
+            "00000020",
+            "2222222222222222222222222222222222222222222222222222222222222222",
+        ],
+        &[
+            "00000019",
+            "87",
+            "0000000000000009",
+            "0000000000000000",
+            "0000000000000000",
+        ],
+        &["00000011", "88", "000000000000000a", "0000000000000004"],
+        &["00000011", "ff", "000000000000000b", "00000004", "6e6f7065"],
+    ];
+
     #[test]
-    fn single_write_frames_match_legacy_bytes() {
-        // Every frame kind: the one-buffer encoder must be byte-identical
-        // to the old four-write path.
-        for (i, request) in sample_requests().iter().enumerate() {
-            let mut new = Vec::new();
-            send_request(&mut new, i as u64, request).unwrap();
-            assert_eq!(new, legacy_request_frame(i as u64, request), "request {i}");
+    fn frames_match_golden_bytes() {
+        assert_eq!(sample_requests().len(), GOLDEN_REQUESTS.len());
+        assert_eq!(sample_replies().len(), GOLDEN_REPLIES.len());
+        for (i, (request, golden)) in sample_requests().iter().zip(GOLDEN_REQUESTS).enumerate() {
+            let mut frame = Vec::new();
+            send_request(&mut frame, i as u64, request).unwrap();
+            assert_eq!(hex(&frame), golden.concat(), "request {i}");
         }
-        for (i, reply) in sample_replies().iter().enumerate() {
-            let mut new = Vec::new();
-            send_reply(&mut new, i as u64, reply).unwrap();
-            assert_eq!(new, legacy_reply_frame(i as u64, reply), "reply {i}");
+        for (i, (reply, golden)) in sample_replies().iter().zip(GOLDEN_REPLIES).enumerate() {
+            let mut frame = Vec::new();
+            send_reply(&mut frame, i as u64, reply).unwrap();
+            match golden {
+                [len, digest] if len.len() < 8 => {
+                    assert_eq!(frame.len().to_string(), *len, "reply {i}");
+                    assert_eq!(hex(&wedge_crypto::keccak256(&frame)), *digest, "reply {i}");
+                }
+                _ => assert_eq!(hex(&frame), golden.concat(), "reply {i}"),
+            }
+        }
+    }
+
+    #[test]
+    fn append_frames_carry_the_nonce_y_and_reject_the_old_layout() {
+        let request = sample_append();
+        let mut frame = Vec::new();
+        send_request(&mut frame, 1, &Request::Append(request.clone())).unwrap();
+        let decode = |frame: &[u8]| decode_request_frame(&frame[4..]);
+        match decode(&frame) {
+            Ok((1, Request::Append(decoded))) => {
+                assert_eq!(decoded.signature, request.signature);
+                assert_eq!(decoded.signature.nonce_y, request.signature.nonce_y);
+                assert_eq!(decoded.leaf_bytes(), request.leaf_bytes());
+            }
+            other => panic!("append decoded wrong: {other:?}"),
+        }
+        // Zeros (no y) and any other 32 bytes decode; what they are worth is
+        // the verifier's business, never the decoder's.
+        for y in [[0u8; 32], [0xFF; 32]] {
+            let body = [&frame[13..frame.len() - 32], &y[..]].concat();
+            match decode(&raw_frame(kind::APPEND, 1, &body)) {
+                Ok((_, Request::Append(decoded))) => {
+                    assert_eq!(decoded.signature.nonce_y, Some(Fe::from_be_bytes(&y)));
+                    assert_eq!(decoded.verify().is_ok(), request.verify().is_ok());
+                }
+                other => panic!("append with y {y:02x?} decoded wrong: {other:?}"),
+            }
+        }
+        // The layout before the field (the leaf alone), a truncated y, a
+        // short y and trailing bytes after it are errors, never a panic.
+        let leaf_only = {
+            let mut enc = Encoder::new();
+            enc.bytes(&request.leaf_bytes());
+            enc.finish()
+        };
+        let body = &frame[13..];
+        let mut short_y = body[..body.len() - 36].to_vec();
+        short_y.extend_from_slice(&31u32.to_be_bytes());
+        short_y.extend_from_slice(&[7; 31]);
+        for bad in [
+            leaf_only,
+            body[..body.len() - 1].to_vec(),
+            body[..body.len() - 32].to_vec(),
+            short_y,
+            [body, &[0][..]].concat(),
+        ] {
+            let frame = raw_frame(kind::APPEND, 1, &bad);
+            assert!(decode(&frame).is_err());
+            assert!(recv_request(&mut std::io::Cursor::new(frame)).is_err());
         }
     }
 
@@ -984,8 +1221,7 @@ mod tests {
         // A frame from an old peer: R_ERROR body is just the UTF-8 text.
         let mut enc = Encoder::new();
         enc.bytes(b"entry 3/7 not found");
-        let mut frame = Vec::new();
-        legacy_write_frame(&mut frame, 0xFF, 5, &enc.finish()).unwrap();
+        let frame = raw_frame(0xFF, 5, &enc.finish());
         let (req_id, decoded) = recv_reply(&mut std::io::Cursor::new(frame)).unwrap();
         assert_eq!(req_id, 5);
         assert_eq!(
@@ -1015,8 +1251,7 @@ mod tests {
         buf.extend_from_slice(&[0; 16]);
         assert!(recv_request(&mut std::io::Cursor::new(buf)).is_err());
         // Unknown kind.
-        let mut buf = Vec::new();
-        legacy_write_frame(&mut buf, 0x77, 0, b"").unwrap();
+        let buf = raw_frame(0x77, 0, b"");
         assert!(recv_request(&mut std::io::Cursor::new(buf)).is_err());
         // Truncated body.
         let mut buf = Vec::new();
