@@ -17,7 +17,7 @@ fn bench_append_sync_policies(c: &mut Criterion) {
     group.sample_size(20);
     for (name, sync) in [
         ("never", SyncPolicy::Never),
-        ("on_rotate", SyncPolicy::OnRotate),
+        ("group_commit", StoreConfig::default().sync),
         ("always", SyncPolicy::Always),
     ] {
         let store = LogStore::open(

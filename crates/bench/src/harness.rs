@@ -914,7 +914,7 @@ pub fn stage1(profile: Profile) -> Table {
     for &batch in &batch_sizes {
         let n = profile.scale(batch * 10, (batch * 2).max(2000));
         for (label, sync) in [
-            ("end-to-end", SyncPolicy::OnRotate),
+            ("end-to-end, no fsync", SyncPolicy::Never),
             (
                 "end-to-end + durable replies (group commit)",
                 SyncPolicy::GroupCommit {

@@ -7,12 +7,14 @@
 //! verification overlaps batch N's fsync and replication:
 //!
 //! 1. **collect** — batch requests, verify publisher signatures
-//!    (parallel), reject invalid ones;
+//!    (parallel), reject invalid ones, then encode the survivors' leaves
+//!    and frame them as log records in one pass on the work pool, each
+//!    worker its own span — the only CRC pass a payload gets;
 //! 2. **persist** — build the batch's Merkle tree (parallel above
-//!    [`crate::NodeConfig::merkle_parallel_cutoff`]), kick off the replica
-//!    fan-out, persist header + leaves to the local store (link #2 of
-//!    Figure 2) while the replicas work, then join both — the stage pays
-//!    max(local, replication) instead of the sum;
+//!    [`crate::NodeConfig::merkle_parallel_cutoff`]), prepend the header
+//!    record to the collect stage's frames, hand the same frames to the
+//!    replicas and to the local store (link #2 of Figure 2), then join
+//!    both — the stage pays max(local, replication) instead of the sum;
 //! 3. **deliver** — sign the batch's responses (one node signature over the
 //!    Merkle root of their digests, each reply carrying its path), wait for the
 //!    fsync covering the batch (instant except under
@@ -34,11 +36,13 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendErr
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wedge_merkle::MerkleTree;
+use wedge_pool::WorkPool;
+use wedge_storage::Frames;
 
 use crate::config::NodeBehavior;
-use crate::types::{EntryId, SignedResponse};
+use crate::types::{AppendRequest, EntryId, SignedResponse};
 
-use super::state::{encode_header, encode_leaf, BatchMeta};
+use super::state::{encode_header, frame_leaves, BatchMeta};
 use super::{tamper, IngestMsg, Shared};
 
 /// A signature-verified batch, bound for the persist stage.
@@ -46,6 +50,9 @@ struct VerifiedBatch {
     msgs: Vec<IngestMsg>,
     /// Leaf encodings, index-aligned with `msgs`.
     leaves: Vec<Vec<u8>>,
+    /// The leaves framed as log records, one part per worker span, in
+    /// order.
+    frames: Vec<Frames>,
 }
 
 /// A persist-stage outcome, bound for the deliver stage. Failures travel
@@ -159,19 +166,40 @@ fn verify_and_forward(
     if batch.is_empty() {
         return;
     }
-    let leaves: Vec<Vec<u8>> = batch.iter().map(|m| m.request.leaf_bytes()).collect();
+    let requests: Vec<&AppendRequest> = batch.iter().map(|m| &m.request).collect();
+    let (leaves, frames) = encode_and_frame(&requests, &shared.pool);
     if let Err(lost) = send_downstream(
         shared,
         persist_tx,
         VerifiedBatch {
             msgs: batch,
             leaves,
+            frames,
         },
     ) {
         for msg in lost.msgs {
             (msg.reply)(Err("node pipeline stopped".into()));
         }
     }
+}
+
+/// Encodes every request's leaf and frames the leaves as log records, one
+/// contiguous span per worker: returns the leaves in request order and the
+/// frames as one part per span, whose concatenation is the batch's leaf
+/// records exactly as framing them one by one would lay them out.
+fn encode_and_frame(requests: &[&AppendRequest], pool: &WorkPool) -> (Vec<Vec<u8>>, Vec<Frames>) {
+    let spans = pool.fold_chunks(requests, |span| {
+        let leaves: Vec<Vec<u8>> = span.iter().map(|r| r.leaf_bytes()).collect();
+        let frames = frame_leaves(&leaves);
+        (leaves, frames)
+    });
+    let mut leaves = Vec::with_capacity(requests.len());
+    let mut parts = Vec::with_capacity(spans.len());
+    for (span_leaves, frames) in spans {
+        leaves.extend(span_leaves);
+        parts.push(frames);
+    }
+    (leaves, parts)
 }
 
 /// Stage 2: Merkle tree, durable local append, replica fan-out. Owns the
@@ -187,7 +215,12 @@ fn persist_stage(
     // the pipeline depth.
     let mut next_log_id = shared.snapshot().batches.len() as u64;
     let cutoff = shared.config.merkle_parallel_cutoff;
-    while let Ok(VerifiedBatch { msgs, leaves }) = persist_rx.recv() {
+    while let Ok(VerifiedBatch {
+        msgs,
+        leaves,
+        frames,
+    }) = persist_rx.recv()
+    {
         // `msgs` was checked non-empty by the collect stage, the only
         // failure mode of the builder.
         let merkle_start = std::time::Instant::now();
@@ -199,10 +232,14 @@ fn persist_stage(
         let root = tree.root();
         let log_id = next_log_id;
 
-        let mut records = Vec::with_capacity(leaves.len() + 1);
-        records.push(encode_header(log_id, leaves.len() as u32, &root));
-        records.extend(leaves.iter().map(|l| encode_leaf(l)));
-        let records = Arc::new(records);
+        let mut parts = Vec::with_capacity(frames.len() + 1);
+        parts.push(Frames::from_payloads(&[encode_header(
+            log_id,
+            leaves.len() as u32,
+            &root,
+        )]));
+        parts.extend(frames);
+        let parts = Arc::new(parts);
 
         // Overlap: hand the batch to the replicas *before* paying for local
         // durability, then join both below — the stage costs
@@ -213,9 +250,9 @@ fn persist_stage(
         let replication = shared
             .replicator
             .as_ref()
-            .map(|replicator| (replicator, replicator.replicate_begin(Arc::clone(&records))));
+            .map(|replicator| (replicator, replicator.replicate_frames(Arc::clone(&parts))));
         let local_start = std::time::Instant::now();
-        let append_result = shared.store.append_batch(&records[..]);
+        let append_result = shared.store.append_frames(&parts);
         let local_elapsed = local_start.elapsed();
 
         let outcome = match append_result {
@@ -404,5 +441,43 @@ fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_w
         // covers, and a full slot (or a node without a committer thread)
         // needs no wake-up at all.
         let _ = stage2_wake.try_send(());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Framing on the pool is invisible on disk: whatever the worker
+    /// count, the parts concatenate to the leaf records framed one at a
+    /// time (magic, length, CRC, tagged leaf), and the leaves come back in
+    /// request order.
+    #[test]
+    fn frames_built_by_any_number_of_workers_are_the_per_record_bytes() {
+        let key = wedge_crypto::SecretKey::from_seed(b"framing publisher");
+        let requests: Vec<AppendRequest> = (0..37u64)
+            .map(|i| AppendRequest::new(&key, i, vec![i as u8; (i as usize * 29) % 300]))
+            .collect();
+        let refs: Vec<&AppendRequest> = requests.iter().collect();
+        let mut per_record = Vec::new();
+        for request in &requests {
+            let leaf = request.leaf_bytes();
+            let mut record = vec![0x02];
+            record.extend_from_slice(&(leaf.len() as u32).to_be_bytes());
+            record.extend_from_slice(&leaf);
+            per_record.extend_from_slice(&0x5742u16.to_be_bytes());
+            per_record.extend_from_slice(&(record.len() as u32).to_be_bytes());
+            per_record.extend_from_slice(&wedge_storage::crc32(&record).to_be_bytes());
+            per_record.extend_from_slice(&record);
+        }
+        for workers in [1, 2, 8] {
+            let pool = WorkPool::new(workers);
+            let (leaves, parts) = encode_and_frame(&refs, &pool);
+            assert_eq!(parts.len(), pool.planned_chunks(refs.len()).max(1));
+            let bytes: Vec<u8> = parts.iter().flat_map(Frames::as_bytes).copied().collect();
+            assert_eq!(bytes, per_record, "{workers} workers");
+            let expect: Vec<Vec<u8>> = requests.iter().map(AppendRequest::leaf_bytes).collect();
+            assert_eq!(leaves, expect, "{workers} workers");
+        }
     }
 }

@@ -7,7 +7,7 @@ use wedge_chain::{Decoder, Encoder, TxHash};
 use wedge_crypto::hash::Hash32;
 use wedge_merkle::MerkleTree;
 use wedge_sim::SimInstant;
-use wedge_storage::LogStore;
+use wedge_storage::{Frames, LogStore};
 
 use super::snapshot::WritePlane;
 use crate::error::CoreError;
@@ -55,11 +55,19 @@ pub fn encode_header(log_id: u64, count: u32, root: &Hash32) -> Vec<u8> {
     enc.finish()
 }
 
-/// Encodes a leaf record.
-pub fn encode_leaf(leaf: &[u8]) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(1 + leaf.len());
-    enc.u8(TAG_LEAF).bytes(leaf);
-    enc.finish()
+/// Frames `leaves` as leaf records — `(tag, length-prefixed leaf)`, the
+/// [`Encoder`] layout [`decode_leaf`] reads — into one part sized exactly
+/// up front: each leaf is copied once, straight into its frame, and
+/// checksummed there.
+pub fn frame_leaves(leaves: &[Vec<u8>]) -> Frames {
+    const TAG_AND_LEN: usize = 1 + 4;
+    let bytes = leaves.iter().map(|leaf| TAG_AND_LEN + leaf.len()).sum();
+    let mut frames = Frames::with_capacity(leaves.len(), bytes);
+    for leaf in leaves {
+        let len = (leaf.len() as u32).to_be_bytes();
+        frames.push_slices(&[&[TAG_LEAF], &len, leaf]);
+    }
+    frames
 }
 
 /// Decodes a leaf record back to its leaf bytes.
@@ -181,11 +189,20 @@ mod tests {
 
     #[test]
     fn leaf_roundtrip() {
-        let encoded = encode_leaf(b"leaf-data");
-        assert_eq!(decode_leaf(&encoded).unwrap(), b"leaf-data");
+        for leaf in [b"leaf-data".to_vec(), Vec::new(), vec![0xAB; 300]] {
+            // A leaf record is the Encoder's tag + length-prefixed bytes, and
+            // its frame ends in exactly that record.
+            let mut enc = Encoder::new();
+            enc.u8(TAG_LEAF).bytes(&leaf);
+            let record = enc.finish();
+            assert!(frame_leaves(std::slice::from_ref(&leaf))
+                .as_bytes()
+                .ends_with(&record));
+            assert_eq!(decode_leaf(&record).unwrap(), leaf);
+            assert!(decode_header(&record).is_none());
+        }
         // Headers are not leaves.
         let header = encode_header(0, 1, &Hash32::ZERO);
         assert!(decode_leaf(&header).is_err());
-        assert!(decode_header(&encode_leaf(b"x")).is_none());
     }
 }

@@ -149,6 +149,18 @@ impl WorkPool {
         }
     }
 
+    /// Like [`WorkPool::map_chunks`], but `f` folds its whole chunk into one
+    /// value: the result holds one value per chunk, in chunk order (a
+    /// single value when the map runs inline).
+    pub fn fold_chunks<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(&[T]) -> U + Sync,
+    {
+        self.map_chunks(items, |chunk| vec![f(chunk)])
+    }
+
     /// Like [`WorkPool::map`], but a panicking task yields
     /// [`PoolError::TaskPanicked`] instead of propagating the panic —
     /// including on the inline (single-worker) path.
@@ -253,6 +265,18 @@ mod tests {
             assert!(starts.len() <= pool.workers(), "one chunk per worker");
             assert!(starts.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn fold_chunks_yields_one_value_per_chunk_in_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        for workers in [1, 2, 8] {
+            let pool = WorkPool::new(workers);
+            let spans = pool.fold_chunks(&items, |chunk| chunk.to_vec());
+            assert_eq!(spans.len(), pool.planned_chunks(items.len()).max(1));
+            assert_eq!(spans.concat(), items);
+        }
+        assert_eq!(WorkPool::new(4).fold_chunks(&items[..2], <[u64]>::len), [2]);
     }
 
     #[test]

@@ -326,7 +326,6 @@ mod tests {
         for p in &payloads {
             w.append(p).unwrap();
         }
-        w.flush().unwrap();
         let unsealed = std::fs::read(segment_path(&dir, 1)).unwrap();
         assert_eq!(&sealed[..unsealed.len()], &unsealed[..]);
         assert_eq!(cold.data_len(), unsealed.len() as u64);

@@ -2,9 +2,10 @@
 //!
 //! Guards every on-disk record against torn writes and bit rot; implemented
 //! here because the workspace avoids external checksum crates. Every
-//! payload byte passes through it three times per append (the primary's
-//! record header and each replica's), again on every read and on restart,
-//! so it has to run at table-lookup speed rather than one byte per step.
+//! payload byte passes through it once per append (when the batch is
+//! framed; the primary and the replicas write those frames as-is), again
+//! on every read and on restart, so it has to run at table-lookup speed
+//! rather than one byte per step.
 //!
 //! Slicing-by-8 folds eight input bytes per step through eight 256-entry
 //! tables: `TABLES[k][b]` is the CRC contribution of byte `b` followed by
@@ -62,8 +63,17 @@ fn lookup(table: &[u32; 256], byte: u8) -> u32 {
     table.get(usize::from(byte)).copied().unwrap_or(0)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Checksums computed on this thread, so tests can pin which paths pay
+    /// a CRC pass and which write framed bytes as-is.
+    pub(crate) static COMPUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Computes the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(test)]
+    COMPUTED.with(|computed| computed.set(computed.get() + 1));
     let [t0, t1, t2, t3, t4, t5, t6, t7] = tables();
     let mut crc = !0u32;
     let mut steps = data.chunks_exact(8);

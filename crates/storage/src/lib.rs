@@ -5,6 +5,11 @@
 //! replica fan-out used for the paper's replicated-liveness experiments
 //! ([`Replicator`]).
 //!
+//! Records are framed once ([`Frames`]: magic, length, CRC, payload) by
+//! whoever produces the batch; the primary store and every replica write
+//! those same bytes with one `write(2)` per segment run
+//! ([`LogStore::append_frames`], [`Replicator::replicate_frames`]).
+//!
 //! A store is sealed segments plus exactly one tail. When the tail fills,
 //! rotation seals it in place — a locator block and a CRC'd footer are
 //! appended to the same file and it is renamed `.wlog` → `.wcold`, so every
@@ -29,4 +34,5 @@ pub use cold::ColdSegment;
 pub use crc32::crc32;
 pub use error::StorageError;
 pub use replication::{Batch, ReplicationHandle, Replicator};
+pub use segment::Frames;
 pub use store::{LogStore, RecoveryStats, StoreConfig, SyncPolicy, SyncStats, TierStats};

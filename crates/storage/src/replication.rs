@@ -6,6 +6,17 @@
 //! its own [`LogStore`]; the primary fans batches out over channels and can
 //! either wait for acknowledgements (synchronous replication) or continue
 //! immediately.
+//!
+//! A batch travels already framed: every replica receives the same
+//! `Arc<Vec<Frames>>` the primary writes and appends it as-is, computing no
+//! CRC and copying no record, so the three stores hold byte-identical
+//! segment files.
+//!
+//! A replica whose append or fsync failed may lack that batch, or hold a
+//! sealed prefix of it; every later batch would sit behind that hole. So
+//! from its first failure until it is reopened it refuses every batch, and
+//! the primary sees the shortfall on each one instead of counting a copy
+//! with a hole in it as durable.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -15,12 +26,13 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::error::StorageError;
+use crate::segment::Frames;
 use crate::store::{LogStore, StoreConfig};
 
-/// A batch shipped to replicas: shared, immutable payloads.
+/// A batch of unframed payloads, as [`Replicator::replicate_begin`] takes it.
 pub type Batch = Arc<Vec<Vec<u8>>>;
 
-/// In-flight replication started by [`Replicator::replicate_begin`].
+/// In-flight replication started by [`Replicator::replicate_frames`].
 ///
 /// The sends have already been handed to every replica; [`wait`] collects
 /// the acknowledgements. Dropping the handle abandons the wait without
@@ -57,7 +69,7 @@ impl ReplicationHandle {
 
 enum Command {
     Replicate {
-        batch: Batch,
+        batch: Arc<Vec<Frames>>,
         ack: Sender<Result<(), String>>,
     },
     Shutdown,
@@ -99,6 +111,8 @@ impl Replicator {
             let handle = std::thread::Builder::new()
                 .name(format!("wedge-replica-{i}"))
                 .spawn(move || {
+                    // The first failure, refused with every later batch.
+                    let mut failed: Option<String> = None;
                     while let Ok(cmd) = rx.recv() {
                         match cmd {
                             Command::Replicate { batch, ack } => {
@@ -109,10 +123,18 @@ impl Replicator {
                                 // waits for the fsync the policy promises.
                                 // Directly: no neighbouring batch can arrive
                                 // to share it while the primary waits.
-                                let result = served
-                                    .append_batch(&batch[..])
-                                    .and_then(|_| served.sync_pending())
-                                    .map_err(|e| e.to_string());
+                                let result = match &failed {
+                                    Some(first) => {
+                                        Err(format!("replica lost an earlier batch: {first}"))
+                                    }
+                                    None => served
+                                        .append_frames(&batch)
+                                        .and_then(|_| served.sync_pending())
+                                        .map_err(|e| e.to_string()),
+                                };
+                                if let (None, Err(e)) = (&failed, &result) {
+                                    failed = Some(e.clone());
+                                }
                                 let _ = ack.send(result);
                             }
                             Command::Shutdown => break,
@@ -132,13 +154,15 @@ impl Replicator {
         })
     }
 
-    /// Ships a batch to every replica and returns immediately with a
-    /// [`ReplicationHandle`] for collecting the acknowledgements later.
+    /// Ships a framed batch to every replica and returns immediately with
+    /// a [`ReplicationHandle`] for collecting the acknowledgements later.
+    /// Every replica appends the shared frames as-is
+    /// ([`LogStore::append_frames`]).
     ///
-    /// This is the overlap primitive: the caller can run its local
-    /// `append_batch` + fsync while the replicas work, then `wait`, paying
-    /// max(local, replication) instead of the sum.
-    pub fn replicate_begin(&self, batch: Batch) -> ReplicationHandle {
+    /// This is the overlap primitive: the caller can run its local append
+    /// of the same frames + fsync while the replicas work, then `wait`,
+    /// paying max(local, replication) instead of the sum.
+    pub fn replicate_frames(&self, batch: Arc<Vec<Frames>>) -> ReplicationHandle {
         let mut acks = Vec::with_capacity(self.replicas.len());
         for replica in &self.replicas {
             let (ack_tx, ack_rx) = bounded(1);
@@ -156,6 +180,12 @@ impl Replicator {
         ReplicationHandle { acks }
     }
 
+    /// Frames `batch` once and ships it as [`Replicator::replicate_frames`]
+    /// does.
+    pub fn replicate_begin(&self, batch: Batch) -> ReplicationHandle {
+        self.replicate_frames(Arc::new(vec![Frames::from_payloads(&batch[..])]))
+    }
+
     /// Ships a batch to every replica and waits for all acknowledgements.
     ///
     /// Returns the number of replicas that confirmed the write.
@@ -165,14 +195,7 @@ impl Replicator {
 
     /// Ships a batch without waiting for acknowledgements (lazy fan-out).
     pub fn replicate_async(&self, batch: Vec<Vec<u8>>) {
-        let batch: Batch = Arc::new(batch);
-        for replica in &self.replicas {
-            let (ack_tx, _ack_rx) = bounded(1);
-            let _ = replica.commands.send(Command::Replicate {
-                batch: batch.clone(),
-                ack: ack_tx,
-            });
-        }
+        drop(self.replicate_begin(Arc::new(batch)));
     }
 
     /// Number of replicas.
@@ -268,8 +291,7 @@ mod tests {
     /// An ack is a durable copy: under group commit every acknowledged
     /// batch has been fsynced on the replica, one fsync per batch (the
     /// inline threshold sync is not repeated, nor `Always`'s own); under
-    /// `OnRotate`, which promises no per-append durability, acks add no
-    /// fsync.
+    /// `Never`, which promises no durability, acks add no fsync.
     #[test]
     fn acks_wait_for_the_fsync_the_policy_promises() {
         let with = |sync| StoreConfig {
@@ -283,7 +305,7 @@ mod tests {
         for (tag, sync, fsyncs_per_batch) in [
             ("gc", group_commit, 1),
             ("always", SyncPolicy::Always, 1),
-            ("rotate", SyncPolicy::OnRotate, 0),
+            ("never", SyncPolicy::Never, 0),
         ] {
             let repl = Replicator::spawn(tempdir(tag), 2, with(sync), Duration::ZERO).unwrap();
             for b in 1..=10u64 {
@@ -293,6 +315,38 @@ mod tests {
                     assert_eq!(fsyncs, b * fsyncs_per_batch, "{tag}, batch {b}");
                 }
             }
+        }
+    }
+
+    /// A replica that failed a batch lacks it (or holds a sealed prefix of
+    /// it), so it must not acknowledge the batches queued behind the hole —
+    /// not even once the cause is gone.
+    #[test]
+    fn a_replica_that_failed_a_batch_acknowledges_nothing_after_it() {
+        let dir = tempdir("hole");
+        let repl = Replicator::spawn(&dir, 1, small_segments(), Duration::ZERO).unwrap();
+        let batch = |b: u8| vec![vec![b; 40]];
+        assert_eq!(repl.replicate_sync(batch(0)), 1);
+        // A directory squats on the replica's next tail: the next batch
+        // needs a rotation and cannot create the successor.
+        let squatter = dir.join("replica-0").join("seg-0000000001.wlog");
+        std::fs::create_dir(&squatter).unwrap();
+        assert_eq!(repl.replicate_sync(batch(1)), 0);
+        std::fs::remove_dir(&squatter).unwrap();
+        // The store itself could take this batch now; the replica must not.
+        assert_eq!(repl.replicate_sync(batch(2)), 0);
+        assert_eq!(repl.replicas[0].store.len(), 1);
+        drop(repl);
+        // Reopened (a restart), it takes batches again.
+        let repl = Replicator::spawn(&dir, 1, small_segments(), Duration::ZERO).unwrap();
+        assert_eq!(repl.replicate_sync(batch(3)), 1);
+        assert_eq!(repl.replicas[0].store.len(), 2);
+    }
+
+    fn small_segments() -> StoreConfig {
+        StoreConfig {
+            max_segment_bytes: 64,
+            ..StoreConfig::default()
         }
     }
 

@@ -11,9 +11,17 @@
 //!
 //! The CRC covers the payload only; the magic pins record boundaries so a
 //! scan can distinguish a torn tail from mid-file corruption.
+//!
+//! Records are framed once, into [`Frames`], before any store sees them:
+//! the batch's producer builds the bytes above (one CRC pass per payload),
+//! and the primary and every replica write those same bytes with one
+//! `write(2)` per contiguous run that lands in one segment. A
+//! [`SegmentWriter`] writes straight to its file — there is no user-space
+//! buffer, so an appended record is visible to `pread` the moment the
+//! append returns and a tail read needs neither a flush nor the tail lock.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -42,19 +50,93 @@ pub fn sync_dir(dir: &Path) -> Result<(), StorageError> {
     Ok(())
 }
 
+/// Records framed exactly as a segment stores them — `magic ‖ length ‖
+/// crc32 ‖ payload` each, back to back in one buffer — plus each record's
+/// framed length, so a store can split the buffer at record boundaries
+/// without parsing it. A batch is one or more `Frames` in order (for
+/// instance a header record and one part per worker that framed a span of
+/// the batch); [`crate::LogStore::append_frames`] writes them as-is.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Frames {
+    bytes: Vec<u8>,
+    /// Framed length (header + payload) of every record, in order.
+    lens: Vec<usize>,
+}
+
+impl Frames {
+    /// Empty frames with room for `records` records whose payloads total
+    /// `payload_bytes`: framing that stays within the hint never
+    /// reallocates, so no payload byte is copied twice.
+    pub fn with_capacity(records: usize, payload_bytes: usize) -> Frames {
+        Frames {
+            bytes: Vec::with_capacity(records * HEADER_LEN + payload_bytes),
+            lens: Vec::with_capacity(records),
+        }
+    }
+
+    /// Frames every payload, in order, into one allocation.
+    pub fn from_payloads<D: AsRef<[u8]>>(payloads: &[D]) -> Frames {
+        let bytes = payloads.iter().map(|p| p.as_ref().len()).sum();
+        let mut frames = Frames::with_capacity(payloads.len(), bytes);
+        for payload in payloads {
+            frames.push_slices(&[payload.as_ref()]);
+        }
+        frames
+    }
+
+    /// Appends one record whose payload is the concatenation of `slices`:
+    /// a caller that prefixes a tag or a length to its data frames it
+    /// without first building the payload elsewhere. The payload is copied
+    /// in once and checksummed in place.
+    pub fn push_slices(&mut self, slices: &[&[u8]]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; HEADER_LEN]);
+        for slice in slices {
+            self.bytes.extend_from_slice(slice);
+        }
+        let payload = self.bytes.get(start + HEADER_LEN..).unwrap_or_default();
+        let len = (payload.len() as u32).to_be_bytes();
+        let crc = crc32(payload).to_be_bytes();
+        let magic = MAGIC.to_be_bytes();
+        let header: [u8; HEADER_LEN] = [
+            magic[0], magic[1], len[0], len[1], len[2], len[3], crc[0], crc[1], crc[2], crc[3],
+        ];
+        if let Some(slot) = self.bytes.get_mut(start..start + HEADER_LEN) {
+            slot.copy_from_slice(&header);
+        }
+        self.lens.push(self.bytes.len() - start);
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// True when no record has been framed.
+    pub fn is_empty(&self) -> bool {
+        self.lens.is_empty()
+    }
+
+    /// The framed bytes, exactly as a segment stores them.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Framed length (header + payload) of every record, in order.
+    pub fn framed_lens(&self) -> &[usize] {
+        &self.lens
+    }
+}
+
 /// An open segment being appended to.
 pub struct SegmentWriter {
     id: SegmentId,
-    file: BufWriter<File>,
+    file: File,
     /// Read-only handle on the same file for positional reads; it follows
     /// the inode, so it keeps working once the segment is sealed (renamed).
     reader: Arc<File>,
     /// Bytes written (including framing).
     len: u64,
-    /// True while appended bytes may still sit in the `BufWriter` — cleared
-    /// by [`SegmentWriter::flush`]/[`SegmentWriter::sync`]. Lets readers of
-    /// the active segment skip redundant flushes.
-    dirty: bool,
     /// True once the file carries its trailer under its `.wcold` name: it
     /// takes no more records, and the store's next append only has to
     /// create the successor.
@@ -76,10 +158,9 @@ impl SegmentWriter {
         sync_dir(dir)?;
         Ok(SegmentWriter {
             id,
-            file: BufWriter::new(file),
+            file,
             reader: Arc::new(File::open(&path)?),
             len: 0,
-            dirty: false,
             sealed: false,
         })
     }
@@ -93,35 +174,29 @@ impl SegmentWriter {
         file.seek(SeekFrom::Start(offset))?;
         Ok(SegmentWriter {
             id,
-            file: BufWriter::new(file),
+            file,
             reader: Arc::new(File::open(&path)?),
             len: offset,
-            dirty: false,
             sealed: false,
         })
     }
 
-    /// Appends one framed record; returns its starting offset.
-    ///
-    /// The header is assembled on the stack so the record goes down in two
-    /// `write_all` calls (header, payload) instead of four — fewer syscalls
-    /// whenever the `BufWriter` is bypassed or spills mid-record. The
-    /// on-disk format is unchanged (see the byte-level regression test).
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
+    /// Appends already-framed records (whole [`Frames`] records, back to
+    /// back) with one `write_all`.
+    pub fn write_frames(&mut self, frames: &[u8]) -> Result<(), StorageError> {
         if self.sealed {
             return Err(std::io::Error::other("append to a sealed segment").into());
         }
+        self.file.write_all(frames)?;
+        self.len += frames.len() as u64;
+        Ok(())
+    }
+
+    /// Frames and appends one record; returns its starting offset.
+    #[cfg(test)]
+    pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
         let offset = self.len;
-        let magic = MAGIC.to_be_bytes();
-        let len = (payload.len() as u32).to_be_bytes();
-        let crc = crc32(payload).to_be_bytes();
-        let header: [u8; HEADER_LEN] = [
-            magic[0], magic[1], len[0], len[1], len[2], len[3], crc[0], crc[1], crc[2], crc[3],
-        ];
-        self.file.write_all(&header)?;
-        self.file.write_all(payload)?;
-        self.len += (HEADER_LEN + payload.len()) as u64;
-        self.dirty = true;
+        self.write_frames(Frames::from_payloads(&[payload]).as_bytes())?;
         Ok(offset)
     }
 
@@ -130,7 +205,6 @@ impl SegmentWriter {
     /// undone by [`SegmentWriter::rewind`].
     pub fn write_trailer(&mut self, trailer: &[u8]) -> Result<(), StorageError> {
         self.file.write_all(trailer)?;
-        self.dirty = true;
         Ok(())
     }
 
@@ -145,37 +219,19 @@ impl SegmentWriter {
     }
 
     /// Cuts the segment back to `len` bytes, dropping whatever was written
-    /// or is still buffered beyond them: the records of a failed batch, a
-    /// half-written record, the trailer of a failed seal.
+    /// beyond them: the records of a failed batch, a half-written run, the
+    /// trailer of a failed seal.
     pub fn rewind(&mut self, len: u64) -> Result<(), StorageError> {
-        let file = self.file.get_ref().try_clone()?;
-        // `into_parts` hands the unwritten buffer back instead of flushing.
-        drop(std::mem::replace(&mut self.file, BufWriter::new(file)).into_parts());
-        self.file.get_ref().set_len(len)?;
+        self.file.set_len(len)?;
         self.file.seek(SeekFrom::Start(len))?;
         self.len = len;
-        self.dirty = false;
         Ok(())
     }
 
-    /// Flushes buffered writes to the OS.
-    pub fn flush(&mut self) -> Result<(), StorageError> {
-        self.file.flush()?;
-        self.dirty = false;
-        Ok(())
-    }
-
-    /// Flushes and fsyncs to stable storage.
+    /// Fsyncs the written records to stable storage.
     pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
-        self.dirty = false;
+        self.file.sync_data()?;
         Ok(())
-    }
-
-    /// True while appended bytes may still sit in the writer's buffer.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
     }
 
     /// Segment id.
@@ -191,11 +247,6 @@ impl SegmentWriter {
     /// Current length in bytes (including framing).
     pub fn len(&self) -> u64 {
         self.len
-    }
-
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -360,44 +411,59 @@ mod tests {
         let mut w = SegmentWriter::create(&dir, 0).unwrap();
         let o1 = w.append(b"first").unwrap();
         let o2 = w.append(b"second record").unwrap();
-        w.flush().unwrap();
         assert_eq!(read_record_at(&dir, 0, o1).unwrap(), b"first");
         assert_eq!(read_record_at(&dir, 0, o2).unwrap(), b"second record");
     }
 
-    #[test]
-    fn on_disk_bytes_are_exactly_magic_len_crc_payload() {
-        // Regression for the header-on-the-stack rewrite: the wire format
-        // must stay byte-identical to the four-write_all original.
-        let dir = tempdir();
-        let mut w = SegmentWriter::create(&dir, 0).unwrap();
-        let payloads: [&[u8]; 3] = [b"", b"x", b"hello wedgeblock"];
-        let mut expect: Vec<u8> = Vec::new();
+    /// The format every record is written in, one field at a time — the
+    /// oracle [`Frames`] is checked against.
+    fn framed_by_hand(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut expect = Vec::new();
         for p in payloads {
-            w.append(p).unwrap();
             expect.extend_from_slice(&MAGIC.to_be_bytes());
             expect.extend_from_slice(&(p.len() as u32).to_be_bytes());
             expect.extend_from_slice(&crc32(p).to_be_bytes());
             expect.extend_from_slice(p);
         }
-        w.flush().unwrap();
-        let on_disk = std::fs::read(segment_path(&dir, 0)).unwrap();
-        assert_eq!(on_disk, expect);
+        expect
     }
 
     #[test]
-    fn dirty_tracks_buffered_appends() {
+    fn on_disk_bytes_are_exactly_magic_len_crc_payload() {
         let dir = tempdir();
         let mut w = SegmentWriter::create(&dir, 0).unwrap();
-        assert!(!w.is_dirty());
-        w.append(b"data").unwrap();
-        assert!(w.is_dirty());
-        w.flush().unwrap();
-        assert!(!w.is_dirty());
-        w.append(b"more").unwrap();
-        assert!(w.is_dirty());
-        w.sync().unwrap();
-        assert!(!w.is_dirty());
+        let payloads: [&[u8]; 3] = [b"", b"x", b"hello wedgeblock"];
+        for p in payloads {
+            w.append(p).unwrap();
+        }
+        let on_disk = std::fs::read(segment_path(&dir, 0)).unwrap();
+        assert_eq!(on_disk, framed_by_hand(&payloads));
+    }
+
+    #[test]
+    fn frames_are_the_segment_format_and_know_their_records() {
+        let payloads: [&[u8]; 4] = [b"", b"x", b"hello wedgeblock", &[0xAB; 300]];
+        let frames = Frames::from_payloads(&payloads);
+        assert_eq!(frames.as_bytes(), framed_by_hand(&payloads));
+        assert_eq!(frames.len(), 4);
+        assert_eq!(frames.framed_lens(), payloads.map(|p| HEADER_LEN + p.len()));
+        // The exact capacity hint holds every byte: framing never reallocated.
+        assert_eq!(frames.as_bytes().len(), frames.bytes.capacity());
+        // A payload pushed in pieces frames as if pushed whole.
+        let mut pieces = Frames::default();
+        pieces.push_slices(&[b"hello".as_slice(), b" ", b"wedgeblock"]);
+        assert_eq!(
+            pieces.as_bytes(),
+            framed_by_hand(&[b"hello wedgeblock".as_slice()])
+        );
+        // One run of frames is one write and lands byte-identically.
+        let dir = tempdir();
+        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        w.write_frames(frames.as_bytes()).unwrap();
+        assert_eq!(w.len(), frames.as_bytes().len() as u64);
+        let scan = scan_segment(&dir, 0).unwrap();
+        assert_eq!(scan.records.len(), 4);
+        assert_eq!(scan.tail, TailState::Clean);
     }
 
     #[test]
@@ -405,7 +471,6 @@ mod tests {
         let dir = tempdir();
         let mut w = SegmentWriter::create(&dir, 0).unwrap();
         let o = w.append(b"").unwrap();
-        w.flush().unwrap();
         assert_eq!(read_record_at(&dir, 0, o).unwrap(), b"");
     }
 
@@ -416,7 +481,6 @@ mod tests {
         for i in 0..10u32 {
             w.append(format!("rec-{i}").as_bytes()).unwrap();
         }
-        w.flush().unwrap();
         let scan = scan_segment(&dir, 3).unwrap();
         assert_eq!(scan.records.len(), 10);
         assert_eq!(scan.tail, TailState::Clean);
@@ -430,7 +494,6 @@ mod tests {
         w.append(b"intact-1").unwrap();
         w.append(b"intact-2").unwrap();
         w.append(b"this record will be torn").unwrap();
-        w.flush().unwrap();
         let full = w.len();
         drop(w);
         // Chop 5 bytes off the final record's payload.
@@ -449,7 +512,6 @@ mod tests {
         let o0 = w.append(b"good").unwrap();
         let o1 = w.append(b"to be corrupted").unwrap();
         w.append(b"unreachable after corruption").unwrap();
-        w.flush().unwrap();
         drop(w);
         // Flip one payload byte of the middle record.
         let path = segment_path(&dir, 2);
@@ -475,7 +537,6 @@ mod tests {
         w.append(b"keep").unwrap();
         let torn_from = w.len();
         w.append(b"discard-me").unwrap();
-        w.flush().unwrap();
         drop(w);
         let mut w = SegmentWriter::open_at(&dir, 0, torn_from).unwrap();
         let o = w.append(b"replacement").unwrap();
@@ -488,17 +549,15 @@ mod tests {
     }
 
     #[test]
-    fn rewind_drops_flushed_and_buffered_bytes_alike() {
+    fn rewind_drops_records_and_trailer_alike() {
         let dir = tempdir();
         let mut w = SegmentWriter::create(&dir, 0).unwrap();
         w.append(b"keep").unwrap();
         let keep = w.len();
-        w.append(b"flushed, then dropped").unwrap();
-        w.flush().unwrap();
-        w.append(b"still buffered, then dropped").unwrap();
+        w.append(b"written, then dropped").unwrap();
         w.write_trailer(b"and a trailer").unwrap();
         w.rewind(keep).unwrap();
-        assert_eq!((w.len(), w.is_dirty()), (keep, false));
+        assert_eq!(w.len(), keep);
         assert_eq!(w.append(b"next").unwrap(), keep);
         w.sync().unwrap();
         let scan = scan_segment(&dir, 0).unwrap();
@@ -521,7 +580,6 @@ mod tests {
         let dir = tempdir();
         let mut w = SegmentWriter::create(&dir, 0).unwrap();
         w.append(b"only").unwrap();
-        w.flush().unwrap();
         // Offset 3 lands mid-record: magic check must fail (or read error).
         assert!(read_record_at(&dir, 0, 3).is_err());
     }

@@ -13,7 +13,7 @@
 //!
 //! | state  | file | written by | a crash leaves → [`LogStore::open`] heals by |
 //! |--------|------|------------|----------------------------------------------|
-//! | tail   | `seg-N.wlog`: framed records | [`LogStore::append_batch`] | a torn last record → scanned, the torn bytes truncated |
+//! | tail   | `seg-N.wlog`: framed records | [`LogStore::append_frames`] | a torn last record → scanned, the torn bytes truncated |
 //! | sealing | `seg-N.wlog`: records + part or all of the trailer | rotation, steps 1–2 | a prefix of the trailer the scan itself would write → trailer rewritten, seal finished in place (any other trailing bytes are `CorruptRecord`) |
 //! | sealed | `seg-N.wcold`: records + locator block + footer | rotation, step 3 | no next tail (steps 4–5 lost) → one is created; the locator block is CRC'd, payload CRCs are checked on read |
 //!
@@ -28,7 +28,7 @@
 //! never touching the tail lock.
 //!
 //! An I/O error (as opposed to a crash) in steps 1–3 leaves an unsealed
-//! tail, which [`LogStore::append_batch`] cuts back to its last indexed
+//! tail, which [`LogStore::append_frames`] cuts back to its last indexed
 //! record — trailer and failed batch gone; an error in steps 4–5 leaves a
 //! sealed tail writer, which takes no record: the next append starts at
 //! step 4. Either way the index lists exactly what the files hold.
@@ -42,9 +42,16 @@
 //! retention frontier (the punishment window); reads below the frontier
 //! fail with [`StorageError::RecordRetired`].
 //!
+//! A batch arrives already framed ([`Frames`]): the store checks sizes,
+//! splits the bytes only where a record would overflow the tail (the same
+//! record-granular rule as framing one record at a time), and writes each
+//! contiguous run with one `write(2)` straight to the file. Nothing is
+//! buffered in user space, so readers of the tail never need the tail lock.
+//!
 //! Lock order (outermost first): `maint` → `tail` → `tiers` → `group`.
 
 use std::fs::File;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,21 +62,20 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::cold::{ends_in_torn_seal, seal_in_place, ColdSegment};
 use crate::error::StorageError;
 use crate::segment::{
-    read_record_from, scan_segment, segment_path, sync_dir, SegmentId, SegmentWriter, TailState,
-    HEADER_LEN,
+    read_record_from, scan_segment, segment_path, sync_dir, Frames, SegmentId, SegmentWriter,
+    TailState, HEADER_LEN,
 };
 use crate::sidecar::{load_gc_marker, remove_stray_files, write_gc_marker};
 
-/// When appended records are made durable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// When appended records are made durable. Every append reaches the OS
+/// before it returns (the store keeps no user-space buffer); the policy
+/// decides when it reaches stable storage.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyncPolicy {
     /// fsync after every append (safest, slowest).
     Always,
-    /// Flush to the OS after every append, fsync only on rotation/close.
-    #[default]
-    OnRotate,
-    /// Group commit: flush to the OS after every append, but coalesce the
-    /// fsyncs of pipeline-adjacent batches into one `sync_data`. A sync is
+    /// Group commit (the default): coalesce the fsyncs of
+    /// pipeline-adjacent batches into one `sync_data`. A sync is
     /// triggered once `max_batches` appends are pending, and
     /// [`LogStore::ensure_durable`] bounds the wait at `max_delay` — callers
     /// must hold replies until it returns, which restores the `Always`
@@ -81,7 +87,8 @@ pub enum SyncPolicy {
         /// hoping for more batches to share it.
         max_delay: Duration,
     },
-    /// Leave flushing to the OS entirely (fastest; loses the tail on crash).
+    /// Never fsync on the append path; the OS writes back when it likes
+    /// (fastest; a power cut loses the tail).
     Never,
 }
 
@@ -101,7 +108,12 @@ impl Default for StoreConfig {
         StoreConfig {
             max_segment_bytes: 64 * 1024 * 1024,
             max_record_bytes: 16 * 1024 * 1024,
-            sync: SyncPolicy::OnRotate,
+            // Reply ⇒ durable: the deliver stage's `ensure_durable` holds
+            // every reply until an fsync covers it.
+            sync: SyncPolicy::GroupCommit {
+                max_batches: 8,
+                max_delay: Duration::from_millis(2),
+            },
         }
     }
 }
@@ -168,7 +180,7 @@ impl Tiers {
 /// it is taken while holding the tail and/or tiers locks, and never the
 /// other way around.
 struct GroupState {
-    /// Appends (batched or single) flushed to the OS but not yet covered by
+    /// Appends (batched or single) written to the OS but not yet covered by
     /// an fsync.
     pending_batches: u64,
     /// When the oldest pending append arrived; anchors `max_delay`.
@@ -186,13 +198,12 @@ pub struct SyncStats {
     /// of paying their own (each sync covering `k` pending appends counts
     /// `k - 1` here).
     pub fsyncs_coalesced: u64,
-    /// Tail flushes performed on the read path (kept low by the
-    /// dirty-flag check in [`LogStore::read`]).
-    pub read_tail_flushes: u64,
-    /// Times the read path acquired the tail mutex. Reads of sealed
-    /// records never do; a `read_range`/`iter` chunk pays at most one
-    /// acquisition per call.
-    pub read_tail_locks: u64,
+    /// `write(2)` calls that carried records: one per contiguous run of a
+    /// batch's [`Frames`] that lands in one segment, so a batch costs its
+    /// number of parts plus the rotations inside it. A seal's trailer
+    /// write is not counted here ([`TierStats::segments_sealed`] counts
+    /// seals).
+    pub writes: u64,
 }
 
 /// Work done by [`LogStore::open`] to recover the index — the observable
@@ -245,8 +256,7 @@ pub struct LogStore {
     group_cv: Condvar,
     fsyncs: AtomicU64,
     fsyncs_coalesced: AtomicU64,
-    read_tail_flushes: AtomicU64,
-    read_tail_locks: AtomicU64,
+    writes: AtomicU64,
     cold_reads: AtomicU64,
     sealed_total: AtomicU64,
     retired_total: AtomicU64,
@@ -409,8 +419,7 @@ impl LogStore {
             group_cv: Condvar::new(),
             fsyncs: AtomicU64::new(0),
             fsyncs_coalesced: AtomicU64::new(0),
-            read_tail_flushes: AtomicU64::new(0),
-            read_tail_locks: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             cold_reads: AtomicU64::new(0),
             sealed_total: AtomicU64::new(0),
             retired_total: AtomicU64::new(0),
@@ -418,7 +427,7 @@ impl LogStore {
         })
     }
 
-    /// Flushes and fsyncs the tail, then publishes the new durable
+    /// Fsyncs the tail, then publishes the new durable
     /// frontier. Caller holds the tail lock; lock order is tail → tiers →
     /// group.
     fn sync_tail(&self, tail: &mut SegmentWriter) -> Result<(), StorageError> {
@@ -516,8 +525,8 @@ impl LogStore {
     /// Makes every record appended so far durable now, without waiting for
     /// neighbouring batches to share the fsync: syncs the tail if a group
     /// commit is pending. Under the other policies nothing is ever pending
-    /// — `Always` synced in the append, `OnRotate` and `Never` promise no
-    /// per-append durability — so this does nothing there.
+    /// — `Always` synced in the append, `Never` promises no durability —
+    /// so this does nothing there.
     pub(crate) fn sync_pending(&self) -> Result<(), StorageError> {
         let mut tail = self.tail.lock();
         let pending = self.group.lock().pending_batches > 0;
@@ -532,8 +541,7 @@ impl LogStore {
         SyncStats {
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             fsyncs_coalesced: self.fsyncs_coalesced.load(Ordering::Relaxed),
-            read_tail_flushes: self.read_tail_flushes.load(Ordering::Relaxed),
-            read_tail_locks: self.read_tail_locks.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
         }
     }
 
@@ -560,18 +568,29 @@ impl LogStore {
         self.append_batch(&[payload])
     }
 
-    /// Appends several records as one batch, flushing once. Returns the
-    /// sequence number of the first record.
+    /// Appends several records as one batch. Returns the sequence number
+    /// of the first record. Frames the payloads and hands them to
+    /// [`LogStore::append_frames`], which says what a failure leaves.
+    pub fn append_batch<D: AsRef<[u8]>>(&self, payloads: &[D]) -> Result<u64, StorageError> {
+        self.append_frames(&[Frames::from_payloads(payloads)])
+    }
+
+    /// Appends already-framed records — `parts` in order, as one batch —
+    /// writing each part with one `write(2)` per segment it lands in. No
+    /// CRC is computed and no payload byte is copied: the bytes go to disk
+    /// as the framer built them. Returns the sequence number of the first
+    /// record.
     ///
     /// On an error the tail is cut back to its last indexed record, so the
     /// failed batch leaves neither an index entry nor a byte on disk and
     /// may be retried — except for the leading records that a rotation
     /// inside the batch had already sealed before the failure: those are
     /// durable and stay ([`LogStore::len`] counts them).
-    pub fn append_batch<D: AsRef<[u8]>>(&self, payloads: &[D]) -> Result<u64, StorageError> {
-        if let Some(big) = payloads
+    pub fn append_frames(&self, parts: &[Frames]) -> Result<u64, StorageError> {
+        if let Some(big) = parts
             .iter()
-            .map(|p| p.as_ref().len())
+            .flat_map(Frames::framed_lens)
+            .map(|framed| framed - HEADER_LEN)
             .find(|&size| size > self.config.max_record_bytes)
         {
             return Err(StorageError::RecordTooLarge {
@@ -582,8 +601,8 @@ impl LogStore {
         let mut tail = self.tail.lock();
         let first = self.tiers.read().len();
         // Offsets of the records written to the current tail, not yet indexed.
-        let mut offsets = Vec::with_capacity(payloads.len());
-        if let Err(err) = self.write_batch(&mut tail, payloads, &mut offsets) {
+        let mut offsets = Vec::with_capacity(parts.iter().map(Frames::len).sum());
+        if let Err(err) = self.write_batch(&mut tail, parts, &mut offsets) {
             // A sealed tail holds nothing unindexed; the next append only
             // has to create its successor.
             if !tail.is_sealed() {
@@ -597,32 +616,62 @@ impl LogStore {
         Ok(first)
     }
 
-    /// The fallible part of [`LogStore::append_batch`]: writes the records,
-    /// rotating where the tail is full, and applies the sync policy.
-    fn write_batch<D: AsRef<[u8]>>(
+    /// The fallible part of [`LogStore::append_frames`]: writes the
+    /// records, rotating where the tail is full, and applies the sync
+    /// policy. Each record's offset is pushed before its run is written;
+    /// on an error the first pushed offset is where the tail's unindexed
+    /// bytes begin.
+    fn write_batch(
         &self,
         tail: &mut SegmentWriter,
-        payloads: &[D],
+        parts: &[Frames],
         offsets: &mut Vec<u64>,
     ) -> Result<(), StorageError> {
-        for payload in payloads {
-            let payload = payload.as_ref();
-            // Rotate if the tail is full (never rotate an empty one — a
-            // single oversized record may exceed max_segment_bytes), or if
-            // an earlier rotation sealed it and could not create the next.
-            let full = tail.len() + (HEADER_LEN + payload.len()) as u64
-                > self.config.max_segment_bytes
-                && !tail.is_empty();
-            if full || tail.is_sealed() {
-                self.rotate(tail, offsets)?;
+        for part in parts {
+            // The bytes of `part` framed for the current tail but not yet
+            // written; `run.end` advances one record at a time.
+            let mut run = 0..0;
+            for &framed in part.framed_lens() {
+                // Rotate if the tail is full (never rotate an empty one — a
+                // single oversized record may exceed max_segment_bytes), or
+                // if an earlier rotation sealed it and could not create the
+                // next.
+                let fill = tail.len() + run.len() as u64;
+                let full = fill + framed as u64 > self.config.max_segment_bytes && fill > 0;
+                if full || tail.is_sealed() {
+                    self.write_run(tail, part, run.clone())?;
+                    self.rotate(tail, offsets)?;
+                    run = run.end..run.end;
+                }
+                offsets.push(tail.len() + run.len() as u64);
+                run.end += framed;
             }
-            offsets.push(tail.append(payload)?);
+            self.write_run(tail, part, run)?;
         }
         match self.config.sync {
             SyncPolicy::Always => self.sync_tail(tail),
-            SyncPolicy::OnRotate | SyncPolicy::GroupCommit { .. } => tail.flush(),
-            SyncPolicy::Never => Ok(()),
+            SyncPolicy::GroupCommit { .. } | SyncPolicy::Never => Ok(()),
         }
+    }
+
+    /// Writes the records of `part` in byte range `run` to the tail with
+    /// one `write(2)`; an empty run costs nothing.
+    fn write_run(
+        &self,
+        tail: &mut SegmentWriter,
+        part: &Frames,
+        run: Range<usize>,
+    ) -> Result<(), StorageError> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let bytes = part
+            .as_bytes()
+            .get(run)
+            .ok_or_else(|| std::io::Error::other("frame lengths overrun their bytes"))?;
+        tail.write_frames(bytes)?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Seals the full tail in place and starts the next one — steps 1–6 of
@@ -656,21 +705,6 @@ impl LogStore {
         Ok(())
     }
 
-    /// The tail may still hold appended records in its write buffer: flush
-    /// before a read of the tail — but only when something was actually
-    /// appended since the last flush, so a read-heavy loop does not pay a
-    /// syscall per read. Sealed records were fsynced at rotation, so their
-    /// reads skip this (and the tail lock) entirely.
-    fn flush_tail_for_read(&self) -> Result<(), StorageError> {
-        let mut tail = self.tail.lock();
-        self.read_tail_locks.fetch_add(1, Ordering::Relaxed);
-        if tail.is_dirty() {
-            tail.flush()?;
-            self.read_tail_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
     fn fetch(&self, id: u64, resolved: Resolved) -> Result<Vec<u8>, StorageError> {
         match resolved {
             Resolved::Sealed(segment) => {
@@ -682,19 +716,17 @@ impl LogStore {
     }
 
     /// Reads record `id`: two `pread`s on a cached handle and a CRC check.
+    /// Never takes the tail lock: an indexed record was written to the
+    /// file before the index listed it.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, StorageError> {
         let resolved = self.tiers.read().resolve(id)?;
-        if matches!(resolved, Resolved::Tail(..)) {
-            self.flush_tail_for_read()?;
-        }
         self.fetch(id, resolved)
     }
 
     /// Reads records `[start, start + count)` in order.
     ///
-    /// The locator lookup is batched (one index-lock acquisition for the
-    /// whole range) and the dirty-tail flush check runs once per call
-    /// rather than once per record.
+    /// The locator lookup is batched: one index-lock acquisition for the
+    /// whole range.
     pub fn read_range(&self, start: u64, count: u64) -> Result<Vec<Vec<u8>>, StorageError> {
         let end = start
             .checked_add(count)
@@ -708,9 +740,6 @@ impl LogStore {
                 .map(|id| tiers.resolve(id))
                 .collect::<Result<_, _>>()?
         };
-        if resolved.iter().any(|r| matches!(r, Resolved::Tail(..))) {
-            self.flush_tail_for_read()?;
-        }
         (start..end)
             .zip(resolved)
             .map(|(id, resolved)| self.fetch(id, resolved))
@@ -848,8 +877,6 @@ impl LogStore {
             return Ok(new_len);
         }
         let lost = |what| StorageError::CorruptRecord { id: new_len, what };
-        // Buffered bytes must not land after the cut.
-        tail.sync()?;
         let (id, cut) = match new_len.checked_sub(tiers.tail_base) {
             // Boundary within the tail.
             Some(keep) => {
@@ -971,6 +998,43 @@ mod tests {
     }
 
     #[test]
+    fn framed_parts_are_written_as_is_one_write_each() {
+        let store = LogStore::open(tempdir("frames"), StoreConfig::default()).unwrap();
+        let payloads: Vec<Vec<u8>> = (0..2_000u32)
+            .map(|i| format!("framed-{i}").into_bytes())
+            .collect();
+        let parts: Vec<Frames> = payloads.chunks(700).map(Frames::from_payloads).collect();
+        let computed = || crate::crc32::COMPUTED.with(std::cell::Cell::get);
+        let before = computed();
+        assert_eq!(store.append_frames(&parts).unwrap(), 0);
+        store.ensure_durable(1_999).unwrap();
+        assert_eq!(computed(), before, "the write path computes no CRC");
+        assert_eq!(store.sync_stats().writes, parts.len() as u64);
+        assert_eq!(store.read_range(0, 2_000).unwrap(), payloads);
+        // An empty part costs no write.
+        store.append_frames(&[Frames::default()]).unwrap();
+        assert_eq!(store.sync_stats().writes, parts.len() as u64);
+    }
+
+    #[test]
+    fn an_oversized_record_in_any_part_fails_the_whole_batch() {
+        let config = StoreConfig {
+            max_record_bytes: 8,
+            ..Default::default()
+        };
+        let store = LogStore::open(tempdir("frames-big"), config).unwrap();
+        let parts = [
+            Frames::from_payloads(&[b"fits"]),
+            Frames::from_payloads(&[b"123456789"]),
+        ];
+        assert!(matches!(
+            store.append_frames(&parts),
+            Err(StorageError::RecordTooLarge { size: 9, max: 8 })
+        ));
+        assert_eq!((store.len(), store.sync_stats().writes), (0, 0));
+    }
+
+    #[test]
     fn recovery_restores_index() {
         let dir = tempdir("rec");
         let config = StoreConfig {
@@ -1080,7 +1144,6 @@ mod tests {
     fn sync_policies_all_roundtrip() {
         for (tag, sync) in [
             ("always", SyncPolicy::Always),
-            ("onrotate", SyncPolicy::OnRotate),
             ("never", SyncPolicy::Never),
             (
                 "group",
@@ -1101,34 +1164,47 @@ mod tests {
     }
 
     #[test]
-    fn read_heavy_loop_does_not_reflush() {
-        // Satellite regression: under OnRotate the append path already
-        // flushed, so reads of the active segment must not flush again.
-        let store = LogStore::open(tempdir("noreflush"), StoreConfig::default()).unwrap();
-        for i in 0..8u32 {
-            store.append(format!("r{i}").as_bytes()).unwrap();
+    fn a_tail_read_takes_no_lock() {
+        // Appends reach the file before the index lists them, so no read
+        // flushes and none waits for the writer, under any policy.
+        for (tag, sync) in [
+            ("nolock-gc", StoreConfig::default().sync),
+            ("nolock-never", SyncPolicy::Never),
+        ] {
+            let config = StoreConfig {
+                sync,
+                ..Default::default()
+            };
+            let store = LogStore::open(tempdir(tag), config).unwrap();
+            for i in 0..8u32 {
+                store.append(format!("r{i}").as_bytes()).unwrap();
+            }
+            let records = read_with_the_tail_locked(&store, |store| {
+                let mut records = vec![store.read(3).unwrap()];
+                records.extend(store.read_range(0, 8).unwrap());
+                records
+            });
+            assert_eq!(records[0], b"r3", "{tag}");
+            assert_eq!(records[8], b"r7", "{tag}");
         }
-        for _ in 0..100 {
-            store.read(3).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_flushes, 0);
+    }
 
-        // Under Never the first read pays exactly one flush, then none until
-        // the next append dirties the buffer again.
-        let config = StoreConfig {
-            sync: SyncPolicy::Never,
-            ..Default::default()
-        };
-        let store = LogStore::open(tempdir("noreflush2"), config).unwrap();
-        store.append(b"a").unwrap();
-        for _ in 0..50 {
-            store.read(0).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_flushes, 1);
-        store.append(b"b").unwrap();
-        store.read(1).unwrap();
-        store.read(0).unwrap();
-        assert_eq!(store.sync_stats().read_tail_flushes, 2);
+    /// Runs `reads` on another thread while this one holds the tail lock,
+    /// and fails instead of hanging should a read wait for that lock.
+    pub(super) fn read_with_the_tail_locked<T: Send>(
+        store: &LogStore,
+        reads: impl FnOnce(&LogStore) -> T + Send,
+    ) -> T {
+        let held = store.tail.lock();
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || tx.send(reads(store)));
+            let out = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a read waited for the tail lock");
+            drop(held);
+            out
+        })
     }
 
     #[test]
@@ -1185,7 +1261,6 @@ mod tests {
     fn ensure_durable_is_a_no_op_for_other_policies() {
         for (tag, sync) in [
             ("ed-always", SyncPolicy::Always),
-            ("ed-onrotate", SyncPolicy::OnRotate),
             ("ed-never", SyncPolicy::Never),
         ] {
             let config = StoreConfig {
@@ -1447,45 +1522,23 @@ mod tier_tests {
     }
 
     #[test]
-    fn read_skips_tail_lock_for_sealed_segments() {
-        // Satellite regression: reads of non-tail records must not touch
-        // the tail mutex at all.
-        let store = LogStore::open(tempdir("skiplock"), small_seg_config()).unwrap();
+    fn no_read_takes_the_tail_lock() {
+        let store = LogStore::open(tempdir("nolock"), small_seg_config()).unwrap();
         fill(&store, 30);
         assert!(store.tail_segment_id() > 0);
-        // Record 0 lives in segment 0, long rotated away.
-        for _ in 0..50 {
-            store.read(0).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_locks, 0);
-        // A read of the newest record (in the tail) takes the lock.
-        store.read(store.len() - 1).unwrap();
-        assert_eq!(store.sync_stats().read_tail_locks, 1);
-    }
-
-    #[test]
-    fn read_range_takes_the_tail_lock_once() {
-        // Satellite regression: a range read pays at most one tail-lock
-        // acquisition and one flush check per call, not one per record.
-        let config = StoreConfig {
-            max_segment_bytes: 96,
-            sync: SyncPolicy::Never, // keep the tail dirty so flushes count
-            ..Default::default()
-        };
-        let store = LogStore::open(tempdir("rangelock"), config).unwrap();
-        for i in 0..30u32 {
-            store
-                .append(format!("tier-record-{i:05}").as_bytes())
-                .unwrap();
-        }
-        let records = store.read_range(0, 30).unwrap();
-        assert_eq!(records.len(), 30);
-        let stats = store.sync_stats();
-        assert_eq!(stats.read_tail_locks, 1, "one lock per range call");
-        assert_eq!(stats.read_tail_flushes, 1, "one flush per range call");
-        // A range not touching the tail takes no lock at all.
-        store.read_range(0, 5).unwrap();
-        assert_eq!(store.sync_stats().read_tail_locks, 1);
+        // Record 0 lives in segment 0, long rotated away; record 29 in the
+        // tail; the range spans both.
+        let (sealed, tail, range) = super::tests::read_with_the_tail_locked(&store, |store| {
+            (
+                store.read(0).unwrap(),
+                store.read(29).unwrap(),
+                store.read_range(0, 30).unwrap(),
+            )
+        });
+        assert_eq!(sealed, b"tier-record-00000");
+        assert_eq!(tail, b"tier-record-00029");
+        assert_eq!(range.len(), 30);
+        assert!(store.tier_stats().cold_reads > 0);
         // Wrong ranges still error.
         assert!(store.read_range(25, 10).is_err());
         assert!(store.read_range(0, 0).unwrap().is_empty());
