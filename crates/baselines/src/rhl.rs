@@ -14,6 +14,7 @@ use wedge_contracts::RhlRollup;
 use wedge_core::CoreError;
 use wedge_crypto::signer::Identity;
 use wedge_merkle::MerkleTree;
+use wedge_pool::WorkPool;
 
 use crate::CommitCosts;
 
@@ -108,23 +109,20 @@ impl RhlSystem {
     /// signed per-op acknowledgement carrying the op's inclusion proof.
     pub fn append_and_commit(&self, payloads: &[Vec<u8>]) -> Result<RhlOutcome, CoreError> {
         let clock = self.chain.clock().clone();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+        let pool = WorkPool::with_available_parallelism();
         // Clients sign their requests before submission (outside the node's
         // stage-1 timer, as in the WedgeBlock measurements).
         let client = Identity::from_seed(b"rhl-client");
         let numbered: Vec<(u64, Vec<u8>)> = (0..).zip(payloads.iter().cloned()).collect();
-        let requests: Vec<wedge_core::AppendRequest> =
-            wedge_core::parallel_map(&numbered, threads, |(seq, payload)| {
-                wedge_core::AppendRequest::new(client.secret_key(), *seq, payload.clone())
-            });
+        let requests: Vec<wedge_core::AppendRequest> = pool.map(&numbered, |(seq, payload)| {
+            wedge_core::AppendRequest::new(client.secret_key(), *seq, payload.clone())
+        });
 
         let stage1_started = Instant::now();
         let mut digests = Vec::new();
         for chunk in requests.chunks(self.config.ops_per_batch.max(1)) {
             // Verify client signatures (parallel), as the honest node must.
-            let ok = wedge_core::parallel_map(chunk, threads, |req| req.verify().is_ok());
+            let ok = pool.map(chunk, |req| req.verify().is_ok());
             if ok.iter().any(|v| !v) {
                 return Err(CoreError::RequestRejected("bad client signature"));
             }
@@ -132,12 +130,11 @@ impl RhlSystem {
             let tree = MerkleTree::from_leaves(&leaves)
                 .map_err(|_| CoreError::RequestRejected("empty RHL batch"))?;
             let key = *self.poster.secret_key();
-            let acks =
-                wedge_core::parallel_map(&(0..chunk.len()).collect::<Vec<_>>(), threads, |&i| {
-                    // lint: allow(panic) — `i < chunk.len()` == the tree's leaf count, so the proof index is in range by construction
-                    let proof = tree.prove(i).expect("in range");
-                    wedge_crypto::sign_message(&key, &proof.to_bytes())
-                });
+            let acks = pool.map(&(0..chunk.len()).collect::<Vec<_>>(), |&i| {
+                // lint: allow(panic) — `i < chunk.len()` == the tree's leaf count, so the proof index is in range by construction
+                let proof = tree.prove(i).expect("in range");
+                wedge_crypto::sign_message(&key, &proof.to_bytes())
+            });
             std::hint::black_box(&acks);
             digests.push(tree.root());
         }

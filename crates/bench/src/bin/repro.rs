@@ -5,8 +5,8 @@
 //! cargo run -p wedge-bench --release --bin repro -- fig3
 //! ```
 //!
-//! Experiments: `fig3 fig4 fig5 fig6 fig7 fig8 fig9 table1 stage1 signing
-//! hashing net punish latency faults reads tiers cluster`.
+//! Experiments: `fig3 fig4 fig5 fig6 fig7 fig8 fig9 table1 signing hashing
+//! punish faults tiers cluster`.
 //! Results are printed and also written to `results/<exp>.md`.
 
 use std::time::Instant;
@@ -33,14 +33,10 @@ fn run(name: &str, profile: Profile) {
         "fig8" => harness::fig8(profile),
         "fig9" => harness::fig9(profile),
         "table1" => harness::table1(profile),
-        "stage1" => harness::stage1(profile),
         "signing" => harness::signing(profile),
         "hashing" => harness::hashing(profile),
-        "net" => harness::net(profile),
         "punish" => harness::punishment_economics(),
-        "latency" => harness::latency_ablation(profile),
         "faults" => harness::fault_tolerance(profile),
-        "reads" => harness::reads(profile),
         "tiers" => harness::tiers(profile),
         "cluster" => harness::cluster(profile),
         other => {
@@ -69,8 +65,8 @@ fn main() {
         .map(|s| s.as_str())
         .collect();
     let all = [
-        "fig3", "fig4", "fig5", "fig6", "fig7", "table1", "fig8", "fig9", "reads", "stage1",
-        "signing", "hashing", "net", "punish", "latency", "faults", "tiers", "cluster",
+        "fig3", "fig4", "fig5", "fig6", "fig7", "table1", "fig8", "fig9", "signing", "hashing",
+        "punish", "faults", "tiers", "cluster",
     ];
     let selected: Vec<&str> = if targets.is_empty() || targets == ["all"] {
         all.to_vec()

@@ -265,7 +265,7 @@ pub fn fig7(profile: Profile) -> Table {
         let payloads = kv_payloads(n, KEY_SIZE, VALUE_SIZE, 7);
         let requests: Vec<AppendRequest> = {
             let items: Vec<(u64, Vec<u8>)> = (0..).zip(payloads).collect();
-            wedge_core::parallel_map(&items, 16, |(seq, payload)| {
+            wedge_pool::WorkPool::new(16).map(&items, |(seq, payload)| {
                 AppendRequest::new(publisher_id.secret_key(), *seq, payload.clone())
             })
         };
@@ -524,204 +524,6 @@ pub fn fig9(profile: Profile) -> Table {
     table
 }
 
-/// Percentile over a sorted latency sample (nearest-rank).
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn fmt_us(d: Duration) -> String {
-    format!("{:.1} µs", d.as_secs_f64() * 1e6)
-}
-
-/// Extra (not in the paper, companion to Figures 8–9): read latency
-/// percentiles on the snapshot read path — idle, and with stage-1 ingestion
-/// flushing concurrently. Every read loads one published snapshot (no lock
-/// guard on the hot path), so the percentiles should hold steady while the
-/// ingestion column shows the pipeline still sustaining its throughput.
-pub fn reads(profile: Profile) -> Table {
-    use rand::{Rng, SeedableRng};
-    let entries = profile.scale(500_000, 20_000);
-    let reads_per_thread = profile.scale(50_000, 4_000);
-    let ingest_n = profile.scale(100_000, 10_000);
-    let mut table = Table {
-        title: format!(
-            "Reads under ingestion (extension) — node-side read latency \
-             ({entries} entries preloaded, {reads_per_thread} reads/thread \
-             incl. proof + response signing)"
-        ),
-        headers: vec![
-            "scenario".into(),
-            "read p50".into(),
-            "read p90".into(),
-            "read p99".into(),
-            "read max".into(),
-            "read throughput (ops/s)".into(),
-            "concurrent stage-1 (ops/s)".into(),
-        ],
-        rows: Vec::new(),
-    };
-
-    let (world, publisher_id) = preloaded_world("reads", 2000, entries);
-    let publisher_address = publisher_id.address();
-    for (label, reader_threads, ingest) in [
-        ("1 reader, idle node", 1usize, false),
-        ("4 readers, idle node", 4, false),
-        ("4 readers + ingestion", 4, true),
-    ] {
-        let node = &world.node;
-        // Pre-signed ingestion workload from a second publisher (the node
-        // runs with request verification off, as in Figure 8's preload).
-        let ingest_requests: Vec<AppendRequest> = if ingest {
-            let ingest_id = Identity::from_seed(b"bench-reads-ingest");
-            let payloads = kv_payloads(ingest_n, KEY_SIZE, VALUE_SIZE, 0x8ead);
-            let items: Vec<(u64, Vec<u8>)> = (0..).zip(payloads).collect();
-            wedge_core::parallel_map(&items, 16, |(seq, payload)| {
-                AppendRequest::new(ingest_id.secret_key(), *seq, payload.clone())
-            })
-        } else {
-            Vec::new()
-        };
-
-        let mut stage1_rate = None;
-        let mut samples: Vec<Duration> = Vec::new();
-        let read_wall = crossbeam::thread::scope(|scope| {
-            let ingest_handle = (!ingest_requests.is_empty()).then(|| {
-                let requests = &ingest_requests;
-                scope.spawn(move |_| {
-                    let (tx, rx) = unbounded();
-                    let started = Instant::now();
-                    for request in requests.iter().cloned() {
-                        node.submit(request, tx.clone()).expect("submit");
-                    }
-                    for _ in 0..requests.len() {
-                        let _ = rx.recv_timeout(Duration::from_secs(120));
-                    }
-                    started.elapsed()
-                })
-            });
-            let started = Instant::now();
-            let reader_handles: Vec<_> = (0..reader_threads)
-                .map(|t| {
-                    scope.spawn(move |_| {
-                        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x8ead + t as u64);
-                        let mut lat = Vec::with_capacity(reads_per_thread);
-                        for _ in 0..reads_per_thread {
-                            let seq = rng.gen_range(0..entries as u64);
-                            let read_started = Instant::now();
-                            let response = node
-                                .read_by_sequence(publisher_address, seq)
-                                .expect("preloaded sequence reads");
-                            lat.push(read_started.elapsed());
-                            std::hint::black_box(&response);
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            for handle in reader_handles {
-                samples.extend(handle.join().expect("reader thread"));
-            }
-            let wall = started.elapsed();
-            if let Some(handle) = ingest_handle {
-                let ingest_elapsed = handle.join().expect("ingest thread");
-                stage1_rate = Some(ingest_n as f64 / ingest_elapsed.as_secs_f64().max(1e-9));
-            }
-            wall
-        })
-        .expect("read scenario threads");
-
-        samples.sort_unstable();
-        let total_reads = samples.len() as f64;
-        table.rows.push(vec![
-            label.into(),
-            fmt_us(percentile(&samples, 0.50)),
-            fmt_us(percentile(&samples, 0.90)),
-            fmt_us(percentile(&samples, 0.99)),
-            fmt_us(*samples.last().expect("non-empty sample")),
-            format!("{:.0}", total_reads / read_wall.as_secs_f64().max(1e-9)),
-            stage1_rate.map_or("—".into(), |r| format!("{r:.0}")),
-        ]);
-    }
-    table
-}
-
-/// Extra (not in the paper): how simulated network latency shifts the
-/// publisher-visible latencies — the term separating our in-process numbers
-/// from the paper's RPC numbers.
-pub fn latency_ablation(profile: Profile) -> Table {
-    use wedge_sim::LatencyModel;
-    let n = profile.scale(10_000, 4000);
-    let mut table = Table {
-        title: "Network-latency ablation — publisher latencies (batch = 2000, 1 KB entries)".into(),
-        headers: vec![
-            "request/response link".into(),
-            "first op delay".into(),
-            "last op delay".into(),
-            "stage-1 commitment delay".into(),
-        ],
-        rows: Vec::new(),
-    };
-    let links: [(&str, LatencyModel, LatencyModel); 3] = [
-        ("none (in-process)", LatencyModel::Zero, LatencyModel::Zero),
-        (
-            "LAN: 0.2 ms + 10 µs/KB",
-            LatencyModel::Link {
-                base: Duration::from_micros(200),
-                per_kb: Duration::from_micros(10),
-            },
-            LatencyModel::Link {
-                base: Duration::from_micros(200),
-                per_kb: Duration::from_micros(10),
-            },
-        ),
-        (
-            "WAN: 20 ms + 80 µs/KB",
-            LatencyModel::Link {
-                base: Duration::from_millis(20),
-                per_kb: Duration::from_micros(80),
-            },
-            LatencyModel::Link {
-                base: Duration::from_millis(20),
-                per_kb: Duration::from_micros(80),
-            },
-        ),
-    ];
-    for (label, request_model, response_model) in links {
-        let config = NodeConfig {
-            batch_size: 2000,
-            batch_linger: Duration::from_millis(30),
-            response_latency: response_model,
-            ..Default::default()
-        };
-        let world = World::new(&format!("lat-{label}"), config, 2000.0);
-        // Rebind the publisher with the request-side link model.
-        let client = Identity::from_seed(format!("bench-client-lat-{label}").as_bytes());
-        world.chain.fund(client.address(), Wei::from_eth(1000));
-        let mut publisher = wedge_core::Publisher::new(
-            client,
-            std::sync::Arc::clone(&world.node),
-            std::sync::Arc::clone(&world.chain),
-            world.root_record,
-            None,
-        )
-        .with_request_latency(request_model);
-        let outcome = publisher
-            .append_batch(kv_payloads(n, KEY_SIZE, VALUE_SIZE, 5))
-            .expect("append");
-        table.rows.push(vec![
-            label.into(),
-            fmt_dur(outcome.first_response),
-            fmt_dur(outcome.last_response),
-            fmt_dur(outcome.stage1_commit),
-        ]);
-    }
-    table
-}
-
 /// Extra (not in the paper): stage-2 resilience under chain fault bursts —
 /// how many retries/re-queues a burst of dropped submissions and forced
 /// reverts costs, and how far the stage-2 commit latency degrades, with no
@@ -775,229 +577,27 @@ pub fn fault_tolerance(profile: Profile) -> Table {
     table
 }
 
-/// Drives the node's persist+deliver stages directly against a durable
-/// (group-commit) [`wedge_storage::LogStore`] + 2-replica
-/// [`wedge_storage::Replicator`]: a producer thread hashes (parallel
-/// Merkle), starts replication, and appends batches while a consumer thread
-/// enforces the reply-release rule (`ensure_durable`) a couple of batches
-/// behind, exactly like the pipelined deliver stage.
-/// Returns (records/s, sync stats).
-fn run_persist_path(
-    tag: &str,
-    batch_size: usize,
-    batches: usize,
-) -> (f64, wedge_storage::SyncStats) {
-    use wedge_storage::{LogStore, Replicator, StoreConfig, SyncPolicy};
-
-    let dir = std::env::temp_dir().join(format!("wedge-stage1-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(
-        LogStore::open(
-            dir.join("store"),
-            StoreConfig {
-                sync: SyncPolicy::GroupCommit {
-                    max_batches: 4,
-                    max_delay: Duration::from_millis(2),
-                },
-                ..Default::default()
-            },
-        )
-        .expect("open store"),
-    );
-    let replicator = Replicator::spawn(
-        &dir,
-        2,
-        StoreConfig {
-            sync: SyncPolicy::Never,
-            ..Default::default()
-        },
-        Duration::from_micros(200),
-    )
-    .expect("spawn replicas");
-    let pool = wedge_pool::WorkPool::with_available_parallelism();
-    let payloads = Arc::new(kv_payloads(batch_size, KEY_SIZE, VALUE_SIZE, 0x57a6e1));
-    let total = batch_size * batches;
-
-    let (release_tx, release_rx) = crossbeam::channel::bounded::<u64>(2);
-    let started = Instant::now();
-    crossbeam::thread::scope(|scope| {
-        let producer_store = Arc::clone(&store);
-        let payloads = Arc::clone(&payloads);
-        let replicator = &replicator;
-        let pool = &pool;
-        scope.spawn(move |_| {
-            for _ in 0..batches {
-                let (tree, _) = wedge_merkle::MerkleTree::from_leaves_parallel_counted(
-                    &payloads[..],
-                    pool,
-                    256,
-                )
-                .expect("non-empty batch");
-                std::hint::black_box(tree.root());
-                // Replicas chew on the batch while we pay the local append
-                // (+ any covering fsync): cost = max, not sum.
-                let handle = replicator.replicate_begin(Arc::clone(&payloads));
-                let first = producer_store
-                    .append_batch(&payloads[..])
-                    .expect("append batch");
-                handle.wait();
-                if release_tx.send(first + batch_size as u64 - 1).is_err() {
-                    return;
-                }
-            }
-        });
-        // Consumer (deliver stage): the reply-release gate.
-        while let Ok(last_record) = release_rx.recv() {
-            store.ensure_durable(last_record).expect("durability");
-        }
-    })
-    .expect("persist-path threads");
-    let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-    let stats = store.sync_stats();
-    let _ = std::fs::remove_dir_all(&dir);
-    (total as f64 / elapsed, stats)
-}
-
-/// Extra (not in the paper): the stage-1 hardware-speed path — parallel
-/// Merkle construction, replication overlapped with local durability, and
-/// fsync group-commit — measured two ways:
-///
-/// * **persist path** rows drive the storage + replication layers directly
-///   (no signing, no chain);
-/// * **end-to-end** rows run the full node + publisher, without and with
-///   durable replies (group commit).
-///
-/// "Versus before" is answered by history (`wedgebench`'s per-layer
-/// metrics and the committed revisions of `results/stage1.md`), not by
-/// keeping superseded pipeline shapes selectable.
-pub fn stage1(profile: Profile) -> Table {
-    use wedge_storage::SyncPolicy;
-
-    let mut table = Table {
-        title: "Stage-1 hardware-speed path (extension) — parallel Merkle, \
-                overlapped replication, fsync group-commit"
-            .into(),
-        headers: vec![
-            "scenario".into(),
-            "batch".into(),
-            "throughput (ops/s)".into(),
-            "fsyncs".into(),
-            "coalesced".into(),
-            "repl overlap (ms)".into(),
-            "merkle par chunks".into(),
-            "merkle hash (ms)".into(),
-            "hash ×4 groups".into(),
-        ],
-        rows: Vec::new(),
-    };
-
-    let batch_sizes = [256usize, 1000, 2000];
-
-    // --- Persist-path rows: durable stage-1 at the storage layer.
-    for &batch in &batch_sizes {
-        let batches = profile.scale(64, 12);
-        let (rate, stats) = run_persist_path(&format!("persist-{batch}"), batch, batches);
-        table.rows.push(vec![
-            "persist path (group commit, overlapped repl, parallel merkle)".into(),
-            batch.to_string(),
-            format!("{rate:.0}"),
-            stats.fsyncs.to_string(),
-            stats.fsyncs_coalesced.to_string(),
-            "—".into(),
-            "—".into(),
-            "—".into(),
-            "—".into(),
-        ]);
-    }
-
-    // --- End-to-end rows: full node + publisher, stage-1 throughput.
-    for &batch in &batch_sizes {
-        let n = profile.scale(batch * 10, (batch * 2).max(2000));
-        for (label, sync) in [
-            ("end-to-end, no fsync", SyncPolicy::Never),
-            (
-                "end-to-end + durable replies (group commit)",
-                SyncPolicy::GroupCommit {
-                    max_batches: 8,
-                    max_delay: Duration::from_millis(2),
-                },
-            ),
-        ] {
-            let config = NodeConfig {
-                batch_size: batch,
-                batch_linger: Duration::from_millis(30),
-                verify_requests: false,
-                replicas: 2,
-                store: wedge_storage::StoreConfig {
-                    sync,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            // Best-of-N: a shared box makes single runs noisy; the best run
-            // is the least-perturbed measurement of the pipeline itself.
-            let repeats = profile.scale(3, 2);
-            let mut rate = 0.0;
-            let mut stats = None;
-            let mut x4_groups = 0u64;
-            for rep in 0..repeats {
-                // The crypto hash counters are process-wide; snapshot before
-                // the run so the table shows this run's ×4 groups only.
-                let x4_before = wedge_crypto::hash::hash_batches_x4();
-                let mut world = World::new(
-                    &format!("stage1-{batch}-{rep}-{label}"),
-                    config.clone(),
-                    2000.0,
-                );
-                let payloads = kv_payloads(n, KEY_SIZE, VALUE_SIZE, 0x57a6e2);
-                let outcome = world.publisher.append_batch(payloads).expect("append");
-                world.settle();
-                let elapsed = outcome.last_response.as_secs_f64().max(1e-9);
-                let rep_rate = n as f64 / elapsed;
-                if rep_rate > rate {
-                    rate = rep_rate;
-                    stats = Some(world.node.stats());
-                    x4_groups = wedge_crypto::hash::hash_batches_x4() - x4_before;
-                }
-            }
-            let stats = stats.expect("at least one repeat");
-            table.rows.push(vec![
-                label.into(),
-                batch.to_string(),
-                format!("{rate:.0}"),
-                "—".into(),
-                stats.fsyncs_coalesced.to_string(),
-                format!("{:.2}", stats.replication_overlap_ns as f64 / 1e6),
-                stats.merkle_par_chunks.to_string(),
-                format!("{:.2}", stats.merkle_hash_ns as f64 / 1e6),
-                x4_groups.to_string(),
-            ]);
-        }
-    }
-    table
-}
-
 /// Extra (not in the paper): the "signing wall" micro-benchmark — ECDSA
-/// throughput before and after the comb/wNAF/GLV scalar-multiplication
-/// rework. The "before" column of the sign/verify rows runs the frozen
-/// baselines (`secp256k1::point::reference`, `ecdsa::reference`: 4-bit
-/// window tables, one Fermat inversion per signature, two independent
-/// multiplications per verification); the "after" column runs the shipped
-/// paths (8-bit comb fixed-base table, Montgomery batch inversion shared
-/// per chunk, Strauss–Shamir/GLV double multiplication over a cached
-/// per-key table). Differential tests
-/// (`crates/crypto/tests/differential.rs`) prove both columns produce
-/// byte-identical signatures and decisions. The `request verify` row
-/// compares the two shipped ways to check a publisher's request: full
-/// public-key recovery against one batched verify under the remembered
-/// key. The two `… vs. nonce-y hint` rows check the same signatures with
-/// and without the nonce point's y the signer hands over (an append frame
-/// carries it; a stored leaf does not). The `request mix` rows put whole
-/// requests through `wedge_core::PublisherKeys` for traffic with and
-/// without the property that row depends on — publishers that come back.
+/// throughput of the shipped paths (8-bit comb fixed-base table, Montgomery
+/// batch inversion shared per chunk, Strauss–Shamir/GLV double
+/// multiplication over a cached per-key table), single thread.
+///
+/// A row that times one path reports one rate. A row labelled "A vs. B"
+/// times two paths the node still runs on the same input: `ops/s` is B,
+/// `vs. (ops/s)` is A and `speedup` is B / A. The `request verify` row
+/// compares full public-key recovery with one batched check under the
+/// remembered key. The two `… vs. nonce-y hint` rows check the same
+/// signatures without and with the nonce point's y the signer hands over
+/// (an append frame carries it; a stored leaf does not). The `cached batch`
+/// rows compare the per-item check with the combined equation by how
+/// hostile and how long a run is. The `request mix` rows put whole requests
+/// through per-item `AppendRequest::verify` and through
+/// `wedge_core::PublisherKeys`, for traffic with and without the property
+/// the cache depends on — publishers that come back.
 pub fn signing(profile: Profile) -> Table {
+    use wedge_core::{EntryId, PublisherKeys, SignedResponse};
     use wedge_crypto::ecdsa::{
-        recover_prehashed, reference, sign_prehashed, sign_prehashed_batch, verify_prehashed,
+        recover_prehashed, sign_prehashed, sign_prehashed_batch, verify_prehashed,
         verify_recoverable_batch, Signature,
     };
     use wedge_crypto::keys::Keypair;
@@ -1010,10 +610,9 @@ pub fn signing(profile: Profile) -> Table {
         .map(|i| wedge_crypto::keccak256(&(i as u64).to_be_bytes()))
         .collect();
 
-    // Warm both generator tables outside the timed regions: table builds
-    // are one-time costs a long-running node never sees again.
+    // Warm the generator table outside the timed regions: its build is a
+    // one-time cost a long-running node never sees again.
     let _ = sign_prehashed(&kp.secret, &hashes[0]);
-    let _ = reference::sign_prehashed(&kp.secret, &hashes[0]);
 
     // Best-of-N ops/s for a closure processing `count` items.
     let rate_of = |count: usize, work: &mut dyn FnMut()| -> f64 {
@@ -1028,19 +627,29 @@ pub fn signing(profile: Profile) -> Table {
     };
     let rate = |work: &mut dyn FnMut()| rate_of(n, work);
 
-    let pre_sign = rate(&mut || {
-        for h in &hashes {
-            std::hint::black_box(reference::sign_prehashed(&kp.secret, h));
-        }
-    });
-    let new_sign_batch = rate(&mut || {
+    let mut rows = Vec::new();
+    // `ops` is the rate of the row's path, or of B in an "A vs. B" row;
+    // `against` is A's.
+    let mut row = |op: &str, count: usize, ops: f64, against: Option<f64>| {
+        rows.push(vec![
+            op.into(),
+            count.to_string(),
+            format!("{ops:.0}"),
+            against.map_or("—".into(), |a| format!("{a:.0}")),
+            against.map_or("—".into(), |a| format!("{:.2}×", ops / a.max(1e-9))),
+        ]);
+    };
+
+    let sign_batch = rate(&mut || {
         std::hint::black_box(sign_prehashed_batch(&kp.secret, &hashes));
     });
-    let new_sign_item = rate(&mut || {
+    let sign_item = rate(&mut || {
         for h in &hashes {
             std::hint::black_box(sign_prehashed(&kp.secret, h));
         }
     });
+    row("sign — batch API (shared inversions)", n, sign_batch, None);
+    row("sign — per-item API (comb table only)", n, sign_item, None);
 
     let sigs: Vec<Signature> = sign_prehashed_batch(&kp.secret, &hashes);
     // Signatures as a log stores them, with no nonce-y hint; only the two
@@ -1058,12 +667,7 @@ pub fn signing(profile: Profile) -> Table {
             )
         })
         .collect();
-    let pre_verify = rate(&mut || {
-        for (h, sig) in hashes.iter().zip(&sigs) {
-            reference::verify_prehashed(&kp.public, h, sig).expect("valid");
-        }
-    });
-    let new_verify_batch = rate(&mut || {
+    let verify_batch = rate(&mut || {
         // The per-key table build is charged to the batch (it is what a
         // verifier pays once per key, not per signature).
         let table = AffineTable::new(kp.public.point());
@@ -1071,16 +675,28 @@ pub fn signing(profile: Profile) -> Table {
             .iter()
             .all(|ok| *ok));
     });
-    let new_verify_item = rate(&mut || {
+    let verify_item = rate(&mut || {
         for (h, sig) in hashes.iter().zip(&sigs) {
             verify_prehashed(&kp.public, h, sig).expect("valid");
         }
     });
+    row(
+        "verify — batch, cached per-key table",
+        n,
+        verify_batch,
+        None,
+    );
+    row(
+        "verify — per-item API (table rebuilt per call)",
+        n,
+        verify_item,
+        None,
+    );
 
-    // The node's request path: what every request cost while the collect
-    // stage re-derived its publisher's key, against the same signatures
-    // checked in one batch under the remembered key (the table is built
-    // once per publisher, so it is outside the timed region here).
+    // The node's request path: what a request costs when the collect stage
+    // re-derives its publisher's key, against the same signatures checked
+    // in one batch under the remembered key (the table is built once per
+    // publisher, so it is outside the timed region here).
     let request_recover = rate(&mut || {
         for (h, sig) in &items {
             assert_eq!(recover_prehashed(h, sig), Ok(kp.public));
@@ -1092,54 +708,11 @@ pub fn signing(profile: Profile) -> Table {
             .iter()
             .all(|ok| *ok));
     });
-
-    let mut table = Table {
-        title: "Signing wall (extension) — comb fixed-base table, shared batch \
-                inversion, Strauss–Shamir/GLV verification (single thread)"
-            .into(),
-        headers: vec![
-            "operation".into(),
-            "items".into(),
-            "before (ops/s)".into(),
-            "after (ops/s)".into(),
-            "speedup".into(),
-        ],
-        rows: Vec::new(),
-    };
-    let mut row_of = |op: &str, count: usize, pre: f64, post: f64| {
-        table.rows.push(vec![
-            op.into(),
-            count.to_string(),
-            format!("{pre:.0}"),
-            format!("{post:.0}"),
-            format!("{:.2}×", post / pre.max(1e-9)),
-        ]);
-    };
-    let mut row = |op: &str, pre: f64, post: f64| row_of(op, n, pre, post);
-    row(
-        "sign — batch API (shared inversions)",
-        pre_sign,
-        new_sign_batch,
-    );
-    row(
-        "sign — per-item API (comb table only)",
-        pre_sign,
-        new_sign_item,
-    );
-    row(
-        "verify — batch, cached per-key table",
-        pre_verify,
-        new_verify_batch,
-    );
-    row(
-        "verify — per-item API (table rebuilt per call)",
-        pre_verify,
-        new_verify_item,
-    );
     row(
         "request verify — recovery vs. cached batch",
-        request_recover,
+        n,
         request_cached,
+        Some(request_recover),
     );
     // What a publisher that is not remembered pays, with the nonce point's
     // y checked on the curve instead of recomputed by a square root.
@@ -1150,16 +723,14 @@ pub fn signing(profile: Profile) -> Table {
     });
     row(
         "recovery — square root vs. nonce-y hint",
-        request_recover,
+        n,
         request_recover_hinted,
+        Some(request_recover),
     );
 
-    // The node's reply path for one batch of 1,088 B entries: "before" is
-    // what the deliver stage ran while every response carried its own
-    // signature (response digests, then the batch signing API above);
-    // "after" is `SignedResponse::sign_batch` — the same digests, one tree
-    // over them, one signature, one path per response.
-    use wedge_core::{EntryId, SignedResponse};
+    // The node's reply path for one batch of 1,088 B entries:
+    // `SignedResponse::sign_batch` — the response digests, one tree over
+    // them, one signature, one path per response.
     let leaves: Vec<Vec<u8>> = (0..n as u64)
         .map(|i| [&i.to_be_bytes()[..], &[7u8; 1190]].concat())
         .collect();
@@ -1172,32 +743,22 @@ pub fn signing(profile: Profile) -> Table {
             (id, tree.root(), proof, leaf.clone())
         })
         .collect();
-    let per_response = rate(&mut || {
-        // Both arms consume their own copy of the batch.
-        let digests: Vec<[u8; 32]> = prepared
-            .clone()
-            .iter()
-            .map(|(id, root, proof, leaf)| {
-                wedge_contracts::response_digest(id.log_id, root, &proof.to_bytes(), leaf)
-            })
-            .collect();
-        std::hint::black_box(sign_prehashed_batch(&kp.secret, &digests));
-    });
     let merkle_batched = rate(&mut || {
         std::hint::black_box(SignedResponse::sign_batch(&kp.secret, prepared.clone(), 1));
     });
     row(
-        "response signing — per-response vs. Merkle-batched",
-        per_response,
+        "response signing — one Merkle-batched signature",
+        n,
         merkle_batched,
+        None,
     );
 
     // The cached check by how hostile a 1,000-item run is and by run length
     // (a run is what one worker checks for one publisher in one batch: ~1,000
     // requests on the node, one for a `Reader` verifying a single read).
-    // "after" is one call per run; "before" is the per-item path every run
-    // took until the combined equation — the same call in chunks of at most
-    // 15, under its cutoff. Verdicts are asserted equal to recovery's.
+    // The combined path is one call per run; the per-item path is the same
+    // call in chunks of at most 15, under the equation's cutoff. Verdicts
+    // are asserted equal to recovery's.
     let long: Vec<([u8; 32], Signature)> = (0..1000).map(|i| items[i % n]).collect();
     let damaged = |at: &[usize]| {
         let mut run = long.clone();
@@ -1221,7 +782,7 @@ pub fn signing(profile: Profile) -> Table {
             .iter()
             .map(|(h, sig)| recover_prehashed(h, sig) == Ok(kp.public))
             .collect();
-        let [before, after] = [len.min(15), len].map(|chunk| {
+        let [per_item, combined] = [len.min(15), len].map(|chunk| {
             rate_of(run.len(), &mut || {
                 let parts = run.chunks(chunk);
                 let verdicts: Vec<bool> = parts
@@ -1230,10 +791,11 @@ pub fn signing(profile: Profile) -> Table {
                 assert_eq!(verdicts, expect);
             })
         });
-        row_of(&format!("cached batch — {label}"), run.len(), before, after);
+        let label = format!("cached batch — {label}: per-item vs. combined");
+        row(&label, run.len(), combined, Some(per_item));
     }
     // One equation over the same 1,000 signatures, each nonce point lifted
-    // by a square root ("before") or taken from its checked hint ("after").
+    // by a square root or taken from its checked hint.
     let long_hinted: Vec<([u8; 32], Signature)> = (0..1000).map(|i| hinted[i % n]).collect();
     let [bare_run, hinted_run] = [&long, &long_hinted].map(|run| {
         rate_of(run.len(), &mut || {
@@ -1241,20 +803,18 @@ pub fn signing(profile: Profile) -> Table {
             assert!(verdicts.iter().all(|ok| *ok));
         })
     });
-    row_of(
+    row(
         "cached batch — one equation, square root vs. nonce-y hint",
         1000,
-        bare_run,
         hinted_run,
+        Some(bare_run),
     );
 
     // Whole requests through the collect stage's verifier, by how often
-    // publishers come back — the one traffic property the row above depends
-    // on. "before" is per-item `AppendRequest::verify`; "after" feeds a new
-    // `PublisherKeys` the mix in batches of 2,000 (cold start included) on
-    // one worker, and the label carries the share it accepted from the
-    // cache.
-    use wedge_core::{AppendRequest, PublisherKeys};
+    // publishers come back — the one traffic property the rows above depend
+    // on: per-item `AppendRequest::verify`, against a new `PublisherKeys`
+    // fed the mix in batches of 2,000 (cold start included) on one worker.
+    // The label carries the share the cache accepted.
     let m = profile.scale(8192, 4096);
     let keypairs: Vec<Keypair> = (0..m)
         .map(|i| Keypair::from_seed(format!("request-mix-{i}").as_bytes()))
@@ -1266,11 +826,11 @@ pub fn signing(profile: Profile) -> Table {
             .map(|i| AppendRequest::new(&keypairs[publisher_of(i)].secret, i as u64, vec![7; 1088]))
             .collect();
         let refs: Vec<&AppendRequest> = requests.iter().collect();
-        let before = rate_of(m, &mut || {
+        let per_item = rate_of(m, &mut || {
             assert!(requests.iter().all(|r| r.verify().is_ok()));
         });
         let mut recovered = 0;
-        let after = rate_of(m, &mut || {
+        let keyed = rate_of(m, &mut || {
             let keys = PublisherKeys::default();
             recovered = 0;
             for batch in refs.chunks(2000) {
@@ -1280,8 +840,9 @@ pub fn signing(profile: Profile) -> Table {
             }
         });
         let cached = 100.0 * (m as f64 - recovered as f64) / m as f64;
-        let label = format!("request mix — {label} ({cached:.1} % cached)");
-        row_of(&label, m, before, after);
+        let label =
+            format!("request mix — {label}: per-item vs. PublisherKeys ({cached:.1} % cached)");
+        row(&label, m, keyed, Some(per_item));
     };
     let capacity = PublisherKeys::CAPACITY;
     mix("2 repeat publishers", &|i| i % 2);
@@ -1294,20 +855,30 @@ pub fn signing(profile: Profile) -> Table {
             i % 8
         }
     });
-    table
+
+    Table {
+        title: "Signing wall (extension) — comb fixed-base table, shared batch \
+                inversion, Strauss–Shamir/GLV verification (single thread)"
+            .into(),
+        headers: vec![
+            "operation".into(),
+            "items".into(),
+            "ops/s".into(),
+            "vs. (ops/s)".into(),
+            "speedup".into(),
+        ],
+        rows,
+    }
 }
 
 /// Extra (not in the paper): the "hashing wall" micro-benchmark — Keccak-256
-/// throughput before and after the multi-lane rework, on the exact shapes the
-/// persist path hashes. The pre-PR column runs the frozen scalar sponge
-/// (`hash::reference`); the this-PR columns run the shipped paths: the fused
-/// single-permutation digest for sub-rate inputs, the ×4 lane-interleaved
-/// permutation (four digests per pass), and the rebuilt (unrolled) streaming
-/// sponge for bulk input. Differential tests
-/// (`crates/crypto/tests/hash_differential.rs`) prove every column produces
-/// byte-identical digests.
+/// throughput of the shipped paths on the exact shapes the persist path
+/// hashes: the fused single-permutation digest for sub-rate inputs, the ×4
+/// lane-interleaved permutation (four digests per pass), and the unrolled
+/// streaming sponge for bulk input. Every row times one path;
+/// `crates/crypto/tests/hash_differential.rs` proves they all produce the
+/// digests of a naive loop-based sponge.
 pub fn hashing(profile: Profile) -> Table {
-    use wedge_crypto::hash::reference;
     use wedge_crypto::{keccak256_batch, keccak256_fixed, keccak256_fixed_x4};
     use wedge_merkle::{hash_leaf, hash_leaves, hash_node, hash_node_x4, MerkleTree};
 
@@ -1336,40 +907,25 @@ pub fn hashing(profile: Profile) -> Table {
             "path".into(),
             "digests".into(),
             "MB/s".into(),
-            "vs reference".into(),
         ],
         rows: Vec::new(),
     };
-    let mut row = |shape: &str, path: &str, items: usize, mbps: f64, baseline: f64| {
+    let mut row = |shape: &str, path: &str, items: usize, mbps: f64| {
         table.rows.push(vec![
             shape.into(),
             path.into(),
             items.to_string(),
             format!("{mbps:.1}"),
-            format!("{:.2}×", mbps / baseline.max(1e-9)),
         ]);
     };
 
-    // --- The acceptance shape: hash_node's 64-byte two-child input
-    // (65-byte tagged preimage), the digest that dominates tree folding.
+    // --- hash_node's 64-byte two-child input (65-byte tagged preimage),
+    // the digest that dominates tree folding.
     let children: Vec<Hash32> = (0..n)
         .map(|i| Hash32(wedge_crypto::keccak256(&(i as u64).to_be_bytes())))
         .collect();
     let pairs = n / 2;
     let node_bytes = pairs * 65;
-    let mut preimages: Vec<[u8; 65]> = Vec::with_capacity(pairs);
-    for pair in children.chunks_exact(2) {
-        let mut buf = [0u8; 65];
-        buf[0] = 0x01;
-        buf[1..33].copy_from_slice(pair[0].as_bytes());
-        buf[33..].copy_from_slice(pair[1].as_bytes());
-        preimages.push(buf);
-    }
-    let node_ref = rate(node_bytes, &mut || {
-        for p in &preimages {
-            std::hint::black_box(reference::keccak256(p));
-        }
-    });
     let node_fixed = rate(node_bytes, &mut || {
         for pair in children.chunks_exact(2) {
             std::hint::black_box(hash_node(&pair[0], &pair[1]));
@@ -1382,41 +938,15 @@ pub fn hashing(profile: Profile) -> Table {
     });
     row(
         "node (65-B preimage)",
-        "reference sponge",
-        pairs,
-        node_ref,
-        node_ref,
-    );
-    row(
-        "node (65-B preimage)",
         "fused fixed path",
         pairs,
         node_fixed,
-        node_ref,
     );
-    row(
-        "node (65-B preimage)",
-        "×4 interleaved",
-        pairs,
-        node_x4,
-        node_ref,
-    );
+    row("node (65-B preimage)", "×4 interleaved", pairs, node_x4);
 
     // --- Leaf shape: the tagged kv payload stage-1 hashes once per entry.
     let payloads = kv_payloads(n, KEY_SIZE, VALUE_SIZE, 0x4a5c);
     let leaf_bytes: usize = payloads.iter().map(|p| p.len() + 1).sum();
-    let mut tagged: Vec<Vec<u8>> = Vec::with_capacity(n);
-    for p in &payloads {
-        let mut msg = Vec::with_capacity(p.len() + 1);
-        msg.push(0x00);
-        msg.extend_from_slice(p);
-        tagged.push(msg);
-    }
-    let leaf_ref = rate(leaf_bytes, &mut || {
-        for msg in &tagged {
-            std::hint::black_box(reference::keccak256(msg));
-        }
-    });
     let leaf_fixed = rate(leaf_bytes, &mut || {
         for p in &payloads {
             std::hint::black_box(hash_leaf(p));
@@ -1426,9 +956,8 @@ pub fn hashing(profile: Profile) -> Table {
         std::hint::black_box(hash_leaves(&payloads));
     });
     let shape = format!("leaf ({}-B payload)", KEY_SIZE + VALUE_SIZE);
-    row(&shape, "reference sponge", n, leaf_ref, leaf_ref);
-    row(&shape, "fused fixed path", n, leaf_fixed, leaf_ref);
-    row(&shape, "×4 batch (hash_leaves)", n, leaf_x4, leaf_ref);
+    row(&shape, "fused fixed path", n, leaf_fixed);
+    row(&shape, "×4 batch (hash_leaves)", n, leaf_x4);
 
     // --- Mixed-length batch: entry-id/tx digests of varying size driven
     // through the bucketing batch API (ragged tails included).
@@ -1437,84 +966,26 @@ pub fn hashing(profile: Profile) -> Table {
         .collect();
     let mixed_refs: Vec<&[u8]> = mixed.iter().map(|v| v.as_slice()).collect();
     let mixed_bytes: usize = mixed.iter().map(|v| v.len()).sum();
-    let mixed_ref_rate = rate(mixed_bytes, &mut || {
-        for m in &mixed {
-            std::hint::black_box(reference::keccak256(m));
-        }
-    });
     let mixed_batch = rate(mixed_bytes, &mut || {
         std::hint::black_box(keccak256_batch(&mixed_refs));
     });
-    row(
-        "mixed 24–223 B",
-        "reference sponge",
-        n,
-        mixed_ref_rate,
-        mixed_ref_rate,
-    );
-    row(
-        "mixed 24–223 B",
-        "×4 bucketed batch",
-        n,
-        mixed_batch,
-        mixed_ref_rate,
-    );
+    row("mixed 24–223 B", "×4 bucketed batch", n, mixed_batch);
 
-    // --- Bulk streaming: the rebuilt (unrolled) sponge on a 64 KiB blob,
-    // isolating the scalar permutation win.
+    // --- Bulk streaming: the unrolled sponge on a 64 KiB blob.
     let blob = vec![0xC3u8; 64 * 1024];
     let passes = profile.scale(64, 16);
-    let stream_bytes = blob.len() * passes;
-    let stream_ref = rate(stream_bytes, &mut || {
-        for _ in 0..passes {
-            std::hint::black_box(reference::keccak256(&blob));
-        }
-    });
-    let stream_new = rate(stream_bytes, &mut || {
+    let stream = rate(blob.len() * passes, &mut || {
         for _ in 0..passes {
             std::hint::black_box(wedge_crypto::keccak256(&blob));
         }
     });
-    row(
-        "64 KiB stream",
-        "reference sponge",
-        passes,
-        stream_ref,
-        stream_ref,
-    );
-    row(
-        "64 KiB stream",
-        "unrolled sponge",
-        passes,
-        stream_new,
-        stream_ref,
-    );
+    row("64 KiB stream", "unrolled sponge", passes, stream);
 
     // --- Whole-tree build: serial Merkle construction end to end (leaves
-    // + every interior level), reference fold vs the shipped ×4 builder.
+    // + every interior level) through the ×4 builder.
     let tree_leaves = kv_payloads(profile.scale(8_192, 2_048), KEY_SIZE, VALUE_SIZE, 0x4a5d);
     let tree_bytes: usize = tree_leaves.iter().map(|p| p.len() + 1).sum();
-    let tree_ref = rate(tree_bytes, &mut || {
-        // Naive fold on the frozen sponge — the pre-PR builder's work.
-        let mut level: Vec<Hash32> = tagged_ref_leaves(&tree_leaves);
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            let mut pairs = level.chunks_exact(2);
-            for pair in pairs.by_ref() {
-                let mut msg = [0u8; 65];
-                msg[0] = 0x01;
-                msg[1..33].copy_from_slice(pair[0].as_bytes());
-                msg[33..].copy_from_slice(pair[1].as_bytes());
-                next.push(Hash32(reference::keccak256(&msg)));
-            }
-            if let [odd] = pairs.remainder() {
-                next.push(*odd);
-            }
-            level = next;
-        }
-        std::hint::black_box(level[0]);
-    });
-    let tree_new = rate(tree_bytes, &mut || {
+    let tree = rate(tree_bytes, &mut || {
         std::hint::black_box(
             MerkleTree::from_leaves(&tree_leaves)
                 .expect("non-empty")
@@ -1523,17 +994,9 @@ pub fn hashing(profile: Profile) -> Table {
     });
     row(
         "merkle build (serial)",
-        "reference sponge",
-        tree_leaves.len(),
-        tree_ref,
-        tree_ref,
-    );
-    row(
-        "merkle build (serial)",
         "×4 + fixed builder",
         tree_leaves.len(),
-        tree_new,
-        tree_ref,
+        tree,
     );
 
     // Sanity: the ×4 fixed path really ran interleaved (counter moved).
@@ -1541,211 +1004,6 @@ pub fn hashing(profile: Profile) -> Table {
     let _ = keccak256_fixed_x4([b"a", b"b", b"c", b"d"]);
     let _ = keccak256_fixed(b"warm");
     assert!(wedge_crypto::hash::hash_batches_x4() > before);
-    table
-}
-
-/// Leaf digests for the reference Merkle fold in [`hashing`].
-fn tagged_ref_leaves(leaves: &[Vec<u8>]) -> Vec<Hash32> {
-    use wedge_crypto::hash::reference;
-    leaves
-        .iter()
-        .map(|p| {
-            let mut msg = Vec::with_capacity(p.len() + 1);
-            msg.push(0x00);
-            msg.extend_from_slice(p);
-            Hash32(reference::keccak256(&msg))
-        })
-        .collect()
-}
-
-/// Append burst size for the `net` experiment: clients submit this many
-/// requests, flush once, then await every reply.
-const NET_BURST: usize = 32;
-
-/// One client worker's latency samples from the `net` experiment.
-struct NetClientSamples {
-    append: Vec<Duration>,
-    read: Vec<Duration>,
-}
-
-/// Drives `clients` concurrent closed-loop workers against `service`:
-/// each appends `appends` pre-signed entries in bursts of `burst`
-/// (submit burst → flush → await every reply, timing each op from submit
-/// to callback), then reads its own entries back by sequence one at a
-/// time. Returns (append wall, read wall, merged samples).
-fn run_net_clients(
-    service: &Arc<dyn wedge_core::LogService>,
-    tag: &str,
-    clients: usize,
-    appends: usize,
-    reads: usize,
-    value_size: usize,
-) -> (Duration, Duration, NetClientSamples) {
-    use rand::{Rng, SeedableRng};
-    let burst = NET_BURST;
-    let mut merged = NetClientSamples {
-        append: Vec::new(),
-        read: Vec::new(),
-    };
-    let mut append_wall = Duration::ZERO;
-    let mut read_wall = Duration::ZERO;
-    crossbeam::thread::scope(|scope| {
-        let started = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let service = Arc::clone(service);
-                let tag = tag.to_string();
-                scope.spawn(move |_| {
-                    let identity = Identity::from_seed(format!("net-{tag}-{c}").as_bytes());
-                    let payloads = kv_payloads(appends, KEY_SIZE, value_size, c as u64);
-                    let requests: Vec<AppendRequest> = (0..)
-                        .zip(&payloads)
-                        .map(|(seq, p)| AppendRequest::new(identity.secret_key(), seq, p.clone()))
-                        .collect();
-                    let mut samples = NetClientSamples {
-                        append: Vec::with_capacity(appends),
-                        read: Vec::with_capacity(reads),
-                    };
-                    let (tx, rx) = crossbeam::channel::bounded::<Duration>(burst);
-                    for chunk in requests.chunks(burst) {
-                        for request in chunk {
-                            let tx = tx.clone();
-                            let submitted = Instant::now();
-                            service
-                                .submit_request(
-                                    request.clone(),
-                                    Box::new(move |result| {
-                                        result.expect("append reply");
-                                        let _ = tx.send(submitted.elapsed());
-                                    }),
-                                )
-                                .expect("submit");
-                        }
-                        // One flush per burst: buffered transports write the
-                        // whole burst out here; in-process/autoflush paths
-                        // already delivered and treat this as a no-op.
-                        service.flush();
-                        for _ in chunk {
-                            samples
-                                .append
-                                .push(rx.recv_timeout(Duration::from_secs(120)).expect("reply"));
-                        }
-                    }
-                    let append_done = Instant::now();
-                    let mut rng = rand::rngs::SmallRng::seed_from_u64(0x9e7 + c as u64);
-                    let address = identity.address();
-                    for _ in 0..reads {
-                        let seq = rng.gen_range(0..appends as u64);
-                        let read_started = Instant::now();
-                        let response = service
-                            .read_entry_by_sequence(address, seq)
-                            .expect("read own entry");
-                        samples.read.push(read_started.elapsed());
-                        std::hint::black_box(&response);
-                    }
-                    (samples, append_done)
-                })
-            })
-            .collect();
-        let mut last_append_done = started;
-        for handle in handles {
-            let (samples, append_done) = handle.join().expect("net client");
-            merged.append.extend(samples.append);
-            merged.read.extend(samples.read);
-            last_append_done = last_append_done.max(append_done);
-        }
-        append_wall = last_append_done - started;
-        read_wall = started.elapsed() - append_wall;
-    })
-    .expect("net client threads");
-    merged.append.sort_unstable();
-    merged.read.sort_unstable();
-    (append_wall, read_wall, merged)
-}
-
-/// Extra (not in the paper): the wire-speed RPC plane — coalescing
-/// writers draining bounded reply queues into pooled buffers, driven by a
-/// striped [`wedge_net::RemoteNodePool`] client with buffered per-burst
-/// flushes. (The write-per-reply, unpooled, single-connection shape this
-/// replaced is in the history of `results/net.md`; `wedgebench`'s `net.*`
-/// per-layer metrics track the plane from here on.)
-pub fn net(profile: Profile) -> Table {
-    use wedge_net::{NodeServer, PoolConfig, RemoteNodePool};
-
-    let mut table = Table {
-        title: "RPC plane (extension) — coalescing writers + striped client".into(),
-        headers: vec![
-            "clients".into(),
-            "payload (B)".into(),
-            "append ops/s".into(),
-            "append p50".into(),
-            "append p99".into(),
-            "read ops/s".into(),
-            "read p50".into(),
-            "read p99".into(),
-            "replies/write".into(),
-            "coalesced".into(),
-            "pool hit".into(),
-            "shed".into(),
-        ],
-        rows: Vec::new(),
-    };
-    for &clients in &[1usize, 8, 64] {
-        for &value_size in &[256usize, 1024] {
-            let total_appends = profile.scale(24_576, 4_096).max(clients);
-            let appends = (total_appends / clients).max(NET_BURST);
-            let reads = appends;
-            let config = NodeConfig {
-                batch_size: 500,
-                batch_linger: Duration::from_millis(5),
-                verify_requests: false,
-                ..Default::default()
-            };
-            let world = World::new(&format!("net-{clients}-{value_size}"), config, 2000.0);
-            let server =
-                NodeServer::bind("127.0.0.1:0", Arc::clone(&world.node) as _).expect("bind server");
-            let client: Arc<dyn wedge_core::LogService> = Arc::new(
-                RemoteNodePool::connect_with_config(
-                    server.local_addr(),
-                    PoolConfig {
-                        stripes: clients.min(8),
-                        ..PoolConfig::default()
-                    },
-                )
-                .expect("connect pool"),
-            );
-            let (append_wall, read_wall, samples) = run_net_clients(
-                &client,
-                &format!("{clients}-{value_size}"),
-                clients,
-                appends,
-                reads,
-                value_size,
-            );
-            drop(client);
-            let stats = server.stats();
-
-            let total_ops = (appends * clients) as f64;
-            let total_reads = (reads * clients) as f64;
-            table.rows.push(vec![
-                clients.to_string(),
-                value_size.to_string(),
-                format!("{:.0}", total_ops / append_wall.as_secs_f64().max(1e-9)),
-                fmt_us(percentile(&samples.append, 0.50)),
-                fmt_us(percentile(&samples.append, 0.99)),
-                format!("{:.0}", total_reads / read_wall.as_secs_f64().max(1e-9)),
-                fmt_us(percentile(&samples.read, 0.50)),
-                fmt_us(percentile(&samples.read, 0.99)),
-                format!(
-                    "{:.2}",
-                    stats.replies_sent as f64 / stats.writes_issued.max(1) as f64
-                ),
-                stats.replies_coalesced.to_string(),
-                format!("{:.0}%", stats.buffer_pool_hit_rate() * 100.0),
-                stats.queue_shed.to_string(),
-            ]);
-        }
-    }
     table
 }
 

@@ -8,17 +8,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use wedge_chain::{Address, Chain, Gas, Receipt, Wei};
 use wedge_contracts::{Punishment, RootRecord};
 use wedge_crypto::signer::Identity;
+use wedge_pool::WorkPool;
 
 use crate::api::LogService;
 use crate::error::CoreError;
 use crate::node_key::NodeKey;
 use crate::types::{AppendRequest, SignedResponse};
-use crate::util::parallel_map;
 
 /// Stage-2 verification verdict for one response.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,11 +54,8 @@ pub struct Publisher {
     root_record: Address,
     punishment: Option<Address>,
     next_sequence: u64,
-    /// Worker threads for parallel signing/verification.
-    worker_threads: usize,
-    rng: SmallRng,
-    /// Simulated request-network delay (one message per append batch).
-    request_latency: wedge_sim::LatencyModel,
+    /// Workers for parallel signing/verification.
+    pool: WorkPool,
     /// Optional durable store for issued responses (punishment evidence).
     receipts: Option<super::receipts::ReceiptStore>,
 }
@@ -96,19 +91,9 @@ impl Publisher {
             root_record,
             punishment,
             next_sequence: 0,
-            worker_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            rng: SmallRng::seed_from_u64(0x7075_626c_6973_6865),
-            request_latency: wedge_sim::LatencyModel::Zero,
+            pool: WorkPool::with_available_parallelism(),
             receipts: None,
         }
-    }
-
-    /// Overrides the simulated request-link latency.
-    pub fn with_request_latency(mut self, model: wedge_sim::LatencyModel) -> Publisher {
-        self.request_latency = model;
-        self
     }
 
     /// Starts sequence numbering at `sequence` — required when a publisher
@@ -212,20 +197,13 @@ impl Publisher {
         // Sign requests in parallel (paper: ECDSA across all cores).
         let key = *self.identity.secret_key();
         let numbered: Vec<(u64, Vec<u8>)> = (first_seq..).zip(payloads).collect();
-        let requests: Vec<AppendRequest> =
-            parallel_map(&numbered, self.worker_threads, |(seq, payload)| {
-                AppendRequest::new(&key, *seq, payload.clone())
-            });
+        let requests: Vec<AppendRequest> = self.pool.map(&numbered, |(seq, payload)| {
+            AppendRequest::new(&key, *seq, payload.clone())
+        });
         let by_sequence: HashMap<u64, &AppendRequest> =
             requests.iter().map(|r| (r.sequence, r)).collect();
 
         let started = Instant::now();
-        // One message to the node; the link delay applies once.
-        let total_bytes: usize = requests.iter().map(|r| r.payload.len()).sum();
-        let delay = self.request_latency.sample(&mut self.rng, total_bytes);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
         let (reply_tx, reply_rx) = unbounded();
         for request in &requests {
             let tx = reply_tx.clone();
@@ -258,7 +236,7 @@ impl Publisher {
 
         // Verify all responses (parallel), matching each to its request.
         let node_key = &self.node_key;
-        let verdicts = parallel_map(&responses, self.worker_threads, |resp| {
+        let verdicts = self.pool.map(&responses, |resp| {
             let req = match resp.request() {
                 Ok(r) => r,
                 Err(_) => return false,

@@ -174,8 +174,6 @@ pub struct NodeConfig {
     pub stage2_max_group: usize,
     /// Retry policy for failed stage-2 commitments.
     pub stage2_retry: Stage2RetryPolicy,
-    /// Simulated network delay applied to each inbound request message.
-    pub request_latency: LatencyModel,
     /// Simulated network delay applied to each outbound response batch.
     pub response_latency: LatencyModel,
     /// Replicas to fan batches out to before responding (0 = none; the
@@ -207,7 +205,6 @@ impl Default for NodeConfig {
             stage2_mode: Stage2Mode::default(),
             stage2_max_group: 16,
             stage2_retry: Stage2RetryPolicy::default(),
-            request_latency: LatencyModel::Zero,
             response_latency: LatencyModel::Zero,
             replicas: 0,
             replica_link_delay: Duration::from_micros(200),

@@ -30,7 +30,6 @@ mod node_key;
 mod publisher_keys;
 pub mod service;
 pub mod types;
-mod util;
 
 pub use api::LogService;
 pub use client::{
@@ -46,4 +45,3 @@ pub use service::{deploy_service, ServiceConfig, ServiceDeployment, Subscription
 pub use types::{
     AppendRequest, CommitPhase, EntryId, EpochCommit, ShardGroup, SignedResponse, Stage2Record,
 };
-pub use util::parallel_map;

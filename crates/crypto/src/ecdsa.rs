@@ -579,94 +579,12 @@ pub fn recover_address(msg_hash: &[u8; 32], sig: &Signature) -> Result<Address, 
     Ok(recover_prehashed(msg_hash, sig)?.address())
 }
 
-pub mod reference {
-    //! Pre-optimization ECDSA baselines built on the frozen 4-bit window
-    //! paths in [`crate::secp256k1::point::reference`]: per-call Fermat
-    //! inversions, two independent multiplications per verification, and an
-    //! affine final comparison. Differential tests assert the fast paths
-    //! produce **byte-identical signatures** and the **same accept/reject
-    //! decisions**; the `repro -- signing` experiment measures these as the
-    //! honest pre-PR baseline.
-
-    use super::{CryptoError, PublicKey, Rfc6979, Scalar, SecretKey, Signature, N};
-    use crate::secp256k1::point::reference as point_ref;
-
-    /// [`super::sign_prehashed`] as it was before the comb table and batch
-    /// inversion: 4-bit windowed `k·G`, one field inversion for the affine
-    /// conversion, one Fermat scalar inversion per signature.
-    pub fn sign_prehashed(secret: &SecretKey, msg_hash: &[u8; 32]) -> Signature {
-        let z = Scalar::from_be_bytes_reduced(msg_hash);
-        let d = secret.scalar();
-        let mut nonce_gen = Rfc6979::new(secret, msg_hash);
-        loop {
-            let Some(k) = nonce_gen.next() else { continue };
-            let point = point_ref::mul_generator(&k).to_affine();
-            if point.infinity {
-                continue;
-            }
-            let x_int = point.x.to_u256();
-            let r = Scalar::from_u256(x_int);
-            if r.is_zero() {
-                continue;
-            }
-            let Some(k_inv) = k.invert() else { continue };
-            let mut s = k_inv.mul(&z.add(&r.mul(d)));
-            if s.is_zero() {
-                continue;
-            }
-            let mut v = point.y.is_odd() as u8;
-            if x_int >= N {
-                v |= 2;
-            }
-            if s.is_high() {
-                // Normalizing s to the low half negates the nonce point's y.
-                s = s.neg();
-                v ^= 1;
-            }
-            return Signature {
-                r,
-                s,
-                v,
-                nonce_y: None,
-            };
-        }
-    }
-
-    /// [`super::verify_prehashed`] as it was before Strauss–Shamir: two
-    /// independent scalar multiplications (the key's window table rebuilt
-    /// per call) and an affine conversion for the final x comparison.
-    pub fn verify_prehashed(
-        public: &PublicKey,
-        msg_hash: &[u8; 32],
-        sig: &Signature,
-    ) -> Result<(), CryptoError> {
-        if sig.r.is_zero() || sig.s.is_zero() || sig.s.is_high() {
-            return Err(CryptoError::InvalidSignature);
-        }
-        let z = Scalar::from_be_bytes_reduced(msg_hash);
-        let s_inv = sig.s.invert().ok_or(CryptoError::InvalidSignature)?;
-        let u1 = z.mul(&s_inv);
-        let u2 = sig.r.mul(&s_inv);
-        let point = point_ref::mul_generator(&u1)
-            .add(&point_ref::mul_point(public.point(), &u2))
-            .to_affine();
-        if point.infinity {
-            return Err(CryptoError::VerificationFailed);
-        }
-        let r_candidate = Scalar::from_u256(point.x.to_u256());
-        if crate::ct::ct_eq(&r_candidate.to_be_bytes(), &sig.r.to_be_bytes()) {
-            Ok(())
-        } else {
-            Err(CryptoError::VerificationFailed)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::keccak256;
     use crate::keys::Keypair;
+    use crate::naive_ec::{naive_mul, naive_verify};
 
     fn hash(msg: &[u8]) -> [u8; 32] {
         keccak256(msg)
@@ -936,11 +854,7 @@ mod tests {
         // …the recovered key verifies the signature (exercising the r + n
         // branch of the projective x check)…
         verify_prehashed(&recovered, &h, &sig).unwrap();
-        assert_eq!(
-            reference::verify_prehashed(&recovered, &h, &sig),
-            Ok(()),
-            "old affine check agrees"
-        );
+        assert!(naive_verify(&recovered, &h, &sig), "affine check agrees");
         // …and recover_address round-trips to the same signer.
         assert_eq!(recover_address(&h, &sig).unwrap(), recovered.address());
         // Without bit 1 the nonce x is taken as r itself, which names a
@@ -1156,17 +1070,50 @@ mod tests {
                     sign_prehashed(&kp.secret, h).to_bytes(),
                     "batch output must be byte-identical"
                 );
-                assert_eq!(
-                    sig.to_bytes(),
-                    reference::sign_prehashed(&kp.secret, h).to_bytes(),
-                    "and identical to the pre-optimization signer"
-                );
+            }
+        }
+    }
+
+    /// Both signers against the textbook: the RFC 6979 nonce, `k·G` by
+    /// double-and-add, `s = (z + r·d)/k` moved to the low half (which
+    /// negates the nonce point's y), `v` from that y and the x overflow.
+    #[test]
+    fn signers_match_the_rfc6979_nonce_and_naive_k_g() {
+        for i in 0..16u64 {
+            let kp = Keypair::from_seed(&i.to_be_bytes());
+            let hashes: Vec<[u8; 32]> = (0..4u64)
+                .map(|j| hash(&[i, j].map(u64::to_be_bytes).concat()))
+                .collect();
+            let batch = sign_prehashed_batch(&kp.secret, &hashes);
+            for (h, from_batch) in hashes.iter().zip(&batch) {
+                let k = Rfc6979::new(&kp.secret, h).next().unwrap();
+                let point = naive_mul(&Affine::GENERATOR, &k).to_affine();
+                let x = point.x.to_u256();
+                let r = Scalar::from_u256(x);
+                let z = Scalar::from_be_bytes_reduced(h);
+                let s = k.invert().unwrap().mul(&z.add(&r.mul(kp.secret.scalar())));
+                let (s, y) = if s.is_high() {
+                    (s.neg(), point.y.neg())
+                } else {
+                    (s, point.y)
+                };
+                let v = y.is_odd() as u8 | if x >= N { 2 } else { 0 };
+                let expect = Signature {
+                    r,
+                    s,
+                    v,
+                    nonce_y: Some(y),
+                };
+                for sig in [sign_prehashed(&kp.secret, h), *from_batch] {
+                    assert_eq!(sig.to_bytes(), expect.to_bytes(), "seed {i}");
+                    assert_eq!(sig.nonce_y, expect.nonce_y, "seed {i}");
+                }
             }
         }
     }
 
     #[test]
-    fn table_verify_matches_plain_and_reference() {
+    fn table_verify_matches_plain_and_naive() {
         let kp = Keypair::from_seed(b"tblver");
         let other = Keypair::from_seed(b"not the signer");
         let table = AffineTable::new(kp.public.point());
@@ -1175,10 +1122,14 @@ mod tests {
             let sig = sign_prehashed(&kp.secret, &h);
             verify_prehashed_with_table(&table, &h, &sig).unwrap();
             let wrong = hash(&[i, 0xFF]);
-            assert_eq!(
+            assert!(naive_verify(&kp.public, &h, &sig));
+            assert!(!naive_verify(&kp.public, &wrong, &sig));
+            for result in [
                 verify_prehashed_with_table(&table, &wrong, &sig),
-                reference::verify_prehashed(&kp.public, &wrong, &sig)
-            );
+                verify_prehashed(&kp.public, &wrong, &sig),
+            ] {
+                assert_eq!(result, Err(CryptoError::VerificationFailed));
+            }
             assert!(verify_prehashed(&other.public, &h, &sig).is_err());
         }
     }

@@ -7,9 +7,8 @@
 //! workspace — profiled as the integrity layer's hard floor once signing
 //! was amortized (see docs/perf.md, "Breaking the hashing wall").
 //!
-//! Two scalar paths live here, both byte-identical to the frozen
-//! [`super::reference`] implementation (proven by
-//! `crates/crypto/tests/hash_differential.rs`):
+//! Two scalar paths live here, both byte-identical to a naive loop-based
+//! sponge (proven by `crates/crypto/tests/hash_differential.rs`):
 //!
 //! * [`Keccak256`] — the incremental sponge for arbitrary-length and
 //!   streamed input, rebuilt on a fully unrolled round function (no lane
@@ -88,7 +87,7 @@ pub(crate) fn keccak_f(state: &mut [u64; 25]) {
             row[4] ^= d[4];
         }
         // Rho and pi fused: the pi cycle unrolled with literal indices
-        // (destination lane, rotation) — the same walk reference::keccak_f
+        // (destination lane, rotation) — the walk a loop-based permutation
         // drives through its PI/RHO tables.
         let mut last = state[1];
         let t = state[10];
@@ -287,8 +286,8 @@ impl Keccak256 {
 /// One-shot Keccak-256 of `data`.
 ///
 /// Sub-rate inputs (`len < 136`) take the fused single-permutation path;
-/// longer inputs run the incremental sponge. Both produce the digest the
-/// frozen [`super::reference`] implementation produces.
+/// longer inputs run the incremental sponge. Both produce the same
+/// digest.
 pub fn keccak256(data: &[u8]) -> [u8; 32] {
     if data.len() < RATE {
         keccak256_fixed(data)

@@ -8,10 +8,9 @@
 //! without wide registers, four independent dependency chains fill the
 //! scalar ALU pipes that a single-state sponge leaves idle.
 //!
-//! Byte-identity with the scalar path (and therefore with the frozen
-//! [`super::reference`] baseline) is proven by
-//! `crates/crypto/tests/hash_differential.rs` across lane positions, rate
-//! boundaries, and ragged batch tails.
+//! Byte-identity with the scalar path (and with a naive loop-based sponge)
+//! is proven by `crates/crypto/tests/hash_differential.rs` across lane
+//! positions, rate boundaries, and ragged batch tails.
 //!
 //! Two entry tiers:
 //!

@@ -2,7 +2,7 @@
 //! SHA-256, and HMAC-SHA256.
 //!
 //! Keccak-256 comes in three throughput tiers, all byte-identical (proven
-//! against the frozen [`reference`](mod@reference) module by the differential test suite):
+//! against a naive loop-based sponge by the differential test suite):
 //!
 //! | path | use |
 //! |---|---|
@@ -14,7 +14,6 @@ mod hmac;
 mod keccak;
 mod keccak4;
 mod metrics;
-pub mod reference;
 mod sha256;
 
 pub use hmac::{hmac_sha256, hmac_sha256_verify, HmacSha256};

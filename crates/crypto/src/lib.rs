@@ -63,3 +63,11 @@ pub use hash::{
 };
 pub use keys::{Address, Keypair, PublicKey, SecretKey};
 pub use signer::{recover_message_signer, sign_message, verify_message, Identity};
+
+// The naive secp256k1 oracles, shared with `tests/differential.rs`; they name
+// this crate as `wedge_crypto`, as an integration test does.
+#[cfg(test)]
+extern crate self as wedge_crypto;
+#[cfg(test)]
+#[path = "../tests/naive_ec/mod.rs"]
+mod naive_ec;

@@ -23,10 +23,6 @@
 //! - **Multi-scalar** ([`msm_u128`]): Pippenger bucket sums for `Σ aᵢ·Pᵢ`
 //!   over many points with 128-bit scalars — the right-hand side of the
 //!   batch verifier's combined equation.
-//!
-//! The pre-existing 4-bit fixed-window implementations are preserved in
-//! [`mod@reference`] as differential baselines; property tests pin the fast
-//! paths to them bit-for-bit.
 
 use std::sync::OnceLock;
 
@@ -586,111 +582,10 @@ pub fn msm_u128(points: &[Affine], scalars: &[u128]) -> Jacobian {
     total
 }
 
-pub mod reference {
-    //! The pre-wNAF scalar-multiplication paths, frozen as differential
-    //! baselines: a 4-bit fixed window over a per-call Jacobian table
-    //! ([`mul_point`]), a 4-bit fixed-window generator table built with one
-    //! inversion per entry ([`mul_generator`]), and the naive two-multiply
-    //! [`mul_double`]. Property tests assert the optimized paths in the
-    //! parent module match these bit-for-bit; the `repro -- signing`
-    //! experiment uses them as the honest pre-optimization baseline.
-
-    use std::sync::OnceLock;
-
-    use super::{Affine, Jacobian, Scalar};
-
-    /// Window width (bits) for scalar multiplication.
-    const WINDOW: usize = 4;
-    /// Table entries per window: we store the multiples 1..=15.
-    const TABLE_LEN: usize = (1 << WINDOW) - 1;
-
-    /// Multiplies an arbitrary point by a scalar (4-bit fixed window over a
-    /// Jacobian table rebuilt on every call).
-    pub fn mul_point(point: &Affine, k: &Scalar) -> Jacobian {
-        if point.infinity || k.is_zero() {
-            return Jacobian::INFINITY;
-        }
-        // Build 1P..15P on the fly.
-        let mut table = [Jacobian::INFINITY; TABLE_LEN];
-        table[0] = point.to_jacobian();
-        for i in 1..TABLE_LEN {
-            table[i] = table[i - 1].add_affine(point);
-        }
-        let bytes = k.to_be_bytes();
-        let mut acc = Jacobian::INFINITY;
-        for byte in bytes {
-            for nibble in [byte >> 4, byte & 0x0F] {
-                for _ in 0..WINDOW {
-                    acc = acc.double();
-                }
-                if nibble != 0 {
-                    acc = acc.add(&table[(nibble - 1) as usize]);
-                }
-            }
-        }
-        acc
-    }
-
-    /// Precomputed window table for the generator: for each of the 64 nibble
-    /// positions, the affine points `d * 16^w * G` for digit `d` in 1..=15.
-    struct GenTable {
-        windows: Vec<[Affine; TABLE_LEN]>,
-    }
-
-    fn gen_table() -> &'static GenTable {
-        static TABLE: OnceLock<GenTable> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut windows = Vec::with_capacity(64);
-            let mut base = Affine::GENERATOR.to_jacobian();
-            for _ in 0..64 {
-                let mut entries = [Affine::INFINITY; TABLE_LEN];
-                let mut acc = base;
-                for slot in entries.iter_mut() {
-                    *slot = acc.to_affine();
-                    acc = acc.add(&base);
-                }
-                // Advance base to 16 * base: acc currently is 16*base.
-                base = acc;
-                windows.push(entries);
-            }
-            GenTable { windows }
-        })
-    }
-
-    /// Multiplies the generator by a scalar using the 4-bit precomputed
-    /// table (64 mixed additions, no doublings).
-    pub fn mul_generator(k: &Scalar) -> Jacobian {
-        if k.is_zero() {
-            return Jacobian::INFINITY;
-        }
-        let table = gen_table();
-        let bytes = k.to_be_bytes();
-        let mut acc = Jacobian::INFINITY;
-        // Window w covers nibble w counting from the least-significant nibble.
-        for w in 0..64 {
-            let byte = bytes[31 - w / 2];
-            let nibble = if w % 2 == 0 { byte & 0x0F } else { byte >> 4 };
-            if nibble != 0 {
-                acc = acc.add_affine(&table.windows[w][(nibble - 1) as usize]);
-            }
-        }
-        acc
-    }
-
-    /// Computes `a*G + b*Q` as two independent multiplications plus an
-    /// addition — no shared doublings, no endomorphism.
-    pub fn mul_double(a: &Scalar, b: &Scalar, q: &Affine) -> Jacobian {
-        mul_generator(a).add(&mul_point(q, b))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// 2G, a classic known-answer vector.
-    const G2X: &str = "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5";
-    const G2Y: &str = "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a";
+    use crate::naive_ec::{naive_mul, naive_mul_double, G2X, G2Y};
 
     #[test]
     fn generator_on_curve() {
@@ -703,6 +598,32 @@ mod tests {
         assert_eq!(g2.x, Fe::from_be_hex(G2X));
         assert_eq!(g2.y, Fe::from_be_hex(G2Y));
         assert!(g2.is_on_curve());
+    }
+
+    /// Every one of the 8,160 comb entries, not only those a few scalars
+    /// touch: window w's entry d is entry d − 1 plus the window's base,
+    /// and window w + 1's base is 256 × window w's. With window 0's base at
+    /// G this pins each entry to `d·256^w·G`; the end of the chain,
+    /// `256^32·G`, is checked against the naive oracle as well.
+    #[test]
+    fn every_comb_entry_is_its_multiple_of_the_generator() {
+        let mut base = Affine::GENERATOR;
+        for (w, window) in comb_table().windows.iter().enumerate() {
+            let expect: Vec<Jacobian> = (0..COMB_TABLE_LEN)
+                .map(|i| match i.checked_sub(1) {
+                    None => base.to_jacobian(),
+                    Some(prev) => window[prev].to_jacobian().add_affine(&base),
+                })
+                .collect();
+            assert_eq!(batch_normalize(&expect), window.to_vec(), "window {w}");
+            // 255·base + base.
+            base = window[COMB_TABLE_LEN - 1]
+                .to_jacobian()
+                .add_affine(&base)
+                .to_affine();
+        }
+        let power = (0..COMB_WINDOWS).fold(Scalar::ONE, |acc, _| acc.mul(&Scalar::from_u64(256)));
+        assert_eq!(base, naive_mul(&Affine::GENERATOR, &power).to_affine());
     }
 
     #[test]
@@ -910,23 +831,23 @@ mod tests {
     }
 
     #[test]
-    fn comb_generator_matches_reference_table() {
+    fn comb_generator_matches_naive_mul() {
         for s in sample_scalars() {
             assert_eq!(
                 mul_generator(&s).to_affine(),
-                reference::mul_generator(&s).to_affine(),
+                naive_mul(&Affine::GENERATOR, &s).to_affine(),
                 "{s:?}"
             );
         }
     }
 
     #[test]
-    fn glv_wnaf_mul_point_matches_reference() {
+    fn glv_wnaf_mul_point_matches_naive_mul() {
         let base = mul_generator(&Scalar::from_u64(31337)).to_affine();
         for s in sample_scalars() {
             assert_eq!(
                 mul_point(&base, &s).to_affine(),
-                reference::mul_point(&base, &s).to_affine(),
+                naive_mul(&base, &s).to_affine(),
                 "{s:?}"
             );
         }
@@ -948,7 +869,7 @@ mod tests {
         let scalars = sample_scalars();
         for a in &scalars {
             for b in &scalars {
-                let expect = reference::mul_double(a, b, &q).to_affine();
+                let expect = naive_mul_double(a, b, &q);
                 assert_eq!(mul_double(a, b, &q).to_affine(), expect, "glv {a:?} {b:?}");
             }
         }

@@ -410,6 +410,8 @@ mod tests {
         part(&split.k1).add(&part(&split.k2).mul(&Scalar::LAMBDA))
     }
 
+    /// Edge scalars and 256 hash-spread ones (a wrong lattice constant still
+    /// reassembles, but no longer halves the work on most scalars).
     #[test]
     fn glv_split_reconstructs_and_is_short() {
         let samples = [
@@ -421,8 +423,10 @@ mod tests {
             Scalar::LAMBDA,
             Scalar::ZERO,
         ];
+        let spread = (0u64..256)
+            .map(|i| Scalar::from_be_bytes_reduced(&crate::hash::keccak256(&i.to_be_bytes())));
         let bound = U256::ONE.shl(129);
-        for k in samples {
+        for k in samples.into_iter().chain(spread) {
             let split = k.split_glv();
             assert_eq!(reassemble(&split), k, "{k:?}");
             assert!(split.k1.1 < bound, "k1 magnitude too large for {k:?}");

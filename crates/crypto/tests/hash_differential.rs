@@ -1,23 +1,25 @@
-//! Differential property tests for the hashing-wall rework: every rebuilt
-//! Keccak-256 path — the unrolled scalar sponge, the fused
-//! single-permutation `keccak256_fixed`, the prefixed one-shot, the ×4
-//! lane-interleaved permutation, and the bucketed batch API — is pinned
-//! byte-for-byte to the frozen pre-PR implementation in `hash::reference`.
+//! Differential property tests for the Keccak-256 paths: the unrolled
+//! scalar sponge, the fused single-permutation `keccak256_fixed`, the
+//! prefixed one-shot, the ×4 lane-interleaved permutation, and the bucketed
+//! batch API are pinned byte-for-byte to the naive loop-based sponge in
+//! `naive_keccak/` (itself anchored by `keccak_vectors.rs`).
 //!
 //! The adversarial shapes the issue calls out get dedicated coverage:
 //! rate-boundary lengths (135/136/137 — padding in-block, padding spilling
 //! into a fresh block, and a two-block message), all four interleave lane
 //! positions, and ragged batch tails that force the scalar remainder path.
 
+mod naive_keccak;
+
 use proptest::prelude::*;
 use wedge_crypto::hash::{
     keccak256, keccak256_batch, keccak256_batch_prefixed, keccak256_fixed, keccak256_fixed_x4,
-    keccak256_prefixed, keccak256_x4_prefixed, reference, Keccak256,
+    keccak256_prefixed, keccak256_x4_prefixed, Keccak256,
 };
 
-/// The frozen baseline digest.
+/// The oracle's digest.
 fn ref_hash(data: &[u8]) -> [u8; 32] {
-    reference::keccak256(data)
+    naive_keccak::keccak256(data)
 }
 
 fn ref_hash_cat(prefix: &[u8], data: &[u8]) -> [u8; 32] {
@@ -29,32 +31,31 @@ fn ref_hash_cat(prefix: &[u8], data: &[u8]) -> [u8; 32] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// One-shot digest (auto-routing scalar path) vs frozen reference,
-    /// arbitrary lengths up to several rate blocks.
+    /// One-shot digest (auto-routing scalar path) vs the oracle, arbitrary
+    /// lengths up to several rate blocks.
     #[test]
-    fn oneshot_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..600)) {
+    fn oneshot_matches_naive(data in proptest::collection::vec(any::<u8>(), 0..600)) {
         prop_assert_eq!(keccak256(&data), ref_hash(&data));
     }
 
-    /// The fused fixed path vs frozen reference (including its ≥ rate
-    /// fallback).
+    /// The fused fixed path vs the oracle (including its ≥ rate fallback).
     #[test]
-    fn fixed_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..300)) {
+    fn fixed_matches_naive(data in proptest::collection::vec(any::<u8>(), 0..300)) {
         prop_assert_eq!(keccak256_fixed(&data), ref_hash(&data));
     }
 
-    /// Prefixed one-shot ≡ reference of the concatenation.
+    /// Prefixed one-shot ≡ oracle of the concatenation.
     #[test]
-    fn prefixed_matches_reference(
+    fn prefixed_matches_naive(
         prefix in proptest::collection::vec(any::<u8>(), 0..70),
         data in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         prop_assert_eq!(keccak256_prefixed(&prefix, &data), ref_hash_cat(&prefix, &data));
     }
 
-    /// Streaming sponge ≡ reference under arbitrary update chunkings.
+    /// Streaming sponge ≡ oracle under arbitrary update chunkings.
     #[test]
-    fn streaming_matches_reference(
+    fn streaming_matches_naive(
         data in proptest::collection::vec(any::<u8>(), 0..600),
         splits in proptest::collection::vec(0usize..600, 0..6),
     ) {
@@ -71,9 +72,9 @@ proptest! {
     }
 
     /// ×4 interleaved (equal block counts by construction: equal lengths)
-    /// vs frozen reference, checking every lane slot.
+    /// vs the oracle, checking every lane slot.
     #[test]
-    fn x4_matches_reference_all_lanes(
+    fn x4_matches_naive_all_lanes(
         len in 0usize..300,
         seeds in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
     ) {
@@ -90,7 +91,7 @@ proptest! {
     /// ×4 with *different* lengths (mixed block counts exercise the scalar
     /// fallback; same-block different lengths exercise lockstep padding).
     #[test]
-    fn x4_mixed_lengths_match_reference(
+    fn x4_mixed_lengths_match_naive(
         lens in (0usize..600, 0usize..600, 0usize..600, 0usize..600),
     ) {
         let msgs: Vec<Vec<u8>> = [lens.0, lens.1, lens.2, lens.3]
@@ -104,9 +105,9 @@ proptest! {
         }
     }
 
-    /// ×4 prefixed ≡ reference of each concatenation.
+    /// ×4 prefixed ≡ oracle of each concatenation.
     #[test]
-    fn x4_prefixed_matches_reference(
+    fn x4_prefixed_matches_naive(
         prefix in proptest::collection::vec(any::<u8>(), 0..40),
         lens in (0usize..200, 0usize..200, 0usize..200, 0usize..200),
     ) {
@@ -121,11 +122,11 @@ proptest! {
         }
     }
 
-    /// Batch ≡ sequential reference digests, arbitrary sizes and counts
+    /// Batch ≡ sequential oracle digests, arbitrary sizes and counts
     /// (ragged tails: any count not divisible by 4 leaves a scalar
     /// remainder; mixed lengths force block-count bucketing).
     #[test]
-    fn batch_matches_reference(
+    fn batch_matches_naive(
         inputs in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..300),
             0..13,
@@ -139,9 +140,9 @@ proptest! {
         }
     }
 
-    /// Prefixed batch ≡ sequential reference digests of concatenations.
+    /// Prefixed batch ≡ sequential oracle digests of concatenations.
     #[test]
-    fn batch_prefixed_matches_reference(
+    fn batch_prefixed_matches_naive(
         prefix in proptest::collection::vec(any::<u8>(), 0..3),
         inputs in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..200),
@@ -158,7 +159,7 @@ proptest! {
 }
 
 /// Every length from empty through two full rate blocks, deterministic
-/// sweep: one-shot, fixed, prefixed, and ×4 all agree with the reference.
+/// sweep: one-shot, fixed, prefixed, and ×4 all agree with the oracle.
 #[test]
 fn exhaustive_length_sweep_0_to_272() {
     for len in 0..=272usize {

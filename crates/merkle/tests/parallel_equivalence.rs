@@ -8,31 +8,33 @@
 //! these tests are the executable statement of that claim. Both builds
 //! route through the ×4 interleaved and fused fixed-shape Keccak paths, so
 //! the suite also pins them (and the public `hash_leaf`/`hash_node`/
-//! `hash_node_x4`/`hash_leaves` helpers) to a naive tree built directly on
-//! the frozen `wedge_crypto::hash::reference` sponge.
+//! `hash_node_x4`/`hash_leaves` helpers) to a naive tree built on the
+//! scalar one-shot `wedge_crypto::keccak256` over the tagged preimages.
+//! That function is pinned to a naive sponge by wedge-crypto's own suites;
+//! what this suite checks is the tree's shape and tagging.
 
 use proptest::prelude::*;
-use wedge_crypto::hash::{reference, Hash32};
+use wedge_crypto::hash::Hash32;
+use wedge_crypto::keccak256;
 use wedge_merkle::{hash_leaf, hash_leaves, hash_node, hash_node_x4, MerkleTree, RangeProof};
 use wedge_pool::WorkPool;
 
-/// Leaf digest computed straight on the frozen reference sponge.
+/// Leaf digest of the tagged preimage `0x00 ‖ data`.
 fn ref_leaf(data: &[u8]) -> Hash32 {
     let mut msg = vec![0x00u8];
     msg.extend_from_slice(data);
-    Hash32(reference::keccak256(&msg))
+    Hash32(keccak256(&msg))
 }
 
-/// Node digest computed straight on the frozen reference sponge.
+/// Node digest of the tagged preimage `0x01 ‖ left ‖ right`.
 fn ref_node(left: &Hash32, right: &Hash32) -> Hash32 {
     let mut msg = vec![0x01u8];
     msg.extend_from_slice(left.as_bytes());
     msg.extend_from_slice(right.as_bytes());
-    Hash32(reference::keccak256(&msg))
+    Hash32(keccak256(&msg))
 }
 
-/// A naive Merkle root folded with the frozen reference hash only:
-/// pairwise parents, odd node promoted.
+/// A naive Merkle root folded pairwise, odd node promoted.
 fn ref_root(leaves: &[Vec<u8>]) -> Hash32 {
     let mut level: Vec<Hash32> = leaves.iter().map(|l| ref_leaf(l)).collect();
     while level.len() > 1 {
@@ -135,12 +137,12 @@ fn empty_leaves_rejected_like_serial() {
     assert!(MerkleTree::from_leaf_hashes(Vec::new()).is_err());
 }
 
-/// Satellite regression: `hash_leaf` and `hash_node` stay byte-identical
-/// to the frozen reference sponge for every sub-rate payload length
-/// (0..=136 covers the fused path and its boundary fallback), and
+/// `hash_leaf` and `hash_node` stay byte-identical to the one-shot digest
+/// of their tagged preimages for every sub-rate payload length (0..=136
+/// covers the fused path and its boundary fallback), and
 /// `hash_node_x4`/`hash_leaves` agree with their scalar counterparts.
 #[test]
-fn tagged_hashes_match_reference_across_lengths() {
+fn tagged_hashes_match_naive_across_lengths() {
     for len in 0..=136usize {
         let data: Vec<u8> = (0..len).map(|i| (i * 13 + len) as u8).collect();
         assert_eq!(hash_leaf(&data), ref_leaf(&data), "leaf len {len}");
@@ -160,11 +162,11 @@ fn tagged_hashes_match_reference_across_lengths() {
     }
 }
 
-/// Serial, pool-parallel, and the naive reference-hash fold all agree on
-/// the root for structurally interesting shapes (×4 octet boundaries at
-/// 8/9, ragged tails, odd promotions at several levels).
+/// Serial, pool-parallel, and the naive fold all agree on the root for
+/// structurally interesting shapes (×4 octet boundaries at 8/9, ragged
+/// tails, odd promotions at several levels).
 #[test]
-fn roots_match_naive_reference_tree() {
+fn roots_match_naive_tree() {
     let pool = WorkPool::new(4);
     for &count in &[
         1usize, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 33, 100, 257,
@@ -189,11 +191,11 @@ fn roots_match_naive_reference_tree() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random shapes: serial, parallel, and the naive reference tree all
+    /// Random shapes: serial, parallel, and the naive tree all
     /// produce the same root (so the ×4/fixed paths can never skew the
     /// on-chain commitment), and proofs verify against it.
     #[test]
-    fn random_roots_match_naive_reference(
+    fn random_roots_match_naive_tree(
         leaves in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..160), 1..200),
         cutoff_seed in any::<usize>(),
     ) {

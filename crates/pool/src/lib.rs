@@ -10,12 +10,12 @@
 //!
 //! Panics raised inside worker tasks never hang the scope: [`WorkPool::map`]
 //! joins every worker and re-raises the first payload on the caller's
-//! thread, while [`WorkPool::try_map`] converts it into a [`PoolError`].
+//! thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Inputs shorter than this are always mapped inline; spawning threads for
@@ -34,35 +34,7 @@ pub fn oversubscription_avoided() -> u64 {
     OVERSUBSCRIPTION_AVOIDED.load(Ordering::Relaxed)
 }
 
-/// Error surfaced by [`WorkPool::try_map`] when a worker task panicked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// A task panicked; the payload's message (when it was a string) is
-    /// preserved so callers can log the cause.
-    TaskPanicked(String),
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::TaskPanicked(msg) => write!(f, "pool task panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
-
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
-
-fn payload_message(payload: &PanicPayload) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
 
 /// A fixed-width work pool: `map` fans a slice out over at most
 /// [`WorkPool::workers`] scoped threads and returns results in input order.
@@ -136,14 +108,44 @@ impl WorkPool {
     /// Like [`WorkPool::map`], but hands each worker its whole contiguous
     /// chunk at once, so `f` can share per-chunk work (one batch inversion,
     /// one table) across the items. `f` returns one output per input, in
-    /// order. Inline runs pass all of `items` as a single chunk.
+    /// order. Inline runs pass all of `items` as a single chunk (and a
+    /// panic unwinds as is); a parallel run joins every worker before it
+    /// re-raises the first panic.
     pub fn map_chunks<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
         U: Send,
         F: Fn(&[T]) -> Vec<U> + Sync,
     {
-        match self.run(items, &f, false) {
+        if self.workers <= 1 || items.len() < MIN_PARALLEL_ITEMS {
+            return f(items);
+        }
+        let chunk = items.len().div_ceil(self.workers).max(1);
+        let dispatched = items.len().div_ceil(chunk) as u64;
+        self.chunks_dispatched
+            .fetch_add(dispatched, Ordering::Relaxed);
+        let f = &f;
+        let scoped = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = items
+                .chunks(chunk)
+                .map(|input| scope.spawn(move |_| f(input)))
+                .collect();
+            let mut out: Vec<U> = Vec::with_capacity(items.len());
+            let mut first_panic: Option<PanicPayload> = None;
+            for handle in handles {
+                match handle.join() {
+                    Ok(part) => out.extend(part),
+                    Err(payload) => {
+                        first_panic.get_or_insert(payload);
+                    }
+                }
+            }
+            first_panic.map_or(Ok(out), Err)
+        });
+        // The outer Err covers a panic escaping the scope closure itself,
+        // which cannot happen since every join is caught above; routing it
+        // through keeps this crate panic-free regardless.
+        match scoped.and_then(|inner| inner) {
             Ok(out) => out,
             Err(payload) => resume_unwind(payload),
         }
@@ -159,71 +161,6 @@ impl WorkPool {
         F: Fn(&[T]) -> U + Sync,
     {
         self.map_chunks(items, |chunk| vec![f(chunk)])
-    }
-
-    /// Like [`WorkPool::map`], but a panicking task yields
-    /// [`PoolError::TaskPanicked`] instead of propagating the panic —
-    /// including on the inline (single-worker) path.
-    pub fn try_map<T, U, F>(&self, items: &[T], f: F) -> Result<Vec<U>, PoolError>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.run(items, &|chunk: &[T]| chunk.iter().map(&f).collect(), true)
-            .map_err(|payload| PoolError::TaskPanicked(payload_message(&payload)))
-    }
-
-    /// Shared engine for `map`/`map_chunks`/`try_map`: `f` maps one
-    /// contiguous chunk. `catch_inline` additionally wraps the inline path
-    /// in `catch_unwind` (only `try_map` wants that; `map` lets an inline
-    /// panic unwind naturally).
-    fn run<T, U, F>(&self, items: &[T], f: &F, catch_inline: bool) -> Result<Vec<U>, PanicPayload>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> Vec<U> + Sync,
-    {
-        if self.workers <= 1 || items.len() < MIN_PARALLEL_ITEMS {
-            return if catch_inline {
-                catch_unwind(AssertUnwindSafe(|| f(items)))
-            } else {
-                Ok(f(items))
-            };
-        }
-        let chunk = items.len().div_ceil(self.workers).max(1);
-        let dispatched = items.len().div_ceil(chunk) as u64;
-        self.chunks_dispatched
-            .fetch_add(dispatched, Ordering::Relaxed);
-        let scoped = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|input| scope.spawn(move |_| f(input)))
-                .collect();
-            let mut out: Vec<U> = Vec::with_capacity(items.len());
-            let mut first_panic: Option<PanicPayload> = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
-                    }
-                }
-            }
-            match first_panic {
-                None => Ok(out),
-                Some(payload) => Err(payload),
-            }
-        });
-        // The outer Err arm covers a panic escaping the scope closure
-        // itself, which cannot happen since every join is caught above;
-        // routing it through keeps this crate panic-free regardless.
-        match scoped {
-            Ok(inner) => inner,
-            Err(payload) => Err(payload),
-        }
     }
 }
 
@@ -292,30 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn try_map_surfaces_panic_as_error() {
-        let pool = WorkPool::new(4);
-        let items: Vec<u32> = (0..64).collect();
-        let err = pool
-            .try_map(&items, |x| {
-                assert!(*x != 13, "boom on 13");
-                *x
-            })
-            .unwrap_err();
-        let PoolError::TaskPanicked(msg) = err;
-        assert!(msg.contains("boom"), "unexpected message: {msg}");
-    }
-
-    #[test]
-    fn try_map_catches_inline_panics_too() {
-        let pool = WorkPool::new(1);
-        let items = vec![1u32, 2, 3];
-        assert!(pool
-            .try_map(&items, |_| -> u32 { panic!("inline") })
-            .is_err());
-    }
-
-    #[test]
     fn map_reraises_worker_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let pool = WorkPool::new(4);
         let items: Vec<u32> = (0..64).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {

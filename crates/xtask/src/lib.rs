@@ -1010,8 +1010,8 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceScan> {
             // The rebuilt Keccak hot paths (`hash/keccak.rs`, `hash/keccak4.rs`)
             // are held to the indexing rule too: the unrolled permutations use
             // only literal lane indices, so any computed index slipping in is a
-            // bug. The frozen `hash/reference.rs` baseline is deliberately
-            // excluded — it must stay byte-identical to the pre-rework text.
+            // bug. (The loop-based oracle they are tested against lives under
+            // `crates/crypto/tests/`, which no rule walks.)
             let keccak_hot_path = *crate_name == "crypto"
                 && file.parent().is_some_and(|p| p.ends_with("hash"))
                 && file
