@@ -12,14 +12,32 @@
 //! - **termination**: the pipeline always drains and joins (a wedge shows
 //!   up as a deadlock, which the checker reports).
 //!
+//! Stage 1 holds requests the way the node's collect stage does: the open
+//! batch is a checked prefix plus an unchecked tail. A momentarily empty
+//! queue is when it checks the tail early, and the batch stays open; a
+//! full batch goes downstream, and the disconnect flushes whatever is
+//! held, prefix and tail.
+//!
 //! `broken: true` replaces stage 1's drain-to-disconnect loop with a
 //! `try_recv`-until-empty loop — the stage can observe a momentarily empty
 //! queue and shut down while requests are still in flight, losing replies.
 
-use crate::channel::bounded;
+use crate::channel::{bounded, Sender, TryRecvError};
 use crate::{explore, thread, Config, Report};
 
 const REQUESTS: u64 = 3;
+
+/// Requests per batch: with three requests, one batch closes on size and
+/// the disconnect flushes the next.
+const BATCH: usize = 2;
+
+/// Sends the held batch downstream, in order.
+fn forward(tx: &Sender<u64>, held: &mut Vec<u64>) -> Result<(), ()> {
+    for v in held.drain(..) {
+        tx.send(v).map_err(|_| ())?;
+    }
+    Ok(())
+}
 
 fn model(broken: bool) {
     // The broken variant loses a reply the moment stage 1 observes "empty"
@@ -42,11 +60,33 @@ fn model(broken: bool) {
                 }
             }
         } else {
-            while let Ok(v) = req_rx.recv() {
-                if mid_tx.send(v).is_err() {
+            let mut checked: Vec<u64> = Vec::new();
+            let mut tail: Vec<u64> = Vec::new();
+            loop {
+                let next = match req_rx.try_recv() {
+                    Ok(v) => Some(v),
+                    Err(TryRecvError::Empty) => {
+                        // Empty right now: check the tail early, then wait
+                        // for more — the batch stays open.
+                        checked.append(&mut tail);
+                        req_rx.recv().ok()
+                    }
+                    Err(TryRecvError::Disconnected) => None,
+                };
+                let Some(v) = next else {
                     break;
+                };
+                tail.push(v);
+                if checked.len() + tail.len() >= BATCH {
+                    checked.append(&mut tail);
+                    if forward(&mid_tx, &mut checked).is_err() {
+                        return;
+                    }
                 }
             }
+            // Disconnected: the held prefix and the tail both go down.
+            checked.append(&mut tail);
+            let _ = forward(&mid_tx, &mut checked);
         }
     });
 

@@ -21,6 +21,12 @@ pub struct NodeStats {
     /// near the ingest rate means publishers that do not come back, more
     /// of them than the cache holds, or a flood of bad signatures.
     pub requests_verified_recovered: u64,
+    /// Requests whose verdict the collect stage reached before their batch
+    /// closed: it checks a filling batch's arrived requests whenever the
+    /// ingest queue is momentarily empty and every publisher among them
+    /// has a long enough run to check. 0 under many light publishers or
+    /// back-to-back full batches, where every request is checked at close.
+    pub requests_verified_early: u64,
     /// Batches flushed (log positions created).
     pub batches_flushed: u64,
     /// ECDSA signatures the node produced over response attestations: one
@@ -95,9 +101,8 @@ pub struct NodeStats {
     /// digests in roughly one permutation's time (process-wide, sampled
     /// from [`wedge_crypto::hash::hash_batches_x4`] when stats are read).
     pub hash_batches_x4: u64,
-    /// Nanoseconds the persist stage spent building batch Merkle trees
-    /// (leaf hashing + level folding) — where digest time goes once
-    /// signing is amortized.
+    /// Nanoseconds the persist stage spent folding batch Merkle trees'
+    /// interior levels (the collect stage hashes the leaves).
     pub merkle_hash_ns: u64,
     /// Segments sealed by rotation since this node started (sampled from
     /// the store when stats are read).

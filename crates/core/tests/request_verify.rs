@@ -4,7 +4,9 @@
 //! for every way a request can be wrong — and must never check a request
 //! against a key that a full recovery did not produce for that address.
 //! (The capacity bound is a unit test beside the map, in
-//! `src/publisher_keys.rs`.)
+//! `src/publisher_keys.rs`.) The node's collect stage verifies a batch as
+//! the prefixes it arrives in, so one batch verified over successive calls
+//! must give the verdicts and the recovery count of one call.
 
 use proptest::prelude::*;
 use wedge_chain::Encoder;
@@ -112,11 +114,58 @@ fn stripped(requests: &[AppendRequest]) -> Vec<AppendRequest> {
     bare
 }
 
-/// Random interleavings of three publishers with random single-field
-/// damage and a random nonce-y hint each: cold pass, warm pass and a second
-/// warm pass at another worker count all equal per-item verification
-/// without hints — and so does per-item verification with them.
-fn check_interleaving(shape: &[(usize, u8, u8)], workers: usize) -> Result<(), TestCaseError> {
+/// `requests` verified as the arrival-ordered prefixes ending at `cuts`
+/// (then the rest), one `verify_batch` call each, on fresh keys: the
+/// concatenated verdicts and the summed recovery count.
+fn verified_in_prefixes(requests: &[AppendRequest], cuts: &[usize], workers: usize) -> Verified {
+    let keys = PublisherKeys::default();
+    let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(requests.len())).collect();
+    ends.sort_unstable();
+    ends.push(requests.len());
+    let mut out = Verified {
+        verdicts: Vec::new(),
+        recovered: 0,
+    };
+    let mut start = 0;
+    for end in ends {
+        let part = verified(&keys, &requests[start..end], workers);
+        out.verdicts.extend(part.verdicts);
+        out.recovered += part.recovered;
+        start = end;
+    }
+    out
+}
+
+/// One batch verified whole and as prefixes: the verdicts of per-item
+/// verification (`expect`) at any width, and on one worker (where a
+/// publisher's run is never split across spans) the same recovery count.
+fn prefixes_match_one_call(
+    requests: &[AppendRequest],
+    cuts: &[usize],
+    expect: &[bool],
+) -> Result<(), TestCaseError> {
+    let whole = verified(&PublisherKeys::default(), requests, 1);
+    prop_assert_eq!(&whole.verdicts[..], expect);
+    prop_assert_eq!(
+        &verified_in_prefixes(requests, cuts, 1),
+        &whole,
+        "cuts {:?}",
+        cuts
+    );
+    let wide = verified_in_prefixes(requests, cuts, 2);
+    prop_assert_eq!(
+        &wide.verdicts,
+        &whole.verdicts,
+        "cuts {:?}, two workers",
+        cuts
+    );
+    Ok(())
+}
+
+/// Three publishers interleaved as `shape` says, each request with the
+/// single-field damage and the nonce-y hint kind it names: the requests,
+/// and per-item verification's verdicts on them without hints.
+fn interleaving(shape: &[(usize, u8, u8)]) -> (Vec<AppendRequest>, Vec<bool>) {
     let kps: Vec<Keypair> = (0..3).map(keypair).collect();
     let mut requests: Vec<AppendRequest> = shape
         .iter()
@@ -145,6 +194,15 @@ fn check_interleaving(shape: &[(usize, u8, u8)], workers: usize) -> Result<(), T
         let neighbour = requests[(i + 1) % requests.len()].signature.nonce_y;
         set_hint(&mut requests[i], hint, neighbour);
     }
+    (requests, expect)
+}
+
+/// Random interleavings of three publishers with random single-field
+/// damage and a random nonce-y hint each: cold pass, warm pass and a second
+/// warm pass at another worker count all equal per-item verification
+/// without hints — and so does per-item verification with them.
+fn check_interleaving(shape: &[(usize, u8, u8)], workers: usize) -> Result<(), TestCaseError> {
+    let (requests, expect) = interleaving(shape);
     prop_assert_eq!(&per_item(&requests), &expect, "per item, hinted");
     let keys = PublisherKeys::default();
     prop_assert_eq!(&batched(&keys, &requests, workers), &expect, "cold");
@@ -187,6 +245,50 @@ proptest! {
         workers in 1usize..4,
     ) {
         check_interleaving(&shape, workers)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random interleavings, damage and hints as above, from first
+    /// contact (every case starts on fresh keys): short and long runs
+    /// (damage values 9..32 leave a request valid), up to four cuts
+    /// anywhere.
+    #[test]
+    fn prefixes_verify_like_one_call(
+        shape in proptest::collection::vec((0usize..3, 0u8..32, 0u8..8), 1..120),
+        cuts in proptest::collection::vec(0usize..120, 0..4),
+    ) {
+        let (requests, expect) = interleaving(&shape);
+        prefixes_match_one_call(&requests, &cuts, &expect)?;
+    }
+}
+
+/// The collect stage's early check on two interleaved first-contact
+/// publishers: bad signatures in the first prefix, runs long enough for
+/// the combined equation in every prefix, and every kind of nonce-y hint.
+#[test]
+fn early_prefixes_with_bad_signatures_verify_like_one_call() {
+    let kps: Vec<Keypair> = (4..6).map(keypair).collect();
+    let mut requests: Vec<AppendRequest> = (0..160u64)
+        .map(|seq| request(&kps[seq as usize % 2], seq))
+        .collect();
+    for i in [0, 3, 10, 11] {
+        requests[i].payload.push(b'!');
+    }
+    requests[40].signature.v ^= 1;
+    let expect = per_item(&requests);
+    let carried: Vec<Option<Fe>> = requests.iter().map(|r| r.signature.nonce_y).collect();
+    let cuts: [&[usize]; 4] = [&[1, 2], &[64], &[64, 128], &[12, 41, 99]];
+    for kind in 0..8u8 {
+        let mut hinted = requests.clone();
+        for (i, r) in hinted.iter_mut().enumerate() {
+            set_hint(r, kind, carried[(i + 1) % carried.len()]);
+        }
+        let cuts = cuts[kind as usize % cuts.len()];
+        prefixes_match_one_call(&hinted, cuts, &expect)
+            .unwrap_or_else(|e| panic!("hint kind {kind}, cuts {cuts:?}: {e}"));
     }
 }
 

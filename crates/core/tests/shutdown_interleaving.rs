@@ -6,7 +6,9 @@
 //! exactly once, and a restart finds nothing left to re-commit. The same
 //! scenario runs under a set of schedules (publisher count, batch size,
 //! submission jitter, shutdown delay) so the shutdown lands at different
-//! points of the pipeline: mid-linger, mid-flush, and mid-stage-2.
+//! points of the pipeline: mid-linger, mid-flush, mid-stage-2, and while
+//! the collect stage holds a checked prefix of a batch that has not closed
+//! (every publisher's run long enough to be checked early).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,7 +29,14 @@ struct Schedule {
     submit_jitter: Duration,
     /// Wall-clock pause before shutdown (explores mid-flush / mid-stage-2).
     shutdown_delay: Duration,
+    batch_linger: Duration,
+    /// The shutdown must find part of the open batch checked early.
+    held_prefix: bool,
 }
+
+const LINGER: Duration = Duration::from_millis(2);
+/// No batch closes by linger: only on size or at the shutdown drain.
+const NO_LINGER: Duration = Duration::from_secs(600);
 
 #[test]
 fn shutdown_mid_batch_loses_and_duplicates_nothing() {
@@ -40,6 +49,8 @@ fn shutdown_mid_batch_loses_and_duplicates_nothing() {
             batch_size: 7,
             submit_jitter: Duration::ZERO,
             shutdown_delay: Duration::ZERO,
+            batch_linger: LINGER,
+            held_prefix: false,
         },
         // Concurrent publishers, shutdown while early batches flush.
         Schedule {
@@ -48,6 +59,8 @@ fn shutdown_mid_batch_loses_and_duplicates_nothing() {
             batch_size: 10,
             submit_jitter: Duration::from_micros(200),
             shutdown_delay: Duration::from_millis(2),
+            batch_linger: LINGER,
+            held_prefix: false,
         },
         // Ragged tail: the last batch is partial and only the linger
         // timeout (or the shutdown drain) can flush it.
@@ -57,6 +70,8 @@ fn shutdown_mid_batch_loses_and_duplicates_nothing() {
             batch_size: 9,
             submit_jitter: Duration::from_micros(500),
             shutdown_delay: Duration::from_millis(8),
+            batch_linger: LINGER,
+            held_prefix: false,
         },
         // Late shutdown: stage 2 is already consuming the handoff queue.
         Schedule {
@@ -65,6 +80,31 @@ fn shutdown_mid_batch_loses_and_duplicates_nothing() {
             batch_size: 6,
             submit_jitter: Duration::from_micros(100),
             shutdown_delay: Duration::from_millis(25),
+            batch_linger: LINGER,
+            held_prefix: false,
+        },
+        // Held prefix: the batch never fills, so the shutdown finds its
+        // first ≥ 512 requests checked (verified, framed, leaf-hashed)
+        // and the rest unchecked; the drain flushes both.
+        Schedule {
+            publishers: 2,
+            requests_per_publisher: 300,
+            batch_size: 2000,
+            submit_jitter: Duration::ZERO,
+            shutdown_delay: Duration::from_millis(50),
+            batch_linger: NO_LINGER,
+            held_prefix: true,
+        },
+        // Held prefix behind a closed batch: the first batch may close
+        // with an early-checked prefix while the second fills.
+        Schedule {
+            publishers: 3,
+            requests_per_publisher: 300,
+            batch_size: 800,
+            submit_jitter: Duration::ZERO,
+            shutdown_delay: Duration::from_millis(50),
+            batch_linger: NO_LINGER,
+            held_prefix: false,
         },
     ];
     for (tag, schedule) in schedules.iter().enumerate() {
@@ -99,7 +139,7 @@ fn run_schedule(tag: usize, schedule: &Schedule) {
     let _ = std::fs::remove_dir_all(&dir);
     let config = NodeConfig {
         batch_size: schedule.batch_size,
-        batch_linger: Duration::from_millis(2),
+        batch_linger: schedule.batch_linger,
         ..Default::default()
     };
     let mut node = OffchainNode::start(
@@ -160,6 +200,18 @@ fn run_schedule(tag: usize, schedule: &Schedule) {
     // (the batcher drains what is queued, flushes the partial batch, and
     // hangs up on the committer, which drains its own queue) and joins
     // both threads.
+    if schedule.held_prefix {
+        // Two runs of ≥ 256 are checked once the collect stage catches up.
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        while node.stats().requests_verified_early < 512 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "schedule {tag}: no early check"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(node.log_positions(), 0, "schedule {tag}: the batch is open");
+    }
     std::thread::sleep(schedule.shutdown_delay);
     node.shutdown();
 

@@ -139,8 +139,22 @@ impl MerkleTree {
         } else {
             hash_leaves(leaves)
         };
-        let (tree, level_chunks) = MerkleTree::build(hashes, Some((pool, cutoff)))?;
+        let (tree, level_chunks) =
+            MerkleTree::from_leaf_hashes_parallel_counted(hashes, pool, cutoff)?;
         Ok((tree, chunks + level_chunks))
+    }
+
+    /// Builds a tree from precomputed leaf hashes, folding the interior
+    /// levels on `pool` while a level holds at least `cutoff` nodes, and
+    /// reports the parallel chunks dispatched. Bit-identical to
+    /// [`MerkleTree::from_leaf_hashes`]; for a caller that hashed the
+    /// leaves itself, off the path that waits for the tree.
+    pub fn from_leaf_hashes_parallel_counted(
+        hashes: Vec<Hash32>,
+        pool: &wedge_pool::WorkPool,
+        cutoff: usize,
+    ) -> Result<(MerkleTree, u64), MerkleError> {
+        MerkleTree::build(hashes, Some((pool, cutoff)))
     }
 
     /// The one level loop: full pairs are hashed — on the pool while a

@@ -72,9 +72,18 @@ fn parallel_tree(leaves: &[Vec<u8>], pool: &WorkPool, cutoff: usize) -> MerkleTr
         .0
 }
 
+/// The tree over leaf hashes computed elsewhere, interior levels on the
+/// pool — the node's persist-stage path.
+fn from_hashes_tree(leaves: &[Vec<u8>], pool: &WorkPool, cutoff: usize) -> MerkleTree {
+    MerkleTree::from_leaf_hashes_parallel_counted(hash_leaves(leaves), pool, cutoff)
+        .unwrap()
+        .0
+}
+
 fn assert_equivalent(leaves: &[Vec<u8>], pool: &WorkPool, cutoff: usize) {
     let serial = MerkleTree::from_leaves(leaves).unwrap();
     let parallel = parallel_tree(leaves, pool, cutoff);
+    let from_hashes = from_hashes_tree(leaves, pool, cutoff);
 
     // Roots bit-identical.
     assert_eq!(
@@ -85,11 +94,17 @@ fn assert_equivalent(leaves: &[Vec<u8>], pool: &WorkPool, cutoff: usize) {
 
     // Every level of the tree identical, not just the root.
     assert_eq!(serial.height(), parallel.height());
+    assert_eq!(serial.height(), from_hashes.height());
     for depth in 0..serial.height() {
         assert_eq!(
             serial.level(depth),
             parallel.level(depth),
             "level {depth} differs"
+        );
+        assert_eq!(
+            serial.level(depth),
+            from_hashes.level(depth),
+            "level {depth} differs over precomputed hashes"
         );
     }
 
@@ -127,6 +142,13 @@ fn counted_builder_reports_zero_chunks_when_disabled() {
     let solo = WorkPool::new(1);
     let (_, chunks) = MerkleTree::from_leaves_parallel_counted(&leaves, &solo, 2).unwrap();
     assert_eq!(chunks, 0, "single-worker pool must never dispatch chunks");
+    // The same over precomputed leaf hashes.
+    let hashes = hash_leaves(&leaves);
+    let (_, chunks) =
+        MerkleTree::from_leaf_hashes_parallel_counted(hashes.clone(), &pool, usize::MAX).unwrap();
+    assert_eq!(chunks, 0);
+    let (_, chunks) = MerkleTree::from_leaf_hashes_parallel_counted(hashes, &solo, 2).unwrap();
+    assert_eq!(chunks, 0);
 }
 
 #[test]
@@ -135,6 +157,7 @@ fn empty_leaves_rejected_like_serial() {
     let empty: Vec<Vec<u8>> = Vec::new();
     assert!(MerkleTree::from_leaves_parallel_counted(&empty, &pool, 2).is_err());
     assert!(MerkleTree::from_leaf_hashes(Vec::new()).is_err());
+    assert!(MerkleTree::from_leaf_hashes_parallel_counted(Vec::new(), &pool, 2).is_err());
 }
 
 /// `hash_leaf` and `hash_node` stay byte-identical to the one-shot digest
@@ -206,6 +229,7 @@ proptest! {
         let parallel = parallel_tree(&leaves, &pool, cutoff);
         prop_assert_eq!(serial.root(), expect);
         prop_assert_eq!(parallel.root(), expect);
+        prop_assert_eq!(from_hashes_tree(&leaves, &pool, cutoff).root(), expect);
     }
 
     #[test]
