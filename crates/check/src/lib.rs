@@ -8,10 +8,10 @@
 //! crate *executes* the three riskiest protocols under every schedule up to
 //! a bound and asserts their invariants in each one:
 //!
-//! - [`models::snapshot`] — snapshot publication vs. hot readers,
 //! - [`models::shutdown`] — pipeline shutdown drain via sender-drop order,
 //! - [`models::slow_client`] — `deliver_append` grace-then-kill vs. the
-//!   coalescing writer's drain.
+//!   coalescing writer's drain,
+//! - [`models::epoch`] — epoch root collection vs. late shard reports.
 //!
 //! Models are plain closures using `check::` primitives in place of `std`/
 //! `crossbeam` ones: [`sync::Mutex`], [`sync::atomic`], [`channel`],

@@ -10,4 +10,3 @@
 pub mod epoch;
 pub mod shutdown;
 pub mod slow_client;
-pub mod snapshot;

@@ -35,7 +35,6 @@ pub(crate) enum Op {
     Disconnect(usize),
     AtLoad(usize),
     AtStore(usize),
-    AtRmw(usize),
     Join(usize),
     Choice(usize),
 }
@@ -54,8 +53,7 @@ impl Op {
             | Op::TryRecv(o)
             | Op::Disconnect(o)
             | Op::AtLoad(o)
-            | Op::AtStore(o)
-            | Op::AtRmw(o) => Some(o),
+            | Op::AtStore(o) => Some(o),
             // Conservative: joining observes another thread's whole life.
             Op::Join(_) => None,
         }
@@ -74,7 +72,6 @@ impl Op {
             Op::Disconnect(o) => format!("disconnect(o{o})"),
             Op::AtLoad(o) => format!("load(o{o})"),
             Op::AtStore(o) => format!("store(o{o})"),
-            Op::AtRmw(o) => format!("rmw(o{o})"),
             Op::Join(t) => format!("join(t{t})"),
             Op::Choice(n) => format!("choice({n})"),
         }

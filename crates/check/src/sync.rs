@@ -1,5 +1,5 @@
-//! Model-checked synchronization primitives: `Mutex` and sequentially
-//! consistent atomics. Every acquire, release, load, store, and RMW is a
+//! Model-checked synchronization primitives: `Mutex` and a sequentially
+//! consistent `AtomicBool`. Every acquire, release, load, and store is a
 //! scheduling point, so the explorer can interleave other threads there.
 
 use std::sync::Arc;
@@ -94,76 +94,34 @@ pub mod atomic {
 
     use crate::rt::{current, ObjState, Op, Runtime};
 
-    macro_rules! model_atomic {
-        ($name:ident, $std:ty, $val:ty) => {
-            pub struct $name {
-                rt: Arc<Runtime>,
-                id: usize,
-                cell: $std,
-            }
-
-            impl $name {
-                pub fn new(v: $val) -> Self {
-                    let (rt, _) = current();
-                    let id = rt.register_object(ObjState::Atomic);
-                    Self {
-                        rt,
-                        id,
-                        cell: <$std>::new(v),
-                    }
-                }
-
-                pub fn load(&self, _order: Ordering) -> $val {
-                    let (_, me) = current();
-                    let _ = self.rt.sched_point(me, Op::AtLoad(self.id));
-                    self.cell.load(Ordering::SeqCst)
-                }
-
-                pub fn store(&self, v: $val, _order: Ordering) {
-                    let (_, me) = current();
-                    let _ = self.rt.sched_point(me, Op::AtStore(self.id));
-                    self.cell.store(v, Ordering::SeqCst);
-                }
-
-                pub fn swap(&self, v: $val, _order: Ordering) -> $val {
-                    let (_, me) = current();
-                    let _ = self.rt.sched_point(me, Op::AtRmw(self.id));
-                    self.cell.swap(v, Ordering::SeqCst)
-                }
-
-                pub fn compare_exchange(
-                    &self,
-                    cur: $val,
-                    new: $val,
-                    _ok: Ordering,
-                    _err: Ordering,
-                ) -> Result<$val, $val> {
-                    let (_, me) = current();
-                    let _ = self.rt.sched_point(me, Op::AtRmw(self.id));
-                    self.cell
-                        .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
-                }
-            }
-        };
+    /// A model `AtomicBool`: every load and store is a scheduling point.
+    pub struct AtomicBool {
+        rt: Arc<Runtime>,
+        id: usize,
+        cell: std::sync::atomic::AtomicBool,
     }
 
-    model_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
-    model_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-    model_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-
-    impl AtomicUsize {
-        pub fn fetch_add(&self, v: usize, _order: Ordering) -> usize {
-            let (_, me) = current();
-            let _ = self.rt.sched_point(me, Op::AtRmw(self.id));
-            self.cell.fetch_add(v, std::sync::atomic::Ordering::SeqCst)
+    impl AtomicBool {
+        pub fn new(v: bool) -> Self {
+            let (rt, _) = current();
+            let id = rt.register_object(ObjState::Atomic);
+            AtomicBool {
+                rt,
+                id,
+                cell: std::sync::atomic::AtomicBool::new(v),
+            }
         }
-    }
 
-    impl AtomicU64 {
-        pub fn fetch_add(&self, v: u64, _order: Ordering) -> u64 {
+        pub fn load(&self, _order: Ordering) -> bool {
             let (_, me) = current();
-            let _ = self.rt.sched_point(me, Op::AtRmw(self.id));
-            self.cell.fetch_add(v, std::sync::atomic::Ordering::SeqCst)
+            let _ = self.rt.sched_point(me, Op::AtLoad(self.id));
+            self.cell.load(Ordering::SeqCst)
+        }
+
+        pub fn store(&self, v: bool, _order: Ordering) {
+            let (_, me) = current();
+            let _ = self.rt.sched_point(me, Op::AtStore(self.id));
+            self.cell.store(v, Ordering::SeqCst);
         }
     }
 }

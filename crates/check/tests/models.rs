@@ -13,28 +13,6 @@ fn cfg() -> Config {
 }
 
 #[test]
-fn snapshot_invariants_hold_in_every_interleaving() {
-    let report = check::models::snapshot::run(false, cfg());
-    println!("snapshot: {report}");
-    assert!(report.failure.is_none(), "{report}");
-    assert!(
-        report.explored > 1_000,
-        "state space too small to be meaningful: {report}"
-    );
-}
-
-#[test]
-fn snapshot_version_before_slot_write_is_caught() {
-    let report = check::models::snapshot::run(true, cfg());
-    println!("snapshot(broken): {report}");
-    let failure = report.failure.expect("reordered publication must fail");
-    assert!(
-        failure.contains("stale snapshot"),
-        "wrong failure: {failure}"
-    );
-}
-
-#[test]
 fn shutdown_drain_holds_in_every_interleaving() {
     let report = check::models::shutdown::run(false, cfg());
     println!("shutdown: {report}");

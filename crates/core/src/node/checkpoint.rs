@@ -26,11 +26,13 @@
 //! u32 crc32 (big-endian, over everything above)
 //! ```
 //!
-//! Files are written atomically (temp + rename + directory fsync); the two
-//! newest are kept so one torn or corrupt file never strands the node. Any
-//! validation failure — CRC, magic, root mismatch against the rebuilt tree,
-//! cursor outside the store's live range — makes [`restore`] fall back to
-//! the next-older file, and ultimately to a full replay.
+//! Commits are exactly positions `0..commit_count` in order (the committed
+//! prefix). Files are written atomically (temp + rename + directory fsync);
+//! the two newest are kept so one torn or corrupt file never strands the
+//! node. Any validation failure — CRC, magic, root mismatch against the
+//! rebuilt tree, state the batches do not back, cursor outside the store's
+//! live range — makes [`restore`] fall back to the next-older file, and
+//! ultimately to a full replay.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -45,7 +47,7 @@ use wedge_merkle::MerkleTree;
 use wedge_sim::SimInstant;
 use wedge_storage::{crc32, LogStore, StorageError};
 
-use super::snapshot::{Snapshot, WritePlane};
+use super::snapshot::Snapshot;
 use super::state::{BatchMeta, CommitInfo};
 use crate::error::CoreError;
 use crate::types::EntryId;
@@ -61,7 +63,7 @@ const KEEP: usize = 2;
 /// A checkpoint restored from disk.
 pub(crate) struct Restored {
     /// The reconstructed write plane (batches, seq index, commits).
-    pub plane: WritePlane,
+    pub plane: Snapshot,
     /// First store record *not* covered: replay starts here.
     pub cursor: u64,
 }
@@ -114,7 +116,7 @@ fn encode(snap: &Snapshot) -> (u64, Vec<u8>) {
     let mut enc = Encoder::new();
     enc.u64(MAGIC).u64(cursor).u64(snap.entry_count);
     enc.u64(snap.batches.len() as u64);
-    for batch in &snap.batches {
+    for batch in snap.batches.iter_from(0) {
         enc.u64(batch.log_id)
             .u64(batch.first_record)
             .u64(batch.count as u64)
@@ -136,11 +138,10 @@ fn encode(snap: &Snapshot) -> (u64, Vec<u8>) {
             .u64(id.log_id)
             .u64(id.offset as u64);
     }
-    let commits = snap.commits.entries();
-    enc.u64(commits.len() as u64);
-    for (log_id, info) in &commits {
+    enc.u64(snap.frontier());
+    for (log_id, info) in (0u64..).zip(snap.commits.iter_from(0)) {
         let latency = info.stage2_latency.as_nanos().min(u64::MAX as u128) as u64;
-        enc.u64(*log_id)
+        enc.u64(log_id)
             .bytes(info.tx_hash.as_bytes())
             .u64(info.block_number)
             .u64(latency);
@@ -151,9 +152,12 @@ fn encode(snap: &Snapshot) -> (u64, Vec<u8>) {
     (cursor, body)
 }
 
-/// Parses and validates checkpoint bytes. `None` on any inconsistency —
-/// including a stored root that the tree rebuilt from the leaf hashes does
-/// not reproduce.
+/// Parses and validates checkpoint bytes. `None` on any inconsistency:
+/// a stored root that the tree rebuilt from the leaf hashes does not
+/// reproduce, an `entry_count` the batch counts do not sum to, a seq entry
+/// outside its batch, or commits that are not the prefix `0..n` of the
+/// batches. The CRC only guards against torn writes, so nothing restored is
+/// trusted further than the batches back it.
 fn decode(bytes: &[u8], now: SimInstant) -> Option<Restored> {
     if bytes.len() < 4 {
         return None;
@@ -170,7 +174,8 @@ fn decode(bytes: &[u8], now: SimInstant) -> Option<Restored> {
     let cursor = dec.u64().ok()?;
     let entry_count = dec.u64().ok()?;
     let batch_count = dec.u64().ok()?;
-    let mut plane = WritePlane::default();
+    let mut plane = Snapshot::default();
+    let mut counted = 0u64;
     let mut expect_first = 1u64; // record 0 is batch 0's header
     for expect_id in 0..batch_count {
         let log_id = dec.u64().ok()?;
@@ -182,13 +187,15 @@ fn decode(bytes: &[u8], now: SimInstant) -> Option<Restored> {
         if first_record != expect_first {
             return None; // batches must tile the log: header, leaves, header…
         }
-        expect_first = first_record + count + 1;
         let root: [u8; 32] = dec.bytes_fixed().ok()?;
         let leaf_count = dec.u64().ok()? as usize;
         let hash_bytes = dec.bytes().ok()?;
         if leaf_count as u64 != count || hash_bytes.len() != leaf_count.checked_mul(32)? {
             return None;
         }
+        // `count` is now bounded by the file's length.
+        expect_first = first_record + count + 1;
+        counted += count;
         let mut hashes = Vec::with_capacity(leaf_count);
         for chunk in hash_bytes.chunks_exact(32) {
             hashes.push(Hash32(chunk.try_into().ok()?));
@@ -211,40 +218,42 @@ fn decode(bytes: &[u8], now: SimInstant) -> Option<Restored> {
         .last()
         .map(|b| b.first_record + b.count as u64)
         .unwrap_or(0);
-    if covered != cursor {
+    if covered != cursor || counted != entry_count {
         return None;
     }
     plane.entry_count = entry_count;
     let seq_count = dec.u64().ok()?;
+    if seq_count > entry_count {
+        return None; // at most one key per entry; also bounds the allocation
+    }
     let mut delta: HashMap<(Address, u64), EntryId> = HashMap::with_capacity(seq_count as usize);
     for _ in 0..seq_count {
         let publisher: [u8; 20] = dec.bytes_fixed().ok()?;
         let sequence = dec.u64().ok()?;
         let log_id = dec.u64().ok()?;
-        let offset = dec.u64().ok()?;
-        delta.insert(
-            (Address(publisher), sequence),
-            EntryId {
-                log_id,
-                offset: u32::try_from(offset).ok()?,
-            },
-        );
+        let offset = u32::try_from(dec.u64().ok()?).ok()?;
+        if offset >= plane.batches.get(usize::try_from(log_id).ok()?)?.count {
+            return None; // the entry must lie inside a restored batch
+        }
+        delta.insert((Address(publisher), sequence), EntryId { log_id, offset });
     }
     plane.seq.insert_batch(delta);
     let commit_count = dec.u64().ok()?;
-    for _ in 0..commit_count {
-        let log_id = dec.u64().ok()?;
+    if commit_count > batch_count {
+        return None;
+    }
+    for expect_id in 0..commit_count {
+        if dec.u64().ok()? != expect_id {
+            return None; // commits must be the prefix 0..commit_count
+        }
         let tx_hash: [u8; 32] = dec.bytes_fixed().ok()?;
         let block_number = dec.u64().ok()?;
         let latency_ns = dec.u64().ok()?;
-        plane.commits.insert(
-            log_id,
-            CommitInfo {
-                tx_hash: Hash32(tx_hash),
-                block_number,
-                stage2_latency: Duration::from_nanos(latency_ns),
-            },
-        );
+        plane.commits.push(CommitInfo {
+            tx_hash: Hash32(tx_hash),
+            block_number,
+            stage2_latency: Duration::from_nanos(latency_ns),
+        });
     }
     dec.finish().ok()?;
     Some(Restored { plane, cursor })
@@ -315,8 +324,8 @@ mod tests {
         dir
     }
 
-    fn sample_plane(batches: u64, per_batch: u32) -> WritePlane {
-        let mut plane = WritePlane::default();
+    fn sample_plane(batches: u64, per_batch: u32) -> Snapshot {
+        let mut plane = Snapshot::default();
         let mut record = 0u64;
         for log_id in 0..batches {
             let leaves: Vec<Vec<u8>> = (0..per_batch)
@@ -337,14 +346,11 @@ mod tests {
             record += 1 + per_batch as u64;
         }
         for log_id in 0..batches.saturating_sub(1) {
-            plane.commits.insert(
-                log_id,
-                CommitInfo {
-                    tx_hash: Hash32([log_id as u8; 32]),
-                    block_number: log_id + 10,
-                    stage2_latency: Duration::from_millis(log_id),
-                },
-            );
+            plane.commits.push(CommitInfo {
+                tx_hash: Hash32([log_id as u8; 32]),
+                block_number: log_id + 10,
+                stage2_latency: Duration::from_millis(log_id),
+            });
         }
         plane
     }
@@ -353,8 +359,7 @@ mod tests {
     fn checkpoint_roundtrips_the_planes() {
         let dir = tempdir("rt");
         let plane = sample_plane(4, 3);
-        let snap = plane.freeze();
-        let cursor = write(&dir, &snap).unwrap();
+        let cursor = write(&dir, &plane).unwrap();
         assert_eq!(cursor, 4 * 4); // 4 batches × (1 header + 3 leaves)
 
         let bytes = std::fs::read(checkpoint_path(&dir, cursor)).unwrap();
@@ -362,7 +367,8 @@ mod tests {
         assert_eq!(restored.cursor, cursor);
         assert_eq!(restored.plane.batches.len(), 4);
         assert_eq!(restored.plane.entry_count, 12);
-        for (orig, back) in plane.batches.iter().zip(&restored.plane.batches) {
+        let batches = plane.batches.iter_from(0);
+        for (orig, back) in batches.zip(restored.plane.batches.iter_from(0)) {
             assert_eq!(orig.log_id, back.log_id);
             assert_eq!(orig.first_record, back.first_record);
             assert_eq!(orig.count, back.count);
@@ -377,8 +383,7 @@ mod tests {
                 offset: 1
             })
         );
-        assert_eq!(restored.plane.commits.len(), 3);
-        assert_eq!(restored.plane.commits.contiguous(), 3);
+        assert_eq!(restored.plane.frontier(), 3);
         assert_eq!(
             restored.plane.commits.get(1).map(|i| i.block_number),
             Some(11)
@@ -388,8 +393,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_rejected() {
         let dir = tempdir("bad");
-        let snap = sample_plane(2, 2).freeze();
-        let cursor = write(&dir, &snap).unwrap();
+        let cursor = write(&dir, &sample_plane(2, 2)).unwrap();
         let path = checkpoint_path(&dir, cursor);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -408,14 +412,131 @@ mod tests {
         assert!(decode(&bytes, SimInstant::EPOCH).is_none());
     }
 
+    /// Two batches, one seq entry (so the bytes do not depend on `HashMap`
+    /// order) and one commit.
+    fn golden_plane() -> Snapshot {
+        let mut plane = Snapshot::default();
+        for (log_id, first_record, count) in [(0u64, 1u64, 2u32), (1, 4, 1)] {
+            let hashes = (0..count)
+                .map(|i| hash_leaf(format!("golden-{log_id}-{i}").as_bytes()))
+                .collect();
+            let meta = BatchMeta {
+                log_id,
+                first_record,
+                count,
+                tree: MerkleTree::from_leaf_hashes(hashes).unwrap(),
+                flushed_at: SimInstant::EPOCH,
+            };
+            let entries = (log_id == 1).then_some(((Address([9; 20]), 42), 0u32));
+            plane.register_batch(meta, entries);
+        }
+        plane.commits.push(CommitInfo {
+            tx_hash: Hash32([0xAB; 32]),
+            block_number: 7,
+            stage2_latency: Duration::from_millis(3),
+        });
+        plane
+    }
+
+    /// Format v1 as written for [`golden_plane`]. Never regenerate these
+    /// bytes from the current code: they pin the format, so an encoder
+    /// change that alters them breaks every checkpoint already on disk.
+    const GOLDEN_V1: &str = concat!(
+        "57434b5000000001000000000000000500000000000000030000000000000002",
+        "000000000000000000000000000000010000000000000002000000206197b625",
+        "d07825d4290b2bfb1fda98805455302d288b6c28edc96636ff4e406400000000",
+        "00000002000000404ebab0df53f82240b1abda067c33a87f1eb911248a41bca1",
+        "8318c68aa2a9004942f68c898e5277c26630df98af58b11d1ee1959ca95fd89e",
+        "68b7ed4caba2282a000000000000000100000000000000040000000000000001",
+        "00000020ec26e6b10e3674dd053bec7cdecfa2d3b103bb4dd527043ac841bc93",
+        "a4131383000000000000000100000020ec26e6b10e3674dd053bec7cdecfa2d3",
+        "b103bb4dd527043ac841bc93a413138300000000000000010000001409090909",
+        "09090909090909090909090909090909000000000000002a0000000000000001",
+        "00000000000000000000000000000001000000000000000000000020abababab",
+        "abababababababababababababababababababababababababababab00000000",
+        "0000000700000000002dc6c0d2f1cbf4",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn format_v1_bytes_are_pinned() {
+        let (cursor, bytes) = encode(&golden_plane());
+        assert_eq!(cursor, 5);
+        assert_eq!(hex(&bytes), GOLDEN_V1);
+
+        let golden: Vec<u8> = (0..GOLDEN_V1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_V1[i..i + 2], 16).unwrap())
+            .collect();
+        let restored = decode(&golden, SimInstant::EPOCH).expect("golden bytes decode");
+        assert_eq!(restored.cursor, 5);
+        let (_, again) = encode(&restored.plane);
+        assert_eq!(again, golden, "decode → encode must reproduce the file");
+        let plane = restored.plane;
+        assert_eq!(plane.entry_count, 3);
+        assert_eq!(
+            plane.seq.get(Address([9; 20]), 42),
+            Some(EntryId {
+                log_id: 1,
+                offset: 0
+            })
+        );
+        let info = plane.commits.get(0).expect("position 0 committed");
+        assert_eq!(
+            (info.tx_hash, info.block_number, info.stage2_latency),
+            (Hash32([0xAB; 32]), 7, Duration::from_millis(3))
+        );
+        assert!(plane.commits.get(1).is_none());
+    }
+
+    /// `bytes` with the big-endian u64 at `at` set to `value` and the CRC
+    /// recomputed, so only decode's own consistency checks can reject it.
+    fn patched(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let body = out.len() - 4;
+        out[at..at + 8].copy_from_slice(&value.to_be_bytes());
+        let crc = crc32(&out[..body]);
+        out[body..].copy_from_slice(&crc.to_be_bytes());
+        out
+    }
+
+    #[test]
+    fn decode_rejects_state_the_batches_do_not_back() {
+        let (_, bytes) = encode(&golden_plane());
+        // The golden plane ends in seq_count, one seq entry (publisher |
+        // sequence | log_id | offset = 48 B), commit_count, and one commit
+        // (log_id | tx_hash | block | latency = 60 B); entry_count is the
+        // third word.
+        let commit = bytes.len() - 4 - 60;
+        let seq = commit - 8 - 48;
+        let entry_count = 16;
+        assert!(decode(&patched(&bytes, commit, 0), SimInstant::EPOCH).is_some());
+        let batch_count = 2;
+        for (what, at, value) in [
+            ("a commit past the batches", commit, batch_count + 5),
+            ("a commit that leaves a hole", commit, 1),
+            ("a seq entry past the batches", seq + 32, batch_count),
+            ("a seq entry past its batch", seq + 40, 1),
+            ("an entry count the batches do not sum to", entry_count, 4),
+            ("more seq entries than entries", seq - 8, u64::MAX),
+        ] {
+            assert!(
+                decode(&patched(&bytes, at, value), SimInstant::EPOCH).is_none(),
+                "decode accepted {what}"
+            );
+        }
+    }
+
     #[test]
     fn prune_keeps_the_newest_two_and_floor_tracks_the_oldest() {
         let dir = tempdir("prune");
         assert_eq!(floor(&dir), 0);
         let mut cursors = Vec::new();
         for n in 1..=4u64 {
-            let snap = sample_plane(n, 2).freeze();
-            cursors.push(write(&dir, &snap).unwrap());
+            cursors.push(write(&dir, &sample_plane(n, 2)).unwrap());
         }
         let kept = list(&dir);
         assert_eq!(kept.len(), KEEP);

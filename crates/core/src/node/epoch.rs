@@ -75,7 +75,7 @@ impl OffchainNode {
                 "epoch commit beyond the flushed tail",
             ));
         }
-        if commit.start > snap.commits.contiguous() {
+        if commit.start > snap.frontier() {
             return Err(CoreError::RequestRejected(
                 "epoch commit leaves a commitment gap",
             ));

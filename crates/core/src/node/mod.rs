@@ -2,11 +2,10 @@
 //! stage-2 digest commitment, and the verified read/audit service.
 //!
 //! State is split across two planes (see `docs/architecture.md`): readers
-//! load an immutable `Snapshot` with a single atomic version check — no
-//! `RwLock` read guard is held on any hot read path — while the stage-1
-//! pipeline and stage-2 committer mutate the write plane through
-//! `Shared::mutate`, which publishes a fresh snapshot exactly once per
-//! batch registration or group commit.
+//! clone the published `Arc<Snapshot>` under a read lock and work on that
+//! immutable view, while the stage-1 pipeline and stage-2 committer mutate
+//! the write plane through `Shared::mutate`, which publishes a fresh
+//! snapshot exactly once per batch registration or group commit.
 
 mod batcher;
 mod checkpoint;
@@ -25,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use wedge_chain::{Address, Chain};
 use wedge_crypto::signer::Identity;
 use wedge_crypto::{Hash32, PublicKey};
@@ -36,7 +35,7 @@ use crate::config::{NodeBehavior, NodeConfig, Stage2Mode};
 use crate::error::CoreError;
 use crate::publisher_keys::PublisherKeys;
 use crate::types::{AppendRequest, CommitPhase, EntryId, SignedResponse};
-use snapshot::{Snapshot, SnapshotCell, WritePlane};
+use snapshot::Snapshot;
 use state::CommitInfo;
 
 /// How a stage-1 outcome is delivered back to the submitter: invoked exactly
@@ -60,12 +59,13 @@ pub(crate) struct Shared {
     pub config: NodeConfig,
     pub store: LogStore,
     /// Read plane: the current immutable snapshot. Load it once per
-    /// request; never hold any lock across store reads or proof generation.
-    pub read_plane: SnapshotCell,
+    /// request through [`Shared::snapshot`]; the guard lives only for the
+    /// `Arc` clone, never across store reads or proof generation.
+    pub read_plane: RwLock<Arc<Snapshot>>,
     /// Write plane: mutate only through [`Shared::mutate`] so every change
     /// is published. The L6 lint forbids holding this guard across storage
     /// I/O, signing, or channel sends.
-    pub write_plane: Mutex<WritePlane>,
+    pub write_plane: Mutex<Snapshot>,
     pub chain: Arc<Chain>,
     pub root_record: Address,
     pub stats: Mutex<NodeStats>,
@@ -95,10 +95,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The current read-plane snapshot (one atomic version load on the hot
-    /// path — see [`SnapshotCell::load`]).
+    /// The current read-plane snapshot.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.read_plane.load()
+        Arc::clone(&self.read_plane.read())
     }
 
     /// Applies `f` to the write plane and publishes the resulting snapshot.
@@ -106,14 +105,17 @@ impl Shared {
     /// Publication happens *while the plane guard is still held*: the guard
     /// serializes the two writers (stage-1 deliver stage, stage-2
     /// committer), so an older snapshot can never overwrite a newer one.
-    /// `f` must not perform storage I/O, signing, or channel sends — the
-    /// guard would stall every other writer (enforced lexically by lint
-    /// L6 for closure bodies inside `.mutate(`).
-    pub fn mutate<R>(&self, f: impl FnOnce(&mut WritePlane) -> R) -> R {
+    /// The clone shares every chunk and level with the plane (see
+    /// [`snapshot`]), and the superseded snapshot is released only after
+    /// both guards are. `f` must not perform storage I/O, signing, or
+    /// channel sends — the guard would stall every other writer (enforced
+    /// lexically by lint L6 for closure bodies inside `.mutate(`).
+    pub fn mutate<R>(&self, f: impl FnOnce(&mut Snapshot) -> R) -> R {
         let mut plane = self.write_plane.lock();
         let out = f(&mut plane);
-        self.read_plane.publish(plane.freeze());
+        let superseded = std::mem::replace(&mut *self.read_plane.write(), Arc::new(plane.clone()));
         drop(plane);
+        drop(superseded);
         self.stats.lock().snapshot_publishes += 1;
         out
     }
@@ -180,7 +182,7 @@ impl OffchainNode {
                         "retention deleted records but no valid checkpoint covers them",
                     ));
                 }
-                let mut plane = WritePlane::default();
+                let mut plane = Snapshot::default();
                 let replayed = state::replay_tail(&store, &mut plane, 0, now)?;
                 (plane, replayed)
             }
@@ -207,7 +209,7 @@ impl OffchainNode {
             identity,
             config,
             store,
-            read_plane: SnapshotCell::new(plane.freeze()),
+            read_plane: RwLock::new(Arc::new(plane.clone())),
             write_plane: Mutex::new(plane),
             chain,
             root_record,
@@ -472,7 +474,7 @@ impl OffchainNode {
     /// The commit phase of a log position.
     pub fn commit_phase(&self, log_id: u64) -> CommitPhase {
         let snap = self.shared.snapshot();
-        if snap.commits.contains(log_id) {
+        if log_id < snap.frontier() {
             CommitPhase::BlockchainCommitted
         } else if (log_id as usize) < snap.batches.len() {
             CommitPhase::OffchainCommitted
@@ -483,7 +485,7 @@ impl OffchainNode {
 
     /// Stage-2 info for a committed position.
     pub fn commit_info(&self, log_id: u64) -> Option<CommitInfo> {
-        self.shared.snapshot().commits.get(log_id)
+        self.shared.snapshot().commits.get(log_id as usize).copied()
     }
 
     /// Number of flushed log positions.
@@ -527,7 +529,7 @@ impl OffchainNode {
             {
                 let snap = self.shared.snapshot();
                 let flushed = snap.batches.len() as u64;
-                let committed = snap.commits.len();
+                let committed = snap.frontier();
                 let omitted = match self.shared.config.behavior {
                     NodeBehavior::OmitStage2 { from_log } => flushed.saturating_sub(from_log),
                     _ => 0,
@@ -538,7 +540,7 @@ impl OffchainNode {
             }
             if clock.now().since(start) > timeout {
                 return Err(CoreError::NotYetBlockchainCommitted {
-                    log_id: self.shared.snapshot().commits.len(),
+                    log_id: self.shared.snapshot().frontier(),
                 });
             }
             clock.sleep(Duration::from_millis(200));
@@ -554,28 +556,31 @@ impl OffchainNode {
         // the truncation (L6).
         let records_to_drop = self.shared.mutate(|plane| {
             let mut remaining = entries;
+            let mut kept = plane.batches.len();
             let mut records = 0u64;
             while remaining > 0 {
-                let Some((count, log_id)) =
-                    plane.batches.last().map(|b| (b.count as u64, b.log_id))
+                let Some(count) = kept
+                    .checked_sub(1)
+                    .and_then(|last| plane.batches.get(last))
+                    .map(|b| b.count as u64)
                 else {
                     break;
                 };
-                let take = count.min(remaining);
                 // Partial destruction of a batch is modelled as dropping the
                 // whole batch (+1 for its header record) — simpler and
                 // strictly worse for the node.
-                plane.batches.pop();
+                kept -= 1;
                 plane.entry_count = plane.entry_count.saturating_sub(count);
-                plane.commits.remove(log_id);
                 records += count + 1;
-                remaining = remaining.saturating_sub(take);
+                remaining = remaining.saturating_sub(count);
             }
             if records > 0 {
-                // Batches are popped from the tail, so survivors are exactly
-                // the log ids below the new length.
-                let kept = plane.batches.len() as u64;
-                plane.seq.retain(|id| id.log_id < kept);
+                // Batches go from the tail, so survivors are exactly the log
+                // ids below `kept`; commitments of the dropped ones go too,
+                // which keeps the commits a prefix of the batches.
+                plane.batches.truncate(kept);
+                plane.commits.truncate(kept);
+                plane.seq.retain(|id| id.log_id < kept as u64);
             }
             records
         });
@@ -621,5 +626,65 @@ impl Drop for OffchainNode {
 pub(crate) fn tamper(leaf: &mut [u8]) {
     if let Some(last) = leaf.last_mut() {
         *last ^= 0xFF;
+    }
+}
+
+/// A node on a fresh simulated chain, for unit tests that drive `Shared`
+/// directly. Dropping it shuts the node down while the miner still runs,
+/// then removes the node's directory.
+#[cfg(test)]
+pub(crate) struct TestNode {
+    pub node: OffchainNode,
+    pub publisher: Identity,
+    dir: PathBuf,
+    _miner: wedge_chain::MinerHandle,
+}
+
+#[cfg(test)]
+impl Drop for TestNode {
+    fn drop(&mut self) {
+        self.node.shutdown();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TestNode {
+    type Target = OffchainNode;
+    fn deref(&self) -> &OffchainNode {
+        &self.node
+    }
+}
+
+/// Starts a [`TestNode`] under a per-test temporary directory.
+#[cfg(test)]
+pub(crate) fn test_node(tag: &str, config: NodeConfig) -> TestNode {
+    let chain = Chain::new(
+        wedge_sim::Clock::compressed(2000.0),
+        wedge_chain::ChainConfig::default(),
+    );
+    let identity = Identity::from_seed(format!("unit-node-{tag}").as_bytes());
+    let publisher = Identity::from_seed(format!("unit-pub-{tag}").as_bytes());
+    chain.fund(identity.address(), wedge_chain::Wei::from_eth(1000));
+    let miner = chain.start_miner();
+    let deployment = crate::deploy_service(
+        &chain,
+        &identity,
+        publisher.address(),
+        &crate::ServiceConfig {
+            escrow: wedge_chain::Wei::from_eth(32),
+            payment_terms: None,
+        },
+    )
+    .expect("deploy contracts");
+    let dir = std::env::temp_dir().join(format!("wedge-unit-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let node = OffchainNode::start(identity, config, chain, deployment.root_record, &dir)
+        .expect("start node");
+    TestNode {
+        node,
+        publisher,
+        dir,
+        _miner: miner,
     }
 }

@@ -54,9 +54,9 @@ pub(crate) fn pending_group(
     behavior: NodeBehavior,
     max_group: usize,
 ) -> ShardGroup {
-    let start = snap.commits.contiguous();
+    let start = snap.frontier();
     let roots = (start..)
-        .zip(snap.batches.iter().skip(start as usize))
+        .zip(snap.batches.iter_from(start as usize))
         .take(max_group.max(1))
         .map_while(|(log_id, batch)| stage2_root_for(behavior, log_id, batch.tree.root()))
         .collect();
@@ -73,6 +73,14 @@ impl Shared {
     /// by `tx_hash` — one write-plane mutation (and one published
     /// snapshot) for the whole group, then tier maintenance. Idempotent per
     /// position; returns the number of *newly* committed ones.
+    ///
+    /// Positions are recorded from the frontier onward, so the commits stay
+    /// a prefix. A `start` beyond the frontier records nothing and returns
+    /// 0: every commit path starts at the frontier it read, and the
+    /// frontier only shrinks in `destroy_tail` (the test-only omission
+    /// simulation). Only then can an in-flight group land past it, and the
+    /// next submission reconciles that group through
+    /// [`Shared::adopt_onchain_tail`].
     pub(crate) fn apply_commit(
         &self,
         start: u64,
@@ -87,22 +95,19 @@ impl Shared {
         let (newly, latency) = self.mutate(|plane| {
             let mut newly = 0u64;
             let mut latency = Duration::ZERO;
-            for log_id in start..start.saturating_add(count) {
+            if start > plane.frontier() {
+                return (newly, latency);
+            }
+            for log_id in plane.frontier()..start.saturating_add(count) {
                 let Some(batch) = plane.batches.get(log_id as usize) else {
                     break;
                 };
-                if plane.commits.contains(log_id) {
-                    continue;
-                }
                 let stage2_latency = committed_at.since(batch.flushed_at);
-                plane.commits.insert(
-                    log_id,
-                    CommitInfo {
-                        tx_hash,
-                        block_number,
-                        stage2_latency,
-                    },
-                );
+                plane.commits.push(CommitInfo {
+                    tx_hash,
+                    block_number,
+                    stage2_latency,
+                });
                 newly += 1;
                 latency += stage2_latency;
             }
@@ -135,7 +140,7 @@ impl Shared {
     /// (the Root Record's single-write rule would revert a duplicate
     /// anyway). `receipt` is the landing transaction when it is known.
     pub(crate) fn adopt_onchain_tail(&self, receipt: Option<&Receipt>) -> u64 {
-        let start = self.snapshot().commits.contiguous();
+        let start = self.snapshot().frontier();
         let landed = self.onchain_tail().saturating_sub(start);
         let (tx_hash, block_number) = receipt
             .map(|r| (r.tx_hash, r.block_number))
@@ -281,7 +286,7 @@ impl TierMaintenance {
     fn after_group_commit(&mut self, shared: &Shared) {
         let tier = shared.config.tier;
         let snap = shared.snapshot();
-        let frontier_log = snap.commits.contiguous();
+        let frontier_log = snap.frontier();
         self.groups_since_ckpt += 1;
         let now = shared.chain.clock().now();
         let due_by_groups = tier.checkpoint_every_groups > 0
@@ -315,14 +320,15 @@ mod tests {
 
     use wedge_merkle::MerkleTree;
 
-    use super::super::snapshot::WritePlane;
     use super::super::state::BatchMeta;
+    use super::super::{test_node, TestNode};
     use super::*;
+    use crate::types::{AppendRequest, CommitPhase};
 
     /// A plane with `flushed` single-leaf batches, the first `committed` of
     /// them blockchain-committed.
     fn snapshot(flushed: u64, committed: u64) -> Arc<Snapshot> {
-        let mut plane = WritePlane::default();
+        let mut plane = Snapshot::default();
         for log_id in 0..flushed {
             let tree = MerkleTree::from_leaves(&[vec![log_id as u8]]).unwrap();
             let meta = BatchMeta {
@@ -334,15 +340,15 @@ mod tests {
             };
             plane.register_batch(meta, std::iter::empty());
         }
-        for log_id in 0..committed {
+        for _ in 0..committed {
             let info = CommitInfo {
                 tx_hash: Hash32::ZERO,
                 block_number: 0,
                 stage2_latency: Duration::ZERO,
             };
-            plane.commits.insert(log_id, info);
+            plane.commits.push(info);
         }
-        plane.freeze()
+        Arc::new(plane)
     }
 
     #[test]
@@ -350,7 +356,7 @@ mod tests {
         let snap = snapshot(8, 3);
         let group = pending_group(&snap, NodeBehavior::Honest, 16);
         assert_eq!(group.start, 3);
-        let honest: Vec<Hash32> = snap.batches[3..].iter().map(|b| b.tree.root()).collect();
+        let honest: Vec<Hash32> = snap.batches.iter_from(3).map(|b| b.tree.root()).collect();
         assert_eq!(group.roots, honest);
         assert_eq!(
             pending_group(&snap, NodeBehavior::Honest, 2).roots,
@@ -379,8 +385,76 @@ mod tests {
     fn pending_group_applies_the_equivocation_behaviour() {
         let snap = snapshot(3, 0);
         let group = pending_group(&snap, NodeBehavior::CommitWrongRoot { from_log: 1 }, 16);
-        assert_eq!(group.roots[0], snap.batches[0].tree.root());
-        assert_ne!(group.roots[1], snap.batches[1].tree.root());
-        assert_ne!(group.roots[2], snap.batches[2].tree.root());
+        let honest: Vec<Hash32> = snap.batches.iter_from(0).map(|b| b.tree.root()).collect();
+        assert_eq!(group.roots[0], honest[0]);
+        assert_ne!(group.roots[1], honest[1]);
+        assert_ne!(group.roots[2], honest[2]);
+    }
+
+    /// A node that flushes every entry as its own batch, with `entries`
+    /// of them appended and every reply received.
+    fn node_with(tag: &str, behavior: NodeBehavior, entries: u64) -> TestNode {
+        let config = crate::NodeConfig {
+            batch_size: 1,
+            behavior,
+            ..Default::default()
+        };
+        let node = test_node(tag, config);
+        append(&node, 0..entries);
+        node
+    }
+
+    fn append(node: &TestNode, sequences: std::ops::Range<u64>) {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let count = sequences.end - sequences.start;
+        for sequence in sequences {
+            let request = AppendRequest::new(node.publisher.secret_key(), sequence, vec![1, 2]);
+            node.submit(request, tx.clone()).unwrap();
+        }
+        for _ in 0..count {
+            rx.recv().unwrap().unwrap();
+        }
+    }
+
+    const IDLE: Duration = Duration::from_secs(600);
+
+    #[test]
+    fn apply_commit_past_the_frontier_records_nothing() {
+        let node = node_with("prefix-gap", NodeBehavior::OmitStage2 { from_log: 2 }, 4);
+        let _ = node.wait_stage2_idle(IDLE);
+        let shared = &node.shared;
+        assert_eq!(shared.snapshot().frontier(), 2);
+
+        assert_eq!(shared.apply_commit(3, 1, Hash32::ZERO, 9), 0, "3 is past 2");
+        assert_eq!(shared.snapshot().frontier(), 2);
+        assert_eq!(node.commit_phase(3), CommitPhase::OffchainCommitted);
+        assert!(node.commit_info(3).is_none());
+
+        // A group overlapping the prefix records only what lies past it.
+        assert_eq!(shared.apply_commit(1, 3, Hash32::ZERO, 9), 2);
+        assert_eq!(shared.snapshot().frontier(), 4);
+        assert_eq!(node.commit_info(3).map(|info| info.block_number), Some(9));
+        assert_ne!(node.commit_info(1).map(|info| info.block_number), Some(9));
+    }
+
+    #[test]
+    fn destroy_tail_truncates_commits_and_adoption_covers_them_again() {
+        let node = node_with("prefix-destroy", NodeBehavior::Honest, 3);
+        node.wait_stage2_idle(IDLE).unwrap();
+        assert_eq!(node.shared.snapshot().frontier(), 3);
+
+        node.destroy_tail(1).unwrap();
+        assert_eq!(node.log_positions(), 2);
+        assert_eq!(node.shared.snapshot().frontier(), 2);
+        assert_eq!(node.commit_phase(2), CommitPhase::Pending);
+
+        // Position 2 is flushed again, but the Root Record already holds
+        // index 2: adopting the contract's tail covers it. The committer
+        // thread races to the same adoption, so either may record it.
+        append(&node, 3..4);
+        assert!(node.shared.adopt_onchain_tail(None) <= 1);
+        node.wait_stage2_idle(IDLE).unwrap();
+        assert_eq!(node.shared.snapshot().frontier(), 3);
+        assert_eq!(node.commit_phase(2), CommitPhase::BlockchainCommitted);
     }
 }

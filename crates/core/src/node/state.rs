@@ -9,7 +9,7 @@ use wedge_merkle::MerkleTree;
 use wedge_sim::SimInstant;
 use wedge_storage::{Frames, LogStore};
 
-use super::snapshot::WritePlane;
+use super::snapshot::Snapshot;
 use crate::error::CoreError;
 use crate::types::AppendRequest;
 
@@ -121,7 +121,7 @@ pub fn decode_header(record: &[u8]) -> Option<Header> {
 /// torn away) is dropped, mirroring the store's torn-tail semantics.
 pub fn replay_tail(
     store: &LogStore,
-    plane: &mut WritePlane,
+    plane: &mut Snapshot,
     from: u64,
     now: SimInstant,
 ) -> Result<u64, CoreError> {

@@ -6,7 +6,7 @@
 //! declare, and the send/recv sites that connect threads.
 //!
 //! * **L7 lock-order** — builds the partial order of `Mutex`/`RwLock`
-//!   acquisitions per function (`stats`, `write_plane`, `slot`, …), inlines
+//!   acquisitions per function (`stats`, `write_plane`, `read_plane`, …), inlines
 //!   one call level deep, and flags any cycle in the union graph: two
 //!   threads taking the same pair of locks in opposite orders is a
 //!   deadlock waiting for the right interleaving.
