@@ -685,19 +685,47 @@ impl Chain {
     /// ([`ChainConfig::confirmations`] deep). Requires a running miner (or
     /// interleaved [`Chain::mine_block`] calls from another thread).
     pub fn wait_for_receipt(&self, hash: TxHash) -> Result<Receipt, ChainError> {
+        self.wait_at_depth(hash, self.config.confirmations, &mut || {})
+    }
+
+    /// Blocks until `hash` is mined (depth 0), under the same patience
+    /// window and receipt faults as [`Chain::wait_for_receipt`], calling
+    /// `between_polls` after each poll interval it sleeps. A revert shows
+    /// here as soon as it is mined; [`Chain::is_confirmed`] on the
+    /// receipt's block says when a success is confirmation-deep.
+    pub fn wait_for_inclusion(
+        &self,
+        hash: TxHash,
+        mut between_polls: impl FnMut(),
+    ) -> Result<Receipt, ChainError> {
+        self.wait_at_depth(hash, 0, &mut between_polls)
+    }
+
+    /// Whether a transaction mined in `block` has
+    /// [`ChainConfig::confirmations`] blocks on top of it. The chain has no
+    /// reorgs, so once mined a transaction only ever gets deeper.
+    pub fn is_confirmed(&self, block: BlockNumber) -> bool {
+        self.block_number() >= block.saturating_add(self.config.confirmations)
+    }
+
+    fn wait_at_depth(
+        &self,
+        hash: TxHash,
+        depth: u64,
+        between_polls: &mut dyn FnMut(),
+    ) -> Result<Receipt, ChainError> {
         let mut waited = Duration::ZERO;
         loop {
-            let confirmed = {
+            let deep = {
                 let inner = self.inner.lock();
                 inner.receipts.get(&hash).and_then(|receipt| {
                     let head = inner.blocks.len() as BlockNumber - 1;
-                    (head >= receipt.block_number + self.config.confirmations)
-                        .then(|| receipt.clone())
+                    (head >= receipt.block_number + depth).then(|| receipt.clone())
                 })
             };
-            if let Some(receipt) = confirmed {
-                // A delay fault hides the confirmed receipt for a while —
-                // from the caller's side the chain is simply congested.
+            if let Some(receipt) = deep {
+                // A delay fault hides the receipt for a while — from the
+                // caller's side the chain is simply congested.
                 if !self.faults.receipt_hidden(hash, self.clock.now()) {
                     return Ok(receipt);
                 }
@@ -707,6 +735,7 @@ impl Chain {
             }
             self.clock.sleep(self.config.receipt_poll);
             waited += self.config.receipt_poll;
+            between_polls();
         }
     }
 

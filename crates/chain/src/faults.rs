@@ -63,9 +63,10 @@ impl ChainFaults {
     }
 
     /// Arms the chain to hide the receipts of the next `n` distinct
-    /// transactions queried via [`crate::Chain::wait_for_receipt`] for
-    /// `delay` of *simulated* time after the first query. A delay beyond
-    /// the configured receipt timeout turns into a
+    /// transactions queried via [`crate::Chain::wait_for_receipt`] or
+    /// [`crate::Chain::wait_for_inclusion`] for `delay` of *simulated*
+    /// time after the first query. A delay beyond the configured receipt
+    /// timeout turns into a
     /// [`crate::ChainError::ReceiptTimeout`] for a transaction that in
     /// fact landed — the partial-progress case a fault-tolerant submitter
     /// must reconcile.

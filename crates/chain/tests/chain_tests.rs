@@ -304,6 +304,30 @@ fn miner_thread_and_confirmations_on_compressed_clock() {
 }
 
 #[test]
+fn inclusion_is_depth_zero_and_confirmation_follows_the_head() {
+    let (chain, user) = setup();
+    let hash = chain
+        .transfer(
+            &user.secret,
+            Keypair::from_seed(b"inclusion").address,
+            Wei(5),
+        )
+        .unwrap();
+    let block = chain.mine_block().number;
+    // Mined is enough: the wait returns without a poll (the manual clock
+    // never advances, so any sleep would block forever).
+    let receipt = chain.wait_for_inclusion(hash, || {}).unwrap();
+    assert_eq!(receipt.block_number, block);
+    for _ in 0..ChainConfig::default().confirmations {
+        assert!(!chain.is_confirmed(block));
+        chain.mine_block();
+    }
+    assert!(chain.is_confirmed(block));
+    // Now confirmation-deep, the confirmed wait returns at once too.
+    assert_eq!(chain.wait_for_receipt(hash).unwrap().block_number, block);
+}
+
+#[test]
 fn replay_rejected() {
     let (chain, user) = setup();
     let bob = Keypair::from_seed(b"replay-bob").address;

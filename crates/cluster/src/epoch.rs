@@ -197,8 +197,8 @@ impl EpochCoordinator {
             .ok_or(CoreError::RequestRejected("cluster with zero shards"))?;
         let landed = self.commit_on_chain(epoch, &shard_roots)?;
         let on_chain = match &landed {
-            Landed::Confirmed(receipt) => ClusterRoot::decode_root(&receipt.output),
-            Landed::Reconciled(_) => self.on_chain_root(epoch).ok(),
+            Landed::Mined(receipt) => ClusterRoot::decode_root(&receipt.output),
+            Landed::Reconciled { .. } => self.on_chain_root(epoch).ok(),
         };
         if on_chain != Some(cluster_root) {
             // Only possible when another coordinator landed this epoch:
@@ -291,7 +291,7 @@ impl EpochCoordinator {
             .committer
             .commit(&mut tx)
             .map_err(|_| CoreError::RequestRejected("epoch commit retries exhausted"))?;
-        if matches!(landed, Landed::Reconciled(_)) {
+        if matches!(landed, Landed::Reconciled { .. }) {
             self.stats.reconciled += 1;
         }
         Ok(landed)

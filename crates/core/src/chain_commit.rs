@@ -5,11 +5,12 @@
 //! its `RootRecord`, the cluster's epoch coordinator lands each
 //! root-of-roots in the `ClusterRoot`. Both contracts write strictly
 //! sequentially, so a duplicate reverts and "did it land?" is answered by
-//! the contract's tail. [`ChainCommitter::commit`] is the retry ladder both
-//! callers share:
+//! the contract's tail. [`ChainCommitter::include`] is the retry ladder both
+//! callers share, and it runs up to *inclusion*:
 //!
-//! 1. **submit** the caller's transaction and wait for its confirmed
-//!    receipt;
+//! 1. **submit** the caller's transaction and wait until it is mined
+//!    ([`Chain::wait_for_inclusion`]: depth 0, the chain's patience window
+//!    and receipt faults);
 //! 2. **classify** a failure — never reached the mempool, mined but
 //!    reverted, or no receipt within the chain's patience window;
 //! 3. **reconcile** by asking the caller's [`CommitTarget::landed`] probe: a
@@ -19,13 +20,25 @@
 //! 4. **back off** on the simulated clock (bounded exponential, jittered —
 //!    see [`Stage2RetryPolicy`]) and retry;
 //! 5. **give up** after `max_attempts` consecutive failures.
+//!
+//! *Confirmation* is a separate, failure-free wait: `wedge-chain` has no
+//! reorgs, so a mined write only gets deeper, and [`ChainCommitter::confirm`]
+//! just waits for [`ChainConfig::confirmations`] blocks on top of it.
+//! [`ChainCommitter::commit`] is the two in a row (the epoch coordinator's
+//! call). The node's committer keeps them apart: it sends the next group as
+//! soon as the previous one is mined and records each group once it is
+//! confirmed — also while a later group waits in `include`, through
+//! [`CommitTarget::waiting`] — so a revert is seen as soon as it is mined
+//! and a loaded node never idles through the confirmation blocks.
+//!
+//! [`ChainConfig::confirmations`]: wedge_chain::ChainConfig::confirmations
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wedge_chain::{Chain, ChainError, Receipt, TxHash};
+use wedge_chain::{BlockNumber, Chain, ChainError, Receipt, TxHash};
 
 use crate::config::Stage2RetryPolicy;
 
@@ -36,8 +49,8 @@ pub enum Failure {
     Submission,
     /// The transaction was mined but reverted.
     Revert,
-    /// No confirmed receipt within the chain's patience window — the
-    /// transaction may or may not have landed.
+    /// No receipt within the chain's patience window — the transaction may
+    /// or may not have landed.
     Timeout,
 }
 
@@ -74,26 +87,51 @@ pub trait CommitTarget {
     /// Progress hook (submission counters, failure triage, backoff
     /// histogram).
     fn observe(&mut self, event: Event);
+
+    /// Called while the engine waits on the chain — between inclusion
+    /// polls and after each backoff — so a caller with earlier writes
+    /// awaiting confirmation can record them on time. Does nothing by
+    /// default.
+    fn waiting(&mut self) {}
 }
 
-/// A write that is on chain.
+/// A write that is on chain — mined, and confirmed once
+/// [`ChainCommitter::confirm`] has returned for it.
 #[derive(Clone, Debug)]
 pub enum Landed {
-    /// The last attempt's own receipt confirmed it.
-    Confirmed(Receipt),
-    /// The probe found it on chain after a failed attempt. The receipt is
-    /// the successful one among this call's transactions; `None` when the
-    /// write landed some other way (before a restart, or through another
-    /// submitter).
-    Reconciled(Option<Receipt>),
+    /// The last attempt's own receipt shows it mined successfully.
+    Mined(Receipt),
+    /// The probe found it on chain after a failed attempt.
+    Reconciled {
+        /// The successful one among this call's transactions; `None` when
+        /// the write landed some other way (before a restart, or through
+        /// another submitter).
+        receipt: Option<Receipt>,
+        /// The head block just after the probe saw the write, so the write
+        /// is mined in this block or an earlier one.
+        seen_at: BlockNumber,
+    },
 }
 
 impl Landed {
     /// The transaction that carried the write, when it is known.
     pub fn receipt(&self) -> Option<&Receipt> {
         match self {
-            Landed::Confirmed(receipt) => Some(receipt),
-            Landed::Reconciled(receipt) => receipt.as_ref(),
+            Landed::Mined(receipt) => Some(receipt),
+            Landed::Reconciled { receipt, .. } => receipt.as_ref(),
+        }
+    }
+
+    /// A block the write is mined in or before: its receipt's block, else
+    /// the head when the probe saw it. Confirmation counts from here.
+    pub fn mined_by(&self) -> BlockNumber {
+        match self {
+            Landed::Mined(receipt)
+            | Landed::Reconciled {
+                receipt: Some(receipt),
+                ..
+            } => receipt.block_number,
+            Landed::Reconciled { seen_at, .. } => *seen_at,
         }
     }
 }
@@ -121,8 +159,18 @@ impl ChainCommitter {
         }
     }
 
-    /// Lands `target` exactly once, or reports exhaustion.
+    /// Lands `target` exactly once and waits until it is confirmed, or
+    /// reports exhaustion: [`ChainCommitter::include`], then
+    /// [`ChainCommitter::confirm`].
     pub fn commit(&mut self, target: &mut impl CommitTarget) -> Result<Landed, Exhausted> {
+        let landed = self.include(target)?;
+        self.confirm(&landed);
+        Ok(landed)
+    }
+
+    /// Lands `target` exactly once — returning as soon as it is mined, not
+    /// yet confirmation-deep — or reports exhaustion.
+    pub fn include(&mut self, target: &mut impl CommitTarget) -> Result<Landed, Exhausted> {
         let max_attempts = self.policy.max_attempts.max(1);
         // Every transaction this call put in the mempool: when the probe
         // says "landed", one of these usually did it and its receipt holds
@@ -134,9 +182,9 @@ impl ChainCommitter {
                 Err(_) => Failure::Submission,
                 Ok(tx) => {
                     sent.push(tx);
-                    match self.chain.wait_for_receipt(tx) {
+                    match self.chain.wait_for_inclusion(tx, || target.waiting()) {
                         Ok(receipt) if receipt.status.is_success() => {
-                            return Ok(Landed::Confirmed(receipt));
+                            return Ok(Landed::Mined(receipt));
                         }
                         Ok(_) => Failure::Revert,
                         Err(ChainError::ReceiptTimeout(_)) => Failure::Timeout,
@@ -146,20 +194,31 @@ impl ChainCommitter {
             };
             target.observe(Event::Failed(failure));
             if target.landed() {
+                let seen_at = self.chain.block_number();
                 let receipt = sent
                     .iter()
                     .rev()
                     .filter_map(|tx| self.chain.receipt(*tx))
                     .find(|receipt| receipt.status.is_success());
-                return Ok(Landed::Reconciled(receipt));
+                return Ok(Landed::Reconciled { receipt, seen_at });
             }
             if attempt < max_attempts {
                 let delay = self.jittered(self.policy.backoff_for(attempt));
                 target.observe(Event::Backoff { attempt, delay });
                 self.chain.clock().sleep(delay);
+                target.waiting();
             }
         }
         Err(Exhausted)
+    }
+
+    /// Blocks until `landed` is confirmation-deep. It cannot fail: the
+    /// chain has no reorgs, so a mined write only gets deeper. Like every
+    /// chain wait it needs a running miner.
+    pub fn confirm(&self, landed: &Landed) {
+        while !self.chain.is_confirmed(landed.mined_by()) {
+            self.chain.clock().sleep(self.chain.config().receipt_poll);
+        }
     }
 
     /// Applies the policy's relative jitter to a backoff duration.
@@ -184,7 +243,9 @@ mod tests {
     use super::*;
 
     /// `Update-Records(start, roots)` against a real Root Record on the
-    /// simulated chain, logging every event the engine reports.
+    /// simulated chain, logging every event the engine reports, every
+    /// transaction sent, the head block at every failure, and how often
+    /// the engine called `waiting`.
     struct Write {
         chain: Arc<Chain>,
         identity: Identity,
@@ -192,9 +253,36 @@ mod tests {
         start: u64,
         roots: Vec<Hash32>,
         events: Vec<Event>,
+        sent: Vec<TxHash>,
+        failed_at: Vec<BlockNumber>,
+        waits: u32,
     }
 
     impl Write {
+        /// The write of `roots` right behind this one, on the same contract.
+        fn next(&self, roots: Vec<Hash32>) -> Write {
+            Write {
+                chain: Arc::clone(&self.chain),
+                identity: self.identity.clone(),
+                contract: self.contract,
+                start: self.start + self.roots.len() as u64,
+                roots,
+                events: Vec::new(),
+                sent: Vec::new(),
+                failed_at: Vec::new(),
+                waits: 0,
+            }
+        }
+
+        /// How many of the transactions sent were mined successfully.
+        fn successes(&self) -> usize {
+            self.sent
+                .iter()
+                .filter_map(|tx| self.chain.receipt(*tx))
+                .filter(|receipt| receipt.status.is_success())
+                .count()
+        }
+
         fn tail(&self) -> u64 {
             let out = self
                 .chain
@@ -206,19 +294,27 @@ mod tests {
 
     impl CommitTarget for Write {
         fn submit(&mut self) -> Result<TxHash, ChainError> {
-            self.chain.call_contract(
+            let tx = self.chain.call_contract(
                 self.identity.secret_key(),
                 self.contract,
                 Wei::ZERO,
                 RootRecord::update_records_calldata(self.start, &self.roots),
                 wedge_chain::Gas(200_000),
-            )
+            )?;
+            self.sent.push(tx);
+            Ok(tx)
         }
         fn landed(&mut self) -> bool {
             self.tail() > self.start
         }
         fn observe(&mut self, event: Event) {
+            if matches!(event, Event::Failed(_)) {
+                self.failed_at.push(self.chain.block_number());
+            }
             self.events.push(event);
+        }
+        fn waiting(&mut self) {
+            self.waits += 1;
         }
     }
 
@@ -246,7 +342,7 @@ mod tests {
                 RootRecord::CODE_LEN,
             )
             .unwrap();
-        chain.wait_for_receipt(tx).unwrap();
+        chain.wait_for_inclusion(tx, || {}).unwrap();
         let write = Write {
             chain: Arc::clone(&chain),
             identity,
@@ -254,6 +350,9 @@ mod tests {
             start: 0,
             roots: vec![Hash32([1; 32]), Hash32([2; 32])],
             events: Vec::new(),
+            sent: Vec::new(),
+            failed_at: Vec::new(),
+            waits: 0,
         };
         (
             ChainCommitter::new(chain, policy(max_attempts)),
@@ -278,7 +377,7 @@ mod tests {
         let (mut committer, mut write, _miner) = world(ChainConfig::default(), 8);
         write.chain.faults().drop_next_submissions(2);
         let landed = committer.commit(&mut write).expect("lands on attempt 3");
-        assert!(matches!(landed, Landed::Confirmed(_)), "{landed:?}");
+        assert!(matches!(landed, Landed::Mined(_)), "{landed:?}");
         assert_eq!(
             write.events,
             vec![
@@ -327,7 +426,11 @@ mod tests {
         let landed = committer.commit(&mut write).expect("reconciled");
         // The probe found it, and the receipt of the one transaction sent is
         // recovered so its gas is accounted for.
-        let Landed::Reconciled(Some(receipt)) = landed else {
+        let Landed::Reconciled {
+            receipt: Some(receipt),
+            ..
+        } = landed
+        else {
             panic!("expected a reconciled landing with its receipt: {landed:?}");
         };
         assert!(receipt.status.is_success());
@@ -347,7 +450,10 @@ mod tests {
         // The same write again: the contract's sequential rule reverts the
         // duplicate, and the probe recognises it as already on chain.
         let landed = committer.commit(&mut write).expect("already landed");
-        assert!(matches!(landed, Landed::Reconciled(None)), "{landed:?}");
+        assert!(
+            matches!(landed, Landed::Reconciled { receipt: None, .. }),
+            "{landed:?}"
+        );
         assert_eq!(
             write.events,
             vec![submitting(1), Event::Failed(Failure::Revert)]
@@ -375,6 +481,149 @@ mod tests {
         );
         assert_eq!(write.chain.faults().submissions_dropped(), 3);
         assert_eq!(write.tail(), 0);
+    }
+
+    /// Confirmation as deep as the tests below need to see a group still
+    /// unconfirmed several blocks after it was mined, with 100 s blocks
+    /// (50 ms of wall time) so that slow debug-build signing on a loaded
+    /// machine stays well inside that margin, and three blocks of patience.
+    fn deep_chain() -> ChainConfig {
+        ChainConfig {
+            block_interval: Duration::from_secs(100),
+            confirmations: 8,
+            receipt_timeout: Duration::from_secs(300),
+            ..ChainConfig::default()
+        }
+    }
+
+    #[test]
+    fn inclusion_honours_receipt_delays_and_the_patience_window() {
+        let (mut committer, mut write, _miner) = world(deep_chain(), 8);
+        let clock = write.chain.clock().clone();
+        // Hidden for less than the patience window: the wait sits it out.
+        write
+            .chain
+            .faults()
+            .delay_next_receipts(1, Duration::from_secs(150));
+        let sent_at = clock.now();
+        let landed = committer.include(&mut write).expect("mined");
+        assert!(matches!(landed, Landed::Mined(_)), "{landed:?}");
+        assert!(clock.now().since(sent_at) >= Duration::from_secs(150));
+        assert_eq!(write.events, vec![submitting(1)]);
+        assert_eq!(write.chain.faults().receipts_delayed(), 1);
+        // The target was handed the time the engine sat waiting.
+        assert!(write.waits > 0);
+        // Mined, but nowhere near eight blocks deep yet.
+        assert!(!write.chain.is_confirmed(landed.mined_by()));
+        committer.confirm(&landed);
+        assert!(write.chain.is_confirmed(landed.mined_by()));
+
+        // Hidden past it: a timeout, reconciled against the tail — the
+        // same outcome `commit` gives (see
+        // `a_timed_out_but_landed_write_is_adopted_not_resent`).
+        let mut next = write.next(vec![Hash32([3; 32])]);
+        next.chain
+            .faults()
+            .delay_next_receipts(1, Duration::from_secs(2400));
+        let sent_at = clock.now();
+        let landed = committer.include(&mut next).expect("reconciled");
+        assert!(clock.now().since(sent_at) >= Duration::from_secs(300));
+        let Landed::Reconciled {
+            receipt: Some(receipt),
+            seen_at,
+        } = &landed
+        else {
+            panic!("expected a reconciled landing with its receipt: {landed:?}");
+        };
+        assert!(receipt.block_number <= *seen_at);
+        assert_eq!(landed.mined_by(), receipt.block_number);
+        assert_eq!(
+            next.events,
+            vec![submitting(1), Event::Failed(Failure::Timeout)]
+        );
+        assert_eq!(next.tail(), 3);
+    }
+
+    #[test]
+    fn a_revert_is_classified_at_inclusion() {
+        let (mut committer, mut write, _miner) = world(deep_chain(), 8);
+        write.chain.faults().revert_next_calls(1);
+        let landed = committer.include(&mut write).expect("lands on attempt 2");
+        assert!(matches!(landed, Landed::Mined(_)), "{landed:?}");
+        let reverted = write.chain.receipt(write.sent[0]).expect("mined");
+        assert!(!reverted.status.is_success());
+        // Seen within a block or two of its mining, not eight blocks later.
+        assert_eq!(write.failed_at.len(), 1);
+        assert!(
+            write.failed_at[0] < reverted.block_number + 3,
+            "revert in block {} seen at head {}",
+            reverted.block_number,
+            write.failed_at[0]
+        );
+    }
+
+    /// Group k is mined and awaits confirmation while group k+1 meets a
+    /// dropped submission, a forced revert or a hidden receipt. Only k+1 is
+    /// touched, and it gets the failure table's outcome; confirmed in
+    /// order, each group lands exactly once.
+    #[test]
+    fn a_failure_behind_a_mined_group_touches_only_the_head() {
+        type Arm = fn(&Chain);
+        let cases: [(&str, Arm, Vec<Event>); 3] = [
+            (
+                "drop",
+                |chain| chain.faults().drop_next_submissions(1),
+                vec![
+                    submitting(1),
+                    Event::Failed(Failure::Submission),
+                    backoff(1, 1),
+                    submitting(2),
+                ],
+            ),
+            (
+                "revert",
+                |chain| chain.faults().revert_next_calls(1),
+                vec![
+                    submitting(1),
+                    Event::Failed(Failure::Revert),
+                    backoff(1, 1),
+                    submitting(2),
+                ],
+            ),
+            (
+                "hidden receipt",
+                |chain| {
+                    chain
+                        .faults()
+                        .delay_next_receipts(1, Duration::from_secs(2400))
+                },
+                vec![submitting(1), Event::Failed(Failure::Timeout)],
+            ),
+        ];
+        for (what, arm, events) in cases {
+            let (mut committer, mut first, _miner) = world(deep_chain(), 8);
+            let k = committer.include(&mut first).expect("group k mined");
+            let mut second = first.next(vec![Hash32([3; 32])]);
+            arm(&second.chain);
+            let k1 = committer.include(&mut second).expect("group k+1 lands");
+            assert!(
+                !second.chain.is_confirmed(k.mined_by()),
+                "{what}: k+1 resolved while k awaits confirmation"
+            );
+            assert_eq!(second.events, events, "{what}");
+            assert_eq!(first.events, vec![submitting(1)], "{what}");
+            // The FIFO order is the chain's order: k+1 after k.
+            assert!(k1.mined_by() > k.mined_by(), "{what}");
+            committer.confirm(&k);
+            committer.confirm(&k1);
+            assert!(second.chain.is_confirmed(k1.mined_by()), "{what}");
+            assert_eq!(second.tail(), 3, "{what}");
+            assert_eq!(
+                (first.successes(), second.successes()),
+                (1, 1),
+                "{what}: each group lands exactly once"
+            );
+        }
     }
 
     #[test]

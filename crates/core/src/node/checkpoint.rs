@@ -35,7 +35,6 @@
 //! ultimately to a full replay.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,7 +44,7 @@ use wedge_crypto::hash::Hash32;
 use wedge_crypto::keys::Address;
 use wedge_merkle::MerkleTree;
 use wedge_sim::SimInstant;
-use wedge_storage::{crc32, LogStore, StorageError};
+use wedge_storage::{crc32, write_atomic, LogStore, StorageError};
 
 use super::snapshot::Snapshot;
 use super::state::{BatchMeta, CommitInfo};
@@ -68,8 +67,8 @@ pub(crate) struct Restored {
     pub cursor: u64,
 }
 
-fn checkpoint_path(dir: &Path, cursor: u64) -> PathBuf {
-    dir.join(format!("checkpoint-{cursor:020}.wckp"))
+fn checkpoint_name(cursor: u64) -> String {
+    format!("checkpoint-{cursor:020}.wckp")
 }
 
 fn io_err(e: std::io::Error) -> CoreError {
@@ -259,27 +258,14 @@ fn decode(bytes: &[u8], now: SimInstant) -> Option<Restored> {
     Some(Restored { plane, cursor })
 }
 
-/// Writes a checkpoint of `snap` atomically and prunes to the newest
-/// [`KEEP`] files. Returns the checkpoint's cursor.
+/// Writes a checkpoint of `snap` atomically and durably, then prunes to
+/// the newest [`KEEP`] files. Returns the checkpoint's cursor. Nothing is
+/// pruned unless the new file — rename included — is durable, so the
+/// checkpoint floor never rises past what a crash leaves on disk.
 pub(crate) fn write(dir: &Path, snap: &Snapshot) -> Result<u64, CoreError> {
     std::fs::create_dir_all(dir).map_err(io_err)?;
     let (cursor, bytes) = encode(snap);
-    let tmp = dir.join("checkpoint.wckp.tmp");
-    {
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(io_err)?;
-        file.write_all(&bytes).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, checkpoint_path(dir, cursor)).map_err(io_err)?;
-    // Make the rename itself durable before pruning older files.
-    if let Ok(dir_handle) = std::fs::File::open(dir) {
-        let _ = dir_handle.sync_all();
-    }
+    write_atomic(dir, &checkpoint_name(cursor), &bytes)?;
     let existing = list(dir);
     for (_, path) in existing.iter().take(existing.len().saturating_sub(KEEP)) {
         let _ = std::fs::remove_file(path);
@@ -362,7 +348,7 @@ mod tests {
         let cursor = write(&dir, &plane).unwrap();
         assert_eq!(cursor, 4 * 4); // 4 batches × (1 header + 3 leaves)
 
-        let bytes = std::fs::read(checkpoint_path(&dir, cursor)).unwrap();
+        let bytes = std::fs::read(dir.join(checkpoint_name(cursor))).unwrap();
         let restored = decode(&bytes, SimInstant::EPOCH).expect("valid checkpoint");
         assert_eq!(restored.cursor, cursor);
         assert_eq!(restored.plane.batches.len(), 4);
@@ -394,7 +380,7 @@ mod tests {
     fn corrupt_checkpoint_is_rejected() {
         let dir = tempdir("bad");
         let cursor = write(&dir, &sample_plane(2, 2)).unwrap();
-        let path = checkpoint_path(&dir, cursor);
+        let path = dir.join(checkpoint_name(cursor));
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -543,6 +529,26 @@ mod tests {
         assert_eq!(kept[0].0, cursors[2]);
         assert_eq!(kept[1].0, cursors[3]);
         assert_eq!(floor(&dir), cursors[2]);
-        assert!(!dir.join("checkpoint.wckp.tmp").exists());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), KEEP, "no temp file left: {names:?}");
+    }
+
+    #[test]
+    fn a_failed_write_prunes_nothing() {
+        let dir = tempdir("failed");
+        let kept: Vec<u64> = (1..=2u64)
+            .map(|n| write(&dir, &sample_plane(n, 2)).unwrap())
+            .collect();
+        // A directory squatting on the temp path fails the write.
+        let plane = sample_plane(3, 2);
+        let squat = dir.join(format!("{}.tmp", checkpoint_name(encode(&plane).0)));
+        std::fs::create_dir_all(&squat).unwrap();
+        assert!(write(&dir, &plane).is_err());
+        let cursors: Vec<u64> = list(&dir).into_iter().map(|(cursor, _)| cursor).collect();
+        assert_eq!(cursors, kept);
+        assert_eq!(floor(&dir), kept[0]);
     }
 }

@@ -38,7 +38,7 @@ impl OffchainNode {
                 "node is not in epoch commit mode",
             ));
         }
-        let group = self.shared.pending_group(max_group);
+        let group = self.shared.pending_group(0, max_group);
         if !group.is_empty() {
             self.shared.stats.lock().epoch_reports += 1;
         }

@@ -1,25 +1,31 @@
 //! Stage 2 (paper §4.3, blockchain commitment): what is pending, how a
 //! landed group is applied, and the direct committer thread.
 //!
-//! Nothing is queued. The **pending group** is derived from the published
-//! snapshot — the contiguous run of flushed positions starting at the
-//! blockchain-committed frontier, capped at `stage2_max_group` — by
+//! No flushed root is queued. The **pending group** is derived from the
+//! published snapshot — the contiguous run of flushed positions starting at
+//! the blockchain-committed frontier, capped at `stage2_max_group` — by
 //! [`pending_group`], and a landed group is recorded by
 //! [`Shared::apply_commit`]. A cluster shard exposes exactly these two as
 //! `epoch_report` / `epoch_commit` and lets the epoch coordinator drive
 //! them; a single node drives them itself from the thread in [`run`],
 //! which lands each group in the `RootRecord` through the shared
-//! [`ChainCommitter`] retry engine. The batcher only *wakes* that thread,
-//! so the committer's memory is O(`stage2_max_group`) however long the
-//! chain is down, and restart and failure recovery are the same step:
+//! [`ChainCommitter`] retry engine.
+//!
+//! The thread sends a group as soon as its predecessor is *mined* and
+//! records it once it is *confirmed*. What it holds is the head group's
+//! roots (≤ `stage2_max_group`) and, per mined group awaiting
+//! confirmation, its range and receipt — at most `confirmations + 1` of
+//! them, one per block, however long the chain is down. The batcher only
+//! *wakes* the thread, and restart and failure recovery are the same step:
 //! adopt the contract's tail ([`Shared::adopt_onchain_tail`]).
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Receiver;
-use wedge_chain::{ChainError, Gas, Receipt, TxHash, Wei};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
+use wedge_chain::{Chain, ChainError, Gas, Receipt, TxHash, Wei};
 use wedge_contracts::RootRecord;
 use wedge_crypto::hash::Hash32;
 use wedge_sim::SimInstant;
@@ -44,17 +50,20 @@ fn stage2_root_for(behavior: NodeBehavior, log_id: u64, honest_root: Hash32) -> 
     }
 }
 
-/// The pending group of `snap`: roots for positions `[frontier,
-/// min(frontier + max_group, flushed))`, where `frontier` is the contiguous
-/// blockchain-committed prefix. The run stops at the first position the
-/// node's behaviour omits — the contracts write strictly sequentially, so
-/// nothing behind a gap could bind to the right on-chain index.
+/// The pending group of `snap`: roots for positions `[start,
+/// min(start + max_group, flushed))`, where `start` is the contiguous
+/// blockchain-committed prefix, or `from` when that lies further (the end
+/// of the positions already sent and awaiting confirmation). The run stops
+/// at the first position the node's behaviour omits — the contracts write
+/// strictly sequentially, so nothing behind a gap could bind to the right
+/// on-chain index.
 pub(crate) fn pending_group(
     snap: &Snapshot,
     behavior: NodeBehavior,
+    from: u64,
     max_group: usize,
 ) -> ShardGroup {
-    let start = snap.frontier();
+    let start = snap.frontier().max(from);
     let roots = (start..)
         .zip(snap.batches.iter_from(start as usize))
         .take(max_group.max(1))
@@ -64,9 +73,10 @@ pub(crate) fn pending_group(
 }
 
 impl Shared {
-    /// This node's pending group, capped at `max_group`.
-    pub(crate) fn pending_group(&self, max_group: usize) -> ShardGroup {
-        pending_group(&self.snapshot(), self.config.behavior, max_group)
+    /// This node's pending group from `from` or the frontier, whichever
+    /// is further, capped at `max_group`.
+    pub(crate) fn pending_group(&self, from: u64, max_group: usize) -> ShardGroup {
+        pending_group(&self.snapshot(), self.config.behavior, from, max_group)
     }
 
     /// Records positions `[start, start + count)` as blockchain-committed
@@ -156,15 +166,18 @@ struct HeadGroup<'a> {
     shared: &'a Shared,
     /// What the last attempt submitted.
     group: ShardGroup,
+    /// The mined groups ahead of it, recorded as they confirm while the
+    /// head waits.
+    in_flight: &'a mut VecDeque<InFlight>,
 }
 
 impl CommitTarget for HeadGroup<'_> {
     fn submit(&mut self) -> Result<TxHash, ChainError> {
-        // Everything flushed since the last receipt rides along, so a long
+        // Everything flushed since the last attempt rides along, so a long
         // outage still drains in ⌈backlog / max_group⌉ transactions.
         let fresh = self
             .shared
-            .pending_group(self.shared.config.stage2_max_group);
+            .pending_group(self.group.start, self.shared.config.stage2_max_group);
         if fresh.start == self.group.start && fresh.roots.len() > self.group.roots.len() {
             self.group = fresh;
         }
@@ -201,61 +214,135 @@ impl CommitTarget for HeadGroup<'_> {
             }
         }
     }
+
+    fn waiting(&mut self) {
+        record_confirmed(self.shared, self.in_flight);
+    }
 }
 
-/// The direct committer thread: lands the pending group, one transaction
-/// at a time, until the batcher has hung up and nothing is pending.
+/// A group on chain but not yet confirmation-deep.
+struct InFlight {
+    start: u64,
+    count: u64,
+    landed: Landed,
+}
+
+impl InFlight {
+    /// The group `head` landed as, read right after the landing: a
+    /// reconciled attempt reached as far as the contract's tail.
+    fn new(shared: &Shared, head: ShardGroup, landed: Landed) -> InFlight {
+        let count = match landed {
+            Landed::Mined(_) => head.roots.len() as u64,
+            Landed::Reconciled { .. } => shared.onchain_tail().saturating_sub(head.start),
+        };
+        InFlight {
+            start: head.start,
+            count,
+            landed,
+        }
+    }
+
+    fn end(&self) -> u64 {
+        self.start + self.count
+    }
+}
+
+/// Records the mined groups that are now confirmation-deep as
+/// blockchain-committed, oldest first.
+fn record_confirmed(shared: &Shared, in_flight: &mut VecDeque<InFlight>) {
+    while let Some(group) = in_flight.front() {
+        if !shared.chain.is_confirmed(group.landed.mined_by()) {
+            return;
+        }
+        let (tx_hash, block_number) = group
+            .landed
+            .receipt()
+            .map_or((Hash32::ZERO, 0), |r| (r.tx_hash, r.block_number));
+        shared.apply_commit(group.start, group.count, tx_hash, block_number);
+        in_flight.pop_front();
+    }
+}
+
+/// The direct committer thread: sends the pending group as soon as the
+/// previous one is mined, and records each group once it is confirmed.
+/// It exits when the batcher has hung up, nothing is pending, and every
+/// group it sent is confirmed and recorded.
+///
+/// At most one of its transactions is ever unmined: the next group goes
+/// out only after the last one was mined successfully, so nonces stay
+/// dense, the Root Record's `start == tail` rule orders the groups, and a
+/// failure touches only the unmined head.
 ///
 /// `wake` carries no data — the batcher drops a token in after registering
 /// a batch. When the retry budget is exhausted the abandoned group counts
-/// in `stage2_failed` once and the thread parks for good: the Root Record
-/// is strictly sequential, so nothing behind an abandoned head could land,
-/// and every later submission would be a guaranteed revert. A restart
-/// starts over from the contract's tail.
+/// in `stage2_failed` once and the thread parks for good once the groups
+/// already mined are recorded: the Root Record is strictly sequential, so
+/// nothing behind an abandoned head could land, and every later submission
+/// would be a guaranteed revert. A restart starts over from the contract's
+/// tail.
 pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
     let mut committer = ChainCommitter::new(Arc::clone(&shared.chain), shared.config.stage2_retry);
+    // Mined groups, oldest first. `wedge-chain` has no reorgs, so each of
+    // them will confirm: the next group starts where the last one ends, and
+    // they are recorded in this order once confirmation-deep.
+    let mut in_flight: VecDeque<InFlight> = VecDeque::new();
     let mut batcher_alive = true;
+    let mut parked = false;
     loop {
-        let group = shared.pending_group(shared.config.stage2_max_group);
-        if group.is_empty() {
-            if !batcher_alive {
+        record_confirmed(&shared, &mut in_flight);
+        let group = if parked {
+            ShardGroup::default()
+        } else {
+            let from = in_flight.back().map_or(0, InFlight::end);
+            shared.pending_group(from, shared.config.stage2_max_group)
+        };
+        if !group.is_empty() {
+            let mut head = HeadGroup {
+                shared: &shared,
+                group,
+                in_flight: &mut in_flight,
+            };
+            let landed = committer.include(&mut head);
+            let group = head.group;
+            match landed {
+                Ok(landed) => {
+                    if let Some(receipt) = landed.receipt() {
+                        let mut stats = shared.stats.lock();
+                        stats.stage2_gas = stats.stage2_gas.saturating_add(receipt.gas_used);
+                        stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
+                    }
+                    in_flight.push_back(InFlight::new(&shared, group, landed));
+                }
+                Err(Exhausted) => {
+                    shared.stats.lock().stage2_failed += group.roots.len() as u64;
+                    parked = true;
+                }
+            }
+            continue;
+        }
+        if in_flight.is_empty() {
+            if parked || !batcher_alive {
                 return;
             }
             batcher_alive = wake.recv().is_ok();
             continue;
         }
-        let mut head = HeadGroup {
-            shared: &shared,
-            group,
-        };
-        match committer.commit(&mut head) {
-            Ok(landed) => {
-                if let Some(receipt) = landed.receipt() {
-                    let mut stats = shared.stats.lock();
-                    stats.stage2_gas = stats.stage2_gas.saturating_add(receipt.gas_used);
-                    stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
-                }
-                match landed {
-                    Landed::Confirmed(receipt) => {
-                        let count = head.group.roots.len() as u64;
-                        shared.apply_commit(
-                            head.group.start,
-                            count,
-                            receipt.tx_hash,
-                            receipt.block_number,
-                        );
-                    }
-                    // Which attempt landed is unknown: the contract's tail
-                    // says how far it reached.
-                    Landed::Reconciled(receipt) => {
-                        shared.adopt_onchain_tail(receipt.as_ref());
-                    }
-                }
-            }
-            Err(Exhausted) => {
-                shared.stats.lock().stage2_failed += head.group.roots.len() as u64;
-                return;
-            }
+        batcher_alive = nap(&shared.chain, &wake, batcher_alive);
+    }
+}
+
+/// Waits one receipt poll of simulated time for the oldest mined group to
+/// get deeper, returning early when the batcher registers a batch. Returns
+/// whether the batcher is still alive.
+fn nap(chain: &Chain, wake: &Receiver<()>, batcher_alive: bool) -> bool {
+    let poll = chain.config().receipt_poll;
+    match chain.clock().compression() {
+        Some(factor) if batcher_alive => {
+            wake.recv_timeout(poll.div_f64(factor)) != Err(RecvTimeoutError::Disconnected)
+        }
+        _ => {
+            chain.clock().sleep(poll);
+            batcher_alive
         }
     }
 }
@@ -354,17 +441,26 @@ mod tests {
     #[test]
     fn pending_group_is_the_capped_run_from_the_frontier() {
         let snap = snapshot(8, 3);
-        let group = pending_group(&snap, NodeBehavior::Honest, 16);
+        let group = pending_group(&snap, NodeBehavior::Honest, 0, 16);
         assert_eq!(group.start, 3);
         let honest: Vec<Hash32> = snap.batches.iter_from(3).map(|b| b.tree.root()).collect();
         assert_eq!(group.roots, honest);
         assert_eq!(
-            pending_group(&snap, NodeBehavior::Honest, 2).roots,
+            pending_group(&snap, NodeBehavior::Honest, 0, 2).roots,
             honest[..2]
         );
         // max_group 0 is clamped to one root per transaction.
-        assert_eq!(pending_group(&snap, NodeBehavior::Honest, 0).roots.len(), 1);
-        assert!(pending_group(&snapshot(3, 3), NodeBehavior::Honest, 16).is_empty());
+        assert_eq!(
+            pending_group(&snap, NodeBehavior::Honest, 0, 0).roots.len(),
+            1
+        );
+        assert!(pending_group(&snapshot(3, 3), NodeBehavior::Honest, 0, 16).is_empty());
+        // Positions in flight are skipped; a `from` behind the frontier is
+        // not.
+        let next = pending_group(&snap, NodeBehavior::Honest, 5, 16);
+        assert_eq!((next.start, next.roots.as_slice()), (5, &honest[2..]));
+        assert_eq!(pending_group(&snap, NodeBehavior::Honest, 1, 16).start, 3);
+        assert!(pending_group(&snap, NodeBehavior::Honest, 8, 16).is_empty());
     }
 
     /// Regression (PR 2 satellite, restated for the pull design): a
@@ -375,16 +471,16 @@ mod tests {
     #[test]
     fn pending_group_stops_at_an_omitted_position() {
         let snap = snapshot(6, 1);
-        let group = pending_group(&snap, NodeBehavior::OmitStage2 { from_log: 4 }, 16);
+        let group = pending_group(&snap, NodeBehavior::OmitStage2 { from_log: 4 }, 0, 16);
         assert_eq!((group.start, group.roots.len()), (1, 3), "4.. must wait");
-        let omitted = pending_group(&snap, NodeBehavior::OmitStage2 { from_log: 0 }, 16);
+        let omitted = pending_group(&snap, NodeBehavior::OmitStage2 { from_log: 0 }, 0, 16);
         assert!(omitted.is_empty());
     }
 
     #[test]
     fn pending_group_applies_the_equivocation_behaviour() {
         let snap = snapshot(3, 0);
-        let group = pending_group(&snap, NodeBehavior::CommitWrongRoot { from_log: 1 }, 16);
+        let group = pending_group(&snap, NodeBehavior::CommitWrongRoot { from_log: 1 }, 0, 16);
         let honest: Vec<Hash32> = snap.batches.iter_from(0).map(|b| b.tree.root()).collect();
         assert_eq!(group.roots[0], honest[0]);
         assert_ne!(group.roots[1], honest[1]);
@@ -424,17 +520,24 @@ mod tests {
         let _ = node.wait_stage2_idle(IDLE);
         let shared = &node.shared;
         assert_eq!(shared.snapshot().frontier(), 2);
+        // A block number the test chain never reaches marks these commits.
+        const MARK: u64 = u64::MAX;
 
-        assert_eq!(shared.apply_commit(3, 1, Hash32::ZERO, 9), 0, "3 is past 2");
+        assert_eq!(
+            shared.apply_commit(3, 1, Hash32::ZERO, MARK),
+            0,
+            "3 is past 2"
+        );
         assert_eq!(shared.snapshot().frontier(), 2);
         assert_eq!(node.commit_phase(3), CommitPhase::OffchainCommitted);
         assert!(node.commit_info(3).is_none());
 
         // A group overlapping the prefix records only what lies past it.
-        assert_eq!(shared.apply_commit(1, 3, Hash32::ZERO, 9), 2);
+        assert_eq!(shared.apply_commit(1, 3, Hash32::ZERO, MARK), 2);
         assert_eq!(shared.snapshot().frontier(), 4);
-        assert_eq!(node.commit_info(3).map(|info| info.block_number), Some(9));
-        assert_ne!(node.commit_info(1).map(|info| info.block_number), Some(9));
+        let block = |log_id| node.commit_info(log_id).map(|info| info.block_number);
+        assert_eq!(block(3), Some(MARK));
+        assert_ne!(block(1), Some(MARK));
     }
 
     #[test]

@@ -2,16 +2,20 @@
 //! submissions, forced reverts, hidden receipts) during sustained ingestion
 //! must never silently lose a flushed commitment — every position reaches
 //! `CommitPhase::BlockchainCommitted` exactly once short of retry
-//! exhaustion.
+//! exhaustion. The committer sends each group once the previous one is
+//! mined: the last tests load it so that groups overlap their confirmation
+//! blocks, and check that it still has at most one unmined transaction and
+//! records a group only once it is confirmed.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
+use wedge_chain::{Chain, ChainConfig, Receipt, Wei};
 use wedge_contracts::RootRecord;
 use wedge_core::{
     deploy_service, CommitPhase, NodeBehavior, NodeConfig, OffchainNode, Publisher, ServiceConfig,
-    Stage2RetryPolicy,
+    SignedResponse, Stage2RetryPolicy,
 };
 use wedge_crypto::signer::Identity;
 use wedge_sim::Clock;
@@ -439,4 +443,365 @@ fn exhausted_committer_parks_until_restart() {
         "4 positions, one group"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Blocks of 1,200 simulated seconds — 600 ms of wall time — so a
+/// publisher appending in a loop flushes many batches per block interval
+/// even in a debug build beside other tests.
+fn slow_blocks() -> ChainConfig {
+    ChainConfig {
+        block_interval: Duration::from_secs(1200),
+        receipt_timeout: Duration::from_secs(12_000),
+        ..Default::default()
+    }
+}
+
+/// A node flushing two-entry batches, whose groups may carry every batch
+/// one slow block collects.
+fn loaded_config(behavior: NodeBehavior) -> NodeConfig {
+    NodeConfig {
+        stage2_max_group: 256,
+        behavior,
+        ..node_config(2)
+    }
+}
+
+const SLOW_IDLE: Duration = Duration::from_secs(120_000);
+
+/// Appends one two-entry batch at a time until `blocks` more blocks are
+/// mined, and checks the load: at least three batches per block interval.
+fn ingest_for_blocks(chain: &Chain, publisher: &mut Publisher, blocks: u64) -> Vec<SignedResponse> {
+    let until = chain.block_number() + blocks;
+    let mut responses = Vec::new();
+    let mut batches = 0;
+    while chain.block_number() < until {
+        let outcome = publisher.append_batch(payloads(2)).expect("append");
+        responses.extend(outcome.responses);
+        batches += 1;
+    }
+    assert!(
+        batches >= 3 * blocks,
+        "{batches} batches in {blocks} blocks: too few to load the committer"
+    );
+    responses
+}
+
+/// Every transaction mined after block `after`, with its block's
+/// transaction count. Only the node sends transactions once its service
+/// is deployed.
+fn mined_after(chain: &Chain, after: u64) -> Vec<(usize, Receipt)> {
+    chain
+        .block_range(after + 1, chain.block_number())
+        .iter()
+        .flat_map(|block| {
+            let receipts = chain.block_receipts(block.number);
+            let count = receipts.len();
+            receipts.into_iter().map(move |receipt| (count, receipt))
+        })
+        .collect()
+}
+
+/// Asserts that no block after `after` holds two node transactions (two
+/// never waited in the mempool together) and that none of them reverted.
+fn assert_one_unmined_and_no_revert(chain: &Chain, after: u64) -> Vec<Receipt> {
+    let mined = mined_after(chain, after);
+    for (count, receipt) in &mined {
+        assert_eq!(
+            *count, 1,
+            "two node transactions in block {}",
+            receipt.block_number
+        );
+        assert!(receipt.status.is_success(), "reverted: {receipt:?}");
+    }
+    mined.into_iter().map(|(_, receipt)| receipt).collect()
+}
+
+/// Samples the chain and the node from a second thread until
+/// [`Watch::finish`]: the most transactions ever waiting in the mempool at
+/// once, and every position seen recorded as committed while its block was
+/// not yet confirmation-deep.
+struct Watch {
+    stop: Arc<AtomicBool>,
+    handle: std::thread::JoinHandle<(usize, Vec<u64>)>,
+}
+
+impl Watch {
+    fn start(chain: &Arc<Chain>, node: &Arc<OffchainNode>) -> Watch {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (chain, node, done) = (Arc::clone(chain), Arc::clone(node), Arc::clone(&stop));
+        let handle = std::thread::spawn(move || {
+            let mut max_pending = 0;
+            let mut early = Vec::new();
+            while !done.load(Ordering::Relaxed) {
+                max_pending = max_pending.max(chain.pending_count());
+                let newest = node.stats().stage2_committed.checked_sub(1);
+                if let Some((log_id, info)) =
+                    newest.and_then(|id| node.commit_info(id).map(|info| (id, info)))
+                {
+                    if !chain.is_confirmed(info.block_number) && early.last() != Some(&log_id) {
+                        early.push(log_id);
+                    }
+                }
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            (max_pending, early)
+        });
+        Watch { stop, handle }
+    }
+
+    fn finish(self) -> (usize, Vec<u64>) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.handle.join().expect("watch thread")
+    }
+}
+
+/// Three or more batches per block interval: the committer sends the next
+/// group as soon as the previous one is mined, so consecutive groups sit in
+/// consecutive blocks — a group goes out before its predecessor is
+/// confirmed. It never has two transactions unmined, records a position
+/// only once its block is confirmation-deep, and lands each exactly once.
+#[test]
+fn a_loaded_node_sends_the_next_group_before_the_last_is_confirmed() {
+    let mut w = world(
+        "pipelined",
+        slow_blocks(),
+        loaded_config(NodeBehavior::Honest),
+    );
+    let first = w.chain.block_number();
+    let watch = Watch::start(&w.chain, &w.node);
+    ingest_for_blocks(&w.chain, &mut w.publisher, 4);
+    w.node
+        .wait_stage2_idle(SLOW_IDLE)
+        .expect("all positions commit");
+    let (max_pending, early) = watch.finish();
+    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+
+    assert_eq!(max_pending, 1, "at most one unmined node transaction");
+    assert!(early.is_empty(), "committed before confirmation: {early:?}");
+    let mined = assert_one_unmined_and_no_revert(&w.chain, first);
+    let confirmations = w.chain.config().confirmations;
+    assert!(
+        mined
+            .windows(2)
+            .any(|pair| pair[1].block_number < pair[0].block_number + confirmations),
+        "no group was sent before its predecessor confirmed: {:?}",
+        mined.iter().map(|r| r.block_number).collect::<Vec<_>>()
+    );
+    let stats = w.node.stats();
+    assert_eq!(stats.stage2_txs_submitted, mined.len() as u64);
+    assert_eq!(stats.stage2_retries, 0);
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// One batch every few blocks: the committer is idle when each arrives, so
+/// each batch is one transaction — the gas shape of a paced workload.
+#[test]
+fn a_trickle_costs_one_transaction_per_batch() {
+    let mut w = world("trickle", ChainConfig::default(), node_config(10));
+    let first = w.chain.block_number();
+    let gap = w.chain.config().block_interval * 4;
+    for _ in 0..4 {
+        w.publisher.append_batch(payloads(10)).expect("append");
+        w.chain.clock().sleep(gap);
+    }
+    w.node
+        .wait_stage2_idle(Duration::from_secs(3600))
+        .expect("all positions commit");
+    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+    let mined = assert_one_unmined_and_no_revert(&w.chain, first);
+    assert_eq!(mined.len(), 4, "one transaction per batch");
+    assert_eq!(w.node.stats().stage2_txs_submitted, 4);
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// Dropping a node while groups are mined but unconfirmed waits them out:
+/// the shutdown records every position, and a restart adopts the tail
+/// without sending anything again.
+#[test]
+fn a_dropped_node_drains_its_groups_in_flight_and_a_restart_adopts_the_tail() {
+    let w = world("drain", slow_blocks(), loaded_config(NodeBehavior::Honest));
+    let World {
+        chain,
+        node,
+        node_identity,
+        mut publisher,
+        root_record,
+        _miner,
+        dir,
+    } = w;
+    let first = chain.block_number();
+    ingest_for_blocks(&chain, &mut publisher, 3);
+    let flushed = node.log_positions();
+    assert!(
+        mined_after(&chain, first)
+            .iter()
+            .any(|(_, receipt)| !chain.is_confirmed(receipt.block_number)),
+        "a group is in flight at the drop"
+    );
+    assert!(node.stats().stage2_committed < flushed);
+
+    drop(publisher);
+    let mut node = Arc::try_unwrap(node).unwrap_or_else(|_| panic!("sole owner of the node"));
+    node.shutdown();
+    assert_all_committed_exactly_once(&chain, &node, root_record);
+    assert_eq!(chain.pending_count(), 0, "nothing left unmined");
+    for (_, receipt) in mined_after(&chain, first) {
+        assert!(chain.is_confirmed(receipt.block_number));
+    }
+    drop(node);
+
+    let node = OffchainNode::start(
+        node_identity,
+        loaded_config(NodeBehavior::Honest),
+        Arc::clone(&chain),
+        root_record,
+        &dir,
+    )
+    .expect("restart node");
+    assert_eq!(node.log_positions(), flushed);
+    node.wait_stage2_idle(SLOW_IDLE).expect("nothing pending");
+    assert_eq!(onchain_tail(&chain, root_record), flushed);
+    for log_id in 0..flushed {
+        assert_eq!(node.commit_phase(log_id), CommitPhase::BlockchainCommitted);
+    }
+    let stats = node.stats();
+    assert_eq!(stats.stage2_txs_submitted, 0, "nothing re-sent: {stats:?}");
+    assert_eq!(stats.stage2_committed, 0, "nothing left to adopt");
+    assert_one_unmined_and_no_revert(&chain, first);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn onchain_root(
+    chain: &Chain,
+    root_record: wedge_chain::Address,
+    log_id: u64,
+) -> Option<wedge_chain::Hash32> {
+    let out = chain
+        .view(root_record, &RootRecord::get_root_calldata(log_id))
+        .ok()?;
+    RootRecord::decode_root(&out)
+}
+
+/// With groups in flight, the omission behaviour still stops the run at its
+/// first omitted position, and the equivocation behaviour still commits a
+/// wrong root from its first affected position on.
+#[test]
+fn behaviours_shape_the_group_with_groups_in_flight() {
+    let mut w = world(
+        "omit-loaded",
+        slow_blocks(),
+        loaded_config(NodeBehavior::OmitStage2 { from_log: 7 }),
+    );
+    let first = w.chain.block_number();
+    ingest_for_blocks(&w.chain, &mut w.publisher, 3);
+    w.node
+        .wait_stage2_idle(SLOW_IDLE)
+        .expect("the rest is omitted");
+    let positions = w.node.log_positions();
+    assert!(positions > 7);
+    assert_eq!(onchain_tail(&w.chain, w.root_record), 7);
+    for log_id in 0..positions {
+        assert_eq!(w.node.commit_info(log_id).is_some(), log_id < 7, "{log_id}");
+    }
+    assert_eq!(w.node.stats().stage2_committed, 7);
+    assert_one_unmined_and_no_revert(&w.chain, first);
+    let _ = std::fs::remove_dir_all(&w.dir);
+
+    let mut w = world(
+        "wrong-root-loaded",
+        slow_blocks(),
+        loaded_config(NodeBehavior::CommitWrongRoot { from_log: 5 }),
+    );
+    let first = w.chain.block_number();
+    let responses = ingest_for_blocks(&w.chain, &mut w.publisher, 3);
+    w.node
+        .wait_stage2_idle(SLOW_IDLE)
+        .expect("all positions commit");
+    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+    for response in &responses {
+        let log_id = response.entry_id.log_id;
+        let on_chain = onchain_root(&w.chain, w.root_record, log_id);
+        assert_eq!(
+            on_chain == Some(response.merkle_root),
+            log_id < 5,
+            "{log_id}"
+        );
+    }
+    assert_one_unmined_and_no_revert(&w.chain, first);
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// Group k is mined and awaiting confirmation while group k+1 fails — a
+/// dropped submission retried without end, then a receipt hidden past the
+/// patience window. Group k is recorded as soon as it is confirmed, not
+/// when k+1 resolves; k+1 then lands exactly once.
+#[test]
+fn a_confirmed_group_is_recorded_while_the_next_one_fails() {
+    let config = NodeConfig {
+        stage2_retry: Stage2RetryPolicy {
+            max_attempts: u32::MAX,
+            base_backoff: Duration::from_secs(10),
+            max_backoff: Duration::from_secs(60),
+            jitter: 0.0,
+        },
+        ..node_config(10)
+    };
+    let chain_config = ChainConfig {
+        // Five blocks of patience: a hidden receipt outlasts two
+        // confirmation blocks.
+        receipt_timeout: Duration::from_secs(6000),
+        ..slow_blocks()
+    };
+    let mut w = world("record-while-failing", chain_config, config);
+    let first = w.chain.block_number();
+    // The committer adds a group's gas once it has seen the group mined.
+    let gas = |w: &World| w.node.stats().stage2_gas;
+    let phase = |w: &World, log_id| w.node.commit_phase(log_id);
+
+    // Position 0 is mined; then every submission of position 1 bounces.
+    let before = gas(&w);
+    w.publisher.append_batch(payloads(10)).expect("append");
+    assert!(eventually(|| gas(&w) > before), "position 0 mined");
+    w.chain.faults().drop_next_submissions(u64::MAX);
+    w.publisher.append_batch(payloads(10)).expect("append");
+    let failing = eventually(|| w.node.stats().stage2_submission_errors > 0);
+    let early = phase(&w, 0);
+    let recorded = eventually(|| phase(&w, 0) == CommitPhase::BlockchainCommitted);
+    let behind = phase(&w, 1);
+    let before = gas(&w);
+    w.chain.faults().clear();
+    assert!(failing, "position 1 fails");
+    assert_ne!(
+        early,
+        CommitPhase::BlockchainCommitted,
+        "0 still unconfirmed"
+    );
+    assert!(recorded, "position 0 recorded while position 1 retries");
+    assert_ne!(behind, CommitPhase::BlockchainCommitted);
+    assert!(eventually(|| gas(&w) > before), "position 1 mined");
+
+    // Position 1 awaits confirmation while position 2's receipt is hidden
+    // for longer than the patience window.
+    w.chain
+        .faults()
+        .delay_next_receipts(1, Duration::from_secs(60_000));
+    w.publisher.append_batch(payloads(10)).expect("append");
+    assert!(eventually(
+        || phase(&w, 1) == CommitPhase::BlockchainCommitted
+    ));
+    let stats = w.node.stats();
+    assert_eq!(
+        stats.stage2_timeouts, 0,
+        "recorded before the head timed out"
+    );
+    assert_ne!(phase(&w, 2), CommitPhase::BlockchainCommitted);
+
+    w.node
+        .wait_stage2_idle(SLOW_IDLE)
+        .expect("all positions commit");
+    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+    let stats = w.node.stats();
+    assert_eq!(stats.stage2_timeouts, 1, "{stats:?}");
+    assert_one_unmined_and_no_revert(&w.chain, first);
+    let _ = std::fs::remove_dir_all(&w.dir);
 }

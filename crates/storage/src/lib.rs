@@ -35,4 +35,5 @@ pub use crc32::crc32;
 pub use error::StorageError;
 pub use replication::{Batch, ReplicationHandle, Replicator};
 pub use segment::Frames;
+pub use sidecar::write_atomic;
 pub use store::{LogStore, RecoveryStats, StoreConfig, SyncPolicy, SyncStats, TierStats};

@@ -41,12 +41,11 @@ pub fn segment_path(dir: &Path, id: SegmentId) -> PathBuf {
     dir.join(format!("seg-{id:010}.wlog"))
 }
 
-/// Fsyncs a directory so creates/renames/unlinks inside it are durable. A
-/// no-op on platforms where directories cannot be opened.
+/// Fsyncs a directory so creates/renames/unlinks inside it are durable.
+/// A directory that cannot be opened is an error: nothing made inside it
+/// is known to survive a crash.
 pub fn sync_dir(dir: &Path) -> Result<(), StorageError> {
-    if let Ok(handle) = File::open(dir) {
-        handle.sync_all()?;
-    }
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -403,6 +402,13 @@ mod tests {
     fn read_record_at(dir: &Path, id: SegmentId, offset: u64) -> Result<Vec<u8>, StorageError> {
         let file = File::open(segment_path(dir, id))?;
         read_record_from(&file, offset, u64::MAX, 0)
+    }
+
+    #[test]
+    fn sync_dir_fails_on_a_directory_it_cannot_open() {
+        let dir = tempdir();
+        sync_dir(&dir).unwrap();
+        assert!(sync_dir(&dir.join("missing")).is_err());
     }
 
     #[test]

@@ -22,7 +22,11 @@ const VERSION: u8 = 1;
 /// Sidecar file name for the GC marker.
 pub const GC_MARKER: &str = "gc.wmark";
 
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+/// Writes `dir/name` atomically and durably: temp file, write, fsync,
+/// rename, directory fsync. `Ok` means the new contents survive a crash;
+/// on any error the old file (if any) is still in place, possibly beside a
+/// stray `name.tmp`.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
     let tmp = dir.join(format!("{name}.tmp"));
     {
         let mut file = OpenOptions::new()
