@@ -1210,14 +1210,13 @@ const CLUSTER_VALUE_SIZE: usize = VALUE_SIZE;
 /// N), and an end-to-end two-level proof check against the on-chain
 /// cluster root.
 ///
-/// The run is latency-bound by design: every shard's deliver stage pays a
-/// constant simulated response-network delay per flushed batch, so the
-/// single-shard row serializes those delays while an N-shard cluster pays
+/// The run is latency-bound by design: every shard replicates each flushed
+/// batch to one replica over a 15 ms link before it replies, so the
+/// single-shard row serializes those hops while an N-shard cluster pays
 /// them in parallel — the same reason a real multi-node deployment scales
 /// before it saturates CPU.
 pub fn cluster(profile: Profile) -> Table {
     use wedge_cluster::{identity_on_shard, ClusterConfig, LocalCluster};
-    use wedge_sim::LatencyModel;
 
     let total = profile.scale(16_384, 4_096);
     let batch = 64;
@@ -1249,9 +1248,10 @@ pub fn cluster(profile: Profile) -> Table {
                 batch_size: batch,
                 batch_linger: Duration::from_millis(10),
                 verify_requests: false,
-                // The per-batch response link every shard pays; batches on
+                // The per-batch network hop every shard pays; batches on
                 // different shards pay it concurrently.
-                response_latency: LatencyModel::Constant(Duration::from_millis(15)),
+                replicas: 1,
+                replica_link_delay: Duration::from_millis(15),
                 ..Default::default()
             },
             epoch_max_group: 32,

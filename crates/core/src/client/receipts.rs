@@ -45,16 +45,22 @@ impl ReceiptStore {
         })
     }
 
-    /// Persists one response; returns its receipt id.
+    /// Persists one response and returns its receipt id once an fsync
+    /// covers it.
     pub fn save(&self, response: &SignedResponse) -> Result<u64, CoreError> {
-        Ok(self.store.append(&response.to_bytes())?)
+        let id = self.store.append(&response.to_bytes())?;
+        self.store.ensure_durable(id)?;
+        Ok(id)
     }
 
-    /// Persists a batch of responses (one fsync window).
+    /// Persists a batch of responses, returning once one fsync covers them
+    /// all.
     pub fn save_all(&self, responses: &[SignedResponse]) -> Result<(), CoreError> {
         let encoded: Vec<Vec<u8>> = responses.iter().map(|r| r.to_bytes()).collect();
         if !encoded.is_empty() {
-            self.store.append_batch(&encoded)?;
+            let first = self.store.append_batch(&encoded)?;
+            let last = first + encoded.len() as u64 - 1;
+            self.store.ensure_durable(last)?;
         }
         Ok(())
     }
@@ -155,6 +161,33 @@ mod tests {
         let pending = store.pending().unwrap();
         assert_eq!(pending.len(), 2);
         assert_eq!(pending[0].entry_id.log_id, 3);
+    }
+
+    /// A saved response is evidence (Definition 3.1), so it must survive a
+    /// client crash the moment `save`/`save_all` returns: no record may
+    /// still be waiting for a group commit's neighbours.
+    #[test]
+    fn saved_receipts_are_durable_on_return() {
+        let receipts = ReceiptStore::open(scratch("durable")).unwrap();
+        // Durable through `len - 1` iff the covering fsync already ran, so
+        // asking again performs none.
+        let assert_all_durable = |what: &str| {
+            let fsyncs = receipts.store.sync_stats().fsyncs;
+            assert!(fsyncs >= 1, "{what}: nothing was ever synced");
+            receipts.store.ensure_durable(receipts.len() - 1).unwrap();
+            assert_eq!(
+                receipts.store.sync_stats().fsyncs,
+                fsyncs,
+                "{what}: a saved receipt still waited for its fsync"
+            );
+        };
+        receipts
+            .save_all(&(0..5).map(response).collect::<Vec<_>>())
+            .unwrap();
+        assert_all_durable("save_all");
+        receipts.save(&response(5)).unwrap();
+        assert_all_durable("save");
+        assert_eq!(receipts.len(), 6);
     }
 
     #[test]

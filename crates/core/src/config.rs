@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use wedge_sim::LatencyModel;
 use wedge_storage::StoreConfig;
 
 /// Malicious behaviours an Offchain Node can be configured with.
@@ -174,8 +173,6 @@ pub struct NodeConfig {
     pub stage2_max_group: usize,
     /// Retry policy for failed stage-2 commitments.
     pub stage2_retry: Stage2RetryPolicy,
-    /// Simulated network delay applied to each outbound response batch.
-    pub response_latency: LatencyModel,
     /// Replicas to fan batches out to before responding (0 = none; the
     /// paper's red curves use 2).
     pub replicas: usize,
@@ -205,7 +202,6 @@ impl Default for NodeConfig {
             stage2_mode: Stage2Mode::default(),
             stage2_max_group: 16,
             stage2_retry: Stage2RetryPolicy::default(),
-            response_latency: LatencyModel::Zero,
             replicas: 0,
             replica_link_delay: Duration::from_micros(200),
             merkle_parallel_cutoff: 256,

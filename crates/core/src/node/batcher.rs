@@ -28,8 +28,7 @@
 //!    both — the stage pays max(local, replication) instead of the sum;
 //! 3. **deliver** — sign the batch's responses (one node signature over the
 //!    Merkle root of their digests, each reply carrying its path), wait for the
-//!    fsync covering the batch (instant except under
-//!    [`wedge_storage::SyncPolicy::GroupCommit`]), register the batch in
+//!    group-commit fsync covering the batch, register the batch in
 //!    the write plane (publishing a new read snapshot), deliver the
 //!    replies (completing link #1 — stage-1 / off-chain commitment), and
 //!    wake the stage-2 committer, which derives its pending group from the
@@ -46,8 +45,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use wedge_chain::Address;
 use wedge_crypto::Hash32;
 use wedge_merkle::{hash_leaves, MerkleTree};
@@ -402,7 +399,6 @@ fn persist_stage(
 /// snapshot *before* any reply goes out, so a read issued right after a
 /// response always succeeds), deliver replies, wake the stage-2 committer.
 fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_wake: Sender<()>) {
-    let mut rng = SmallRng::seed_from_u64(0x5745_4447_4542_4c4b); // "WEDGEBLK"
     while let Ok(outcome) = deliver_rx.recv() {
         let (batch, leaves, tree, log_id, first_record) = match outcome {
             PersistOutcome::Persisted {
@@ -453,24 +449,10 @@ fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_w
             SignedResponse::sign_batch(&node_key, prepared, shared.pool.workers())
         };
 
-        // Optional simulated response-network delay (one message per flush).
-        let delay = {
-            use rand::Rng as _;
-            let _ = rng.gen::<u8>(); // keep rng state moving even for Zero
-            shared
-                .config
-                .response_latency
-                .sample(&mut rng, responses.iter().map(|r| r.leaf.len()).sum())
-        };
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-
         // Group-commit reply-release rule: no reply (and no snapshot
         // registration) may be released before the fsync covering the
         // batch's records completed. Signing above already overlapped the
-        // wait; every policy except `GroupCommit` returns immediately
-        // because the persist stage provided its durability inline.
+        // wait.
         let last_record = first_record + batch.len() as u64 - 1;
         let durable = shared.store.ensure_durable(last_record);
 

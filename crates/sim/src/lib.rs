@@ -2,14 +2,11 @@
 //!
 //! Simulation-time substrate: a scalable [`Clock`] that lets blockchain
 //! timings (13 s block intervals, ~43 s stage-2 latency) run at
-//! millisecond-scale wall time while preserving every latency ratio, plus
-//! [`LatencyModel`] distributions for simulated network links.
+//! millisecond-scale wall time while preserving every latency ratio.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clock;
-mod latency;
 
 pub use clock::{Clock, SimInstant};
-pub use latency::LatencyModel;

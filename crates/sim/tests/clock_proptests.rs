@@ -1,9 +1,9 @@
-//! Property tests for the simulation clock and latency models.
+//! Property tests for the simulation clock.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
-use wedge_sim::{Clock, LatencyModel, SimInstant};
+use wedge_sim::{Clock, SimInstant};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -29,37 +29,6 @@ proptest! {
             prop_assert_eq!(ib.since(ia), Duration::ZERO);
             prop_assert_eq!(ia.since(ib), Duration::from_micros(a - b));
         }
-    }
-
-    #[test]
-    fn uniform_latency_within_bounds(lo in 0u64..5_000, span in 0u64..5_000, payload in 0usize..1_000_000) {
-        use rand::SeedableRng;
-        let model = LatencyModel::Uniform {
-            min: Duration::from_micros(lo),
-            max: Duration::from_micros(lo + span),
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(lo ^ span as u64);
-        for _ in 0..32 {
-            let d = model.sample(&mut rng, payload);
-            prop_assert!(d >= Duration::from_micros(lo));
-            prop_assert!(d <= Duration::from_micros(lo + span));
-        }
-        // Mean is inside the bounds too.
-        let mean = model.mean(payload);
-        prop_assert!(mean >= Duration::from_micros(lo) && mean <= Duration::from_micros(lo + span));
-    }
-
-    #[test]
-    fn link_latency_is_monotone_in_payload(base in 0u64..1000, per_kb in 0u64..1000, small in 0usize..10_000, extra in 1usize..100_000) {
-        use rand::SeedableRng;
-        let model = LatencyModel::Link {
-            base: Duration::from_micros(base),
-            per_kb: Duration::from_nanos(per_kb),
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let a = model.sample(&mut rng, small);
-        let b = model.sample(&mut rng, small + extra);
-        prop_assert!(b >= a, "more bytes must never be faster");
     }
 }
 

@@ -46,12 +46,8 @@ pub struct ReplicationHandle {
 
 impl ReplicationHandle {
     /// Blocks until every replica has acknowledged (or hung up); returns
-    /// the number that confirmed the write. Under a policy that promises
-    /// durability ([`SyncPolicy::Always`], [`SyncPolicy::GroupCommit`]) a
-    /// confirmed write has been fsynced on that replica.
-    ///
-    /// [`SyncPolicy::Always`]: crate::SyncPolicy::Always
-    /// [`SyncPolicy::GroupCommit`]: crate::SyncPolicy::GroupCommit
+    /// the number that confirmed the write. A confirmed write has been
+    /// fsynced on that replica.
     pub fn wait(self) -> usize {
         self.acks
             .into_iter()
@@ -120,7 +116,7 @@ impl Replicator {
                                     std::thread::sleep(link_delay);
                                 }
                                 // An ack counts as a durable copy, so it
-                                // waits for the fsync the policy promises.
+                                // waits for an fsync covering the batch.
                                 // Directly: no neighbouring batch can arrive
                                 // to share it while the primary waits.
                                 let result = match &failed {
@@ -288,32 +284,24 @@ mod tests {
         }
     }
 
-    /// An ack is a durable copy: under group commit every acknowledged
-    /// batch has been fsynced on the replica, one fsync per batch (the
-    /// inline threshold sync is not repeated, nor `Always`'s own); under
-    /// `Never`, which promises no durability, acks add no fsync.
+    /// An ack is a durable copy: every acknowledged batch has been fsynced
+    /// on the replica, one fsync per batch (the inline threshold sync is
+    /// not repeated).
     #[test]
-    fn acks_wait_for_the_fsync_the_policy_promises() {
-        let with = |sync| StoreConfig {
-            sync,
+    fn acks_wait_for_a_covering_fsync() {
+        let config = StoreConfig {
+            sync: SyncPolicy::GroupCommit {
+                max_batches: 8,
+                max_delay: Duration::from_secs(60),
+            },
             ..StoreConfig::default()
         };
-        let group_commit = SyncPolicy::GroupCommit {
-            max_batches: 8,
-            max_delay: Duration::from_secs(60),
-        };
-        for (tag, sync, fsyncs_per_batch) in [
-            ("gc", group_commit, 1),
-            ("always", SyncPolicy::Always, 1),
-            ("never", SyncPolicy::Never, 0),
-        ] {
-            let repl = Replicator::spawn(tempdir(tag), 2, with(sync), Duration::ZERO).unwrap();
-            for b in 1..=10u64 {
-                assert_eq!(repl.replicate_sync(vec![b.to_be_bytes().to_vec(); 3]), 2);
-                for replica in &repl.replicas {
-                    let fsyncs = replica.store.sync_stats().fsyncs;
-                    assert_eq!(fsyncs, b * fsyncs_per_batch, "{tag}, batch {b}");
-                }
+        let repl = Replicator::spawn(tempdir("gc"), 2, config, Duration::ZERO).unwrap();
+        for b in 1..=10u64 {
+            assert_eq!(repl.replicate_sync(vec![b.to_be_bytes().to_vec(); 3]), 2);
+            for replica in &repl.replicas {
+                let fsyncs = replica.store.sync_stats().fsyncs;
+                assert_eq!(fsyncs, b, "batch {b}");
             }
         }
     }

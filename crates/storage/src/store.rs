@@ -68,18 +68,19 @@ use crate::segment::{
 use crate::sidecar::{load_gc_marker, remove_stray_files, write_gc_marker};
 
 /// When appended records are made durable. Every append reaches the OS
-/// before it returns (the store keeps no user-space buffer); the policy
+/// before it returns (the store keeps no user-space buffer); group commit
 /// decides when it reaches stable storage.
+///
+/// Group commit is the only policy. It stays an enum because the benchmark
+/// package names the variant and must compile unchanged; flattening it
+/// into [`StoreConfig`] belongs to a change that may edit the benchmark.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyncPolicy {
-    /// fsync after every append (safest, slowest).
-    Always,
-    /// Group commit (the default): coalesce the fsyncs of
-    /// pipeline-adjacent batches into one `sync_data`. A sync is
-    /// triggered once `max_batches` appends are pending, and
-    /// [`LogStore::ensure_durable`] bounds the wait at `max_delay` — callers
-    /// must hold replies until it returns, which restores the `Always`
-    /// guarantee (reply ⇒ durable) at a fraction of the fsyncs.
+    /// Coalesce the fsyncs of pipeline-adjacent batches into one
+    /// `sync_data`. A sync is triggered once `max_batches` appends are
+    /// pending, and [`LogStore::ensure_durable`] bounds the wait at
+    /// `max_delay` — callers must hold replies until it returns
+    /// (reply ⇒ durable) at a fraction of one fsync per batch.
     GroupCommit {
         /// Pending appends that trigger a sync inline.
         max_batches: usize,
@@ -87,9 +88,6 @@ pub enum SyncPolicy {
         /// hoping for more batches to share it.
         max_delay: Duration,
     },
-    /// Never fsync on the append path; the OS writes back when it likes
-    /// (fastest; a power cut loses the tail).
-    Never,
 }
 
 /// Configuration for a [`LogStore`].
@@ -175,8 +173,7 @@ impl Tiers {
     }
 }
 
-/// Group-commit bookkeeping (only consulted under
-/// [`SyncPolicy::GroupCommit`]). Lock order: this mutex is innermost —
+/// Group-commit bookkeeping. Lock order: this mutex is innermost —
 /// it is taken while holding the tail and/or tiers locks, and never the
 /// other way around.
 struct GroupState {
@@ -457,9 +454,7 @@ impl LogStore {
     /// counts the pending batch and performs the covering fsync inline once
     /// `max_batches` are waiting. Caller holds the tail lock.
     fn note_appended(&self, tail: &mut SegmentWriter) -> Result<(), StorageError> {
-        let SyncPolicy::GroupCommit { max_batches, .. } = self.config.sync else {
-            return Ok(());
-        };
+        let SyncPolicy::GroupCommit { max_batches, .. } = self.config.sync;
         let should_sync = {
             let mut group = self.group.lock();
             group.pending_batches += 1;
@@ -476,17 +471,12 @@ impl LogStore {
 
     /// Blocks until record `seq` is covered by an fsync.
     ///
-    /// Under [`SyncPolicy::GroupCommit`] this is the reply-release gate: a
-    /// caller may acknowledge `seq` only after this returns. The wait is
-    /// bounded — if no neighbouring batch triggers the sync within
-    /// `max_delay` of the oldest pending append, the caller performs it
-    /// itself. Under every other policy the append path already provided
-    /// whatever durability the policy promises, so this returns
-    /// immediately.
+    /// This is the reply-release gate: a caller may acknowledge `seq` only
+    /// after this returns. The wait is bounded — if no neighbouring batch
+    /// triggers the sync within `max_delay` of the oldest pending append,
+    /// the caller performs it itself.
     pub fn ensure_durable(&self, seq: u64) -> Result<(), StorageError> {
-        let SyncPolicy::GroupCommit { max_delay, .. } = self.config.sync else {
-            return Ok(());
-        };
+        let SyncPolicy::GroupCommit { max_delay, .. } = self.config.sync;
         loop {
             let mut group = self.group.lock();
             if seq < group.durable_len {
@@ -524,9 +514,7 @@ impl LogStore {
 
     /// Makes every record appended so far durable now, without waiting for
     /// neighbouring batches to share the fsync: syncs the tail if a group
-    /// commit is pending. Under the other policies nothing is ever pending
-    /// — `Always` synced in the append, `Never` promises no durability —
-    /// so this does nothing there.
+    /// commit is pending.
     pub(crate) fn sync_pending(&self) -> Result<(), StorageError> {
         let mut tail = self.tail.lock();
         let pending = self.group.lock().pending_batches > 0;
@@ -617,10 +605,9 @@ impl LogStore {
     }
 
     /// The fallible part of [`LogStore::append_frames`]: writes the
-    /// records, rotating where the tail is full, and applies the sync
-    /// policy. Each record's offset is pushed before its run is written;
-    /// on an error the first pushed offset is where the tail's unindexed
-    /// bytes begin.
+    /// records, rotating where the tail is full. Each record's offset is
+    /// pushed before its run is written; on an error the first pushed
+    /// offset is where the tail's unindexed bytes begin.
     fn write_batch(
         &self,
         tail: &mut SegmentWriter,
@@ -648,10 +635,7 @@ impl LogStore {
             }
             self.write_run(tail, part, run)?;
         }
-        match self.config.sync {
-            SyncPolicy::Always => self.sync_tail(tail),
-            SyncPolicy::GroupCommit { .. } | SyncPolicy::Never => Ok(()),
-        }
+        Ok(())
     }
 
     /// Writes the records of `part` in byte range `run` to the tail with
@@ -1141,52 +1125,20 @@ mod tests {
     }
 
     #[test]
-    fn sync_policies_all_roundtrip() {
-        for (tag, sync) in [
-            ("always", SyncPolicy::Always),
-            ("never", SyncPolicy::Never),
-            (
-                "group",
-                SyncPolicy::GroupCommit {
-                    max_batches: 4,
-                    max_delay: Duration::from_millis(5),
-                },
-            ),
-        ] {
-            let config = StoreConfig {
-                sync,
-                ..Default::default()
-            };
-            let store = LogStore::open(tempdir(&format!("sp-{tag}")), config).unwrap();
-            store.append(b"x").unwrap();
-            assert_eq!(store.read(0).unwrap(), b"x");
-        }
-    }
-
-    #[test]
     fn a_tail_read_takes_no_lock() {
         // Appends reach the file before the index lists them, so no read
-        // flushes and none waits for the writer, under any policy.
-        for (tag, sync) in [
-            ("nolock-gc", StoreConfig::default().sync),
-            ("nolock-never", SyncPolicy::Never),
-        ] {
-            let config = StoreConfig {
-                sync,
-                ..Default::default()
-            };
-            let store = LogStore::open(tempdir(tag), config).unwrap();
-            for i in 0..8u32 {
-                store.append(format!("r{i}").as_bytes()).unwrap();
-            }
-            let records = read_with_the_tail_locked(&store, |store| {
-                let mut records = vec![store.read(3).unwrap()];
-                records.extend(store.read_range(0, 8).unwrap());
-                records
-            });
-            assert_eq!(records[0], b"r3", "{tag}");
-            assert_eq!(records[8], b"r7", "{tag}");
+        // flushes and none waits for the writer.
+        let store = LogStore::open(tempdir("nolock-gc"), StoreConfig::default()).unwrap();
+        for i in 0..8u32 {
+            store.append(format!("r{i}").as_bytes()).unwrap();
         }
+        let records = read_with_the_tail_locked(&store, |store| {
+            let mut records = vec![store.read(3).unwrap()];
+            records.extend(store.read_range(0, 8).unwrap());
+            records
+        });
+        assert_eq!(records[0], b"r3");
+        assert_eq!(records[8], b"r7");
     }
 
     /// Runs `reads` on another thread while this one holds the tail lock,
@@ -1255,25 +1207,6 @@ mod tests {
             store.ensure_durable(99),
             Err(StorageError::RecordNotFound { id: 99, .. })
         ));
-    }
-
-    #[test]
-    fn ensure_durable_is_a_no_op_for_other_policies() {
-        for (tag, sync) in [
-            ("ed-always", SyncPolicy::Always),
-            ("ed-never", SyncPolicy::Never),
-        ] {
-            let config = StoreConfig {
-                sync,
-                ..Default::default()
-            };
-            let store = LogStore::open(tempdir(tag), config).unwrap();
-            store.append(b"x").unwrap();
-            let start = Instant::now();
-            store.ensure_durable(0).unwrap();
-            store.ensure_durable(1_000_000).unwrap();
-            assert!(start.elapsed() < Duration::from_secs(1));
-        }
     }
 
     #[test]

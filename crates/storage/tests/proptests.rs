@@ -3,7 +3,7 @@
 //! truncations of the file never corrupt the recovered prefix.
 
 use proptest::prelude::*;
-use wedge_storage::{LogStore, StoreConfig, SyncPolicy};
+use wedge_storage::{LogStore, StoreConfig};
 
 fn scratch(tag: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -26,7 +26,6 @@ proptest! {
     fn appends_roundtrip(records in arb_records(), seed in any::<u64>()) {
         let config = StoreConfig {
             max_segment_bytes: 512, // force frequent rotation
-            sync: SyncPolicy::Never,
             ..Default::default()
         };
         let store = LogStore::open(scratch(seed), config).unwrap();

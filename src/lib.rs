@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`crypto`] | `wedge-crypto` | Keccak-256, SHA-256, secp256k1 ECDSA with recovery |
 //! | [`merkle`] | `wedge-merkle` | Merkle trees, inclusion proofs, multiproofs |
-//! | [`sim`] | `wedge-sim` | scaled simulation clock, latency models |
+//! | [`sim`] | `wedge-sim` | scaled simulation clock |
 //! | [`storage`] | `wedge-storage` | segmented append-only log store |
 //! | [`chain`] | `wedge-chain` | simulated Ethereum: accounts, gas, blocks, contracts |
 //! | [`contracts`] | `wedge-contracts` | RootRecord, Punishment, Payment (+ baseline contracts) |
