@@ -32,25 +32,39 @@ pub fn kv_payloads(n: usize, key_size: usize, value_size: usize, seed: u64) -> V
 
 /// A ready-to-measure deployment: chain + miner + contracts + node +
 /// publisher.
+///
+/// Fields drop in declaration order: the publisher and the node first (the
+/// node's shutdown completes stage-2 work, which needs blocks), then the
+/// miner, and the scratch directory last.
 pub struct World {
+    /// A funded publisher.
+    pub publisher: Publisher,
+    /// The node under test.
+    pub node: Arc<OffchainNode>,
+    /// Keeps blocks flowing; stops on drop.
+    pub miner: Option<wedge_chain::MinerHandle>,
     /// The simulated chain.
     pub chain: Arc<Chain>,
     /// Its clock (compressed).
     pub clock: Clock,
-    /// The node under test.
-    pub node: Arc<OffchainNode>,
-    /// A funded publisher.
-    pub publisher: Publisher,
     /// Root Record address.
     pub root_record: wedge_chain::Address,
     /// Punishment address.
     pub punishment: wedge_chain::Address,
-    /// Keeps blocks flowing; stops on drop.
-    pub miner: Option<wedge_chain::MinerHandle>,
-    /// Scratch directory (cleaned at construction).
+    /// Scratch directory (cleaned at construction and on drop).
     pub dir: std::path::PathBuf,
     /// Node identity (for restarts / extra roles).
     pub node_identity: Identity,
+    _cleanup: RemoveOnDrop,
+}
+
+/// Removes a directory tree when dropped.
+struct RemoveOnDrop(std::path::PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl World {
@@ -101,6 +115,7 @@ impl World {
             root_record: deployment.root_record,
             punishment: deployment.punishment,
             miner: Some(miner),
+            _cleanup: RemoveOnDrop(dir.clone()),
             dir,
             node_identity,
         }
@@ -111,14 +126,6 @@ impl World {
         self.node
             .wait_stage2_idle(Duration::from_secs(3600))
             .expect("stage 2 settled");
-    }
-}
-
-impl Drop for World {
-    fn drop(&mut self) {
-        // Stop the miner before tearing the node down so wait loops end.
-        self.miner.take();
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 

@@ -1,7 +1,7 @@
 //! The shard-aware router client.
 //!
 //! A [`ClusterClient`] fronts N shard backends (any [`LogService`] — an
-//! in-process node, a `RemoteNode`, or a striped `RemoteNodePool`) and
+//! in-process node or a `RemoteNode`) and
 //! routes every operation to the shard that owns it: appends by publisher
 //! address, reads by [`ClusterEntryId`] or `(publisher, sequence)`.
 //! Cross-shard batch reads fan out concurrently, one thread per involved

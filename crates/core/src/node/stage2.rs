@@ -266,7 +266,10 @@ fn record_confirmed(shared: &Shared, in_flight: &mut VecDeque<InFlight>) {
 /// The direct committer thread: sends the pending group as soon as the
 /// previous one is mined, and records each group once it is confirmed.
 /// It exits when the batcher has hung up, nothing is pending, and every
-/// group it sent is confirmed and recorded.
+/// group it sent is confirmed and recorded — or, if the chain stops making
+/// blocks, once the chain's `receipt_timeout` of simulated time has passed
+/// since the hang-up or the last landing. Groups still unconfirmed then
+/// stay unrecorded; a restart adopts them with the contract's tail.
 ///
 /// At most one of its transactions is ever unmined: the next group goes
 /// out only after the last one was mined successfully, so nonces stay
@@ -288,6 +291,8 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
     let mut in_flight: VecDeque<InFlight> = VecDeque::new();
     let mut batcher_alive = true;
     let mut parked = false;
+    // After the hang-up: when to stop waiting for in-flight confirmations.
+    let mut give_up_at: Option<SimInstant> = None;
     loop {
         record_confirmed(&shared, &mut in_flight);
         let group = if parked {
@@ -312,6 +317,7 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
                         stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
                     }
                     in_flight.push_back(InFlight::new(&shared, group, landed));
+                    give_up_at = None;
                 }
                 Err(Exhausted) => {
                     shared.stats.lock().stage2_failed += group.roots.len() as u64;
@@ -326,6 +332,13 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
             }
             batcher_alive = wake.recv().is_ok();
             continue;
+        }
+        if !batcher_alive {
+            let now = shared.chain.clock().now();
+            let patience = shared.chain.config().receipt_timeout;
+            if now >= *give_up_at.get_or_insert(now.add(patience)) {
+                return;
+            }
         }
         batcher_alive = nap(&shared.chain, &wake, batcher_alive);
     }

@@ -671,6 +671,68 @@ fn a_dropped_node_drains_its_groups_in_flight_and_a_restart_adopts_the_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A chain that stops making blocks while a group is mined but not yet
+/// confirmation-deep must not hang shutdown: the committer waits the
+/// chain's receipt timeout, then leaves the group unrecorded, and a restart
+/// on a running chain adopts it without sending it again.
+#[test]
+fn a_stopped_chain_does_not_hang_shutdown_and_a_restart_records_the_group() {
+    let chain_config = ChainConfig {
+        block_interval: Duration::from_secs(1200),
+        receipt_timeout: Duration::from_secs(3600),
+        ..Default::default()
+    };
+    let w = world("stalled", chain_config, node_config(10));
+    let World {
+        chain,
+        node,
+        node_identity,
+        mut publisher,
+        root_record,
+        _miner: miner,
+        dir,
+    } = w;
+    let first = chain.block_number();
+    publisher.append_batch(payloads(10)).expect("append");
+    assert!(eventually(|| node.stats().stage2_gas.0 > 0), "group mined");
+    drop(miner);
+    let mined = mined_after(&chain, first);
+    assert_eq!(mined.len(), 1, "one group");
+    assert!(
+        !chain.is_confirmed(mined[0].1.block_number),
+        "the group must be unconfirmed when the chain stops"
+    );
+
+    drop(publisher);
+    let mut node = Arc::try_unwrap(node).unwrap_or_else(|_| panic!("sole owner of the node"));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        node.shutdown();
+        let _ = done_tx.send(node);
+    });
+    let node = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown hung after the chain stopped");
+    assert_eq!(node.stats().stage2_committed, 0, "unconfirmed: unrecorded");
+    assert_eq!(node.commit_phase(0), CommitPhase::OffchainCommitted);
+    drop(node);
+
+    let _miner = chain.start_miner();
+    let node = OffchainNode::start(
+        node_identity,
+        node_config(10),
+        Arc::clone(&chain),
+        root_record,
+        &dir,
+    )
+    .expect("restart node");
+    node.wait_stage2_idle(Duration::from_secs(3600))
+        .expect("nothing pending");
+    assert_all_committed_exactly_once(&chain, &node, root_record);
+    assert_eq!(node.stats().stage2_txs_submitted, 0, "nothing re-sent");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn onchain_root(
     chain: &Chain,
     root_record: wedge_chain::Address,

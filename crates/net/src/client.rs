@@ -34,26 +34,6 @@ struct Shared {
     pending: Mutex<HashMap<u64, PendingSlot>>,
 }
 
-/// The `positions`/`entries` pair observed by the most recent `Meta` round
-/// trip, each consumable once. Serving the companion accessor from the
-/// cache halves the Meta RPC count for the common "read both" pattern;
-/// consume-once semantics mean polling the *same* accessor always refreshes.
-///
-/// The cache is guarded by a generation number: every append bumps the
-/// connection's `meta_gen`, and a cached pair is honored only while its
-/// recorded generation still matches. This closes two staleness holes —
-/// a Meta reply racing a concurrent append must not repopulate the cache
-/// with pre-append values, and a pool can invalidate *all* of its stripes
-/// on append (see [`RemoteNode::invalidate_meta_cache`]) without a value
-/// cached on an idle stripe surviving.
-#[derive(Default)]
-struct MetaCache {
-    /// The `meta_gen` observed when the pair was cached.
-    gen: u64,
-    positions: Option<u64>,
-    entries: Option<u64>,
-}
-
 /// A connection to a remote WedgeBlock node.
 ///
 /// One TCP connection is multiplexed across all operations; a background
@@ -74,9 +54,6 @@ pub struct RemoteNode {
     /// desynchronizing the stream's framing.
     poisoned: AtomicBool,
     shared: Arc<Shared>,
-    meta_cache: Mutex<MetaCache>,
-    /// Bumped by every append; validates [`MetaCache`] entries.
-    meta_gen: AtomicU64,
     next_id: AtomicU64,
     public_key: PublicKey,
     timeout: Duration,
@@ -135,8 +112,6 @@ impl RemoteNode {
             autoflush: AtomicBool::new(true),
             poisoned: AtomicBool::new(false),
             shared,
-            meta_cache: Mutex::new(MetaCache::default()),
-            meta_gen: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
             // A syntactically valid placeholder; the handshake below
             // overwrites it before `connect` returns.
@@ -171,13 +146,6 @@ impl RemoteNode {
 
     fn next_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Invalidates the cached Meta pair: entries cached before this call
-    /// are never served again. Lock-free — safe to call on every stripe of
-    /// a pool from the append hot path.
-    pub(crate) fn invalidate_meta_cache(&self) {
-        self.meta_gen.fetch_add(1, Ordering::Release);
     }
 
     /// Encodes and writes one request frame; flushes when asked. Any
@@ -236,23 +204,20 @@ impl RemoteNode {
     }
 }
 
-/// Maps a wire error back into a client-side error. Structured errors carry
-/// the real [`EntryId`]; plain-text errors from pre-structured peers fall
-/// back to the historical needle match (with a sentinel id, since the old
-/// wire format never carried one).
+/// Maps a wire error back into the client-side error the node raised:
+/// structured errors carry their fields, anything else stays text.
 fn remote_error(error: WireError) -> CoreError {
     match error {
         WireError::EntryNotFound { id, .. } => CoreError::EntryNotFound(id),
-        WireError::Generic(message) => {
-            if message.contains("not found") {
-                CoreError::EntryNotFound(EntryId {
-                    log_id: u64::MAX,
-                    offset: u32::MAX,
-                })
-            } else {
-                CoreError::Remote(message)
-            }
-        }
+        WireError::SequenceNotFound {
+            publisher,
+            sequence,
+            ..
+        } => CoreError::SequenceNotFound {
+            publisher,
+            sequence,
+        },
+        WireError::Generic(message) => CoreError::Remote(message),
     }
 }
 
@@ -262,8 +227,6 @@ impl LogService for RemoteNode {
     }
 
     fn submit_request(&self, request: AppendRequest, reply: ReplyFn) -> Result<(), CoreError> {
-        // Appends change the log shape: the cached meta pair is stale.
-        self.invalidate_meta_cache();
         let req_id = self.next_id();
         self.shared
             .pending
@@ -357,68 +320,11 @@ impl LogService for RemoteNode {
     }
 
     fn positions(&self) -> u64 {
-        // Serve from the pair cached by a preceding `entries()` call —
-        // both values then come from one Meta round trip. The generation
-        // sampled *before* the RPC gates both the cache hit and the store:
-        // an append landing anywhere in between leaves the pre-append pair
-        // unusable instead of letting it repopulate the cache.
-        let gen = self.meta_gen.load(Ordering::Acquire);
-        let cached = {
-            let mut cache = self.meta_cache.lock();
-            if cache.gen == gen {
-                cache.positions.take()
-            } else {
-                None
-            }
-        };
-        if let Some(positions) = cached {
-            return positions;
-        }
-        match self.rpc(Request::Meta { log_id: u64::MAX }) {
-            Ok(Reply::Meta {
-                positions, entries, ..
-            }) => {
-                if self.meta_gen.load(Ordering::Acquire) == gen {
-                    *self.meta_cache.lock() = MetaCache {
-                        gen,
-                        positions: None,
-                        entries: Some(entries),
-                    };
-                }
-                positions
-            }
-            _ => 0,
-        }
+        self.meta(u64::MAX).0
     }
 
     fn entries(&self) -> u64 {
-        let gen = self.meta_gen.load(Ordering::Acquire);
-        let cached = {
-            let mut cache = self.meta_cache.lock();
-            if cache.gen == gen {
-                cache.entries.take()
-            } else {
-                None
-            }
-        };
-        if let Some(entries) = cached {
-            return entries;
-        }
-        match self.rpc(Request::Meta { log_id: u64::MAX }) {
-            Ok(Reply::Meta {
-                positions, entries, ..
-            }) => {
-                if self.meta_gen.load(Ordering::Acquire) == gen {
-                    *self.meta_cache.lock() = MetaCache {
-                        gen,
-                        positions: Some(positions),
-                        entries: None,
-                    };
-                }
-                entries
-            }
-            _ => 0,
-        }
+        self.meta(u64::MAX).1
     }
 
     fn meta(&self, log_id: u64) -> (u64, u64, Option<u32>) {
@@ -484,12 +390,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_text_errors_still_dispatch_on_the_needle() {
-        // Pre-structured peers send plain text; the sentinel fallback keeps
-        // the variant (old behavior) even though the id is unknown.
+    fn sequence_not_found_keeps_its_fields_and_text_stays_text() {
+        let publisher = wedge_crypto::Keypair::from_seed(b"remote-error").address;
+        let missing = CoreError::SequenceNotFound {
+            publisher,
+            sequence: 99,
+        };
+        let err = remote_error(WireError::from_service_error(&missing));
+        assert_eq!(err.to_string(), missing.to_string());
+        assert!(matches!(
+            err,
+            CoreError::SequenceNotFound { publisher: p, sequence: 99 } if p == publisher
+        ));
+        // No needle matching: a text error is a remote error, whatever it says.
         let err = remote_error(WireError::Generic("entry 6/2 not found".into()));
-        assert!(matches!(err, CoreError::EntryNotFound(_)));
-        let err = remote_error(WireError::Generic("disk on fire".into()));
         assert!(matches!(err, CoreError::Remote(_)));
     }
 }

@@ -1,20 +1,20 @@
-//! The node-side TCP server: a fixed-size connection worker pool with
-//! coalescing writers and pooled frame buffers.
+//! The node-side TCP server: one reader and one coalescing writer per
+//! connection, with pooled frame buffers.
 //!
-//! Topology: one blocking accept thread feeds accepted sockets into a
-//! bounded channel; `workers` persistent (reader, writer) thread pairs take
-//! connections from it, so serving a connection costs no thread spawn. The
-//! reader parses request frames into pooled buffers and dispatches them;
-//! all replies — synchronous reads and asynchronous append callbacks alike
-//! — go through a **bounded** per-session reply queue to the pair's
-//! coalescing writer, which drains every ready reply into one pooled
-//! egress buffer and ships the batch in a single socket write. When a
-//! client stops draining and its queue stays full, synchronous replies are
-//! shed ([`NetStats::queue_shed`]) instead of growing node memory, while an
-//! undeliverable **append** reply kills the connection after a bounded
-//! grace period ([`NetStats::slow_client_kills`]) — append callers block
-//! without a timeout, so they must see a reply or a dead socket, never
-//! silence. Healthy connections on other worker pairs are unaffected.
+//! Topology: one blocking accept thread spawns a session thread per
+//! accepted connection, up to [`ServerConfig::max_connections`] live
+//! sessions (beyond that it sheds, [`NetStats::connections_shed`]). The
+//! session thread spawns its connection's writer, parses request frames
+//! into pooled buffers and dispatches them; all replies — synchronous reads
+//! and asynchronous append callbacks alike — go through a **bounded**
+//! per-session reply queue to that coalescing writer, which drains every
+//! ready reply into one pooled egress buffer and ships the batch in a
+//! single socket write. When a client stops draining and its queue stays
+//! full, synchronous replies are shed ([`NetStats::queue_shed`]) instead of
+//! growing node memory, while an undeliverable **append** reply kills the
+//! connection after a bounded grace period ([`NetStats::slow_client_kills`])
+//! — append callers block without a timeout, so they must see a reply or a
+//! dead socket, never silence. Other connections are unaffected.
 //!
 //! The reply-release rule from the durability plane is preserved: replies
 //! reach this layer only after the entry is durable, and this layer only
@@ -48,16 +48,9 @@ const POOL_MAX_RETAINED: usize = 1 << 20;
 /// tests and production.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Connection worker pairs (one reader + one writer thread each).
-    /// `0` means one pair per available core, clamped to `[8, 16]` — the
-    /// floor guarantees a default server can host a default-sized
-    /// [`crate::RemoteNodePool`] (4 stripes) with headroom even on small
-    /// machines, since a connection beyond the pool waits for a pair to
-    /// free up.
-    pub workers: usize,
-    /// Accepted connections allowed to wait for a free worker pair; beyond
-    /// this the accept loop sheds the connection.
-    pub pending_connections: usize,
+    /// Connections served at once. Each costs two threads (reader and
+    /// writer); a connection accepted while this many are live is shed.
+    pub max_connections: usize,
     /// Depth of each session's bounded reply queue. When a client stops
     /// draining and the queue stays full, synchronous replies are shed;
     /// append replies kill the connection after [`ServerConfig::append_reply_grace`].
@@ -68,15 +61,14 @@ pub struct ServerConfig {
     /// both the batcher-thread stall and the client's worst-case hang.
     pub append_reply_grace: Duration,
     /// A writer stalled on one socket write longer than this kills the
-    /// connection instead of holding its worker pair hostage.
+    /// connection instead of holding its threads hostage.
     pub write_stall_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            workers: 0,
-            pending_connections: 128,
+            max_connections: 128,
             reply_queue_depth: 1024,
             append_reply_grace: Duration::from_millis(250),
             write_stall_timeout: Duration::from_secs(10),
@@ -84,31 +76,13 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(8)
-            .clamp(8, 16)
-    }
-}
-
-/// State shared by the accept loop, the worker pairs, and the handle.
+/// State shared by the accept loop, the sessions, and the handle.
 struct ServerShared {
     service: Arc<dyn LogService>,
     stop: AtomicBool,
     counters: NetCounters,
     pool: BufferPool,
     config: ServerConfig,
-}
-
-/// One connection handed from a reader worker to its writer mate.
-struct WriterSession {
-    stream: TcpStream,
-    reply_rx: Receiver<(u64, Reply)>,
 }
 
 /// The reply-delivery side of one session, shared with every pending append
@@ -129,8 +103,8 @@ pub struct NodeServer {
     local_addr: SocketAddr,
     listener: TcpListener,
     shared: Arc<ServerShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Returns the sessions still live when it exits.
+    accept_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl NodeServer {
@@ -154,38 +128,17 @@ impl NodeServer {
             stop: AtomicBool::new(false),
             counters: NetCounters::default(),
             pool: BufferPool::new(POOL_MAX_BUFFERS, POOL_MAX_RETAINED),
-            config: config.clone(),
+            config,
         });
-        let (conn_tx, conn_rx) = bounded::<TcpStream>(config.pending_connections.max(1));
-        let mut workers = Vec::new();
-        for i in 0..config.effective_workers() {
-            let (session_tx, session_rx) = bounded::<WriterSession>(1);
-            let (ack_tx, ack_rx) = bounded::<()>(1);
-            let writer_shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("wedge-net-writer-{i}"))
-                    .spawn(move || writer_worker(session_rx, ack_tx, writer_shared))?,
-            );
-            let reader_shared = Arc::clone(&shared);
-            let reader_rx = conn_rx.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("wedge-net-conn-{i}"))
-                    .spawn(move || reader_worker(reader_rx, session_tx, ack_rx, reader_shared))?,
-            );
-        }
-        drop(conn_rx);
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("wedge-net-accept".into())
-            .spawn(move || accept_loop(accept_listener, conn_tx, accept_shared))?;
+            .spawn(move || accept_loop(accept_listener, accept_shared))?;
         Ok(NodeServer {
             local_addr,
             listener,
             shared,
             accept_thread: Some(accept_thread),
-            workers,
         })
     }
 
@@ -197,15 +150,6 @@ impl NodeServer {
     /// A snapshot of the RPC-plane counters.
     pub fn stats(&self) -> NetStats {
         self.shared.counters.snapshot(&self.shared.pool)
-    }
-
-    /// Connections shed because every worker pair was busy and the pending
-    /// queue was full.
-    pub fn dropped_connections(&self) -> u64 {
-        self.shared
-            .counters
-            .connections_shed
-            .load(Ordering::Relaxed)
     }
 
     /// Stops accepting and joins all server threads. Sessions mid-flight
@@ -238,21 +182,18 @@ impl NodeServer {
         }
         if !woken {
             // The host cannot reach its own listener: the accept thread may
-            // still be parked, and joining it (or the workers fed by its
-            // channel) could hang forever. Detach instead — the threads die
-            // with the process; a wedged Drop would take the caller with
-            // them.
+            // still be parked, and joining it (or the sessions it holds)
+            // could hang forever. Detach instead — the threads die with the
+            // process; a wedged Drop would take the caller with them.
             self.accept_thread.take();
-            self.workers.drain(..);
             return;
         }
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // The accept loop owned `conn_tx`; its exit disconnects the reader
-        // workers, whose exits disconnect their writer mates.
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        let Some(accept) = self.accept_thread.take() else {
+            return;
+        };
+        // Each session joins its own writer before it finishes.
+        for session in accept.join().unwrap_or_default() {
+            let _ = session.join();
         }
     }
 }
@@ -263,32 +204,45 @@ impl Drop for NodeServer {
     }
 }
 
-/// Accepts connections and feeds them to the worker pool, shedding when the
-/// pending queue is full. Blocking accept: no sleep-poll, so connection
-/// establishment costs no added latency.
-fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, shared: Arc<ServerShared>) {
+/// Accepts connections and gives each its own session thread, shedding
+/// when [`ServerConfig::max_connections`] sessions are live. Blocking
+/// accept: no sleep-poll, so connection establishment costs no added
+/// latency. Returns the handles of the sessions still running at exit.
+fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) -> Vec<JoinHandle<()>> {
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    let mut next = 0u64;
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if shared.stop.load(Ordering::Relaxed) {
                     break; // the shutdown wake-up connection
                 }
-                shared
-                    .counters
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                match conn_tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        // Every worker busy and the backlog full: shed.
-                        // The client sees EOF and can retry.
-                        shared
-                            .counters
-                            .connections_shed
-                            .fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
+                let c = &shared.counters;
+                c.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                sessions.retain(|session| !session.is_finished());
+                if c.active_connections.load(Ordering::Relaxed) as usize
+                    >= shared.config.max_connections
+                {
+                    // Every session slot taken: shed. The client sees EOF
+                    // and can retry.
+                    c.connections_shed.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                c.connection_opened();
+                let session_shared = Arc::clone(&shared);
+                let spawned = std::thread::Builder::new()
+                    .name(format!("wedge-net-conn-{next}"))
+                    .spawn(move || {
+                        serve_session(stream, next, &session_shared);
+                        session_shared.counters.connection_closed();
+                    });
+                next += 1;
+                match spawned {
+                    Ok(session) => sessions.push(session),
+                    Err(_) => {
+                        c.connection_closed();
+                        c.connections_shed.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(TrySendError::Disconnected(_)) => break,
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -303,30 +257,11 @@ fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, shared: Arc<Se
             Err(_) => break,
         }
     }
-}
-
-/// A persistent reader worker: serves connections from the queue, one at a
-/// time, handing each session's write half to its dedicated writer mate.
-fn reader_worker(
-    conn_rx: Receiver<TcpStream>,
-    session_tx: Sender<WriterSession>,
-    ack_rx: Receiver<()>,
-    shared: Arc<ServerShared>,
-) {
-    while let Ok(stream) = conn_rx.recv() {
-        shared.counters.connection_opened();
-        serve_session(stream, &session_tx, &ack_rx, &shared);
-        shared.counters.connection_closed();
-    }
+    sessions
 }
 
 /// Serves one connection until EOF, protocol violation, or shutdown.
-fn serve_session(
-    stream: TcpStream,
-    session_tx: &Sender<WriterSession>,
-    ack_rx: &Receiver<()>,
-    shared: &Arc<ServerShared>,
-) {
+fn serve_session(stream: TcpStream, n: u64, shared: &Arc<ServerShared>) {
     let _ = stream.set_nodelay(true);
     // Reads time out periodically so the session notices shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -342,21 +277,14 @@ fn serve_session(
     // The bounded reply queue: sync reads and async append callbacks all
     // funnel through it to the coalescing writer.
     let (reply_tx, reply_rx) = bounded::<(u64, Reply)>(shared.config.reply_queue_depth.max(1));
-    // Handing the write half to the writer mate closes a bounded(1) ring
-    // (session out, ack back), but the pair runs in strict lockstep: this
-    // thread never sends a second session before draining the previous ack
-    // (`ack_rx.recv()` below), so neither queue can be full at a send.
-    // `crates/check`'s slow-client model explores this handoff exhaustively.
-    if session_tx
-        // lint: allow(chan) — session/ack pair alternates in strict lockstep; one session in flight, ack drained before the next send
-        .send(WriterSession {
-            stream: writer_stream,
-            reply_rx,
-        })
-        .is_err()
+    let writer_shared = Arc::clone(shared);
+    let writer = match std::thread::Builder::new()
+        .name(format!("wedge-net-writer-{n}"))
+        .spawn(move || run_coalescing_writer(writer_stream, reply_rx, &writer_shared))
     {
-        return; // writer mate gone: shutdown in progress
-    }
+        Ok(writer) => writer,
+        Err(_) => return,
+    };
     let session = Arc::new(SessionSender {
         tx: reply_tx,
         kill: kill_stream,
@@ -386,33 +314,17 @@ fn serve_session(
     drop(session);
     // The writer exits once every reply sender — including clones held by
     // pending append callbacks — has dropped, so no durable reply that can
-    // still be delivered is abandoned. Its ack bounds the session.
-    let _ = ack_rx.recv();
-}
-
-/// A persistent writer worker: runs the coalescing writer for each session
-/// its reader mate hands over, acking completion in between.
-fn writer_worker(
-    session_rx: Receiver<WriterSession>,
-    ack_tx: Sender<()>,
-    shared: Arc<ServerShared>,
-) {
-    while let Ok(session) = session_rx.recv() {
-        run_coalescing_writer(session, &shared);
-        // lint: allow(chan) — ack half of the strictly-alternating session/ack ring; the reader drained the previous ack before this session existed
-        if ack_tx.send(()).is_err() {
-            break;
-        }
-    }
+    // still be delivered is abandoned.
+    let _ = writer.join();
 }
 
 /// Drains the session's reply queue: every ready reply is encoded into one
 /// pooled egress buffer and the batch ships in a single socket write.
-fn run_coalescing_writer(session: WriterSession, shared: &ServerShared) {
-    let WriterSession {
-        mut stream,
-        reply_rx,
-    } = session;
+fn run_coalescing_writer(
+    mut stream: TcpStream,
+    reply_rx: Receiver<(u64, Reply)>,
+    shared: &ServerShared,
+) {
     // recv() returns Err only once the reader and every pending append
     // callback have dropped their senders — the session is over.
     'session: while let Ok((req_id, reply)) = reply_rx.recv() {
@@ -549,12 +461,11 @@ fn deliver(shared: &ServerShared, session: &SessionSender, req_id: u64, reply: R
 
 /// Queues one **append** reply. Unlike synchronous replies these must never
 /// be silently shed on a live connection: the client's append continuation
-/// fires only on reply or connection close (no timeout), and pooled clients
-/// hold an in-flight window slot until it does — one dropped reply would
-/// hang the publisher forever and leak the slot. So on queue-full the
-/// batcher blocks for a bounded grace period, and if the writer still has
-/// not drained, the connection is killed: the client's reader then fails
-/// every pending append at once ("connection closed"), releasing all slots.
+/// fires only on reply or connection close (no timeout), so one dropped
+/// reply would hang the publisher forever. So on queue-full the batcher
+/// blocks for a bounded grace period, and if the writer still has not
+/// drained, the connection is killed: the client's reader then fails every
+/// pending append at once ("connection closed").
 /// The `dead` flag makes the grace period a once-per-connection cost.
 fn deliver_append(shared: &ServerShared, session: &SessionSender, req_id: u64, reply: Reply) {
     if session.dead.load(Ordering::Relaxed) {

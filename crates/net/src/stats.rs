@@ -3,8 +3,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared by the accept loop, connection workers, and
-/// coalescing writers. Snapshot with [`NetCounters::snapshot`].
+/// Live counters shared by the accept loop, the session readers, and
+/// their coalescing writers. Snapshot with [`NetCounters::snapshot`].
 #[derive(Debug, Default)]
 pub(crate) struct NetCounters {
     pub connections_accepted: AtomicU64,
@@ -62,8 +62,8 @@ impl NetCounters {
 pub struct NetStats {
     /// Connections accepted by the listener.
     pub connections_accepted: u64,
-    /// Accepted connections shed because the pending-connection queue was
-    /// full (every worker busy and the backlog at capacity).
+    /// Accepted connections shed because `ServerConfig::max_connections`
+    /// sessions were already live.
     pub connections_shed: u64,
     /// Connections currently being served.
     pub active_connections: u64,
@@ -90,9 +90,8 @@ pub struct NetStats {
     pub queue_shed: u64,
     /// Connections killed because an append reply could not be queued
     /// within the grace period. Append replies must never be silently shed
-    /// on a live connection — the client blocks on them with no timeout and
-    /// holds an in-flight window slot until one arrives — so the server
-    /// fails the whole connection, which fails every pending append on the
+    /// on a live connection — the client blocks on them with no timeout —
+    /// so the server fails the whole connection, which fails every pending append on the
     /// client at once.
     pub slow_client_kills: u64,
     /// Replies dropped because they failed to encode (oversized frame).

@@ -124,14 +124,12 @@ pub enum Reply {
 /// A remote failure, carried inside the `R_ERROR` (and `R_MANY` error-arm)
 /// message byte string.
 ///
-/// The encoding is backward and forward compatible with the plain-text
-/// errors of earlier peers: a generic error is the raw UTF-8 message —
-/// byte-identical to the old format — while structured errors start with a
-/// `0x00` byte (which cannot open legitimate UTF-8 error text) followed by
-/// a code byte and fixed-width fields, then the human-readable message.
-/// Old clients that lossily decode the whole byte string still see the
-/// message text (including the `"not found"` needle they dispatch on); new
-/// clients recover the real [`EntryId`] instead of fabricating a sentinel.
+/// A generic error is the raw UTF-8 message, while structured errors start
+/// with a `0x00` byte (which cannot open legitimate UTF-8 error text)
+/// followed by a code byte and fixed-width fields, then the human-readable
+/// message. A reader that lossily decodes the whole byte string still sees
+/// the message text; [`WireError::from_wire_bytes`] recovers the fields,
+/// so the client raises the same [`CoreError`] the node did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// An uncategorized failure, carried as text.
@@ -140,6 +138,15 @@ pub enum WireError {
     EntryNotFound {
         /// The id the failing request named.
         id: EntryId,
+        /// Human-readable description.
+        message: String,
+    },
+    /// No entry is recorded for `(publisher, sequence)`.
+    SequenceNotFound {
+        /// The publisher the failing request named.
+        publisher: Address,
+        /// The sequence number it named.
+        sequence: u64,
         /// Human-readable description.
         message: String,
     },
@@ -152,6 +159,9 @@ const ERR_ESCAPE: u8 = 0x00;
 const ERR_CODE_GENERIC: u8 = 0x00;
 /// Structured code: entry not found, fields `log_id u64 BE || offset u32 BE`.
 const ERR_CODE_NOT_FOUND: u8 = 0x01;
+/// Structured code: sequence not found, fields `publisher (20 B) ||
+/// sequence u64 BE`.
+const ERR_CODE_SEQUENCE_NOT_FOUND: u8 = 0x02;
 
 impl WireError {
     /// Builds a generic (text-only) error.
@@ -165,6 +175,14 @@ impl WireError {
         match e {
             CoreError::EntryNotFound(id) => WireError::EntryNotFound {
                 id: *id,
+                message: e.to_string(),
+            },
+            CoreError::SequenceNotFound {
+                publisher,
+                sequence,
+            } => WireError::SequenceNotFound {
+                publisher: *publisher,
+                sequence: *sequence,
                 message: e.to_string(),
             },
             other => WireError::Generic(other.to_string()),
@@ -193,6 +211,19 @@ impl WireError {
                 out.push(ERR_CODE_NOT_FOUND);
                 out.extend_from_slice(&id.log_id.to_be_bytes());
                 out.extend_from_slice(&id.offset.to_be_bytes());
+                out.extend_from_slice(message.as_bytes());
+                out
+            }
+            WireError::SequenceNotFound {
+                publisher,
+                sequence,
+                message,
+            } => {
+                let mut out = Vec::with_capacity(30 + message.len());
+                out.push(ERR_ESCAPE);
+                out.push(ERR_CODE_SEQUENCE_NOT_FOUND);
+                out.extend_from_slice(&publisher.0);
+                out.extend_from_slice(&sequence.to_be_bytes());
                 out.extend_from_slice(message.as_bytes());
                 out
             }
@@ -228,6 +259,22 @@ impl WireError {
                     message: String::from_utf8_lossy(bytes.get(14..).unwrap_or(&[])).into_owned(),
                 }
             }
+            Some(&ERR_CODE_SEQUENCE_NOT_FOUND) => {
+                let (Some(publisher_bytes), Some(seq_bytes)) =
+                    (bytes.get(2..22), bytes.get(22..30))
+                else {
+                    return fallback();
+                };
+                let mut publisher = [0u8; 20];
+                publisher.copy_from_slice(publisher_bytes);
+                let mut sequence = [0u8; 8];
+                sequence.copy_from_slice(seq_bytes);
+                WireError::SequenceNotFound {
+                    publisher: Address(publisher),
+                    sequence: u64::from_be_bytes(sequence),
+                    message: String::from_utf8_lossy(bytes.get(30..).unwrap_or(&[])).into_owned(),
+                }
+            }
             _ => fallback(),
         }
     }
@@ -240,6 +287,17 @@ impl core::fmt::Display for WireError {
             WireError::EntryNotFound { id, message } => {
                 if message.is_empty() {
                     write!(f, "entry {id} not found")
+                } else {
+                    f.write_str(message)
+                }
+            }
+            WireError::SequenceNotFound {
+                publisher,
+                sequence,
+                message,
+            } => {
+                if message.is_empty() {
+                    write!(f, "no entry for publisher {publisher} sequence {sequence}")
                 } else {
                     f.write_str(message)
                 }
@@ -1234,6 +1292,46 @@ mod tests {
         // Unknown structured code degrades to generic, not an error.
         let unknown = WireError::from_wire_bytes(&[0x00, 0x7F, b'h', b'i']);
         assert!(matches!(unknown, WireError::Generic(_)));
+    }
+
+    /// Each structured error code pinned to its bytes (`escape || code ||
+    /// fields || message`), and each decoded back to itself.
+    #[test]
+    fn structured_error_codes_match_golden_bytes() {
+        let publisher = Address([0x5A; 20]);
+        let cases = [
+            (
+                WireError::EntryNotFound {
+                    id: EntryId {
+                        log_id: 3,
+                        offset: 7,
+                    },
+                    message: "m".into(),
+                },
+                concat!("00", "01", "0000000000000003", "00000007", "6d"),
+            ),
+            (
+                WireError::SequenceNotFound {
+                    publisher,
+                    sequence: 99,
+                    message: "m".into(),
+                },
+                concat!(
+                    "00",
+                    "02",
+                    "5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a",
+                    "0000000000000063",
+                    "6d"
+                ),
+            ),
+        ];
+        for (err, golden) in cases {
+            assert_eq!(hex(&err.to_wire_bytes()), golden, "{err:?}");
+            assert_eq!(WireError::from_wire_bytes(&err.to_wire_bytes()), err);
+        }
+        // A truncated field block degrades to generic text.
+        let short = WireError::from_wire_bytes(&[0x00, 0x02, 0x5A, 0x5A]);
+        assert!(matches!(short, WireError::Generic(_)));
     }
 
     fn decoded_error(reply: Reply) -> WireError {

@@ -1,8 +1,8 @@
 //! Integration coverage for the wire-speed RPC plane: accept-loop latency,
-//! slow-client shedding on the bounded reply queues, the single-round-trip
-//! meta pair, structured errors through the full stack, the striped client
-//! pool, and the reply-release rule (reply ⇒ durable) across a node restart
-//! through the TCP path.
+//! one session per connection up to `max_connections`, slow-client
+//! shedding on the bounded reply queues, the single-round-trip meta call,
+//! structured errors through the full stack, and the reply-release rule
+//! (reply ⇒ durable) across a node restart through the TCP path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ use wedge_core::{
 };
 use wedge_crypto::signer::Identity;
 use wedge_net::wire::{send_request, Request};
-use wedge_net::{NodeServer, PoolConfig, RemoteNode, RemoteNodePool, ServerConfig};
+use wedge_net::{NodeServer, RemoteNode, ServerConfig};
 use wedge_sim::Clock;
 use wedge_storage::{StoreConfig, SyncPolicy};
 
@@ -129,11 +129,10 @@ fn connect_handshake_has_no_accept_poll_latency() {
 
 /// A client that stops draining its socket must not grow node memory: its
 /// bounded reply queue fills, further replies are shed (counted), and a
-/// healthy connection on another worker pair is unaffected.
+/// healthy connection beside it is unaffected.
 #[test]
 fn slow_client_sheds_replies_without_hurting_others() {
     let server_config = ServerConfig {
-        workers: 2,
         reply_queue_depth: 4,
         write_stall_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
@@ -187,7 +186,7 @@ fn slow_client_sheds_replies_without_hurting_others() {
     let stats = w.server.stats();
     assert!(stats.queue_shed > 0);
 
-    // A healthy client on the other worker pair still gets served.
+    // A healthy client on another connection still gets served.
     let healthy =
         RemoteNode::connect_with_timeout(addr, Duration::from_secs(5)).expect("healthy connect");
     let response = healthy.read_entry(target).expect("healthy read");
@@ -203,12 +202,11 @@ fn slow_client_sheds_replies_without_hurting_others() {
 /// An append reply that cannot be queued must kill the connection, not be
 /// silently shed: the client's append continuation fires only on reply or
 /// connection close, so a shed reply on a live connection would hang the
-/// publisher forever (and leak a pool window slot). The kill fails every
+/// publisher forever. The kill fails every
 /// pending append on the peer at once; other connections are unaffected.
 #[test]
 fn undeliverable_append_reply_kills_connection_instead_of_hanging() {
     let server_config = ServerConfig {
-        workers: 2,
         reply_queue_depth: 2,
         append_reply_grace: Duration::from_millis(100),
         write_stall_timeout: Duration::from_secs(2),
@@ -248,61 +246,37 @@ fn undeliverable_append_reply_kills_connection_instead_of_hanging() {
     let _ = std::fs::remove_dir_all(&w.dir);
 }
 
-/// `positions()` + `entries()` must cost one Meta round trip for the pair,
-/// not one each — counted as frames actually received by the server.
+/// `meta()` costs one frame, and `positions()`/`entries()` each make a
+/// fresh Meta round trip, so they see an append made on another
+/// connection right after it is replied to.
 #[test]
 fn meta_pair_is_one_round_trip() {
     let w = net_world("metapair", quick_node_config(), ServerConfig::default());
-    {
-        let remote = Arc::new(RemoteNode::connect(w.server.local_addr()).expect("connect"));
-        let mut p = publisher(&w, Arc::clone(&remote));
-        p.append_batch(payloads(50, 64)).expect("append");
-    }
+    let writer = Arc::new(RemoteNode::connect(w.server.local_addr()).expect("connect"));
+    let mut p = publisher(&w, Arc::clone(&writer));
+    p.append_batch(payloads(50, 64)).expect("append");
     let remote = RemoteNode::connect(w.server.local_addr()).expect("fresh connect");
     let base = w.server.stats().frames_rx;
-    let positions = remote.positions();
-    let entries = remote.entries();
+    let (positions, entries, position_len) = remote.meta(0);
     assert_eq!(positions, w.node.log_positions());
     assert_eq!(entries, w.node.entry_count());
+    assert_eq!(position_len, w.node.read_log_position_len(0));
     assert_eq!(
         w.server.stats().frames_rx - base,
         1,
-        "the positions/entries pair must share one Meta RPC"
+        "the positions/entries/length triple must share one Meta RPC"
     );
-    // Consume-once: polling the same accessor refreshes instead of going
-    // stale, costing a new round trip.
-    let entries_again = remote.entries();
-    assert_eq!(entries_again, w.node.entry_count());
-    assert_eq!(w.server.stats().frames_rx - base, 2);
-    let _ = std::fs::remove_dir_all(&w.dir);
-}
-
-/// An append routed to one pool stripe must invalidate the Meta pair
-/// cached on *every* stripe: positions()/entries() are round-robined
-/// independently of the append, so a value cached on an idle stripe before
-/// the append must never be served after it.
-#[test]
-fn pool_meta_cache_is_invalidated_on_every_stripe() {
-    let w = net_world("poolmeta", quick_node_config(), ServerConfig::default());
-    let pool = Arc::new(RemoteNodePool::connect(w.server.local_addr(), 2).expect("pool connect"));
-    let mut p = publisher(&w, Arc::clone(&pool));
-    p.append_batch(payloads(4, 64)).expect("seed append");
-    for round in 1..5 {
-        // Prime: caches the companion `positions` value on whichever
-        // stripe served this call.
-        let _ = pool.entries();
-        // Append through the pool — a different stripe than the cache
-        // holder, with high probability, under round-robin striping.
-        p.append_batch(payloads(4, 64)).expect("append");
+    for round in 1..4 {
+        p.append_batch(payloads(25, 64)).expect("append");
         assert_eq!(
-            pool.positions(),
+            remote.positions(),
             w.node.log_positions(),
-            "round {round}: stale cached positions served after an append"
+            "round {round}: positions stale after an append"
         );
         assert_eq!(
-            pool.entries(),
+            remote.entries(),
             w.node.entry_count(),
-            "round {round}: stale cached entries served after an append"
+            "round {round}: entries stale after an append"
         );
     }
     let _ = std::fs::remove_dir_all(&w.dir);
@@ -327,50 +301,125 @@ fn entry_not_found_carries_real_id_over_tcp() {
     let _ = std::fs::remove_dir_all(&w.dir);
 }
 
-/// The striped client pool drives a publisher end to end: buffered appends
-/// flushed per burst, replies striped across connections, the in-flight
-/// window bounding the pipeline. Frame buffers recycle on the server.
+/// A missing `(publisher, sequence)` fails over TCP exactly as it does in
+/// process: the same variant with the same fields, not remote text.
 #[test]
-fn striped_pool_publishes_and_reads() {
-    let w = net_world("pool", quick_node_config(), ServerConfig::default());
-    let pool = Arc::new(
-        RemoteNodePool::connect_with_config(
-            w.server.local_addr(),
-            PoolConfig {
-                stripes: 4,
-                inflight_window: 16, // small: exercises blocking acquire
-                timeout: Duration::from_secs(30),
-            },
-        )
-        .expect("pool connect"),
+fn sequence_not_found_carries_publisher_and_sequence_over_tcp() {
+    let w = net_world("seqmissing", quick_node_config(), ServerConfig::default());
+    let remote = RemoteNode::connect(w.server.local_addr()).expect("connect");
+    let publisher = w.client_identity.address();
+    let local = w.node.read_entry_by_sequence(publisher, 99);
+    assert!(
+        matches!(
+            local,
+            Err(CoreError::SequenceNotFound { publisher: p, sequence: 99 }) if p == publisher
+        ),
+        "in process: {local:?}"
     );
-    assert_eq!(pool.stripes(), 4);
-    assert_eq!(
-        pool.node_public_key().to_bytes(),
-        w.node.public_key().to_bytes()
-    );
-    let mut p = publisher(&w, Arc::clone(&pool));
-    let outcome = p.append_batch(payloads(200, 256)).expect("append via pool");
-    assert_eq!(outcome.responses.len(), 200);
-    // Reads work through the pool too.
-    let first = pool
-        .read_entry(outcome.responses[0].entry_id)
-        .expect("read via pool");
-    first.verify(&w.node.public_key()).expect("verifies");
+    match remote.read_entry_by_sequence(publisher, 99) {
+        Err(CoreError::SequenceNotFound {
+            publisher: got,
+            sequence,
+        }) => {
+            assert_eq!(got, publisher);
+            assert_eq!(sequence, 99);
+        }
+        other => panic!("expected SequenceNotFound over TCP, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// A default server serves every connection at once: 20 clients, held
+/// open together, each complete a verified read. Frame buffers recycle
+/// across the connections.
+#[test]
+fn every_connection_is_served_at_once() {
+    let w = net_world("manyconns", quick_node_config(), ServerConfig::default());
+    let addr = w.server.local_addr();
+    {
+        let remote = Arc::new(RemoteNode::connect(addr).expect("connect"));
+        let mut p = publisher(&w, remote);
+        p.append_batch(payloads(40, 64)).expect("append");
+    }
+    let clients: Vec<RemoteNode> = (0..20)
+        .map(|i| {
+            RemoteNode::connect_with_timeout(addr, Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("client {i} not served: {e}"))
+        })
+        .collect();
+    let node_key = w.node.public_key();
+    std::thread::scope(|scope| {
+        for (i, client) in clients.iter().enumerate() {
+            scope.spawn(move || {
+                let id = EntryId {
+                    log_id: 0,
+                    offset: i as u32 % 25,
+                };
+                let response = client
+                    .read_entry(id)
+                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
+                assert_eq!(response.entry_id, id);
+                response
+                    .verify(&node_key)
+                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
+            });
+        }
+    });
     let stats = w.server.stats();
-    assert!(stats.connections_accepted >= 4, "stats: {stats:?}");
-    assert!(stats.peak_connections >= 4, "stats: {stats:?}");
-    assert!(stats.replies_sent >= 200, "stats: {stats:?}");
+    assert!(stats.peak_connections >= 20, "stats: {stats:?}");
+    assert_eq!(stats.connections_shed, 0, "stats: {stats:?}");
     assert!(
         stats.buffer_pool_hits > 0,
         "rx/tx frame buffers never recycled: {stats:?}"
     );
+    drop(clients);
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// Beyond `max_connections` live sessions the accept loop sheds: the extra
+/// client sees its socket closed, and once a session ends a new client is
+/// served again.
+#[test]
+fn connections_beyond_max_connections_are_shed() {
+    let server_config = ServerConfig {
+        max_connections: 2,
+        ..ServerConfig::default()
+    };
+    let w = net_world("maxconns", quick_node_config(), server_config);
+    let addr = w.server.local_addr();
+    let first = RemoteNode::connect(addr).expect("first connect");
+    let second = RemoteNode::connect(addr).expect("second connect");
+
+    let mut third = std::net::TcpStream::connect(addr).expect("raw connect");
+    third
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut byte = [0u8; 1];
+    match std::io::Read::read(&mut third, &mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("third connection was not shed: {other:?}"),
+    }
+    assert_eq!(w.server.stats().connections_shed, 1);
+    assert_eq!(second.entries(), 0, "live sessions unaffected");
+
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while w.server.stats().active_connections > 1 {
+        assert!(Instant::now() < deadline, "{:?}", w.server.stats());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let fourth = RemoteNode::connect(addr).expect("served once a slot frees");
+    assert_eq!(fourth.entries(), 0);
+    let stats = w.server.stats();
+    assert_eq!(stats.connections_shed, 1, "stats: {stats:?}");
+    assert_eq!(stats.peak_connections, 2, "stats: {stats:?}");
     let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// The reply-release rule survives the coalescing writer: every entry a
 /// group-commit node replied to **through TCP** must still be there after
-/// a restart — the pooled writer may delay or shed replies but never
+/// a restart — the coalescing writer may delay or shed replies but never
 /// releases one before durability.
 #[test]
 fn replied_entries_survive_restart_through_tcp() {
@@ -392,9 +441,8 @@ fn replied_entries_survive_restart_through_tcp() {
     let total = 64usize;
     let w = net_world("restart", group_commit.clone(), ServerConfig::default());
     {
-        let pool =
-            Arc::new(RemoteNodePool::connect(w.server.local_addr(), 2).expect("pool connect"));
-        let mut p = publisher(&w, pool);
+        let remote = Arc::new(RemoteNode::connect(w.server.local_addr()).expect("connect"));
+        let mut p = publisher(&w, remote);
         // append_batch returns only once every reply crossed the wire —
         // i.e. once the node promised durability for all entries.
         p.append_batch(payloads(total, 64)).expect("append");
