@@ -29,9 +29,16 @@ struct World {
 
 const ESCROW: Wei = Wei::from_eth(32);
 
+/// Blocks past the head at which a log position registered within which an
+/// honest node's stage-2 transaction for it must be included.
+const STAGE2_BLOCKS: u64 = 4;
+
 fn world(tag: &str, behavior: NodeBehavior, batch_size: usize) -> World {
     // 2000x compression: 13 s blocks every 6.5 ms of wall time.
-    let clock = Clock::compressed(2000.0);
+    world_on(Clock::compressed(2000.0), tag, behavior, batch_size)
+}
+
+fn world_on(clock: Clock, tag: &str, behavior: NodeBehavior, batch_size: usize) -> World {
     let chain = Chain::new(clock, ChainConfig::default());
     let node_identity = Identity::from_seed(format!("node-{tag}").as_bytes());
     let client_identity = Identity::from_seed(format!("client-{tag}").as_bytes());
@@ -110,7 +117,27 @@ fn payloads(n: usize, size: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn honest_two_phase_commitment() {
-    let mut w = world("honest", NodeBehavior::Honest, 50);
+    // 200x (65 ms of wall time per block): the node's own work between
+    // two blocks stays small next to the interval, so the stage-2 bound
+    // below counts protocol steps, not CPU speed.
+    let mut w = world_on(Clock::compressed(200.0), "honest", NodeBehavior::Honest, 50);
+    // The chain head as each log position registers (just after its
+    // batch flushed), read by a watcher polling every millisecond.
+    let head_before = w.chain.block_number();
+    let watcher = {
+        let (node, chain) = (Arc::clone(&w.node), Arc::clone(&w.chain));
+        std::thread::spawn(move || {
+            let mut heads = Vec::new();
+            while heads.len() < 2 {
+                if node.log_positions() > heads.len() as u64 {
+                    heads.push(chain.block_number());
+                } else {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            heads
+        })
+    };
     let outcome = w.publisher.append_batch(payloads(100, 256)).unwrap();
     assert_eq!(outcome.responses.len(), 100);
     assert!(outcome.first_response <= outcome.last_response);
@@ -132,14 +159,19 @@ fn honest_two_phase_commitment() {
     assert_eq!(w.node.commit_phase(1), CommitPhase::BlockchainCommitted);
     assert_eq!(w.node.commit_phase(2), CommitPhase::Pending);
 
-    // Stage-2 latency is in the tens of simulated seconds (paper: ~43 s).
-    let stats = w.node.stats();
-    let mean = stats.mean_stage2_latency().expect("commits recorded");
-    assert!(
-        mean >= Duration::from_secs(10) && mean <= Duration::from_secs(120),
-        "stage-2 latency {mean:?} outside the plausible band"
-    );
-    assert!(stats.stage2_fees > Wei::ZERO);
+    // Stage 2 lands within a few blocks of the flush (paper: ~43 s, three
+    // 13 s blocks). Counted in blocks, not simulated seconds: a wall-clock
+    // stall of the process stretches simulated time but mines no block.
+    let registered = watcher.join().expect("watcher");
+    for (log_id, registered) in (0u64..).zip(registered) {
+        let landed = w.node.commit_info(log_id).expect("stage 2 recorded");
+        assert!(
+            landed.block_number > head_before && landed.block_number <= registered + STAGE2_BLOCKS,
+            "log position {log_id} registered at block {registered} but landed in block {}",
+            landed.block_number
+        );
+    }
+    assert!(w.node.stats().stage2_fees > Wei::ZERO);
 }
 
 #[test]

@@ -182,25 +182,13 @@ impl Replicator {
         self.replicate_frames(Arc::new(vec![Frames::from_payloads(&batch[..])]))
     }
 
-    /// Ships a batch to every replica and waits for all acknowledgements.
-    ///
-    /// Returns the number of replicas that confirmed the write.
-    pub fn replicate_sync(&self, batch: Vec<Vec<u8>>) -> usize {
-        self.replicate_begin(Arc::new(batch)).wait()
-    }
-
-    /// Ships a batch without waiting for acknowledgements (lazy fan-out).
-    pub fn replicate_async(&self, batch: Vec<Vec<u8>>) {
-        drop(self.replicate_begin(Arc::new(batch)));
-    }
-
     /// Number of replicas.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
     }
 
     /// Fault injection: stops replica `idx`'s thread (it stops acking).
-    /// Subsequent `replicate_sync` calls report the shortfall.
+    /// Later batches report the shortfall in [`ReplicationHandle::wait`].
     pub fn stop_replica(&self, idx: usize) {
         if let Some(replica) = self.replicas.get(idx) {
             let _ = replica.commands.send(Command::Shutdown);
@@ -231,6 +219,15 @@ mod tests {
     use super::*;
     use crate::SyncPolicy;
 
+    /// Ships `batch` as the persist stage does and waits for the acks.
+    fn replicate(repl: &Replicator, batch: Vec<Vec<u8>>) -> usize {
+        repl.replicate_frames(frames(batch)).wait()
+    }
+
+    fn frames(batch: Vec<Vec<u8>>) -> Arc<Vec<Frames>> {
+        Arc::new(vec![Frames::from_payloads(&batch)])
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wedge-repl-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -241,7 +238,7 @@ mod tests {
     fn sync_replication_acks_all() {
         let dir = tempdir("sync");
         let repl = Replicator::spawn(&dir, 2, StoreConfig::default(), Duration::ZERO).unwrap();
-        let acked = repl.replicate_sync(vec![b"r0".to_vec(), b"r1".to_vec()]);
+        let acked = replicate(&repl, vec![b"r0".to_vec(), b"r1".to_vec()]);
         assert_eq!(acked, 2);
         drop(repl);
         // Each replica persisted the batch.
@@ -257,7 +254,7 @@ mod tests {
     fn async_replication_eventually_lands() {
         let dir = tempdir("async");
         let repl = Replicator::spawn(&dir, 1, StoreConfig::default(), Duration::ZERO).unwrap();
-        repl.replicate_async(vec![b"lazy".to_vec()]);
+        drop(repl.replicate_frames(frames(vec![b"lazy".to_vec()])));
         drop(repl); // drop joins threads, draining the queue
         let store = LogStore::open(dir.join("replica-0"), StoreConfig::default()).unwrap();
         assert_eq!(store.len(), 1);
@@ -298,7 +295,7 @@ mod tests {
         };
         let repl = Replicator::spawn(tempdir("gc"), 2, config, Duration::ZERO).unwrap();
         for b in 1..=10u64 {
-            assert_eq!(repl.replicate_sync(vec![b.to_be_bytes().to_vec(); 3]), 2);
+            assert_eq!(replicate(&repl, vec![b.to_be_bytes().to_vec(); 3]), 2);
             for replica in &repl.replicas {
                 let fsyncs = replica.store.sync_stats().fsyncs;
                 assert_eq!(fsyncs, b, "batch {b}");
@@ -314,20 +311,20 @@ mod tests {
         let dir = tempdir("hole");
         let repl = Replicator::spawn(&dir, 1, small_segments(), Duration::ZERO).unwrap();
         let batch = |b: u8| vec![vec![b; 40]];
-        assert_eq!(repl.replicate_sync(batch(0)), 1);
+        assert_eq!(replicate(&repl, batch(0)), 1);
         // A directory squats on the replica's next tail: the next batch
         // needs a rotation and cannot create the successor.
         let squatter = dir.join("replica-0").join("seg-0000000001.wlog");
         std::fs::create_dir(&squatter).unwrap();
-        assert_eq!(repl.replicate_sync(batch(1)), 0);
+        assert_eq!(replicate(&repl, batch(1)), 0);
         std::fs::remove_dir(&squatter).unwrap();
         // The store itself could take this batch now; the replica must not.
-        assert_eq!(repl.replicate_sync(batch(2)), 0);
+        assert_eq!(replicate(&repl, batch(2)), 0);
         assert_eq!(repl.replicas[0].store.len(), 1);
         drop(repl);
         // Reopened (a restart), it takes batches again.
         let repl = Replicator::spawn(&dir, 1, small_segments(), Duration::ZERO).unwrap();
-        assert_eq!(repl.replicate_sync(batch(3)), 1);
+        assert_eq!(replicate(&repl, batch(3)), 1);
         assert_eq!(repl.replicas[0].store.len(), 2);
     }
 
@@ -342,7 +339,7 @@ mod tests {
     fn zero_replicas_is_noop() {
         let repl =
             Replicator::spawn(tempdir("zero"), 0, StoreConfig::default(), Duration::ZERO).unwrap();
-        assert_eq!(repl.replicate_sync(vec![b"x".to_vec()]), 0);
+        assert_eq!(replicate(&repl, vec![b"x".to_vec()]), 0);
         assert_eq!(repl.replica_count(), 0);
     }
 
@@ -352,7 +349,7 @@ mod tests {
         let repl = Replicator::spawn(&dir, 1, StoreConfig::default(), Duration::ZERO).unwrap();
         for b in 0..5u32 {
             let batch = (0..3).map(|i| format!("b{b}-{i}").into_bytes()).collect();
-            assert_eq!(repl.replicate_sync(batch), 1);
+            assert_eq!(replicate(&repl, batch), 1);
         }
         drop(repl);
         let store = LogStore::open(dir.join("replica-0"), StoreConfig::default()).unwrap();

@@ -1,27 +1,30 @@
-//! The concurrency-graph lints L7–L9, built on the token tree.
+//! The token-tree lints: one guard-region walker for L5, L6, L7 and L9,
+//! and the channel graph for L8.
 //!
-//! All three rules work from the same extracted facts: the functions in the
-//! analysis corpus (`CONCURRENCY_CORPUS`: the node, net, cluster and
-//! storage sources), the lock acquisitions inside them, the channels they
-//! declare, and the send/recv sites that connect threads.
+//! Both work on the functions of the analysis corpus (`CONCURRENCY_CORPUS`:
+//! the node, net, cluster and storage sources). The walker goes through
+//! every function body once and reports each lock acquisition and each
+//! guarded operation together with the regions live at that token: a
+//! let-bound lock guard (until `drop(guard)` or the end of its scope), the
+//! argument span of a `Shared::mutate(..)` call (which holds `write_plane`),
+//! or a whole writer/accept function. A closure handed to `spawn` starts
+//! with no live region (it is a new thread), and a call to a corpus
+//! function is inlined one level deep: while a region is live, the callee's
+//! own acquisitions and operations count at the call site.
 //!
-//! * **L7 lock-order** — builds the partial order of `Mutex`/`RwLock`
-//!   acquisitions per function (`stats`, `write_plane`, `read_plane`, …), inlines
-//!   one call level deep, and flags any cycle in the union graph: two
-//!   threads taking the same pair of locks in opposite orders is a
-//!   deadlock waiting for the right interleaving.
+//! * **L7 lock-order** — an acquisition while another guard is live is an
+//!   edge `held → taken`; a cycle in the union graph is two threads taking
+//!   the same pair of locks in opposite orders, a deadlock waiting for the
+//!   right interleaving.
+//! * **L5 `lock`, L6 `plane`, L9 `blocking`** — one row each of
+//!   `GUARD_RULES`: the region that arms the rule, the operations it
+//!   forbids while that region is live, and the files it covers.
 //! * **L8 channel-capacity cycles** — extracts every `bounded(N)` /
 //!   `unbounded()` channel and the send/recv sites that connect thread
 //!   functions, then flags a cycle made entirely of *bounded* edges whose
 //!   sends are all *blocking* (`send()` with no `try_send` / `send_timeout`
 //!   shed path). A full queue anywhere on such a ring wedges every thread
 //!   on it — the shape of the PR 5 slow-client hang.
-//! * **L9 blocking-call-in-worker** — no durability (`ensure_durable`,
-//!   `fsync`/`sync_all`/`sync_data`), blocking `TcpStream::connect`, or
-//!   `thread::sleep` inside a coalescing-writer or accept-loop region
-//!   (function names containing `writer` or `accept`), directly or one
-//!   call level deep. Those loops are the latency floor of every connected
-//!   client; storage-speed work belongs on pipeline threads.
 //!
 //! The analyses are advisory and name-based (a field called `stats` is
 //! assumed to be the same logical lock everywhere); the escape hatch for a
@@ -34,7 +37,7 @@ use std::path::PathBuf;
 use crate::tree::{extract_fns, tokenize, FnItem, Token, TokenKind};
 use crate::{mask_source, suppressor, Diagnostic, Lint, MaskedLine};
 
-/// One corpus file, parsed once and shared by the three analyses.
+/// One corpus file, parsed once and shared by the analyses.
 pub struct SourceFile {
     /// Path used in diagnostics (workspace-relative).
     pub rel: PathBuf,
@@ -64,12 +67,13 @@ impl SourceFile {
     }
 }
 
-/// Runs L7, L8, and L9 over the corpus. Returned diagnostics include
-/// suppressed ones (`suppressed_by` set); the caller filters.
+/// Runs L5–L9 over the corpus. Returned diagnostics include suppressed
+/// ones (`suppressed_by` set); the caller filters.
 pub fn lint_concurrency(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let mut diags = lint_lock_order(files);
+    let events = walk_corpus(files);
+    let mut diags = lint_lock_order(files, &events);
     diags.extend(lint_channel_cycles(files));
-    diags.extend(lint_blocking_in_worker(files));
+    diags.extend(lint_guard_rules(files, &events));
     diags
 }
 
@@ -136,80 +140,123 @@ fn match_call(toks: &[Token], i: usize) -> Option<&str> {
 }
 
 // ---------------------------------------------------------------------------
-// L7: lock-order cycles
+// The guard-region walker
 // ---------------------------------------------------------------------------
 
+/// A region live at some token.
 #[derive(Clone, Debug)]
-struct LockEdge {
-    from: String,
-    to: String,
-    file: usize,
-    line: usize, // 0-based
+struct Held {
+    /// The guard variable, `mutate`, or the worker function's name.
+    name: String,
+    /// The lock it holds; `None` for a writer/accept function region.
+    lock: Option<String>,
+}
+
+/// An operation some guard rule forbids: any `.store.` access, a
+/// `replicate_*()`, `sign()` / `sign_batch()` / `sign_prehashed*()` or
+/// durability (`ensure_durable()`, `fsync()`, `sync_all()`, `sync_data()`)
+/// call, a channel `.send()`, `TcpStream::connect()` or `thread::sleep()`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    Store,
+    Replicate,
+    Sign,
+    Durable,
+    Send,
+    Connect,
+    Sleep,
+}
+
+/// What the walker saw at one token.
+#[derive(Clone, Debug, PartialEq)]
+enum What {
+    /// A lock acquisition.
+    Acquire(String),
+    /// A guarded operation and its description.
+    Op(Op, String),
+}
+
+/// One walker report: what happened on which 0-based line, which regions
+/// were live, and a note for diagnostics: the call an inlined event came
+/// through, or that an acquisition opens a `mutate` span; else empty.
+struct Event {
+    line: usize,
+    what: What,
     why: String,
+    live: Vec<Held>,
 }
 
-/// Locks a function acquires anywhere in its body (for one-level inlining).
-fn direct_locks(body: &[Token]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    fn scan(toks: &[Token], out: &mut BTreeSet<String>) {
-        let mut i = 0;
-        while i < toks.len() {
-            if let Some((lock, _, n)) = match_lock_call(toks, i) {
-                out.insert(lock);
-                i += n;
-                continue;
+/// Matches an [`Op`] at `toks[i..]`, with its description.
+fn match_op(toks: &[Token], i: usize) -> Option<(Op, String)> {
+    let at = |k: usize| toks.get(i + k);
+    if toks[i].is_punct('.') {
+        return match at(1)?.ident()? {
+            "store" if at(2)?.is_punct('.') => Some((Op::Store, "`.store.` I/O".to_string())),
+            "send" if at(2)?.group('(').is_some() => {
+                Some((Op::Send, "channel `send()`".to_string()))
             }
-            if toks[i].is_punct('.')
-                && toks.get(i + 1).and_then(|t| t.ident()) == Some("mutate")
-                && toks.get(i + 2).and_then(|t| t.group('(')).is_some()
-            {
-                out.insert("write_plane".to_string());
-            }
-            if let TokenKind::Group(_, children) = &toks[i].kind {
-                scan(children, out);
-            }
-            i += 1;
-        }
+            _ => None,
+        };
     }
-    scan(body, &mut out);
-    out
-}
-
-struct L7Walker<'a> {
-    fn_locks: &'a BTreeMap<String, BTreeSet<String>>,
-    edges: Vec<LockEdge>,
-    file: usize,
-}
-
-impl L7Walker<'_> {
-    fn acquire(&mut self, live: &[(String, String)], lock: &str, line: usize, why: &str) {
-        for (_, held) in live {
-            let edge = LockEdge {
-                from: held.clone(),
-                to: lock.to_string(),
-                file: self.file,
-                line,
-                why: why.to_string(),
-            };
-            if !self
-                .edges
-                .iter()
-                .any(|e| e.from == edge.from && e.to == edge.to && e.line == edge.line)
-            {
-                self.edges.push(edge);
-            }
+    let name = toks[i].ident()?;
+    at(1)?.group('(')?;
+    if i >= 1 && toks[i - 1].ident() == Some("fn") {
+        return None;
+    }
+    let after_path = |target: &str| {
+        i >= 3
+            && toks[i - 1].is_punct(':')
+            && toks[i - 2].is_punct(':')
+            && toks[i - 3].ident() == Some(target)
+    };
+    let (op, kind) = match name {
+        "ensure_durable" | "fsync" | "sync_all" | "sync_data" => {
+            (Op::Durable, "storage durability")
         }
+        "sign" | "sign_batch" => (Op::Sign, "signing"),
+        _ if name.starts_with("sign_prehashed") => (Op::Sign, "signing"),
+        _ if name.starts_with("replicate_") => (Op::Replicate, "replication"),
+        "connect" if after_path("TcpStream") => {
+            let desc = "`TcpStream::connect()` (unbounded blocking connect)";
+            return Some((Op::Connect, desc.to_string()));
+        }
+        "sleep" if after_path("thread") => {
+            return Some((Op::Sleep, "`thread::sleep()`".to_string()))
+        }
+        _ => return None,
+    };
+    Some((op, format!("`{name}()` ({kind})")))
+}
+
+/// Everything a function does directly, in order of first appearance:
+/// what a call to it contributes under one-level inlining.
+type Summaries = BTreeMap<String, Vec<What>>;
+
+struct Walker<'a> {
+    /// `None` while the summaries themselves are built (no inlining).
+    inline: Option<&'a Summaries>,
+    events: Vec<Event>,
+}
+
+impl Walker<'_> {
+    fn emit(&mut self, live: &[Held], line: usize, what: What, why: &str) {
+        self.events.push(Event {
+            line,
+            what,
+            why: why.to_string(),
+            live: live.to_vec(),
+        });
     }
 
-    fn walk(&mut self, toks: &[Token], live: &mut Vec<(String, String)>, fn_name: &str) {
+    fn walk(&mut self, toks: &[Token], live: &mut Vec<Held>, fn_name: &str) {
         let mut i = 0;
         while i < toks.len() {
             // `drop(guard)` retires the guard.
             if toks[i].ident() == Some("drop") {
                 if let Some(children) = toks.get(i + 1).and_then(|t| t.group('(')) {
-                    if children.len() == 1 {
-                        if let Some(name) = children[0].ident() {
-                            live.retain(|(var, _)| var != name);
+                    if let [only] = children {
+                        if let Some(name) = only.ident() {
+                            live.retain(|held| held.name != name);
                         }
                     }
                     i += 2;
@@ -220,52 +267,58 @@ impl L7Walker<'_> {
             // of its argument list (the closure runs under the guard).
             if toks[i].is_punct('.') && toks.get(i + 1).and_then(|t| t.ident()) == Some("mutate") {
                 if let Some(children) = toks.get(i + 2).and_then(|t| t.group('(')) {
-                    self.acquire(
+                    let lock = "write_plane".to_string();
+                    let line = toks[i + 1].line;
+                    self.emit(
                         live,
-                        "write_plane",
-                        toks[i + 1].line,
+                        line,
+                        What::Acquire(lock.clone()),
                         "Shared::mutate region",
                     );
-                    live.push(("<mutate>".to_string(), "write_plane".to_string()));
+                    live.push(Held {
+                        name: "mutate".to_string(),
+                        lock: Some(lock),
+                    });
                     self.walk(children, live, fn_name);
-                    live.retain(|(var, _)| var != "<mutate>");
+                    live.retain(|held| held.name != "mutate");
                     i += 3;
                     continue;
                 }
             }
-            // A lock acquisition: an edge from every live lock, and a new
-            // guard when it is the whole right-hand side of a `let`.
+            // A lock acquisition, and a new guard when it is the whole
+            // right-hand side of a `let`.
             if let Some((lock, line, n)) = match_lock_call(toks, i) {
-                self.acquire(live, &lock, line, "");
-                let whole_rhs = toks.get(i + n).is_some_and(|t| t.is_punct(';'));
-                if whole_rhs {
-                    if let Some(var) = stmt_let_binding(toks, i) {
-                        live.push((var, lock));
+                self.emit(live, line, What::Acquire(lock.clone()), "");
+                if toks.get(i + n).is_some_and(|t| t.is_punct(';')) {
+                    if let Some(name) = stmt_let_binding(toks, i) {
+                        live.push(Held {
+                            name,
+                            lock: Some(lock),
+                        });
                     }
                 }
                 i += n;
                 continue;
             }
-            // One-level call inlining: calling a corpus function that
-            // acquires locks, while holding one, orders them.
-            if let Some(callee) = match_call(toks, i) {
+            if let Some((op, desc)) = match_op(toks, i) {
+                let line = toks[i + usize::from(toks[i].is_punct('.'))].line;
+                self.emit(live, line, What::Op(op, desc), "");
+            }
+            // One-level inlining: a call made while a region is live counts
+            // everything the callee does directly.
+            if let (Some(summaries), Some(callee)) = (self.inline, match_call(toks, i)) {
                 if !live.is_empty() && callee != fn_name {
-                    if let Some(locks) = self.fn_locks.get(callee) {
-                        let line = toks[i].line;
-                        let why = format!("via call to `{callee}()`");
-                        for lock in locks.clone() {
-                            self.acquire(live, &lock, line, &why);
-                        }
+                    let why = format!("via call to `{callee}()`");
+                    for what in summaries.get(callee).into_iter().flatten() {
+                        self.emit(live, toks[i].line, what.clone(), &why);
                     }
                 }
             }
             if let TokenKind::Group(_, children) = &toks[i].kind {
                 // A closure handed to `spawn` runs on a fresh thread: it
-                // does not inherit the caller's live guards.
-                let spawned = i >= 1 && toks[i - 1].ident() == Some("spawn");
-                if spawned {
-                    let mut fresh = Vec::new();
-                    self.walk(children, &mut fresh, fn_name);
+                // does not inherit the caller's live regions.
+                if i >= 1 && toks[i - 1].ident() == Some("spawn") {
+                    self.walk(children, &mut Vec::new(), fn_name);
                 } else {
                     let mark = live.len();
                     self.walk(children, live, fn_name);
@@ -275,6 +328,50 @@ impl L7Walker<'_> {
             i += 1;
         }
     }
+}
+
+fn is_worker_region(name: &str) -> bool {
+    name.contains("writer") || name.contains("accept")
+}
+
+fn walk_fn(f: &FnItem, inline: Option<&Summaries>) -> Vec<Event> {
+    let mut walker = Walker {
+        inline,
+        events: Vec::new(),
+    };
+    let mut live = Vec::new();
+    if is_worker_region(&f.name) {
+        live.push(Held {
+            name: f.name.clone(),
+            lock: None,
+        });
+    }
+    walker.walk(&f.body, &mut live, &f.name);
+    walker.events
+}
+
+/// Walks every corpus function twice: once to summarise what each does
+/// directly (same-named functions merge), then with those summaries
+/// inlined at call sites. Returns the second walk's events, per file.
+fn walk_corpus(files: &[SourceFile]) -> Vec<Vec<Event>> {
+    let mut summaries = Summaries::new();
+    for f in files.iter().flat_map(|file| &file.fns) {
+        let summary = summaries.entry(f.name.clone()).or_default();
+        for event in walk_fn(f, None) {
+            if !summary.contains(&event.what) {
+                summary.push(event.what);
+            }
+        }
+    }
+    files
+        .iter()
+        .map(|file| {
+            file.fns
+                .iter()
+                .flat_map(|f| walk_fn(f, Some(&summaries)))
+                .collect()
+        })
+        .collect()
 }
 
 /// Finds the `let [mut] name =` opening the statement that the token at
@@ -301,31 +398,42 @@ fn stmt_let_binding(toks: &[Token], at: usize) -> Option<String> {
     Some(name.to_string())
 }
 
-fn lint_lock_order(files: &[SourceFile]) -> Vec<Diagnostic> {
-    // Pass 1: locks each function acquires directly (corpus-wide table;
-    // same-named functions in different files merge conservatively).
-    let mut fn_locks: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for file in files {
-        for f in &file.fns {
-            fn_locks
-                .entry(f.name.clone())
-                .or_default()
-                .extend(direct_locks(&f.body));
+// ---------------------------------------------------------------------------
+// L7: lock-order cycles
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+struct LockEdge {
+    from: String,
+    to: String,
+    file: usize,
+    line: usize, // 0-based
+    why: String,
+}
+
+fn lint_lock_order(files: &[SourceFile], events: &[Vec<Event>]) -> Vec<Diagnostic> {
+    // An acquisition while a guard is live orders the two locks.
+    let mut edges: Vec<LockEdge> = Vec::new();
+    for (file, events) in events.iter().enumerate() {
+        for event in events {
+            let What::Acquire(lock) = &event.what else {
+                continue;
+            };
+            for held in event.live.iter().filter_map(|held| held.lock.as_ref()) {
+                let edge = LockEdge {
+                    from: held.clone(),
+                    to: lock.clone(),
+                    file,
+                    line: event.line,
+                    why: event.why.clone(),
+                };
+                if !edges.iter().any(|e| {
+                    (&e.from, &e.to, e.file, e.line) == (&edge.from, &edge.to, file, edge.line)
+                }) {
+                    edges.push(edge);
+                }
+            }
         }
-    }
-    // Pass 2: acquisition edges while a guard is live.
-    let mut edges = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        let mut walker = L7Walker {
-            fn_locks: &fn_locks,
-            edges: Vec::new(),
-            file: idx,
-        };
-        for f in &file.fns {
-            let mut live = Vec::new();
-            walker.walk(&f.body, &mut live, &f.name);
-        }
-        edges.extend(walker.edges);
     }
 
     let suppressed: Vec<Option<usize>> = edges
@@ -1031,113 +1139,95 @@ fn chan_diag(
 }
 
 // ---------------------------------------------------------------------------
-// L9: blocking calls in writer/accept regions
+// L5, L6, L9: operations forbidden while a region is live
 // ---------------------------------------------------------------------------
 
-/// Blocking operations that must not run on a coalescing-writer or
-/// accept-loop thread: the needle description and its 0-based line.
-fn blocking_ops(body: &[Token]) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    fn scan(toks: &[Token], out: &mut Vec<(String, usize)>) {
-        let mut i = 0;
-        while i < toks.len() {
-            if let Some(name) = toks[i].ident() {
-                let called = toks.get(i + 1).is_some_and(|t| t.group('(').is_some());
-                if called {
-                    let after_path = |target: &str| {
-                        i >= 3
-                            && toks[i - 1].is_punct(':')
-                            && toks[i - 2].is_punct(':')
-                            && toks[i - 3].ident() == Some(target)
-                    };
-                    match name {
-                        "ensure_durable" | "fsync" | "sync_all" | "sync_data" => {
-                            out.push((format!("`{name}()` (storage durability)"), toks[i].line));
-                        }
-                        "connect" if after_path("TcpStream") => {
-                            out.push((
-                                "`TcpStream::connect()` (unbounded blocking connect)".to_string(),
-                                toks[i].line,
-                            ));
-                        }
-                        "sleep" if after_path("thread") => {
-                            out.push(("`thread::sleep()`".to_string(), toks[i].line));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if let TokenKind::Group(_, children) = &toks[i].kind {
-                scan(children, out);
-            }
-            i += 1;
-        }
-    }
-    scan(body, &mut out);
-    out
+/// One guard rule: while its region is live, none of its operations may
+/// run, directly or through a one-level call.
+struct GuardRule {
+    lint: Lint,
+    /// The lock whose guard arms the rule; `None` arms it for the whole
+    /// body of a writer/accept function.
+    region: Option<&'static str>,
+    ops: &'static [Op],
+    /// Path prefix of the files the rule covers (`None`: the whole corpus).
+    scope: Option<&'static str>,
+    /// The finding, with `{op}` and `{region}` filled in.
+    message: &'static str,
 }
 
-fn is_worker_region(name: &str) -> bool {
-    name.contains("writer") || name.contains("accept")
-}
+const GUARD_RULES: &[GuardRule] = &[
+    GuardRule {
+        lint: Lint::LockAcrossSend,
+        region: Some("stats"),
+        ops: &[Op::Send],
+        scope: Some("crates/core/src/node"),
+        message: "{op} while the `{region}` guard (Shared.stats) is held risks deadlock and \
+                  blocks readers; drop the guard first",
+    },
+    GuardRule {
+        lint: Lint::WritePlaneAcrossIo,
+        region: Some("write_plane"),
+        ops: &[Op::Store, Op::Replicate, Op::Sign, Op::Durable, Op::Send],
+        scope: Some("crates/core/src/node"),
+        message: "{op} inside the write-plane region `{region}` stalls every writer and \
+                  delays snapshot publication; do the I/O before or after the mutation",
+    },
+    GuardRule {
+        lint: Lint::BlockingInWorker,
+        region: None,
+        ops: &[Op::Durable, Op::Connect, Op::Sleep],
+        scope: None,
+        message: "{op} inside the worker region `{region}` stalls the RPC plane for every \
+                  connected client; move storage-speed work to a pipeline thread",
+    },
+];
 
-fn lint_blocking_in_worker(files: &[SourceFile]) -> Vec<Diagnostic> {
-    // Corpus-wide table: which functions contain a blocking op directly
-    // (for one-level call inlining).
-    let mut fn_blocking: BTreeMap<String, String> = BTreeMap::new();
-    for file in files {
-        for f in &file.fns {
-            if let Some((desc, _)) = blocking_ops(&f.body).into_iter().next() {
-                fn_blocking.entry(f.name.clone()).or_insert(desc);
-            }
-        }
-    }
-
-    let mut diags = Vec::new();
-    for file in files {
-        for f in &file.fns {
-            if !is_worker_region(&f.name) {
+/// At most one finding per rule and line.
+fn lint_guard_rules(files: &[SourceFile], events: &[Vec<Event>]) -> Vec<Diagnostic> {
+    let mut diags: Vec<Diagnostic> = Vec::new();
+    for (file, events) in files.iter().zip(events) {
+        for rule in GUARD_RULES {
+            if rule.scope.is_some_and(|scope| !file.rel.starts_with(scope)) {
                 continue;
             }
-            let mut findings: Vec<(String, usize)> = blocking_ops(&f.body);
-            // One level deep: calls to corpus functions that block.
-            fn call_scan(
-                toks: &[Token],
-                fn_name: &str,
-                fn_blocking: &BTreeMap<String, String>,
-                out: &mut Vec<(String, usize)>,
-            ) {
-                let mut i = 0;
-                while i < toks.len() {
-                    if let Some(callee) = match_call(toks, i) {
-                        if callee != fn_name && !is_worker_region(callee) {
-                            if let Some(desc) = fn_blocking.get(callee) {
-                                out.push((
-                                    format!("call to `{callee}()`, which does {desc}"),
-                                    toks[i].line,
-                                ));
-                            }
-                        }
-                    }
-                    if let TokenKind::Group(_, children) = &toks[i].kind {
-                        call_scan(children, fn_name, fn_blocking, out);
-                    }
-                    i += 1;
+            for event in events {
+                let What::Op(op, desc) = &event.what else {
+                    continue;
+                };
+                let Some(region) = event
+                    .live
+                    .iter()
+                    .find(|held| held.lock.as_deref() == rule.region)
+                else {
+                    continue;
+                };
+                let line = event.line + 1;
+                if !rule.ops.contains(op)
+                    || diags
+                        .iter()
+                        .any(|d| d.lint == rule.lint && d.file == file.rel && d.line == line)
+                {
+                    continue;
                 }
-            }
-            call_scan(&f.body, &f.name, &fn_blocking, &mut findings);
-            for (desc, line) in findings {
+                let op = if event.why.is_empty() {
+                    desc.clone()
+                } else {
+                    format!("{desc} {}", event.why)
+                };
+                let message = rule
+                    .message
+                    .replace("{op}", &op)
+                    .replace("{region}", &region.name);
                 diags.push(Diagnostic {
                     file: file.rel.clone(),
-                    line: line + 1,
-                    lint: Lint::BlockingInWorker,
+                    line,
+                    lint: rule.lint,
                     message: format!(
-                        "{desc} inside the worker region `{}` stalls the RPC plane for every \
-                         connected client; move storage-speed work to a pipeline thread \
-                         (suppress with `// lint: allow(blocking) — <reason>`)",
-                        f.name
+                        "{message} (suppress with `// lint: allow({}) — <reason>`)",
+                        rule.lint.allow_name()
                     ),
-                    suppressed_by: suppressor(&file.lines, line, Lint::BlockingInWorker),
+                    suppressed_by: suppressor(&file.lines, event.line, rule.lint),
                 });
             }
         }
@@ -1153,6 +1243,14 @@ mod tests {
     fn corpus(srcs: &[(&str, &str)]) -> Vec<SourceFile> {
         srcs.iter()
             .map(|(name, text)| SourceFile::parse(Path::new(name).to_path_buf(), text))
+            .collect()
+    }
+
+    /// Findings of one lint over `files`, suppressed ones included.
+    fn findings(lint: Lint, files: &[SourceFile]) -> Vec<Diagnostic> {
+        lint_concurrency(files)
+            .into_iter()
+            .filter(|d| d.lint == lint)
             .collect()
     }
 
@@ -1175,7 +1273,7 @@ mod tests {
                    \x20   let plane = shared.write_plane.lock();\n\
                    \x20   let stats = shared.stats.lock();\n\
                    }\n";
-        let diags = active(lint_lock_order(&corpus(&[("a.rs", src)])));
+        let diags = active(findings(Lint::LockOrder, &corpus(&[("a.rs", src)])));
         assert!(!diags.is_empty(), "inversion must be flagged");
         assert!(diags[0].message.contains("lock-order cycle"));
     }
@@ -1190,7 +1288,7 @@ mod tests {
                    \x20   let stats = shared.stats.lock();\n\
                    \x20   shared.write_plane.lock().bump();\n\
                    }\n";
-        assert!(active(lint_lock_order(&corpus(&[("a.rs", src)]))).is_empty());
+        assert!(active(findings(Lint::LockOrder, &corpus(&[("a.rs", src)]))).is_empty());
     }
 
     #[test]
@@ -1206,7 +1304,10 @@ mod tests {
                  \x20   let plane = shared.write_plane.lock();\n\
                  \x20   let stats = shared.stats.lock();\n\
                  }\n";
-        let diags = active(lint_lock_order(&corpus(&[("a.rs", a), ("b.rs", b)])));
+        let diags = active(findings(
+            Lint::LockOrder,
+            &corpus(&[("a.rs", a), ("b.rs", b)]),
+        ));
         assert!(!diags.is_empty(), "cycle through a callee must be flagged");
     }
 
@@ -1229,13 +1330,13 @@ mod tests {
                    \x20       let stats = shared.stats.lock();\n\
                    \x20   });\n\
                    }\n";
-        assert!(active(lint_lock_order(&corpus(&[("a.rs", src)]))).is_empty());
+        assert!(active(findings(Lint::LockOrder, &corpus(&[("a.rs", src)]))).is_empty());
     }
 
     #[test]
     fn l7_follows_multiline_method_chains() {
-        // The old line-oriented engine required the guard needle and `;` on
-        // one line; the token tree does not care about layout.
+        // A guard binding may wrap across lines: the lock call and its `;`
+        // need not share a line with the `let`.
         let src = "fn f(shared: &Shared) {\n\
                    \x20   let stats = shared\n\
                    \x20       .stats\n\
@@ -1248,7 +1349,7 @@ mod tests {
                    \x20       .lock();\n\
                    \x20   let stats = shared.stats.lock();\n\
                    }\n";
-        let diags = active(lint_lock_order(&corpus(&[("a.rs", src)])));
+        let diags = active(findings(Lint::LockOrder, &corpus(&[("a.rs", src)])));
         assert!(!diags.is_empty(), "wrapped chains must still bind guards");
     }
 
@@ -1339,7 +1440,7 @@ mod tests {
         let src = "fn run_coalescing_writer(shared: &Shared) {\n\
                    \x20   shared.store.ensure_durable(7);\n\
                    }\n";
-        let diags = active(lint_blocking_in_worker(&corpus(&[("a.rs", src)])));
+        let diags = active(findings(Lint::BlockingInWorker, &corpus(&[("a.rs", src)])));
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("ensure_durable"));
     }
@@ -1355,7 +1456,7 @@ mod tests {
                  fn deliver_stage(shared: &Shared) {\n\
                  \x20   shared.store.ensure_durable(7);\n\
                  }\n";
-        let diags = active(lint_blocking_in_worker(&corpus(&[("a.rs", a)])));
+        let diags = active(findings(Lint::BlockingInWorker, &corpus(&[("a.rs", a)])));
         assert_eq!(diags.len(), 1, "only the accept-loop call is a finding");
         assert!(diags[0].message.contains("persist_now"));
     }
@@ -1366,7 +1467,7 @@ mod tests {
                    \x20   // lint: allow(blocking) — test fixture\n\
                    \x20   shared.store.ensure_durable(7);\n\
                    }\n";
-        let diags = lint_blocking_in_worker(&corpus(&[("a.rs", src)]));
+        let diags = findings(Lint::BlockingInWorker, &corpus(&[("a.rs", src)]));
         assert_eq!(diags.len(), 1);
         assert!(diags[0].suppressed_by.is_some(), "marker line recorded");
     }

@@ -1,8 +1,9 @@
 //! The `wedge-lint` static-analysis pass.
 //!
-//! A lexer-based (comment/string-aware, `#[cfg(test)]`-aware) pass over the
-//! workspace's library sources enforcing project-specific invariants that
-//! rustc and clippy don't:
+//! Every rule reads source masked by [`mask_source`] (comments and strings
+//! blanked out, `#[cfg(test)]` items marked), so only library code is
+//! checked. The rules enforce project invariants that rustc and clippy
+//! don't. Line rules, on the masked text:
 //!
 //! * **L1 `panic`** — no `unwrap()` / `expect()` / `panic!` (and, in
 //!   `wedge-storage`/`wedge-chain`, no non-literal indexing) in non-test
@@ -16,33 +17,29 @@
 //!   [`ct_eq`](../wedge_crypto/ct/index.html); `==` short-circuits and
 //!   leaks timing.
 //! * **L4 `unsafe`** — every crate root carries `#![forbid(unsafe_code)]`.
-//! * **L5 `lock`** — no lock guard taken from `Shared.stats` may be held
-//!   across a channel `send()` in `crates/core/src/node/` (deadlock/latency
-//!   hazard in the stage-1→stage-2 pipeline).
-//! * **L6 `plane`** — no write-plane guard (a `Shared.write_plane` lock, or
-//!   the closure body of a `Shared::mutate(..)` call) may cover storage
-//!   I/O (`.store.`), replication (`.replicate_sync(`), signing
-//!   (`::sign(`), or a channel `send()` in `crates/core/src/node/`. The
-//!   write plane serializes snapshot publication; I/O under it stalls every
-//!   writer and delays what readers see.
 //!
-//! On top of the line-oriented rules, the token-tree engine ([`tree`])
-//! powers three concurrency-graph lints ([`graph`]):
+//! Token-tree rules ([`tree`], [`graph`]), on the node, net, cluster and
+//! storage sources. One walker tracks which guard or region is live at each
+//! token; L5, L6, L7 and L9 read its reports, L8 builds the channel graph:
 //!
-//! * **L7 `lockorder`** — no cycle in the union lock-acquisition order
-//!   across the node, net, cluster and storage sources (one call level
-//!   of inlining).
+//! * **L5 `lock`** — no `Shared.stats` guard live across a channel
+//!   `send()` in `crates/core/src/node/`.
+//! * **L6 `plane`** — no write-plane region (a `write_plane` guard, or the
+//!   span of a `Shared::mutate(..)` call) live across storage I/O,
+//!   replication, signing, durability or a channel send in
+//!   `crates/core/src/node/`: I/O under it stalls every writer and delays
+//!   what readers see.
+//! * **L7 `lockorder`** — no cycle in the union lock-acquisition order.
 //! * **L8 `chan`** — no ring of bounded channels whose sends all block:
 //!   one full queue on such a ring wedges every thread on it.
 //! * **L9 `blocking`** — no storage durability, blocking connect, or sleep
-//!   inside a coalescing-writer or accept-loop region.
+//!   inside a coalescing-writer or accept-loop function.
 //!
 //! A finding is suppressed per-site with a trailing or preceding comment of
 //! the form `// lint: allow(<name>) — <reason>`, or for a whole file with
-//! `// lint: allow-file(<name>) — <reason>`, where `<name>` is one of
-//! `panic`, `arith`, `ct`, `lock`, `plane`, `lockorder`, `chan`,
-//! `blocking` and the reason is mandatory. `cargo run -p xtask -- lint
-//! --allows` audits every marker and fails on stale ones.
+//! `// lint: allow-file(<name>) — <reason>`; the reason is mandatory.
+//! `cargo run -p xtask -- lint --allows` audits every marker and fails on
+//! stale ones.
 //!
 //! Run with `cargo run -p xtask -- lint`.
 
@@ -71,8 +68,7 @@ pub enum Lint {
     ForbidUnsafe,
     /// L5: no `Shared.stats` guard held across `send()`.
     LockAcrossSend,
-    /// L6: no write-plane guard (or `Shared::mutate` closure) covering
-    /// storage I/O, replication, signing, or a channel send.
+    /// L6: no write-plane region covering I/O, signing, or a send.
     WritePlaneAcrossIo,
     /// L7: no cycle in the lock-acquisition order graph.
     LockOrder,
@@ -83,7 +79,7 @@ pub enum Lint {
 }
 
 impl Lint {
-    /// Short code used in diagnostics (`L1`..`L6`).
+    /// Short code used in diagnostics (`L1`..`L9`).
     pub fn code(self) -> &'static str {
         match self {
             Lint::Panic => "L1",
@@ -170,13 +166,11 @@ pub struct MaskedLine {
     pub comment: String,
     /// True when the line is inside a `#[cfg(test)]` item.
     pub in_test: bool,
-    /// Brace depth at the end of the line.
-    pub depth_end: usize,
 }
 
 /// Masks comments and string/char literals so later passes can match
 /// tokens without being fooled by `"panic!"` inside a string, and records
-/// `#[cfg(test)]` regions and brace depth.
+/// `#[cfg(test)]` regions.
 pub fn mask_source(text: &str) -> Vec<MaskedLine> {
     #[derive(PartialEq)]
     enum State {
@@ -207,7 +201,6 @@ pub fn mask_source(text: &str) -> Vec<MaskedLine> {
                 code: std::mem::take(&mut code),
                 comment: std::mem::take(&mut comment),
                 in_test: false,
-                depth_end: 0,
             });
             i += 1;
             continue;
@@ -334,15 +327,13 @@ pub fn mask_source(text: &str) -> Vec<MaskedLine> {
         code,
         comment,
         in_test: false,
-        depth_end: 0,
     });
 
     annotate_regions(&mut lines);
     lines
 }
 
-/// Fills in `in_test` and `depth_end` by scanning braces and
-/// `#[cfg(test)]` attributes.
+/// Fills in `in_test` by scanning braces and `#[cfg(test)]` attributes.
 fn annotate_regions(lines: &mut [MaskedLine]) {
     let mut depth: usize = 0;
     // Depths at which a #[cfg(test)] item body was opened.
@@ -376,7 +367,6 @@ fn annotate_regions(lines: &mut [MaskedLine]) {
                 _ => {}
             }
         }
-        line.depth_end = depth;
     }
 }
 
@@ -722,167 +712,7 @@ pub fn lint_forbid_unsafe(file: &Path, lines: &[MaskedLine]) -> Vec<Diagnostic> 
     }
 }
 
-/// The shared L5/L6 engine: tracks *guard regions* — let-bound lock guards
-/// (`let g = <expr ending in a guard needle>;`), plus multi-line call
-/// regions opened by an `opener` needle (e.g. a `Shared::mutate(..)`
-/// closure body) — and flags any `op` needle occurring while a region is
-/// live. Regions retire on scope exit or explicit `drop(guard)`.
-#[allow(clippy::too_many_arguments)]
-fn lint_guard_regions(
-    file: &Path,
-    lines: &[MaskedLine],
-    lint: Lint,
-    guard_needles: &[&str],
-    openers: &[&str],
-    ops: &[&str],
-    message: &dyn Fn(&str, &str) -> String,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    // (guard/region name, brace depth where it was bound)
-    let mut live: Vec<(String, usize)> = Vec::new();
-    let mut prev_depth = 0usize;
-
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            prev_depth = line.depth_end;
-            continue;
-        }
-        let code = &line.code;
-
-        // Scope exit kills regions bound deeper than the current depth.
-        live.retain(|(_, depth)| *depth <= line.depth_end.min(prev_depth));
-
-        // Explicit `drop(guard)`.
-        for (name, _) in live.clone() {
-            if code.contains(&format!("drop({name})")) {
-                live.retain(|(n, _)| *n != name);
-            }
-        }
-
-        // Ops while a region is live (at most one finding per line).
-        if let Some((name, _)) = live.first() {
-            if let Some(op) = ops.iter().find(|op| code.contains(*op)) {
-                diags.push(Diagnostic {
-                    file: file.to_path_buf(),
-                    line: idx + 1,
-                    lint,
-                    message: message(name, op),
-                    suppressed_by: suppressor(lines, idx, lint),
-                });
-            }
-        }
-
-        // A guard is only *held* when the lock call is the whole RHS
-        // (`let g = shared.write_plane.lock();`); with a trailing field/
-        // method access the guard is a temporary dropped at end of
-        // statement.
-        let takes_guard = guard_needles.iter().any(|needle| {
-            code.find(needle)
-                .is_some_and(|pos| code[pos + needle.len()..].trim() == ";")
-        }) && code.trim_start().starts_with("let ");
-        if takes_guard {
-            // `let mut name = ...` / `let name = ...`
-            let after_let = code.trim_start().trim_start_matches("let ").trim_start();
-            let after_mut = after_let.trim_start_matches("mut ").trim_start();
-            let name: String = after_mut
-                .chars()
-                .take_while(|c| is_ident_char(*c))
-                .collect();
-            if !name.is_empty() && name != "_" {
-                live.push((name, line.depth_end));
-            }
-        }
-
-        // Call regions: a call like `shared.mutate(|plane| {` that does not
-        // close on this line holds its implicit guard until the closure's
-        // braces unwind. A call closed on the same line is checked inline.
-        for opener in openers {
-            let Some(pos) = code.find(opener) else {
-                continue;
-            };
-            let after = &code[pos + opener.len()..];
-            let mut paren_depth = 1i32;
-            let mut close = None;
-            for (j, c) in after.char_indices() {
-                match c {
-                    '(' => paren_depth += 1,
-                    ')' => {
-                        paren_depth -= 1;
-                        if paren_depth == 0 {
-                            close = Some(j);
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let region = opener.trim_matches(['.', '(']);
-            match close {
-                Some(j) => {
-                    // Single-line call: check the argument span directly.
-                    let span = &after[..j];
-                    if let Some(op) = ops.iter().find(|op| span.contains(*op)) {
-                        diags.push(Diagnostic {
-                            file: file.to_path_buf(),
-                            line: idx + 1,
-                            lint,
-                            message: message(region, op),
-                            suppressed_by: suppressor(lines, idx, lint),
-                        });
-                    }
-                }
-                None => live.push((region.to_string(), line.depth_end)),
-            }
-        }
-
-        prev_depth = line.depth_end;
-    }
-    diags
-}
-
-/// L5: no `Shared.stats` guard held across a channel `send()` in the node
-/// pipeline.
-pub fn lint_lock_across_send(file: &Path, lines: &[MaskedLine]) -> Vec<Diagnostic> {
-    lint_guard_regions(
-        file,
-        lines,
-        Lint::LockAcrossSend,
-        &[".stats.lock()"],
-        &[],
-        &[".send("],
-        &|name, _op| {
-            format!(
-                "channel `send()` while the `{name}` guard (Shared.stats) is held \
-                 risks deadlock and blocks readers; drop the guard first (suppress \
-                 with `// lint: allow(lock) — <reason>`)"
-            )
-        },
-    )
-}
-
-/// L6: no write-plane guard — a `Shared.write_plane` lock guard or the
-/// closure body of a `Shared::mutate(..)` call — may cover storage I/O,
-/// replication, signing, or a channel send. Publication of the read-plane
-/// snapshot is serialized by this guard; I/O under it stalls every writer.
-pub fn lint_write_plane_across_io(file: &Path, lines: &[MaskedLine]) -> Vec<Diagnostic> {
-    lint_guard_regions(
-        file,
-        lines,
-        Lint::WritePlaneAcrossIo,
-        &[".write_plane.lock()"],
-        &[".mutate("],
-        &[".store.", ".replicate_sync(", "::sign(", ".send("],
-        &|name, op| {
-            format!(
-                "`{op}..` inside the write-plane region `{name}` stalls every writer \
-                 and delays snapshot publication; do the I/O before or after the \
-                 mutation (suppress with `// lint: allow(plane) — <reason>`)"
-            )
-        },
-    )
-}
-
-/// Which lints run on a file.
+/// Which line rules run on a file.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LintSet {
     /// Run L1.
@@ -893,10 +723,6 @@ pub struct LintSet {
     pub arith: bool,
     /// Run L3.
     pub ct: bool,
-    /// Run L5.
-    pub lock: bool,
-    /// Run L6.
-    pub plane: bool,
 }
 
 /// Lints one file's source text with the given lint set, returning every
@@ -913,22 +739,7 @@ pub fn lint_source_all(file: &Path, text: &str, set: LintSet) -> Vec<Diagnostic>
     if set.ct {
         diags.extend(lint_ct(file, &lines));
     }
-    if set.lock {
-        diags.extend(lint_lock_across_send(file, &lines));
-    }
-    if set.plane {
-        diags.extend(lint_write_plane_across_io(file, &lines));
-    }
     diags
-}
-
-/// Lints one file's source text with the given lint set (suppressed
-/// findings filtered out).
-pub fn lint_source(file: &Path, text: &str, set: LintSet) -> Vec<Diagnostic> {
-    lint_source_all(file, text, set)
-        .into_iter()
-        .filter(|d| d.suppressed_by.is_none())
-        .collect()
 }
 
 fn walk_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -976,7 +787,7 @@ const PANIC_FREE_CRATES: &[&str] = &[
     "cluster",
 ];
 
-/// Directories whose files feed the L7–L9 concurrency-graph analyses.
+/// Directories whose files feed the token-tree rules (L5–L9).
 const CONCURRENCY_CORPUS: &[&str] = &[
     "crates/core/src/node",
     "crates/net/src",
@@ -1006,7 +817,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceScan> {
         walk_rs_files(&src, &mut files)?;
         for file in files {
             let text = fs::read_to_string(&file)?;
-            let in_node = file.starts_with(root.join("crates/core/src/node"));
             // The rebuilt Keccak hot paths (`hash/keccak.rs`, `hash/keccak4.rs`)
             // are held to the indexing rule too: the unrolled permutations use
             // only literal lane indices, so any computed index slipping in is a
@@ -1023,8 +833,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceScan> {
                 panic_indexing: matches!(*crate_name, "storage" | "chain") || keccak_hot_path,
                 arith: *crate_name == "chain",
                 ct: *crate_name == "crypto",
-                lock: in_node,
-                plane: in_node,
             };
             let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
             diags.extend(lint_source_all(&rel, &text, set));
@@ -1032,7 +840,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceScan> {
         }
     }
 
-    // L7–L9 over the concurrency corpus.
+    // L5–L9 over the concurrency corpus.
     let mut corpus = Vec::new();
     for dir in CONCURRENCY_CORPUS {
         let mut files = Vec::new();
@@ -1186,7 +994,10 @@ mod tests {
     use super::*;
 
     fn lint_str(text: &str, set: LintSet) -> Vec<Diagnostic> {
-        lint_source(Path::new("test.rs"), text, set)
+        lint_source_all(Path::new("test.rs"), text, set)
+            .into_iter()
+            .filter(|d| d.suppressed_by.is_none())
+            .collect()
     }
 
     const PANIC_ONLY: LintSet = LintSet {
@@ -1194,8 +1005,6 @@ mod tests {
         panic_indexing: false,
         arith: false,
         ct: false,
-        lock: false,
-        plane: false,
     };
 
     #[test]
@@ -1298,72 +1107,73 @@ mod tests {
         assert!(lint_str("fn f() { if ct_eq(&nonce_bytes, &other) { } }", set).is_empty());
     }
 
+    /// Unsuppressed `lint` findings of the guard-region walker, with `text`
+    /// as a node source file.
+    fn walker_findings(text: &str, lint: Lint) -> Vec<Diagnostic> {
+        let file = graph::SourceFile::parse(PathBuf::from("crates/core/src/node/test.rs"), text);
+        graph::lint_concurrency(&[file])
+            .into_iter()
+            .filter(|d| d.lint == lint && d.suppressed_by.is_none())
+            .collect()
+    }
+
     #[test]
     fn lock_rules() {
-        let set = LintSet {
-            lock: true,
-            ..Default::default()
-        };
+        let lint_str = |src: &str| walker_findings(src, Lint::LockAcrossSend);
         let bad = "fn f() {\n    let st = shared.stats.lock();\n    tx.send(1);\n}\n";
-        assert_eq!(lint_str(bad, set).len(), 1);
+        assert_eq!(lint_str(bad).len(), 1);
         let dropped =
             "fn f() {\n    let st = shared.stats.lock();\n    drop(st);\n    tx.send(1);\n}\n";
-        assert!(lint_str(dropped, set).is_empty());
+        assert!(lint_str(dropped).is_empty());
         let scoped =
             "fn f() {\n    {\n        let st = shared.stats.lock();\n    }\n    tx.send(1);\n}\n";
-        assert!(lint_str(scoped, set).is_empty());
+        assert!(lint_str(scoped).is_empty());
         let temp = "fn f() {\n    shared.stats.lock().x += 1;\n    tx.send(1);\n}\n";
-        assert!(lint_str(temp, set).is_empty());
+        assert!(lint_str(temp).is_empty());
     }
 
     #[test]
     fn plane_rules_guard_bindings() {
-        let set = LintSet {
-            plane: true,
-            ..Default::default()
-        };
+        let lint_str = |src: &str| walker_findings(src, Lint::WritePlaneAcrossIo);
         let bad = "fn f() {\n    let plane = shared.write_plane.lock();\n    \
                    shared.store.append(x);\n}\n";
-        let diags = lint_str(bad, set);
+        let diags = lint_str(bad);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].lint.code(), "L6");
         let dropped = "fn f() {\n    let plane = shared.write_plane.lock();\n    \
                        drop(plane);\n    shared.store.append(x);\n}\n";
-        assert!(lint_str(dropped, set).is_empty());
+        assert!(lint_str(dropped).is_empty());
         let temp = "fn f() {\n    let n = shared.write_plane.lock().batches.len();\n    \
                     shared.store.append(x);\n}\n";
-        assert!(lint_str(temp, set).is_empty());
-        for op in ["r.replicate_sync(x);", "Resp::sign(k);", "tx.send(1);"] {
+        assert!(lint_str(temp).is_empty());
+        for op in ["r.replicate_frames(x);", "Resp::sign(k);", "tx.send(1);"] {
             let src =
                 format!("fn f() {{\n    let plane = shared.write_plane.lock();\n    {op}\n}}\n");
-            assert_eq!(lint_str(&src, set).len(), 1, "op `{op}` must be flagged");
+            assert_eq!(lint_str(&src).len(), 1, "op `{op}` must be flagged");
         }
     }
 
     #[test]
     fn plane_rules_mutate_regions() {
-        let set = LintSet {
-            plane: true,
-            ..Default::default()
-        };
+        let lint_str = |src: &str| walker_findings(src, Lint::WritePlaneAcrossIo);
         // Multi-line mutate closure doing storage I/O.
         let bad = "fn f() {\n    shared.mutate(|plane| {\n        \
                    shared.store.truncate(n);\n    });\n}\n";
-        assert_eq!(lint_str(bad, set).len(), 1);
+        assert_eq!(lint_str(bad).len(), 1);
         // I/O after the closure has closed is fine.
         let after = "fn f() {\n    shared.mutate(|plane| {\n        plane.push(x);\n    });\n    \
                      shared.store.truncate(n);\n}\n";
-        assert!(lint_str(after, set).is_empty());
+        assert!(lint_str(after).is_empty());
         // Single-line mutate calls are checked inline.
         let inline_bad = "fn f() { shared.mutate(|plane| plane.set(shared.store.len())); }\n";
-        assert_eq!(lint_str(inline_bad, set).len(), 1);
+        assert_eq!(lint_str(inline_bad).len(), 1);
         let inline_ok = "fn f() { shared.mutate(|plane| plane.bump()); }\n";
-        assert!(lint_str(inline_ok, set).is_empty());
+        assert!(lint_str(inline_ok).is_empty());
         // The allow comment suppresses with a reason.
         let allowed = "fn f() {\n    shared.mutate(|plane| {\n        \
                        // lint: allow(plane) — test fixture\n        \
                        shared.store.truncate(n);\n    });\n}\n";
-        assert!(lint_str(allowed, set).is_empty());
+        assert!(lint_str(allowed).is_empty());
     }
 
     #[test]

@@ -2,14 +2,12 @@
 //! and brace/paren/bracket-matched trees, and extracts `fn` items with their
 //! parameter names.
 //!
-//! This is the engine upgrade behind the concurrency lints (L7–L9 in
-//! [`crate::graph`]): the line-oriented matchers in `lib.rs` cannot follow a
+//! The rules in [`crate::graph`] (L5–L9) run on it: a token tree follows a
 //! method chain wrapped across lines or a guard bound inside a macro body,
-//! but a token tree flattens physical layout away while keeping the line of
-//! every token for diagnostics. It deliberately stays a *lexer with
-//! matching*, not a parser: masking (see [`crate::mask_source`]) has already
-//! removed strings, chars, and comments, so what remains is plain tokens and
-//! three kinds of delimiter to pair up.
+//! and keeps the line of every token for diagnostics. It deliberately stays
+//! a *lexer with matching*, not a parser: masking (see
+//! [`crate::mask_source`]) has already removed strings, chars, and comments,
+//! so what remains is plain tokens and three kinds of delimiter to pair up.
 
 use crate::MaskedLine;
 

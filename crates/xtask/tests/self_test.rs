@@ -162,6 +162,71 @@ fn seeded_violations_fail_with_diagnostics() {
 }
 
 #[test]
+fn guard_rules_see_the_calls_the_node_makes() {
+    let root = fixture_dir("guard-ops");
+    skeleton(&root);
+    // The persist and deliver stages' own calls (replication, batch
+    // signing) under the write plane, storage I/O one helper away, and a
+    // `stats` guard held across a helper that sends.
+    write(
+        &root,
+        "crates/core/src/node/persist.rs",
+        "fn persist(shared: &Shared, replicator: &Replicator, key: &SecretKey, items: Items) {\n\
+         \x20   shared.mutate(|plane| {\n\
+         \x20       let handle = replicator.replicate_frames(Arc::clone(&plane.frames));\n\
+         \x20       let signed = SignedResponse::sign_batch(key, items, &shared.pool);\n\
+         \x20       plane.register(handle, signed);\n\
+         \x20   });\n\
+         }\n\
+         fn deliver(shared: &Shared, replicator: &Replicator, key: &SecretKey, items: Items) {\n\
+         \x20   let plane = shared.write_plane.lock();\n\
+         \x20   let handle = replicator.replicate_frames(Arc::clone(&plane.frames));\n\
+         \x20   let signed = SignedResponse::sign_batch(key, items, &shared.pool);\n\
+         \x20   sync_store(shared);\n\
+         \x20   drop(plane);\n\
+         }\n\
+         fn sync_store(shared: &Shared) {\n\
+         \x20   shared.store.sync();\n\
+         }\n\
+         fn report(shared: &Shared, tx: &Sender<u64>) {\n\
+         \x20   let stats = shared.stats.lock();\n\
+         \x20   notify(tx);\n\
+         \x20   drop(stats);\n\
+         }\n\
+         fn notify(tx: &Sender<u64>) {\n\
+         \x20   let _ = tx.send(1);\n\
+         }\n",
+    );
+    let out = run_lint(&root);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !out.status.success(),
+        "seeded guard ops must fail:\n{stdout}"
+    );
+    let file = "crates/core/src/node/persist.rs";
+    for (line, code) in [
+        (3, "L6"),
+        (4, "L6"),
+        (10, "L6"),
+        (11, "L6"),
+        (12, "L6"),
+        (20, "L5"),
+    ] {
+        assert!(
+            stdout.contains(&format!("{file}:{line}: [{code}]")),
+            "missing {code} finding on line {line}:\n{stdout}"
+        );
+    }
+    assert_eq!(stdout.lines().count(), 6, "exactly six findings:\n{stdout}");
+    assert!(
+        stdout.contains("via call to `sync_store()`") && stdout.contains("via call to `notify()`"),
+        "inlined findings must name the helper:\n{stdout}"
+    );
+
+    fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn clean_fixture_passes() {
     let root = fixture_dir("clean");
     skeleton(&root);
@@ -397,8 +462,7 @@ fn nested_macro_bodies_are_still_linted() {
 fn multi_line_method_chain_locks_are_tracked() {
     let root = fixture_dir("chainwrap");
     skeleton(&root);
-    // The old line-oriented engine could not connect a lock call wrapped
-    // across lines to its binding; the token-tree pass must.
+    // A lock call wrapped across lines must still bind its guard.
     write(
         &root,
         "crates/core/src/node/wrap.rs",
