@@ -776,7 +776,9 @@ pub fn signing(profile: Profile) -> Table {
             1000,
         ),
     ];
-    runs.extend([1, 8, 16, 32, 128, 1000].map(|len| (format!("runs of {len}"), long.clone(), len)));
+    runs.extend(
+        [1, 8, 16, 32, 128, 256, 1000].map(|len| (format!("runs of {len}"), long.clone(), len)),
+    );
     for (label, run, len) in runs {
         let expect: Vec<bool> = run
             .iter()

@@ -146,9 +146,10 @@ fn collect_stage(shared: &Shared, rx: Receiver<IngestMsg>, persist_tx: Sender<Ve
 /// Requests of one publisher an unchecked tail must hold, for every
 /// publisher in it, before the collect stage checks it early. A run of `n`
 /// requests under a remembered key is checked with one equation whose
-/// multi-scalar multiplication costs ~39 / 33 / 28 / 24 bucket additions
-/// per item at n = 128 / 256 / 500 / 1,000 (`msm_u128`'s window choice), so
-/// cutting a batch's runs at ≥ 256 costs little over checking them whole;
+/// multi-scalar multiplication costs 253 / 206 / 174 / 148 field
+/// multiplications per item at n = 128 / 256 / 500 / 1,000 (`msm_u128`'s
+/// window choice, counted), so cutting a batch's runs at ≥ 256 costs
+/// little over checking them whole (~40 % more on the items cut);
 /// many light publishers (runs under the combined equation's minimum)
 /// never meet it and are checked at close, as one pass.
 const EARLY_RUN: usize = 256;
