@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use wedge_baselines::{OclConfig, OclSystem, RhlConfig, RhlSystem, SoclSystem};
 use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{deploy_service, NodeConfig, OffchainNode, ServiceConfig};
+use wedge_core::{LocalNode, NodeConfig};
 use wedge_crypto::signer::Identity;
 use wedge_sim::Clock;
 
@@ -49,40 +49,17 @@ fn ocl_commits_and_charges_heavily() {
 
 #[test]
 fn socl_commit_waits_for_chain_but_costs_like_wedgeblock() {
-    let (chain, node_id, _miner) = chain_with_miner("socl");
-    let client = Identity::from_seed(b"socl-client");
-    chain.fund(client.address(), Wei::from_eth(100));
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-socl-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 50,
-                batch_linger: Duration::from_millis(5),
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
+    let config = NodeConfig {
+        batch_size: 50,
+        batch_linger: Duration::from_millis(5),
+        ..Default::default()
+    };
+    let w = LocalNode::start("socl", config).unwrap();
     let mut socl = SoclSystem::new(
-        Arc::clone(&chain),
-        Arc::clone(&node),
-        client,
-        deployment.root_record,
+        Arc::clone(&w.chain),
+        Arc::clone(w.node()),
+        w.client_identity.clone(),
+        w.root_record,
     );
     let outcome = socl.append_and_commit(payloads(100, 1024)).unwrap();
     assert_eq!(outcome.costs.operations, 100);
@@ -111,7 +88,16 @@ fn rhl_fast_stage1_but_ocl_like_cost_and_day_long_finality() {
 fn table1_orderings_hold() {
     // The qualitative Table-1 claims, in one test: cost(WB/SOCL) ≪
     // cost(OCL/RHL); stage-1 latency (WB/RHL) ≪ commit latency (OCL/SOCL).
-    let (chain, id, _miner) = chain_with_miner("t1");
+    // The WedgeBlock node's deployment brings the chain and its miner.
+    let config = NodeConfig {
+        batch_size: 40,
+        batch_linger: Duration::from_millis(5),
+        ..Default::default()
+    };
+    let w = LocalNode::start("t1", config).unwrap();
+    let chain = Arc::clone(&w.chain);
+    let id = Identity::from_seed(b"baseline-t1");
+    chain.fund(id.address(), Wei::from_eth(1_000_000));
     let data = payloads(40, 1024);
 
     let ocl = OclSystem::deploy(Arc::clone(&chain), id.clone(), OclConfig::default()).unwrap();
@@ -122,41 +108,11 @@ fn table1_orderings_hold() {
     let rhl = RhlSystem::deploy(Arc::clone(&chain), rhl_id, RhlConfig::default()).unwrap();
     let rhl_out = rhl.append_and_commit(&data).unwrap();
 
-    let node_id = Identity::from_seed(b"t1-node");
-    let client = Identity::from_seed(b"t1-client");
-    chain.fund(node_id.address(), Wei::from_eth(1000));
-    chain.fund(client.address(), Wei::from_eth(1000));
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-t1-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 40,
-                batch_linger: Duration::from_millis(5),
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
     let mut socl = SoclSystem::new(
-        Arc::clone(&chain),
-        Arc::clone(&node),
-        client,
-        deployment.root_record,
+        chain,
+        Arc::clone(w.node()),
+        w.client_identity.clone(),
+        w.root_record,
     );
     let socl_out = socl.append_and_commit(data).unwrap();
 

@@ -14,11 +14,11 @@ use crossbeam::channel::unbounded;
 use wedge_baselines::{OclConfig, OclSystem, RhlConfig, RhlSystem, SoclSystem};
 use wedge_chain::Wei;
 use wedge_core::AppendRequest;
-use wedge_core::{Auditor, NodeConfig, Reader};
+use wedge_core::{LocalNode, NodeConfig};
 use wedge_crypto::signer::Identity;
 use wedge_crypto::Hash32;
 
-use crate::workload::{kv_payloads, Profile, World, KEY_SIZE, VALUE_SIZE};
+use crate::workload::{kv_payloads, settle, Profile, KEY_SIZE, VALUE_SIZE};
 
 /// A printable result table.
 #[derive(Clone, Debug)]
@@ -99,12 +99,12 @@ fn run_append(
         replicas,
         ..Default::default()
     };
-    let mut world = World::new(tag, config, 2000.0);
+    let world = LocalNode::start(tag, config).expect("start node");
     let payloads = kv_payloads(n, KEY_SIZE, value_size, 42);
     let bytes: usize = payloads.iter().map(|p| p.len()).sum();
-    let outcome = world.publisher.append_batch(payloads).expect("append");
-    world.settle();
-    let stats = world.node.stats();
+    let outcome = world.publisher().append_batch(payloads).expect("append");
+    settle(&world);
+    let stats = world.node().stats();
     // Node-side ingestion throughput: ops over the time the node was
     // actively serving (submission to last response).
     let elapsed = outcome.last_response.as_secs_f64().max(1e-9);
@@ -258,7 +258,7 @@ pub fn fig7(profile: Profile) -> Table {
             batch_linger: Duration::from_millis(30),
             ..Default::default()
         };
-        let world = World::new(&format!("fig7-{fraction}"), config, 2000.0);
+        let world = LocalNode::start(&format!("fig7-{fraction}"), config).expect("start node");
         // Pre-sign requests so client-side signing doesn't gate the offered
         // rate.
         let publisher_id = Identity::from_seed(b"fig7-publisher");
@@ -274,7 +274,7 @@ pub fn fig7(profile: Profile) -> Table {
         // Paced submission: 100 ticks/s.
         let tick = Duration::from_millis(10);
         let per_tick = (rate * tick.as_secs_f64()).max(1.0) as usize;
-        let node = Arc::clone(&world.node);
+        let node = Arc::clone(world.node());
         let submitter = std::thread::spawn(move || {
             let mut sent = 0usize;
             let mut next_tick = Instant::now();
@@ -325,11 +325,8 @@ pub fn table1(profile: Profile) -> Table {
     for &value_size in &[1024usize, 2048] {
         // --- OCL: raw entries on-chain; commit = confirmed receipt.
         {
-            let world = World::new(
-                &format!("t1-ocl-{value_size}"),
-                NodeConfig::default(),
-                2000.0,
-            );
+            let world = LocalNode::start(&format!("t1-ocl-{value_size}"), NodeConfig::default())
+                .expect("start node");
             let ocl = OclSystem::deploy(
                 Arc::clone(&world.chain),
                 world.node_identity.clone(),
@@ -353,13 +350,12 @@ pub fn table1(profile: Profile) -> Table {
                 batch_linger: Duration::from_millis(30),
                 ..Default::default()
             };
-            let world = World::new(&format!("t1-socl-{value_size}"), config, 2000.0);
-            let client = Identity::from_seed(b"t1-socl-client");
-            world.chain.fund(client.address(), Wei::from_eth(1000));
+            let world =
+                LocalNode::start(&format!("t1-socl-{value_size}"), config).expect("start node");
             let mut socl = SoclSystem::new(
                 Arc::clone(&world.chain),
-                Arc::clone(&world.node),
-                client,
+                Arc::clone(world.node()),
+                world.client_identity.clone(),
                 world.root_record,
             );
             let n = profile.scale(10_000, 2000);
@@ -374,11 +370,8 @@ pub fn table1(profile: Profile) -> Table {
         }
         // --- RHL: fast stage-1 ack; ops posted on-chain; day-long finality.
         {
-            let world = World::new(
-                &format!("t1-rhl-{value_size}"),
-                NodeConfig::default(),
-                2000.0,
-            );
+            let world = LocalNode::start(&format!("t1-rhl-{value_size}"), NodeConfig::default())
+                .expect("start node");
             let rhl = RhlSystem::deploy(
                 Arc::clone(&world.chain),
                 world.node_identity.clone(),
@@ -417,24 +410,24 @@ pub fn table1(profile: Profile) -> Table {
 /// Builds a preloaded world for the read experiments. Request verification
 /// is disabled during preload (all requests are self-generated); reads still
 /// verify everything.
-fn preloaded_world(tag: &str, batch_size: usize, entries: usize) -> (World, Identity) {
+fn preloaded_world(tag: &str, batch_size: usize, entries: usize) -> LocalNode {
     let config = NodeConfig {
         batch_size,
         batch_linger: Duration::from_millis(30),
         verify_requests: false,
         ..Default::default()
     };
-    let mut world = World::new(tag, config, 2000.0);
+    let world = LocalNode::start(tag, config).expect("start node");
+    let mut publisher = world.publisher();
     let mut remaining = entries;
     while remaining > 0 {
         let chunk = remaining.min(20_000);
         let payloads = kv_payloads(chunk, KEY_SIZE, VALUE_SIZE, remaining as u64);
-        world.publisher.append_batch(payloads).expect("preload");
+        publisher.append_batch(payloads).expect("preload");
         remaining -= chunk;
     }
-    world.settle();
-    let publisher_id = Identity::from_seed(format!("bench-client-{tag}").as_bytes());
-    (world, publisher_id)
+    settle(&world);
+    world
 }
 
 /// Figure 8: random-key read throughput vs the batch size the log was
@@ -452,13 +445,9 @@ pub fn fig8(profile: Profile) -> Table {
         rows: Vec::new(),
     };
     for &batch_size in &BATCH_SIZES {
-        let (world, publisher_id) =
-            preloaded_world(&format!("fig8-{batch_size}"), batch_size, entries);
-        let reader = Reader::new(
-            Arc::clone(&world.node),
-            Arc::clone(&world.chain),
-            world.root_record,
-        );
+        let world = preloaded_world(&format!("fig8-{batch_size}"), batch_size, entries);
+        let publisher_id = &world.client_identity;
+        let reader = world.reader();
         let mut rng = rand::rngs::SmallRng::seed_from_u64(88);
         let sequences: Vec<u64> = (0..reads)
             .map(|_| rng.gen_range(0..entries as u64))
@@ -489,12 +478,8 @@ pub fn fig9(profile: Profile) -> Table {
         Profile::Quick => budgets_quick,
     };
     let entries = *budgets.last().expect("non-empty");
-    let (world, _publisher) = preloaded_world("fig9", 2000, entries);
-    let auditor = Auditor::new(
-        Arc::clone(&world.node),
-        Arc::clone(&world.chain),
-        world.root_record,
-    );
+    let world = preloaded_world("fig9", 2000, entries);
+    let auditor = world.auditor();
     let mut table = Table {
         title: "Figure 9 — audit latency vs number of operations".into(),
         headers: vec![
@@ -556,15 +541,16 @@ pub fn fault_tolerance(profile: Profile) -> Table {
             },
             ..Default::default()
         };
-        let mut world = World::new(&format!("faults-{drops}-{reverts}"), config, 2000.0);
+        let world =
+            LocalNode::start(&format!("faults-{drops}-{reverts}"), config).expect("start node");
         world.chain.faults().drop_next_submissions(drops);
         world.chain.faults().revert_next_calls(reverts);
         world
-            .publisher
+            .publisher()
             .append_batch(kv_payloads(n, KEY_SIZE, VALUE_SIZE, 11))
             .expect("append");
-        world.settle();
-        let stats = world.node.stats();
+        settle(&world);
+        let stats = world.node().stats();
         table.rows.push(vec![
             format!("{drops} + {reverts}"),
             stats.stage2_retries.to_string(),
@@ -1019,14 +1005,13 @@ pub fn punishment_economics() -> Table {
         behavior: NodeBehavior::CommitWrongRoot { from_log: 0 },
         ..Default::default()
     };
-    let mut world = World::new("punish-econ", config, 2000.0);
-    let outcome = world
-        .publisher
+    let world = LocalNode::start("punish-econ", config).expect("start node");
+    let mut publisher = world.publisher();
+    let outcome = publisher
         .append_batch(kv_payloads(100, KEY_SIZE, VALUE_SIZE, 9))
         .expect("append");
-    world.settle();
-    let receipt = world
-        .publisher
+    settle(&world);
+    let receipt = publisher
         .verify_all_and_punish(&outcome.responses)
         .expect("punish path")
         .expect("mismatch found");
@@ -1073,9 +1058,7 @@ const TIER_PAYLOAD: usize = 64 * 1024;
 /// (Read and reopen cost per tier are `wedgebench`'s
 /// `storage.read_hot_us` / `read_cold_us` / `reopen_ms`.)
 pub fn tiers(profile: Profile) -> Table {
-    use wedge_chain::{Chain, ChainConfig};
-    use wedge_core::{deploy_service, OffchainNode, Publisher, ServiceConfig, TierConfig};
-    use wedge_sim::Clock;
+    use wedge_core::TierConfig;
     use wedge_storage::{StoreConfig, SyncPolicy};
 
     let sizes_mb: &[u64] = match profile {
@@ -1101,25 +1084,6 @@ pub fn tiers(profile: Profile) -> Table {
         let tag = format!("tiers-{mb}");
 
         // Node-level restart measurement over a persistent directory.
-        let clock = Clock::compressed(2000.0);
-        let chain = Chain::new(clock, ChainConfig::default());
-        let node_identity = Identity::from_seed(format!("tiers-node-{mb}").as_bytes());
-        let client_identity = Identity::from_seed(format!("tiers-client-{mb}").as_bytes());
-        chain.fund(node_identity.address(), Wei::from_eth(1_000_000));
-        chain.fund(client_identity.address(), Wei::from_eth(1_000_000));
-        let miner = chain.start_miner();
-        let deployment = deploy_service(
-            &chain,
-            &node_identity,
-            client_identity.address(),
-            &ServiceConfig {
-                escrow: Wei::from_eth(32),
-                payment_terms: None,
-            },
-        )
-        .expect("deploy service");
-        let dir = std::env::temp_dir().join(format!("wedge-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let config = NodeConfig {
             batch_size: 16,
             batch_linger: Duration::from_millis(5),
@@ -1139,54 +1103,29 @@ pub fn tiers(profile: Profile) -> Table {
             },
             ..Default::default()
         };
-        let start_node = |chain: &Arc<Chain>| {
-            Arc::new(
-                OffchainNode::start(
-                    node_identity.clone(),
-                    config.clone(),
-                    Arc::clone(chain),
-                    deployment.root_record,
-                    &dir,
-                )
-                .expect("start node"),
-            )
-        };
-
-        let node = start_node(&chain);
-        {
-            let mut publisher = Publisher::new(
-                client_identity.clone(),
-                Arc::clone(&node),
-                Arc::clone(&chain),
-                deployment.root_record,
-                None,
-            );
-            let entries = (total_bytes as usize).div_ceil(TIER_PAYLOAD);
-            let payloads: Vec<Vec<u8>> = (0..entries).map(|_| vec![0x5Au8; TIER_PAYLOAD]).collect();
-            publisher.append_batch(payloads).expect("append");
-            node.wait_stage2_idle(Duration::from_secs(3600))
-                .expect("settle");
-        }
-        let records = node.entry_count() + node.log_positions();
-        let sealed_segments = node.stats().segments_sealed;
-        drop(node); // clean shutdown: final checkpoint + store sync
+        let mut world = LocalNode::start(&tag, config.clone()).expect("start node");
+        let entries = (total_bytes as usize).div_ceil(TIER_PAYLOAD);
+        let payloads: Vec<Vec<u8>> = (0..entries).map(|_| vec![0x5Au8; TIER_PAYLOAD]).collect();
+        world.publisher().append_batch(payloads).expect("append");
+        settle(&world);
+        let records = world.node().entry_count() + world.node().log_positions();
+        let sealed_segments = world.node().stats().segments_sealed;
+        // Clean shutdown (final checkpoint + store sync) outside the timing.
+        world.shutdown().expect("shut down");
 
         // Restart with the checkpoint in place: O(tail).
         let started = Instant::now();
-        let node = start_node(&chain);
+        world.restart(config.clone()).expect("restart node");
         let restart_ckpt = started.elapsed();
-        let replayed_ckpt = node.stats().restart_replayed_records;
-        drop(node);
+        let replayed_ckpt = world.node().stats().restart_replayed_records;
+        world.shutdown().expect("shut down");
 
         // Delete the checkpoints and restart again: full O(log) replay.
-        let _ = std::fs::remove_dir_all(dir.join("checkpoints"));
+        let _ = std::fs::remove_dir_all(world.dir().join("checkpoints"));
         let started = Instant::now();
-        let node = start_node(&chain);
+        world.restart(config).expect("restart node");
         let restart_full = started.elapsed();
-        let replayed_full = node.stats().restart_replayed_records;
-        drop(node);
-        drop(miner);
-        let _ = std::fs::remove_dir_all(&dir);
+        let replayed_full = world.node().stats().restart_replayed_records;
 
         table.rows.push(vec![
             mb.to_string(),

@@ -1,6 +1,7 @@
 //! An in-process cluster deployment: N epoch-mode shards over one
 //! simulated chain, a router, and the epoch coordinator — the cluster
-//! counterpart of the single-node `World` used by tests and benchmarks.
+//! counterpart of the single-node [`wedge_core::LocalNode`], used by tests
+//! and benchmarks.
 
 use std::path::PathBuf;
 use std::sync::Arc;

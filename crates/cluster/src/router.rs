@@ -128,16 +128,13 @@ impl ClusterClient {
             }
         } else {
             type Gathered = Vec<(Vec<usize>, Vec<Result<SignedResponse, CoreError>>)>;
-            let gathered: Gathered = crossbeam::thread::scope(|scope| {
+            let gathered: Gathered = std::thread::scope(|scope| {
                 let handles: Vec<_> = by_shard
                     .into_iter()
                     .map(|(shard, slots)| {
                         let backend = self.backend(shard);
                         let shard_ids: Vec<_> = slots.iter().map(|&s| ids[s].id).collect();
-                        (
-                            slots,
-                            scope.spawn(move |_| backend.read_entries(&shard_ids)),
-                        )
+                        (slots, scope.spawn(move || backend.read_entries(&shard_ids)))
                     })
                     .collect();
                 handles
@@ -156,10 +153,7 @@ impl ClusterClient {
                         (slots, results)
                     })
                     .collect()
-            })
-            // Unreachable in practice: every child is joined above, so the
-            // scope itself cannot carry a leftover panic.
-            .unwrap_or_default();
+            });
             for (slots, results) in gathered {
                 for (slot, result) in slots.into_iter().zip(results) {
                     out[slot] = Some(result);

@@ -124,10 +124,8 @@ mod tests {
     use wedge_crypto::Keypair;
     use wedge_merkle::MerkleTree;
 
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("wedge-receipts-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn scratch(tag: &str) -> wedge_storage::ScratchDir {
+        wedge_storage::ScratchDir::new(&format!("receipts-{tag}"))
     }
 
     fn response(i: u64) -> SignedResponse {
@@ -168,7 +166,8 @@ mod tests {
     /// still be waiting for a group commit's neighbours.
     #[test]
     fn saved_receipts_are_durable_on_return() {
-        let receipts = ReceiptStore::open(scratch("durable")).unwrap();
+        let dir = scratch("durable");
+        let receipts = ReceiptStore::open(&dir).unwrap();
         // Durable through `len - 1` iff the covering fsync already ran, so
         // asking again performs none.
         let assert_all_durable = |what: &str| {

@@ -11,6 +11,8 @@
 //!   three client roles of §4.2, including stage-2 verification and the
 //!   punishment trigger.
 //! - [`service`] — the DApp-logging-as-a-service deployment glue (§4.5).
+//! - [`LocalNode`] — a whole in-process deployment (chain, miner,
+//!   contracts, node, scratch directory) for tests and benchmarks.
 //! - [`chain_commit`] — the exactly-once retry engine behind every lazy
 //!   on-chain write (the node's stage 2, the cluster's epochs).
 //!
@@ -25,6 +27,7 @@ pub mod chain_commit;
 pub mod client;
 pub mod config;
 pub mod error;
+mod local;
 pub mod node;
 mod node_key;
 mod publisher_keys;
@@ -38,6 +41,7 @@ pub use client::{
 };
 pub use config::{NodeBehavior, NodeConfig, Stage2Mode, Stage2RetryPolicy, TierConfig};
 pub use error::CoreError;
+pub use local::LocalNode;
 pub use node::{NodeStats, OffchainNode};
 pub use node_key::NodeKey;
 pub use publisher_keys::{PublisherKeys, Verified};

@@ -87,17 +87,24 @@ enum PersistOutcome {
     Failed { msgs: Vec<IngestMsg>, error: String },
 }
 
-/// Batcher main loop: runs the three pipeline stages on scoped threads and
-/// returns once all of them have drained and exited.
+/// Batcher main loop: runs the three pipeline stages on named scoped
+/// threads and returns once all of them have drained and exited. A stage
+/// that fails to spawn drops its channel ends, so its neighbours see a
+/// disconnect and drain.
 pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<IngestMsg>, stage2_wake: Sender<()>) {
     let depth = shared.config.pipeline_depth.max(1);
     let (persist_tx, persist_rx) = bounded::<VerifiedBatch>(depth);
     let (deliver_tx, deliver_rx) = bounded::<PersistOutcome>(depth);
     let shared = &shared;
-    let _ = crossbeam::thread::scope(move |scope| {
-        scope.spawn(move |_| collect_stage(shared, rx, persist_tx));
-        scope.spawn(move |_| persist_stage(shared, persist_rx, deliver_tx));
-        scope.spawn(move |_| deliver_stage(shared, deliver_rx, stage2_wake));
+    let stage = |name: &str| std::thread::Builder::new().name(name.into());
+    std::thread::scope(move |scope| {
+        let _ = stage("wedge-collect")
+            .spawn_scoped(scope, move || collect_stage(shared, rx, persist_tx));
+        let _ = stage("wedge-persist")
+            .spawn_scoped(scope, move || persist_stage(shared, persist_rx, deliver_tx));
+        let _ = stage("wedge-deliver").spawn_scoped(scope, move || {
+            deliver_stage(shared, deliver_rx, stage2_wake)
+        });
     });
 }
 

@@ -299,13 +299,8 @@ mod tests {
     use super::*;
     use wedge_merkle::hash_leaf;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wedge-ckpt-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn tempdir(tag: &str) -> wedge_storage::ScratchDir {
+        let dir = wedge_storage::ScratchDir::new(&format!("ckpt-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

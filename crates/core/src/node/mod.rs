@@ -628,63 +628,3 @@ pub(crate) fn tamper(leaf: &mut [u8]) {
         *last ^= 0xFF;
     }
 }
-
-/// A node on a fresh simulated chain, for unit tests that drive `Shared`
-/// directly. Dropping it shuts the node down while the miner still runs,
-/// then removes the node's directory.
-#[cfg(test)]
-pub(crate) struct TestNode {
-    pub node: OffchainNode,
-    pub publisher: Identity,
-    dir: PathBuf,
-    _miner: wedge_chain::MinerHandle,
-}
-
-#[cfg(test)]
-impl Drop for TestNode {
-    fn drop(&mut self) {
-        self.node.shutdown();
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-#[cfg(test)]
-impl std::ops::Deref for TestNode {
-    type Target = OffchainNode;
-    fn deref(&self) -> &OffchainNode {
-        &self.node
-    }
-}
-
-/// Starts a [`TestNode`] under a per-test temporary directory.
-#[cfg(test)]
-pub(crate) fn test_node(tag: &str, config: NodeConfig) -> TestNode {
-    let chain = Chain::new(
-        wedge_sim::Clock::compressed(2000.0),
-        wedge_chain::ChainConfig::default(),
-    );
-    let identity = Identity::from_seed(format!("unit-node-{tag}").as_bytes());
-    let publisher = Identity::from_seed(format!("unit-pub-{tag}").as_bytes());
-    chain.fund(identity.address(), wedge_chain::Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = crate::deploy_service(
-        &chain,
-        &identity,
-        publisher.address(),
-        &crate::ServiceConfig {
-            escrow: wedge_chain::Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-    let dir = std::env::temp_dir().join(format!("wedge-unit-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = OffchainNode::start(identity, config, chain, deployment.root_record, &dir)
-        .expect("start node");
-    TestNode {
-        node,
-        publisher,
-        dir,
-        _miner: miner,
-    }
-}

@@ -408,19 +408,19 @@ mod tests {
         }
     }
 
-    fn epoch_node(tag: &str) -> super::super::TestNode {
+    fn epoch_node(tag: &str) -> crate::LocalNode {
         // Epoch mode runs no committer thread: the test is the only writer.
         let config = crate::NodeConfig {
             stage2_mode: crate::Stage2Mode::Epoch,
             ..Default::default()
         };
-        super::super::test_node(tag, config)
+        crate::LocalNode::start(tag, config).unwrap()
     }
 
     #[test]
     fn cell_load_reflects_publish_and_old_snapshots_stay_immutable() {
-        let node = epoch_node("snap-publish");
-        let shared = &node.shared;
+        let local = epoch_node("snap-publish");
+        let shared = &local.node().shared;
         shared.mutate(|plane| {
             plane.register_batch(
                 batch_meta(0, 2),
@@ -455,8 +455,8 @@ mod tests {
 
     #[test]
     fn cell_load_is_fresh_across_threads() {
-        let node = epoch_node("snap-threads");
-        let shared = &node.shared;
+        let local = epoch_node("snap-threads");
+        let shared = &local.node().shared;
         // Load once on the reading thread before the publish, so a stale
         // per-thread copy would have something to serve.
         let (loaded, published) = std::sync::mpsc::channel::<()>();

@@ -421,9 +421,9 @@ mod tests {
     use wedge_merkle::MerkleTree;
 
     use super::super::state::BatchMeta;
-    use super::super::{test_node, TestNode};
     use super::*;
     use crate::types::{AppendRequest, CommitPhase};
+    use crate::LocalNode;
 
     /// A plane with `flushed` single-leaf batches, the first `committed` of
     /// them blockchain-committed.
@@ -502,23 +502,24 @@ mod tests {
 
     /// A node that flushes every entry as its own batch, with `entries`
     /// of them appended and every reply received.
-    fn node_with(tag: &str, behavior: NodeBehavior, entries: u64) -> TestNode {
+    fn node_with(tag: &str, behavior: NodeBehavior, entries: u64) -> LocalNode {
         let config = crate::NodeConfig {
             batch_size: 1,
             behavior,
             ..Default::default()
         };
-        let node = test_node(tag, config);
+        let node = LocalNode::start(tag, config).unwrap();
         append(&node, 0..entries);
         node
     }
 
-    fn append(node: &TestNode, sequences: std::ops::Range<u64>) {
+    fn append(node: &LocalNode, sequences: std::ops::Range<u64>) {
         let (tx, rx) = crossbeam::channel::unbounded();
         let count = sequences.end - sequences.start;
         for sequence in sequences {
-            let request = AppendRequest::new(node.publisher.secret_key(), sequence, vec![1, 2]);
-            node.submit(request, tx.clone()).unwrap();
+            let request =
+                AppendRequest::new(node.client_identity.secret_key(), sequence, vec![1, 2]);
+            node.node().submit(request, tx.clone()).unwrap();
         }
         for _ in 0..count {
             rx.recv().unwrap().unwrap();
@@ -529,7 +530,8 @@ mod tests {
 
     #[test]
     fn apply_commit_past_the_frontier_records_nothing() {
-        let node = node_with("prefix-gap", NodeBehavior::OmitStage2 { from_log: 2 }, 4);
+        let local = node_with("prefix-gap", NodeBehavior::OmitStage2 { from_log: 2 }, 4);
+        let node = local.node();
         let _ = node.wait_stage2_idle(IDLE);
         let shared = &node.shared;
         assert_eq!(shared.snapshot().frontier(), 2);
@@ -555,7 +557,8 @@ mod tests {
 
     #[test]
     fn destroy_tail_truncates_commits_and_adoption_covers_them_again() {
-        let node = node_with("prefix-destroy", NodeBehavior::Honest, 3);
+        let local = node_with("prefix-destroy", NodeBehavior::Honest, 3);
+        let node = local.node();
         node.wait_stage2_idle(IDLE).unwrap();
         assert_eq!(node.shared.snapshot().frontier(), 3);
 
@@ -567,7 +570,7 @@ mod tests {
         // Position 2 is flushed again, but the Root Record already holds
         // index 2: adopting the contract's tail covers it. The committer
         // thread races to the same adoption, so either may record it.
-        append(&node, 3..4);
+        append(&local, 3..4);
         assert!(node.shared.adopt_onchain_tail(None) <= 1);
         node.wait_stage2_idle(IDLE).unwrap();
         assert_eq!(node.shared.snapshot().frontier(), 3);

@@ -8,19 +8,14 @@
 //! client pays one ECDSA verification per distinct attestation — never a
 //! stale accept.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
 use wedge_contracts::attestation_digest;
 use wedge_core::{
-    deploy_service, AppendRequest, Auditor, CoreError, EntryId, NodeConfig, NodeKey, OffchainNode,
-    Publisher, Reader, ServiceConfig, SignedResponse,
+    AppendRequest, CoreError, EntryId, LocalNode, NodeConfig, NodeKey, SignedResponse,
 };
-use wedge_crypto::signer::Identity;
 use wedge_crypto::{keccak256, verify_prehashed, Hash32, Keypair};
 use wedge_merkle::{hash_leaf, hash_node, MerkleProof, MerkleTree, ProofNode, Side};
-use wedge_sim::Clock;
 
 fn node() -> Keypair {
     Keypair::from_seed(b"attestation-node")
@@ -347,57 +342,21 @@ fn node_key_verifies_once_per_distinct_attestation() {
 /// ECDSA verification of the node's signature, a second position one more.
 #[test]
 fn reader_and_auditor_pay_one_verification_per_position() {
-    let chain = Chain::new(Clock::compressed(2000.0), ChainConfig::default());
-    let node_identity = Identity::from_seed(b"attestation-live-node");
-    let client = Identity::from_seed(b"attestation-live-client");
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    chain.fund(client.address(), Wei::from_eth(1000));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        client.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-attestation-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let config = NodeConfig {
         batch_size: 2_000,
         batch_linger: Duration::from_millis(50),
         ..Default::default()
     };
-    let node = Arc::new(
-        OffchainNode::start(
-            node_identity,
-            config,
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let mut publisher = Publisher::new(
-        client,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        None,
-    );
+    let w = LocalNode::start("attestation-live", config).unwrap();
+    let node = w.node();
+    let mut publisher = w.publisher();
     let payloads = |n: usize| (0..n).map(|i| format!("live-{i}").into_bytes()).collect();
     publisher.append_batch(payloads(2_000)).unwrap();
     publisher.append_batch(payloads(40)).unwrap(); // closes on the linger
     node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
     assert_eq!(node.log_positions(), 2);
 
-    let reader = Reader::new(
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-    );
+    let reader = w.reader();
     let position = node.read_log_position(0).unwrap();
     assert_eq!(position.len(), 2_000);
     for response in &position {
@@ -418,11 +377,7 @@ fn reader_and_auditor_pay_one_verification_per_position() {
     assert!(reader.read_many(&ids).iter().all(Result::is_ok));
     assert_eq!(reader.node_signature_checks(), 3);
 
-    let auditor = Auditor::new(
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-    );
+    let auditor = w.auditor();
     let report = auditor.audit(0, 2_040).unwrap();
     assert!(report.is_clean(), "{:?}", report.failures);
     assert_eq!(report.entries_checked, 2_040);
@@ -440,8 +395,4 @@ fn reader_and_auditor_pay_one_verification_per_position() {
         4,
         "range scans carry no S_o"
     );
-    drop(publisher);
-    drop((reader, auditor));
-    drop(node);
-    let _ = std::fs::remove_dir_all(&dir);
 }

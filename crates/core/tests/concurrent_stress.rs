@@ -12,45 +12,20 @@
 //!   once, and none after it are silently dropped.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{
-    deploy_service, AppendRequest, CommitPhase, EntryId, NodeConfig, OffchainNode, ServiceConfig,
-};
+use wedge_core::{AppendRequest, CommitPhase, EntryId, LocalNode, NodeConfig};
 use wedge_crypto::signer::Identity;
-use wedge_sim::Clock;
 
 const PUBLISHERS: usize = 3;
 const REQUESTS_PER_PUBLISHER: usize = 40;
 
 #[test]
 fn readers_and_shutdown_race_ingestion_without_loss() {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_identity = Identity::from_seed(b"stress-node");
     let publishers: Vec<Identity> = (0..PUBLISHERS)
         .map(|p| Identity::from_seed(format!("stress-pub-{p}").as_bytes()))
         .collect();
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    for publisher in &publishers {
-        chain.fund(publisher.address(), Wei::from_eth(10));
-    }
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        publishers[0].address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-
-    let dir = std::env::temp_dir().join(format!("wedge-stress-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let config = NodeConfig {
         batch_size: 8,
         batch_linger: Duration::from_millis(2),
@@ -58,14 +33,7 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
         replicas: 2,
         ..Default::default()
     };
-    let mut node = OffchainNode::start(
-        node_identity,
-        config,
-        Arc::clone(&chain),
-        deployment.root_record,
-        &dir,
-    )
-    .expect("start node");
+    let mut w = LocalNode::start("stress", config).expect("start node");
 
     let total = PUBLISHERS * REQUESTS_PER_PUBLISHER;
     // Reply bookkeeping: `deliveries[slot]` counts invocations of the slot's
@@ -80,9 +48,11 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
     let acked: Arc<Vec<AtomicU32>> = Arc::new((0..PUBLISHERS).map(|_| AtomicU32::new(0)).collect());
     let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let stop_readers = AtomicBool::new(false);
+    // Signalled by each accepted submission; the shutdown waits for one.
+    let (accepted_tx, accepted_rx) = mpsc::channel::<()>();
 
-    crossbeam::thread::scope(|scope| {
-        let node = &node;
+    std::thread::scope(|scope| {
+        let node = w.node();
         let stop_readers = &stop_readers;
 
         // Publishers.
@@ -92,7 +62,8 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
             let submitted = Arc::clone(&submitted);
             let acked = Arc::clone(&acked);
             let failures = Arc::clone(&failures);
-            publisher_handles.push(scope.spawn(move |_| {
+            let accepted_tx = accepted_tx.clone();
+            publisher_handles.push(scope.spawn(move || {
                 for seq in 0..REQUESTS_PER_PUBLISHER {
                     let request = AppendRequest::new(
                         publisher.secret_key(),
@@ -122,6 +93,7 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
                     );
                     if outcome.is_ok() {
                         submitted[slot].store(true, Ordering::SeqCst);
+                        let _ = accepted_tx.send(());
                     } else {
                         // `begin_shutdown` already ran; the node must keep
                         // rejecting from here on (no flapping sender).
@@ -142,7 +114,7 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
 
         // Snapshot readers: whole-batch-or-nothing + commit-phase sanity.
         for _ in 0..2 {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while !stop_readers.load(Ordering::Relaxed) {
                     let (positions, entries, _) = node.meta(0);
                     let mut sum = 0u64;
@@ -181,7 +153,7 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
         {
             let acked = Arc::clone(&acked);
             let publishers = &publishers;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while !stop_readers.load(Ordering::Relaxed) {
                     for (p, publisher) in publishers.iter().enumerate() {
                         let n = acked[p].load(Ordering::SeqCst);
@@ -199,8 +171,11 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
         }
 
         // Shutdown lands mid-stress, through a *shared* reference while
-        // every thread above still borrows the node.
-        scope.spawn(move |_| {
+        // every thread above still borrows the node: 6 ms after the first
+        // submission was accepted, however late the publishers start.
+        drop(accepted_tx);
+        scope.spawn(move || {
+            let _ = accepted_rx.recv();
             std::thread::sleep(Duration::from_millis(6));
             node.begin_shutdown();
         });
@@ -211,10 +186,10 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
         // Let readers observe the post-shutdown drain for a moment.
         std::thread::sleep(Duration::from_millis(10));
         stop_readers.store(true, Ordering::Relaxed);
-    })
-    .expect("stress threads");
+    });
 
-    node.shutdown();
+    w.shutdown().expect("shut down");
+    let node = w.node();
 
     // Exactly-once accounting: accepted ⇒ one reply, rejected ⇒ none.
     let mut accepted = 0u64;
@@ -252,7 +227,4 @@ fn readers_and_shutdown_race_ingestion_without_loss() {
         stats.snapshot_publishes >= positions,
         "each flush publishes a snapshot"
     );
-    drop(node);
-    drop(miner);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,16 +7,11 @@
 //! serial Merkle tree over their leaves.
 
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{
-    deploy_service, AppendRequest, EntryId, NodeConfig, OffchainNode, ServiceConfig, SignedResponse,
-};
+use wedge_core::{AppendRequest, EntryId, LocalNode, NodeConfig, OffchainNode, SignedResponse};
 use wedge_crypto::signer::Identity;
 use wedge_merkle::MerkleTree;
-use wedge_sim::Clock;
 
 /// Long enough that no batch in these tests closes by linger: each one
 /// closes on size or at the shutdown drain.
@@ -25,55 +20,14 @@ const REPLY_WAIT: Duration = Duration::from_secs(120);
 
 type Outcome = (usize, Result<SignedResponse, String>);
 
-struct World {
-    chain: Arc<Chain>,
-    node_identity: Identity,
-    root_record: wedge_chain::Address,
-    _miner: wedge_chain::MinerHandle,
-    dir: std::path::PathBuf,
-}
-
-fn world(tag: &str) -> World {
-    let chain = Chain::new(Clock::compressed(2000.0), ChainConfig::default());
-    let node_identity = Identity::from_seed(format!("early-node-{tag}").as_bytes());
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        node_identity.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-    let dir = std::env::temp_dir().join(format!("wedge-early-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    World {
-        chain,
-        node_identity,
-        root_record: deployment.root_record,
-        _miner: miner,
-        dir,
-    }
-}
-
-fn start(w: &World, batch_size: usize) -> OffchainNode {
+fn start(tag: &str, batch_size: usize) -> LocalNode {
     let config = NodeConfig {
         batch_size,
         batch_linger: NO_LINGER,
         worker_threads: 2,
         ..Default::default()
     };
-    OffchainNode::start(
-        w.node_identity.clone(),
-        config,
-        Arc::clone(&w.chain),
-        w.root_record,
-        &w.dir,
-    )
-    .expect("start node")
+    LocalNode::start(tag, config).expect("start node")
 }
 
 /// Submits `requests[range]`, tagging each reply with its arrival index.
@@ -119,7 +73,6 @@ fn collect(
 fn early_checks_keep_batches_and_answer_rejects_before_close() {
     const BATCH: usize = 700;
     const TOTAL: usize = 1300;
-    let w = world("interleaved");
     let publishers: Vec<Identity> = (0..2)
         .map(|p| Identity::from_seed(format!("early-pub-{p}").as_bytes()))
         .collect();
@@ -139,13 +92,14 @@ fn early_checks_keep_batches_and_answer_rejects_before_close() {
         requests[i].payload.push(b'!');
     }
 
-    let node = start(&w, BATCH);
+    let w = start("interleaved", BATCH);
+    let node = w.node();
     let (tx, rx) = mpsc::channel();
     let mut slots: Vec<Option<Result<SignedResponse, String>>> = vec![None; TOTAL];
 
     // 300 requests per publisher: once the collect stage has caught up,
     // the whole tail holds runs of ≥ 256 and is checked early.
-    submit(&node, &requests, 0..600, &tx);
+    submit(node, &requests, 0..600, &tx);
     collect(&rx, bad_early.len(), &mut slots);
     for &i in &bad_early {
         assert!(
@@ -164,7 +118,7 @@ fn early_checks_keep_batches_and_answer_rejects_before_close() {
     );
 
     // Close the first batch on size; the second closes at the drain.
-    submit(&node, &requests, 600..TOTAL, &tx);
+    submit(node, &requests, 600..TOTAL, &tx);
     node.begin_shutdown();
     collect(&rx, TOTAL - bad_early.len(), &mut slots);
 
@@ -210,8 +164,6 @@ fn early_checks_keep_batches_and_answer_rejects_before_close() {
         node.stats().requests_rejected,
         (bad_early.len() + bad_late.len()) as u64
     );
-    drop(node);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// 200 publishers with 10 requests each: every run is far below 256, so
@@ -224,7 +176,6 @@ fn early_checks_keep_batches_and_answer_rejects_before_close() {
 fn many_light_publishers_never_check_early() {
     const PUBLISHERS: usize = 200;
     const EACH: usize = 10;
-    let w = world("light");
     let publishers: Vec<Identity> = (0..PUBLISHERS)
         .map(|p| Identity::from_seed(format!("early-light-{p}").as_bytes()))
         .collect();
@@ -238,10 +189,11 @@ fn many_light_publishers_never_check_early() {
             )
         })
         .collect();
-    let node = start(&w, requests.len() + 1);
+    let w = start("light", requests.len() + 1);
+    let node = w.node();
     let (tx, rx) = mpsc::channel();
     let mut slots: Vec<Option<Result<SignedResponse, String>>> = vec![None; requests.len()];
-    submit(&node, &requests, 0..requests.len(), &tx);
+    submit(node, &requests, 0..requests.len(), &tx);
     node.begin_shutdown();
     collect(&rx, requests.len(), &mut slots);
     assert!(slots.iter().all(|s| matches!(s, Some(Ok(_)))));
@@ -249,6 +201,4 @@ fn many_light_publishers_never_check_early() {
     assert_eq!(stats.requests_verified_early, 0);
     assert_eq!(stats.batches_flushed, 1);
     assert_eq!(stats.entries_ingested, requests.len() as u64);
-    drop(node);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }

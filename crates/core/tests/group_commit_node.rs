@@ -4,13 +4,9 @@
 //! (`fsyncs_coalesced`, `replication_overlap_ns`, `merkle_par_chunks`) must
 //! be observable through `NodeStats`.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{deploy_service, NodeConfig, OffchainNode, Publisher, ServiceConfig};
-use wedge_crypto::signer::Identity;
-use wedge_sim::Clock;
+use wedge_core::{LocalNode, NodeConfig};
 use wedge_storage::{StoreConfig, SyncPolicy};
 
 fn group_commit_config(batch_size: usize) -> NodeConfig {
@@ -36,58 +32,6 @@ fn group_commit_config(batch_size: usize) -> NodeConfig {
     }
 }
 
-struct World {
-    chain: Arc<Chain>,
-    node_identity: Identity,
-    client_identity: Identity,
-    root_record: wedge_chain::Address,
-    _miner: wedge_chain::MinerHandle,
-    dir: std::path::PathBuf,
-}
-
-fn world(tag: &str) -> World {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_identity = Identity::from_seed(format!("gc-node-{tag}").as_bytes());
-    let client_identity = Identity::from_seed(format!("gc-client-{tag}").as_bytes());
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    chain.fund(client_identity.address(), Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        client_identity.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-    let dir = std::env::temp_dir().join(format!("wedge-gc-node-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    World {
-        chain,
-        node_identity,
-        client_identity,
-        root_record: deployment.root_record,
-        _miner: miner,
-        dir,
-    }
-}
-
-fn start_node(w: &World, config: NodeConfig) -> Arc<OffchainNode> {
-    Arc::new(
-        OffchainNode::start(
-            w.node_identity.clone(),
-            config,
-            Arc::clone(&w.chain),
-            w.root_record,
-            &w.dir,
-        )
-        .expect("start node"),
-    )
-}
-
 fn payloads(n: usize) -> Vec<Vec<u8>> {
     (0..n)
         .map(|i| format!("gc-entry-{i}").into_bytes())
@@ -99,20 +43,13 @@ fn payloads(n: usize) -> Vec<Vec<u8>> {
 /// reply *is* a durability promise even though fsyncs are coalesced.
 #[test]
 fn group_commit_node_retains_all_replied_entries_across_restart() {
-    let w = world("restart");
+    let mut w = LocalNode::start("gc-restart", group_commit_config(8)).expect("start node");
     let total = 64usize;
     {
-        let node = start_node(&w, group_commit_config(8));
-        let mut p = Publisher::new(
-            w.client_identity.clone(),
-            Arc::clone(&node),
-            Arc::clone(&w.chain),
-            w.root_record,
-            None,
-        );
+        let node = w.node();
         // append_batch only returns once every reply arrived — i.e. once the
         // node promised durability for all `total` entries.
-        p.append_batch(payloads(total)).expect("append");
+        w.publisher().append_batch(payloads(total)).expect("append");
         node.wait_stage2_idle(Duration::from_secs(3600)).unwrap();
 
         let stats = node.stats();
@@ -128,12 +65,11 @@ fn group_commit_node_retains_all_replied_entries_across_restart() {
             stats.replication_overlap_ns > 0,
             "expected overlap accounting, stats: {stats:?}"
         );
-        drop(p);
-        // Drop the node without an explicit final sync path beyond shutdown.
     }
 
     // Restart over the same directory: every replied entry must be there.
-    let node = start_node(&w, group_commit_config(8));
+    w.restart(group_commit_config(8)).expect("restart node");
+    let node = w.node();
     assert_eq!(node.entry_count(), total as u64, "entries lost on restart");
     for log_id in 0..node.log_positions() {
         let responses = node.read_log_position(log_id).expect("position readable");
@@ -142,7 +78,6 @@ fn group_commit_node_retains_all_replied_entries_across_restart() {
             assert!(req.payload.starts_with(b"gc-entry-"));
         }
     }
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// The parallel Merkle path is exercised (and counted) once a batch reaches
@@ -152,40 +87,28 @@ fn group_commit_node_retains_all_replied_entries_across_restart() {
 /// positive half only asserts when parallelism is actually available.
 #[test]
 fn merkle_parallel_cutoff_governs_chunk_accounting() {
-    let w = world("cutoff");
     let mut config = group_commit_config(32);
     config.merkle_parallel_cutoff = usize::MAX;
     {
-        let node = start_node(&w, config.clone());
-        let mut p = Publisher::new(
-            w.client_identity.clone(),
-            Arc::clone(&node),
-            Arc::clone(&w.chain),
-            w.root_record,
-            None,
-        );
-        p.append_batch(payloads(64)).expect("append");
-        node.wait_stage2_idle(Duration::from_secs(3600)).unwrap();
+        let w = LocalNode::start("gc-cutoff-serial", config.clone()).expect("start node");
+        w.publisher().append_batch(payloads(64)).expect("append");
+        w.node()
+            .wait_stage2_idle(Duration::from_secs(3600))
+            .unwrap();
         assert_eq!(
-            node.stats().merkle_par_chunks,
+            w.node().stats().merkle_par_chunks,
             0,
             "cutoff usize::MAX must force the serial builder"
         );
     }
 
-    let _ = std::fs::remove_dir_all(&w.dir);
     config.merkle_parallel_cutoff = 8;
-    let node = start_node(&w, config);
-    let mut p = Publisher::new(
-        w.client_identity.clone(),
-        Arc::clone(&node),
-        Arc::clone(&w.chain),
-        w.root_record,
-        None,
-    );
-    p.append_batch(payloads(64)).expect("append");
-    node.wait_stage2_idle(Duration::from_secs(3600)).unwrap();
-    let stats = node.stats();
+    let w = LocalNode::start("gc-cutoff-parallel", config).expect("start node");
+    w.publisher().append_batch(payloads(64)).expect("append");
+    w.node()
+        .wait_stage2_idle(Duration::from_secs(3600))
+        .unwrap();
+    let stats = w.node().stats();
     if std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -198,5 +121,4 @@ fn merkle_parallel_cutoff_governs_chunk_accounting() {
     } else {
         assert_eq!(stats.merkle_par_chunks, 0, "single-core pool stays inline");
     }
-    let _ = std::fs::remove_dir_all(&w.dir);
 }

@@ -14,14 +14,13 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wedge_chain::{Chain, ChainConfig, Wei};
+use wedge_chain::Wei;
 use wedge_contracts::Punishment;
 use wedge_core::{
-    deploy_service, AppendRequest, CommitPhase, EntryId, NodeBehavior, NodeConfig, OffchainNode,
-    Publisher, Reader, ServiceConfig, SignedResponse,
+    AppendRequest, CommitPhase, EntryId, LocalNode, NodeBehavior, NodeConfig, Publisher,
+    SignedResponse,
 };
 use wedge_crypto::signer::Identity;
-use wedge_sim::Clock;
 
 /// The reference model: what the log must contain.
 #[derive(Default)]
@@ -46,46 +45,15 @@ fn entry_id_for(global: usize) -> EntryId {
 #[test]
 fn random_workload_agrees_with_model() {
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"model-node");
-    chain.fund(node_id.address(), Wei::from_eth(10_000));
-    let _miner = chain.start_miner();
-
     let publishers: Vec<Identity> = (0..3)
         .map(|i| Identity::from_seed(format!("model-pub-{i}").as_bytes()))
         .collect();
-    for p in &publishers {
-        chain.fund(p.address(), Wei::from_eth(10));
-    }
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        publishers[0].address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-model-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
     let config = || NodeConfig {
         batch_size: BATCH,
         batch_linger: Duration::from_millis(5),
         ..Default::default()
     };
-    let mut node = Arc::new(
-        OffchainNode::start(
-            node_id.clone(),
-            config(),
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
+    let mut w = LocalNode::start("model", config()).unwrap();
 
     let mut model = Model {
         next_seq: vec![0; publishers.len()],
@@ -102,9 +70,9 @@ fn random_workload_agrees_with_model() {
                     .collect();
                 let mut publisher = Publisher::new(
                     publishers[who].clone(),
-                    Arc::clone(&node),
-                    Arc::clone(&chain),
-                    deployment.root_record,
+                    Arc::clone(w.node()),
+                    Arc::clone(&w.chain),
+                    w.root_record,
                     None,
                 )
                 .with_starting_sequence(model.next_seq[who]);
@@ -122,12 +90,8 @@ fn random_workload_agrees_with_model() {
                 if model.entries.is_empty() {
                     continue;
                 }
-                node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
-                let reader = Reader::new(
-                    Arc::clone(&node),
-                    Arc::clone(&chain),
-                    deployment.root_record,
-                );
+                w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
+                let reader = w.reader();
                 let global = rng.gen_range(0..model.entries.len());
                 let entry = reader.read(entry_id_for(global)).unwrap();
                 assert_eq!(
@@ -141,11 +105,7 @@ fn random_workload_agrees_with_model() {
                 if model.by_sequence.is_empty() {
                     continue;
                 }
-                let reader = Reader::new(
-                    Arc::clone(&node),
-                    Arc::clone(&chain),
-                    deployment.root_record,
-                );
+                let reader = w.reader();
                 let (&(who, seq), &global) = model
                     .by_sequence
                     .iter()
@@ -158,37 +118,26 @@ fn random_workload_agrees_with_model() {
             }
             // ---- restart the node (5%).
             _ => {
-                node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
-                drop(node);
-                node = Arc::new(
-                    OffchainNode::start(
-                        node_id.clone(),
-                        config(),
-                        Arc::clone(&chain),
-                        deployment.root_record,
-                        &dir,
-                    )
-                    .unwrap(),
-                );
+                w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
+                w.restart(config()).unwrap();
                 assert_eq!(
-                    node.entry_count(),
+                    w.node().entry_count(),
                     model.entries.len() as u64,
                     "step {step}: restart lost entries"
                 );
             }
         }
         // Global invariants after every step.
-        assert_eq!(node.entry_count(), model.entries.len() as u64);
-        assert_eq!(node.log_positions(), (model.entries.len() / BATCH) as u64);
+        assert_eq!(w.node().entry_count(), model.entries.len() as u64);
+        assert_eq!(
+            w.node().log_positions(),
+            (model.entries.len() / BATCH) as u64
+        );
     }
 
     // Final sweep: every model entry is served verbatim and verified.
-    node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
-    let reader = Reader::new(
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-    );
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let reader = w.reader();
     for (global, payload) in model.entries.iter().enumerate() {
         let entry = reader.read(entry_id_for(global)).unwrap();
         assert_eq!(&entry.request.payload, payload);
@@ -226,7 +175,7 @@ fn expected_verdict(behavior: NodeBehavior, log_id: u64) -> Verdict {
 /// the per-response scheme gave it, and a lie is punished exactly once.
 #[test]
 fn every_lie_is_punished_exactly_once() {
-    const ESCROW: Wei = Wei::from_eth(3);
+    const ESCROW: Wei = LocalNode::ESCROW;
     const ENTRIES: u64 = 3 * BATCH as u64;
     let behaviors = [
         NodeBehavior::Honest,
@@ -235,39 +184,14 @@ fn every_lie_is_punished_exactly_once() {
         NodeBehavior::OmitStage2 { from_log: 1 },
     ];
     for (run, behavior) in behaviors.into_iter().enumerate() {
-        let chain = Chain::new(Clock::compressed(2000.0), ChainConfig::default());
-        let node_id = Identity::from_seed(b"lie-model-node");
-        let client = Identity::from_seed(b"lie-model-client");
-        chain.fund(node_id.address(), Wei::from_eth(10_000));
-        chain.fund(client.address(), Wei::from_eth(10_000));
-        let _miner = chain.start_miner();
-        let deployment = deploy_service(
-            &chain,
-            &node_id,
-            client.address(),
-            &ServiceConfig {
-                escrow: ESCROW,
-                payment_terms: None,
-            },
-        )
-        .unwrap();
-        let dir = std::env::temp_dir().join(format!("wedge-lies-{run}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let node = Arc::new(
-            OffchainNode::start(
-                node_id,
-                NodeConfig {
-                    batch_size: BATCH,
-                    batch_linger: Duration::from_millis(5),
-                    behavior,
-                    ..Default::default()
-                },
-                Arc::clone(&chain),
-                deployment.root_record,
-                &dir,
-            )
-            .unwrap(),
-        );
+        let config = NodeConfig {
+            batch_size: BATCH,
+            batch_linger: Duration::from_millis(5),
+            behavior,
+            ..Default::default()
+        };
+        let w = LocalNode::start(&format!("lies-{run}"), config).unwrap();
+        let (node, chain, client) = (w.node(), &w.chain, &w.client_identity);
 
         // Raw submits: a tampered reply would fail a Publisher's own checks,
         // and it is exactly the evidence wanted here.
@@ -292,13 +216,7 @@ fn every_lie_is_punished_exactly_once() {
         // punishment" half sees every kind of verdict.
         evidence.sort_by_key(|response| response.entry_id.log_id);
 
-        let publisher = Publisher::new(
-            client.clone(),
-            Arc::clone(&node),
-            Arc::clone(&chain),
-            deployment.root_record,
-            Some(deployment.punishment),
-        );
+        let publisher = w.publisher();
         let before = chain.balance(client.address());
         let mut fees = Wei::ZERO;
         let mut punished = 0u32;
@@ -338,11 +256,8 @@ fn every_lie_is_punished_exactly_once() {
             .unwrap();
         assert_eq!(gained, Wei(ESCROW.0 * punished as u128), "{behavior:?}");
         assert_eq!(
-            chain.balance(deployment.punishment),
+            chain.balance(w.punishment),
             Wei(ESCROW.0 * (1 - punished) as u128)
         );
-        drop(publisher);
-        drop(node);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,74 +1,16 @@
 //! Regression tests for PR 2's satellite bugfixes.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{deploy_service, NodeConfig, OffchainNode, Publisher, ServiceConfig};
-use wedge_crypto::signer::Identity;
-use wedge_sim::Clock;
+use wedge_core::{LocalNode, NodeConfig};
 
-struct World {
-    chain: Arc<Chain>,
-    node: Arc<OffchainNode>,
-    client_identity: Identity,
-    root_record: wedge_chain::Address,
-    _miner: wedge_chain::MinerHandle,
-    dir: std::path::PathBuf,
-}
-
-fn world(tag: &str, batch_size: usize) -> World {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_identity = Identity::from_seed(format!("regr-node-{tag}").as_bytes());
-    let client_identity = Identity::from_seed(format!("regr-client-{tag}").as_bytes());
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    chain.fund(client_identity.address(), Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        client_identity.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-    let dir = std::env::temp_dir().join(format!("wedge-regr-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_identity,
-            NodeConfig {
-                batch_size,
-                batch_linger: Duration::from_millis(5),
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .expect("start node"),
-    );
-    World {
-        chain,
-        node,
-        client_identity,
-        root_record: deployment.root_record,
-        _miner: miner,
-        dir,
-    }
-}
-
-fn publisher(w: &World) -> Publisher {
-    Publisher::new(
-        w.client_identity.clone(),
-        Arc::clone(&w.node),
-        Arc::clone(&w.chain),
-        w.root_record,
-        None,
-    )
+fn world(tag: &str, batch_size: usize) -> LocalNode {
+    let config = NodeConfig {
+        batch_size,
+        batch_linger: Duration::from_millis(5),
+        ..Default::default()
+    };
+    LocalNode::start(tag, config).expect("start node")
 }
 
 fn payloads(n: usize) -> Vec<Vec<u8>> {
@@ -81,21 +23,22 @@ fn payloads(n: usize) -> Vec<Vec<u8>> {
 #[test]
 fn scan_range_rejects_overflowing_bounds() {
     let w = world("scan-overflow", 8);
-    let mut p = publisher(&w);
+    let mut p = w.publisher();
     p.append_batch(payloads(8)).expect("append");
     // Sanity: the honest scan works.
-    let (leaves, proof, root) = w.node.scan_range(0, 2, 4).expect("honest scan");
+    let (leaves, proof, root) = w.node().scan_range(0, 2, 4).expect("honest scan");
     assert_eq!(leaves.len(), 4);
     proof.verify(&leaves, &root).expect("proof verifies");
     // The wrapping inputs must be rejected, not served.
-    assert!(w.node.scan_range(0, u32::MAX, 2).is_err());
-    assert!(w.node.scan_range(0, u32::MAX, u32::MAX).is_err());
-    assert!(w.node.scan_range(0, 2, u32::MAX).is_err());
+    assert!(w.node().scan_range(0, u32::MAX, 2).is_err());
+    assert!(w.node().scan_range(0, u32::MAX, u32::MAX).is_err());
+    assert!(w.node().scan_range(0, 2, u32::MAX).is_err());
     // Zero-length scans stay rejected too.
-    assert!(w.node.scan_range(0, 0, 0).is_err());
+    assert!(w.node().scan_range(0, 0, 0).is_err());
     drop(p);
-    w.node.wait_stage2_idle(Duration::from_secs(3600)).unwrap();
-    let _ = std::fs::remove_dir_all(&w.dir);
+    w.node()
+        .wait_stage2_idle(Duration::from_secs(3600))
+        .unwrap();
 }
 
 /// Regression: a publisher restarting after *all* its receipts were
@@ -104,12 +47,13 @@ fn scan_range_rejects_overflowing_bounds() {
 #[test]
 fn publisher_restart_after_full_verify_resumes_sequence() {
     let w = world("pub-restart", 10);
-    let receipts_dir = w.dir.join("publisher-receipts");
-    let mut p = publisher(&w)
+    let receipts_dir = w.dir().join("publisher-receipts");
+    let mut p = w
+        .publisher()
         .with_receipt_store(&receipts_dir)
         .expect("receipt store");
     p.append_batch(payloads(20)).expect("append");
-    w.node
+    w.node()
         .wait_stage2_idle(Duration::from_secs(3600))
         .expect("stage 2 commits");
     // Verify every stored receipt so the pending set drains completely.
@@ -119,7 +63,8 @@ fn publisher_restart_after_full_verify_resumes_sequence() {
     assert_eq!(p.receipt_store().unwrap().pending_count(), 0);
     drop(p);
     // Restart: the publisher must resume *after* its own logged entries.
-    let mut p = publisher(&w)
+    let mut p = w
+        .publisher()
         .with_receipt_store(&receipts_dir)
         .expect("reopen receipt store");
     assert_eq!(
@@ -131,10 +76,9 @@ fn publisher_restart_after_full_verify_resumes_sequence() {
     // the new entries.
     p.append_batch(payloads(5)).expect("append after restart");
     let resp = w
-        .node
+        .node()
         .read_by_sequence(p.address(), 20)
         .expect("sequence 20 exists exactly once");
     assert_eq!(resp.request().unwrap().payload, b"entry-0".to_vec());
     assert_eq!(p.next_sequence(), 25);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }

@@ -14,12 +14,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{
-    deploy_service, AppendRequest, CommitPhase, NodeConfig, OffchainNode, ServiceConfig,
-};
+use wedge_core::{AppendRequest, CommitPhase, LocalNode, NodeConfig};
 use wedge_crypto::signer::Identity;
-use wedge_sim::Clock;
 
 struct Schedule {
     publishers: usize,
@@ -113,43 +109,16 @@ fn shutdown_mid_batch_loses_and_duplicates_nothing() {
 }
 
 fn run_schedule(tag: usize, schedule: &Schedule) {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_identity = Identity::from_seed(format!("shutdown-node-{tag}").as_bytes());
     let publishers: Vec<Identity> = (0..schedule.publishers)
         .map(|p| Identity::from_seed(format!("shutdown-pub-{tag}-{p}").as_bytes()))
         .collect();
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    for publisher in &publishers {
-        chain.fund(publisher.address(), Wei::from_eth(10));
-    }
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        publishers[0].address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-
-    let dir = std::env::temp_dir().join(format!("wedge-shutdown-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let config = NodeConfig {
         batch_size: schedule.batch_size,
         batch_linger: schedule.batch_linger,
         ..Default::default()
     };
-    let mut node = OffchainNode::start(
-        node_identity.clone(),
-        config,
-        Arc::clone(&chain),
-        deployment.root_record,
-        &dir,
-    )
-    .expect("start node");
+    let mut w = LocalNode::start(&format!("shutdown-{tag}"), config).expect("start node");
+    let node = w.node();
 
     // One delivery counter per request; the reply closure is the only
     // writer, so any count other than exactly 1 is a lost or duplicated
@@ -158,12 +127,11 @@ fn run_schedule(tag: usize, schedule: &Schedule) {
     let deliveries: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| AtomicU32::new(0)).collect());
     let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (p, publisher) in publishers.iter().enumerate() {
-            let node = &node;
             let deliveries = Arc::clone(&deliveries);
             let failures = Arc::clone(&failures);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for seq in 0..schedule.requests_per_publisher {
                     let request = AppendRequest::new(
                         publisher.secret_key(),
@@ -192,8 +160,7 @@ fn run_schedule(tag: usize, schedule: &Schedule) {
                 }
             });
         }
-    })
-    .expect("submitter threads");
+    });
 
     // Shut down while batches are still in flight through the
     // batcher → stage-2 pipeline. `shutdown` closes the ingest channel
@@ -213,7 +180,8 @@ fn run_schedule(tag: usize, schedule: &Schedule) {
         assert_eq!(node.log_positions(), 0, "schedule {tag}: the batch is open");
     }
     std::thread::sleep(schedule.shutdown_delay);
-    node.shutdown();
+    w.shutdown().expect("shut down");
+    let node = w.node();
 
     // Exactly-once replies, all successful.
     for (slot, counter) in deliveries.iter().enumerate() {
@@ -252,22 +220,16 @@ fn run_schedule(tag: usize, schedule: &Schedule) {
         stats.stage2_failed, 0,
         "schedule {tag}: no stage-2 task may fail"
     );
-    drop(node);
 
     // A restart finds a fully committed log: nothing lost before stage 2,
     // nothing left to re-commit (the startup resync would re-submit any
     // dropped task, so zero submissions proves the drain was complete).
-    let node = OffchainNode::start(
-        node_identity,
-        NodeConfig {
-            batch_size: schedule.batch_size,
-            ..Default::default()
-        },
-        Arc::clone(&chain),
-        deployment.root_record,
-        &dir,
-    )
+    w.restart(NodeConfig {
+        batch_size: schedule.batch_size,
+        ..Default::default()
+    })
     .expect("restart node");
+    let node = w.node();
     assert_eq!(
         node.log_positions(),
         positions,
@@ -292,7 +254,4 @@ fn run_schedule(tag: usize, schedule: &Schedule) {
             "schedule {tag}: position {log_id} lost its stage-2 commitment"
         );
     }
-    drop(node);
-    drop(miner);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,56 +4,9 @@
 //! result — a group of reads sees either none of a batch or all of it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{deploy_service, AppendRequest, EntryId, NodeConfig, OffchainNode, ServiceConfig};
-use wedge_crypto::signer::Identity;
-use wedge_sim::Clock;
-
-struct World {
-    node: OffchainNode,
-    publisher: Identity,
-    dir: std::path::PathBuf,
-    _miner: wedge_chain::MinerHandle,
-}
-
-fn start_world(tag: &str, config: NodeConfig) -> World {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_identity = Identity::from_seed(format!("snapconsist-node-{tag}").as_bytes());
-    let publisher = Identity::from_seed(format!("snapconsist-pub-{tag}").as_bytes());
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    chain.fund(publisher.address(), Wei::from_eth(10));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        publisher.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-    let dir = std::env::temp_dir().join(format!("wedge-snapconsist-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = OffchainNode::start(
-        node_identity,
-        config,
-        Arc::clone(&chain),
-        deployment.root_record,
-        &dir,
-    )
-    .expect("start node");
-    World {
-        node,
-        publisher,
-        dir,
-        _miner: miner,
-    }
-}
+use wedge_core::{AppendRequest, EntryId, LocalNode, NodeConfig};
 
 /// `meta` returns `(positions, entries, position_len)` from one snapshot:
 /// summing the (immutable, post-flush) per-position lengths over exactly
@@ -63,22 +16,23 @@ fn start_world(tag: &str, config: NodeConfig) -> World {
 /// total that includes a batch missing from `positions`.
 #[test]
 fn meta_is_internally_consistent_under_concurrent_flushes() {
-    let mut world = start_world(
+    let mut world = LocalNode::start(
         "meta",
         NodeConfig {
             batch_size: 5,
             batch_linger: Duration::from_millis(1),
             ..Default::default()
         },
-    );
+    )
+    .expect("start node");
     let total = 120u64;
     let stop = AtomicBool::new(false);
     let checks = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|scope| {
-        let node = &world.node;
-        let publisher = &world.publisher;
-        scope.spawn(|_| {
+    std::thread::scope(|scope| {
+        let node = world.node();
+        let publisher = &world.client_identity;
+        scope.spawn(|| {
             for seq in 0..total {
                 let request = AppendRequest::new(
                     publisher.secret_key(),
@@ -91,7 +45,7 @@ fn meta_is_internally_consistent_under_concurrent_flushes() {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        scope.spawn(|_| {
+        scope.spawn(|| {
             let mut last_positions = 0u64;
             let mut last_entries = 0u64;
             while !stop.load(Ordering::Relaxed) {
@@ -125,16 +79,14 @@ fn meta_is_internally_consistent_under_concurrent_flushes() {
                 checks.fetch_add(1, Ordering::Relaxed);
             }
         });
-    })
-    .expect("threads");
+    });
 
     assert!(
         checks.load(Ordering::Relaxed) > 10,
         "the checker must observe the log mid-growth"
     );
-    world.node.shutdown();
-    assert_eq!(world.node.entry_count(), total);
-    let _ = std::fs::remove_dir_all(&world.dir);
+    world.shutdown().unwrap();
+    assert_eq!(world.node().entry_count(), total);
 }
 
 /// A `read_many` group and a `read_log_position` scan are all-or-nothing
@@ -142,22 +94,23 @@ fn meta_is_internally_consistent_under_concurrent_flushes() {
 /// observation always resolve, and a position scan returns the full batch.
 #[test]
 fn read_many_and_position_scans_are_atomic_per_snapshot() {
-    let mut world = start_world(
+    let mut world = LocalNode::start(
         "group",
         NodeConfig {
             batch_size: 4,
             batch_linger: Duration::from_millis(1),
             ..Default::default()
         },
-    );
+    )
+    .expect("start node");
     let total = 80u64;
     let stop = AtomicBool::new(false);
-    let key = world.node.public_key();
+    let key = world.node().public_key();
 
-    crossbeam::thread::scope(|scope| {
-        let node = &world.node;
-        let publisher = &world.publisher;
-        scope.spawn(|_| {
+    std::thread::scope(|scope| {
+        let node = world.node();
+        let publisher = &world.client_identity;
+        scope.spawn(|| {
             for seq in 0..total {
                 let request = AppendRequest::new(
                     publisher.secret_key(),
@@ -170,7 +123,7 @@ fn read_many_and_position_scans_are_atomic_per_snapshot() {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        scope.spawn(|_| {
+        scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
                 let (positions, _, _) = node.meta(0);
                 if positions == 0 {
@@ -203,11 +156,9 @@ fn read_many_and_position_scans_are_atomic_per_snapshot() {
                 );
             }
         });
-    })
-    .expect("threads");
+    });
 
-    world.node.shutdown();
-    let _ = std::fs::remove_dir_all(&world.dir);
+    world.shutdown().unwrap();
 }
 
 /// Reads that race `destroy_tail` degrade to clean `EntryNotFound`-style
@@ -215,55 +166,55 @@ fn read_many_and_position_scans_are_atomic_per_snapshot() {
 /// truncated, so a fresh snapshot never references destroyed records.
 #[test]
 fn destroyed_tail_disappears_atomically() {
-    let mut world = start_world(
+    let mut world = LocalNode::start(
         "destroy",
         NodeConfig {
             batch_size: 6,
             batch_linger: Duration::from_millis(1),
             ..Default::default()
         },
-    );
+    )
+    .expect("start node");
     let total = 60u64;
     for seq in 0..total {
         let request = AppendRequest::new(
-            world.publisher.secret_key(),
+            world.client_identity.secret_key(),
             seq,
             format!("destroy-{seq}").into_bytes(),
         );
         world
-            .node
+            .node()
             .submit_with(request, Box::new(|_| {}))
             .expect("submit");
     }
     // Drain stage 1 so the full log is flushed, but keep the node readable.
-    world.node.begin_shutdown();
-    while world.node.entry_count() < total {
+    world.node().begin_shutdown();
+    while world.node().entry_count() < total {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let before = world.node.log_positions();
-    world.node.destroy_tail(10).expect("destroy tail");
-    let after = world.node.log_positions();
+    let before = world.node().log_positions();
+    world.node().destroy_tail(10).expect("destroy tail");
+    let after = world.node().log_positions();
     assert!(after < before, "destruction drops whole batches");
     // Surviving prefix reads clean; the destroyed suffix errors cleanly.
     for log_id in 0..after {
         world
-            .node
+            .node()
             .read_log_position(log_id)
             .expect("surviving position reads");
     }
     for log_id in after..before {
         assert!(
-            world.node.read_log_position(log_id).is_err(),
+            world.node().read_log_position(log_id).is_err(),
             "destroyed position {log_id} must not read"
         );
-        assert_eq!(world.node.read_log_position_len(log_id), None);
+        assert_eq!(world.node().read_log_position_len(log_id), None);
     }
-    let (positions, entries, _) = world.node.meta(0);
+    let (positions, entries, _) = world.node().meta(0);
     assert_eq!(positions, after);
     let sum: u64 = (0..after)
-        .map(|l| u64::from(world.node.read_log_position_len(l).expect("len")))
+        .map(|l| u64::from(world.node().read_log_position_len(l).expect("len")))
         .sum();
     assert_eq!(entries, sum, "entry counter tracks destruction");
-    world.node.shutdown();
-    let _ = std::fs::remove_dir_all(&world.dir);
+    world.shutdown().unwrap();
 }

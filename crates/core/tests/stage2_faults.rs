@@ -14,21 +14,12 @@ use std::time::Duration;
 use wedge_chain::{Chain, ChainConfig, Receipt, Wei};
 use wedge_contracts::RootRecord;
 use wedge_core::{
-    deploy_service, CommitPhase, NodeBehavior, NodeConfig, OffchainNode, Publisher, ServiceConfig,
-    SignedResponse, Stage2RetryPolicy,
+    deploy_service, CommitPhase, LocalNode, NodeBehavior, NodeConfig, OffchainNode, Publisher,
+    ServiceConfig, SignedResponse, Stage2RetryPolicy,
 };
 use wedge_crypto::signer::Identity;
 use wedge_sim::Clock;
-
-struct World {
-    chain: Arc<Chain>,
-    node: Arc<OffchainNode>,
-    node_identity: Identity,
-    publisher: Publisher,
-    root_record: wedge_chain::Address,
-    _miner: wedge_chain::MinerHandle,
-    dir: std::path::PathBuf,
-}
+use wedge_storage::ScratchDir;
 
 fn retry_policy() -> Stage2RetryPolicy {
     Stage2RetryPolicy {
@@ -49,53 +40,10 @@ fn node_config(batch_size: usize) -> NodeConfig {
     }
 }
 
-fn world(tag: &str, chain_config: ChainConfig, config: NodeConfig) -> World {
+fn world(tag: &str, chain_config: ChainConfig, config: NodeConfig) -> LocalNode {
     // 2000x compression: 13 s blocks every 6.5 ms of wall time.
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, chain_config);
-    let node_identity = Identity::from_seed(format!("s2f-node-{tag}").as_bytes());
-    let client_identity = Identity::from_seed(format!("s2f-client-{tag}").as_bytes());
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    chain.fund(client_identity.address(), Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        client_identity.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(32),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-    let dir = std::env::temp_dir().join(format!("wedge-s2f-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_identity.clone(),
-            config,
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .expect("start node"),
-    );
-    let publisher = Publisher::new(
-        client_identity,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        Some(deployment.punishment),
-    );
-    World {
-        chain,
-        node,
-        node_identity,
-        publisher,
-        root_record: deployment.root_record,
-        _miner: miner,
-        dir,
-    }
+    let chain = Chain::new(Clock::compressed(2000.0), chain_config);
+    LocalNode::start_on(&chain, tag, config).expect("start node")
 }
 
 fn payloads(n: usize) -> Vec<Vec<u8>> {
@@ -146,20 +94,21 @@ fn assert_all_committed_exactly_once(
 /// and `stage2_failed == 0`.
 #[test]
 fn consecutive_chain_failures_never_lose_commitments() {
-    let mut w = world("sustained", ChainConfig::default(), node_config(10));
+    let w = world("sustained", ChainConfig::default(), node_config(10));
+    let mut publisher = w.publisher();
     // Round 1: 2 dropped submissions, then 2 forced reverts, while the
     // publisher keeps ingesting.
     w.chain.faults().drop_next_submissions(2);
     w.chain.faults().revert_next_calls(2);
-    w.publisher.append_batch(payloads(40)).expect("round 1");
+    publisher.append_batch(payloads(40)).expect("round 1");
     // Round 2: more faults arrive mid-stream, more ingestion on top.
     w.chain.faults().drop_next_submissions(1);
-    w.publisher.append_batch(payloads(30)).expect("round 2");
-    w.node
+    publisher.append_batch(payloads(30)).expect("round 2");
+    w.node()
         .wait_stage2_idle(Duration::from_secs(3600))
         .expect("all positions must eventually commit");
-    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
-    let stats = w.node.stats();
+    assert_all_committed_exactly_once(&w.chain, w.node(), w.root_record);
+    let stats = w.node().stats();
     assert!(
         stats.stage2_retries > 0,
         "faults fired, so retries must have happened: {stats:?}"
@@ -175,7 +124,6 @@ fn consecutive_chain_failures_never_lose_commitments() {
     // Every armed fault actually fired.
     assert_eq!(w.chain.faults().submissions_dropped(), 3);
     assert_eq!(w.chain.faults().calls_reverted(), 2);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// A receipt hidden past the patience window looks like a timeout while the
@@ -188,23 +136,23 @@ fn timed_out_but_landed_group_is_reconciled_not_resent() {
         receipt_timeout: Duration::from_secs(60),
         ..Default::default()
     };
-    let mut w = world("timeout", chain_config, node_config(10));
+    let w = world("timeout", chain_config, node_config(10));
+    let mut publisher = w.publisher();
     // Hide the first Update-Records receipt for 4 simulated minutes.
     w.chain
         .faults()
         .delay_next_receipts(1, Duration::from_secs(240));
-    w.publisher.append_batch(payloads(10)).expect("append");
-    w.node
+    publisher.append_batch(payloads(10)).expect("append");
+    w.node()
         .wait_stage2_idle(Duration::from_secs(3600))
         .expect("the landed group must be reconciled");
-    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
-    let stats = w.node.stats();
+    assert_all_committed_exactly_once(&w.chain, w.node(), w.root_record);
+    let stats = w.node().stats();
     assert!(stats.stage2_timeouts >= 1, "{stats:?}");
     assert_eq!(
         stats.stage2_txs_submitted, 1,
         "the landed transaction must not be re-sent"
     );
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// Restart recovery under faults: the node crashes between stage 1 and
@@ -213,7 +161,7 @@ fn timed_out_but_landed_group_is_reconciled_not_resent() {
 /// still land on-chain exactly once.
 #[test]
 fn restart_recovery_survives_reverted_resubmission() {
-    let w = world(
+    let mut w = world(
         "recovery",
         ChainConfig::default(),
         NodeConfig {
@@ -221,35 +169,18 @@ fn restart_recovery_survives_reverted_resubmission() {
             ..node_config(10)
         },
     );
-    let World {
-        chain,
-        node,
-        node_identity,
-        publisher,
-        root_record,
-        _miner,
-        dir,
-    } = w;
-    let mut publisher = publisher;
-    publisher.append_batch(payloads(30)).expect("append");
-    let flushed = node.log_positions();
+    let chain = Arc::clone(&w.chain);
+    let root_record = w.root_record;
+    w.publisher().append_batch(payloads(30)).expect("append");
+    let flushed = w.node().log_positions();
     assert_eq!(flushed, 3);
     assert_eq!(onchain_tail(&chain, root_record), 0, "nothing committed");
     // "Crash" between stage 1 and stage 2.
-    drop(node);
-    drop(publisher);
+    w.shutdown().expect("shut down");
     // Restart honest, with the chain reverting the first re-submission.
     chain.faults().revert_next_calls(1);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_identity.clone(),
-            node_config(10),
-            Arc::clone(&chain),
-            root_record,
-            &dir,
-        )
-        .expect("restart node"),
-    );
+    w.restart(node_config(10)).expect("restart node");
+    let node = w.node();
     assert_eq!(node.log_positions(), flushed, "state recovered");
     node.wait_stage2_idle(Duration::from_secs(3600))
         .expect("recovered positions must commit despite the revert");
@@ -265,7 +196,6 @@ fn restart_recovery_survives_reverted_resubmission() {
         assert_eq!(node.commit_phase(log_id), CommitPhase::BlockchainCommitted);
     }
     assert_eq!(chain.faults().calls_reverted(), 1);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `stage2_failed` now means "retries exhausted", not "first attempt
@@ -282,17 +212,18 @@ fn exhausted_retries_are_counted_as_failed() {
         },
         ..node_config(10)
     };
-    let mut w = world("exhaust", ChainConfig::default(), config);
+    let w = world("exhaust", ChainConfig::default(), config);
+    let mut publisher = w.publisher();
     // More drops than the retry budget can absorb.
     w.chain.faults().drop_next_submissions(1_000);
-    w.publisher.append_batch(payloads(10)).expect("append");
+    publisher.append_batch(payloads(10)).expect("append");
     assert!(
-        w.node.wait_stage2_idle(Duration::from_secs(300)).is_err(),
+        w.node().wait_stage2_idle(Duration::from_secs(300)).is_err(),
         "the position can never commit"
     );
     // Give the committer time to burn through its attempts.
-    eventually(|| w.node.stats().stage2_failed > 0);
-    let stats = w.node.stats();
+    eventually(|| w.node().stats().stage2_failed > 0);
+    let stats = w.node().stats();
     assert_eq!(stats.stage2_failed, 1, "{stats:?}");
     assert_eq!(stats.stage2_committed, 0);
     assert_eq!(
@@ -300,7 +231,6 @@ fn exhausted_retries_are_counted_as_failed() {
         "3 attempts = 1 initial + 2 retries: {stats:?}"
     );
     w.chain.faults().clear();
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// Polls `done` for up to 20 s of wall time.
@@ -333,22 +263,23 @@ fn long_outage_drains_in_full_groups_without_a_revert() {
         ..node_config(10)
     };
     let max_group = config.stage2_max_group as u64;
-    let mut w = world("outage", ChainConfig::default(), config);
+    let w = world("outage", ChainConfig::default(), config);
+    let mut publisher = w.publisher();
     w.chain.faults().drop_next_submissions(u64::MAX);
-    w.publisher.append_batch(payloads(300)).expect("append");
-    let positions = w.node.log_positions();
+    publisher.append_batch(payloads(300)).expect("append");
+    let positions = w.node().log_positions();
     assert_eq!(positions, 30, "N = 30 positions against max_group = 4");
     // The chain is down: the committer keeps trying and nothing lands.
     assert!(eventually(|| w.chain.faults().submissions_dropped() >= 3));
-    assert_eq!(w.node.stats().stage2_committed, 0);
+    assert_eq!(w.node().stats().stage2_committed, 0);
     assert_eq!(onchain_tail(&w.chain, w.root_record), 0);
 
     w.chain.faults().clear();
-    w.node
+    w.node()
         .wait_stage2_idle(Duration::from_secs(3600))
         .expect("the backlog drains once the chain is back");
-    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
-    let stats = w.node.stats();
+    assert_all_committed_exactly_once(&w.chain, w.node(), w.root_record);
+    let stats = w.node().stats();
     assert_eq!(
         stats.stage2_txs_submitted - stats.stage2_submission_errors,
         positions.div_ceil(max_group),
@@ -364,11 +295,10 @@ fn long_outage_drains_in_full_groups_without_a_revert() {
     );
     assert_eq!(stats.stage2_timeouts, 0);
     let mut txs: Vec<_> = (0..positions)
-        .map(|log_id| w.node.commit_info(log_id).expect("committed").tx_hash)
+        .map(|log_id| w.node().commit_info(log_id).expect("committed").tx_hash)
         .collect();
     txs.dedup();
     assert_eq!(txs.len() as u64, positions.div_ceil(max_group));
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// After the retry budget is exhausted the committer parks: the Root Record
@@ -387,20 +317,13 @@ fn exhausted_committer_parks_until_restart() {
         },
         ..node_config(10)
     };
-    let w = world("parked", ChainConfig::default(), config);
-    let World {
-        chain,
-        node,
-        node_identity,
-        mut publisher,
-        root_record,
-        _miner,
-        dir,
-    } = w;
+    let mut w = world("parked", ChainConfig::default(), config);
+    let mut publisher = w.publisher();
+    let (chain, root_record) = (Arc::clone(&w.chain), w.root_record);
     chain.faults().drop_next_submissions(3);
     publisher.append_batch(payloads(10)).expect("append");
-    assert!(eventually(|| node.stats().stage2_failed == 1));
-    assert_eq!(node.stats().stage2_txs_submitted, 3);
+    assert!(eventually(|| w.node().stats().stage2_failed == 1));
+    assert_eq!(w.node().stats().stage2_txs_submitted, 3);
     assert_eq!(
         chain.faults().submissions_dropped(),
         3,
@@ -413,36 +336,26 @@ fn exhausted_committer_parks_until_restart() {
     // three positions behind the abandoned head.
     let mined_before = chain.total_transactions();
     publisher.append_batch(payloads(30)).expect("append more");
-    assert_eq!(node.log_positions(), 4);
-    drop(publisher);
-    let mut node = Arc::try_unwrap(node).unwrap_or_else(|_| panic!("sole owner of the node"));
-    node.shutdown();
-    let stats = node.stats();
+    assert_eq!(w.node().log_positions(), 4);
+    w.shutdown().expect("shut down");
+    let stats = w.node().stats();
     assert_eq!(stats.stage2_txs_submitted, 3, "parked: {stats:?}");
     assert_eq!(stats.stage2_failed, 1, "counted once");
     assert_eq!(stats.stage2_committed, 0);
     assert_eq!(chain.total_transactions(), mined_before);
     assert_eq!(onchain_tail(&chain, root_record), 0);
-    drop(node);
 
     // Restart: the committer starts over from the on-chain tail.
-    let node = OffchainNode::start(
-        node_identity,
-        node_config(10),
-        Arc::clone(&chain),
-        root_record,
-        &dir,
-    )
-    .expect("restart node");
+    w.restart(node_config(10)).expect("restart node");
+    let node = w.node();
     node.wait_stage2_idle(Duration::from_secs(3600))
         .expect("the parked backlog commits after a restart");
-    assert_all_committed_exactly_once(&chain, &node, root_record);
+    assert_all_committed_exactly_once(&chain, node, root_record);
     assert_eq!(
         node.stats().stage2_txs_submitted,
         1,
         "4 positions, one group"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Blocks of 1,200 simulated seconds — 600 ms of wall time — so a
@@ -562,19 +475,20 @@ impl Watch {
 /// only once its block is confirmation-deep, and lands each exactly once.
 #[test]
 fn a_loaded_node_sends_the_next_group_before_the_last_is_confirmed() {
-    let mut w = world(
+    let w = world(
         "pipelined",
         slow_blocks(),
         loaded_config(NodeBehavior::Honest),
     );
+    let mut publisher = w.publisher();
     let first = w.chain.block_number();
-    let watch = Watch::start(&w.chain, &w.node);
-    ingest_for_blocks(&w.chain, &mut w.publisher, 4);
-    w.node
+    let watch = Watch::start(&w.chain, w.node());
+    ingest_for_blocks(&w.chain, &mut publisher, 4);
+    w.node()
         .wait_stage2_idle(SLOW_IDLE)
         .expect("all positions commit");
     let (max_pending, early) = watch.finish();
-    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+    assert_all_committed_exactly_once(&w.chain, w.node(), w.root_record);
 
     assert_eq!(max_pending, 1, "at most one unmined node transaction");
     assert!(early.is_empty(), "committed before confirmation: {early:?}");
@@ -587,31 +501,30 @@ fn a_loaded_node_sends_the_next_group_before_the_last_is_confirmed() {
         "no group was sent before its predecessor confirmed: {:?}",
         mined.iter().map(|r| r.block_number).collect::<Vec<_>>()
     );
-    let stats = w.node.stats();
+    let stats = w.node().stats();
     assert_eq!(stats.stage2_txs_submitted, mined.len() as u64);
     assert_eq!(stats.stage2_retries, 0);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// One batch every few blocks: the committer is idle when each arrives, so
 /// each batch is one transaction — the gas shape of a paced workload.
 #[test]
 fn a_trickle_costs_one_transaction_per_batch() {
-    let mut w = world("trickle", ChainConfig::default(), node_config(10));
+    let w = world("trickle", ChainConfig::default(), node_config(10));
+    let mut publisher = w.publisher();
     let first = w.chain.block_number();
     let gap = w.chain.config().block_interval * 4;
     for _ in 0..4 {
-        w.publisher.append_batch(payloads(10)).expect("append");
+        publisher.append_batch(payloads(10)).expect("append");
         w.chain.clock().sleep(gap);
     }
-    w.node
+    w.node()
         .wait_stage2_idle(Duration::from_secs(3600))
         .expect("all positions commit");
-    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+    assert_all_committed_exactly_once(&w.chain, w.node(), w.root_record);
     let mined = assert_one_unmined_and_no_revert(&w.chain, first);
     assert_eq!(mined.len(), 4, "one transaction per batch");
-    assert_eq!(w.node.stats().stage2_txs_submitted, 4);
-    let _ = std::fs::remove_dir_all(&w.dir);
+    assert_eq!(w.node().stats().stage2_txs_submitted, 4);
 }
 
 /// Dropping a node while groups are mined but unconfirmed waits them out:
@@ -619,45 +532,30 @@ fn a_trickle_costs_one_transaction_per_batch() {
 /// without sending anything again.
 #[test]
 fn a_dropped_node_drains_its_groups_in_flight_and_a_restart_adopts_the_tail() {
-    let w = world("drain", slow_blocks(), loaded_config(NodeBehavior::Honest));
-    let World {
-        chain,
-        node,
-        node_identity,
-        mut publisher,
-        root_record,
-        _miner,
-        dir,
-    } = w;
+    let mut w = world("drain", slow_blocks(), loaded_config(NodeBehavior::Honest));
+    let mut publisher = w.publisher();
+    let (chain, root_record) = (Arc::clone(&w.chain), w.root_record);
     let first = chain.block_number();
     ingest_for_blocks(&chain, &mut publisher, 3);
-    let flushed = node.log_positions();
+    let flushed = w.node().log_positions();
     assert!(
         mined_after(&chain, first)
             .iter()
             .any(|(_, receipt)| !chain.is_confirmed(receipt.block_number)),
         "a group is in flight at the drop"
     );
-    assert!(node.stats().stage2_committed < flushed);
+    assert!(w.node().stats().stage2_committed < flushed);
 
-    drop(publisher);
-    let mut node = Arc::try_unwrap(node).unwrap_or_else(|_| panic!("sole owner of the node"));
-    node.shutdown();
-    assert_all_committed_exactly_once(&chain, &node, root_record);
+    w.shutdown().expect("shut down");
+    assert_all_committed_exactly_once(&chain, w.node(), root_record);
     assert_eq!(chain.pending_count(), 0, "nothing left unmined");
     for (_, receipt) in mined_after(&chain, first) {
         assert!(chain.is_confirmed(receipt.block_number));
     }
-    drop(node);
 
-    let node = OffchainNode::start(
-        node_identity,
-        loaded_config(NodeBehavior::Honest),
-        Arc::clone(&chain),
-        root_record,
-        &dir,
-    )
-    .expect("restart node");
+    w.restart(loaded_config(NodeBehavior::Honest))
+        .expect("restart node");
+    let node = w.node();
     assert_eq!(node.log_positions(), flushed);
     node.wait_stage2_idle(SLOW_IDLE).expect("nothing pending");
     assert_eq!(onchain_tail(&chain, root_record), flushed);
@@ -668,7 +566,6 @@ fn a_dropped_node_drains_its_groups_in_flight_and_a_restart_adopts_the_tail() {
     assert_eq!(stats.stage2_txs_submitted, 0, "nothing re-sent: {stats:?}");
     assert_eq!(stats.stage2_committed, 0, "nothing left to adopt");
     assert_one_unmined_and_no_revert(&chain, first);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A chain that stops making blocks while a group is mined but not yet
@@ -682,16 +579,43 @@ fn a_stopped_chain_does_not_hang_shutdown_and_a_restart_records_the_group() {
         receipt_timeout: Duration::from_secs(3600),
         ..Default::default()
     };
-    let w = world("stalled", chain_config, node_config(10));
-    let World {
-        chain,
-        node,
-        node_identity,
-        mut publisher,
+    // Inline rather than a `LocalNode`: the test stops the miner under a
+    // live node and shuts the node down on a thread of its own.
+    let chain = Chain::new(Clock::compressed(2000.0), chain_config);
+    let node_identity = Identity::from_seed(b"s2f-node-stalled");
+    let client_identity = Identity::from_seed(b"s2f-client-stalled");
+    chain.fund(node_identity.address(), Wei::from_eth(1000));
+    chain.fund(client_identity.address(), Wei::from_eth(1000));
+    let miner = chain.start_miner();
+    let deployment = deploy_service(
+        &chain,
+        &node_identity,
+        client_identity.address(),
+        &ServiceConfig {
+            escrow: Wei::from_eth(32),
+            payment_terms: None,
+        },
+    )
+    .expect("deploy contracts");
+    let root_record = deployment.root_record;
+    let dir = ScratchDir::new("s2f-stalled");
+    let node = Arc::new(
+        OffchainNode::start(
+            node_identity.clone(),
+            node_config(10),
+            Arc::clone(&chain),
+            root_record,
+            &dir,
+        )
+        .expect("start node"),
+    );
+    let mut publisher = Publisher::new(
+        client_identity,
+        Arc::clone(&node),
+        Arc::clone(&chain),
         root_record,
-        _miner: miner,
-        dir,
-    } = w;
+        Some(deployment.punishment),
+    );
     let first = chain.block_number();
     publisher.append_batch(payloads(10)).expect("append");
     assert!(eventually(|| node.stats().stage2_gas.0 > 0), "group mined");
@@ -730,7 +654,6 @@ fn a_stopped_chain_does_not_hang_shutdown_and_a_restart_records_the_group() {
         .expect("nothing pending");
     assert_all_committed_exactly_once(&chain, &node, root_record);
     assert_eq!(node.stats().stage2_txs_submitted, 0, "nothing re-sent");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn onchain_root(
@@ -749,37 +672,42 @@ fn onchain_root(
 /// wrong root from its first affected position on.
 #[test]
 fn behaviours_shape_the_group_with_groups_in_flight() {
-    let mut w = world(
+    let w = world(
         "omit-loaded",
         slow_blocks(),
         loaded_config(NodeBehavior::OmitStage2 { from_log: 7 }),
     );
+    let mut publisher = w.publisher();
     let first = w.chain.block_number();
-    ingest_for_blocks(&w.chain, &mut w.publisher, 3);
-    w.node
+    ingest_for_blocks(&w.chain, &mut publisher, 3);
+    w.node()
         .wait_stage2_idle(SLOW_IDLE)
         .expect("the rest is omitted");
-    let positions = w.node.log_positions();
+    let positions = w.node().log_positions();
     assert!(positions > 7);
     assert_eq!(onchain_tail(&w.chain, w.root_record), 7);
     for log_id in 0..positions {
-        assert_eq!(w.node.commit_info(log_id).is_some(), log_id < 7, "{log_id}");
+        assert_eq!(
+            w.node().commit_info(log_id).is_some(),
+            log_id < 7,
+            "{log_id}"
+        );
     }
-    assert_eq!(w.node.stats().stage2_committed, 7);
+    assert_eq!(w.node().stats().stage2_committed, 7);
     assert_one_unmined_and_no_revert(&w.chain, first);
-    let _ = std::fs::remove_dir_all(&w.dir);
 
-    let mut w = world(
+    let w = world(
         "wrong-root-loaded",
         slow_blocks(),
         loaded_config(NodeBehavior::CommitWrongRoot { from_log: 5 }),
     );
+    let mut publisher = w.publisher();
     let first = w.chain.block_number();
-    let responses = ingest_for_blocks(&w.chain, &mut w.publisher, 3);
-    w.node
+    let responses = ingest_for_blocks(&w.chain, &mut publisher, 3);
+    w.node()
         .wait_stage2_idle(SLOW_IDLE)
         .expect("all positions commit");
-    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
+    assert_all_committed_exactly_once(&w.chain, w.node(), w.root_record);
     for response in &responses {
         let log_id = response.entry_id.log_id;
         let on_chain = onchain_root(&w.chain, w.root_record, log_id);
@@ -790,7 +718,6 @@ fn behaviours_shape_the_group_with_groups_in_flight() {
         );
     }
     assert_one_unmined_and_no_revert(&w.chain, first);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// Group k is mined and awaiting confirmation while group k+1 fails — a
@@ -814,19 +741,20 @@ fn a_confirmed_group_is_recorded_while_the_next_one_fails() {
         receipt_timeout: Duration::from_secs(6000),
         ..slow_blocks()
     };
-    let mut w = world("record-while-failing", chain_config, config);
+    let w = world("record-while-failing", chain_config, config);
+    let mut publisher = w.publisher();
     let first = w.chain.block_number();
     // The committer adds a group's gas once it has seen the group mined.
-    let gas = |w: &World| w.node.stats().stage2_gas;
-    let phase = |w: &World, log_id| w.node.commit_phase(log_id);
+    let gas = |w: &LocalNode| w.node().stats().stage2_gas;
+    let phase = |w: &LocalNode, log_id| w.node().commit_phase(log_id);
 
     // Position 0 is mined; then every submission of position 1 bounces.
     let before = gas(&w);
-    w.publisher.append_batch(payloads(10)).expect("append");
+    publisher.append_batch(payloads(10)).expect("append");
     assert!(eventually(|| gas(&w) > before), "position 0 mined");
     w.chain.faults().drop_next_submissions(u64::MAX);
-    w.publisher.append_batch(payloads(10)).expect("append");
-    let failing = eventually(|| w.node.stats().stage2_submission_errors > 0);
+    publisher.append_batch(payloads(10)).expect("append");
+    let failing = eventually(|| w.node().stats().stage2_submission_errors > 0);
     let early = phase(&w, 0);
     let recorded = eventually(|| phase(&w, 0) == CommitPhase::BlockchainCommitted);
     let behind = phase(&w, 1);
@@ -847,23 +775,22 @@ fn a_confirmed_group_is_recorded_while_the_next_one_fails() {
     w.chain
         .faults()
         .delay_next_receipts(1, Duration::from_secs(60_000));
-    w.publisher.append_batch(payloads(10)).expect("append");
+    publisher.append_batch(payloads(10)).expect("append");
     assert!(eventually(
         || phase(&w, 1) == CommitPhase::BlockchainCommitted
     ));
-    let stats = w.node.stats();
+    let stats = w.node().stats();
     assert_eq!(
         stats.stage2_timeouts, 0,
         "recorded before the head timed out"
     );
     assert_ne!(phase(&w, 2), CommitPhase::BlockchainCommitted);
 
-    w.node
+    w.node()
         .wait_stage2_idle(SLOW_IDLE)
         .expect("all positions commit");
-    assert_all_committed_exactly_once(&w.chain, &w.node, w.root_record);
-    let stats = w.node.stats();
+    assert_all_committed_exactly_once(&w.chain, w.node(), w.root_record);
+    let stats = w.node().stats();
     assert_eq!(stats.stage2_timeouts, 1, "{stats:?}");
     assert_one_unmined_and_no_revert(&w.chain, first);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }

@@ -21,7 +21,7 @@
 //!   disk after the kill (segments seal as they rotate).
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,7 +29,7 @@ use wedge_chain::{Chain, ChainConfig, Wei};
 use wedge_core::{deploy_service, NodeConfig, OffchainNode, Publisher, ServiceConfig, TierConfig};
 use wedge_crypto::signer::Identity;
 use wedge_sim::Clock;
-use wedge_storage::{StoreConfig, SyncPolicy};
+use wedge_storage::{ScratchDir, StoreConfig, SyncPolicy};
 
 const CRASH_DIR_VAR: &str = "WEDGE_TIER_CRASH_DIR";
 const TARGET_MB_VAR: &str = "WEDGE_TIER_TARGET_MB";
@@ -91,7 +91,9 @@ struct World {
 }
 
 /// Chain + contracts from fixed seeds: the child and the restarting parent
-/// build identical worlds around the same on-disk node directory.
+/// build identical worlds around the same on-disk node directory. Inline
+/// rather than a `LocalNode`, which owns a fresh directory: here two
+/// processes share one, and the first is SIGKILLed.
 fn world() -> World {
     let clock = Clock::compressed(2000.0);
     let chain = Chain::new(clock, ChainConfig::default());
@@ -181,9 +183,8 @@ fn count_files_with_ext(dir: &Path, ext: &str) -> usize {
         .count()
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wedge-tier-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn scratch(tag: &str) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("tier-crash-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -208,7 +209,7 @@ fn kill_and_recover(test_name: &str, tag: &str, default_mb: u64, strictness: u64
         .arg("--include-ignored")
         .arg("--nocapture")
         .arg("--test-threads=1")
-        .env(CRASH_DIR_VAR, &dir)
+        .env(CRASH_DIR_VAR, dir.path())
         .stdout(std::process::Stdio::null())
         .spawn()
         .unwrap();
@@ -293,9 +294,6 @@ fn kill_and_recover(test_name: &str, tag: &str, default_mb: u64, strictness: u64
         entries_seen += responses.len() as u64;
     }
     assert_eq!(entries_seen, node.entry_count(), "positions have gaps");
-
-    drop(node);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Quick tier-1 variant: a ~16 MB log, enough for a couple of seals and

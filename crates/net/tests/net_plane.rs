@@ -7,70 +7,24 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{
-    deploy_service, AppendRequest, CoreError, EntryId, LogService, NodeConfig, OffchainNode,
-    Publisher, ServiceConfig,
-};
+use wedge_core::{AppendRequest, CoreError, EntryId, LocalNode, LogService, NodeConfig, Publisher};
 use wedge_crypto::signer::Identity;
 use wedge_net::wire::{send_request, Request};
 use wedge_net::{NodeServer, RemoteNode, ServerConfig};
-use wedge_sim::Clock;
 use wedge_storage::{StoreConfig, SyncPolicy};
 
-struct NetWorld {
-    chain: Arc<Chain>,
-    node: Arc<OffchainNode>,
-    server: NodeServer,
-    root_record: wedge_chain::Address,
-    client_identity: Identity,
-    node_identity: Identity,
-    dir: std::path::PathBuf,
-    _miner: wedge_chain::MinerHandle,
-}
-
-fn net_world(tag: &str, node_config: NodeConfig, server_config: ServerConfig) -> NetWorld {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_identity = Identity::from_seed(format!("plane-node-{tag}").as_bytes());
-    let client_identity = Identity::from_seed(format!("plane-client-{tag}").as_bytes());
-    chain.fund(node_identity.address(), Wei::from_eth(1000));
-    chain.fund(client_identity.address(), Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_identity,
-        client_identity.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(8),
-            payment_terms: None,
-        },
-    )
-    .expect("deploy contracts");
-    let dir = std::env::temp_dir().join(format!("wedge-plane-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_identity.clone(),
-            node_config,
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .expect("start node"),
-    );
-    let server = NodeServer::bind_with_config("127.0.0.1:0", Arc::clone(&node) as _, server_config)
-        .expect("bind server");
-    NetWorld {
-        chain,
-        node,
-        server,
-        root_record: deployment.root_record,
-        client_identity,
-        node_identity,
-        dir,
-        _miner: miner,
-    }
+/// A node on a fresh chain and a server in front of it. Bind the pair in
+/// this order (`let (w, server) = …`) so the server drops first.
+fn net_world(
+    tag: &str,
+    node_config: NodeConfig,
+    server_config: ServerConfig,
+) -> (LocalNode, NodeServer) {
+    let w = LocalNode::start(&format!("plane-{tag}"), node_config).expect("start node");
+    let server =
+        NodeServer::bind_with_config("127.0.0.1:0", Arc::clone(w.node()) as _, server_config)
+            .expect("bind server");
+    (w, server)
 }
 
 fn quick_node_config() -> NodeConfig {
@@ -81,7 +35,7 @@ fn quick_node_config() -> NodeConfig {
     }
 }
 
-fn publisher(w: &NetWorld, service: Arc<impl LogService + 'static>) -> Publisher {
+fn publisher(w: &LocalNode, service: Arc<impl LogService + 'static>) -> Publisher {
     Publisher::new(
         w.client_identity.clone(),
         service,
@@ -108,8 +62,8 @@ fn payloads(n: usize, size: usize) -> Vec<Vec<u8>> {
 /// far under that.
 #[test]
 fn connect_handshake_has_no_accept_poll_latency() {
-    let w = net_world("latency", quick_node_config(), ServerConfig::default());
-    let addr = w.server.local_addr();
+    let (_w, server) = net_world("latency", quick_node_config(), ServerConfig::default());
+    let addr = server.local_addr();
     // Warm up (lazy init, first-connection costs).
     drop(RemoteNode::connect(addr).expect("warmup connect"));
     let started = Instant::now();
@@ -124,7 +78,7 @@ fn connect_handshake_has_no_accept_poll_latency() {
         elapsed < Duration::from_millis(150),
         "{count} connects took {elapsed:?}: accept path is adding poll latency"
     );
-    assert_eq!(w.server.stats().connections_shed, 0);
+    assert_eq!(server.stats().connections_shed, 0);
 }
 
 /// A client that stops draining its socket must not grow node memory: its
@@ -137,13 +91,13 @@ fn slow_client_sheds_replies_without_hurting_others() {
         write_stall_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
     };
-    let w = net_world("shed", quick_node_config(), server_config);
-    let addr = w.server.local_addr();
+    let (w, server) = net_world("shed", quick_node_config(), server_config);
+    let addr = server.local_addr();
     // Publish through a second, default-config server over the same node:
     // burst append replies would overrun the depth-4 queue under test. Fat
     // payloads make reply frames fill the socket buffers quickly.
     let side_server =
-        NodeServer::bind("127.0.0.1:0", Arc::clone(&w.node) as _).expect("bind side server");
+        NodeServer::bind("127.0.0.1:0", Arc::clone(w.node()) as _).expect("bind side server");
     {
         let remote = Arc::new(RemoteNode::connect(side_server.local_addr()).expect("connect side"));
         let mut p = publisher(&w, remote);
@@ -156,7 +110,7 @@ fn slow_client_sheds_replies_without_hurting_others() {
     // a fixed count: the writer stalls once the kernel buffers fill, and the
     // bounded queue (depth 4) then sheds. The flood stays a few hundred
     // requests ahead of the server's reader (this is the only connection
-    // to `w.server`), so its own sends never block on unread requests.
+    // to `server`), so its own sends never block on unread requests.
     let mut slow = std::net::TcpStream::connect(addr).expect("raw connect");
     let target = EntryId {
         log_id: 0,
@@ -165,7 +119,7 @@ fn slow_client_sheds_replies_without_hurting_others() {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut sent = 0u64;
     loop {
-        let stats = w.server.stats();
+        let stats = server.stats();
         if stats.queue_shed > 0 {
             break;
         }
@@ -183,7 +137,7 @@ fn slow_client_sheds_replies_without_hurting_others() {
     }
     // Node memory is bounded: at most queue-depth replies are parked for
     // the slow session; everything else was dropped, not buffered.
-    let stats = w.server.stats();
+    let stats = server.stats();
     assert!(stats.queue_shed > 0);
 
     // A healthy client on another connection still gets served.
@@ -191,12 +145,11 @@ fn slow_client_sheds_replies_without_hurting_others() {
         RemoteNode::connect_with_timeout(addr, Duration::from_secs(5)).expect("healthy connect");
     let response = healthy.read_entry(target).expect("healthy read");
     response
-        .verify(&w.node.public_key())
+        .verify(&w.node().public_key())
         .expect("verified read while peer is stalled");
     drop(healthy);
     // Unblock the stalled writer so server shutdown is prompt.
     let _ = slow.shutdown(std::net::Shutdown::Both);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// An append reply that cannot be queued must kill the connection, not be
@@ -212,8 +165,8 @@ fn undeliverable_append_reply_kills_connection_instead_of_hanging() {
         write_stall_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
     };
-    let w = net_world("appendkill", quick_node_config(), server_config);
-    let addr = w.server.local_addr();
+    let (w, server) = net_world("appendkill", quick_node_config(), server_config);
+    let addr = server.local_addr();
     // A raw publisher that floods signed appends and never reads a single
     // reply: the kernel buffers fill, the depth-2 reply queue fills, and
     // the next undeliverable append reply must kill the connection.
@@ -229,21 +182,20 @@ fn undeliverable_append_reply_kills_connection_instead_of_hanging() {
         }
     }
     let deadline = Instant::now() + Duration::from_secs(20);
-    while w.server.stats().slow_client_kills == 0 {
+    while server.stats().slow_client_kills == 0 {
         assert!(
             Instant::now() < deadline,
             "append flood never killed the connection: {:?}",
-            w.server.stats()
+            server.stats()
         );
         std::thread::sleep(Duration::from_millis(10));
     }
     // A healthy client is unaffected by the dead peer.
     let healthy =
         RemoteNode::connect_with_timeout(addr, Duration::from_secs(5)).expect("healthy connect");
-    assert_eq!(healthy.entries(), w.node.entry_count());
+    assert_eq!(healthy.entries(), w.node().entry_count());
     drop(healthy);
     let _ = slow.shutdown(std::net::Shutdown::Both);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// `meta()` costs one frame, and `positions()`/`entries()` each make a
@@ -251,18 +203,18 @@ fn undeliverable_append_reply_kills_connection_instead_of_hanging() {
 /// connection right after it is replied to.
 #[test]
 fn meta_pair_is_one_round_trip() {
-    let w = net_world("metapair", quick_node_config(), ServerConfig::default());
-    let writer = Arc::new(RemoteNode::connect(w.server.local_addr()).expect("connect"));
+    let (w, server) = net_world("metapair", quick_node_config(), ServerConfig::default());
+    let writer = Arc::new(RemoteNode::connect(server.local_addr()).expect("connect"));
     let mut p = publisher(&w, Arc::clone(&writer));
     p.append_batch(payloads(50, 64)).expect("append");
-    let remote = RemoteNode::connect(w.server.local_addr()).expect("fresh connect");
-    let base = w.server.stats().frames_rx;
+    let remote = RemoteNode::connect(server.local_addr()).expect("fresh connect");
+    let base = server.stats().frames_rx;
     let (positions, entries, position_len) = remote.meta(0);
-    assert_eq!(positions, w.node.log_positions());
-    assert_eq!(entries, w.node.entry_count());
-    assert_eq!(position_len, w.node.read_log_position_len(0));
+    assert_eq!(positions, w.node().log_positions());
+    assert_eq!(entries, w.node().entry_count());
+    assert_eq!(position_len, w.node().read_log_position_len(0));
     assert_eq!(
-        w.server.stats().frames_rx - base,
+        server.stats().frames_rx - base,
         1,
         "the positions/entries/length triple must share one Meta RPC"
     );
@@ -270,24 +222,23 @@ fn meta_pair_is_one_round_trip() {
         p.append_batch(payloads(25, 64)).expect("append");
         assert_eq!(
             remote.positions(),
-            w.node.log_positions(),
+            w.node().log_positions(),
             "round {round}: positions stale after an append"
         );
         assert_eq!(
             remote.entries(),
-            w.node.entry_count(),
+            w.node().entry_count(),
             "round {round}: entries stale after an append"
         );
     }
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// Not-found errors must carry the real `EntryId` across the wire instead
 /// of the historical `u64::MAX` sentinel fabricated by string matching.
 #[test]
 fn entry_not_found_carries_real_id_over_tcp() {
-    let w = net_world("notfound", quick_node_config(), ServerConfig::default());
-    let remote = RemoteNode::connect(w.server.local_addr()).expect("connect");
+    let (_w, server) = net_world("notfound", quick_node_config(), ServerConfig::default());
+    let remote = RemoteNode::connect(server.local_addr()).expect("connect");
     let missing = EntryId {
         log_id: 7,
         offset: 3,
@@ -298,17 +249,16 @@ fn entry_not_found_carries_real_id_over_tcp() {
         }
         other => panic!("expected EntryNotFound, got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// A missing `(publisher, sequence)` fails over TCP exactly as it does in
 /// process: the same variant with the same fields, not remote text.
 #[test]
 fn sequence_not_found_carries_publisher_and_sequence_over_tcp() {
-    let w = net_world("seqmissing", quick_node_config(), ServerConfig::default());
-    let remote = RemoteNode::connect(w.server.local_addr()).expect("connect");
+    let (w, server) = net_world("seqmissing", quick_node_config(), ServerConfig::default());
+    let remote = RemoteNode::connect(server.local_addr()).expect("connect");
     let publisher = w.client_identity.address();
-    let local = w.node.read_entry_by_sequence(publisher, 99);
+    let local = w.node().read_entry_by_sequence(publisher, 99);
     assert!(
         matches!(
             local,
@@ -326,7 +276,6 @@ fn sequence_not_found_carries_publisher_and_sequence_over_tcp() {
         }
         other => panic!("expected SequenceNotFound over TCP, got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// A default server serves every connection at once: 20 clients, held
@@ -334,8 +283,8 @@ fn sequence_not_found_carries_publisher_and_sequence_over_tcp() {
 /// across the connections.
 #[test]
 fn every_connection_is_served_at_once() {
-    let w = net_world("manyconns", quick_node_config(), ServerConfig::default());
-    let addr = w.server.local_addr();
+    let (w, server) = net_world("manyconns", quick_node_config(), ServerConfig::default());
+    let addr = server.local_addr();
     {
         let remote = Arc::new(RemoteNode::connect(addr).expect("connect"));
         let mut p = publisher(&w, remote);
@@ -347,7 +296,7 @@ fn every_connection_is_served_at_once() {
                 .unwrap_or_else(|e| panic!("client {i} not served: {e}"))
         })
         .collect();
-    let node_key = w.node.public_key();
+    let node_key = w.node().public_key();
     std::thread::scope(|scope| {
         for (i, client) in clients.iter().enumerate() {
             scope.spawn(move || {
@@ -365,7 +314,7 @@ fn every_connection_is_served_at_once() {
             });
         }
     });
-    let stats = w.server.stats();
+    let stats = server.stats();
     assert!(stats.peak_connections >= 20, "stats: {stats:?}");
     assert_eq!(stats.connections_shed, 0, "stats: {stats:?}");
     assert!(
@@ -373,7 +322,6 @@ fn every_connection_is_served_at_once() {
         "rx/tx frame buffers never recycled: {stats:?}"
     );
     drop(clients);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// Beyond `max_connections` live sessions the accept loop sheds: the extra
@@ -385,8 +333,8 @@ fn connections_beyond_max_connections_are_shed() {
         max_connections: 2,
         ..ServerConfig::default()
     };
-    let w = net_world("maxconns", quick_node_config(), server_config);
-    let addr = w.server.local_addr();
+    let (_w, server) = net_world("maxconns", quick_node_config(), server_config);
+    let addr = server.local_addr();
     let first = RemoteNode::connect(addr).expect("first connect");
     let second = RemoteNode::connect(addr).expect("second connect");
 
@@ -400,21 +348,20 @@ fn connections_beyond_max_connections_are_shed() {
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
         other => panic!("third connection was not shed: {other:?}"),
     }
-    assert_eq!(w.server.stats().connections_shed, 1);
+    assert_eq!(server.stats().connections_shed, 1);
     assert_eq!(second.entries(), 0, "live sessions unaffected");
 
     drop(first);
     let deadline = Instant::now() + Duration::from_secs(10);
-    while w.server.stats().active_connections > 1 {
-        assert!(Instant::now() < deadline, "{:?}", w.server.stats());
+    while server.stats().active_connections > 1 {
+        assert!(Instant::now() < deadline, "{:?}", server.stats());
         std::thread::sleep(Duration::from_millis(5));
     }
     let fourth = RemoteNode::connect(addr).expect("served once a slot frees");
     assert_eq!(fourth.entries(), 0);
-    let stats = w.server.stats();
+    let stats = server.stats();
     assert_eq!(stats.connections_shed, 1, "stats: {stats:?}");
     assert_eq!(stats.peak_connections, 2, "stats: {stats:?}");
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// The reply-release rule survives the coalescing writer: every entry a
@@ -439,36 +386,25 @@ fn replied_entries_survive_restart_through_tcp() {
         ..Default::default()
     };
     let total = 64usize;
-    let w = net_world("restart", group_commit.clone(), ServerConfig::default());
+    let (mut w, server) = net_world("restart", group_commit.clone(), ServerConfig::default());
     {
-        let remote = Arc::new(RemoteNode::connect(w.server.local_addr()).expect("connect"));
+        let remote = Arc::new(RemoteNode::connect(server.local_addr()).expect("connect"));
         let mut p = publisher(&w, remote);
         // append_batch returns only once every reply crossed the wire —
         // i.e. once the node promised durability for all entries.
         p.append_batch(payloads(total, 64)).expect("append");
-        w.node
+        w.node()
             .wait_stage2_idle(Duration::from_secs(3600))
             .expect("stage2 idle");
     }
     // Tear down the whole serving stack, then restart over the same dir.
-    drop(w.server);
-    let node = w.node;
-    drop(node);
-    let restarted = OffchainNode::start(
-        w.node_identity.clone(),
-        group_commit,
-        Arc::clone(&w.chain),
-        w.root_record,
-        &w.dir,
-    )
-    .expect("restart node");
+    drop(server);
+    w.restart(group_commit).expect("restart node");
     assert_eq!(
-        restarted.entry_count(),
+        w.node().entry_count(),
         total as u64,
         "replied entries lost across restart: reply-release rule broken"
     );
-    drop(restarted);
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// One bad signature among 2,000 requests over TCP costs exactly one
@@ -485,7 +421,7 @@ fn one_bad_signature_among_two_thousand_rejects_only_itself() {
         batch_linger: Duration::from_millis(20),
         ..Default::default()
     };
-    let w = net_world("hostile", config, ServerConfig::default());
+    let (w, server) = net_world("hostile", config, ServerConfig::default());
     let other = Identity::from_seed(b"plane-client-hostile-2");
     let publishers = [&w.client_identity, &other];
     let mut requests: Vec<AppendRequest> = (0..total)
@@ -496,7 +432,7 @@ fn one_bad_signature_among_two_thousand_rejects_only_itself() {
         .collect();
     requests[bad].payload.push(b'!'); // damaged after signing
 
-    let remote = RemoteNode::connect(w.server.local_addr()).expect("connect");
+    let remote = RemoteNode::connect(server.local_addr()).expect("connect");
     remote.set_buffered_appends(true);
     let (tx, rx) = crossbeam::channel::unbounded();
     for (i, request) in requests.iter().enumerate() {
@@ -512,7 +448,7 @@ fn one_bad_signature_among_two_thousand_rejects_only_itself() {
     }
     remote.flush();
 
-    let node_key = w.node.public_key();
+    let node_key = w.node().public_key();
     let mut placed = std::collections::BTreeSet::new();
     for _ in 0..total {
         let (i, outcome) = rx
@@ -531,19 +467,19 @@ fn one_bad_signature_among_two_thousand_rejects_only_itself() {
     }
 
     // Log positions and offsets stay dense: the rejected request left no gap.
-    let positions = w.node.log_positions();
+    let positions = w.node().log_positions();
     let mut expect = std::collections::BTreeSet::new();
     for log_id in 0..positions {
         let count = w
-            .node
+            .node()
             .read_log_position_len(log_id)
             .expect("dense positions");
         expect.extend((0..count).map(|offset| EntryId { log_id, offset }));
     }
     assert_eq!(placed, expect);
-    assert_eq!(w.node.entry_count(), total as u64 - 1);
+    assert_eq!(w.node().entry_count(), total as u64 - 1);
 
-    let stats = w.node.stats();
+    let stats = w.node().stats();
     assert_eq!(stats.requests_rejected, 1, "{stats:?}");
     assert_eq!(stats.entries_ingested, total as u64 - 1);
     assert_eq!(
@@ -554,7 +490,6 @@ fn one_bad_signature_among_two_thousand_rejects_only_itself() {
         stats.requests_verified_cached >= (total - bad) as u64 - 1,
         "remembered keys unused: {stats:?}"
     );
-    let _ = std::fs::remove_dir_all(&w.dir);
 }
 
 /// The node signs once per batch, not once per reply: 2,000 appends over TCP
@@ -569,7 +504,7 @@ fn two_thousand_replies_cost_one_node_signature() {
         batch_linger: Duration::from_secs(5),
         ..Default::default()
     };
-    let w = net_world("onesig", config, ServerConfig::default());
+    let (w, server) = net_world("onesig", config, ServerConfig::default());
     let requests: Vec<AppendRequest> = (0..total)
         .map(|i| {
             let key = w.client_identity.secret_key();
@@ -577,7 +512,7 @@ fn two_thousand_replies_cost_one_node_signature() {
         })
         .collect();
 
-    let remote = RemoteNode::connect(w.server.local_addr()).expect("connect");
+    let remote = RemoteNode::connect(server.local_addr()).expect("connect");
     remote.set_buffered_appends(true);
     let (tx, rx) = crossbeam::channel::unbounded();
     for (i, request) in requests.iter().enumerate() {
@@ -593,7 +528,7 @@ fn two_thousand_replies_cost_one_node_signature() {
     }
     remote.flush();
 
-    let node_key = w.node.public_key();
+    let node_key = w.node().public_key();
     let mut signatures = std::collections::BTreeSet::new();
     for _ in 0..total {
         let (i, outcome) = rx
@@ -609,14 +544,14 @@ fn two_thousand_replies_cost_one_node_signature() {
         signatures.insert(response.signature.to_bytes().to_vec());
     }
     assert_eq!(signatures.len(), 1, "one signature shared by the batch");
-    let stats = w.node.stats();
+    let stats = w.node().stats();
     assert_eq!(stats.batches_flushed, 1, "{stats:?}");
     assert_eq!(stats.attestations_signed, stats.batches_flushed);
 
     // Reads sign once per call, never once per entry.
     let position = remote.read_position(0).expect("read position");
     assert_eq!(position.len(), total);
-    assert_eq!(w.node.stats().attestations_signed, 2);
+    assert_eq!(w.node().stats().attestations_signed, 2);
     let ids: Vec<EntryId> = (0..50)
         .map(|i| EntryId {
             log_id: if i == 7 { 9 } else { 0 }, // one miss among the hits
@@ -624,7 +559,7 @@ fn two_thousand_replies_cost_one_node_signature() {
         })
         .collect();
     let many = remote.read_entries(&ids);
-    assert_eq!(w.node.stats().attestations_signed, 3);
+    assert_eq!(w.node().stats().attestations_signed, 3);
     for (i, (id, result)) in ids.iter().zip(&many).enumerate() {
         match result {
             Ok(response) => {
@@ -639,6 +574,5 @@ fn two_thousand_replies_cost_one_node_signature() {
         response.verify(&node_key).expect("position read verifies");
     }
     remote.read_entry(ids[0]).expect("single read");
-    assert_eq!(w.node.stats().attestations_signed, 4);
-    let _ = std::fs::remove_dir_all(&w.dir);
+    assert_eq!(w.node().stats().attestations_signed, 4);
 }

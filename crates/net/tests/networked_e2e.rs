@@ -5,70 +5,23 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{
-    deploy_service, Auditor, CommitPhase, LogService, NodeConfig, OffchainNode, Publisher, Reader,
-    ServiceConfig,
-};
+use wedge_chain::Wei;
+use wedge_core::{Auditor, CommitPhase, LocalNode, LogService, NodeConfig, Publisher, Reader};
 use wedge_crypto::signer::Identity;
 use wedge_net::{NodeServer, RemoteNode};
-use wedge_sim::Clock;
 
-struct NetWorld {
-    chain: Arc<Chain>,
-    node: Arc<OffchainNode>,
-    server: NodeServer,
-    root_record: wedge_chain::Address,
-    punishment: wedge_chain::Address,
-    client_identity: Identity,
-    _miner: wedge_chain::MinerHandle,
-}
-
-fn net_world(tag: &str, behavior: wedge_core::NodeBehavior) -> NetWorld {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(format!("net-node-{tag}").as_bytes());
-    let client_identity = Identity::from_seed(format!("net-client-{tag}").as_bytes());
-    chain.fund(node_id.address(), Wei::from_eth(1000));
-    chain.fund(client_identity.address(), Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_identity.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(8),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-net-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 25,
-                batch_linger: Duration::from_millis(5),
-                behavior,
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let server = NodeServer::bind("127.0.0.1:0", Arc::clone(&node) as _).unwrap();
-    NetWorld {
-        chain,
-        node,
-        server,
-        root_record: deployment.root_record,
-        punishment: deployment.punishment,
-        client_identity,
-        _miner: miner,
-    }
+/// A node on a fresh chain and a server in front of it. Bind the pair in
+/// this order (`let (w, server) = …`) so the server drops first.
+fn net_world(tag: &str, behavior: wedge_core::NodeBehavior) -> (LocalNode, NodeServer) {
+    let config = NodeConfig {
+        batch_size: 25,
+        batch_linger: Duration::from_millis(5),
+        behavior,
+        ..Default::default()
+    };
+    let w = LocalNode::start(&format!("net-{tag}"), config).unwrap();
+    let server = NodeServer::bind("127.0.0.1:0", Arc::clone(w.node()) as _).unwrap();
+    (w, server)
 }
 
 fn payloads(n: usize) -> Vec<Vec<u8>> {
@@ -77,12 +30,12 @@ fn payloads(n: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn publisher_works_over_tcp() {
-    let w = net_world("pub", wedge_core::NodeBehavior::Honest);
-    let remote = Arc::new(RemoteNode::connect(w.server.local_addr()).unwrap());
+    let (w, server) = net_world("pub", wedge_core::NodeBehavior::Honest);
+    let remote = Arc::new(RemoteNode::connect(server.local_addr()).unwrap());
     // The remote handshake learned the real node key.
     assert_eq!(
         remote.node_public_key().to_bytes(),
-        w.node.public_key().to_bytes()
+        w.node().public_key().to_bytes()
     );
     let mut publisher = Publisher::new(
         w.client_identity.clone(),
@@ -94,7 +47,7 @@ fn publisher_works_over_tcp() {
     let outcome = publisher.append_batch(payloads(50)).unwrap();
     assert_eq!(outcome.responses.len(), 50);
     // Every response crossed the wire and still verifies fully.
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     for response in &outcome.responses {
         assert_eq!(
             publisher.verify_blockchain_commit(response).unwrap(),
@@ -105,20 +58,14 @@ fn publisher_works_over_tcp() {
 
 #[test]
 fn reads_and_audits_work_over_tcp() {
-    let w = net_world("read", wedge_core::NodeBehavior::Honest);
+    let (w, server) = net_world("read", wedge_core::NodeBehavior::Honest);
     // Publish locally, read remotely.
-    let mut publisher = Publisher::new(
-        w.client_identity.clone(),
-        Arc::clone(&w.node),
-        Arc::clone(&w.chain),
-        w.root_record,
-        None,
-    );
+    let mut publisher = w.publisher();
     let data = payloads(50);
     publisher.append_batch(data.clone()).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
 
-    let remote = Arc::new(RemoteNode::connect(w.server.local_addr()).unwrap());
+    let remote = Arc::new(RemoteNode::connect(server.local_addr()).unwrap());
     let reader = Reader::new(Arc::clone(&remote), Arc::clone(&w.chain), w.root_record);
     let entry = reader
         .read(wedge_core::EntryId {
@@ -153,11 +100,11 @@ fn reads_and_audits_work_over_tcp() {
 fn remote_client_detects_and_punishes_equivocation() {
     // The full adversarial loop with a network in the middle: remote
     // stage-1 commit, remote evidence, on-chain punishment.
-    let w = net_world(
+    let (w, server) = net_world(
         "evil",
         wedge_core::NodeBehavior::CommitWrongRoot { from_log: 0 },
     );
-    let remote = Arc::new(RemoteNode::connect(w.server.local_addr()).unwrap());
+    let remote = Arc::new(RemoteNode::connect(server.local_addr()).unwrap());
     let mut publisher = Publisher::new(
         w.client_identity.clone(),
         Arc::clone(&remote),
@@ -166,7 +113,7 @@ fn remote_client_detects_and_punishes_equivocation() {
         Some(w.punishment),
     );
     let outcome = publisher.append_batch(payloads(25)).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     let receipt = publisher
         .verify_all_and_punish(&outcome.responses)
         .unwrap()
@@ -177,14 +124,14 @@ fn remote_client_detects_and_punishes_equivocation() {
 
 #[test]
 fn concurrent_remote_clients_multiplex() {
-    let w = net_world("multi", wedge_core::NodeBehavior::Honest);
-    let addr = w.server.local_addr();
+    let (w, server) = net_world("multi", wedge_core::NodeBehavior::Honest);
+    let addr = server.local_addr();
     let chain = Arc::clone(&w.chain);
     let root_record = w.root_record;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for i in 0..4 {
             let chain = Arc::clone(&chain);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let identity = Identity::from_seed(format!("net-multi-{i}").as_bytes());
                 let remote = Arc::new(RemoteNode::connect(addr).unwrap());
                 let mut publisher = Publisher::new(identity, remote, chain, root_record, None);
@@ -194,39 +141,31 @@ fn concurrent_remote_clients_multiplex() {
                 assert_eq!(outcome.responses.len(), 30);
             });
         }
-    })
-    .unwrap();
-    assert_eq!(w.node.entry_count(), 120);
+    });
+    assert_eq!(w.node().entry_count(), 120);
 }
 
 #[test]
 fn server_shutdown_is_clean() {
-    let mut w = net_world("shutdown", wedge_core::NodeBehavior::Honest);
-    let remote = RemoteNode::connect(w.server.local_addr()).unwrap();
+    let (_w, mut server) = net_world("shutdown", wedge_core::NodeBehavior::Honest);
+    let remote = RemoteNode::connect(server.local_addr()).unwrap();
     assert_eq!(remote.positions(), 0);
-    w.server.shutdown();
+    server.shutdown();
     // New connections are refused (or time out) after shutdown...
     std::thread::sleep(Duration::from_millis(50));
     assert!(
-        RemoteNode::connect_with_timeout(w.server.local_addr(), Duration::from_millis(300))
-            .is_err()
+        RemoteNode::connect_with_timeout(server.local_addr(), Duration::from_millis(300)).is_err()
     );
 }
 
 #[test]
 fn read_many_is_one_round_trip_with_per_entry_results() {
-    let w = net_world("readmany", wedge_core::NodeBehavior::Honest);
-    let mut publisher = Publisher::new(
-        w.client_identity.clone(),
-        Arc::clone(&w.node),
-        Arc::clone(&w.chain),
-        w.root_record,
-        None,
-    );
+    let (w, server) = net_world("readmany", wedge_core::NodeBehavior::Honest);
+    let mut publisher = w.publisher();
     let data = payloads(25);
     publisher.append_batch(data.clone()).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
-    let remote = Arc::new(RemoteNode::connect(w.server.local_addr()).unwrap());
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let remote = Arc::new(RemoteNode::connect(server.local_addr()).unwrap());
     // Mixed batch: two valid ids, one missing.
     let ids = [
         wedge_core::EntryId {

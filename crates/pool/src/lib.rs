@@ -125,10 +125,10 @@ impl WorkPool {
         self.chunks_dispatched
             .fetch_add(dispatched, Ordering::Relaxed);
         let f = &f;
-        let scoped = crossbeam::thread::scope(|scope| {
+        let scoped = std::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .chunks(chunk)
-                .map(|input| scope.spawn(move |_| f(input)))
+                .map(|input| scope.spawn(move || f(input)))
                 .collect();
             let mut out: Vec<U> = Vec::with_capacity(items.len());
             let mut first_panic: Option<PanicPayload> = None;
@@ -142,10 +142,7 @@ impl WorkPool {
             }
             first_panic.map_or(Ok(out), Err)
         });
-        // The outer Err covers a panic escaping the scope closure itself,
-        // which cannot happen since every join is caught above; routing it
-        // through keeps this crate panic-free regardless.
-        match scoped.and_then(|inner| inner) {
+        match scoped {
             Ok(out) => out,
             Err(payload) => resume_unwind(payload),
         }

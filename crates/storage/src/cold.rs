@@ -267,13 +267,8 @@ mod tests {
     use super::*;
     use crate::segment::HEADER_LEN;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wedge-cold-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn tempdir(tag: &str) -> crate::ScratchDir {
+        let dir = crate::ScratchDir::new(&format!("cold-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -26,6 +26,7 @@ mod cold;
 mod crc32;
 mod error;
 mod replication;
+mod scratch;
 mod segment;
 mod sidecar;
 mod store;
@@ -34,6 +35,7 @@ pub use cold::ColdSegment;
 pub use crc32::crc32;
 pub use error::StorageError;
 pub use replication::{Batch, ReplicationHandle, Replicator};
+pub use scratch::ScratchDir;
 pub use segment::Frames;
 pub use sidecar::write_atomic;
 pub use store::{LogStore, RecoveryStats, StoreConfig, SyncPolicy, SyncStats, TierStats};

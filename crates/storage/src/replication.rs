@@ -228,16 +228,15 @@ mod tests {
         Arc::new(vec![Frames::from_payloads(&batch)])
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("wedge-repl-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tempdir(tag: &str) -> crate::ScratchDir {
+        crate::ScratchDir::new(&format!("repl-{tag}"))
     }
 
     #[test]
     fn sync_replication_acks_all() {
         let dir = tempdir("sync");
-        let repl = Replicator::spawn(&dir, 2, StoreConfig::default(), Duration::ZERO).unwrap();
+        let repl =
+            Replicator::spawn(dir.path(), 2, StoreConfig::default(), Duration::ZERO).unwrap();
         let acked = replicate(&repl, vec![b"r0".to_vec(), b"r1".to_vec()]);
         assert_eq!(acked, 2);
         drop(repl);
@@ -253,7 +252,8 @@ mod tests {
     #[test]
     fn async_replication_eventually_lands() {
         let dir = tempdir("async");
-        let repl = Replicator::spawn(&dir, 1, StoreConfig::default(), Duration::ZERO).unwrap();
+        let repl =
+            Replicator::spawn(dir.path(), 1, StoreConfig::default(), Duration::ZERO).unwrap();
         drop(repl.replicate_frames(frames(vec![b"lazy".to_vec()])));
         drop(repl); // drop joins threads, draining the queue
         let store = LogStore::open(dir.join("replica-0"), StoreConfig::default()).unwrap();
@@ -263,8 +263,13 @@ mod tests {
     #[test]
     fn begin_then_wait_overlaps_with_local_work() {
         let dir = tempdir("begin");
-        let repl =
-            Replicator::spawn(&dir, 2, StoreConfig::default(), Duration::from_millis(5)).unwrap();
+        let repl = Replicator::spawn(
+            dir.path(),
+            2,
+            StoreConfig::default(),
+            Duration::from_millis(5),
+        )
+        .unwrap();
         let batch: Batch = Arc::new(vec![b"o0".to_vec(), b"o1".to_vec()]);
         let handle = repl.replicate_begin(batch);
         assert_eq!(handle.expected(), 2);
@@ -293,7 +298,8 @@ mod tests {
             },
             ..StoreConfig::default()
         };
-        let repl = Replicator::spawn(tempdir("gc"), 2, config, Duration::ZERO).unwrap();
+        let dir = tempdir("gc");
+        let repl = Replicator::spawn(dir.path(), 2, config, Duration::ZERO).unwrap();
         for b in 1..=10u64 {
             assert_eq!(replicate(&repl, vec![b.to_be_bytes().to_vec(); 3]), 2);
             for replica in &repl.replicas {
@@ -309,7 +315,7 @@ mod tests {
     #[test]
     fn a_replica_that_failed_a_batch_acknowledges_nothing_after_it() {
         let dir = tempdir("hole");
-        let repl = Replicator::spawn(&dir, 1, small_segments(), Duration::ZERO).unwrap();
+        let repl = Replicator::spawn(dir.path(), 1, small_segments(), Duration::ZERO).unwrap();
         let batch = |b: u8| vec![vec![b; 40]];
         assert_eq!(replicate(&repl, batch(0)), 1);
         // A directory squats on the replica's next tail: the next batch
@@ -323,7 +329,7 @@ mod tests {
         assert_eq!(repl.replicas[0].store.len(), 1);
         drop(repl);
         // Reopened (a restart), it takes batches again.
-        let repl = Replicator::spawn(&dir, 1, small_segments(), Duration::ZERO).unwrap();
+        let repl = Replicator::spawn(dir.path(), 1, small_segments(), Duration::ZERO).unwrap();
         assert_eq!(replicate(&repl, batch(3)), 1);
         assert_eq!(repl.replicas[0].store.len(), 2);
     }
@@ -337,8 +343,9 @@ mod tests {
 
     #[test]
     fn zero_replicas_is_noop() {
+        let dir = tempdir("zero");
         let repl =
-            Replicator::spawn(tempdir("zero"), 0, StoreConfig::default(), Duration::ZERO).unwrap();
+            Replicator::spawn(dir.path(), 0, StoreConfig::default(), Duration::ZERO).unwrap();
         assert_eq!(replicate(&repl, vec![b"x".to_vec()]), 0);
         assert_eq!(repl.replica_count(), 0);
     }
@@ -346,7 +353,8 @@ mod tests {
     #[test]
     fn multiple_batches_ordered() {
         let dir = tempdir("order");
-        let repl = Replicator::spawn(&dir, 1, StoreConfig::default(), Duration::ZERO).unwrap();
+        let repl =
+            Replicator::spawn(dir.path(), 1, StoreConfig::default(), Duration::ZERO).unwrap();
         for b in 0..5u32 {
             let batch = (0..3).map(|i| format!("b{b}-{i}").into_bytes()).collect();
             assert_eq!(replicate(&repl, batch), 1);

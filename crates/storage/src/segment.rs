@@ -388,13 +388,8 @@ pub fn scan_segment(dir: &Path, id: SegmentId) -> Result<SegmentScan, StorageErr
 mod tests {
     use super::*;
 
-    fn tempdir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wedge-seg-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn tempdir() -> crate::ScratchDir {
+        let dir = crate::ScratchDir::new("seg-test");
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

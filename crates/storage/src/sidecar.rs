@@ -97,15 +97,9 @@ pub fn remove_stray_files(dir: &Path) -> Result<(), StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wedge-sidecar-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn tempdir(tag: &str) -> crate::ScratchDir {
+        let dir = crate::ScratchDir::new(&format!("sidecar-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

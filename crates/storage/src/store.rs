@@ -904,19 +904,14 @@ impl LogStore {
 mod tests {
     use super::*;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wedge-store-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tempdir(tag: &str) -> crate::ScratchDir {
+        crate::ScratchDir::new(&format!("store-{tag}"))
     }
 
     #[test]
     fn append_read_roundtrip() {
-        let store = LogStore::open(tempdir("rt"), StoreConfig::default()).unwrap();
+        let dir = tempdir("rt");
+        let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
         let a = store.append(b"alpha").unwrap();
         let b = store.append(b"beta").unwrap();
         assert_eq!((a, b), (0, 1));
@@ -927,7 +922,8 @@ mod tests {
 
     #[test]
     fn missing_record_is_error() {
-        let store = LogStore::open(tempdir("miss"), StoreConfig::default()).unwrap();
+        let dir = tempdir("miss");
+        let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
         assert!(matches!(
             store.read(0),
             Err(StorageError::RecordNotFound { id: 0, len: 0 })
@@ -940,7 +936,8 @@ mod tests {
             max_record_bytes: 8,
             ..Default::default()
         };
-        let store = LogStore::open(tempdir("big"), config).unwrap();
+        let dir = tempdir("big");
+        let store = LogStore::open(&dir, config).unwrap();
         assert!(matches!(
             store.append(b"123456789"),
             Err(StorageError::RecordTooLarge { size: 9, max: 8 })
@@ -971,7 +968,8 @@ mod tests {
 
     #[test]
     fn batch_append_is_dense_and_ordered() {
-        let store = LogStore::open(tempdir("batch"), StoreConfig::default()).unwrap();
+        let dir = tempdir("batch");
+        let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
         store.append(b"pre").unwrap();
         let first = store
             .append_batch(&[b"b0".as_slice(), b"b1", b"b2"])
@@ -983,7 +981,8 @@ mod tests {
 
     #[test]
     fn framed_parts_are_written_as_is_one_write_each() {
-        let store = LogStore::open(tempdir("frames"), StoreConfig::default()).unwrap();
+        let dir = tempdir("frames");
+        let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
         let payloads: Vec<Vec<u8>> = (0..2_000u32)
             .map(|i| format!("framed-{i}").into_bytes())
             .collect();
@@ -1006,7 +1005,8 @@ mod tests {
             max_record_bytes: 8,
             ..Default::default()
         };
-        let store = LogStore::open(tempdir("frames-big"), config).unwrap();
+        let dir = tempdir("frames-big");
+        let store = LogStore::open(&dir, config).unwrap();
         let parts = [
             Frames::from_payloads(&[b"fits"]),
             Frames::from_payloads(&[b"123456789"]),
@@ -1128,7 +1128,8 @@ mod tests {
     fn a_tail_read_takes_no_lock() {
         // Appends reach the file before the index lists them, so no read
         // flushes and none waits for the writer.
-        let store = LogStore::open(tempdir("nolock-gc"), StoreConfig::default()).unwrap();
+        let dir = tempdir("nolock-gc");
+        let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
         for i in 0..8u32 {
             store.append(format!("r{i}").as_bytes()).unwrap();
         }
@@ -1168,7 +1169,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let store = LogStore::open(tempdir("gc-thresh"), config).unwrap();
+        let dir = tempdir("gc-thresh");
+        let store = LogStore::open(&dir, config).unwrap();
         store.append_batch(&[b"a0".as_slice(), b"a1"]).unwrap();
         store.append_batch(&[b"b0".as_slice()]).unwrap();
         // Two pending appends: nothing synced yet.
@@ -1192,7 +1194,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let store = LogStore::open(tempdir("gc-delay"), config).unwrap();
+        let dir = tempdir("gc-delay");
+        let store = LogStore::open(&dir, config).unwrap();
         store.append_batch(&[b"only".as_slice()]).unwrap();
         let start = Instant::now();
         store.ensure_durable(0).unwrap();
@@ -1229,8 +1232,8 @@ mod tests {
 
     #[test]
     fn concurrent_reads_while_appending() {
-        let store =
-            std::sync::Arc::new(LogStore::open(tempdir("conc"), StoreConfig::default()).unwrap());
+        let dir = tempdir("conc");
+        let store = std::sync::Arc::new(LogStore::open(&dir, StoreConfig::default()).unwrap());
         for i in 0..100u32 {
             store.append(format!("seed-{i}").as_bytes()).unwrap();
         }
@@ -1260,12 +1263,7 @@ mod iter_tests {
 
     #[test]
     fn iterator_yields_all_records_in_order() {
-        let dir = std::env::temp_dir().join(format!(
-            "wedge-store-iter-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::ScratchDir::new("store-iter");
         let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
         for i in 0..25u32 {
             store.append(format!("it-{i}").as_bytes()).unwrap();
@@ -1287,14 +1285,8 @@ mod tier_tests {
     use super::*;
     use crate::cold::cold_path;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wedge-tier-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tempdir(tag: &str) -> crate::ScratchDir {
+        crate::ScratchDir::new(&format!("tier-{tag}"))
     }
 
     fn small_seg_config() -> StoreConfig {
@@ -1456,7 +1448,8 @@ mod tier_tests {
 
     #[test]
     fn no_read_takes_the_tail_lock() {
-        let store = LogStore::open(tempdir("nolock"), small_seg_config()).unwrap();
+        let dir = tempdir("nolock");
+        let store = LogStore::open(&dir, small_seg_config()).unwrap();
         fill(&store, 30);
         assert!(store.tail_segment_id() > 0);
         // Record 0 lives in segment 0, long rotated away; record 29 in the
@@ -1562,7 +1555,8 @@ mod tier_tests {
 
     #[test]
     fn truncate_into_retired_region_is_refused() {
-        let store = LogStore::open(tempdir("trunc-retired"), small_seg_config()).unwrap();
+        let dir = tempdir("trunc-retired");
+        let store = LogStore::open(&dir, small_seg_config()).unwrap();
         fill(&store, 30);
         store.retire_up_to(10).unwrap();
         let oldest = store.oldest();
@@ -1579,8 +1573,8 @@ mod tier_tests {
 
     #[test]
     fn concurrent_reads_while_rotating_and_retiring() {
-        let store =
-            std::sync::Arc::new(LogStore::open(tempdir("conc-seal"), small_seg_config()).unwrap());
+        let dir = tempdir("conc-seal");
+        let store = std::sync::Arc::new(LogStore::open(&dir, small_seg_config()).unwrap());
         fill(&store, 100);
         let mut handles = Vec::new();
         for _ in 0..3 {
@@ -1624,7 +1618,8 @@ mod tier_tests {
 
     #[test]
     fn iter_spans_sealed_segments_and_the_tail() {
-        let store = LogStore::open(tempdir("iter-tiers"), small_seg_config()).unwrap();
+        let dir = tempdir("iter-tiers");
+        let store = LogStore::open(&dir, small_seg_config()).unwrap();
         fill(&store, 30);
         let collected: Vec<Vec<u8>> = store.iter().map(|r| r.unwrap()).collect();
         assert_eq!(collected.len(), 30);

@@ -3,21 +3,11 @@
 //! to a store fed the same records one at a time — at one `write(2)` per
 //! part per segment it lands in.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use wedge_storage::{Frames, LogStore, Replicator, StoreConfig};
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wedge-frames-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use wedge_storage::{Frames, LogStore, Replicator, ScratchDir, StoreConfig};
 
 /// Every file in `dir`, by name, with its bytes.
 fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
@@ -57,7 +47,7 @@ fn parts_of(payloads: &[Vec<u8>], parts: usize) -> Vec<Frames> {
 /// every record reads back, and that each framed store issued at most
 /// (parts + rotations) record writes. Returns the rotations.
 fn check(tag: &str, max_segment_bytes: u64, payloads: &[Vec<u8>], parts: usize) -> u64 {
-    let dir = scratch(tag);
+    let dir = ScratchDir::new(&format!("frames-{tag}"));
     let frames = Arc::new(parts_of(payloads, parts));
     let replicator = Replicator::spawn(
         dir.join("replicas"),
@@ -95,7 +85,6 @@ fn check(tag: &str, max_segment_bytes: u64, payloads: &[Vec<u8>], parts: usize) 
         "{tag}: {writes} writes for {} parts and {rotations} rotations",
         frames.len()
     );
-    let _ = std::fs::remove_dir_all(&dir);
     rotations
 }
 

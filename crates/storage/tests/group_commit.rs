@@ -13,11 +13,11 @@
 //! which runs until the parent kills it.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use wedge_storage::{LogStore, StoreConfig, SyncPolicy};
+use wedge_storage::{LogStore, ScratchDir, StoreConfig, SyncPolicy};
 
 const CRASH_DIR_VAR: &str = "WEDGE_GC_CRASH_DIR";
 const BATCH: usize = 8;
@@ -75,9 +75,8 @@ fn crash_workload(dir: &Path) -> ! {
     unreachable!("channel never closes before SIGKILL");
 }
 
-fn scratch() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wedge-gc-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn scratch() -> ScratchDir {
+    let dir = ScratchDir::new("gc-crash");
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -95,7 +94,7 @@ fn group_commit_survives_sigkill_without_losing_released_records() {
         .arg("--exact")
         .arg("--nocapture")
         .arg("--test-threads=1")
-        .env(CRASH_DIR_VAR, &dir)
+        .env(CRASH_DIR_VAR, dir.path())
         .stdout(std::process::Stdio::null())
         .spawn()
         .unwrap();
@@ -132,15 +131,14 @@ fn group_commit_survives_sigkill_without_losing_released_records() {
             "released record {seq} lost or corrupted after SIGKILL"
         );
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn released_after_crash_is_prefix_of_recovered_log() {
     // Deterministic single-process variant: ensure_durable + recovery with
     // an unclean drop (no sync on shutdown) never loses a released record.
-    let dir = scratch().join("prefix");
+    let scratch = scratch();
+    let dir = scratch.join("prefix");
     let released;
     {
         let store = LogStore::open(&dir, config()).unwrap();
@@ -161,5 +159,4 @@ fn released_after_crash_is_prefix_of_recovered_log() {
     for seq in 0..=released {
         assert_eq!(store.read(seq).unwrap(), payload(seq));
     }
-    let _ = std::fs::remove_dir_all(dir);
 }

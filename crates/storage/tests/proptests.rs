@@ -3,16 +3,10 @@
 //! truncations of the file never corrupt the recovered prefix.
 
 use proptest::prelude::*;
-use wedge_storage::{LogStore, StoreConfig};
+use wedge_storage::{LogStore, ScratchDir, StoreConfig};
 
-fn scratch(tag: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wedge-storage-prop-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch(tag: u64) -> ScratchDir {
+    ScratchDir::new(&format!("storage-prop-{tag}"))
 }
 
 fn arb_records() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -28,7 +22,8 @@ proptest! {
             max_segment_bytes: 512, // force frequent rotation
             ..Default::default()
         };
-        let store = LogStore::open(scratch(seed), config).unwrap();
+        let dir = scratch(seed);
+        let store = LogStore::open(&dir, config).unwrap();
         for (i, record) in records.iter().enumerate() {
             let id = store.append(record).unwrap();
             prop_assert_eq!(id, i as u64);

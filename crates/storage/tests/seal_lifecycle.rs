@@ -7,9 +7,9 @@
 //! lifecycle replaced (`ColdSegment::seal` at commit 32b8b9f) from the five
 //! records of [`golden_payloads`]; the format is the oracle.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use wedge_storage::{ColdSegment, LogStore, StorageError, StoreConfig};
+use wedge_storage::{ColdSegment, LogStore, ScratchDir, StorageError, StoreConfig};
 
 const GOLDEN: &[u8] = include_bytes!("golden/seg-0000000000.wcold");
 const SEALED: &str = "seg-0000000000.wcold";
@@ -34,13 +34,8 @@ fn config() -> StoreConfig {
     }
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wedge-seal-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+fn scratch(tag: &str) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("seal-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

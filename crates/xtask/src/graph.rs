@@ -315,9 +315,10 @@ impl Walker<'_> {
                 }
             }
             if let TokenKind::Group(_, children) = &toks[i].kind {
-                // A closure handed to `spawn` runs on a fresh thread: it
-                // does not inherit the caller's live regions.
-                if i >= 1 && toks[i - 1].ident() == Some("spawn") {
+                // A closure handed to `spawn` (or `spawn_scoped`) runs on a
+                // fresh thread: it does not inherit the caller's live
+                // regions.
+                if i >= 1 && starts_thread(&toks[i - 1]) {
                     self.walk(children, &mut Vec::new(), fn_name);
                 } else {
                     let mark = live.len();
@@ -328,6 +329,12 @@ impl Walker<'_> {
             i += 1;
         }
     }
+}
+
+/// Whether `tok` names a call that runs its closure argument on a new
+/// thread: `thread::spawn`, a scope's `spawn`, or `Builder::spawn_scoped`.
+fn starts_thread(tok: &Token) -> bool {
+    matches!(tok.ident(), Some("spawn" | "spawn_scoped"))
 }
 
 fn is_worker_region(name: &str) -> bool {
@@ -803,7 +810,7 @@ fn site_scan(toks: &[Token], fn_idx: usize, in_spawn: bool, fc: &mut FileChannel
             }
         }
         if let TokenKind::Group(_, children) = &toks[i].kind {
-            let spawned = in_spawn || (i >= 1 && toks[i - 1].ident() == Some("spawn"));
+            let spawned = in_spawn || (i >= 1 && starts_thread(&toks[i - 1]));
             site_scan(children, fn_idx, spawned, fc);
         }
         i += 1;
@@ -1372,6 +1379,47 @@ mod tests {
         let diags = active(lint_channel_cycles(&corpus(&[("a.rs", src)])));
         assert!(!diags.is_empty(), "bounded blocking ring must be flagged");
         assert!(diags[0].message.contains("channel cycle"));
+    }
+
+    #[test]
+    fn l8_spawn_scoped_starts_a_thread() {
+        // The ring of `l8_flags_bounded_blocking_ring`, its ends started
+        // through named scoped threads: still two threads, still a cycle.
+        let src = "fn setup() {\n\
+                   \x20   let (req_tx, req_rx) = bounded::<u64>(1);\n\
+                   \x20   let (resp_tx, resp_rx) = bounded::<u64>(1);\n\
+                   \x20   thread::scope(|scope| {\n\
+                   \x20       let a = Builder::new().name(\"a\".into());\n\
+                   \x20       a.spawn_scoped(scope, move || client(req_tx, resp_rx));\n\
+                   \x20       let b = Builder::new().name(\"b\".into());\n\
+                   \x20       b.spawn_scoped(scope, move || server(req_rx, resp_tx));\n\
+                   \x20   });\n\
+                   }\n\
+                   fn client(req_tx: Sender<u64>, resp_rx: Receiver<u64>) {\n\
+                   \x20   req_tx.send(1).unwrap();\n\
+                   \x20   let _ = resp_rx.recv();\n\
+                   }\n\
+                   fn server(req_rx: Receiver<u64>, resp_tx: Sender<u64>) {\n\
+                   \x20   resp_tx.send(2).unwrap();\n\
+                   \x20   let _ = req_rx.recv();\n\
+                   }\n";
+        let diags = active(lint_channel_cycles(&corpus(&[("a.rs", src)])));
+        assert!(!diags.is_empty(), "a spawn_scoped ring must be flagged");
+        assert!(diags[0].message.contains("channel cycle"));
+
+        // A guard held by the scope's owner is not held inside the
+        // scoped thread.
+        let src = "fn h(shared: &Shared) {\n\
+                   \x20   let plane = shared.write_plane.lock();\n\
+                   \x20   Builder::new().spawn_scoped(scope, move || {\n\
+                   \x20       let stats = shared.stats.lock();\n\
+                   \x20   });\n\
+                   }\n\
+                   fn g(shared: &Shared) {\n\
+                   \x20   let stats = shared.stats.lock();\n\
+                   \x20   let plane = shared.write_plane.lock();\n\
+                   }\n";
+        assert!(active(findings(Lint::LockOrder, &corpus(&[("a.rs", src)]))).is_empty());
     }
 
     #[test]

@@ -9,13 +9,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Output;
 
-/// Creates (or wipes) a per-test fixture directory under the system temp dir.
-fn fixture_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("wedge-lint-selftest-{}-{name}", std::process::id()));
-    if dir.exists() {
-        fs::remove_dir_all(&dir).unwrap();
-    }
+use wedge_storage::ScratchDir;
+
+/// Creates a per-test fixture directory, removed when the guard drops.
+fn fixture_dir(name: &str) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("lint-selftest-{name}"));
     fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -157,8 +155,6 @@ fn seeded_violations_fail_with_diagnostics() {
         stderr.contains("violation(s)"),
         "stderr summary missing:\n{stderr}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -222,8 +218,6 @@ fn guard_rules_see_the_calls_the_node_makes() {
         stdout.contains("via call to `sync_store()`") && stdout.contains("via call to `notify()`"),
         "inlined findings must name the helper:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -276,8 +270,6 @@ fn clean_fixture_passes() {
         stdout.contains("wedge-lint: clean"),
         "missing clean banner:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -301,8 +293,6 @@ fn missing_allow_reason_is_rejected() {
         stdout.contains("[L1]"),
         "expected the unwrap to be flagged:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -365,8 +355,6 @@ fn concurrency_clean_fixture_passes() {
         out.status.success(),
         "clean concurrency fixture must pass, got:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -396,8 +384,6 @@ fn seeded_lock_order_inversion_names_the_cycle() {
         stdout.contains("[L7]") && stdout.contains("lock-order cycle"),
         "expected a named lock-order cycle:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -420,8 +406,6 @@ fn raw_strings_do_not_trigger_lints() {
         out.status.success(),
         "raw-string contents must not be linted:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -454,8 +438,6 @@ fn nested_macro_bodies_are_still_linted() {
         !out.status.success() && stdout.contains("[L7]"),
         "inversion inside a macro body must be found:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -489,8 +471,6 @@ fn multi_line_method_chain_locks_are_tracked() {
         !out.status.success() && stdout.contains("[L7]"),
         "wrapped-chain locks must still form edges:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -513,8 +493,6 @@ fn allow_comment_inside_macro_body_suppresses() {
         out.status.success(),
         "allow marker inside a macro body must suppress:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -573,8 +551,6 @@ fn allows_audit_lists_markers_and_flags_stale() {
         stdout.contains("input validated by caller"),
         "reasons must be listed:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -597,8 +573,6 @@ fn allows_audit_rejects_unknown_rule_names() {
         stdout.contains("STALE (unknown rule)"),
         "unknown rule must be called out:\n{stdout}"
     );
-
-    fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]

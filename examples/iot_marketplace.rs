@@ -79,13 +79,13 @@ fn main() {
     // (the paper: "If there are multiple Publishers, they can set up a
     // shared address") — but each signs with its own device identity.
     let mut total = 0usize;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for sensor in ["thermostat", "air-quality", "power-meter"] {
             let node = Arc::clone(&node);
             let chain = Arc::clone(&chain);
             let root_record = deployment.root_record;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let device = Identity::from_seed(sensor.as_bytes());
                 let mut publisher = Publisher::new(device, node, chain, root_record, None);
                 let readings: Vec<Vec<u8>> = (0..300)
@@ -100,8 +100,7 @@ fn main() {
             println!("{sensor}: {count} readings off-chain-committed in {latency:?}");
             total += count;
         }
-    })
-    .unwrap();
+    });
     println!("marketplace ingested {total} readings across 3 devices");
 
     node.wait_stage2_idle(Duration::from_secs(600))

@@ -1,14 +1,10 @@
 //! Liveness properties (paper §4.7): replication against omission attacks,
 //! and the behaviour of clients when the node stalls stage 2.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use wedgeblock::chain::{Chain, ChainConfig, Wei};
-use wedgeblock::core::{
-    deploy_service, NodeBehavior, NodeConfig, OffchainNode, Publisher, ServiceConfig, Stage2Verdict,
-};
-use wedgeblock::crypto::Identity;
+use wedgeblock::chain::{Chain, ChainConfig};
+use wedgeblock::core::{LocalNode, NodeBehavior, NodeConfig, Stage2Verdict};
 use wedgeblock::sim::Clock;
 use wedgeblock::storage::{LogStore, StoreConfig};
 
@@ -23,47 +19,15 @@ fn replicas_hold_the_data_after_an_extreme_omission_attack() {
     // The node replicates batches to 2 followers, then "destroys" its local
     // tail. The replicas still hold every record — the decentralized-storage
     // mitigation of §4.7.
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"liveness-node");
-    let client_id = Identity::from_seed(b"liveness-client");
-    chain.fund(node_id.address(), Wei::from_eth(100));
-    chain.fund(client_id.address(), Wei::from_eth(100));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-liveness-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 20,
-                batch_linger: Duration::from_millis(5),
-                replicas: 2,
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let mut publisher = Publisher::new(
-        client_id,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        None,
-    );
+    let config = NodeConfig {
+        batch_size: 20,
+        batch_linger: Duration::from_millis(5),
+        replicas: 2,
+        ..Default::default()
+    };
+    let w = LocalNode::start("liveness", config).unwrap();
+    let node = w.node();
+    let mut publisher = w.publisher();
     publisher.append_batch(payloads(40)).unwrap();
     assert_eq!(node.entry_count(), 40);
 
@@ -74,7 +38,7 @@ fn replicas_hold_the_data_after_an_extreme_omission_attack() {
     // Both replicas still hold all 42 records (2 headers + 40 leaves).
     for replica in 0..2 {
         let store = LogStore::open(
-            dir.join("replicas").join(format!("replica-{replica}")),
+            w.dir().join("replicas").join(format!("replica-{replica}")),
             StoreConfig::default(),
         )
         .unwrap();
@@ -86,47 +50,15 @@ fn replicas_hold_the_data_after_an_extreme_omission_attack() {
 fn stage2_omission_is_observable_not_hanging() {
     // With stage 2 omitted, clients don't hang: the wait API times out and
     // reports NotYet, giving the application the signal to escalate.
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"omission-node");
-    let client_id = Identity::from_seed(b"omission-client");
-    chain.fund(node_id.address(), Wei::from_eth(100));
-    chain.fund(client_id.address(), Wei::from_eth(100));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-omission-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 10,
-                batch_linger: Duration::from_millis(5),
-                behavior: NodeBehavior::OmitStage2 { from_log: 0 },
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let mut publisher = Publisher::new(
-        client_id,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        None,
-    );
+    let config = NodeConfig {
+        batch_size: 10,
+        batch_linger: Duration::from_millis(5),
+        behavior: NodeBehavior::OmitStage2 { from_log: 0 },
+        ..Default::default()
+    };
+    let w = LocalNode::start("omission", config).unwrap();
+    let node = w.node();
+    let mut publisher = w.publisher();
     let outcome = publisher.append_batch(payloads(10)).unwrap();
     let verdict = publisher
         .wait_blockchain_commit(&outcome.responses[0], Duration::from_secs(90))
@@ -142,51 +74,17 @@ fn node_throughput_survives_replication() {
     // Fig 3's red-curve claim in miniature: adding replicas must not
     // collapse ingestion (merkle + signing dominate; replication is a
     // channel send + disk append).
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"repl-throughput-node");
-    let client_id = Identity::from_seed(b"repl-throughput-client");
-    chain.fund(node_id.address(), Wei::from_eth(100));
-    chain.fund(client_id.address(), Wei::from_eth(100));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-
+    let chain = Chain::new(Clock::compressed(2000.0), ChainConfig::default());
     let mut times = Vec::new();
     for replicas in [0usize, 2] {
-        let dir =
-            std::env::temp_dir().join(format!("wedge-repl-tp-{replicas}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let node = Arc::new(
-            OffchainNode::start(
-                node_id.clone(),
-                NodeConfig {
-                    batch_size: 100,
-                    batch_linger: Duration::from_millis(5),
-                    replicas,
-                    ..Default::default()
-                },
-                Arc::clone(&chain),
-                deployment.root_record,
-                &dir,
-            )
-            .unwrap(),
-        );
-        let mut publisher = Publisher::new(
-            client_id.clone(),
-            Arc::clone(&node),
-            Arc::clone(&chain),
-            deployment.root_record,
-            None,
-        );
+        let config = NodeConfig {
+            batch_size: 100,
+            batch_linger: Duration::from_millis(5),
+            replicas,
+            ..Default::default()
+        };
+        let w = LocalNode::start_on(&chain, &format!("repl-tp-{replicas}"), config).unwrap();
+        let mut publisher = w.publisher();
         let outcome = publisher.append_batch(payloads(200)).unwrap();
         times.push(outcome.stage1_commit);
     }
@@ -204,47 +102,15 @@ fn node_throughput_survives_replication() {
 fn replica_failure_is_detected_not_fatal() {
     // Kill one of two replicas mid-stream: the node keeps serving (liveness)
     // and records the shortfall (observability).
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"shortfall-node");
-    let client_id = Identity::from_seed(b"shortfall-client");
-    chain.fund(node_id.address(), Wei::from_eth(100));
-    chain.fund(client_id.address(), Wei::from_eth(100));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-shortfall-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 20,
-                batch_linger: Duration::from_millis(5),
-                replicas: 2,
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let mut publisher = Publisher::new(
-        client_id,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        None,
-    );
+    let config = NodeConfig {
+        batch_size: 20,
+        batch_linger: Duration::from_millis(5),
+        replicas: 2,
+        ..Default::default()
+    };
+    let mut w = LocalNode::start("shortfall", config).unwrap();
+    let node = w.node();
+    let mut publisher = w.publisher();
     // Healthy batch: both replicas ack.
     publisher.append_batch(payloads(20)).unwrap();
     assert_eq!(node.stats().replication_shortfalls, 0);
@@ -254,9 +120,9 @@ fn replica_failure_is_detected_not_fatal() {
     assert_eq!(node.entry_count(), 40, "service uninterrupted");
     assert_eq!(node.stats().replication_shortfalls, 1);
     // Replica 0 still received everything (2 batches × 21 records).
-    drop(node);
+    w.shutdown().unwrap();
     let store = LogStore::open(
-        dir.join("replicas").join("replica-0"),
+        w.dir().join("replicas").join("replica-0"),
         StoreConfig::default(),
     )
     .unwrap();

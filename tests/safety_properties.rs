@@ -7,77 +7,20 @@
 //! - **Definition 3.2 (Blockchain-committed Safety)**: two clients reading
 //!   blockchain-committed responses for the same index always agree.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use wedgeblock::chain::{Chain, ChainConfig, Wei};
+use wedgeblock::chain::Wei;
 use wedgeblock::contracts::{Punishment, RootRecord};
-use wedgeblock::core::{
-    deploy_service, NodeBehavior, NodeConfig, OffchainNode, Publisher, Reader, ServiceConfig,
-    Stage2Verdict,
-};
-use wedgeblock::crypto::Identity;
-use wedgeblock::sim::Clock;
+use wedgeblock::core::{LocalNode, NodeBehavior, NodeConfig, Stage2Verdict};
 
-struct World {
-    chain: Arc<Chain>,
-    node: Arc<OffchainNode>,
-    publisher: Publisher,
-    root_record: wedgeblock::chain::Address,
-    punishment: wedgeblock::chain::Address,
-    _miner: wedgeblock::chain::MinerHandle,
-}
-
-fn world(tag: &str, behavior: NodeBehavior) -> World {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(format!("safety-node-{tag}").as_bytes());
-    let client_id = Identity::from_seed(format!("safety-client-{tag}").as_bytes());
-    chain.fund(node_id.address(), Wei::from_eth(1000));
-    chain.fund(client_id.address(), Wei::from_eth(1000));
-    let miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(8),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-safety-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 25,
-                batch_linger: Duration::from_millis(5),
-                behavior,
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let publisher = Publisher::new(
-        client_id,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        Some(deployment.punishment),
-    );
-    World {
-        chain,
-        node,
-        publisher,
-        root_record: deployment.root_record,
-        punishment: deployment.punishment,
-        _miner: miner,
-    }
+fn world(tag: &str, behavior: NodeBehavior) -> LocalNode {
+    let config = NodeConfig {
+        batch_size: 25,
+        batch_linger: Duration::from_millis(5),
+        behavior,
+        ..Default::default()
+    };
+    LocalNode::start(&format!("safety-{tag}"), config).unwrap()
 }
 
 fn payloads(n: usize) -> Vec<Vec<u8>> {
@@ -90,9 +33,10 @@ fn payloads(n: usize) -> Vec<Vec<u8>> {
 fn definition_3_1_clause_1_honest_node() {
     // Clause 1: the off-chain committed pair IS what gets blockchain
     // committed.
-    let mut w = world("d31-honest", NodeBehavior::Honest);
-    let outcome = w.publisher.append_batch(payloads(25)).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let w = world("d31-honest", NodeBehavior::Honest);
+    let mut publisher = w.publisher();
+    let outcome = publisher.append_batch(payloads(25)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     for response in &outcome.responses {
         // The on-chain digest at index i equals the signed digest for e.
         let out = w
@@ -110,18 +54,19 @@ fn definition_3_1_clause_1_honest_node() {
 fn definition_3_1_clause_2_lying_node_is_provable() {
     // Clause 2: when the node blockchain-commits e' ≠ e, the client's signed
     // response alone convinces the Punishment contract.
-    let mut w = world("d31-liar", NodeBehavior::CommitWrongRoot { from_log: 0 });
-    let outcome = w.publisher.append_batch(payloads(25)).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let w = world("d31-liar", NodeBehavior::CommitWrongRoot { from_log: 0 });
+    let mut publisher = w.publisher();
+    let outcome = publisher.append_batch(payloads(25)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     // The lie is visible...
     assert_eq!(
-        w.publisher
+        publisher
             .verify_blockchain_commit(&outcome.responses[0])
             .unwrap(),
         Stage2Verdict::Mismatch
     );
     // ...and provable: the contract pays out on exactly this evidence.
-    let receipt = w.publisher.punish(&outcome.responses[0]).unwrap();
+    let receipt = publisher.punish(&outcome.responses[0]).unwrap();
     assert!(receipt.status.is_success());
     assert_eq!(
         Punishment::decode_invoke_result(&receipt.output),
@@ -134,11 +79,12 @@ fn definition_3_1_clause_2_lying_node_is_provable() {
 fn definition_3_1_fabricated_evidence_is_rejected() {
     // The dual of clause 2: a client cannot frame an honest node. Evidence
     // not actually signed by the node is rejected by the contract.
-    let mut w = world("d31-frame", NodeBehavior::Honest);
-    let outcome = w.publisher.append_batch(payloads(25)).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let w = world("d31-frame", NodeBehavior::Honest);
+    let mut publisher = w.publisher();
+    let outcome = publisher.append_batch(payloads(25)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     // Honest response: the punishment call must NOT pay out.
-    let receipt = w.publisher.punish(&outcome.responses[0]).unwrap();
+    let receipt = publisher.punish(&outcome.responses[0]).unwrap();
     assert!(receipt.status.is_success());
     assert_eq!(
         Punishment::decode_invoke_result(&receipt.output),
@@ -146,7 +92,7 @@ fn definition_3_1_fabricated_evidence_is_rejected() {
     );
     assert_eq!(
         w.chain.balance(w.punishment),
-        Wei::from_eth(8),
+        LocalNode::ESCROW,
         "escrow untouched"
     );
 }
@@ -155,11 +101,12 @@ fn definition_3_1_fabricated_evidence_is_rejected() {
 fn definition_3_2_blockchain_committed_readers_agree() {
     // Two independent readers with blockchain-committed responses for the
     // same index always see the same entry.
-    let mut w = world("d32", NodeBehavior::Honest);
-    let outcome = w.publisher.append_batch(payloads(25)).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
-    let reader1 = Reader::new(Arc::clone(&w.node), Arc::clone(&w.chain), w.root_record);
-    let reader2 = Reader::new(Arc::clone(&w.node), Arc::clone(&w.chain), w.root_record);
+    let w = world("d32", NodeBehavior::Honest);
+    let mut publisher = w.publisher();
+    let outcome = publisher.append_batch(payloads(25)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let reader1 = w.reader();
+    let reader2 = w.reader();
     for response in &outcome.responses {
         let e1 = reader1.read(response.entry_id).unwrap();
         let e2 = reader2.read(response.entry_id).unwrap();
@@ -173,11 +120,12 @@ fn definition_3_2_blockchain_committed_readers_agree() {
 fn root_record_single_write_blocks_rewriting_history() {
     // The mechanism behind Definition 3.2: once index i holds a digest, not
     // even the node itself can change it.
-    let mut w = world("d32-rewrite", NodeBehavior::Honest);
-    w.publisher.append_batch(payloads(25)).unwrap();
-    w.node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let w = world("d32-rewrite", NodeBehavior::Honest);
+    let mut publisher = w.publisher();
+    publisher.append_batch(payloads(25)).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     // Forge an update attempt for index 0 signed by the node's own key.
-    let node_key = Identity::from_seed(b"safety-node-d32-rewrite");
+    let node_key = &w.node_identity;
     let tx = w
         .chain
         .call_contract(

@@ -11,7 +11,9 @@ use wedgeblock::core::{
 };
 use wedgeblock::crypto::Identity;
 use wedgeblock::sim::Clock;
+use wedgeblock::storage::ScratchDir;
 
+/// Inline rather than a `LocalNode`: the deployment carries payment terms.
 #[test]
 fn end_to_end_logging_as_a_service() {
     let clock = Clock::compressed(2000.0);
@@ -52,8 +54,7 @@ fn end_to_end_logging_as_a_service() {
     assert!(status.started && !status.terminated);
 
     // 3. Logging happens (the service being paid for).
-    let dir = std::env::temp_dir().join(format!("wedge-svc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("svc");
     let node = Arc::new(
         OffchainNode::start(
             operator.clone(),

@@ -9,13 +9,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use wedgeblock::chain::{Chain, ChainConfig, Wei};
+use wedgeblock::chain::Wei;
 use wedgeblock::core::{
-    deploy_service, Auditor, CommitPhase, EvidenceKind, NodeBehavior, NodeConfig, OffchainNode,
-    Publisher, Reader, ServiceConfig,
+    CommitPhase, EvidenceKind, LocalNode, NodeBehavior, NodeConfig, OffchainNode, Reader,
 };
 use wedgeblock::crypto::Identity;
-use wedgeblock::sim::Clock;
 
 fn payloads(n: usize) -> Vec<Vec<u8>> {
     (0..n).map(|i| format!("wf-{i}").into_bytes()).collect()
@@ -23,58 +21,22 @@ fn payloads(n: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn auditor_watchdog_finds_and_monetizes_evidence() {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"watchdog-node");
-    let client_id = Identity::from_seed(b"watchdog-client");
-    chain.fund(node_id.address(), Wei::from_eth(1000));
-    chain.fund(client_id.address(), Wei::from_eth(1000));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(16),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-watchdog-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 20,
-                batch_linger: Duration::from_millis(5),
-                behavior: NodeBehavior::CommitWrongRoot { from_log: 1 },
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let mut publisher = Publisher::new(
-        client_id,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        Some(deployment.punishment),
-    );
+    let config = NodeConfig {
+        batch_size: 20,
+        batch_linger: Duration::from_millis(5),
+        behavior: NodeBehavior::CommitWrongRoot { from_log: 1 },
+        ..Default::default()
+    };
+    let w = LocalNode::start("watchdog", config).unwrap();
+    let node = w.node();
+    let mut publisher = w.publisher();
     // Two batches: log 0 honest, log 1 equivocated.
     publisher.append_batch(payloads(20)).unwrap();
     publisher.append_batch(payloads(20)).unwrap();
     node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
 
     // An independent auditor (no punishment contract of its own) scans.
-    let auditor = Auditor::new(
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-    );
+    let auditor = w.auditor();
     let evidence = auditor
         .find_evidence(0, u64::MAX)
         .unwrap()
@@ -85,115 +47,41 @@ fn auditor_watchdog_finds_and_monetizes_evidence() {
     // The client (beneficiary of the punishment contract) cashes it in.
     let receipt = publisher.punish(&evidence.response).unwrap();
     assert!(receipt.status.is_success());
-    assert_eq!(
-        chain.balance(deployment.punishment),
-        Wei::ZERO,
-        "escrow seized"
-    );
+    assert_eq!(w.chain.balance(w.punishment), Wei::ZERO, "escrow seized");
 }
 
 #[test]
 fn watchdog_finds_nothing_on_honest_node() {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"honest-watch-node");
-    let client_id = Identity::from_seed(b"honest-watch-client");
-    chain.fund(node_id.address(), Wei::from_eth(100));
-    chain.fund(client_id.address(), Wei::from_eth(100));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-honest-watch-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let node = Arc::new(
-        OffchainNode::start(
-            node_id,
-            NodeConfig {
-                batch_size: 20,
-                batch_linger: Duration::from_millis(5),
-                ..Default::default()
-            },
-            Arc::clone(&chain),
-            deployment.root_record,
-            &dir,
-        )
-        .unwrap(),
-    );
-    let mut publisher = Publisher::new(
-        client_id,
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-        None,
-    );
+    let config = NodeConfig {
+        batch_size: 20,
+        batch_linger: Duration::from_millis(5),
+        ..Default::default()
+    };
+    let w = LocalNode::start("honest-watch", config).unwrap();
+    let node = w.node();
+    let mut publisher = w.publisher();
     publisher.append_batch(payloads(40)).unwrap();
     node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
-    let auditor = Auditor::new(
-        Arc::clone(&node),
-        Arc::clone(&chain),
-        deployment.root_record,
-    );
+    let auditor = w.auditor();
     assert!(auditor.find_evidence(0, u64::MAX).unwrap().is_none());
 }
 
 #[test]
 fn replica_promotion_survives_total_primary_loss() {
-    let clock = Clock::compressed(2000.0);
-    let chain = Chain::new(clock, ChainConfig::default());
-    let node_id = Identity::from_seed(b"failover-node");
-    let client_id = Identity::from_seed(b"failover-client");
-    chain.fund(node_id.address(), Wei::from_eth(1000));
-    chain.fund(client_id.address(), Wei::from_eth(1000));
-    let _miner = chain.start_miner();
-    let deployment = deploy_service(
-        &chain,
-        &node_id,
-        client_id.address(),
-        &ServiceConfig {
-            escrow: Wei::from_eth(1),
-            payment_terms: None,
-        },
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("wedge-failover-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let config = NodeConfig {
+        batch_size: 30,
+        batch_linger: Duration::from_millis(5),
+        replicas: 1,
+        ..Default::default()
+    };
+    let mut w = LocalNode::start("failover", config).unwrap();
+    let (chain, dir) = (Arc::clone(&w.chain), w.dir().to_path_buf());
     let data = payloads(60);
-    {
-        let node = Arc::new(
-            OffchainNode::start(
-                node_id,
-                NodeConfig {
-                    batch_size: 30,
-                    batch_linger: Duration::from_millis(5),
-                    replicas: 1,
-                    ..Default::default()
-                },
-                Arc::clone(&chain),
-                deployment.root_record,
-                &dir,
-            )
-            .unwrap(),
-        );
-        let mut publisher = Publisher::new(
-            client_id.clone(),
-            Arc::clone(&node),
-            Arc::clone(&chain),
-            deployment.root_record,
-            None,
-        );
-        publisher.append_batch(data.clone()).unwrap();
-        node.wait_stage2_idle(Duration::from_secs(600)).unwrap();
-        // The primary is then wholly destroyed (node dropped, directory
-        // removed) — the extreme omission attack of §4.7.
-    }
+    w.publisher().append_batch(data.clone()).unwrap();
+    w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    // The primary is then wholly destroyed (node shut down, directory
+    // removed) — the extreme omission attack of §4.7.
+    w.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(dir.join("log"));
 
     // Promote the replica: a *witness* operator starts a node over the
@@ -217,7 +105,7 @@ fn replica_promotion_survives_total_primary_loss() {
                 ..Default::default()
             },
             Arc::clone(&chain),
-            deployment.root_record,
+            w.root_record,
             &promoted_root,
         )
         .unwrap(),
@@ -226,11 +114,7 @@ fn replica_promotion_survives_total_primary_loss() {
 
     // Reads through the witness still verify as blockchain-committed: the
     // proofs check out against the digests the ORIGINAL node committed.
-    let reader = Reader::new(
-        Arc::clone(&witness),
-        Arc::clone(&chain),
-        deployment.root_record,
-    );
+    let reader = Reader::new(Arc::clone(&witness), chain, w.root_record);
     for (i, payload) in data.iter().enumerate().step_by(7) {
         let entry = reader
             .read(wedgeblock::core::EntryId {
