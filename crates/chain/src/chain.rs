@@ -10,15 +10,15 @@
 //! when the clock is compressed.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::keys::SecretKey;
-use wedge_sim::Clock;
+use wedge_sim::{Clock, SimInstant};
 
 use crate::block::{Block, EventLog, ExecStatus, Receipt};
 use crate::contract::{CallContext, Contract, ContractRegistry, WorldState};
@@ -97,6 +97,10 @@ pub struct Chain {
     price_rng: Mutex<rand::rngs::StdRng>,
     /// Deterministic fault injection (drops, reverts, receipt delays).
     faults: ChainFaults,
+    /// The running miner every [`MinerHandle`] shares, if any.
+    miner: Mutex<Weak<Miner>>,
+    /// When the running miner mines its next block.
+    next_due: Mutex<Option<SimInstant>>,
 }
 
 impl Chain {
@@ -128,6 +132,8 @@ impl Chain {
                 0x5745_4447_4550_5243,
             )),
             faults: ChainFaults::default(),
+            miner: Mutex::new(Weak::new()),
+            next_due: Mutex::new(None),
         })
     }
 
@@ -518,31 +524,69 @@ impl Chain {
 
     // -------------------------------------------------------------- miners
 
-    /// Spawns a miner thread producing a block every
-    /// [`ChainConfig::block_interval`] (simulated). The returned handle
-    /// stops the miner on drop.
+    /// Starts the chain's miner, producing a block every
+    /// [`ChainConfig::block_interval`] (simulated), or shares the one
+    /// already running: a chain has at most one miner however many
+    /// deployments it hosts. The miner stops when its last handle drops.
     pub fn start_miner(self: &Arc<Chain>) -> MinerHandle {
+        let mut slot = self.miner.lock();
+        if let Some(miner) = slot.upgrade() {
+            return MinerHandle { _miner: miner };
+        }
         let chain = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
+        let (stop, stopped) = bounded::<()>(0);
+        let due = self.clock.now().add(self.config.block_interval);
+        *self.next_due.lock() = Some(due);
+        let thread = std::thread::Builder::new()
             .name("wedge-miner".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    chain.clock.sleep(chain.config.block_interval);
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    chain.mine_block();
-                }
-            })
+            .spawn(move || chain.mine_until(&stopped, due))
             // lint: allow(panic) — thread spawn fails only under resource
             // exhaustion at startup; no miner means no chain progress anyway
             .expect("spawn miner");
-        MinerHandle {
-            stop,
-            handle: Some(handle),
+        let miner = Arc::new(Miner {
+            stop: Some(stop),
+            thread: Some(thread),
+        });
+        *slot = Arc::downgrade(&miner);
+        MinerHandle { _miner: miner }
+    }
+
+    /// The miner thread: sleeps until the block is `due`, announces the
+    /// next one, one block interval on, and mines — until every handle has
+    /// dropped `stopped`'s sender. Announcing first means whoever sees a
+    /// receipt of this block already sees the next block's due time.
+    fn mine_until(&self, stopped: &Receiver<()>, mut due: SimInstant) {
+        loop {
+            let wait = due.since(self.clock.now());
+            let stop = match self.clock.compression() {
+                Some(factor) => {
+                    stopped.recv_timeout(wait.div_f64(factor)) != Err(RecvTimeoutError::Timeout)
+                }
+                None => {
+                    self.clock.sleep(wait);
+                    stopped.try_recv() == Err(TryRecvError::Disconnected)
+                }
+            };
+            if stop {
+                break;
+            }
+            due = self.clock.now().add(self.config.block_interval);
+            *self.next_due.lock() = Some(due);
+            self.mine_block();
         }
+        // A miner started after the last handle dropped owns the schedule.
+        let slot = self.miner.lock();
+        if slot.strong_count() == 0 {
+            *self.next_due.lock() = None;
+        }
+    }
+
+    /// When the running miner will mine the next block, `None` when no
+    /// miner runs — the in-process analogue of Ethereum's fixed slot
+    /// schedule. Blocks come no earlier than this; a busy host may mine
+    /// them a little later.
+    pub fn next_block_due(&self) -> Option<SimInstant> {
+        *self.next_due.lock()
     }
 
     // ------------------------------------------------------------- queries
@@ -805,28 +849,30 @@ impl Chain {
     }
 }
 
-/// Stops the miner thread when dropped.
-pub struct MinerHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// The one miner thread of a chain.
+struct Miner {
+    /// Dropped to stop the thread.
+    stop: Option<Sender<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
-impl MinerHandle {
-    /// Stops the miner and waits for the thread to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+impl Drop for Miner {
+    fn drop(&mut self) {
+        self.stop.take();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
 
-impl Drop for MinerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// A share of the chain's miner ([`Chain::start_miner`]); the miner stops
+/// when the last share is dropped.
+pub struct MinerHandle {
+    _miner: Arc<Miner>,
+}
+
+impl MinerHandle {
+    /// Drops this share, stopping the miner and waiting for its thread
+    /// when it was the last one.
+    pub fn stop(self) {}
 }

@@ -303,6 +303,51 @@ fn miner_thread_and_confirmations_on_compressed_clock() {
     miner.stop();
 }
 
+/// Waits (wall time, bounded) until the chain's head reaches `number`.
+fn wait_for_block(chain: &Chain, number: u64) {
+    let give_up = std::time::Instant::now() + Duration::from_secs(30);
+    while chain.block_number() < number {
+        assert!(std::time::Instant::now() < give_up, "no block {number}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn every_miner_handle_shares_one_miner() {
+    let clock = Clock::compressed(1000.0);
+    let chain = Chain::new(clock.clone(), ChainConfig::default());
+    assert_eq!(chain.next_block_due(), None, "no miner yet");
+    let first = chain.start_miner();
+    let second = chain.start_miner();
+    wait_for_block(&chain, 6);
+    let due = chain.next_block_due().expect("a miner runs");
+    assert!(due.as_secs() >= chain.head().timestamp);
+    // One miner sleeps a whole interval before each block; two would mine
+    // two blocks per interval, some of them in the same second.
+    let blocks = chain.block_range(0, 6);
+    for pair in blocks.windows(2) {
+        let gap = pair[1].timestamp - pair[0].timestamp;
+        assert!(
+            gap >= 12,
+            "blocks {} and {} are {gap} s apart",
+            pair[0].number,
+            pair[1].number
+        );
+    }
+    // The miner outlives one of its handles …
+    drop(first);
+    wait_for_block(&chain, 8);
+    // … and stops with the last one.
+    second.stop();
+    assert_eq!(chain.next_block_due(), None);
+    let head = chain.block_number();
+    std::thread::sleep(Duration::from_millis(60));
+    assert_eq!(chain.block_number(), head, "a stopped miner mines nothing");
+    // A new handle starts a new miner.
+    let _again = chain.start_miner();
+    wait_for_block(&chain, head + 1);
+}
+
 #[test]
 fn inclusion_is_depth_zero_and_confirmation_follows_the_head() {
     let (chain, user) = setup();

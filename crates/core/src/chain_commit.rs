@@ -483,14 +483,16 @@ mod tests {
         assert_eq!(write.tail(), 0);
     }
 
-    /// Confirmation as deep as the tests below need to see a group still
-    /// unconfirmed several blocks after it was mined, with 100 s blocks
-    /// (50 ms of wall time) so that slow debug-build signing on a loaded
-    /// machine stays well inside that margin, and three blocks of patience.
+    /// Three blocks of patience, and confirmation far deeper than that
+    /// window: a group the tests below see mined stays unconfirmed for
+    /// ~28 more blocks after the slowest of them (a receipt hidden past the
+    /// patience window) resolves — 1.4 s of wall time at 100 s blocks
+    /// (50 ms each), so that slow debug-build signing on a loaded machine
+    /// stays well inside the margin.
     fn deep_chain() -> ChainConfig {
         ChainConfig {
             block_interval: Duration::from_secs(100),
-            confirmations: 8,
+            confirmations: 32,
             receipt_timeout: Duration::from_secs(300),
             ..ChainConfig::default()
         }
@@ -513,7 +515,7 @@ mod tests {
         assert_eq!(write.chain.faults().receipts_delayed(), 1);
         // The target was handed the time the engine sat waiting.
         assert!(write.waits > 0);
-        // Mined, but nowhere near eight blocks deep yet.
+        // Mined, but nowhere near confirmation-deep yet.
         assert!(!write.chain.is_confirmed(landed.mined_by()));
         committer.confirm(&landed);
         assert!(write.chain.is_confirmed(landed.mined_by()));
@@ -552,7 +554,7 @@ mod tests {
         assert!(matches!(landed, Landed::Mined(_)), "{landed:?}");
         let reverted = write.chain.receipt(write.sent[0]).expect("mined");
         assert!(!reverted.status.is_success());
-        // Seen within a block or two of its mining, not eight blocks later.
+        // Seen within a block or two of its mining, not once confirmed.
         assert_eq!(write.failed_at.len(), 1);
         assert!(
             write.failed_at[0] < reverted.block_number + 3,

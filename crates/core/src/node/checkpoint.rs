@@ -21,6 +21,8 @@
 //!              | bytes root (32) | u64 leaf_count | bytes leaf hashes
 //! u64 seq_count
 //!   per entry: bytes publisher (20) | u64 sequence | u64 log_id | u64 offset
+//!              (index level by level, oldest first; a later entry for the
+//!              same key wins)
 //! u64 commit_count
 //!   per commit: u64 log_id | bytes tx_hash (32) | u64 block | u64 latency_ns
 //! u32 crc32 (big-endian, over everything above)
@@ -129,9 +131,10 @@ fn encode(snap: &Snapshot) -> (u64, Vec<u8>) {
         }
         enc.u64(leaf_count as u64).bytes(&hashes);
     }
-    let seq = snap.seq.entries();
-    enc.u64(seq.len() as u64);
-    for ((publisher, sequence), id) in &seq {
+    // Level by level, oldest first: `decode` inserts in file order, so a
+    // key a newer level re-inserted restores to the newer locator.
+    enc.u64(snap.seq.levels().map(HashMap::len).sum::<usize>() as u64);
+    for ((publisher, sequence), id) in snap.seq.levels().flatten() {
         enc.bytes(&publisher.0)
             .u64(*sequence)
             .u64(id.log_id)
@@ -369,6 +372,49 @@ mod tests {
             restored.plane.commits.get(1).map(|i| i.block_number),
             Some(11)
         );
+    }
+
+    #[test]
+    fn a_key_reinserted_in_a_newer_level_restores_to_the_newer_locator() {
+        let publisher = Address([7; 20]);
+        let mut plane = Snapshot::default();
+        // Eight entries, then one that re-inserts sequence 5: too small to
+        // merge into the first level, so the index keeps both locators.
+        for (log_id, sequences) in [(0u64, (0..8).collect::<Vec<u64>>()), (1, vec![5])] {
+            let count = sequences.len() as u32;
+            let leaves = (0..count).map(|i| hash_leaf(&[log_id as u8, i as u8]));
+            let meta = BatchMeta {
+                log_id,
+                first_record: if log_id == 0 { 1 } else { 10 },
+                count,
+                tree: MerkleTree::from_leaf_hashes(leaves.collect()).unwrap(),
+                flushed_at: SimInstant::EPOCH,
+            };
+            let entries = (0u32..)
+                .zip(sequences)
+                .map(|(off, seq)| ((publisher, seq), off));
+            plane.register_batch(meta, entries);
+        }
+        let holding: Vec<bool> = plane
+            .seq
+            .levels()
+            .map(|level| level.contains_key(&(publisher, 5)))
+            .collect();
+        assert_eq!(holding, [true, true], "both levels hold the key");
+        let newer = EntryId {
+            log_id: 1,
+            offset: 0,
+        };
+        assert_eq!(plane.seq.get(publisher, 5), Some(newer));
+
+        let (_, bytes) = encode(&plane);
+        let restored = decode(&bytes, SimInstant::EPOCH).expect("valid checkpoint");
+        assert_eq!(restored.plane.seq.get(publisher, 5), Some(newer));
+        let older = EntryId {
+            log_id: 0,
+            offset: 4,
+        };
+        assert_eq!(restored.plane.seq.get(publisher, 4), Some(older));
     }
 
     #[test]

@@ -86,6 +86,7 @@ impl OffchainNode {
             commit.tx_hash,
             commit.block_number,
         );
+        self.shared.maintain();
         self.shared.stats.lock().epoch_commits += 1;
         Ok(newly)
     }

@@ -85,7 +85,7 @@ pub(crate) struct Shared {
     pub publisher_keys: PublisherKeys,
     /// Tier maintenance cadence (checkpoint/retire), ticked by
     /// [`Shared::apply_commit`] whenever the blockchain-committed frontier
-    /// advances.
+    /// advances and run by [`Shared::maintain`].
     pub maintenance: Mutex<stage2::TierMaintenance>,
     /// Stale-epoch guard for cluster mode: `last acknowledged epoch + 1`
     /// (0 = none yet). An `epoch_commit` for an older epoch is rejected —

@@ -226,10 +226,12 @@ impl SeqIndex {
         merged
     }
 
-    /// Every indexed entry — used by the checkpoint writer, never on the
-    /// flush or read paths.
-    pub fn entries(&self) -> Vec<((Address, u64), EntryId)> {
-        self.merged().into_iter().collect()
+    /// The levels, oldest first: inserting their entries in this order
+    /// leaves the newest locator of every key, as [`SeqIndex::get`] sees
+    /// it. The checkpoint writer walks them as they are — no merge, no
+    /// copy.
+    pub fn levels(&self) -> impl Iterator<Item = &HashMap<(Address, u64), EntryId>> {
+        self.levels.iter().map(|level| &**level)
     }
 
     /// Keeps only entries whose locator satisfies `keep`, collapsing all
@@ -312,7 +314,8 @@ mod tests {
         assert_eq!(seq.len(), 2);
         assert_eq!(seq.get(addr(1), 1), Some(id(1, 0)));
         assert_eq!(seq.get(addr(1), 3), None);
-        assert_eq!(seq.entries().len(), 2);
+        let sizes: Vec<usize> = seq.levels().map(HashMap::len).collect();
+        assert_eq!(sizes, [2], "retain collapses the levels into one");
     }
 
     fn chunked(len: u64) -> ChunkedVec<u64> {

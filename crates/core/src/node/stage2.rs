@@ -11,9 +11,14 @@
 //! which lands each group in the `RootRecord` through the shared
 //! [`ChainCommitter`] retry engine.
 //!
-//! The thread sends a group as soon as its predecessor is *mined* and
-//! records it once it is *confirmed*. What it holds is the head group's
-//! roots (≤ `stage2_max_group`) and, per mined group awaiting
+//! The thread sends a group once its predecessor is *mined* and records it
+//! once it is *confirmed*. A group that is not full is **held** until the
+//! last safe moment before the chain's next block is due
+//! ([`Chain::next_block_due`], less a derived send margin), so it carries
+//! every position flushed up to then and still makes that block; a full
+//! group, a chain with no running miner, a moment already past and a
+//! batcher that hung up all send at once. What the thread keeps is the
+//! head group's roots (≤ `stage2_max_group`) and, per mined group awaiting
 //! confirmation, its range and receipt — at most `confirmations + 1` of
 //! them, one per block, however long the chain is down. The batcher only
 //! *wakes* the thread, and restart and failure recovery are the same step:
@@ -25,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use wedge_chain::{Chain, ChainError, Gas, Receipt, TxHash, Wei};
+use wedge_chain::{BlockNumber, Chain, ChainError, Gas, Receipt, TxHash, Wei};
 use wedge_contracts::RootRecord;
 use wedge_crypto::hash::Hash32;
 use wedge_sim::SimInstant;
@@ -79,10 +84,17 @@ impl Shared {
         pending_group(&self.snapshot(), self.config.behavior, from, max_group)
     }
 
+    /// Runs tier maintenance if a group was recorded since it last ran.
+    pub(crate) fn maintain(&self) {
+        self.maintenance.lock().run(self);
+    }
+
     /// Records positions `[start, start + count)` as blockchain-committed
     /// by `tx_hash` — one write-plane mutation (and one published
-    /// snapshot) for the whole group, then tier maintenance. Idempotent per
-    /// position; returns the number of *newly* committed ones.
+    /// snapshot) for the whole group — and counts the group toward the
+    /// checkpoint cadence, leaving the maintenance itself to
+    /// [`Shared::maintain`]. Idempotent per position; returns the number of
+    /// *newly* committed ones.
     ///
     /// Positions are recorded from the frontier onward, so the commits stay
     /// a prefix. A `start` beyond the frontier records nothing and returns
@@ -130,7 +142,7 @@ impl Shared {
                 stats.stage2_latency_count += newly;
                 stats.stage2_latency_sum += latency;
             }
-            self.maintenance.lock().after_group_commit(self);
+            self.maintenance.lock().group_recorded();
         }
         newly
     }
@@ -155,7 +167,9 @@ impl Shared {
         let (tx_hash, block_number) = receipt
             .map(|r| (r.tx_hash, r.block_number))
             .unwrap_or((Hash32::ZERO, 0));
-        self.apply_commit(start, landed, tx_hash, block_number)
+        let newly = self.apply_commit(start, landed, tx_hash, block_number);
+        self.maintain();
+        newly
     }
 }
 
@@ -216,7 +230,10 @@ impl CommitTarget for HeadGroup<'_> {
     }
 
     fn waiting(&mut self) {
+        // The group is in the mempool: maintenance can no longer make it
+        // miss its block.
         record_confirmed(self.shared, self.in_flight);
+        self.shared.maintain();
     }
 }
 
@@ -248,7 +265,7 @@ impl InFlight {
 }
 
 /// Records the mined groups that are now confirmation-deep as
-/// blockchain-committed, oldest first.
+/// blockchain-committed, oldest first (maintenance is left to the caller).
 fn record_confirmed(shared: &Shared, in_flight: &mut VecDeque<InFlight>) {
     while let Some(group) = in_flight.front() {
         if !shared.chain.is_confirmed(group.landed.mined_by()) {
@@ -263,10 +280,13 @@ fn record_confirmed(shared: &Shared, in_flight: &mut VecDeque<InFlight>) {
     }
 }
 
-/// The direct committer thread: sends the pending group as soon as the
-/// previous one is mined, and records each group once it is confirmed.
-/// It exits when the batcher has hung up, nothing is pending, and every
-/// group it sent is confirmed and recorded — or, if the chain stops making
+/// The direct committer thread: sends the pending group once the previous
+/// one is mined — holding a group that is not full until just before the
+/// next block is due ([`hold`]) — and records each group once it is
+/// confirmed. Tier maintenance (checkpoints, retention) runs only while no
+/// group is held: between polls of a sent group, or when idle. It exits
+/// when the batcher has hung up, nothing is pending, and every group it
+/// sent is confirmed and recorded — or, if the chain stops making
 /// blocks, once the chain's `receipt_timeout` of simulated time has passed
 /// since the hang-up or the last landing. Groups still unconfirmed then
 /// stay unrecorded; a restart adopts them with the contract's tail.
@@ -302,6 +322,13 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
             shared.pending_group(from, shared.config.stage2_max_group)
         };
         if !group.is_empty() {
+            // The first `submit` re-derives the group, so whatever flushed
+            // during the hold rides along.
+            let held_for = if batcher_alive {
+                hold(&shared, &wake, &mut in_flight, &mut batcher_alive)
+            } else {
+                None
+            };
             let mut head = HeadGroup {
                 shared: &shared,
                 group,
@@ -311,11 +338,15 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
             let group = head.group;
             match landed {
                 Ok(landed) => {
+                    let missed = held_for
+                        .is_some_and(|due| missed_slot(&shared.chain, due, landed.mined_by()));
+                    let mut stats = shared.stats.lock();
                     if let Some(receipt) = landed.receipt() {
-                        let mut stats = shared.stats.lock();
                         stats.stage2_gas = stats.stage2_gas.saturating_add(receipt.gas_used);
                         stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
                     }
+                    stats.stage2_slot_misses += u64::from(missed);
+                    drop(stats);
                     in_flight.push_back(InFlight::new(&shared, group, landed));
                     give_up_at = None;
                 }
@@ -326,6 +357,7 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
             }
             continue;
         }
+        shared.maintain();
         if in_flight.is_empty() {
             if parked || !batcher_alive {
                 return;
@@ -344,6 +376,68 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
     }
 }
 
+/// Wall time allowed between the end of a hold and the held group's
+/// transaction reaching the mempool: deriving the group, signing,
+/// submitting, and the thread's own scheduling.
+const SEND_ALLOWANCE: Duration = Duration::from_millis(25);
+
+/// How long before a block is due a held group is sent, on a clock
+/// running `factor`× wall time: one receipt poll plus [`SEND_ALLOWANCE`].
+/// On a 2000× clock that exceeds a 13 s block interval, so nothing is held.
+fn send_margin(chain: &Chain, factor: f64) -> Duration {
+    chain.config().receipt_poll + SEND_ALLOWANCE.mul_f64(factor)
+}
+
+/// Holds the pending group — recording confirmed groups meanwhile — until
+/// the last safe moment before the next block is due, and never longer
+/// than one block interval. Returns at once, holding nothing, when no
+/// miner runs, the moment has passed, or the clock is manual (its time
+/// does not move while the thread waits); early when the group fills or
+/// the batcher hangs up (clearing `batcher_alive`). Returns the due time
+/// of the block the group was held for, if it was held.
+fn hold(
+    shared: &Shared,
+    wake: &Receiver<()>,
+    in_flight: &mut VecDeque<InFlight>,
+    batcher_alive: &mut bool,
+) -> Option<SimInstant> {
+    let chain = &shared.chain;
+    let factor = chain.clock().compression()?;
+    let due = chain.next_block_due()?;
+    let now = chain.clock().now();
+    let wait = due
+        .since(now)
+        .checked_sub(send_margin(chain, factor))?
+        .min(chain.config().block_interval);
+    let deadline = now.add(wait);
+    let from = in_flight.back().map_or(0, InFlight::end);
+    let max_group = shared.config.stage2_max_group.max(1);
+    let mut held = None;
+    loop {
+        let now = chain.clock().now();
+        if now >= deadline || shared.pending_group(from, max_group).roots.len() >= max_group {
+            return held;
+        }
+        held = Some(due);
+        if wake.recv_timeout(deadline.since(now).div_f64(factor))
+            == Err(RecvTimeoutError::Disconnected)
+        {
+            *batcher_alive = false;
+            return held;
+        }
+        record_confirmed(shared, in_flight);
+    }
+}
+
+/// Whether a group held for the block due at `due` was mined in a later
+/// block: the block before its own was already mined at or after `due`.
+fn missed_slot(chain: &Chain, due: SimInstant, mined_in: BlockNumber) -> bool {
+    mined_in
+        .checked_sub(1)
+        .and_then(|previous| chain.block(previous))
+        .is_some_and(|previous| previous.timestamp >= due.as_secs())
+}
+
 /// Waits one receipt poll of simulated time for the oldest mined group to
 /// get deeper, returning early when the batcher registers a batch. Returns
 /// whether the batcher is still alive.
@@ -360,14 +454,18 @@ fn nap(chain: &Chain, wake: &Receiver<()>, batcher_alive: bool) -> bool {
     }
 }
 
-/// Post-group-commit tier maintenance state, driven by whichever path
-/// advances the blockchain-committed frontier (always through
-/// [`Shared::apply_commit`]).
+/// Post-group-commit tier maintenance state: every path that advances the
+/// blockchain-committed frontier counts its group here
+/// ([`Shared::apply_commit`]), and [`Shared::maintain`] runs what is due —
+/// right away on the epoch and adoption paths, never while the direct
+/// committer holds a group.
 pub(crate) struct TierMaintenance {
     /// Group commits since the last two-plane checkpoint.
     groups_since_ckpt: u64,
     /// When the last checkpoint was written (simulated time).
     last_ckpt: SimInstant,
+    /// Whether a group was recorded since maintenance last ran.
+    due: bool,
 }
 
 impl TierMaintenance {
@@ -375,7 +473,13 @@ impl TierMaintenance {
         TierMaintenance {
             groups_since_ckpt: 0,
             last_ckpt: now,
+            due: false,
         }
+    }
+
+    fn group_recorded(&mut self) {
+        self.groups_since_ckpt += 1;
+        self.due = true;
     }
 
     /// Where the two-plane checkpoint cadence ticks and sealed segments
@@ -383,11 +487,14 @@ impl TierMaintenance {
     /// rotation; the committed frontier only gates retention). All I/O
     /// happens on the calling (committer or epoch-commit) thread — never
     /// under the write-plane guard, never on the stage-1 or read paths.
-    fn after_group_commit(&mut self, shared: &Shared) {
+    /// Does nothing unless a group was recorded since the last run.
+    fn run(&mut self, shared: &Shared) {
+        if !std::mem::take(&mut self.due) {
+            return;
+        }
         let tier = shared.config.tier;
         let snap = shared.snapshot();
         let frontier_log = snap.frontier();
-        self.groups_since_ckpt += 1;
         let now = shared.chain.clock().now();
         let due_by_groups = tier.checkpoint_every_groups > 0
             && self.groups_since_ckpt >= tier.checkpoint_every_groups;

@@ -55,6 +55,10 @@ pub struct NodeStats {
     pub stage2_reverts: u64,
     /// Failed stage-2 submissions classified as receipt timeouts.
     pub stage2_timeouts: u64,
+    /// Stage-2 groups held for the next block (see the committer in
+    /// `node/stage2.rs`) that were mined in a later one: the send margin
+    /// was too small for the host, or the send failed and was retried.
+    pub stage2_slot_misses: u64,
     /// Per-attempt backoff histogram: `stage2_backoff_hist[k]` counts the
     /// retries scheduled after attempt `k + 1` failed.
     pub stage2_backoff_hist: Vec<u64>,
