@@ -153,12 +153,6 @@ impl EpochCoordinator {
         }
     }
 
-    /// Replaces the retry policy (defaults to the stage-2 policy).
-    pub fn with_retry(mut self, retry: Stage2RetryPolicy) -> EpochCoordinator {
-        self.committer = ChainCommitter::new(Arc::clone(&self.chain), retry);
-        self
-    }
-
     /// The `ClusterRoot` contract address.
     pub fn contract(&self) -> Address {
         self.contract

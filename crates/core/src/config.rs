@@ -133,7 +133,7 @@ pub struct TierConfig {
     /// default: retention is an explicit operator opt-in). Retirement
     /// never outruns the kept checkpoints, so a restart can always rebuild
     /// its state.
-    pub retain_groups: Option<u64>,
+    pub retain_positions: Option<u64>,
 }
 
 impl Default for TierConfig {
@@ -141,7 +141,7 @@ impl Default for TierConfig {
         TierConfig {
             checkpoint_every_groups: 8,
             checkpoint_interval: Duration::from_secs(60),
-            retain_groups: None,
+            retain_positions: None,
         }
     }
 }

@@ -319,12 +319,10 @@ fn persist_stage(
         // `msgs` was checked non-empty by the collect stage, the only
         // failure mode of the builder, which folds the interior levels
         // over the collect stage's leaf hashes.
-        let merkle_start = std::time::Instant::now();
         let (tree, par_chunks) =
             MerkleTree::from_leaf_hashes_parallel_counted(leaf_hashes, &shared.pool, cutoff)
                 // lint: allow(panic) — non-empty batch invariant upheld upstream
                 .expect("non-empty batch");
-        let merkle_elapsed = merkle_start.elapsed();
         let root = tree.root();
         let log_id = next_log_id;
 
@@ -383,7 +381,6 @@ fn persist_stage(
         {
             let mut stats = shared.stats.lock();
             stats.merkle_par_chunks += par_chunks;
-            stats.merkle_hash_ns += merkle_elapsed.as_nanos() as u64;
             if shared.replicator.is_some() {
                 // Local persistence time that ran concurrently with the
                 // in-flight replica sends.
@@ -486,16 +483,7 @@ fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, stage2_w
                 entries,
             );
         });
-        {
-            let mut stats = shared.stats.lock();
-            stats.entries_ingested += batch.len() as u64;
-            stats.bytes_ingested += batch
-                .iter()
-                .map(|m| m.request.payload.len() as u64)
-                .sum::<u64>();
-            stats.batches_flushed += 1;
-            stats.attestations_signed += 1;
-        }
+        shared.stats.lock().attestations_signed += 1;
 
         match durable {
             Ok(()) => {

@@ -251,7 +251,7 @@ fn decode(bytes: &[u8], now: SimInstant) -> Option<Restored> {
         let tx_hash: [u8; 32] = dec.bytes_fixed().ok()?;
         let block_number = dec.u64().ok()?;
         let latency_ns = dec.u64().ok()?;
-        plane.commits.push(CommitInfo {
+        plane.record_commit(CommitInfo {
             tx_hash: Hash32(tx_hash),
             block_number,
             stage2_latency: Duration::from_nanos(latency_ns),

@@ -38,11 +38,7 @@ impl OffchainNode {
                 "node is not in epoch commit mode",
             ));
         }
-        let group = self.shared.pending_group(0, max_group);
-        if !group.is_empty() {
-            self.shared.stats.lock().epoch_reports += 1;
-        }
-        Ok(group)
+        Ok(self.shared.pending_group(0, max_group))
     }
 
     /// Applies the coordinator's acknowledgement: positions
@@ -87,7 +83,6 @@ impl OffchainNode {
             commit.block_number,
         );
         self.shared.maintain();
-        self.shared.stats.lock().epoch_commits += 1;
         Ok(newly)
     }
 }

@@ -113,10 +113,10 @@ impl Shared {
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Snapshot) -> R) -> R {
         let mut plane = self.write_plane.lock();
         let out = f(&mut plane);
+        plane.publishes += 1;
         let superseded = std::mem::replace(&mut *self.read_plane.write(), Arc::new(plane.clone()));
         drop(plane);
         drop(superseded);
-        self.stats.lock().snapshot_publishes += 1;
         out
     }
 
@@ -128,7 +128,6 @@ impl Shared {
         checkpoint::write(&self.ckpt_dir, &snap)?;
         self.ckpt_floor
             .store(checkpoint::floor(&self.ckpt_dir), Ordering::Release);
-        self.stats.lock().checkpoint_writes += 1;
         Ok(())
     }
 }
@@ -144,6 +143,9 @@ pub struct OffchainNode {
     /// (e.g. while reader threads still borrow the node).
     ingest: Mutex<Option<Sender<IngestMsg>>>,
     handles: Vec<JoinHandle<()>>,
+    /// The state fields of what the node restored at start, which
+    /// [`OffchainNode::stats`] counts from.
+    restored: NodeStats,
 }
 
 impl OffchainNode {
@@ -198,6 +200,7 @@ impl OffchainNode {
             None
         };
 
+        let restored = NodeStats::state_of(&plane);
         let pool = wedge_pool::WorkPool::new(config.worker_threads);
         let ckpt_floor = AtomicU64::new(checkpoint::floor(&ckpt_dir));
         let maintenance = Mutex::new(stage2::TierMaintenance::new(now));
@@ -259,6 +262,7 @@ impl OffchainNode {
             shared,
             ingest: Mutex::new(Some(ingest_tx)),
             handles,
+            restored,
         })
     }
 
@@ -505,38 +509,28 @@ impl OffchainNode {
         self.shared.replicator.as_ref()
     }
 
-    /// Snapshot of the node's metrics. The store-, pool- and hash-derived
-    /// counters (`fsyncs_coalesced`, `oversubscription_avoided`,
-    /// `hashes_computed`, `hash_batches_x4`) are sampled at call time.
+    /// Snapshot of the node's metrics. The state fields are read from the
+    /// published snapshot and the store's counters sampled, at call time
+    /// (see [`NodeStats`]).
     pub fn stats(&self) -> NodeStats {
         let mut stats = self.shared.stats.lock().clone();
+        stats.set_state(&self.restored, &self.shared.snapshot());
         stats.fsyncs_coalesced = self.shared.store.sync_stats().fsyncs_coalesced;
-        stats.oversubscription_avoided = wedge_pool::oversubscription_avoided();
-        stats.hashes_computed = wedge_crypto::hash::hashes_computed();
-        stats.hash_batches_x4 = wedge_crypto::hash::hash_batches_x4();
         let tier = self.shared.store.tier_stats();
         stats.segments_sealed = tier.segments_sealed;
         stats.gc_deleted_segments = tier.segments_retired;
         stats
     }
 
-    /// Blocks until every flushed log position up to the current tail is
-    /// blockchain-committed (or `timeout` of *simulated* time passes).
+    /// Blocks until nothing is left to anchor — every flushed log position
+    /// up to the current tail is blockchain-committed, or omitted by the
+    /// node's behaviour — or `timeout` of *simulated* time passes.
     pub fn wait_stage2_idle(&self, timeout: Duration) -> Result<(), CoreError> {
         let clock = self.shared.chain.clock().clone();
         let start = clock.now();
         loop {
-            {
-                let snap = self.shared.snapshot();
-                let flushed = snap.batches.len() as u64;
-                let committed = snap.frontier();
-                let omitted = match self.shared.config.behavior {
-                    NodeBehavior::OmitStage2 { from_log } => flushed.saturating_sub(from_log),
-                    _ => 0,
-                };
-                if committed + omitted >= flushed {
-                    return Ok(());
-                }
+            if self.shared.pending_group(0, 1).is_empty() {
+                return Ok(());
             }
             if clock.now().since(start) > timeout {
                 return Err(CoreError::NotYetBlockchainCommitted {
@@ -570,18 +564,12 @@ impl OffchainNode {
                 // whole batch (+1 for its header record) — simpler and
                 // strictly worse for the node.
                 kept -= 1;
-                plane.entry_count = plane.entry_count.saturating_sub(count);
                 records += count + 1;
                 remaining = remaining.saturating_sub(count);
             }
-            if records > 0 {
-                // Batches go from the tail, so survivors are exactly the log
-                // ids below `kept`; commitments of the dropped ones go too,
-                // which keeps the commits a prefix of the batches.
-                plane.batches.truncate(kept);
-                plane.commits.truncate(kept);
-                plane.seq.retain(|id| id.log_id < kept as u64);
-            }
+            // Commitments of the dropped batches go too, which keeps the
+            // commits a prefix of the batches.
+            plane.truncate(kept);
             records
         });
         if records_to_drop > 0 {

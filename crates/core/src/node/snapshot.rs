@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use wedge_crypto::keys::Address;
 
@@ -49,6 +50,12 @@ pub(crate) struct Snapshot {
     /// Total entries across all batches (maintained as a running counter —
     /// never recomputed by summing batches).
     pub entry_count: u64,
+    /// Sum of the commits' stage-2 latencies, kept beside them by
+    /// [`Snapshot::record_commit`] and [`Snapshot::truncate`].
+    pub stage2_latency_sum: Duration,
+    /// Snapshots published from the write plane (bumped by
+    /// [`super::Shared::mutate`]; 0 in a restored plane).
+    pub publishes: u64,
 }
 
 impl Snapshot {
@@ -73,6 +80,27 @@ impl Snapshot {
         self.entry_count = self.entry_count.saturating_add(meta.count as u64);
         self.seq.insert_batch(delta);
         self.batches.push(Arc::new(meta));
+    }
+
+    /// Records the next position as blockchain-committed.
+    pub fn record_commit(&mut self, info: CommitInfo) {
+        self.stage2_latency_sum = self.stage2_latency_sum.saturating_add(info.stage2_latency);
+        self.commits.push(info);
+    }
+
+    /// Drops every batch from log id `kept` on, with its entries and its
+    /// commit; no-op if there are none.
+    pub fn truncate(&mut self, kept: usize) {
+        if kept >= self.batches.len() {
+            return;
+        }
+        let entries: u64 = self.batches.iter_from(kept).map(|b| b.count as u64).sum();
+        let latency: Duration = self.commits.iter_from(kept).map(|c| c.stage2_latency).sum();
+        self.entry_count = self.entry_count.saturating_sub(entries);
+        self.stage2_latency_sum = self.stage2_latency_sum.saturating_sub(latency);
+        self.batches.truncate(kept);
+        self.commits.truncate(kept);
+        self.seq.retain(|id| id.log_id < kept as u64);
     }
 }
 

@@ -114,34 +114,26 @@ impl Shared {
             return 0; // nothing to record: publish no snapshot
         }
         let committed_at = self.chain.clock().now();
-        let (newly, latency) = self.mutate(|plane| {
+        let newly = self.mutate(|plane| {
             let mut newly = 0u64;
-            let mut latency = Duration::ZERO;
             if start > plane.frontier() {
-                return (newly, latency);
+                return newly;
             }
             for log_id in plane.frontier()..start.saturating_add(count) {
                 let Some(batch) = plane.batches.get(log_id as usize) else {
                     break;
                 };
                 let stage2_latency = committed_at.since(batch.flushed_at);
-                plane.commits.push(CommitInfo {
+                plane.record_commit(CommitInfo {
                     tx_hash,
                     block_number,
                     stage2_latency,
                 });
                 newly += 1;
-                latency += stage2_latency;
             }
-            (newly, latency)
+            newly
         });
         if newly > 0 {
-            {
-                let mut stats = self.stats.lock();
-                stats.stage2_committed += newly;
-                stats.stage2_latency_count += newly;
-                stats.stage2_latency_sum += latency;
-            }
             self.maintenance.lock().group_recorded();
         }
         newly
@@ -503,10 +495,11 @@ impl TierMaintenance {
             self.groups_since_ckpt = 0;
             self.last_ckpt = now;
         }
-        if let Some(retain) = tier.retain_groups {
-            // Retire records of positions more than `retain` groups behind
-            // the frontier — but never past what the kept checkpoints can
-            // restore (a restart must always find its state on disk).
+        if let Some(retain) = tier.retain_positions {
+            // Retire records of positions more than `retain` positions
+            // behind the frontier — but never past what the kept
+            // checkpoints can restore (a restart must always find its state
+            // on disk).
             let keep_from_log = frontier_log.saturating_sub(retain);
             let retain_record = snap
                 .batches

@@ -118,7 +118,8 @@ pub fn decode_header(record: &[u8]) -> Option<Header> {
 ///
 /// `from` must sit on a batch-header boundary (0 and checkpoint cursors
 /// always do). An incomplete trailing batch (header persisted, some leaves
-/// torn away) is dropped, mirroring the store's torn-tail semantics.
+/// torn away by a crash) was never acknowledged: its records are truncated
+/// from the store, so the next batch is appended where it began.
 pub fn replay_tail(
     store: &LogStore,
     plane: &mut Snapshot,
@@ -136,7 +137,8 @@ pub fn replay_tail(
         };
         let first_record = cursor + 1;
         if first_record + header.count as u64 > total {
-            break; // incomplete trailing batch
+            store.truncate_tail(total - cursor)?;
+            break;
         }
         let mut leaves = Vec::with_capacity(header.count as usize);
         for record in store.read_range(first_record, header.count as u64)? {

@@ -19,17 +19,24 @@
 //!   only the uncheckpointed tail instead of re-reading ~100 MB;
 //! - **sealing happened and survived**: sealed (`.wcold`) segments exist on
 //!   disk after the kill (segments seal as they rotate).
+//!
+//! Two in-process tests cover the restarts around it: a torn trailing
+//! batch is dropped from the store, and retention deletes segments behind
+//! its window while the node keeps restarting from what is left.
 
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wedge_chain::{Chain, ChainConfig, Wei};
-use wedge_core::{deploy_service, NodeConfig, OffchainNode, Publisher, ServiceConfig, TierConfig};
+use wedge_chain::{Chain, ChainConfig, Encoder, Wei};
+use wedge_core::{
+    deploy_service, CoreError, EntryId, LocalNode, NodeConfig, OffchainNode, Publisher,
+    ServiceConfig, TierConfig,
+};
 use wedge_crypto::signer::Identity;
 use wedge_sim::Clock;
-use wedge_storage::{ScratchDir, StoreConfig, SyncPolicy};
+use wedge_storage::{LogStore, ScratchDir, StorageError, StoreConfig, SyncPolicy};
 
 const CRASH_DIR_VAR: &str = "WEDGE_TIER_CRASH_DIR";
 const TARGET_MB_VAR: &str = "WEDGE_TIER_TARGET_MB";
@@ -61,7 +68,7 @@ fn tier_config() -> NodeConfig {
             // had in flight.
             checkpoint_every_groups: 1,
             checkpoint_interval: Duration::from_secs(3600),
-            retain_groups: None,
+            retain_positions: None,
         },
         store: StoreConfig {
             // Rotate every ~4 MB so segments seal throughout the run.
@@ -315,4 +322,125 @@ fn tiered_node_survives_sigkill_and_restarts_from_checkpoint() {
         100,
         4,
     );
+}
+
+/// The store records of a batch torn by a crash: its header, announcing
+/// `count` entries, and the first `written` of its leaf records.
+fn write_torn_batch(log_dir: &Path, log_id: u64, count: u64, written: usize) {
+    let store = LogStore::open(log_dir, StoreConfig::default()).unwrap();
+    let mut header = Encoder::new();
+    header.u8(0x01).u64(log_id).u64(count).bytes(&[0; 32]);
+    store.append(&header.finish()).unwrap();
+    for i in 0..written {
+        let mut leaf = Encoder::new();
+        leaf.u8(0x02).bytes(format!("torn-{i}").as_bytes());
+        store.append(&leaf.finish()).unwrap();
+    }
+    store.sync().unwrap();
+}
+
+fn entries(tag: &str, n: usize) -> Vec<Vec<u8>> {
+    (0..n).map(|i| format!("{tag}-{i}").into_bytes()).collect()
+}
+
+/// A crash can leave a batch's header and some of its leaves on disk. That
+/// batch was never acknowledged, so the restart drops it — from the store
+/// too, or the next batch would land behind its orphan records and every
+/// later restart would misread them.
+#[test]
+fn a_torn_trailing_batch_is_dropped_from_the_store_at_restart() {
+    let mut local = LocalNode::start("tier-torn", NodeConfig::default()).unwrap();
+    let mut publisher = local.publisher();
+    publisher.append_batch(entries("before", 8)).unwrap();
+    local.shutdown().unwrap();
+    let positions = local.node().log_positions();
+    write_torn_batch(&local.dir().join("log"), positions, 4, 2);
+
+    local.restart(NodeConfig::default()).expect("first restart");
+    assert_eq!(
+        local.node().log_positions(),
+        positions,
+        "torn batch dropped"
+    );
+    publisher.append_batch(entries("after", 4)).unwrap();
+    local
+        .restart(NodeConfig::default())
+        .expect("second restart");
+
+    let node = local.node();
+    assert_eq!(node.entry_count(), 12);
+    let reader = local.reader();
+    for log_id in 0..node.log_positions() {
+        let count = node.read_log_position_len(log_id).unwrap();
+        for offset in 0..count {
+            let entry = reader.read(EntryId { log_id, offset }).unwrap();
+            assert!(!entry.request.payload.starts_with(b"torn"));
+        }
+    }
+}
+
+/// Retention on: small segments, a checkpoint per group, and a window of
+/// `RETAIN` positions. Segments wholly behind the window are deleted;
+/// reads there fail as retired, reads inside it still verify, and the node
+/// restarts cleanly from what is left — twice, with an append between.
+#[test]
+fn retention_retires_segments_behind_the_window_and_restarts_cleanly() {
+    const RETAIN: u64 = 8;
+    const ROUNDS: u64 = 24;
+    let config = || NodeConfig {
+        batch_size: 4,
+        verify_requests: false,
+        stage2_max_group: 2,
+        tier: TierConfig {
+            checkpoint_every_groups: 1,
+            checkpoint_interval: Duration::from_secs(3600),
+            retain_positions: Some(RETAIN),
+        },
+        store: StoreConfig {
+            max_segment_bytes: 8 * 1024,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut local = LocalNode::start("tier-retain", config()).unwrap();
+    let mut publisher = local.publisher();
+    let payload = |round: u64| vec![vec![round as u8; 1024]; 4];
+    for round in 0..ROUNDS {
+        publisher.append_batch(payload(round)).unwrap();
+    }
+    local
+        .node()
+        .wait_stage2_idle(Duration::from_secs(3600))
+        .unwrap();
+    // Shutdown joins the committer, which runs the last maintenance.
+    local.shutdown().unwrap();
+    let positions = local.node().log_positions();
+    assert_eq!(positions, ROUNDS);
+    assert!(local.node().stats().gc_deleted_segments > 0);
+
+    let check = |local: &LocalNode, positions: u64| {
+        let node = local.node();
+        assert!(matches!(
+            node.read(EntryId {
+                log_id: 0,
+                offset: 0
+            }),
+            Err(CoreError::Storage(StorageError::RecordRetired { .. }))
+        ));
+        let reader = local.reader();
+        for log_id in positions - RETAIN..positions {
+            let entry = reader.read(EntryId { log_id, offset: 3 }).unwrap();
+            assert_eq!(entry.entry_id.log_id, log_id);
+        }
+    };
+    local.restart(config()).expect("first restart");
+    check(&local, positions);
+    publisher.append_batch(payload(ROUNDS)).unwrap();
+    local
+        .node()
+        .wait_stage2_idle(Duration::from_secs(3600))
+        .unwrap();
+    local.restart(config()).expect("second restart");
+    check(&local, positions + 1);
+    assert_eq!(local.node().entry_count(), 4 * (ROUNDS + 1));
 }

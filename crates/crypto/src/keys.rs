@@ -60,11 +60,6 @@ impl SecretKey {
         }
     }
 
-    /// Generates a random secret key from the supplied entropy bytes.
-    pub fn from_entropy(entropy: &[u8; 32]) -> Result<SecretKey, CryptoError> {
-        SecretKey::from_bytes(entropy)
-    }
-
     /// Serializes to 32 big-endian bytes.
     pub fn to_bytes(&self) -> [u8; 32] {
         self.0.to_be_bytes()

@@ -141,11 +141,6 @@ impl Clock {
         }
     }
 
-    /// True if this clock is manually driven.
-    pub fn is_manual(&self) -> bool {
-        matches!(&*self.inner, Inner::Manual { .. })
-    }
-
     /// The simulated-per-wall time factor (1.0 for realtime, `None` for
     /// manual clocks).
     pub fn compression(&self) -> Option<f64> {
