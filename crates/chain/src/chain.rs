@@ -758,8 +758,11 @@ impl Chain {
         depth: u64,
         between_polls: &mut dyn FnMut(),
     ) -> Result<Receipt, ChainError> {
-        let mut waited = Duration::ZERO;
+        // Patience is measured on the clock, not summed from the polls
+        // asked for: a loaded host overruns its sleeps.
+        let deadline = self.clock.now().add(self.config.receipt_timeout);
         loop {
+            let now = self.clock.now();
             let deep = {
                 let inner = self.inner.lock();
                 inner.receipts.get(&hash).and_then(|receipt| {
@@ -769,16 +772,17 @@ impl Chain {
             };
             if let Some(receipt) = deep {
                 // A delay fault hides the receipt for a while — from the
-                // caller's side the chain is simply congested.
-                if !self.faults.receipt_hidden(hash, self.clock.now()) {
+                // caller's side the chain is simply congested. A sleep that
+                // overran the deadline must not see past the window
+                // either: the receipt is judged when patience ran out.
+                if !self.faults.receipt_hidden(hash, now.min(deadline)) {
                     return Ok(receipt);
                 }
             }
-            if waited >= self.config.receipt_timeout {
+            if now >= deadline {
                 return Err(ChainError::ReceiptTimeout(hash));
             }
             self.clock.sleep(self.config.receipt_poll);
-            waited += self.config.receipt_poll;
             between_polls();
         }
     }

@@ -33,7 +33,11 @@ impl Contract for Counter {
 }
 
 fn setup(config: ChainConfig) -> (Arc<Chain>, Keypair, wedge_chain::Address) {
-    let chain = Chain::new(Clock::compressed(2000.0), config);
+    setup_on(Clock::compressed(2000.0), config)
+}
+
+fn setup_on(clock: Clock, config: ChainConfig) -> (Arc<Chain>, Keypair, wedge_chain::Address) {
+    let chain = Chain::new(clock, config);
     let key = Keypair::from_seed(b"faults");
     chain.fund(key.address, Wei::from_eth(100));
     let (addr, _) = chain
@@ -94,9 +98,9 @@ fn delayed_receipt_hides_a_landed_transaction() {
     };
     let (chain, key, addr) = setup(config);
     let miner = chain.start_miner();
-    // 60 s hiding window: longer than one 40 s patience window (so the
-    // first wait times out) but short enough that a second wait sees the
-    // receipt before its own timeout.
+    // 60 s hiding window, from the first look at the mined receipt: longer
+    // than what is left of one 40 s patience window, so the first wait
+    // times out.
     chain
         .faults()
         .delay_next_receipts(1, Duration::from_secs(60));
@@ -114,9 +118,46 @@ fn delayed_receipt_hides_a_landed_transaction() {
     let receipt = chain.receipt(hash).unwrap();
     assert!(receipt.status.is_success());
     // Once the hiding window passes, waiting succeeds again.
+    chain.clock().sleep(Duration::from_secs(60));
     let receipt = chain.wait_for_receipt(hash).unwrap();
     assert!(receipt.status.is_success());
     miner.stop();
+}
+
+/// Patience runs on the clock, not on the polls asked for: when the clock
+/// jumps further than one poll per sleep (a loaded host overrunning its
+/// sleeps), the wait still ends at its deadline, and a receipt hidden past
+/// that deadline stays hidden even though the clock has overshot the
+/// hiding window by the time the waiter looks again.
+#[test]
+fn a_receipt_hidden_past_the_deadline_times_out_when_the_clock_jumps() {
+    let config = ChainConfig {
+        receipt_timeout: Duration::from_secs(40),
+        ..Default::default()
+    };
+    let clock = Clock::manual();
+    let (chain, key, addr) = setup_on(clock.clone(), config);
+    chain
+        .faults()
+        .delay_next_receipts(1, Duration::from_secs(60));
+    let hash = chain
+        .call_contract(&key.secret, addr, Wei::ZERO, vec![1], Gas(100_000))
+        .unwrap();
+    for _ in 0..=chain.config().confirmations {
+        chain.mine_block();
+    }
+    let waiter = {
+        let chain = Arc::clone(&chain);
+        std::thread::spawn(move || chain.wait_for_receipt(hash))
+    };
+    // Jumps of 30 s, sixty polls each: the first wake-up is already 30 s
+    // in, the second past both the 40 s deadline and the 60 s window.
+    while !waiter.is_finished() {
+        clock.advance(Duration::from_secs(30));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let err = waiter.join().unwrap().unwrap_err();
+    assert!(matches!(err, ChainError::ReceiptTimeout(_)), "{err}");
 }
 
 #[test]

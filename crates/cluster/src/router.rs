@@ -164,17 +164,4 @@ impl ClusterClient {
             .map(|r| r.unwrap_or(Err(CoreError::RequestRejected("unrouted cluster read"))))
             .collect()
     }
-
-    /// Aggregate `(positions, entries)` across all shards — one `meta`
-    /// round trip per shard.
-    pub fn totals(&self) -> (u64, u64) {
-        let mut positions = 0;
-        let mut entries = 0;
-        for shard in 0..self.shards() {
-            let (p, e, _) = self.backend(shard).meta(u64::MAX);
-            positions += p;
-            entries += e;
-        }
-        (positions, entries)
-    }
 }

@@ -15,14 +15,16 @@
 //!   contracts, node, scratch directory) for tests and benchmarks.
 //! - [`chain_commit`] — the exactly-once retry engine behind every lazy
 //!   on-chain write (the node's stage 2, the cluster's epochs).
-//!
-//! The safety definitions 3.1 and 3.2 are exercised end-to-end by the
-//! workspace integration tests (`tests/` at the repository root).
+//! - [`audit()`] — one pure verdict on a run's [`Transcript`]: the safety
+//!   definitions 3.1 and 3.2 and the log's guarantees, checked from what
+//!   the clients hold and what the chain recorded. The test suites judge
+//!   their runs with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod audit;
 pub mod chain_commit;
 pub mod client;
 pub mod config;
@@ -35,6 +37,7 @@ pub mod service;
 pub mod types;
 
 pub use api::LogService;
+pub use audit::{audit, Transcript, Verdict, Violation};
 pub use client::{
     AppendOutcome, AuditReport, Auditor, Evidence, EvidenceKind, PendingSweep, Publisher, Reader,
     ReceiptStore, Stage2Verdict, VerifiedEntry,

@@ -17,8 +17,9 @@ use wedge_storage::ScratchDir;
 
 use crate::node::ReplyFn;
 use crate::{
-    deploy_service, AppendRequest, Auditor, CoreError, EntryId, EpochCommit, LogService,
+    audit, deploy_service, AppendRequest, Auditor, CoreError, EntryId, EpochCommit, LogService,
     NodeConfig, OffchainNode, Publisher, Reader, ServiceConfig, ShardGroup, SignedResponse,
+    Transcript, Verdict,
 };
 
 /// A running single-node deployment.
@@ -144,6 +145,18 @@ impl LocalNode {
             Arc::clone(&self.chain),
             self.root_record,
         )
+    }
+
+    /// An empty transcript of this deployment's node.
+    pub fn transcript(&self) -> Transcript {
+        Transcript::new(self.link.public_key)
+    }
+
+    /// Reads this deployment's chain record into `transcript`, then audits
+    /// it.
+    pub fn audit(&self, transcript: &mut Transcript) -> Result<Verdict, CoreError> {
+        transcript.read_chain(&self.chain, self.root_record, self.punishment)?;
+        Ok(audit(transcript))
     }
 
     /// Shuts the node down — flushes the partial batch, lands pending

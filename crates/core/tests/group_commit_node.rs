@@ -1,6 +1,6 @@
 //! Node-level coverage for the fsync group-commit + overlapped-replication
 //! persist stage: a node running `SyncPolicy::GroupCommit` must retain every
-//! replied-to entry across a restart, and the new pipeline counters
+//! replied-to entry across a restart that rebuilds from the log, and the new pipeline counters
 //! (`fsyncs_coalesced`, `replication_overlap_ns`, `merkle_par_chunks`) must
 //! be observable through `NodeStats`.
 
@@ -45,11 +45,16 @@ fn payloads(n: usize) -> Vec<Vec<u8>> {
 fn group_commit_node_retains_all_replied_entries_across_restart() {
     let mut w = LocalNode::start("gc-restart", group_commit_config(8)).expect("start node");
     let total = 64usize;
+    let mut t = w.transcript();
     {
         let node = w.node();
         // append_batch only returns once every reply arrived — i.e. once the
         // node promised durability for all `total` entries.
-        w.publisher().append_batch(payloads(total)).expect("append");
+        t.replies = w
+            .publisher()
+            .append_batch(payloads(total))
+            .expect("append")
+            .responses;
         node.wait_stage2_idle(Duration::from_secs(3600)).unwrap();
 
         let stats = node.stats();
@@ -67,17 +72,15 @@ fn group_commit_node_retains_all_replied_entries_across_restart() {
         );
     }
 
-    // Restart over the same directory: every replied entry must be there.
+    // Restart over the same directory without the checkpoint, so the
+    // state is rebuilt from the log alone: every replied entry must be
+    // there.
+    w.shutdown().expect("shut down");
+    std::fs::remove_dir_all(w.dir().join("checkpoints")).expect("drop checkpoints");
     w.restart(group_commit_config(8)).expect("restart node");
-    let node = w.node();
-    assert_eq!(node.entry_count(), total as u64, "entries lost on restart");
-    for log_id in 0..node.log_positions() {
-        let responses = node.read_log_position(log_id).expect("position readable");
-        for resp in &responses {
-            let req = resp.request().expect("payload decodes");
-            assert!(req.payload.starts_with(b"gc-entry-"));
-        }
-    }
+    t.restarted(&**w.node());
+    let verdict = w.audit(&mut t).expect("chain record");
+    assert!(verdict.is_settled(), "{verdict:?}");
 }
 
 /// The parallel Merkle path is exercised (and counted) once a batch reaches

@@ -6,7 +6,9 @@
 //! This is the "many small correct steps compose" check that unit tests
 //! can't give: restarts interleave with appends, reads hit every region of
 //! the log, and verified phases must be monotone (an entry seen
-//! blockchain-committed can never regress).
+//! blockchain-committed can never regress). `wedge_core::audit` judges the
+//! whole run: every reply survives every later restart, positions stay
+//! gapless, and each lands on chain exactly once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,11 +16,9 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wedge_chain::Wei;
-use wedge_contracts::Punishment;
 use wedge_core::{
-    AppendRequest, CommitPhase, EntryId, LocalNode, NodeBehavior, NodeConfig, Publisher,
-    SignedResponse,
+    AppendRequest, CommitPhase, EntryId, EvidenceKind, LocalNode, NodeBehavior, NodeConfig,
+    Publisher, SignedResponse, Stage2Verdict,
 };
 use wedge_crypto::signer::Identity;
 
@@ -54,6 +54,7 @@ fn random_workload_agrees_with_model() {
         ..Default::default()
     };
     let mut w = LocalNode::start("model", config()).unwrap();
+    let mut t = w.transcript();
 
     let mut model = Model {
         next_seq: vec![0; publishers.len()],
@@ -78,6 +79,7 @@ fn random_workload_agrees_with_model() {
                 .with_starting_sequence(model.next_seq[who]);
                 let outcome = publisher.append_batch(payloads.clone()).unwrap();
                 assert_eq!(outcome.responses.len(), BATCH, "step {step}");
+                t.replies.extend(outcome.responses);
                 for payload in payloads {
                     let global = model.entries.len();
                     model.by_sequence.insert((who, model.next_seq[who]), global);
@@ -120,23 +122,15 @@ fn random_workload_agrees_with_model() {
             _ => {
                 w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
                 w.restart(config()).unwrap();
-                assert_eq!(
-                    w.node().entry_count(),
-                    model.entries.len() as u64,
-                    "step {step}: restart lost entries"
-                );
+                t.restarted(&**w.node());
             }
         }
-        // Global invariants after every step.
-        assert_eq!(w.node().entry_count(), model.entries.len() as u64);
-        assert_eq!(
-            w.node().log_positions(),
-            (model.entries.len() / BATCH) as u64
-        );
     }
 
-    // Final sweep: every model entry is served verbatim and verified.
     w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
+    let verdict = w.audit(&mut t).unwrap();
+    assert!(verdict.is_settled(), "{verdict:?}");
+    // Final sweep: every model entry is served verbatim and verified.
     let reader = w.reader();
     for (global, payload) in model.entries.iter().enumerate() {
         let entry = reader.read(entry_id_for(global)).unwrap();
@@ -147,25 +141,16 @@ fn random_workload_agrees_with_model() {
 /// What Algorithm 2 must say about one signed response — a function of the
 /// node's behaviour and the response's log position alone, whichever way
 /// the response was signed (append reply, whole-position read, single read).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Verdict {
-    /// Consistent with the chain: the call succeeds and pays nothing.
-    Consistent,
-    /// Root mismatch (line 6) or bogus proof (line 10): seizes the escrow.
-    Punishable,
-    /// Position never committed: the call reverts.
-    NotAdjudicable,
-}
-
-fn expected_verdict(behavior: NodeBehavior, log_id: u64) -> Verdict {
+fn expected_verdict(behavior: NodeBehavior, log_id: u64) -> Stage2Verdict {
     match behavior {
-        NodeBehavior::CommitWrongRoot { .. } | NodeBehavior::TamperResponses { .. }
-            if behavior.affects(log_id) =>
-        {
-            Verdict::Punishable
+        NodeBehavior::CommitWrongRoot { .. } if behavior.affects(log_id) => {
+            Stage2Verdict::Punishable(EvidenceKind::RootMismatch)
         }
-        NodeBehavior::OmitStage2 { .. } if behavior.affects(log_id) => Verdict::NotAdjudicable,
-        _ => Verdict::Consistent,
+        NodeBehavior::TamperResponses { .. } if behavior.affects(log_id) => {
+            Stage2Verdict::Punishable(EvidenceKind::BogusProof)
+        }
+        NodeBehavior::OmitStage2 { .. } if behavior.affects(log_id) => Stage2Verdict::NotYet,
+        _ => Stage2Verdict::Committed,
     }
 }
 
@@ -175,7 +160,6 @@ fn expected_verdict(behavior: NodeBehavior, log_id: u64) -> Verdict {
 /// the per-response scheme gave it, and a lie is punished exactly once.
 #[test]
 fn every_lie_is_punished_exactly_once() {
-    const ESCROW: Wei = LocalNode::ESCROW;
     const ENTRIES: u64 = 3 * BATCH as u64;
     let behaviors = [
         NodeBehavior::Honest,
@@ -191,7 +175,7 @@ fn every_lie_is_punished_exactly_once() {
             ..Default::default()
         };
         let w = LocalNode::start(&format!("lies-{run}"), config).unwrap();
-        let (node, chain, client) = (w.node(), &w.chain, &w.client_identity);
+        let (node, client) = (w.node(), &w.client_identity);
 
         // Raw submits: a tampered reply would fail a Publisher's own checks,
         // and it is exactly the evidence wanted here.
@@ -212,52 +196,34 @@ fn every_lie_is_punished_exactly_once() {
             evidence.extend(node.read_log_position(log_id).unwrap());
             evidence.push(node.read(EntryId { log_id, offset: 0 }).unwrap());
         }
-        // Honest positions first, so the model's "before the first
-        // punishment" half sees every kind of verdict.
+        // Honest positions first, so the calls before the first punishment
+        // meet every kind of verdict.
         evidence.sort_by_key(|response| response.entry_id.log_id);
 
+        // Every response goes to the Punishment contract; the audit holds
+        // each call's outcome to Algorithm 2 and the payouts to one.
         let publisher = w.publisher();
-        let before = chain.balance(client.address());
-        let mut fees = Wei::ZERO;
-        let mut punished = 0u32;
-        for response in &evidence {
-            let id = response.entry_id;
-            let receipt = publisher.punish(response).unwrap();
-            fees = fees.checked_add(receipt.fee).unwrap();
-            let seized = Punishment::decode_invoke_result(&receipt.output);
-            if punished > 0 {
-                // All-or-nothing: the contract is spent, nothing pays twice.
-                assert!(!receipt.status.is_success(), "{behavior:?} {id}");
-                continue;
-            }
-            match expected_verdict(behavior, id.log_id) {
-                Verdict::Consistent => {
-                    assert!(receipt.status.is_success(), "{behavior:?} {id}");
-                    assert_eq!(seized, Some(false), "{behavior:?} {id}");
-                }
-                Verdict::NotAdjudicable => {
-                    assert!(!receipt.status.is_success(), "{behavior:?} {id}");
-                }
-                Verdict::Punishable => {
-                    assert!(receipt.status.is_success(), "{behavior:?} {id}");
-                    assert_eq!(seized, Some(true), "{behavior:?} {id}");
-                    punished += 1;
-                }
-            }
+        let mut t = w.transcript();
+        for response in evidence {
+            let receipt = publisher.punish(&response).unwrap();
+            t.punishments.push((response, receipt.tx_hash));
         }
-        let lies =
-            (0..positions).any(|log_id| expected_verdict(behavior, log_id) == Verdict::Punishable);
-        assert_eq!(punished, lies as u32, "{behavior:?}");
-        let gained = chain
-            .balance(client.address())
-            .checked_add(fees)
-            .unwrap()
-            .checked_sub(before)
-            .unwrap();
-        assert_eq!(gained, Wei(ESCROW.0 * punished as u128), "{behavior:?}");
-        assert_eq!(
-            chain.balance(w.punishment),
-            Wei(ESCROW.0 * (1 - punished) as u128)
+        let verdict = w.audit(&mut t).unwrap();
+        assert!(verdict.is_safe(), "{behavior:?}: {verdict:?}");
+        let model = (0..positions).map(|log_id| (log_id, expected_verdict(behavior, log_id)));
+        let lies = verdict.lies.iter().map(|(id, kind)| (id.log_id, *kind));
+        let pending = verdict.pending.iter().copied();
+        assert!(
+            lies.eq(model.clone().filter_map(|(log_id, v)| match v {
+                Stage2Verdict::Punishable(kind) => Some((log_id, kind)),
+                _ => None,
+            })),
+            "{behavior:?}: {verdict:?}"
+        );
+        assert!(
+            pending
+                .eq(model.filter_map(|(log_id, v)| (v == Stage2Verdict::NotYet).then_some(log_id))),
+            "{behavior:?}: {verdict:?}"
         );
     }
 }

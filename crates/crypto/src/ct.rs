@@ -4,7 +4,7 @@
 //! it takes leaks how long a prefix an attacker has guessed correctly — the
 //! classic MAC-forgery side channel. Everything in this crate that compares
 //! secret scalars, HMAC tags, or signature components goes through
-//! [`ct_eq`] instead (enforced by lint L3, `cargo run -p xtask -- lint`).
+//! `ct_eq` instead (enforced by lint L3, `cargo run -p xtask -- lint`).
 
 /// Compares two byte slices in time independent of their contents.
 ///
@@ -12,7 +12,7 @@
 /// use in this crate (fixed-width scalars, 32-byte tags). The contents are
 /// folded into a single accumulator with no data-dependent branches.
 #[must_use]
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }

@@ -208,8 +208,8 @@ fn recoverable(point: &Affine, x_int: &U256, r: Scalar, s: Scalar) -> Signature 
 
 /// Signs a batch of prehashed messages, amortizing the expensive per-item
 /// inversions: the nonce-point affine conversions collapse into one shared
-/// field inversion ([`batch_normalize`]) and the nonce inverses into one
-/// shared scalar inversion ([`Scalar::batch_invert`]).
+/// field inversion (`batch_normalize`) and the nonce inverses into one
+/// shared scalar inversion (`Scalar::batch_invert`).
 ///
 /// Output is **byte-identical** to calling [`sign_prehashed`] per item: the
 /// fast path uses the same first RFC 6979 nonce candidate, and any
@@ -575,7 +575,10 @@ pub fn recover_prehashed(msg_hash: &[u8; 32], sig: &Signature) -> Result<PublicK
 }
 
 /// Recovers the signer's address — the on-chain `recoverSigner` primitive.
-pub fn recover_address(msg_hash: &[u8; 32], sig: &Signature) -> Result<Address, CryptoError> {
+pub(crate) fn recover_address(
+    msg_hash: &[u8; 32],
+    sig: &Signature,
+) -> Result<Address, CryptoError> {
     Ok(recover_prehashed(msg_hash, sig)?.address())
 }
 

@@ -7,7 +7,7 @@ use super::sha256::Sha256;
 const BLOCK: usize = 64;
 
 /// Computes `HMAC-SHA256(key, message)`.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     let mut mac = HmacSha256::new(key);
     mac.update(message);
     mac.finalize()
@@ -23,7 +23,7 @@ pub struct HmacSha256 {
 
 impl HmacSha256 {
     /// Creates a MAC keyed with `key` (any length; hashed if over one block).
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         let mut k = [0u8; BLOCK];
         if key.len() > BLOCK {
             k[..32].copy_from_slice(&Sha256::digest(key));
@@ -45,35 +45,18 @@ impl HmacSha256 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Finishes and returns the 32-byte tag.
-    pub fn finalize(self) -> [u8; 32] {
+    pub(crate) fn finalize(self) -> [u8; 32] {
         let inner_digest = self.inner.finalize();
         let mut outer = Sha256::new();
         outer.update(&self.opad_key);
         outer.update(&inner_digest);
         outer.finalize()
     }
-
-    /// Finishes and compares against an expected tag in constant time.
-    ///
-    /// Always prefer this over `finalize()` + `==`: slice equality
-    /// short-circuits and leaks how long a prefix of the tag matched.
-    #[must_use]
-    pub fn verify(self, expected_tag: &[u8; 32]) -> bool {
-        crate::ct::ct_eq(&self.finalize(), expected_tag)
-    }
-}
-
-/// One-shot constant-time verification of `HMAC-SHA256(key, message)`.
-#[must_use]
-pub fn hmac_sha256_verify(key: &[u8], message: &[u8], expected_tag: &[u8; 32]) -> bool {
-    let mut mac = HmacSha256::new(key);
-    mac.update(message);
-    mac.verify(expected_tag)
 }
 
 #[cfg(test)]

@@ -16,14 +16,14 @@ mod keccak4;
 mod metrics;
 mod sha256;
 
-pub use hmac::{hmac_sha256, hmac_sha256_verify, HmacSha256};
+pub(crate) use hmac::{hmac_sha256, HmacSha256};
 pub use keccak::{keccak256, keccak256_fixed, keccak256_prefixed, Keccak256};
 pub use keccak4::{
     keccak256_batch, keccak256_batch_pairs, keccak256_batch_prefixed, keccak256_fixed_x4,
     keccak256_x4_prefixed,
 };
 pub use metrics::{hash_batches_x4, hashes_computed};
-pub use sha256::{sha256, Sha256};
+pub use sha256::sha256;
 
 /// A 32-byte digest newtype used across the workspace.
 ///
@@ -53,12 +53,12 @@ impl Hash32 {
     }
 
     /// Lowercase hex, 64 characters.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     /// Abbreviated hex (first 8 chars) for logs.
-    pub fn short_hex(&self) -> String {
+    pub(crate) fn short_hex(&self) -> String {
         self.to_hex()[..8].to_string()
     }
 }

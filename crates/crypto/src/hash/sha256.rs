@@ -37,7 +37,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Creates an empty hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: H0,
             buf: [0; 64],
@@ -47,7 +47,7 @@ impl Sha256 {
     }
 
     /// Absorbs `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
@@ -124,7 +124,7 @@ impl Sha256 {
     }
 
     /// Finishes the hash and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 64-bit big-endian bit length.
         self.update(&[0x80]);
@@ -146,7 +146,7 @@ impl Sha256 {
     }
 
     /// One-shot convenience digest.
-    pub fn digest(data: &[u8]) -> [u8; 32] {
+    pub(crate) fn digest(data: &[u8]) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update(data);
         h.finalize()

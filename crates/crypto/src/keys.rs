@@ -61,7 +61,7 @@ impl SecretKey {
     }
 
     /// Serializes to 32 big-endian bytes.
-    pub fn to_bytes(&self) -> [u8; 32] {
+    pub(crate) fn to_bytes(self) -> [u8; 32] {
         self.0.to_be_bytes()
     }
 
@@ -85,7 +85,7 @@ impl core::fmt::Debug for SecretKey {
 
 impl PublicKey {
     /// Wraps an affine point; rejects the identity.
-    pub fn from_point(point: Affine) -> Result<PublicKey, CryptoError> {
+    pub(crate) fn from_point(point: Affine) -> Result<PublicKey, CryptoError> {
         if point.infinity || !point.is_on_curve() {
             return Err(CryptoError::InvalidPublicKey);
         }
@@ -101,17 +101,6 @@ impl PublicKey {
     /// Serializes to the 64-byte uncompressed encoding.
     pub fn to_bytes(&self) -> [u8; 64] {
         self.0.to_bytes_uncompressed()
-    }
-
-    /// Serializes to the 33-byte SEC1 compressed encoding (`02/03 || x`).
-    pub fn to_bytes_compressed(&self) -> [u8; 33] {
-        self.0.to_bytes_compressed()
-    }
-
-    /// Parses the 33-byte compressed encoding.
-    pub fn from_bytes_compressed(bytes: &[u8; 33]) -> Result<PublicKey, CryptoError> {
-        let point = Affine::from_bytes_compressed(bytes).ok_or(CryptoError::InvalidPublicKey)?;
-        PublicKey::from_point(point)
     }
 
     /// The underlying curve point.
@@ -137,42 +126,10 @@ impl Address {
         &self.0
     }
 
-    /// Parses a `0x`-prefixed (or bare) 40-nibble hex address.
-    pub fn from_hex(s: &str) -> Result<Address, CryptoError> {
-        let s = s.strip_prefix("0x").unwrap_or(s);
-        if s.len() != 40 {
-            return Err(CryptoError::InvalidLength {
-                expected: 40,
-                actual: s.len(),
-            });
-        }
-        let mut out = [0u8; 20];
-        for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16);
-            let lo = (chunk[1] as char).to_digit(16);
-            match (hi, lo) {
-                (Some(h), Some(l)) => out[i] = (h * 16 + l) as u8,
-                _ => {
-                    return Err(CryptoError::InvalidLength {
-                        expected: 40,
-                        actual: s.len(),
-                    })
-                }
-            }
-        }
-        Ok(Address(out))
-    }
-
     /// Lowercase hex with `0x` prefix.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         let hex: String = self.0.iter().map(|b| format!("{b:02x}")).collect();
         format!("0x{hex}")
-    }
-
-    /// Abbreviated form for logs (`0x1234…abcd`).
-    pub fn short_hex(&self) -> String {
-        let h = self.to_hex();
-        format!("{}…{}", &h[..6], &h[h.len() - 4..])
     }
 }
 
@@ -279,29 +236,6 @@ mod tests {
         let hex = addr.to_hex();
         assert!(hex.starts_with("0x"));
         assert_eq!(hex.len(), 42);
-        assert!(addr.short_hex().contains('…'));
-    }
-
-    #[test]
-    fn compressed_public_key_roundtrip() {
-        let kp = Keypair::from_seed(b"compressed");
-        let compact = kp.public.to_bytes_compressed();
-        assert!(compact[0] == 0x02 || compact[0] == 0x03);
-        assert_eq!(
-            PublicKey::from_bytes_compressed(&compact).unwrap(),
-            kp.public
-        );
-        assert!(PublicKey::from_bytes_compressed(&[0xFF; 33]).is_err());
-    }
-
-    #[test]
-    fn address_hex_roundtrip() {
-        let addr = Keypair::from_seed(b"hexrt").address;
-        assert_eq!(Address::from_hex(&addr.to_hex()).unwrap(), addr);
-        // Bare (unprefixed) form also parses.
-        assert_eq!(Address::from_hex(&addr.to_hex()[2..]).unwrap(), addr);
-        assert!(Address::from_hex("0x1234").is_err());
-        assert!(Address::from_hex(&"zz".repeat(20)).is_err());
     }
 
     #[test]

@@ -51,9 +51,8 @@ pub mod secp256k1;
 pub mod signer;
 pub mod uint;
 
-pub use ct::ct_eq;
 pub use ecdsa::{
-    recover_address, recover_prehashed, sign_prehashed, sign_prehashed_batch, verify_prehashed,
+    recover_prehashed, sign_prehashed, sign_prehashed_batch, verify_prehashed,
     verify_prehashed_with_table, verify_recoverable_batch, Signature,
 };
 pub use error::CryptoError;
@@ -62,7 +61,7 @@ pub use hash::{
     keccak256_prefixed, keccak256_x4_prefixed, sha256, Hash32,
 };
 pub use keys::{Address, Keypair, PublicKey, SecretKey};
-pub use signer::{recover_message_signer, sign_message, verify_message, Identity};
+pub use signer::{recover_message_signer, sign_message, Identity};
 
 // The naive secp256k1 oracles, shared with `tests/differential.rs`; they name
 // this crate as `wedge_crypto`, as an integration test does.

@@ -98,7 +98,7 @@ impl Fe {
 
     /// Field subtraction.
     #[inline]
-    pub fn sub(&self, rhs: &Fe) -> Fe {
+    pub(crate) fn sub(&self, rhs: &Fe) -> Fe {
         let (diff, borrow) = self.0.overflowing_sub(&rhs.0);
         Fe(if borrow { diff.wrapping_add(&P) } else { diff })
     }
@@ -118,19 +118,22 @@ impl Fe {
     }
 
     /// Multiplies by a small constant.
-    pub fn mul_u64(&self, k: u64) -> Fe {
+    pub(crate) fn mul_u64(&self, k: u64) -> Fe {
         let (lo, hi) = self.0.mul_u64(k);
         Fe(reduce_wide((lo, U256::from_u64(hi))))
     }
 
     /// Doubles the element.
     #[inline]
-    pub fn double(&self) -> Fe {
+    pub(crate) fn double(&self) -> Fe {
         self.add(self)
     }
 
-    /// Exponentiation by an arbitrary 256-bit exponent (square-and-multiply).
-    pub fn pow(&self, exp: &U256) -> Fe {
+    /// Exponentiation by an arbitrary 256-bit exponent (square-and-multiply):
+    /// the reference ladder the addition chains of `sqrt` and `invert` are
+    /// held to.
+    #[cfg(test)]
+    pub(crate) fn pow(&self, exp: &U256) -> Fe {
         let mut result = Fe::ONE;
         let bits = exp.bits();
         for i in (0..bits).rev() {
@@ -203,7 +206,7 @@ impl Fe {
     /// `3(n-1)` multiplications, instead of one 270-operation addition
     /// chain per element. Zero entries are left as zero (matching the
     /// `invert() -> None` convention without disturbing their neighbours).
-    pub fn batch_invert(elems: &mut [Fe]) {
+    pub(crate) fn batch_invert(elems: &mut [Fe]) {
         // Prefix products over the non-zero entries.
         let mut prefix = Vec::with_capacity(elems.len());
         let mut acc = Fe::ONE;

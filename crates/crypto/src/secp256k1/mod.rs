@@ -7,8 +7,9 @@ pub mod point;
 pub mod scalar;
 
 pub use field::Fe;
+pub(crate) use point::batch_normalize;
 pub use point::{
-    batch_normalize, msm_u128, mul_double, mul_double_with_table, mul_generator, mul_point, Affine,
-    AffineTable, Jacobian,
+    msm_u128, mul_double, mul_double_with_table, mul_generator, mul_point, Affine, AffineTable,
+    Jacobian,
 };
 pub use scalar::Scalar;

@@ -2,7 +2,7 @@
 //!
 //! Points are manipulated in Jacobian projective coordinates
 //! (`x = X/Z^2, y = Y/Z^3`) to avoid per-operation field inversions; a single
-//! inversion converts back to affine, and [`batch_normalize`] amortizes that
+//! inversion converts back to affine, and `batch_normalize` amortizes that
 //! inversion across many points via Montgomery's trick.
 //!
 //! Scalar multiplication comes in four shapes:
@@ -126,7 +126,7 @@ impl Affine {
 
     /// The GLV endomorphism `φ(x, y) = (β·x, y)`, equal to `λ·P` for one
     /// field multiplication instead of a scalar multiplication.
-    pub fn endo(&self) -> Affine {
+    pub(crate) fn endo(&self) -> Affine {
         Affine {
             x: self.x.mul(&BETA),
             y: self.y,
@@ -136,7 +136,7 @@ impl Affine {
 
     /// Serializes as 64 uncompressed bytes `x || y` (no 0x04 prefix, the
     /// Ethereum convention for address derivation).
-    pub fn to_bytes_uncompressed(&self) -> [u8; 64] {
+    pub(crate) fn to_bytes_uncompressed(self) -> [u8; 64] {
         let mut out = [0u8; 64];
         out[..32].copy_from_slice(&self.x.to_be_bytes());
         out[32..].copy_from_slice(&self.y.to_be_bytes());
@@ -144,7 +144,7 @@ impl Affine {
     }
 
     /// Parses 64 uncompressed bytes, verifying the curve equation.
-    pub fn from_bytes_uncompressed(bytes: &[u8; 64]) -> Option<Affine> {
+    pub(crate) fn from_bytes_uncompressed(bytes: &[u8; 64]) -> Option<Affine> {
         let mut xb = [0u8; 32];
         let mut yb = [0u8; 32];
         xb.copy_from_slice(&bytes[..32]);
@@ -152,28 +152,8 @@ impl Affine {
         Affine::new(Fe::from_be_bytes(&xb), Fe::from_be_bytes(&yb))
     }
 
-    /// Serializes as 33 compressed bytes (`02/03 || x`).
-    pub fn to_bytes_compressed(&self) -> [u8; 33] {
-        let mut out = [0u8; 33];
-        out[0] = if self.y.is_odd() { 0x03 } else { 0x02 };
-        out[1..].copy_from_slice(&self.x.to_be_bytes());
-        out
-    }
-
-    /// Parses 33 compressed bytes.
-    pub fn from_bytes_compressed(bytes: &[u8; 33]) -> Option<Affine> {
-        let y_is_odd = match bytes[0] {
-            0x02 => false,
-            0x03 => true,
-            _ => return None,
-        };
-        let mut xb = [0u8; 32];
-        xb.copy_from_slice(&bytes[1..]);
-        Affine::lift_x(Fe::from_be_bytes(&xb), y_is_odd)
-    }
-
     /// Converts to Jacobian coordinates.
-    pub fn to_jacobian(&self) -> Jacobian {
+    pub(crate) fn to_jacobian(self) -> Jacobian {
         if self.infinity {
             Jacobian::INFINITY
         } else {
@@ -210,7 +190,7 @@ impl Jacobian {
     }
 
     /// Point negation.
-    pub fn neg(&self) -> Jacobian {
+    pub(crate) fn neg(&self) -> Jacobian {
         Jacobian {
             y: self.y.neg(),
             ..*self
@@ -326,7 +306,7 @@ impl Jacobian {
 /// Converts a slice of Jacobian points to affine with **one** shared field
 /// inversion (Montgomery's trick via [`Fe::batch_invert`]) instead of one
 /// inversion per point. Infinity inputs map to [`Affine::INFINITY`].
-pub fn batch_normalize(points: &[Jacobian]) -> Vec<Affine> {
+pub(crate) fn batch_normalize(points: &[Jacobian]) -> Vec<Affine> {
     let mut z_invs: Vec<Fe> = points.iter().map(|p| p.z).collect();
     Fe::batch_invert(&mut z_invs);
     points
@@ -487,7 +467,7 @@ impl AffineTable {
 
     /// Computes `k·P` via GLV splitting and interleaved width-5 wNAF:
     /// the two half-width scalars share one ~129-step doubling run.
-    pub fn mul(&self, k: &Scalar) -> Jacobian {
+    pub(crate) fn mul(&self, k: &Scalar) -> Jacobian {
         if self.infinity || k.is_zero() {
             return Jacobian::INFINITY;
         }
@@ -558,7 +538,7 @@ const SPARSE_ROUND: usize = 48;
 /// The scalars are cut into signed `c`-bit digits, so `2^(c−1)` buckets per
 /// window suffice (a negative digit adds the negated point). Every bucket
 /// gathers its points in rounds of independent affine additions that share
-/// one [`Fe::batch_invert`]: ~6 field multiplications per addition instead
+/// one `Fe::batch_invert`: ~6 field multiplications per addition instead
 /// of a Jacobian mixed addition's ~11. The buckets are combined by a running
 /// sum (`Σ d·B_d`, one mixed and one Jacobian addition per bucket) and the
 /// windows joined by `c` doublings each. `c` minimizes `W(c)·(n + 2^c)`
@@ -864,9 +844,6 @@ mod tests {
                     infinity: false,
                 });
                 assert_eq!(Affine::lift_x(x, odd), expect);
-                let mut compressed = [if odd { 0x03 } else { 0x02 }; 33];
-                compressed[1..].copy_from_slice(&x.to_be_bytes());
-                assert_eq!(Affine::from_bytes_compressed(&compressed), expect);
             }
         }
         assert!(on > 30 && off > 30);
@@ -1021,8 +998,6 @@ mod tests {
         let p = mul_generator(&Scalar::from_u64(12345)).to_affine();
         let unc = p.to_bytes_uncompressed();
         assert_eq!(Affine::from_bytes_uncompressed(&unc).unwrap(), p);
-        let comp = p.to_bytes_compressed();
-        assert_eq!(Affine::from_bytes_compressed(&comp).unwrap(), p);
     }
 
     #[test]
@@ -1032,7 +1007,6 @@ mod tests {
         let mut bad = [1u8; 64];
         bad[0] = 9;
         assert!(Affine::from_bytes_uncompressed(&bad).is_none());
-        assert!(Affine::from_bytes_compressed(&[0x05; 33]).is_none());
     }
 
     #[test]

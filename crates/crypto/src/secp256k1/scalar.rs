@@ -142,7 +142,7 @@ impl Scalar {
     /// for one Fermat ladder plus `3(n-1)` multiplications — the
     /// amortization that removes the per-signature `k⁻¹` ladder from the
     /// batch signing path. Zero entries are left as zero.
-    pub fn batch_invert(elems: &mut [Scalar]) {
+    pub(crate) fn batch_invert(elems: &mut [Scalar]) {
         let mut prefix = Vec::with_capacity(elems.len());
         let mut acc = Scalar::ONE;
         for e in elems.iter() {
@@ -179,7 +179,7 @@ impl Scalar {
     /// Decomposition follows the lattice method with the canonical
     /// secp256k1 basis: `c_i = round(k·g_i / 2^384)`, `k2 = c1·(-b1) +
     /// c2·(-b2)`, `k1 = k - k2·λ`.
-    pub fn split_glv(&self) -> GlvSplit {
+    pub(crate) fn split_glv(&self) -> GlvSplit {
         const G1: U256 =
             U256::from_be_hex("3086d221a7d46bcde86c90e49284eb153daa8a1471e8ca7fe893209a45dbb031");
         const G2: U256 =

@@ -1,6 +1,6 @@
 //! Message-level signing helpers and the [`Identity`] every role carries.
 
-use crate::ecdsa::{recover_address, sign_prehashed, verify_prehashed, Signature};
+use crate::ecdsa::{recover_address, sign_prehashed, Signature};
 use crate::error::CryptoError;
 use crate::hash::keccak256;
 use crate::keys::{Address, Keypair, PublicKey, SecretKey};
@@ -8,15 +8,6 @@ use crate::keys::{Address, Keypair, PublicKey, SecretKey};
 /// Signs an arbitrary message: the signature covers `keccak256(message)`.
 pub fn sign_message(secret: &SecretKey, message: &[u8]) -> Signature {
     sign_prehashed(secret, &keccak256(message))
-}
-
-/// Verifies a message-level signature.
-pub fn verify_message(
-    public: &PublicKey,
-    message: &[u8],
-    sig: &Signature,
-) -> Result<(), CryptoError> {
-    verify_prehashed(public, &keccak256(message), sig)
 }
 
 /// Recovers the signing address from a message-level signature.
@@ -33,11 +24,6 @@ pub struct Identity {
 }
 
 impl Identity {
-    /// Wraps a keypair.
-    pub fn new(keypair: Keypair) -> Identity {
-        Identity { keypair }
-    }
-
     /// Deterministic identity from a seed label.
     pub fn from_seed(label: &[u8]) -> Identity {
         Identity {
@@ -64,23 +50,19 @@ impl Identity {
     pub fn sign(&self, message: &[u8]) -> Signature {
         sign_message(&self.keypair.secret, message)
     }
-
-    /// Verifies a message signature against this identity.
-    pub fn verify(&self, message: &[u8], sig: &Signature) -> Result<(), CryptoError> {
-        verify_message(&self.keypair.public, message, sig)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecdsa::verify_prehashed;
 
     #[test]
     fn message_sign_verify() {
         let id = Identity::from_seed(b"node");
         let sig = id.sign(b"payload");
-        id.verify(b"payload", &sig).unwrap();
-        assert!(id.verify(b"other", &sig).is_err());
+        verify_prehashed(id.public_key(), &keccak256(b"payload"), &sig).unwrap();
+        assert!(verify_prehashed(id.public_key(), &keccak256(b"other"), &sig).is_err());
     }
 
     #[test]

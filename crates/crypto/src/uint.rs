@@ -42,14 +42,14 @@ impl U256 {
 
     /// Constructs from little-endian limbs.
     #[inline]
-    pub const fn from_limbs(limbs: [u64; 4]) -> Self {
+    pub(crate) const fn from_limbs(limbs: [u64; 4]) -> Self {
         U256 { limbs }
     }
 
     /// Parses a big-endian hex string of exactly 64 nibbles (no `0x` prefix).
     ///
     /// Intended for compile-time curve constants; panics on malformed input.
-    pub const fn from_be_hex(s: &str) -> Self {
+    pub(crate) const fn from_be_hex(s: &str) -> Self {
         let bytes = s.as_bytes();
         assert!(bytes.len() == 64, "expected 64 hex characters");
         let mut limbs = [0u64; 4];
@@ -75,25 +75,25 @@ impl U256 {
 
     /// True iff the value is zero.
     #[inline]
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs == [0; 4]
     }
 
     /// True iff the least-significant bit is set.
     #[inline]
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         self.limbs[0] & 1 == 1
     }
 
     /// Returns bit `i` (0 = least significant).
     #[inline]
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         debug_assert!(i < 256);
         (self.limbs[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Number of significant bits (0 for zero).
-    pub fn bits(&self) -> usize {
+    pub(crate) fn bits(&self) -> usize {
         for i in (0..4).rev() {
             if self.limbs[i] != 0 {
                 return 64 * i + (64 - self.limbs[i].leading_zeros() as usize);
@@ -124,7 +124,7 @@ impl U256 {
 
     /// Subtraction with borrow-out.
     #[inline]
-    pub fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
+    pub(crate) fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut borrow = false;
         for (i, o) in out.iter_mut().enumerate() {
@@ -138,7 +138,7 @@ impl U256 {
 
     /// Wrapping subtraction (mod 2^256).
     #[inline]
-    pub fn wrapping_sub(&self, rhs: &U256) -> U256 {
+    pub(crate) fn wrapping_sub(&self, rhs: &U256) -> U256 {
         self.overflowing_sub(rhs).0
     }
 
@@ -166,7 +166,7 @@ impl U256 {
     }
 
     /// Multiplies by a `u64`, producing a 320-bit result `(low 256, high 64)`.
-    pub fn mul_u64(&self, rhs: u64) -> (U256, u64) {
+    pub(crate) fn mul_u64(&self, rhs: u64) -> (U256, u64) {
         let mut out = [0u64; 4];
         let mut carry = 0u128;
         for (i, o) in out.iter_mut().enumerate() {
@@ -210,7 +210,7 @@ impl U256 {
     }
 
     /// Big-endian byte serialization (32 bytes).
-    pub fn to_be_bytes(&self) -> [u8; 32] {
+    pub(crate) fn to_be_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for i in 0..4 {
             out[(3 - i) * 8..(3 - i) * 8 + 8].copy_from_slice(&self.limbs[i].to_be_bytes());
@@ -230,7 +230,7 @@ impl U256 {
     }
 
     /// Lowercase hex string, 64 characters, big-endian.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         let mut s = String::with_capacity(64);
         for b in self.to_be_bytes() {
             s.push_str(&format!("{b:02x}"));
@@ -269,7 +269,7 @@ impl U512 {
 
     /// Splits into `(low 256 bits, high 256 bits)`.
     #[inline]
-    pub fn split(&self) -> (U256, U256) {
+    pub(crate) fn split(&self) -> (U256, U256) {
         let mut lo = [0u64; 4];
         let mut hi = [0u64; 4];
         lo.copy_from_slice(&self.limbs[..4]);
@@ -279,7 +279,7 @@ impl U512 {
 
     /// Constructs from low and high halves.
     #[inline]
-    pub fn from_parts(lo: U256, hi: U256) -> U512 {
+    pub(crate) fn from_parts(lo: U256, hi: U256) -> U512 {
         let mut limbs = [0u64; 8];
         limbs[..4].copy_from_slice(&lo.limbs);
         limbs[4..].copy_from_slice(&hi.limbs);
@@ -288,13 +288,13 @@ impl U512 {
 
     /// Widens a `U256`.
     #[inline]
-    pub fn from_u256(v: U256) -> U512 {
+    pub(crate) fn from_u256(v: U256) -> U512 {
         U512::from_parts(v, U256::ZERO)
     }
 
     /// Wrapping 512-bit addition; overflow cannot occur for the reduction
     /// intermediates this type is used for (asserted in debug builds).
-    pub fn add(&self, rhs: &U512) -> U512 {
+    pub(crate) fn add(&self, rhs: &U512) -> U512 {
         let mut out = [0u64; 8];
         let mut carry = false;
         for (i, o) in out.iter_mut().enumerate() {

@@ -56,27 +56,40 @@ fn payloads(n: usize, size: usize) -> Vec<Vec<u8>> {
 }
 
 /// The accept path must serve new connections immediately: the old accept
-/// loop slept 10 ms between polls, adding up to 10 ms (5 ms expected) to
-/// every time-to-first-reply. 30 sequential connect+hello handshakes would
-/// have eaten ~150 ms of sleep alone; the blocking accept loop must stay
-/// far under that.
+/// loop slept 10 ms between polls, adding up to 10 ms to every
+/// time-to-first-reply. Each connect + hello is timed against a round trip
+/// on a connection already open, so a slow host slows both sides alike:
+/// the median connect may cost at most 5 ms more than the median round
+/// trip.
 #[test]
 fn connect_handshake_has_no_accept_poll_latency() {
     let (_w, server) = net_world("latency", quick_node_config(), ServerConfig::default());
     let addr = server.local_addr();
-    // Warm up (lazy init, first-connection costs).
-    drop(RemoteNode::connect(addr).expect("warmup connect"));
-    let started = Instant::now();
-    let count = 30;
-    for _ in 0..count {
+    // Also the warm-up (lazy init, first-connection costs).
+    let open = RemoteNode::connect(addr).expect("warmup connect");
+    let median = |time: &dyn Fn() -> Duration| {
+        let mut samples: Vec<Duration> = (0..31).map(|_| time()).collect();
+        samples.sort();
+        samples[samples.len() / 2]
+    };
+    let connect = median(&|| {
+        let started = Instant::now();
         // Each connect completes a hello round trip, so it observes the
         // full accept-to-first-reply path.
-        drop(RemoteNode::connect(addr).expect("connect"));
-    }
-    let elapsed = started.elapsed();
+        let remote = RemoteNode::connect(addr).expect("connect");
+        let elapsed = started.elapsed();
+        drop(remote);
+        elapsed
+    });
+    let round_trip = median(&|| {
+        let started = Instant::now();
+        open.positions();
+        started.elapsed()
+    });
     assert!(
-        elapsed < Duration::from_millis(150),
-        "{count} connects took {elapsed:?}: accept path is adding poll latency"
+        connect < round_trip + Duration::from_millis(5),
+        "median connect {connect:?} against a {round_trip:?} round trip: \
+         the accept path is adding poll latency"
     );
     assert_eq!(server.stats().connections_shed, 0);
 }

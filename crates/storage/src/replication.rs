@@ -83,9 +83,6 @@ struct Replica {
 /// Fans append batches out to `n` follower stores.
 pub struct Replicator {
     replicas: Vec<Replica>,
-    /// Simulated per-batch link delay applied by each replica before
-    /// acknowledging (models the network the paper's prototype crossed).
-    link_delay: Duration,
 }
 
 impl Replicator {
@@ -144,10 +141,7 @@ impl Replicator {
                 store,
             });
         }
-        Ok(Replicator {
-            replicas,
-            link_delay,
-        })
+        Ok(Replicator { replicas })
     }
 
     /// Ships a framed batch to every replica and returns immediately with
@@ -193,11 +187,6 @@ impl Replicator {
         if let Some(replica) = self.replicas.get(idx) {
             let _ = replica.commands.send(Command::Shutdown);
         }
-    }
-
-    /// The configured link delay.
-    pub fn link_delay(&self) -> Duration {
-        self.link_delay
     }
 }
 

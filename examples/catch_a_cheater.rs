@@ -14,7 +14,8 @@ use std::time::Duration;
 use wedgeblock::chain::{Chain, ChainConfig, Wei};
 use wedgeblock::contracts::{Punishment, PunishmentStatus};
 use wedgeblock::core::{
-    deploy_service, NodeBehavior, NodeConfig, OffchainNode, Publisher, ServiceConfig, Stage2Verdict,
+    deploy_service, EvidenceKind, NodeBehavior, NodeConfig, OffchainNode, Publisher, ServiceConfig,
+    Stage2Verdict,
 };
 use wedgeblock::crypto::Identity;
 use wedgeblock::sim::Clock;
@@ -84,7 +85,10 @@ fn main() {
     let verdict = publisher
         .verify_blockchain_commit(&outcome.responses[0])
         .expect("verify");
-    assert_eq!(verdict, Stage2Verdict::Mismatch);
+    assert_eq!(
+        verdict,
+        Stage2Verdict::Punishable(EvidenceKind::RootMismatch)
+    );
     println!("stage 2: on-chain digest ≠ signed digest — the node LIED");
 
     // The signed response is court-admissible evidence.

@@ -6,12 +6,15 @@
 //!   by the Punishment contract.
 //! - **Definition 3.2 (Blockchain-committed Safety)**: two clients reading
 //!   blockchain-committed responses for the same index always agree.
+//!
+//! Each run is judged by `wedgeblock::core::audit` over what the clients
+//! hold and what the chain recorded.
 
 use std::time::Duration;
 
 use wedgeblock::chain::Wei;
-use wedgeblock::contracts::{Punishment, RootRecord};
-use wedgeblock::core::{LocalNode, NodeBehavior, NodeConfig, Stage2Verdict};
+use wedgeblock::contracts::RootRecord;
+use wedgeblock::core::{LocalNode, NodeBehavior, NodeConfig};
 
 fn world(tag: &str, behavior: NodeBehavior) -> LocalNode {
     let config = NodeConfig {
@@ -34,20 +37,11 @@ fn definition_3_1_clause_1_honest_node() {
     // Clause 1: the off-chain committed pair IS what gets blockchain
     // committed.
     let w = world("d31-honest", NodeBehavior::Honest);
-    let mut publisher = w.publisher();
-    let outcome = publisher.append_batch(payloads(25)).unwrap();
+    let mut t = w.transcript();
+    t.replies = w.publisher().append_batch(payloads(25)).unwrap().responses;
     w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
-    for response in &outcome.responses {
-        // The on-chain digest at index i equals the signed digest for e.
-        let out = w
-            .chain
-            .view(
-                w.root_record,
-                &RootRecord::get_root_calldata(response.entry_id.log_id),
-            )
-            .unwrap();
-        assert_eq!(RootRecord::decode_root(&out), Some(response.merkle_root));
-    }
+    let verdict = w.audit(&mut t).unwrap();
+    assert!(verdict.is_settled(), "{verdict:?}");
 }
 
 #[test]
@@ -56,22 +50,16 @@ fn definition_3_1_clause_2_lying_node_is_provable() {
     // response alone convinces the Punishment contract.
     let w = world("d31-liar", NodeBehavior::CommitWrongRoot { from_log: 0 });
     let mut publisher = w.publisher();
-    let outcome = publisher.append_batch(payloads(25)).unwrap();
+    let mut t = w.transcript();
+    t.replies = publisher.append_batch(payloads(25)).unwrap().responses;
     w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
-    // The lie is visible...
-    assert_eq!(
-        publisher
-            .verify_blockchain_commit(&outcome.responses[0])
-            .unwrap(),
-        Stage2Verdict::Mismatch
-    );
-    // ...and provable: the contract pays out on exactly this evidence.
-    let receipt = publisher.punish(&outcome.responses[0]).unwrap();
-    assert!(receipt.status.is_success());
-    assert_eq!(
-        Punishment::decode_invoke_result(&receipt.output),
-        Some(true)
-    );
+    // The contract pays out on exactly this evidence.
+    let evidence = t.replies[0].clone();
+    let receipt = publisher.punish(&evidence).unwrap();
+    t.punishments.push((evidence, receipt.tx_hash));
+    let verdict = w.audit(&mut t).unwrap();
+    assert!(verdict.is_settled(), "{verdict:?}");
+    assert_eq!((verdict.lies.len(), verdict.payouts), (1, 1), "{verdict:?}");
     assert_eq!(w.chain.balance(w.punishment), Wei::ZERO);
 }
 
@@ -81,20 +69,15 @@ fn definition_3_1_fabricated_evidence_is_rejected() {
     // not actually signed by the node is rejected by the contract.
     let w = world("d31-frame", NodeBehavior::Honest);
     let mut publisher = w.publisher();
-    let outcome = publisher.append_batch(payloads(25)).unwrap();
+    let mut t = w.transcript();
+    t.replies = publisher.append_batch(payloads(25)).unwrap().responses;
     w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     // Honest response: the punishment call must NOT pay out.
-    let receipt = publisher.punish(&outcome.responses[0]).unwrap();
-    assert!(receipt.status.is_success());
-    assert_eq!(
-        Punishment::decode_invoke_result(&receipt.output),
-        Some(false)
-    );
-    assert_eq!(
-        w.chain.balance(w.punishment),
-        LocalNode::ESCROW,
-        "escrow untouched"
-    );
+    let receipt = publisher.punish(&t.replies[0]).unwrap();
+    t.punishments.push((t.replies[0].clone(), receipt.tx_hash));
+    let verdict = w.audit(&mut t).unwrap();
+    assert!(verdict.is_settled(), "{verdict:?}");
+    assert_eq!(verdict.payouts, 0, "escrow untouched");
 }
 
 #[test]
@@ -121,8 +104,8 @@ fn root_record_single_write_blocks_rewriting_history() {
     // The mechanism behind Definition 3.2: once index i holds a digest, not
     // even the node itself can change it.
     let w = world("d32-rewrite", NodeBehavior::Honest);
-    let mut publisher = w.publisher();
-    publisher.append_batch(payloads(25)).unwrap();
+    let mut t = w.transcript();
+    t.replies = w.publisher().append_batch(payloads(25)).unwrap().responses;
     w.node().wait_stage2_idle(Duration::from_secs(600)).unwrap();
     // Forge an update attempt for index 0 signed by the node's own key.
     let node_key = &w.node_identity;
@@ -138,4 +121,6 @@ fn root_record_single_write_blocks_rewriting_history() {
         .unwrap();
     let receipt = w.chain.wait_for_receipt(tx).unwrap();
     assert!(!receipt.status.is_success(), "history rewrite must revert");
+    let verdict = w.audit(&mut t).unwrap();
+    assert!(verdict.is_settled(), "{verdict:?}");
 }
