@@ -5,17 +5,23 @@
 //! 1. **collects** every shard's pending batch-root group
 //!    (`epoch_report`) — an unreachable shard simply contributes an empty
 //!    group this epoch and re-reports the same positions next time (the
-//!    shard side is stateless, see `wedge_core::node` epoch docs);
-//! 2. **folds** each shard's roots into a shard epoch root, and the N
+//!    shard side is stateless, see `wedge_core::node` epoch docs). When
+//!    every shard is empty the call returns at once;
+//! 2. **holds** the epoch, unless a shard already reports a full group,
+//!    until the send moment of the chain's next block — the one hold the
+//!    single node's stage 2 uses ([`send_slot`]) — and then collects again,
+//!    so whatever flushed during the hold rides along and the epoch still
+//!    makes that block;
+//! 3. **folds** each shard's roots into a shard epoch root, and the N
 //!    shard roots into the cluster root-of-roots — the exact fold the
 //!    [`ClusterRoot`] contract recomputes on-chain from calldata;
-//! 3. **lands** one `Commit-Epoch` transaction through the same
+//! 4. **lands** one `Commit-Epoch` transaction through the same
 //!    [`ChainCommitter`] retry engine the single node's stage 2 uses, with
 //!    the contract's `tail_epoch` as the "did it land?" probe: a receipt
 //!    timeout does not mean the transaction missed, and the contract's
 //!    sequential single-write rule turns any duplicate into a revert —
 //!    each epoch lands **exactly once**;
-//! 4. **acknowledges** the covered groups (`epoch_commit`); a lost ack is
+//! 5. **acknowledges** the covered groups (`epoch_commit`); a lost ack is
 //!    harmless (the shard re-reports, the stale-epoch guard rejects
 //!    out-of-order acks — `wedge-check`'s epoch model exercises why).
 //!
@@ -26,7 +32,9 @@ use std::sync::Arc;
 
 use wedge_chain::{Address, Chain, ChainError, Gas, TxHash, Wei};
 use wedge_contracts::ClusterRoot;
-use wedge_core::chain_commit::{ChainCommitter, CommitTarget, Event, Landed};
+use wedge_core::chain_commit::{
+    missed_slot, send_slot, ChainCommitter, CommitTarget, Event, Landed,
+};
 use wedge_core::{CoreError, EntryId, EpochCommit, ShardGroup, Stage2RetryPolicy};
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::signer::Identity;
@@ -100,6 +108,9 @@ pub struct CoordinatorStats {
     pub gas_total: u64,
     /// Total fees across committed epochs.
     pub fees_total: Wei,
+    /// Held epochs that were mined after the block they were held for
+    /// (the coordinator's `NodeStats::stage2_slot_misses`).
+    pub slot_misses: u64,
 }
 
 /// Drives the cluster's root-of-roots commits.
@@ -173,12 +184,25 @@ impl EpochCoordinator {
         &self.records
     }
 
-    /// Runs one epoch: collect → fold → commit on-chain → acknowledge.
-    /// Returns `None` (and submits nothing) when every shard reported an
-    /// empty group.
+    /// Runs one epoch: collect → hold → fold → commit on-chain →
+    /// acknowledge. Returns `None` (and submits nothing) when every shard
+    /// reported an empty group.
     pub fn run_epoch(&mut self, router: &ClusterClient) -> Result<Option<&EpochRecord>, CoreError> {
         let epoch = self.next_epoch;
-        let shards = self.collect(router);
+        let mut shards = self.collect(router);
+        let mut held_for = None;
+        if shards.iter().any(|s| !s.is_empty())
+            && shards.iter().all(|s| s.roots.len() < self.max_group)
+        {
+            if let Some(slot) = send_slot(&self.chain) {
+                let clock = self.chain.clock();
+                clock.sleep(slot.send_at.since(clock.now()));
+                held_for = Some(slot.due);
+                // Shards report statelessly: this covers what flushed
+                // during the hold as well.
+                shards = self.collect(router);
+            }
+        }
         if shards.iter().all(ShardEpoch::is_empty) {
             return Ok(None);
         }
@@ -228,6 +252,8 @@ impl EpochCoordinator {
         }
 
         self.stats.epochs_committed += 1;
+        self.stats.slot_misses +=
+            u64::from(held_for.is_some_and(|due| missed_slot(&self.chain, due, landed.mined_by())));
         self.stats.gas_total += gas_used.0;
         self.stats.fees_total = self
             .stats

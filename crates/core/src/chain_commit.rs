@@ -31,6 +31,14 @@
 //! [`CommitTarget::waiting`] — so a revert is seen as soon as it is mined
 //! and a loaded node never idles through the confirmation blocks.
 //!
+//! **When** to send is shared too. A write that is not full gains nothing
+//! by going out early: the chain mines it no sooner than its next block.
+//! Both callers therefore hold such a write until the last safe moment
+//! before that block is due ([`send_slot`]), so it carries everything
+//! flushed up to then and still makes the block; [`missed_slot`] tells
+//! afterwards whether it did. The node's thread holds its head group, the
+//! epoch coordinator holds its epoch between two collections.
+//!
 //! [`ChainConfig::confirmations`]: wedge_chain::ChainConfig::confirmations
 
 use std::sync::Arc;
@@ -39,6 +47,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wedge_chain::{BlockNumber, Chain, ChainError, Receipt, TxHash};
+use wedge_sim::SimInstant;
 
 use crate::config::Stage2RetryPolicy;
 
@@ -230,6 +239,50 @@ impl ChainCommitter {
         let factor = 1.0 + self.rng.gen_range(-jitter..=jitter);
         Duration::from_secs_f64(backoff.as_secs_f64() * factor)
     }
+}
+
+/// Wall time allowed between the end of a hold and the held write reaching
+/// the mempool: collecting or deriving it, signing, submitting, and the
+/// sender's own scheduling.
+const SEND_ALLOWANCE: Duration = Duration::from_millis(25);
+
+/// The block a held write aims for, and the last safe moment to send it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SendSlot {
+    /// When the chain's next block is due.
+    pub due: SimInstant,
+    /// When to send: `due` less one receipt poll and [`SEND_ALLOWANCE`]
+    /// of wall time, and never more than one block interval away.
+    pub send_at: SimInstant,
+}
+
+/// The slot a write that is not full should be held for, or `None` when it
+/// should be sent at once: no miner runs, the clock is manual (its time
+/// does not move while a sender waits), or the send moment has already
+/// passed — always so on a 2000× clock, where the allowance alone is 50 s
+/// of simulated time.
+pub fn send_slot(chain: &Chain) -> Option<SendSlot> {
+    let factor = chain.clock().compression()?;
+    let due = chain.next_block_due()?;
+    let now = chain.clock().now();
+    let margin = chain.config().receipt_poll + SEND_ALLOWANCE.mul_f64(factor);
+    let wait = due
+        .since(now)
+        .checked_sub(margin)?
+        .min(chain.config().block_interval);
+    Some(SendSlot {
+        due,
+        send_at: now.add(wait),
+    })
+}
+
+/// Whether a write held for the block due at `due` was mined in a later
+/// block: the block before its own was already mined at or after `due`.
+pub fn missed_slot(chain: &Chain, due: SimInstant, mined_in: BlockNumber) -> bool {
+    mined_in
+        .checked_sub(1)
+        .and_then(|previous| chain.block(previous))
+        .is_some_and(|previous| previous.timestamp >= due.as_secs())
 }
 
 #[cfg(test)]
@@ -626,6 +679,34 @@ mod tests {
                 "{what}: each group lands exactly once"
             );
         }
+    }
+
+    /// A slot is offered only where a hold can still make the block: on a
+    /// 100× clock with a running miner, one receipt poll plus 25 ms of wall
+    /// time before the block; not without a miner, and not on a 2000×
+    /// clock, where that margin outlasts a 13 s block.
+    #[test]
+    fn a_slot_is_offered_only_where_a_hold_can_make_the_block() {
+        let config = ChainConfig {
+            block_interval: Duration::from_secs(39),
+            receipt_poll: Duration::from_secs(6),
+            ..ChainConfig::default()
+        };
+        let chain = Chain::new(Clock::compressed(100.0), config);
+        assert_eq!(send_slot(&chain), None, "no miner runs");
+        let _miner = chain.start_miner();
+        let asked_at = chain.clock().now();
+        let slot = send_slot(&chain).expect("a block is due in 39 s");
+        assert_eq!(Some(slot.due), chain.next_block_due());
+        // 6 s of poll plus 25 ms × 100.
+        assert!(slot.due.since(slot.send_at) >= Duration::from_millis(8_500));
+        assert!(slot.send_at.since(asked_at) <= Duration::from_secs(39));
+        assert!(!missed_slot(&chain, slot.due, chain.block_number() + 1));
+
+        let fast = Chain::new(Clock::compressed(2000.0), ChainConfig::default());
+        let _fast_miner = fast.start_miner();
+        assert!(fast.next_block_due().is_some());
+        assert_eq!(send_slot(&fast), None, "nothing is held at 2000×");
     }
 
     #[test]

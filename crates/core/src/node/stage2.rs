@@ -14,7 +14,7 @@
 //! The thread sends a group once its predecessor is *mined* and records it
 //! once it is *confirmed*. A group that is not full is **held** until the
 //! last safe moment before the chain's next block is due
-//! ([`Chain::next_block_due`], less a derived send margin), so it carries
+//! ([`send_slot`], shared with the epoch coordinator), so it carries
 //! every position flushed up to then and still makes that block; a full
 //! group, a chain with no running miner, a moment already past and a
 //! batcher that hung up all send at once. What the thread keeps is the
@@ -27,10 +27,9 @@
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use wedge_chain::{BlockNumber, Chain, ChainError, Gas, Receipt, TxHash, Wei};
+use wedge_chain::{Chain, ChainError, Gas, Receipt, TxHash, Wei};
 use wedge_contracts::RootRecord;
 use wedge_crypto::hash::Hash32;
 use wedge_sim::SimInstant;
@@ -38,7 +37,9 @@ use wedge_sim::SimInstant;
 use super::snapshot::Snapshot;
 use super::state::CommitInfo;
 use super::Shared;
-use crate::chain_commit::{ChainCommitter, CommitTarget, Event, Exhausted, Failure, Landed};
+use crate::chain_commit::{
+    missed_slot, send_slot, ChainCommitter, CommitTarget, Event, Exhausted, Failure, Landed,
+};
 use crate::config::NodeBehavior;
 use crate::types::ShardGroup;
 
@@ -368,25 +369,12 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
     }
 }
 
-/// Wall time allowed between the end of a hold and the held group's
-/// transaction reaching the mempool: deriving the group, signing,
-/// submitting, and the thread's own scheduling.
-const SEND_ALLOWANCE: Duration = Duration::from_millis(25);
-
-/// How long before a block is due a held group is sent, on a clock
-/// running `factor`× wall time: one receipt poll plus [`SEND_ALLOWANCE`].
-/// On a 2000× clock that exceeds a 13 s block interval, so nothing is held.
-fn send_margin(chain: &Chain, factor: f64) -> Duration {
-    chain.config().receipt_poll + SEND_ALLOWANCE.mul_f64(factor)
-}
-
 /// Holds the pending group — recording confirmed groups meanwhile — until
-/// the last safe moment before the next block is due, and never longer
-/// than one block interval. Returns at once, holding nothing, when no
-/// miner runs, the moment has passed, or the clock is manual (its time
-/// does not move while the thread waits); early when the group fills or
-/// the batcher hangs up (clearing `batcher_alive`). Returns the due time
-/// of the block the group was held for, if it was held.
+/// the send moment of the chain's next block ([`send_slot`]). Returns at
+/// once, holding nothing, when there is no such moment (no miner, a manual
+/// clock, or a moment already past); early when the group fills or the
+/// batcher hangs up (clearing `batcher_alive`). Returns the due time of the
+/// block the group was held for, if it was held.
 fn hold(
     shared: &Shared,
     wake: &Receiver<()>,
@@ -394,24 +382,18 @@ fn hold(
     batcher_alive: &mut bool,
 ) -> Option<SimInstant> {
     let chain = &shared.chain;
+    let slot = send_slot(chain)?;
     let factor = chain.clock().compression()?;
-    let due = chain.next_block_due()?;
-    let now = chain.clock().now();
-    let wait = due
-        .since(now)
-        .checked_sub(send_margin(chain, factor))?
-        .min(chain.config().block_interval);
-    let deadline = now.add(wait);
     let from = in_flight.back().map_or(0, InFlight::end);
     let max_group = shared.config.stage2_max_group.max(1);
     let mut held = None;
     loop {
         let now = chain.clock().now();
-        if now >= deadline || shared.pending_group(from, max_group).roots.len() >= max_group {
+        if now >= slot.send_at || shared.pending_group(from, max_group).roots.len() >= max_group {
             return held;
         }
-        held = Some(due);
-        if wake.recv_timeout(deadline.since(now).div_f64(factor))
+        held = Some(slot.due);
+        if wake.recv_timeout(slot.send_at.since(now).div_f64(factor))
             == Err(RecvTimeoutError::Disconnected)
         {
             *batcher_alive = false;
@@ -419,15 +401,6 @@ fn hold(
         }
         record_confirmed(shared, in_flight);
     }
-}
-
-/// Whether a group held for the block due at `due` was mined in a later
-/// block: the block before its own was already mined at or after `due`.
-fn missed_slot(chain: &Chain, due: SimInstant, mined_in: BlockNumber) -> bool {
-    mined_in
-        .checked_sub(1)
-        .and_then(|previous| chain.block(previous))
-        .is_some_and(|previous| previous.timestamp >= due.as_secs())
 }
 
 /// Waits one receipt poll of simulated time for the oldest mined group to
@@ -517,6 +490,7 @@ impl TierMaintenance {
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
+    use std::time::Duration;
 
     use wedge_merkle::MerkleTree;
 
