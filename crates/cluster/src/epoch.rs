@@ -1,44 +1,73 @@
 //! The epoch coordinator: one root-of-roots transaction per epoch.
 //!
-//! Each epoch the coordinator
+//! Each [`EpochCoordinator::run_epoch`] call is one step of the pipeline
+//! the single node's stage-2 thread runs: the next epoch can go out as
+//! soon as the last one is mined, and mined epochs wait in the same
+//! [`InFlight`] FIFO until they are confirmation-deep. A call
 //!
 //! 1. **collects** every shard's pending batch-root group
-//!    (`epoch_report`) — an unreachable shard simply contributes an empty
-//!    group this epoch and re-reports the same positions next time (the
-//!    shard side is stateless, see `wedge_core::node` epoch docs). When
-//!    every shard is empty the call returns at once;
-//! 2. **holds** the epoch, unless a shard already reports a full group,
-//!    until the send moment of the chain's next block — the one hold the
-//!    single node's stage 2 uses ([`send_slot`]) — and then collects again,
-//!    so whatever flushed during the hold rides along and the epoch still
-//!    makes that block;
-//! 3. **folds** each shard's roots into a shard epoch root, and the N
+//!    (`epoch_report`) beyond what the epochs already in flight will
+//!    commit: it asks for `max_group` plus the roots in flight and drops
+//!    those that follow on from the shard's frontier (the shard side is
+//!    stateless, see `wedge_core::node` epoch docs). An unreachable shard
+//!    simply contributes an empty group and re-reports the same positions
+//!    next time;
+//! 2. with **nothing new** anywhere, waits for the oldest epoch in flight
+//!    to confirm and goes to step 6 — or, with nothing in flight either,
+//!    returns `None` at once;
+//! 3. **holds** the epoch, unless a shard already reports a full group,
+//!    until the send moment of the chain's next block — the hold the
+//!    single node's stage 2 uses — or, when that moment has passed, of the
+//!    block after ([`open_slot`]), and then collects again, so whatever
+//!    flushed during the hold rides along and the epoch still makes that
+//!    block. Behind an epoch in flight, a held epoch goes out only if no
+//!    shard flushed during the hold's last send margin: while the shards
+//!    are still flushing, the call sends nothing and waits for the oldest
+//!    epoch in flight to confirm (step 6), and the next call sends what
+//!    flushed in one epoch. Sent mid-stream, it would leave the stream's
+//!    last batches, however few, to a whole `Commit-Epoch` of their own,
+//!    and the number of epochs a burst of appends takes would follow the
+//!    host's speed;
+//! 4. **folds** each shard's roots into a shard epoch root, and the N
 //!    shard roots into the cluster root-of-roots — the exact fold the
 //!    [`ClusterRoot`] contract recomputes on-chain from calldata;
-//! 4. **lands** one `Commit-Epoch` transaction through the same
-//!    [`ChainCommitter`] retry engine the single node's stage 2 uses, with
-//!    the contract's `tail_epoch` as the "did it land?" probe: a receipt
-//!    timeout does not mean the transaction missed, and the contract's
-//!    sequential single-write rule turns any duplicate into a revert —
-//!    each epoch lands **exactly once**;
-//! 5. **acknowledges** the covered groups (`epoch_commit`); a lost ack is
-//!    harmless (the shard re-reports, the stale-epoch guard rejects
-//!    out-of-order acks — `wedge-check`'s epoch model exercises why).
+//! 5. **lands** one `Commit-Epoch` transaction through the same
+//!    [`ChainCommitter::include`] retry ladder the single node's stage 2
+//!    uses — returning once it is mined, so at most one coordinator
+//!    transaction is ever unmined — with the contract's `tail_epoch` as the
+//!    "did it land?" probe: a receipt timeout does not mean the transaction
+//!    missed, and the contract's sequential single-write rule turns any
+//!    duplicate into a revert — each epoch lands **exactly once**. The
+//!    mined epoch joins the FIFO;
+//! 6. **acknowledges** the covered groups of the oldest epoch in flight
+//!    (`epoch_commit`) if it is now confirmation-deep, records it and
+//!    returns it — at most one per call, in epoch order, so at most
+//!    `confirmations + 1` epochs are ever in flight. A lost ack costs one
+//!    more epoch: its positions stay at the shard's frontier, so the next
+//!    collection covers them again, and an epoch already in flight past
+//!    them is rejected by the shard as a commitment gap (the stale-epoch
+//!    guard rejects out-of-order acks — `wedge-check`'s epoch model
+//!    exercises why).
 //!
-//! The coordinator keeps an [`EpochRecord`] per committed epoch and serves
-//! [`ClusterProof`]s from it: entry → shard root → on-chain cluster root.
+//! The coordinator keeps an [`EpochRecord`] per acknowledged epoch and
+//! serves [`ClusterProof`]s from it: entry → shard root → on-chain cluster
+//! root. An epoch still in flight has no record yet, so nothing is proved
+//! or acknowledged before it is confirmation-deep; a coordinator that
+//! stops with epochs in flight leaves their positions pending, and the next
+//! coordinator covers them again in a later epoch.
 
 use std::sync::Arc;
 
 use wedge_chain::{Address, Chain, ChainError, Gas, TxHash, Wei};
 use wedge_contracts::ClusterRoot;
 use wedge_core::chain_commit::{
-    missed_slot, send_slot, ChainCommitter, CommitTarget, Event, Landed,
+    missed_slot, open_slot, ChainCommitter, CommitTarget, Event, InFlight, Landed,
 };
 use wedge_core::{CoreError, EntryId, EpochCommit, ShardGroup, Stage2RetryPolicy};
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::signer::Identity;
 use wedge_merkle::MerkleTree;
+use wedge_sim::SimInstant;
 
 use crate::proof::ClusterProof;
 use crate::router::ClusterClient;
@@ -67,7 +96,8 @@ impl ShardEpoch {
     }
 }
 
-/// A committed epoch: everything needed to rebuild its proofs.
+/// An epoch on chain: everything needed to acknowledge it and to rebuild
+/// its proofs.
 #[derive(Clone, Debug)]
 pub struct EpochRecord {
     /// The epoch number (sequential from 0).
@@ -90,7 +120,8 @@ pub struct EpochRecord {
 /// Coordinator counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoordinatorStats {
-    /// Epochs committed on-chain.
+    /// Epochs confirmed on chain and acknowledged to their shards (one
+    /// [`EpochRecord`] each).
     pub epochs_committed: u64,
     /// `Commit-Epoch` submissions attempted (retries included).
     pub txs_submitted: u64,
@@ -104,9 +135,9 @@ pub struct CoordinatorStats {
     /// `epoch_commit` acknowledgements that failed (shard will
     /// re-report).
     pub acks_failed: u64,
-    /// Total gas across committed epochs.
+    /// Total gas across landed epochs.
     pub gas_total: u64,
-    /// Total fees across committed epochs.
+    /// Total fees across landed epochs.
     pub fees_total: Wei,
     /// Held epochs that were mined after the block they were held for
     /// (the coordinator's `NodeStats::stage2_slot_misses`).
@@ -121,6 +152,8 @@ pub struct EpochCoordinator {
     max_group: usize,
     committer: ChainCommitter,
     next_epoch: u64,
+    /// Mined epochs awaiting confirmation, oldest first.
+    in_flight: InFlight<EpochRecord>,
     records: Vec<EpochRecord>,
     stats: CoordinatorStats,
 }
@@ -144,7 +177,9 @@ impl EpochCoordinator {
     }
 
     /// Wraps an already-deployed contract (e.g. after a coordinator
-    /// restart — `next_epoch` resumes from the contract's tail).
+    /// restart — `next_epoch` resumes from the contract's tail, and the
+    /// positions of epochs the last coordinator left in flight are covered
+    /// again by later epochs).
     pub fn new(
         chain: Arc<Chain>,
         identity: Identity,
@@ -159,9 +194,22 @@ impl EpochCoordinator {
             contract,
             max_group: max_group.max(1),
             next_epoch,
+            in_flight: InFlight::default(),
             records: Vec::new(),
             stats: CoordinatorStats::default(),
         }
+    }
+
+    /// A fresh coordinator on the same chain, identity and contract — what
+    /// a restart leaves: the records and the epochs in flight are gone, and
+    /// `next_epoch` resumes from the contract's tail.
+    pub fn restarted(&self) -> EpochCoordinator {
+        EpochCoordinator::new(
+            Arc::clone(&self.chain),
+            self.identity.clone(),
+            self.contract,
+            self.max_group,
+        )
     }
 
     /// The `ClusterRoot` contract address.
@@ -169,7 +217,8 @@ impl EpochCoordinator {
         self.contract
     }
 
-    /// The next epoch to be committed.
+    /// The next epoch to be sent: the contract's tail, once the last
+    /// send has landed.
     pub fn next_epoch(&self) -> u64 {
         self.next_epoch
     }
@@ -179,33 +228,98 @@ impl EpochCoordinator {
         self.stats
     }
 
-    /// Records of every epoch this coordinator committed.
+    /// Records of every epoch this coordinator acknowledged, in epoch
+    /// order.
     pub fn records(&self) -> &[EpochRecord] {
         &self.records
     }
 
-    /// Runs one epoch: collect → hold → fold → commit on-chain →
-    /// acknowledge. Returns `None` (and submits nothing) when every shard
-    /// reported an empty group.
+    /// Runs one pipelined step: collect what is not yet in flight → hold →
+    /// fold → send once mined, then acknowledge the oldest epoch in flight
+    /// if it is confirmation-deep. With nothing new to send — or, behind an
+    /// epoch in flight, with shards still flushing at the end of the hold —
+    /// the step waits for the oldest epoch in flight to confirm instead.
+    /// Returns the epoch acknowledged, or `None` (and submits nothing)
+    /// when nothing was pending or in flight — or when what this call sent
+    /// is not yet confirmation-deep.
+    ///
+    /// A failed send still acknowledges and records an epoch that became
+    /// confirmation-deep meanwhile (read it from [`records`]) before it
+    /// returns the error, so a chain outage holds back only new epochs.
+    ///
+    /// [`records`]: EpochCoordinator::records
     pub fn run_epoch(&mut self, router: &ClusterClient) -> Result<Option<&EpochRecord>, CoreError> {
-        let epoch = self.next_epoch;
-        let mut shards = self.collect(router);
-        let mut held_for = None;
-        if shards.iter().any(|s| !s.is_empty())
-            && shards.iter().all(|s| s.roots.len() < self.max_group)
-        {
-            if let Some(slot) = send_slot(&self.chain) {
-                let clock = self.chain.clock();
-                clock.sleep(slot.send_at.since(clock.now()));
-                held_for = Some(slot.due);
-                // Shards report statelessly: this covers what flushed
-                // during the hold as well.
-                shards = self.collect(router);
+        let sent = match self.collect_held(router) {
+            Some((shards, held_for)) => self.send(shards, held_for),
+            None => {
+                if let Some(oldest) = self.in_flight.oldest() {
+                    self.committer.confirm(oldest);
+                }
+                Ok(())
             }
-        }
+        };
+        let acknowledged = self.acknowledge_confirmed(router);
+        sent.map(|()| acknowledged)
+    }
+
+    /// Collects every shard's new roots and decides whether they go out
+    /// now. Unless they are all empty or one is full, holds them until the
+    /// send moment of the first block they can still make and collects
+    /// again. Behind an epoch in flight they go out only if the shards
+    /// flushed nothing during the hold's last send margin: while they are
+    /// still flushing, a send would leave what flushes next for yet another
+    /// `Commit-Epoch`. Returns the epoch to send and the due time of the
+    /// block it was held for, or `None` to send nothing this call.
+    fn collect_held(
+        &mut self,
+        router: &ClusterClient,
+    ) -> Option<(Vec<ShardEpoch>, Option<SimInstant>)> {
+        let shards = self.collect(router);
         if shards.iter().all(ShardEpoch::is_empty) {
-            return Ok(None);
+            return None;
         }
+        if self.any_full(&shards) {
+            return Some((shards, None));
+        }
+        let Some(slot) = open_slot(&self.chain) else {
+            return Some((shards, None));
+        };
+        let chain = Arc::clone(&self.chain);
+        let clock = chain.clock();
+        let quiet_from = if self.in_flight.is_empty() {
+            None
+        } else {
+            // `send_at` lies one send margin before the block is due.
+            let margin = slot.due.since(slot.send_at);
+            clock.sleep(slot.send_at.since(clock.now()).saturating_sub(margin));
+            Some(self.collect(router))
+        };
+        clock.sleep(slot.send_at.since(clock.now()));
+        // Shards report statelessly: this covers what flushed during the
+        // hold as well.
+        let shards = self.collect(router);
+        let quiet = quiet_from.is_none_or(|before| {
+            before
+                .iter()
+                .zip(&shards)
+                .all(|(a, b)| a.roots.len() == b.roots.len())
+        });
+        (quiet || self.any_full(&shards)).then_some((shards, Some(slot.due)))
+    }
+
+    /// Whether a shard reports a full group.
+    fn any_full(&self, shards: &[ShardEpoch]) -> bool {
+        shards.iter().any(|s| s.roots.len() >= self.max_group)
+    }
+
+    /// Folds `shards` into the next epoch, lands it and queues it in the
+    /// FIFO.
+    fn send(
+        &mut self,
+        shards: Vec<ShardEpoch>,
+        held_for: Option<SimInstant>,
+    ) -> Result<(), CoreError> {
+        let epoch = self.next_epoch;
         // The on-chain fold takes one leaf per shard — empty shards
         // contribute the zero root, keeping every shard at a fixed leaf
         // index (= shard id) so proofs don't depend on which shards were
@@ -213,14 +327,14 @@ impl EpochCoordinator {
         let shard_roots: Vec<Hash32> = shards.iter().map(|s| s.shard_root).collect();
         let cluster_root = ClusterRoot::fold_roots(&shard_roots)
             .ok_or(CoreError::RequestRejected("cluster with zero shards"))?;
-        let landed = self.commit_on_chain(epoch, &shard_roots)?;
+        let landed = self.include(epoch, &shard_roots)?;
         let on_chain = match &landed {
             Landed::Mined(receipt) => ClusterRoot::decode_root(&receipt.output),
             Landed::Reconciled { .. } => self.on_chain_root(epoch).ok(),
         };
         if on_chain != Some(cluster_root) {
             // Only possible when another coordinator landed this epoch:
-            // acknowledge nothing and resume from the contract's tail.
+            // acknowledge nothing of it and resume from the contract's tail.
             self.next_epoch = tail_epoch(&self.chain, self.contract);
             return Err(CoreError::RequestRejected(
                 "epoch landed on-chain with a different root-of-roots",
@@ -231,27 +345,6 @@ impl EpochCoordinator {
             Some(r) => (r.tx_hash, r.block_number, r.gas_used, r.fee),
             None => (TxHash::ZERO, 0, Gas::ZERO, Wei::ZERO),
         };
-
-        // Acknowledge the covered groups. A failed ack is not fatal: the
-        // shard re-reports the same positions and a later epoch covers
-        // them again (idempotently, under a fresh root-of-roots).
-        for (shard, slice) in shards.iter().enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            let ack = router.backend(shard).epoch_commit(EpochCommit {
-                epoch,
-                start: slice.start,
-                count: slice.roots.len() as u64,
-                tx_hash,
-                block_number,
-            });
-            if ack.is_err() {
-                self.stats.acks_failed += 1;
-            }
-        }
-
-        self.stats.epochs_committed += 1;
         self.stats.slot_misses +=
             u64::from(held_for.is_some_and(|due| missed_slot(&self.chain, due, landed.mined_by())));
         self.stats.gas_total += gas_used.0;
@@ -261,7 +354,7 @@ impl EpochCoordinator {
             .checked_add(fee)
             .unwrap_or(self.stats.fees_total);
         self.next_epoch = epoch + 1;
-        self.records.push(EpochRecord {
+        let record = EpochRecord {
             epoch,
             cluster_root,
             tx_hash,
@@ -269,34 +362,95 @@ impl EpochCoordinator {
             gas_used,
             fee,
             shards,
-        });
-        Ok(self.records.last())
+        };
+        self.in_flight.push(record, landed);
+        Ok(())
     }
 
-    /// Collects every shard's pending group. Report failures count in
-    /// `reports_failed` and contribute an empty slice.
+    /// Acknowledges the covered groups of the oldest epoch in flight if it
+    /// is confirmation-deep, and records it. A failed ack is not fatal: the
+    /// shard's frontier stays before those positions, so the next
+    /// collection picks them up again and a later epoch covers them
+    /// (idempotently, under a fresh root-of-roots).
+    fn acknowledge_confirmed(&mut self, router: &ClusterClient) -> Option<&EpochRecord> {
+        let (record, _) = self.in_flight.pop_confirmed(&self.chain)?;
+        for (shard, slice) in record.shards.iter().enumerate() {
+            if slice.is_empty() {
+                continue;
+            }
+            let ack = router.backend(shard).epoch_commit(EpochCommit {
+                epoch: record.epoch,
+                start: slice.start,
+                count: slice.roots.len() as u64,
+                tx_hash: record.tx_hash,
+                block_number: record.block_number,
+            });
+            if ack.is_err() {
+                self.stats.acks_failed += 1;
+            }
+        }
+        self.stats.epochs_committed += 1;
+        self.records.push(record);
+        self.records.last()
+    }
+
+    /// Collects every shard's pending group beyond the positions the
+    /// epochs in flight will commit once acknowledged. The report starts
+    /// at the shard's committed frontier, so it is asked for `max_group`
+    /// more roots than are in flight, and the covered ones are dropped.
+    /// Report failures count in `reports_failed` and contribute an empty
+    /// slice.
     fn collect(&mut self, router: &ClusterClient) -> Vec<ShardEpoch> {
         (0..router.shards())
             .map(|shard| {
-                let group = match router.backend(shard).epoch_report(self.max_group) {
+                let slices = || {
+                    self.in_flight
+                        .iter()
+                        .filter_map(move |r| r.shards.get(shard))
+                };
+                let in_flight: usize = slices().map(|s| s.roots.len()).sum();
+                let group = match router
+                    .backend(shard)
+                    .epoch_report(self.max_group + in_flight)
+                {
                     Ok(group) => group,
                     Err(_) => {
                         self.stats.reports_failed += 1;
                         ShardGroup::default()
                     }
                 };
-                let shard_root = fold_shard(&group.roots);
+                // Walk the in-flight slices in epoch order from the
+                // frontier: one that starts past what the earlier ones
+                // reach (an earlier epoch's ack failed) will be rejected
+                // as a commitment gap, so the gap is collected again.
+                let start = slices()
+                    .filter(|s| !s.is_empty())
+                    .fold(group.start, |reach, s| {
+                        if s.start <= reach {
+                            reach.max(s.start + s.roots.len() as u64)
+                        } else {
+                            reach
+                        }
+                    });
+                let roots: Vec<Hash32> = group
+                    .roots
+                    .into_iter()
+                    .skip((start - group.start) as usize)
+                    .take(self.max_group)
+                    .collect();
+                let shard_root = fold_shard(&roots);
                 ShardEpoch {
-                    start: group.start,
-                    roots: group.roots,
+                    start,
+                    roots,
                     shard_root,
                 }
             })
             .collect()
     }
 
-    /// Lands `Commit-Epoch` for `epoch` exactly once.
-    fn commit_on_chain(&mut self, epoch: u64, shard_roots: &[Hash32]) -> Result<Landed, CoreError> {
+    /// Lands `Commit-Epoch` for `epoch` exactly once, returning once it is
+    /// mined.
+    fn include(&mut self, epoch: u64, shard_roots: &[Hash32]) -> Result<Landed, CoreError> {
         let mut tx = EpochTx {
             chain: &self.chain,
             identity: &self.identity,
@@ -309,7 +463,7 @@ impl EpochCoordinator {
         };
         let landed = self
             .committer
-            .commit(&mut tx)
+            .include(&mut tx)
             .map_err(|_| CoreError::RequestRejected("epoch commit retries exhausted"))?;
         if matches!(landed, Landed::Reconciled { .. }) {
             self.stats.reconciled += 1;

@@ -12,8 +12,9 @@
 //! - [`ClusterClient`] — the shard-aware router: appends by publisher,
 //!   reads by cluster id or `(publisher, sequence)`, cross-shard fan-out,
 //!   in-place failover.
-//! - [`EpochCoordinator`] / [`EpochRecord`] — collect → fold → commit →
-//!   acknowledge, with exactly-once epoch commits under chain faults.
+//! - [`EpochCoordinator`] / [`EpochRecord`] — collect → hold → fold →
+//!   send → acknowledge once confirmed, the next epoch sent while the last
+//!   one confirms, with exactly-once epoch commits under chain faults.
 //! - [`ClusterProof`] — entry → shard epoch root → on-chain cluster root,
 //!   also exposed as a `wedge_merkle::ComposedProof`.
 //! - [`LocalCluster`] — in-process N-shard deployment for tests and the

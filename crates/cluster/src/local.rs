@@ -133,14 +133,19 @@ impl LocalCluster {
         self.nodes.len()
     }
 
-    /// Drives one coordinator epoch over the router. Returns whether an
-    /// epoch was committed (false = nothing pending anywhere).
+    /// Drives one pipelined coordinator step over the router
+    /// ([`EpochCoordinator::run_epoch`]). Returns whether an epoch became
+    /// confirmation-deep and was acknowledged in this call — false when
+    /// nothing was pending or in flight, or when the epoch this call sent
+    /// is still confirming.
     pub fn run_epoch(&mut self) -> Result<bool, CoreError> {
         Ok(self.coordinator.run_epoch(&self.router)?.is_some())
     }
 
-    /// Runs epochs until every running shard's flushed positions are
-    /// blockchain-committed, or `timeout` of simulated time passes.
+    /// Runs coordinator steps until every running shard's flushed positions
+    /// are blockchain-committed — each step that sends nothing waits for
+    /// the oldest epoch in flight to confirm — or `timeout` of
+    /// simulated time passes.
     pub fn settle(&mut self, timeout: Duration) -> Result<(), CoreError> {
         let start = self.clock.now();
         loop {
@@ -158,6 +163,13 @@ impl LocalCluster {
             }
             self.clock.sleep(Duration::from_millis(50));
         }
+    }
+
+    /// Restarts the coordinator on its deployed contract: what it kept in
+    /// memory — its records and the epochs it had in flight — is lost, and
+    /// the new one resumes from the contract's tail.
+    pub fn restart_coordinator(&mut self) {
+        self.coordinator = self.coordinator.restarted();
     }
 
     /// Takes shard `shard` down: the router fails over to a stub that

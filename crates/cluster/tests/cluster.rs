@@ -1,15 +1,23 @@
 //! Cluster integration: routing, two-level proofs, exactly-once epoch
 //! commits under chain faults, and shard crash/failover recovery.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use wedge_chain::ChainConfig;
 use wedge_cluster::{identity_on_shard, ClusterConfig, ClusterEntryId, LocalCluster};
 use wedge_contracts::ClusterRoot;
-use wedge_core::{AppendRequest, CommitPhase, CoreError, NodeConfig, SignedResponse};
+use wedge_core::node::ReplyFn;
+use wedge_core::{
+    AppendRequest, CommitPhase, CoreError, EntryId, EpochCommit, LogService, NodeConfig,
+    ShardGroup, SignedResponse,
+};
 use wedge_crypto::hash::Hash32;
+use wedge_crypto::keys::Address;
 use wedge_crypto::signer::Identity;
+use wedge_crypto::PublicKey;
+use wedge_merkle::RangeProof;
 
 /// A small-batch node config so tests flush quickly.
 fn test_node_config() -> NodeConfig {
@@ -198,6 +206,28 @@ fn router_reads_route_and_fan_out() {
     }
 }
 
+/// Runs coordinator steps one block interval apart — the cadence a
+/// deployment drives them at — until every running shard's flushed
+/// positions are blockchain-committed.
+fn settle_at_block_cadence(cluster: &mut LocalCluster) {
+    let interval = cluster.chain.config().block_interval;
+    let started = cluster.clock.now();
+    loop {
+        cluster.run_epoch().expect("run_epoch");
+        let idle = (0..cluster.shards())
+            .filter_map(|shard| cluster.node(shard))
+            .all(|node| node.wait_stage2_idle(Duration::ZERO).is_ok());
+        if idle {
+            return;
+        }
+        assert!(
+            cluster.clock.now().since(started) < Duration::from_secs(36_000),
+            "never settled"
+        );
+        cluster.clock.sleep(interval);
+    }
+}
+
 #[test]
 fn chain_fault_bursts_commit_every_epoch_exactly_once() {
     let mut cluster = LocalCluster::start(
@@ -216,21 +246,35 @@ fn chain_fault_bursts_commit_every_epoch_exactly_once() {
     )
     .expect("cluster");
 
+    // Rounds whose epoch n was still unacknowledged when epoch n+1 met its
+    // faults (a call returns once its epoch is mined; on the 2000× clock
+    // the two confirmation blocks are only 13 ms of wall time).
+    let mut behind_one_in_flight = 0;
     for round in 0..3 {
+        // Epoch n: a wave on every shard, sent and mined.
         for shard in 0..cluster.shards() {
             append_on_shard(&cluster, shard, &format!("fault-pub-{round}"), 10);
         }
-        // A fresh fault burst ahead of every settle: dropped submissions,
-        // forced reverts, and a receipt delayed past the timeout.
+        behind_one_in_flight += u32::from(!cluster.run_epoch().expect("epoch n"));
+        // Epoch n+1 meets a fresh fault burst while epoch n is in flight:
+        // dropped submissions, forced reverts, and a receipt delayed past
+        // the timeout.
+        for shard in 0..cluster.shards() {
+            append_on_shard(&cluster, shard, &format!("fault-next-{round}"), 10);
+        }
         cluster.chain.faults().drop_next_submissions(2);
         cluster.chain.faults().revert_next_calls(1);
         cluster
             .chain
             .faults()
             .delay_next_receipts(1, Duration::from_secs(300));
-        cluster.settle(Duration::from_secs(36_000)).expect("settle");
+        settle_at_block_cadence(&mut cluster);
     }
     cluster.chain.faults().clear();
+    assert!(
+        behind_one_in_flight > 0,
+        "no fault hit an epoch behind another"
+    );
 
     let stats = cluster.coordinator.stats();
     assert!(stats.retries > 0, "faults must have forced retries");
@@ -253,7 +297,8 @@ fn chain_fault_bursts_commit_every_epoch_exactly_once() {
         .expect("tail epoch");
     assert_eq!(tail, cluster.coordinator.stats().epochs_committed);
     assert_eq!(tail, cluster.coordinator.next_epoch());
-    for record in cluster.coordinator.records() {
+    let records = cluster.coordinator.records();
+    for record in records {
         let on_chain = cluster
             .coordinator
             .on_chain_root(record.epoch)
@@ -261,14 +306,279 @@ fn chain_fault_bursts_commit_every_epoch_exactly_once() {
         assert_eq!(on_chain, record.cluster_root);
     }
 
-    // Nothing stuck pending on any shard.
+    // Nothing stuck pending on any shard, and each position acknowledged
+    // exactly once: by the one epoch covering it, whose transaction its
+    // commit names.
+    assert_eq!(stats.acks_failed, 0);
+    for shard in 0..cluster.shards() {
+        let node = cluster.node(shard).expect("up");
+        for log_id in 0..node.log_positions() {
+            assert_eq!(node.commit_phase(log_id), CommitPhase::BlockchainCommitted);
+            let covering: Vec<_> = records
+                .iter()
+                .filter(|r| r.shards[shard].covers(log_id))
+                .collect();
+            assert_eq!(
+                covering.len(),
+                1,
+                "shard {shard} position {log_id}: acknowledged by {} epochs",
+                covering.len()
+            );
+            let info = node.commit_info(log_id).expect("committed");
+            assert_eq!(
+                (info.tx_hash, info.block_number),
+                (covering[0].tx_hash, covering[0].block_number),
+                "shard {shard} position {log_id}"
+            );
+        }
+        let node_stats = node.stats();
+        assert_eq!(node_stats.epoch_stale_rejected, 0);
+    }
+}
+
+/// A coordinator stopped right after a call that left epoch n mined but
+/// unacknowledged loses it with its memory. Its successor, built on the
+/// same contract, covers epoch n's positions again in a later epoch, and
+/// each of them proves against that epoch's on-chain root.
+#[test]
+fn a_restarted_coordinator_covers_the_epoch_it_left_in_flight() {
+    // 13 s blocks at 100×: a block is 130 ms of wall time, so the epoch a
+    // call sends is still far from confirmation-deep when the call returns.
+    let mut cluster = LocalCluster::start(
+        "coordinator-restart",
+        ClusterConfig {
+            shards: 2,
+            node: test_node_config(),
+            compression: 100.0,
+            ..Default::default()
+        },
+    )
+    .expect("cluster");
+    for shard in 0..cluster.shards() {
+        append_on_shard(&cluster, shard, "restart-first", 8);
+    }
+    cluster.settle(Duration::from_secs(3600)).expect("settle");
+
+    let pending: Vec<Vec<SignedResponse>> = (0..cluster.shards())
+        .map(|shard| append_on_shard(&cluster, shard, "restart-in-flight", 8))
+        .collect();
+    let n = cluster.coordinator.next_epoch();
+    assert!(!cluster.run_epoch().expect("epoch n"), "epoch n in flight");
+    assert_eq!(cluster.coordinator.next_epoch(), n + 1);
+    cluster
+        .coordinator
+        .on_chain_root(n)
+        .expect("epoch n is on chain");
+    for (shard, responses) in pending.iter().enumerate() {
+        let node = cluster.node(shard).expect("up");
+        for response in responses {
+            assert_eq!(
+                node.commit_phase(response.entry_id.log_id),
+                CommitPhase::OffchainCommitted,
+                "epoch n is unacknowledged"
+            );
+        }
+    }
+
+    cluster.restart_coordinator();
+    assert_eq!(cluster.coordinator.next_epoch(), n + 1);
+    cluster.settle(Duration::from_secs(3600)).expect("settle");
+    for (shard, responses) in pending.iter().enumerate() {
+        let node = cluster.node(shard).expect("up");
+        for log_id in 0..node.log_positions() {
+            assert_eq!(node.commit_phase(log_id), CommitPhase::BlockchainCommitted);
+        }
+        for response in responses {
+            let proof = cluster
+                .coordinator
+                .prove(&cluster.router, shard, response.entry_id)
+                .expect("re-covered by the new coordinator");
+            assert!(proof.epoch > n, "covered by epoch {}", proof.epoch);
+            let root = cluster
+                .coordinator
+                .on_chain_root(proof.epoch)
+                .expect("on-chain root");
+            proof
+                .verify(&cluster.router.node_public_key(shard), &root)
+                .expect("proof verifies against the on-chain root");
+        }
+    }
+}
+
+/// A shard backend whose next `epoch_commit` fails once `fail_next_ack`
+/// is set, as a transport error would; everything else reaches the node.
+struct AckFault {
+    node: Arc<dyn LogService>,
+    fail_next_ack: Arc<AtomicBool>,
+}
+
+impl LogService for AckFault {
+    fn node_public_key(&self) -> PublicKey {
+        self.node.node_public_key()
+    }
+    fn submit_request(&self, request: AppendRequest, reply: ReplyFn) -> Result<(), CoreError> {
+        self.node.submit_request(request, reply)
+    }
+    fn flush(&self) {
+        self.node.flush();
+    }
+    fn read_entry(&self, id: EntryId) -> Result<SignedResponse, CoreError> {
+        self.node.read_entry(id)
+    }
+    fn read_entry_by_sequence(
+        &self,
+        publisher: Address,
+        sequence: u64,
+    ) -> Result<SignedResponse, CoreError> {
+        self.node.read_entry_by_sequence(publisher, sequence)
+    }
+    fn read_position(&self, log_id: u64) -> Result<Vec<SignedResponse>, CoreError> {
+        self.node.read_position(log_id)
+    }
+    fn position_len(&self, log_id: u64) -> Option<u32> {
+        self.node.position_len(log_id)
+    }
+    fn scan(
+        &self,
+        log_id: u64,
+        start: u32,
+        count: u32,
+    ) -> Result<(Vec<Vec<u8>>, RangeProof, Hash32), CoreError> {
+        self.node.scan(log_id, start, count)
+    }
+    fn positions(&self) -> u64 {
+        self.node.positions()
+    }
+    fn entries(&self) -> u64 {
+        self.node.entries()
+    }
+    fn epoch_report(&self, max_group: usize) -> Result<ShardGroup, CoreError> {
+        self.node.epoch_report(max_group)
+    }
+    fn epoch_commit(&self, commit: EpochCommit) -> Result<u64, CoreError> {
+        if self.fail_next_ack.swap(false, Ordering::AcqRel) {
+            return Err(CoreError::NodeStopped);
+        }
+        self.node.epoch_commit(commit)
+    }
+}
+
+/// A lost acknowledgement while the next epoch is already in flight: that
+/// epoch starts past the shard's frontier, so its own ack is rejected as a
+/// commitment gap, and the coordinator must cover the gap again in a later
+/// epoch — while traffic keeps the pipeline full, not only once it drains.
+#[test]
+fn a_lost_ack_is_covered_again_while_epochs_stay_in_flight() {
+    // 13 s blocks at 100×, as in the restart test: every call leaves the
+    // epoch it sent in flight.
+    let mut cluster = LocalCluster::start(
+        "lost-ack",
+        ClusterConfig {
+            shards: 2,
+            node: test_node_config(),
+            compression: 100.0,
+            ..Default::default()
+        },
+    )
+    .expect("cluster");
+    let fail_next_ack = Arc::new(AtomicBool::new(false));
+    cluster.router.replace_shard(
+        0,
+        Arc::new(AckFault {
+            node: cluster.router.backend(0),
+            fail_next_ack: Arc::clone(&fail_next_ack),
+        }),
+    );
+
+    // Fill the pipeline: a wave on every shard and a call per block.
+    let mut round = 0;
+    let mut traffic = |cluster: &mut LocalCluster| {
+        for shard in 0..cluster.shards() {
+            append_on_shard(cluster, shard, &format!("lost-ack-{round}"), 8);
+        }
+        round += 1;
+        cluster.run_epoch().expect("run_epoch")
+    };
+    assert!(
+        (0..12).any(|_| traffic(&mut cluster)),
+        "no epoch acknowledged"
+    );
+    // The next acknowledgement to shard 0 is lost; the epoch it
+    // acknowledges covers positions below `lost`.
+    let lost = cluster.node(0).expect("up").log_positions();
+    fail_next_ack.store(true, Ordering::Release);
+    let caught_up = (0..12).find(|_| {
+        traffic(&mut cluster);
+        cluster.node(0).expect("up").commit_phase(lost - 1) == CommitPhase::BlockchainCommitted
+    });
+    assert!(!fail_next_ack.load(Ordering::Acquire), "no ack was lost");
+    let stats = cluster.coordinator.stats();
+    // The lost ack, and the gap rejection of the epoch sent behind it.
+    assert!(stats.acks_failed >= 2, "{stats:?}");
+    assert!(
+        caught_up.is_some(),
+        "shard 0 stayed behind its lost ack while traffic ran: {stats:?}"
+    );
+
+    cluster.settle(Duration::from_secs(3600)).expect("settle");
     for shard in 0..cluster.shards() {
         let node = cluster.node(shard).expect("up");
         for log_id in 0..node.log_positions() {
             assert_eq!(node.commit_phase(log_id), CommitPhase::BlockchainCommitted);
         }
-        let node_stats = node.stats();
-        assert_eq!(node_stats.epoch_stale_rejected, 0);
+        assert_eq!(node.stats().epoch_stale_rejected, 0);
+    }
+}
+
+/// A chain outage that exhausts the next epoch's retries does not hold
+/// back the epoch already in flight: it confirms meanwhile, and the failed
+/// call still acknowledges and records it.
+#[test]
+fn an_outage_on_the_next_epoch_still_acknowledges_the_confirmed_one() {
+    let mut cluster = LocalCluster::start(
+        "outage-ack",
+        ClusterConfig {
+            shards: 2,
+            node: test_node_config(),
+            compression: 100.0,
+            ..Default::default()
+        },
+    )
+    .expect("cluster");
+    let first: Vec<Vec<SignedResponse>> = (0..cluster.shards())
+        .map(|shard| append_on_shard(&cluster, shard, "outage-first", 8))
+        .collect();
+    let n = cluster.coordinator.next_epoch();
+    assert!(!cluster.run_epoch().expect("epoch n"), "epoch n in flight");
+
+    for shard in 0..cluster.shards() {
+        append_on_shard(&cluster, shard, "outage-next", 8);
+    }
+    cluster.chain.faults().drop_next_submissions(1_000);
+    cluster
+        .run_epoch()
+        .expect_err("every submission of epoch n+1 is dropped");
+    cluster.chain.faults().clear();
+    assert_eq!(cluster.coordinator.next_epoch(), n + 1);
+    let records = cluster.coordinator.records();
+    assert_eq!(records.last().map(|r| r.epoch), Some(n), "epoch n recorded");
+    for (shard, responses) in first.iter().enumerate() {
+        let node = cluster.node(shard).expect("up");
+        for response in responses {
+            assert_eq!(
+                node.commit_phase(response.entry_id.log_id),
+                CommitPhase::BlockchainCommitted,
+                "shard {shard}: epoch n acknowledged"
+            );
+        }
+    }
+
+    cluster.settle(Duration::from_secs(3600)).expect("settle");
+    for shard in 0..cluster.shards() {
+        let node = cluster.node(shard).expect("up");
+        for log_id in 0..node.log_positions() {
+            assert_eq!(node.commit_phase(log_id), CommitPhase::BlockchainCommitted);
+        }
     }
 }
 

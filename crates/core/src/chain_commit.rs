@@ -22,14 +22,18 @@
 //! 5. **give up** after `max_attempts` consecutive failures.
 //!
 //! *Confirmation* is a separate, failure-free wait: `wedge-chain` has no
-//! reorgs, so a mined write only gets deeper, and [`ChainCommitter::confirm`]
-//! just waits for [`ChainConfig::confirmations`] blocks on top of it.
-//! [`ChainCommitter::commit`] is the two in a row (the epoch coordinator's
-//! call). The node's committer keeps them apart: it sends the next group as
-//! soon as the previous one is mined and records each group once it is
-//! confirmed — also while a later group waits in `include`, through
-//! [`CommitTarget::waiting`] — so a revert is seen as soon as it is mined
-//! and a loaded node never idles through the confirmation blocks.
+//! reorgs, so a mined write only gets deeper. Both callers may send their
+//! next write as soon as the previous one is mined — the coordinator sends
+//! an epoch that is not full behind one in flight only once its shards have
+//! stopped flushing (`wedge_cluster::epoch`) — and keep the mined ones in
+//! one [`InFlight`] FIFO, taking each out once it is
+//! [`ChainConfig::confirmations`] deep: the node records its groups from it
+//! — also while a later group waits in `include`, through
+//! [`CommitTarget::waiting`] — and the coordinator acknowledges its epochs
+//! from it, at most one per `run_epoch` call, waiting for the oldest with
+//! [`ChainCommitter::confirm`] when it has nothing new to send. A revert is
+//! thus seen as soon as it is mined, and neither caller idles through the
+//! confirmation blocks.
 //!
 //! **When** to send is shared too. A write that is not full gains nothing
 //! by going out early: the chain mines it no sooner than its next block.
@@ -37,10 +41,18 @@
 //! before that block is due ([`send_slot`]), so it carries everything
 //! flushed up to then and still makes the block; [`missed_slot`] tells
 //! afterwards whether it did. The node's thread holds its head group, the
-//! epoch coordinator holds its epoch between two collections.
+//! epoch coordinator holds its epoch between two collections. They differ
+//! only once that moment has passed: the node sends at once and may still
+//! make the block, the coordinator holds for the following one
+//! ([`open_slot`]). Called once per block interval, the coordinator would
+//! otherwise now and then land just inside the margin and send a sliver of
+//! an epoch right behind the previous one: a `Commit-Epoch` transaction
+//! more, and, since a call acknowledges at most one epoch, no position
+//! acknowledged sooner.
 //!
 //! [`ChainConfig::confirmations`]: wedge_chain::ChainConfig::confirmations
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -168,15 +180,6 @@ impl ChainCommitter {
         }
     }
 
-    /// Lands `target` exactly once and waits until it is confirmed, or
-    /// reports exhaustion: [`ChainCommitter::include`], then
-    /// [`ChainCommitter::confirm`].
-    pub fn commit(&mut self, target: &mut impl CommitTarget) -> Result<Landed, Exhausted> {
-        let landed = self.include(target)?;
-        self.confirm(&landed);
-        Ok(landed)
-    }
-
     /// Lands `target` exactly once — returning as soon as it is mined, not
     /// yet confirmation-deep — or reports exhaustion.
     pub fn include(&mut self, target: &mut impl CommitTarget) -> Result<Landed, Exhausted> {
@@ -241,6 +244,56 @@ impl ChainCommitter {
     }
 }
 
+/// Writes that are mined but not yet confirmation-deep, oldest first, each
+/// with the caller's record of what it carried. A caller sends its next
+/// write only once the last one is mined, so the items sit in distinct,
+/// rising blocks — chain order — and, with no reorgs, every one of them
+/// confirms, in that order.
+pub struct InFlight<T> {
+    items: VecDeque<(T, Landed)>,
+}
+
+impl<T> Default for InFlight<T> {
+    fn default() -> InFlight<T> {
+        InFlight {
+            items: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> InFlight<T> {
+    /// Queues a write that has just landed, behind every earlier one.
+    pub fn push(&mut self, item: T, landed: Landed) {
+        self.items.push_back((item, landed));
+    }
+
+    /// Takes the oldest write out once it is confirmation-deep; `None`
+    /// while it is not, or when nothing is in flight.
+    pub fn pop_confirmed(&mut self, chain: &Chain) -> Option<(T, Landed)> {
+        let (_, landed) = self.items.front()?;
+        if !chain.is_confirmed(landed.mined_by()) {
+            return None;
+        }
+        self.items.pop_front()
+    }
+
+    /// How the oldest write landed — what a caller waits on with
+    /// [`ChainCommitter::confirm`].
+    pub fn oldest(&self) -> Option<&Landed> {
+        self.items.front().map(|(_, landed)| landed)
+    }
+
+    /// The writes in flight, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
+        self.items.iter().map(|(item, _)| item)
+    }
+
+    /// Whether nothing is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+}
+
 /// Wall time allowed between the end of a hold and the held write reaching
 /// the mempool: collecting or deriving it, signing, submitting, and the
 /// sender's own scheduling.
@@ -251,8 +304,9 @@ const SEND_ALLOWANCE: Duration = Duration::from_millis(25);
 pub struct SendSlot {
     /// When the chain's next block is due.
     pub due: SimInstant,
-    /// When to send: `due` less one receipt poll and [`SEND_ALLOWANCE`]
-    /// of wall time, and never more than one block interval away.
+    /// When to send: `due` less one receipt poll and `SEND_ALLOWANCE`
+    /// of wall time, and no further off than one block interval per block
+    /// to wait for.
     pub send_at: SimInstant,
 }
 
@@ -262,14 +316,29 @@ pub struct SendSlot {
 /// passed — always so on a 2000× clock, where the allowance alone is 50 s
 /// of simulated time.
 pub fn send_slot(chain: &Chain) -> Option<SendSlot> {
+    slot_after(chain, 0)
+}
+
+/// The slot of the first block a write that is not full can still make:
+/// [`send_slot`]'s, or — once that send moment has passed — the following
+/// block's. `None` only where neither block has a slot: no miner, a manual
+/// clock, or a 2000× clock.
+pub fn open_slot(chain: &Chain) -> Option<SendSlot> {
+    send_slot(chain).or_else(|| slot_after(chain, 1))
+}
+
+/// The slot of the block `skipped` blocks after the next one, never more
+/// than `skipped + 1` block intervals away.
+fn slot_after(chain: &Chain, skipped: u32) -> Option<SendSlot> {
     let factor = chain.clock().compression()?;
-    let due = chain.next_block_due()?;
+    let interval = chain.config().block_interval;
+    let due = chain.next_block_due()?.add(interval * skipped);
     let now = chain.clock().now();
     let margin = chain.config().receipt_poll + SEND_ALLOWANCE.mul_f64(factor);
     let wait = due
         .since(now)
         .checked_sub(margin)?
-        .min(chain.config().block_interval);
+        .min(interval * (skipped + 1));
     Some(SendSlot {
         due,
         send_at: now.add(wait),
@@ -429,7 +498,8 @@ mod tests {
     fn dropped_submissions_are_retried_up_the_ladder() {
         let (mut committer, mut write, _miner) = world(ChainConfig::default(), 8);
         write.chain.faults().drop_next_submissions(2);
-        let landed = committer.commit(&mut write).expect("lands on attempt 3");
+        let landed = committer.include(&mut write).expect("lands on attempt 3");
+        committer.confirm(&landed);
         assert!(matches!(landed, Landed::Mined(_)), "{landed:?}");
         assert_eq!(
             write.events,
@@ -450,7 +520,8 @@ mod tests {
     fn a_mined_revert_is_retried() {
         let (mut committer, mut write, _miner) = world(ChainConfig::default(), 8);
         write.chain.faults().revert_next_calls(1);
-        let landed = committer.commit(&mut write).expect("lands on attempt 2");
+        let landed = committer.include(&mut write).expect("lands on attempt 2");
+        committer.confirm(&landed);
         let receipt = landed.receipt().expect("confirmed by its own receipt");
         assert!(receipt.status.is_success());
         assert_eq!(
@@ -476,7 +547,8 @@ mod tests {
             .chain
             .faults()
             .delay_next_receipts(1, Duration::from_secs(240));
-        let landed = committer.commit(&mut write).expect("reconciled");
+        let landed = committer.include(&mut write).expect("reconciled");
+        committer.confirm(&landed);
         // The probe found it, and the receipt of the one transaction sent is
         // recovered so its gas is accounted for.
         let Landed::Reconciled {
@@ -498,11 +570,13 @@ mod tests {
     #[test]
     fn a_write_landed_by_someone_else_is_adopted_without_a_receipt() {
         let (mut committer, mut write, _miner) = world(ChainConfig::default(), 8);
-        committer.commit(&mut write).expect("first landing");
+        let first = committer.include(&mut write).expect("first landing");
+        committer.confirm(&first);
         write.events.clear();
         // The same write again: the contract's sequential rule reverts the
         // duplicate, and the probe recognises it as already on chain.
-        let landed = committer.commit(&mut write).expect("already landed");
+        let landed = committer.include(&mut write).expect("already landed");
+        committer.confirm(&landed);
         assert!(
             matches!(landed, Landed::Reconciled { receipt: None, .. }),
             "{landed:?}"
@@ -518,7 +592,7 @@ mod tests {
     fn exhaustion_after_max_attempts_with_no_trailing_backoff() {
         let (mut committer, mut write, _miner) = world(ChainConfig::default(), 3);
         write.chain.faults().drop_next_submissions(1_000);
-        assert_eq!(committer.commit(&mut write).unwrap_err(), Exhausted);
+        assert_eq!(committer.include(&mut write).unwrap_err(), Exhausted);
         assert_eq!(
             write.events,
             vec![
@@ -574,7 +648,7 @@ mod tests {
         assert!(write.chain.is_confirmed(landed.mined_by()));
 
         // Hidden past it: a timeout, reconciled against the tail — the
-        // same outcome `commit` gives (see
+        // same outcome as when nothing waits behind it (see
         // `a_timed_out_but_landed_write_is_adopted_not_resent`).
         let mut next = write.next(vec![Hash32([3; 32])]);
         next.chain
@@ -669,9 +743,17 @@ mod tests {
             assert_eq!(first.events, vec![submitting(1)], "{what}");
             // The FIFO order is the chain's order: k+1 after k.
             assert!(k1.mined_by() > k.mined_by(), "{what}");
+            let mut in_flight = InFlight::default();
+            in_flight.push("k", k.clone());
+            in_flight.push("k+1", k1.clone());
+            assert!(in_flight.pop_confirmed(&second.chain).is_none(), "{what}");
             committer.confirm(&k);
             committer.confirm(&k1);
             assert!(second.chain.is_confirmed(k1.mined_by()), "{what}");
+            let popped: Vec<&str> = std::iter::from_fn(|| in_flight.pop_confirmed(&second.chain))
+                .map(|(item, _)| item)
+                .collect();
+            assert_eq!(popped, ["k", "k+1"], "{what}: oldest first");
             assert_eq!(second.tail(), 3, "{what}");
             assert_eq!(
                 (first.successes(), second.successes()),

@@ -19,12 +19,13 @@
 //! group, a chain with no running miner, a moment already past and a
 //! batcher that hung up all send at once. What the thread keeps is the
 //! head group's roots (≤ `stage2_max_group`) and, per mined group awaiting
-//! confirmation, its range and receipt — at most `confirmations + 1` of
+//! confirmation, its range and receipt — in the [`InFlight`] FIFO the epoch
+//! coordinator keeps its epochs in too, at most `confirmations + 1` of
 //! them, one per block, however long the chain is down. The batcher only
 //! *wakes* the thread, and restart and failure recovery are the same step:
 //! adopt the contract's tail ([`Shared::adopt_onchain_tail`]).
 
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -38,7 +39,8 @@ use super::snapshot::Snapshot;
 use super::state::CommitInfo;
 use super::Shared;
 use crate::chain_commit::{
-    missed_slot, send_slot, ChainCommitter, CommitTarget, Event, Exhausted, Failure, Landed,
+    missed_slot, send_slot, ChainCommitter, CommitTarget, Event, Exhausted, Failure, InFlight,
+    Landed,
 };
 use crate::config::NodeBehavior;
 use crate::types::ShardGroup;
@@ -175,7 +177,7 @@ struct HeadGroup<'a> {
     group: ShardGroup,
     /// The mined groups ahead of it, recorded as they confirm while the
     /// head waits.
-    in_flight: &'a mut VecDeque<InFlight>,
+    in_flight: &'a mut InFlight<Range<u64>>,
 }
 
 impl CommitTarget for HeadGroup<'_> {
@@ -230,47 +232,30 @@ impl CommitTarget for HeadGroup<'_> {
     }
 }
 
-/// A group on chain but not yet confirmation-deep.
-struct InFlight {
-    start: u64,
-    count: u64,
-    landed: Landed,
-}
-
-impl InFlight {
-    /// The group `head` landed as, read right after the landing: a
-    /// reconciled attempt reached as far as the contract's tail.
-    fn new(shared: &Shared, head: ShardGroup, landed: Landed) -> InFlight {
-        let count = match landed {
-            Landed::Mined(_) => head.roots.len() as u64,
-            Landed::Reconciled { .. } => shared.onchain_tail().saturating_sub(head.start),
-        };
-        InFlight {
-            start: head.start,
-            count,
-            landed,
-        }
-    }
-
-    fn end(&self) -> u64 {
-        self.start + self.count
-    }
+/// The positions `head` landed as, read right after the landing: a
+/// reconciled attempt reached as far as the contract's tail.
+fn landed_range(shared: &Shared, head: &ShardGroup, landed: &Landed) -> Range<u64> {
+    let end = match landed {
+        Landed::Mined(_) => head.start + head.roots.len() as u64,
+        Landed::Reconciled { .. } => shared.onchain_tail().max(head.start),
+    };
+    head.start..end
 }
 
 /// Records the mined groups that are now confirmation-deep as
 /// blockchain-committed, oldest first (maintenance is left to the caller).
-fn record_confirmed(shared: &Shared, in_flight: &mut VecDeque<InFlight>) {
-    while let Some(group) = in_flight.front() {
-        if !shared.chain.is_confirmed(group.landed.mined_by()) {
-            return;
-        }
-        let (tx_hash, block_number) = group
-            .landed
+fn record_confirmed(shared: &Shared, in_flight: &mut InFlight<Range<u64>>) {
+    while let Some((range, landed)) = in_flight.pop_confirmed(&shared.chain) {
+        let (tx_hash, block_number) = landed
             .receipt()
             .map_or((Hash32::ZERO, 0), |r| (r.tx_hash, r.block_number));
-        shared.apply_commit(group.start, group.count, tx_hash, block_number);
-        in_flight.pop_front();
+        shared.apply_commit(range.start, range.end - range.start, tx_hash, block_number);
     }
+}
+
+/// Where the next group starts: past the groups in flight.
+fn next_start(in_flight: &InFlight<Range<u64>>) -> u64 {
+    in_flight.iter().next_back().map_or(0, |range| range.end)
 }
 
 /// The direct committer thread: sends the pending group once the previous
@@ -298,10 +283,9 @@ fn record_confirmed(shared: &Shared, in_flight: &mut VecDeque<InFlight>) {
 /// tail.
 pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
     let mut committer = ChainCommitter::new(Arc::clone(&shared.chain), shared.config.stage2_retry);
-    // Mined groups, oldest first. `wedge-chain` has no reorgs, so each of
-    // them will confirm: the next group starts where the last one ends, and
-    // they are recorded in this order once confirmation-deep.
-    let mut in_flight: VecDeque<InFlight> = VecDeque::new();
+    // Mined groups, oldest first: the next group starts where the last one
+    // ends, and they are recorded in this order once confirmation-deep.
+    let mut in_flight = InFlight::default();
     let mut batcher_alive = true;
     let mut parked = false;
     // After the hang-up: when to stop waiting for in-flight confirmations.
@@ -311,8 +295,7 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
         let group = if parked {
             ShardGroup::default()
         } else {
-            let from = in_flight.back().map_or(0, InFlight::end);
-            shared.pending_group(from, shared.config.stage2_max_group)
+            shared.pending_group(next_start(&in_flight), shared.config.stage2_max_group)
         };
         if !group.is_empty() {
             // The first `submit` re-derives the group, so whatever flushed
@@ -340,7 +323,7 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
                     }
                     stats.stage2_slot_misses += u64::from(missed);
                     drop(stats);
-                    in_flight.push_back(InFlight::new(&shared, group, landed));
+                    in_flight.push(landed_range(&shared, &group, &landed), landed);
                     give_up_at = None;
                 }
                 Err(Exhausted) => {
@@ -378,13 +361,13 @@ pub(crate) fn run(shared: Arc<Shared>, wake: Receiver<()>) {
 fn hold(
     shared: &Shared,
     wake: &Receiver<()>,
-    in_flight: &mut VecDeque<InFlight>,
+    in_flight: &mut InFlight<Range<u64>>,
     batcher_alive: &mut bool,
 ) -> Option<SimInstant> {
     let chain = &shared.chain;
     let slot = send_slot(chain)?;
     let factor = chain.clock().compression()?;
-    let from = in_flight.back().map_or(0, InFlight::end);
+    let from = next_start(in_flight);
     let max_group = shared.config.stage2_max_group.max(1);
     let mut held = None;
     loop {

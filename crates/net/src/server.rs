@@ -76,9 +76,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the accept loop, the sessions, and the handle.
+/// State shared by the accept loop, the sessions, the handle and every
+/// pending append callback. The service is not part of it: the sessions
+/// hold it, so a stopped server lets go of the service even while the
+/// service still holds callbacks of appends it has not replied to.
 struct ServerShared {
-    service: Arc<dyn LogService>,
     stop: AtomicBool,
     counters: NetCounters,
     pool: BufferPool,
@@ -124,7 +126,6 @@ impl NodeServer {
         let local_addr = listener.local_addr()?;
         let accept_listener = listener.try_clone()?;
         let shared = Arc::new(ServerShared {
-            service,
             stop: AtomicBool::new(false),
             counters: NetCounters::default(),
             pool: BufferPool::new(POOL_MAX_BUFFERS, POOL_MAX_RETAINED),
@@ -133,7 +134,7 @@ impl NodeServer {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("wedge-net-accept".into())
-            .spawn(move || accept_loop(accept_listener, accept_shared))?;
+            .spawn(move || accept_loop(accept_listener, accept_shared, service))?;
         Ok(NodeServer {
             local_addr,
             listener,
@@ -208,7 +209,11 @@ impl Drop for NodeServer {
 /// when [`ServerConfig::max_connections`] sessions are live. Blocking
 /// accept: no sleep-poll, so connection establishment costs no added
 /// latency. Returns the handles of the sessions still running at exit.
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) -> Vec<JoinHandle<()>> {
+fn accept_loop(
+    listener: TcpListener,
+    shared: Arc<ServerShared>,
+    service: Arc<dyn LogService>,
+) -> Vec<JoinHandle<()>> {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     let mut next = 0u64;
     loop {
@@ -230,10 +235,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) -> Vec<JoinHand
                 }
                 c.connection_opened();
                 let session_shared = Arc::clone(&shared);
+                let session_service = Arc::clone(&service);
                 let spawned = std::thread::Builder::new()
                     .name(format!("wedge-net-conn-{next}"))
                     .spawn(move || {
-                        serve_session(stream, next, &session_shared);
+                        serve_session(stream, next, &session_shared, &*session_service);
                         session_shared.counters.connection_closed();
                     });
                 next += 1;
@@ -261,7 +267,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) -> Vec<JoinHand
 }
 
 /// Serves one connection until EOF, protocol violation, or shutdown.
-fn serve_session(stream: TcpStream, n: u64, shared: &Arc<ServerShared>) {
+fn serve_session(stream: TcpStream, n: u64, shared: &Arc<ServerShared>, service: &dyn LogService) {
     let _ = stream.set_nodelay(true);
     // Reads time out periodically so the session notices shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -309,7 +315,7 @@ fn serve_session(stream: TcpStream, n: u64, shared: &Arc<ServerShared>) {
         // The decoded request owns its data; return the rx buffer to the
         // pool before dispatching.
         drop(frame);
-        handle(shared, req_id, request, &session);
+        handle(shared, service, req_id, request, &session);
     }
     drop(session);
     // The writer exits once every reply sender — including clones held by
@@ -498,8 +504,13 @@ fn deliver_append(shared: &ServerShared, session: &SessionSender, req_id: u64, r
 }
 
 /// Dispatches one request; errors become [`Reply::Error`] frames.
-fn handle(shared: &Arc<ServerShared>, req_id: u64, request: Request, session: &Arc<SessionSender>) {
-    let service = &shared.service;
+fn handle(
+    shared: &Arc<ServerShared>,
+    service: &dyn LogService,
+    req_id: u64,
+    request: Request,
+    session: &Arc<SessionSender>,
+) {
     let reply = match request {
         Request::Hello => Reply::Hello {
             public_key: service.node_public_key().to_bytes(),

@@ -211,6 +211,49 @@ fn undeliverable_append_reply_kills_connection_instead_of_hanging() {
     let _ = slow.shutdown(std::net::Shutdown::Both);
 }
 
+/// A stopped server lets go of its node even while appends it forwarded
+/// still await their replies. Their callbacks once held the node through
+/// the server's shared state: a deployment dropped right after the server
+/// of a killed connection then could not shut its node down, removed the
+/// node's directory while the node still ran, and the node's final
+/// checkpoint — written once the last callback let go — put
+/// `checkpoints/` back in the temp directory.
+#[test]
+fn a_stopped_server_lets_go_of_the_node_while_appends_await_replies() {
+    let server_config = ServerConfig {
+        reply_queue_depth: 2,
+        append_reply_grace: Duration::from_millis(100),
+        write_stall_timeout: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    // Full batches flush at once, and their unread replies get the flooding
+    // connection killed; the partial batch the flood ends on waits out the
+    // linger, its replies pending.
+    let node_config = NodeConfig {
+        batch_size: 25,
+        batch_linger: Duration::from_secs(60),
+        ..Default::default()
+    };
+    let (mut w, server) = net_world("release", node_config, server_config);
+    let key = *w.client_identity.secret_key();
+    let mut slow = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+    for seq in 0..601u64 {
+        let request = AppendRequest::new(&key, seq, vec![0xEF; 16 * 1024]);
+        if send_request(&mut slow, seq + 1, &Request::Append(request)).is_err() {
+            break;
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.stats().slow_client_kills == 0 {
+        assert!(Instant::now() < deadline, "the flood was never killed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(slow);
+    drop(server);
+    w.shutdown()
+        .expect("the stopped server still holds the node through pending appends");
+}
+
 /// `meta()` costs one frame, and `positions()`/`entries()` each make a
 /// fresh Meta round trip, so they see an append made on another
 /// connection right after it is replied to.
